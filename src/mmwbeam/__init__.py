@@ -27,7 +27,6 @@ from .channel import (
 )
 from .beamformer import (
     BeamformerPair,
-    ConvergenceError,
     GridSizeError,
     GridSpec,
     SnrReport,
@@ -58,7 +57,6 @@ __all__ = [
     "channel_power",
     "channel_to_json",
     "BeamformerPair",
-    "ConvergenceError",
     "GridSizeError",
     "GridSpec",
     "SnrReport",

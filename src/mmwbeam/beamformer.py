@@ -1,19 +1,18 @@
 """Transmit/receive beamformer constructions and received-SNR evaluation.
 
-Two independent routes compute the optimal pair: a dominant-eigenvector
-power iteration on ``H^H H`` and an L x L reduced eigenproblem built from
-the path gains and steering-vector Gram matrices (every eigenvector of
-``H^H H`` with a nonzero eigenvalue is a combination of the transmit
-steering vectors, so the search space collapses from Nt to L dimensions).
-The low-complexity schemes (dominant-path, bi-directional, equal-power)
-and the brute-force grid search over the same reduced space are provided
-for benchmarking the loss against the optimum.
+Two independent routes compute the optimal pair.  The dense oracle takes
+the top right singular vector of ``H``.  The reduced route uses the path
+structure: every eigenvector of ``H^H H`` with a nonzero eigenvalue is a
+combination of the transmit steering vectors, so the search collapses from
+Nt to L dimensions and becomes a Hermitian L x L eigenproblem.  The
+low-complexity schemes (dominant-path, bi-directional, equal-power) and the
+brute-force grid search over the same reduced space are provided for
+benchmarking the loss against the optimum.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,7 +25,6 @@ __all__ = [
     "BeamformerPair",
     "SnrReport",
     "GridSpec",
-    "ConvergenceError",
     "GridSizeError",
     "received_snr",
     "matched_filter",
@@ -39,18 +37,6 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
-
-# Fixed key for the single pseudo-random restart of the power iteration.
-_RESTART_KEY = 0x5D1F_BEA3_0C8A_4E72
-
-
-class ConvergenceError(RuntimeError):
-    """Power iteration failed to converge; ``best`` holds the best iterate."""
-
-    def __init__(self, message: str, best: "BeamformerPair"):
-        super().__init__(message)
-        self.best = best
-
 
 class GridSizeError(RuntimeError):
     """Requested search grid exceeds the configured point budget."""
@@ -180,60 +166,19 @@ def matched_filter(channel: ChannelMatrix, tx: np.ndarray) -> np.ndarray:
     return w / norm_w
 
 
-def _power_iteration(m: np.ndarray, start: np.ndarray, tol: float, max_iters: int):
-    """Run power iteration; returns (converged, vector, rayleigh_quotient)."""
-    z = start / np.linalg.norm(start)
-    rq_prev = -math.inf
-    for _ in range(max_iters):
-        w = m @ z
-        rq = float(np.real(np.vdot(z, w)))
-        norm_w = float(np.linalg.norm(w))
-        if norm_w < 1e-140:
-            return False, z, rq  # start vector had no overlap with the range
-        z = w / norm_w
-        if abs(rq - rq_prev) <= tol * max(abs(rq), 1e-300):
-            return True, z, rq
-        rq_prev = rq
-    return False, z, rq
+def optimal_beamformer(channel: ChannelMatrix) -> BeamformerPair:
+    """Best unit-norm pair from the dense SVD of ``H``.
 
-
-def optimal_beamformer(
-    channel: ChannelMatrix,
-    tol: float = 1e-13,
-    max_iters: int = 10_000,
-) -> BeamformerPair:
-    """Best unit-norm pair via power iteration on ``H^H H``.
-
-    The transmit vector converges to a dominant eigenvector of ``H^H H``
-    (any vector in the dominant eigenspace when the top eigenvalue is
-    repeated); the receive vector is its matched filter.  Starts from the
-    normalized all-ones vector, with one fixed pseudo-random restart if
-    the Rayleigh quotient has not settled to relative tolerance ``tol``
-    within ``max_iters`` iterations.
+    The transmit vector is the top right singular vector of ``H`` (a vector
+    of the top singular subspace when the top singular value is repeated);
+    the receive vector is its matched filter.  This route ignores the path
+    structure, so it is the oracle for :func:`reduced_optimal_beamformer`.
     """
     h = channel.entries
     if not np.any(h):
         raise ValueError("channel matrix is zero")
-    m = h.conj().T @ h
-    nt = channel.num_tx
-
-    ones = np.ones(nt, dtype=complex)
-    rng = np.random.Generator(np.random.Philox(key=_RESTART_KEY))
-    random_start = rng.standard_normal(nt) + 1j * rng.standard_normal(nt)
-
-    best_vec = None
-    best_rq = -math.inf
-    for start in (ones, random_start):
-        converged, vec, rq = _power_iteration(m, start, tol, max_iters)
-        if converged:
-            return _as_pair(channel, vec)
-        if rq > best_rq:
-            best_rq = rq
-            best_vec = vec
-    raise ConvergenceError(
-        f"power iteration did not converge within {max_iters} iterations",
-        _as_pair(channel, best_vec),
-    )
+    _, _, vh = np.linalg.svd(h, full_matrices=False)
+    return _as_pair(channel, vh[0].conj())
 
 
 def reduced_optimal_beamformer(
@@ -242,14 +187,14 @@ def reduced_optimal_beamformer(
     rx_geom: ArrayGeometry,
     channel: ChannelMatrix | None = None,
 ) -> BeamformerPair:
-    """Best pair via the L x L reduced eigenproblem.
+    """Best pair via the Hermitian L x L core of Proposition 1.
 
-    With ``V = [conj(gain_1) v_1, ..., conj(gain_L) v_L]`` and
-    ``A(i, j) = u_i^H u_j``, the matrix ``(L / (Nt*Nr)) * H^H H`` equals
-    ``V A V^H``, so ``V x`` is an eigenvector of ``H^H H`` whenever ``x``
-    solves ``(A V^H V) x = lambda x``.  Falls back to
-    :func:`optimal_beamformer` (with a RuntimeWarning) if the small
-    eigenproblem is ill-conditioned.
+    With the thin QR factorization ``V = Q R`` of the transmit steering
+    stack and ``W = U diag(gain) R^H``, the channel is proportional to
+    ``W Q^H``, so ``H^H H`` is proportional to ``Q (W^H W) Q^H``.  The
+    optimal transmit vector is ``Q x`` with ``x`` the top eigenvector of
+    ``W^H W``; a rank-deficient core (coincident or cancelling paths)
+    still yields a defined vector.
     """
     if len(paths) == 0:
         raise ValueError("at least one path component is required")
@@ -259,30 +204,10 @@ def reduced_optimal_beamformer(
     gains = np.array([complex(p.gain) for p in paths])
     rx_steer = steering_matrix(rx_geom, [p.aoa for p in paths])
     tx_steer = steering_matrix(tx_geom, [p.aod for p in paths])
-    weighted_tx = tx_steer * gains.conj()
-    coupling = rx_steer.conj().T @ rx_steer
-    reduced = coupling @ (weighted_tx.conj().T @ weighted_tx)
-
-    try:
-        eigvals, eigvecs = np.linalg.eig(reduced)
-    except np.linalg.LinAlgError:
-        eigvals = None
-    valid = eigvals is not None and np.all(np.isfinite(eigvals))
-    if valid:
-        top = int(np.argmax(eigvals.real))
-        lam = float(eigvals[top].real)
-        tx = weighted_tx @ eigvecs[:, top]
-        tx_norm = float(np.linalg.norm(tx))
-        scale = float(np.abs(reduced).sum())
-        valid = lam > 1e-14 * max(scale, 1e-300) and tx_norm > 1e-12
-    if not valid:
-        warnings.warn(
-            "reduced eigenproblem is ill-conditioned; falling back to power iteration",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return optimal_beamformer(channel)
-    return _as_pair(channel, tx / tx_norm)
+    q, r = np.linalg.qr(tx_steer)
+    core = (rx_steer * gains) @ r.conj().T
+    _, eigvecs = np.linalg.eigh(core.conj().T @ core)
+    return _as_pair(channel, q @ eigvecs[:, -1])
 
 
 def _dominant_index(paths: Sequence[PathComponent]) -> int:

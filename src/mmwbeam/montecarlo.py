@@ -122,8 +122,11 @@ class McConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "McConfig":
-        fields = {k: v for k, v in doc.items() if k != "rng"}
-        return cls(**fields)
+        """Inverse of :meth:`to_dict`; rejects a config recorded under another stream."""
+        rng = doc.get("rng", RNG_ALGORITHM)
+        if rng != RNG_ALGORITHM:
+            raise ValueError(f"unsupported random stream {rng!r}; expected {RNG_ALGORITHM!r}")
+        return cls(**{k: v for k, v in doc.items() if k != "rng"})
 
 
 @dataclass(frozen=True)
@@ -185,9 +188,10 @@ def run_ccdf(cfg: McConfig) -> CcdfTable:
     """Run all trials and build the loss CCDF for the configured scheme.
 
     Per trial: assemble the channel, evaluate the optimal normalized SNR
-    (via the reduced eigenproblem) and the scheme's normalized SNR, and
-    record ``10*log10(optimal/scheme)``.  Trials whose gains all collapse
-    to zero are redrawn from the same per-trial stream and counted.
+    (via the Hermitian L x L core of :func:`reduced_optimal_beamformer`)
+    and the scheme's normalized SNR, and record ``10*log10(optimal/scheme)``.
+    Trials whose gains all collapse to zero are redrawn from the same
+    per-trial stream and counted.
     """
     scheme_fn = SCHEMES[cfg.scheme]
     tx_geom = cfg.tx_geometry

@@ -43,15 +43,12 @@ class ArrayGeometry:
 
     num_elements: int
     spacing_wavelengths: float = 0.5
-    axis: str = "x"
 
     def __post_init__(self) -> None:
         if int(self.num_elements) != self.num_elements or self.num_elements < 1:
             raise ValueError(f"num_elements must be a positive integer, got {self.num_elements}")
         if not self.spacing_wavelengths > 0:
             raise ValueError(f"spacing_wavelengths must be > 0, got {self.spacing_wavelengths}")
-        if self.axis != "x":
-            raise ValueError("only X-axis linear arrays are supported")
 
 
 @dataclass(frozen=True)

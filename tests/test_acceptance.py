@@ -72,7 +72,7 @@ def test_02_optimal_beam_span_and_route_agreement():
         and worst["rx beam within steering span"] < 1e-8
         and worst["cross-route SNR relative difference"] < 1e-9
     )
-    announce(2, "steering-span structure and eigen-route agreement", ok,
+    announce(2, "steering-span structure and dense vs. reduced route agreement", ok,
              f"residual={worst['tx beam within steering span']:.2e} "
              f"snr_rel={worst['cross-route SNR relative difference']:.2e}")
 

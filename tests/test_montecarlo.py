@@ -49,6 +49,11 @@ class TestConfig:
         assert doc["rng"] == RNG_ALGORITHM
         assert McConfig.from_dict(doc) == cfg
 
+    def test_dict_rejects_other_stream(self):
+        doc = {**small_cfg().to_dict(), "rng": "philox4x64-v2"}
+        with pytest.raises(ValueError, match="philox4x64-v2"):
+            McConfig.from_dict(doc)
+
 
 class TestSampling:
     def test_deterministic_per_trial(self):

@@ -28,8 +28,6 @@ class TestTypes:
             ArrayGeometry(0)
         with pytest.raises(ValueError):
             ArrayGeometry(4, spacing_wavelengths=0.0)
-        with pytest.raises(ValueError):
-            ArrayGeometry(4, axis="y")
 
     def test_angle_validation(self):
         with pytest.raises(ValueError):
