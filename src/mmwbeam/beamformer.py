@@ -8,6 +8,12 @@ Nt to L dimensions and becomes a Hermitian L x L eigenproblem.  The
 low-complexity schemes (dominant-path, bi-directional, equal-power) and the
 brute-force grid search over the same reduced space are provided for
 benchmarking the loss against the optimum.
+
+The reduced route and the schemes evaluate their SNR in stacked kernels
+over a leading batch axis (``gains (B, L)``, steering stacks ``(B, N, L)``)
+built from L x L products, so ``H`` is never formed.  The Monte Carlo
+engine calls them on a chunk of trials; the per-channel functions here are
+calls with B = 1, and give the same bits.
 """
 
 from __future__ import annotations
@@ -98,18 +104,33 @@ def _canonical_phase(vec: np.ndarray) -> np.ndarray:
     return vec * np.exp(-1j * np.angle(vec[idx]))
 
 
-def _as_pair(channel: ChannelMatrix, tx: np.ndarray) -> BeamformerPair:
-    """Build the matched-filter pair for a given unit-norm transmit vector."""
+def _as_pair(channel: ChannelMatrix, tx: np.ndarray, snr: float | None = None) -> BeamformerPair:
+    """Build the matched-filter pair for a given unit-norm transmit vector.
+
+    ``snr`` is the pair's normalized SNR when a kernel has already computed
+    it; otherwise it is ``|H tx|^2 / (Nt * Nr)``.
+    """
     tx = _canonical_phase(tx)
     w = channel.entries @ tx
     norm_w = float(np.linalg.norm(w))
     if norm_w < 1e-300:
         raise ValueError("H @ tx is numerically zero; degenerate channel or beam")
     rx = w / norm_w
-    snr = norm_w**2 / (channel.num_tx * channel.num_rx)
+    if snr is None:
+        snr = norm_w**2 / (channel.num_tx * channel.num_rx)
     tx.setflags(write=False)
     rx.setflags(write=False)
-    return BeamformerPair(tx=tx, rx=rx, normalized_snr=snr)
+    return BeamformerPair(tx=tx, rx=rx, normalized_snr=float(snr))
+
+
+def _loss_db(optimal: float, achieved: float = 1.0) -> float:
+    """SNR loss ``10*log10(optimal / achieved)`` in dB, +inf when the ratio is not finite.
+
+    ``achieved <= 0`` counts as an infinite ratio.  The scalar ``math.log10``
+    is used on purpose: numpy's vectorised ``log10`` may round differently.
+    """
+    ratio = optimal / achieved if achieved > 0.0 else math.inf
+    return 10.0 * math.log10(ratio) if math.isfinite(ratio) else math.inf
 
 
 def received_snr(
@@ -145,15 +166,11 @@ def received_snr(
     dims = channel.num_tx * channel.num_rx
     normalized = snr_over_rho / dims
     best = float(np.linalg.norm(channel.entries, 2) ** 2) / dims
-    if normalized > 0.0:
-        delta_db = 10.0 * math.log10(best / normalized)
-    else:
-        delta_db = math.inf
     return SnrReport(
         pre_beamforming_snr=pre_beamforming_snr,
         received_snr=pre_beamforming_snr * snr_over_rho,
         normalized_snr=normalized,
-        delta_snr_db=delta_db,
+        delta_snr_db=_loss_db(best, normalized),
     )
 
 
@@ -181,6 +198,143 @@ def optimal_beamformer(channel: ChannelMatrix) -> BeamformerPair:
     return _as_pair(channel, vh[0].conj())
 
 
+# Stacked kernels.  Every argument and result carries a leading batch axis B:
+# gains (B, L), transmit/receive steering stacks (B, Nt, L) and (B, Nr, L).
+# With c = sqrt(Nt * Nr / L), H = c * U diag(gain) V^H, so the normalized SNR
+# |rx^H H tx|^2 / (Nt * Nr) of unit-norm beams is |rx^H U diag(gain) V^H tx|^2 / L.
+# Each result depends only on its own channel's inputs: a stack of B channels
+# gives the same bits as B calls with a stack of one.
+
+
+def _herm(stack: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of the last two axes."""
+    return np.conj(np.swapaxes(stack, -1, -2))
+
+
+def _power(vectors: np.ndarray) -> np.ndarray:
+    """Squared 2-norm along the last axis."""
+    return np.sum(vectors.real**2 + vectors.imag**2, axis=-1)
+
+
+def _path_stacks(
+    paths: Sequence[PathComponent], tx_geom: ArrayGeometry, rx_geom: ArrayGeometry
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gains (1, L) and steering stacks (1, Nt, L), (1, Nr, L) of one path list."""
+    if len(paths) == 0:
+        raise ValueError("at least one path component is required")
+    gains = np.array([[complex(p.gain) for p in paths]])
+    tx_steer = steering_matrix(tx_geom, [p.aod for p in paths])
+    rx_steer = steering_matrix(rx_geom, [p.aoa for p in paths])
+    return gains, tx_steer[None], rx_steer[None]
+
+
+def _optimal_snr(
+    gains: np.ndarray, rx_steer: np.ndarray, r: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Optimal normalized SNR (B,) and the top eigenvector of the core (B, K).
+
+    ``r`` is the R factor of the thin QR ``V = Q R`` of the transmit stack.
+    With ``W = U diag(gain) R^H``, ``H = c W Q^H``, so the optimum is the top
+    eigenvalue of the Hermitian core ``W^H W`` over L and the optimal transmit
+    beam is ``Q x`` for its eigenvector ``x``.
+    """
+    core = (rx_steer * gains[:, None, :]) @ _herm(r)
+    eigvals, eigvecs = np.linalg.eigh(_herm(core) @ core)
+    return eigvals[:, -1] / gains.shape[-1], eigvecs[..., -1]
+
+
+def _dominant_index(gains: np.ndarray) -> np.ndarray:
+    """Index (B,) of each channel's strongest path; ties go to the lowest index."""
+    return np.argmax(np.abs(gains), axis=-1)
+
+
+def _dominant_columns(stack: np.ndarray, gains: np.ndarray) -> np.ndarray:
+    """Each stack's steering vector (B, N) of its channel's strongest path."""
+    index = _dominant_index(gains)[:, None, None]
+    return np.take_along_axis(stack, index, axis=-1)[..., 0]
+
+
+def _couplings(stack: np.ndarray, beams: np.ndarray) -> np.ndarray:
+    """Inner products ``s_l^H beam`` (B, L) of each steering vector with each beam (B, N)."""
+    return np.conj((np.conj(beams)[:, None, :] @ stack)[:, 0, :])
+
+
+def _matched_snr(
+    gains: np.ndarray, tx_steer: np.ndarray, rx_steer: np.ndarray, tx: np.ndarray
+) -> np.ndarray:
+    """SNR (B,) of unit-norm transmit beams ``tx`` (B, Nt) with a matched-filter receiver.
+
+    ``H tx = c U y`` with ``y_l = gain_l v_l^H tx``, so the SNR is ``||U y||^2 / L``.
+    """
+    weights = gains * _couplings(tx_steer, tx)
+    return _power((rx_steer @ weights[..., None])[..., 0]) / gains.shape[-1]
+
+
+def _dominant_snr(
+    gains: np.ndarray, tx_steer: np.ndarray, rx_steer: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """SNR (B,) and transmit beam (B, Nt) of steering at the strongest path, matched-filter receiver."""
+    tx = _dominant_columns(tx_steer, gains)
+    return _matched_snr(gains, tx_steer, rx_steer, tx), tx
+
+
+def _bidirectional_snr(
+    gains: np.ndarray, tx_steer: np.ndarray, rx_steer: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """SNR (B,) and transmit beam (B, Nt) of steering both ends at the strongest path.
+
+    ``u_k^H H v_k = c * sum_l gain_l (u_k^H u_l) (v_l^H v_k)``.
+    """
+    tx = _dominant_columns(tx_steer, gains)
+    rx = _dominant_columns(rx_steer, gains)
+    amp = np.sum(gains * np.conj(_couplings(rx_steer, rx)) * _couplings(tx_steer, tx), axis=-1)
+    return (amp.real**2 + amp.imag**2) / gains.shape[-1], tx
+
+
+def _equal_power_snr(
+    gains: np.ndarray, tx_steer: np.ndarray, rx_steer: np.ndarray, num_phase_points: int = 720
+) -> tuple[np.ndarray, np.ndarray]:
+    """SNR (B,) and transmit beam (B, Nt) of the best equal split of an L=2 channel.
+
+    The beam is ``f = v_0 + exp(1j theta) v_1`` normalized.  ``||H f||^2 /
+    ||f||^2`` is a ratio of two quadratic forms in ``(1, exp(1j theta))``; it
+    is maximized over a uniform phase grid and then by three halving
+    refinement passes around each row's best point.  The SNR is that of the
+    normalized beam itself, not the ratio's value, which rounds badly where
+    ``||f||`` nearly vanishes.
+    """
+    gram = _herm(tx_steer) @ tx_steer  # V^H V
+    mapped = (rx_steer * gains[:, None, :]) @ gram  # H V / c
+    quad = _herm(mapped) @ mapped
+    cross_num = quad[:, 0, 1, None]
+    base_num = quad[:, 0, 0, None].real + quad[:, 1, 1, None].real
+    cross_den = gram[:, 0, 1, None]
+
+    def ratio(theta: np.ndarray) -> np.ndarray:
+        z = np.exp(1j * theta)
+        num = base_num + 2.0 * np.real(cross_num * z)
+        den = 2.0 + 2.0 * np.real(cross_den * z)
+        return np.where(den > 1e-12, num / np.where(den > 1e-12, den, 1.0), -np.inf)
+
+    grid = np.linspace(0.0, _TWO_PI, num_phase_points, endpoint=False)
+    values = ratio(grid)
+    best_idx = np.argmax(values, axis=-1)
+    theta = grid[best_idx]
+    best_val = np.take_along_axis(values, best_idx[:, None], axis=-1)[:, 0]
+    step = _TWO_PI / num_phase_points
+    for _ in range(3):
+        step *= 0.5
+        for cand in (theta - step, theta + step):
+            val = ratio(cand[:, None])[:, 0]
+            better = val > best_val
+            best_val = np.where(better, val, best_val)
+            theta = np.where(better, cand, theta)
+
+    tx = tx_steer[:, :, 0] + np.exp(1j * theta)[:, None] * tx_steer[:, :, 1]
+    tx = tx / np.sqrt(_power(tx))[:, None]
+    return _matched_snr(gains, tx_steer, rx_steer, tx), tx
+
+
 def reduced_optimal_beamformer(
     paths: Sequence[PathComponent],
     tx_geom: ArrayGeometry,
@@ -193,27 +347,17 @@ def reduced_optimal_beamformer(
     stack and ``W = U diag(gain) R^H``, the channel is proportional to
     ``W Q^H``, so ``H^H H`` is proportional to ``Q (W^H W) Q^H``.  The
     optimal transmit vector is ``Q x`` with ``x`` the top eigenvector of
-    ``W^H W``; a rank-deficient core (coincident or cancelling paths)
-    still yields a defined vector.
+    ``W^H W``, and the normalized SNR is its eigenvalue over L; a
+    rank-deficient core (coincident or cancelling paths) still yields a
+    defined vector.  The receive vector is the matched filter on ``channel``
+    (assembled from ``paths`` when not given).
     """
-    if len(paths) == 0:
-        raise ValueError("at least one path component is required")
+    gains, tx_steer, rx_steer = _path_stacks(paths, tx_geom, rx_geom)
     if channel is None:
         channel = assemble_channel(paths, tx_geom, rx_geom)
-
-    gains = np.array([complex(p.gain) for p in paths])
-    rx_steer = steering_matrix(rx_geom, [p.aoa for p in paths])
-    tx_steer = steering_matrix(tx_geom, [p.aod for p in paths])
     q, r = np.linalg.qr(tx_steer)
-    core = (rx_steer * gains) @ r.conj().T
-    _, eigvecs = np.linalg.eigh(core.conj().T @ core)
-    return _as_pair(channel, q @ eigvecs[:, -1])
-
-
-def _dominant_index(paths: Sequence[PathComponent]) -> int:
-    """Index of the strongest path; ties go to the lowest index."""
-    mags = np.array([abs(complex(p.gain)) for p in paths])
-    return int(np.argmax(mags))
+    snr, top = _optimal_snr(gains, rx_steer, r)
+    return _as_pair(channel, q[0] @ top[0], snr[0])
 
 
 def dominant_path_beamformer(
@@ -225,15 +369,14 @@ def dominant_path_beamformer(
     """Steer all transmit power along the strongest path.
 
     The transmit beam is the CPO steering vector of that path (analog
-    phase shifters suffice); the receiver applies the matched filter.
+    phase shifters suffice); the receiver applies the matched filter on
+    ``channel`` (assembled from ``paths`` when not given).
     """
-    if len(paths) == 0:
-        raise ValueError("at least one path component is required")
+    gains, tx_steer, rx_steer = _path_stacks(paths, tx_geom, rx_geom)
     if channel is None:
         channel = assemble_channel(paths, tx_geom, rx_geom)
-    best = _dominant_index(paths)
-    tx = steering_matrix(tx_geom, [paths[best].aod])[:, 0]
-    return _as_pair(channel, tx)
+    snr, tx = _dominant_snr(gains, tx_steer, rx_steer)
+    return _as_pair(channel, tx[0], snr[0])
 
 
 def bidirectional_beamformer(
@@ -242,19 +385,18 @@ def bidirectional_beamformer(
     rx_geom: ArrayGeometry,
     channel: ChannelMatrix | None = None,
 ) -> BeamformerPair:
-    """Steer CPO beams at the strongest path on both ends of the link."""
-    if len(paths) == 0:
-        raise ValueError("at least one path component is required")
-    if channel is None:
-        channel = assemble_channel(paths, tx_geom, rx_geom)
-    best = _dominant_index(paths)
-    tx = steering_matrix(tx_geom, [paths[best].aod])[:, 0]
-    rx = steering_matrix(rx_geom, [paths[best].aoa])[:, 0]
-    amp = np.vdot(rx, channel.entries @ tx)
-    snr = float(abs(amp) ** 2) / (channel.num_tx * channel.num_rx)
+    """Steer CPO beams at the strongest path on both ends of the link.
+
+    Both beams are steering vectors, so ``channel`` is not needed; it is
+    accepted for the call signature shared by every scheme.
+    """
+    gains, tx_steer, rx_steer = _path_stacks(paths, tx_geom, rx_geom)
+    snr, tx = _bidirectional_snr(gains, tx_steer, rx_steer)
+    tx = tx[0]
+    rx = _dominant_columns(rx_steer, gains)[0]
     tx.setflags(write=False)
     rx.setflags(write=False)
-    return BeamformerPair(tx=tx, rx=rx, normalized_snr=snr)
+    return BeamformerPair(tx=tx, rx=rx, normalized_snr=float(snr[0]))
 
 
 def equal_power_beamformer(
@@ -269,43 +411,16 @@ def equal_power_beamformer(
     The relative phase between the two steering vectors is chosen to
     maximize the received SNR: a uniform phase grid followed by three
     halving refinement passes around the best grid point.  The receiver
-    applies the matched filter.
+    applies the matched filter on ``channel`` (assembled from ``paths``
+    when not given).
     """
     if len(paths) != 2:
         raise ValueError("equal-power beamforming is defined for exactly two paths")
+    gains, tx_steer, rx_steer = _path_stacks(paths, tx_geom, rx_geom)
     if channel is None:
         channel = assemble_channel(paths, tx_geom, rx_geom)
-
-    tx_steer = steering_matrix(tx_geom, [p.aod for p in paths])
-    mapped = channel.entries @ tx_steer  # (Nr, 2)
-    quad = mapped.conj().T @ mapped  # f^H H^H H f coefficients
-    cross_num = quad[0, 1]
-    base_num = float(quad[0, 0].real + quad[1, 1].real)
-    cross_den = complex(np.vdot(tx_steer[:, 0], tx_steer[:, 1]))
-
-    def ratio(theta: np.ndarray):
-        z = np.exp(1j * theta)
-        num = base_num + 2.0 * np.real(cross_num * z)
-        den = 2.0 + 2.0 * np.real(cross_den * z)
-        out = np.where(den > 1e-12, num / np.where(den > 1e-12, den, 1.0), -np.inf)
-        return out
-
-    grid = np.linspace(0.0, _TWO_PI, num_phase_points, endpoint=False)
-    values = ratio(grid)
-    best_idx = int(np.argmax(values))
-    theta = float(grid[best_idx])
-    best_val = float(values[best_idx])
-    step = _TWO_PI / num_phase_points
-    for _ in range(3):
-        step *= 0.5
-        for cand in (theta - step, theta + step):
-            val = float(ratio(np.array([cand]))[0])
-            if val > best_val:
-                best_val = val
-                theta = cand
-
-    tx = tx_steer[:, 0] + np.exp(1j * theta) * tx_steer[:, 1]
-    return _as_pair(channel, tx / np.linalg.norm(tx))
+    snr, tx = _equal_power_snr(gains, tx_steer, rx_steer, num_phase_points)
+    return _as_pair(channel, tx[0], snr[0])
 
 
 def _axis_grid(window, default_lo, default_hi, count, endpoint):

@@ -22,6 +22,7 @@ from typing import Any
 import numpy as np
 
 from . import __version__, closedform, montecarlo, verify
+from .beamformer import _loss_db
 
 __all__ = ["RunConfig", "main"]
 
@@ -281,7 +282,7 @@ def _closedform_record(args: dict) -> dict:
         "beta_sq": None if alloc is None else alloc.beta**2,
         "theta_deg": None if alloc is None else math.degrees(alloc.theta),
         "delta_snr": delta,
-        "delta_snr_db": 10.0 * math.log10(delta) if math.isfinite(delta) else math.inf,
+        "delta_snr_db": _loss_db(delta),
         "snr_dominant": snr_dom,
         "snr_optimal": snr_opt,
     }
@@ -343,7 +344,7 @@ def _sweep_rows(args: dict) -> list[dict]:
                 "k": float(k),
                 "beta_sq": beta_sq,
                 "delta_snr": delta,
-                "delta_snr_db": 10.0 * math.log10(delta) if math.isfinite(delta) else math.inf,
+                "delta_snr_db": _loss_db(delta),
             }
         )
     return rows

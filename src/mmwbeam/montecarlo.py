@@ -6,9 +6,21 @@ normalized SNR and the SNR of a low-complexity scheme, and records the
 loss in dB.  Sorted losses with their complementary-CDF ordinates form a
 :class:`CcdfTable`.
 
-Every trial derives its random stream solely from ``(seed, trial_index)``
-through a counter-based Philox generator, so runs are reproducible and
-trials can be evaluated in any order or in parallel.
+Stream contract: trial ``t`` draws from its own counter-based Philox
+stream keyed by ``(seed, t)`` (counter 0): normals ``(2, L)`` for the gains,
+then ``L`` uniforms for the departure azimuths, then ``L`` for the arrival
+azimuths.  A draw whose gains all fall below ``_MIN_GAIN`` is redrawn from
+the same stream, at most ``_MAX_RESAMPLE`` times.  So runs are reproducible
+and every trial is a pure function of ``(seed, t)``.
+
+The engine works on chunks of consecutive trials.  A chunk is drawn into
+arrays ``gains``, ``aod`` and ``aoa`` of shape (B, L), the steering stacks
+(B, N, L) are built once, and the optimum and the scheme SNR come from the
+stacked kernels of :mod:`mmwbeam.beamformer`.  The chunk size follows from a
+fixed working-set budget of ``_CHUNK_BYTES``, so memory stays bounded for
+any trial count.  The public per-channel route ``sample_paths`` ->
+``reduced_optimal_beamformer`` -> ``SCHEMES[scheme]`` calls the same
+kernels and reproduces every loss bit for bit.
 """
 
 from __future__ import annotations
@@ -21,13 +33,17 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .beamformer import (
+    _bidirectional_snr,
+    _dominant_snr,
+    _equal_power_snr,
+    _loss_db,
+    _optimal_snr,
     bidirectional_beamformer,
     dominant_path_beamformer,
     equal_power_beamformer,
-    reduced_optimal_beamformer,
 )
-from .channel import PathComponent, assemble_channel
-from .steering import AngleSpec, ArrayGeometry
+from .channel import PathComponent
+from .steering import AngleSpec, ArrayGeometry, spatial_frequencies, steering_stack
 
 __all__ = [
     "RNG_ALGORITHM",
@@ -51,11 +67,28 @@ SCHEMES: dict[str, Callable] = {
     "equal_power": equal_power_beamformer,
 }
 
+# The stacked kernel behind each scheme: (gains, tx_steer, rx_steer) -> (snr, beam).
+_SCHEME_SNR: dict[str, Callable] = {
+    "bidirectional": _bidirectional_snr,
+    "dominant_tx_mf_rx": _dominant_snr,
+    "equal_power": _equal_power_snr,
+}
+
 GAIN_MODELS = ("complex_gaussian",)
 
 ANGLE_SAMPLING = ("uniform_angle", "uniform_cosine")
 
 _MAX_RESAMPLE = 100
+
+# A draw whose path gains all have magnitude below this is redrawn: the
+# channel is zero to within rounding and the loss would be 0/0.
+_MIN_GAIN = 1e-150
+
+# Working-set budget of one chunk of trials (see _chunk_trials).
+_CHUNK_BYTES = 1 << 20
+
+# Elevation of every drawn path: the azimuth plane.
+_BROADSIDE = math.pi / 2.0
 
 
 @dataclass(frozen=True)
@@ -149,28 +182,94 @@ def trial_rng(cfg: McConfig, trial_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _draw_azimuths(cfg: McConfig, rng: np.random.Generator) -> np.ndarray:
+def _angle_bounds(cfg: McConfig) -> tuple[float, float]:
+    """Range of the uniform angle draws: azimuths, or their cosines for ``uniform_cosine``."""
     half_fov = math.radians(cfg.fov_deg) / 2.0
     lo = math.pi / 2.0 - half_fov
     hi = math.pi / 2.0 + half_fov
     if cfg.angle_sampling == "uniform_angle":
-        return rng.uniform(lo, hi, cfg.num_paths)
+        return lo, hi
     # uniform in the spatial frequency cos(azimuth) instead of the angle
-    freqs = rng.uniform(math.cos(hi), math.cos(lo), cfg.num_paths)
-    return np.arccos(freqs)
+    return math.cos(hi), math.cos(lo)
+
+
+def _draw_once(cfg: McConfig, rng: np.random.Generator, normals, angles, bounds) -> None:
+    """One draw of the stream into ``normals`` (2, L) and ``angles`` (2, L): gains, then aod, then aoa."""
+    rng.standard_normal(out=normals)
+    angles[0] = rng.uniform(bounds[0], bounds[1], cfg.num_paths)
+    angles[1] = rng.uniform(bounds[0], bounds[1], cfg.num_paths)
+
+
+def _gains(normals: np.ndarray) -> np.ndarray:
+    """Complex gains (B, L) from standard normal draws (B, 2, L)."""
+    return (normals[:, 0] + 1j * normals[:, 1]) / math.sqrt(2.0)
+
+
+def _azimuths(cfg: McConfig, angles: np.ndarray) -> np.ndarray:
+    """Azimuths (B, 2, L) of the departure and arrival draws (B, 2, L)."""
+    return np.arccos(angles) if cfg.angle_sampling == "uniform_cosine" else angles
+
+
+def _vanishing(gains: np.ndarray) -> np.ndarray:
+    """True for each row of ``gains`` whose magnitudes all fall below ``_MIN_GAIN``."""
+    return np.abs(gains).max(axis=-1) < _MIN_GAIN
+
+
+def _redraw(cfg: McConfig, rng: np.random.Generator, normals, angles) -> int:
+    """Draw one trial into ``normals``, ``angles`` (1, 2, L) until its gains are usable.
+
+    Returns the number of redraws; raises after ``_MAX_RESAMPLE`` of them.
+    """
+    bounds = _angle_bounds(cfg)
+    _draw_once(cfg, rng, normals[0], angles[0], bounds)
+    redraws = 0
+    while _vanishing(_gains(normals))[0]:
+        redraws += 1
+        if redraws > _MAX_RESAMPLE:
+            seed, trial = rng.bit_generator.state["state"]["key"].tolist()
+            raise RuntimeError(f"trial {trial} of seed {seed} kept producing degenerate channels")
+        _draw_once(cfg, rng, normals[0], angles[0], bounds)
+    return redraws
+
+
+def _draw_chunk(cfg: McConfig, trials: range):
+    """Gains, aod and aoa (B, L) of consecutive trials, and the number of redraws.
+
+    One Philox bit generator is re-keyed to ``(seed, trial)`` for each
+    trial, which yields the same stream as :func:`trial_rng` without
+    building a generator per trial.  Rows that need redrawing are replayed
+    from the start of their stream by :func:`_redraw`.
+    """
+    bitgen = np.random.Philox(key=np.array([cfg.seed, trials.start], dtype=np.uint64))
+    rng = np.random.Generator(bitgen)
+    state = bitgen.state
+
+    def rekey(trial: int) -> None:
+        state["state"]["key"][1] = trial
+        bitgen.state = state
+
+    bounds = _angle_bounds(cfg)
+    shape = (len(trials), 2, cfg.num_paths)
+    normals, angles = np.empty(shape), np.empty(shape)
+    for row, trial in enumerate(trials):
+        rekey(trial)
+        _draw_once(cfg, rng, normals[row], angles[row], bounds)
+    redraws = 0
+    for row in np.flatnonzero(_vanishing(_gains(normals))):
+        rekey(trials[row])
+        redraws += _redraw(cfg, rng, normals[row : row + 1], angles[row : row + 1])
+    azimuths = _azimuths(cfg, angles)
+    return _gains(normals), azimuths[:, 0], azimuths[:, 1], redraws
 
 
 def _draw_paths(cfg: McConfig, rng: np.random.Generator) -> list[PathComponent]:
-    normals = rng.standard_normal((2, cfg.num_paths))
-    gains = (normals[0] + 1j * normals[1]) / math.sqrt(2.0)
-    aods = _draw_azimuths(cfg, rng)
-    aoas = _draw_azimuths(cfg, rng)
+    """Path components of one trial from its stream ``rng``, redrawn as :func:`run_ccdf` does."""
+    normals, angles = np.empty((1, 2, cfg.num_paths)), np.empty((1, 2, cfg.num_paths))
+    _redraw(cfg, rng, normals, angles)
+    gains = _gains(normals)[0].tolist()
+    aods, aoas = _azimuths(cfg, angles)[0].tolist()
     return [
-        PathComponent(
-            gain=complex(gains[i]),
-            aod=AngleSpec(float(aods[i])),
-            aoa=AngleSpec(float(aoas[i])),
-        )
+        PathComponent(gain=gains[i], aod=AngleSpec(aods[i]), aoa=AngleSpec(aoas[i]))
         for i in range(cfg.num_paths)
     ]
 
@@ -180,45 +279,55 @@ def sample_paths(cfg: McConfig, trial_index: int) -> list[PathComponent]:
     return _draw_paths(cfg, trial_rng(cfg, trial_index))
 
 
-def _degenerate(paths: Sequence[PathComponent]) -> bool:
-    return max(abs(complex(p.gain)) for p in paths) < 1e-150
+def _chunk_trials(cfg: McConfig) -> int:
+    """Trials per chunk: as many as fit the ``_CHUNK_BYTES`` working-set budget.
+
+    A trial holds its complex steering stacks and their QR and Gram
+    products, about four complex (Nt + Nr) x L arrays, plus the equal-power
+    phase grid (a few rows of 720 values).
+    """
+    per_trial = 4 * 16 * (cfg.nt + cfg.nr) * cfg.num_paths
+    if cfg.scheme == "equal_power":
+        per_trial += 6 * 8 * 720
+    return max(1, min(cfg.trials, _CHUNK_BYTES // per_trial))
+
+
+def _trial_losses(cfg: McConfig) -> tuple[np.ndarray, int]:
+    """Loss (dB) of every trial in trial order, and the number of redraws."""
+    scheme_snr = _SCHEME_SNR[cfg.scheme]
+    tx_geom, rx_geom = cfg.tx_geometry, cfg.rx_geometry
+    chunk = _chunk_trials(cfg)
+    losses = np.empty(cfg.trials)
+    num_resampled = 0
+    for start in range(0, cfg.trials, chunk):
+        trials = range(start, min(start + chunk, cfg.trials))
+        gains, aod, aoa, redraws = _draw_chunk(cfg, trials)
+        num_resampled += redraws
+        tx_steer = steering_stack(tx_geom, spatial_frequencies(aod, _BROADSIDE))
+        rx_steer = steering_stack(rx_geom, spatial_frequencies(aoa, _BROADSIDE))
+        optimal, _ = _optimal_snr(gains, rx_steer, np.linalg.qr(tx_steer, mode="r"))
+        scheme, _ = scheme_snr(gains, tx_steer, rx_steer)
+        losses[start : trials.stop] = [
+            _loss_db(o, s) for o, s in zip(optimal.tolist(), scheme.tolist())
+        ]
+    return losses, num_resampled
 
 
 def run_ccdf(cfg: McConfig) -> CcdfTable:
     """Run all trials and build the loss CCDF for the configured scheme.
 
-    Per trial: assemble the channel, evaluate the optimal normalized SNR
-    (via the Hermitian L x L core of :func:`reduced_optimal_beamformer`)
-    and the scheme's normalized SNR, and record ``10*log10(optimal/scheme)``.
-    Trials whose gains all collapse to zero are redrawn from the same
-    per-trial stream and counted.
+    Trials run in chunks sized to a ``_CHUNK_BYTES`` working set (see the
+    module docstring for the stream contract).  Per chunk: draw every
+    trial's paths from its own stream, build the steering stacks once,
+    evaluate the optimal normalized SNR (QR of the transmit stack plus the
+    Hermitian L x L core) and the scheme's normalized SNR in stacked
+    kernels, and record ``10*log10(optimal/scheme)``.  Draws whose gains
+    all vanish are redrawn from the same stream and counted in
+    ``num_resampled``.  Each loss equals, bit for bit, the one the public
+    per-channel functions give for ``sample_paths(cfg, trial)``.
     """
-    scheme_fn = SCHEMES[cfg.scheme]
-    tx_geom = cfg.tx_geometry
-    rx_geom = cfg.rx_geometry
-
-    samples = np.empty(cfg.trials)
-    num_resampled = 0
-    for trial in range(cfg.trials):
-        rng = trial_rng(cfg, trial)
-        paths = _draw_paths(cfg, rng)
-        attempts = 0
-        while _degenerate(paths):
-            attempts += 1
-            if attempts > _MAX_RESAMPLE:
-                raise RuntimeError(f"trial {trial} kept producing degenerate channels")
-            num_resampled += 1
-            paths = _draw_paths(cfg, rng)
-        channel = assemble_channel(paths, tx_geom, rx_geom)
-        optimal = reduced_optimal_beamformer(paths, tx_geom, rx_geom, channel=channel)
-        scheme = scheme_fn(paths, tx_geom, rx_geom, channel=channel)
-        if scheme.normalized_snr > 0.0:
-            delta_db = 10.0 * math.log10(optimal.normalized_snr / scheme.normalized_snr)
-        else:
-            delta_db = math.inf
-        samples[trial] = delta_db
-
-    order = np.sort(samples)
+    losses, num_resampled = _trial_losses(cfg)
+    order = np.sort(losses)
     n = cfg.trials
     ccdf = (n - np.arange(n, dtype=float)) / n
     order.setflags(write=False)

@@ -17,6 +17,8 @@ import numpy as np
 __all__ = [
     "ArrayGeometry",
     "AngleSpec",
+    "spatial_frequencies",
+    "steering_stack",
     "steering_vector",
     "steering_matrix",
     "inner_product",
@@ -84,27 +86,43 @@ class AngleSpec:
 
     def spatial_frequency(self) -> float:
         """Normalized spatial frequency sin(elevation)*cos(azimuth), in [-1, 1]."""
-        return math.sin(self.elevation_rad) * math.cos(self.azimuth_rad)
+        return float(spatial_frequencies(self.azimuth_rad, self.elevation_rad))
+
+
+def spatial_frequencies(azimuth_rad, elevation_rad):
+    """Elementwise ``sin(elevation) * cos(azimuth)`` over arrays of angles (radians).
+
+    The one definition of the spatial frequency: :class:`AngleSpec`,
+    :func:`steering_matrix` and the batched Monte Carlo engine all call it,
+    so a direction maps to the same bits on every route.
+    """
+    return np.sin(elevation_rad) * np.cos(azimuth_rad)
+
+
+def steering_stack(geom: ArrayGeometry, freqs: np.ndarray) -> np.ndarray:
+    """Steering vectors of spatial frequencies ``freqs`` (..., L) as a (..., N, L) stack.
+
+    Entry m of column l equals ``exp(1j * m * k * d * freqs[..., l]) / sqrt(N)``
+    with ``k * d = 2 * pi * spacing_wavelengths``.  Each entry depends on its
+    own frequency only, so a stack of many channels holds the same bits as
+    the stacks of its channels built one at a time.
+    """
+    n = geom.num_elements
+    steps = _TWO_PI * geom.spacing_wavelengths * np.asarray(freqs, dtype=float)
+    phases = np.arange(n)[:, None] * steps[..., None, :]
+    return np.exp(1j * phases) / math.sqrt(n)
 
 
 def steering_vector(geom: ArrayGeometry, angle: AngleSpec) -> np.ndarray:
-    """Unit-norm CPO steering vector for one direction.
-
-    Entry m equals ``exp(1j * m * k * d * sin(el) * cos(az)) / sqrt(N)``
-    with ``k * d = 2 * pi * spacing_wavelengths``.
-    """
-    n = geom.num_elements
-    step = _TWO_PI * geom.spacing_wavelengths * angle.spatial_frequency()
-    phases = step * np.arange(n)
-    return np.exp(1j * phases) / math.sqrt(n)
+    """Unit-norm CPO steering vector for one direction (see :func:`steering_stack`)."""
+    return steering_matrix(geom, [angle])[:, 0]
 
 
 def steering_matrix(geom: ArrayGeometry, angles) -> np.ndarray:
     """Stack steering vectors for several directions into an (N, L) matrix."""
-    n = geom.num_elements
-    steps = np.array([_TWO_PI * geom.spacing_wavelengths * a.spatial_frequency() for a in angles])
-    phases = np.arange(n)[:, None] * steps[None, :]
-    return np.exp(1j * phases) / math.sqrt(n)
+    azimuths = np.array([a.azimuth_rad for a in angles], dtype=float)
+    elevations = np.array([a.elevation_rad for a in angles], dtype=float)
+    return steering_stack(geom, spatial_frequencies(azimuths, elevations))
 
 
 def inner_product(a: np.ndarray, b: np.ndarray) -> complex:

@@ -475,10 +475,43 @@ class TestSchemeDominance:
         ch = assemble_channel(paths, tx_geom, rx_geom)
         for pair in (
             optimal_beamformer(ch),
+            reduced_optimal_beamformer(paths, tx_geom, rx_geom, channel=ch),
             dominant_path_beamformer(paths, tx_geom, rx_geom, channel=ch),
             bidirectional_beamformer(paths, tx_geom, rx_geom, channel=ch),
+            equal_power_beamformer(paths, tx_geom, rx_geom, channel=ch),
         ):
             assert abs(np.linalg.norm(pair.tx) - 1.0) < 1e-12
             assert abs(np.linalg.norm(pair.rx) - 1.0) < 1e-12
             evaluated = received_snr(ch, pair.tx, pair.rx).normalized_snr
             assert pair.normalized_snr == pytest.approx(evaluated, abs=1e-10)
+
+
+class TestStackedKernels:
+    def test_stack_gives_the_bits_of_single_channels(self, rng):
+        # the Monte Carlo engine evaluates chunks; the public functions one channel
+        from mmwbeam import beamformer
+        from mmwbeam.steering import spatial_frequencies, steering_stack
+
+        for nt, nr, num_paths in ((64, 4, 3), (2, 8, 5), (1, 3, 2), (16, 1, 2), (33, 5, 1)):
+            tx_geom, rx_geom = geometry_pair(nt=nt, nr=nr, spacing=0.37)
+            batch = 7
+            gains = rng.standard_normal((batch, num_paths)) + 1j * rng.standard_normal(
+                (batch, num_paths)
+            )
+            aod, aoa = rng.uniform(0.0, math.pi, (2, batch, num_paths))
+            tx_steer = steering_stack(tx_geom, spatial_frequencies(aod, math.pi / 2))
+            rx_steer = steering_stack(rx_geom, spatial_frequencies(aoa, math.pi / 2))
+            kernels = [
+                lambda g, t, u: beamformer._optimal_snr(g, u, np.linalg.qr(t, mode="r")),
+                beamformer._dominant_snr,
+                beamformer._bidirectional_snr,
+            ]
+            if num_paths == 2:
+                kernels.append(beamformer._equal_power_snr)
+            for kernel in kernels:
+                stacked = kernel(gains, tx_steer, rx_steer)
+                for b in range(batch):
+                    rows = slice(b, b + 1)
+                    single = kernel(gains[rows], tx_steer[rows], rx_steer[rows])
+                    for whole, one in zip(stacked, single):
+                        np.testing.assert_array_equal(whole[rows], one)

@@ -4,7 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from mmwbeam import montecarlo
+from mmwbeam.beamformer import reduced_optimal_beamformer
+from mmwbeam.channel import assemble_channel
 from mmwbeam.montecarlo import (
+    ANGLE_SAMPLING,
+    SCHEMES,
     CcdfTable,
     McConfig,
     RNG_ALGORITHM,
@@ -14,6 +19,7 @@ from mmwbeam.montecarlo import (
     percentile,
     run_ccdf,
     sample_paths,
+    trial_rng,
 )
 
 
@@ -21,6 +27,28 @@ def small_cfg(**overrides):
     base = dict(num_paths=2, trials=200, seed=7, nt=16, nr=4)
     base.update(overrides)
     return McConfig(**base)
+
+
+def replayed_samples(cfg):
+    """Sorted losses of every trial through the public per-channel calls."""
+    tx_geom, rx_geom = cfg.tx_geometry, cfg.rx_geometry
+    losses = []
+    for trial in range(cfg.trials):
+        paths = sample_paths(cfg, trial)
+        ch = assemble_channel(paths, tx_geom, rx_geom)
+        opt = reduced_optimal_beamformer(paths, tx_geom, rx_geom, channel=ch)
+        scheme = SCHEMES[cfg.scheme](paths, tx_geom, rx_geom, channel=ch)
+        if scheme.normalized_snr > 0.0:
+            losses.append(10.0 * math.log10(opt.normalized_snr / scheme.normalized_snr))
+        else:
+            losses.append(math.inf)
+    return np.sort(losses)
+
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert a.shape == b.shape
+    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 class TestConfig:
@@ -133,8 +161,7 @@ class TestRunCcdf:
         s1 = np.sort(run_ccdf(cfg_small).samples_db)
         # recompute the multiset of the first 50 trials from the larger run
         samples_large = []
-        from mmwbeam.beamformer import bidirectional_beamformer, reduced_optimal_beamformer
-        from mmwbeam.channel import assemble_channel
+        from mmwbeam.beamformer import bidirectional_beamformer
 
         for trial in range(50):
             paths = sample_paths(cfg_large, trial)
@@ -146,7 +173,7 @@ class TestRunCcdf:
                 paths, cfg_large.tx_geometry, cfg_large.rx_geometry, channel=ch
             )
             samples_large.append(10.0 * math.log10(opt.normalized_snr / scheme.normalized_snr))
-        np.testing.assert_allclose(np.sort(samples_large), s1, atol=1e-12)
+        assert_same_bits(np.sort(samples_large), s1)
 
     def test_golden_median_regression(self):
         # frozen from this repository's first run of this configuration
@@ -169,6 +196,67 @@ class TestRunCcdf:
         bid = run_ccdf(small_cfg(trials=400, scheme="bidirectional"))
         dom = run_ccdf(small_cfg(trials=400, scheme="dominant_tx_mf_rx"))
         assert percentile(dom, 0.5) <= percentile(bid, 0.5) + 1e-12
+
+
+ENGINE_CASES = [
+    (scheme, num_paths, sampling)
+    for scheme in SCHEMES
+    for num_paths in ((2,) if scheme == "equal_power" else (1, 2, 3, 5))
+    for sampling in ANGLE_SAMPLING
+]
+
+
+class TestEngineMatchesPublicRoute:
+    @pytest.mark.parametrize("scheme,num_paths,sampling", ENGINE_CASES)
+    def test_samples_equal_replay_bit_for_bit(self, scheme, num_paths, sampling):
+        base = dict(num_paths=num_paths, seed=11, nt=128, nr=8, scheme=scheme,
+                    angle_sampling=sampling)
+        chunk = montecarlo._chunk_trials(McConfig(trials=10**6, **base))
+        # three full chunks would be 3 * chunk; stop half-way through the third
+        cfg = McConfig(trials=2 * chunk + chunk // 2 + 1, **base)
+        assert chunk >= 2 and cfg.trials % chunk != 0
+        assert_same_bits(run_ccdf(cfg).samples_db, replayed_samples(cfg))
+
+    def test_chunk_budget_bounds_large_arrays(self):
+        wide = McConfig(num_paths=2, trials=10**6, seed=0, nt=256, nr=16, scheme="equal_power")
+        chunk = montecarlo._chunk_trials(wide)
+        assert 1 <= chunk <= 32
+        assert montecarlo._chunk_trials(small_cfg(trials=3)) == 3
+
+
+def redraws_by_recount(cfg, trial, threshold):
+    """Redraws of one trial, counted straight from its documented stream."""
+    rng = trial_rng(cfg, trial)
+    count = 0
+    while True:
+        normals = rng.standard_normal((2, cfg.num_paths))
+        rng.random(2 * cfg.num_paths)  # the aod and aoa draws, one word each
+        gains = (normals[0] + 1j * normals[1]) / math.sqrt(2.0)
+        if np.abs(gains).max() >= threshold:
+            return count
+        count += 1
+
+
+class TestResampling:
+    def test_count_matches_per_trial_recount(self, monkeypatch):
+        # raise the gain floor so that about one draw in five is redrawn
+        monkeypatch.setattr(montecarlo, "_MIN_GAIN", 0.5)
+        cfg = small_cfg(num_paths=2, trials=400, nt=128, nr=8)
+        assert montecarlo._chunk_trials(cfg) < cfg.trials
+        table = run_ccdf(cfg)
+        expected = sum(redraws_by_recount(cfg, t, 0.5) for t in range(cfg.trials))
+        assert expected > 0
+        assert table.num_resampled == expected
+        # sample_paths redraws the same way, so the public route still replays the run
+        assert_same_bits(table.samples_db, replayed_samples(cfg))
+        assert json.loads(ccdf_to_json(table))["num_resampled"] == expected
+
+    def test_gives_up_after_max_resample(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_MIN_GAIN", math.inf)
+        with pytest.raises(RuntimeError, match="degenerate"):
+            run_ccdf(small_cfg(trials=3))
+        with pytest.raises(RuntimeError, match="degenerate"):
+            sample_paths(small_cfg(), 0)
 
 
 class TestPercentile:
