@@ -18,6 +18,7 @@ calls with B = 1, and give the same bits.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -291,6 +292,16 @@ def _bidirectional_snr(
     return (amp.real**2 + amp.imag**2) / gains.shape[-1], tx
 
 
+@functools.lru_cache(maxsize=64)
+def _phase_table(num_phase_points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Uniform phase grid over [0, 2 pi) with its cosines and sines, read-only."""
+    grid = np.linspace(0.0, _TWO_PI, num_phase_points, endpoint=False)
+    table = (grid, np.cos(grid), np.sin(grid))
+    for column in table:
+        column.setflags(write=False)
+    return table
+
+
 def _equal_power_snr(
     gains: np.ndarray, tx_steer: np.ndarray, rx_steer: np.ndarray, num_phase_points: int = 720
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -299,9 +310,11 @@ def _equal_power_snr(
     The beam is ``f = v_0 + exp(1j theta) v_1`` normalized.  ``||H f||^2 /
     ||f||^2`` is a ratio of two quadratic forms in ``(1, exp(1j theta))``; it
     is maximized over a uniform phase grid and then by three halving
-    refinement passes around each row's best point.  The SNR is that of the
-    normalized beam itself, not the ratio's value, which rounds badly where
-    ``||f||`` nearly vanishes.
+    refinement passes around each row's best point.  The ratio is evaluated
+    in real arithmetic from ``cos theta`` and ``sin theta``; on the grid
+    these come from a table cached per ``num_phase_points``.  The SNR is
+    that of the normalized beam itself, not the ratio's value, which rounds
+    badly where ``||f||`` nearly vanishes.
     """
     gram = _herm(tx_steer) @ tx_steer  # V^H V
     mapped = (rx_steer * gains[:, None, :]) @ gram  # H V / c
@@ -310,25 +323,30 @@ def _equal_power_snr(
     base_num = quad[:, 0, 0, None].real + quad[:, 1, 1, None].real
     cross_den = gram[:, 0, 1, None]
 
-    def ratio(theta: np.ndarray) -> np.ndarray:
-        z = np.exp(1j * theta)
-        num = base_num + 2.0 * np.real(cross_num * z)
-        den = 2.0 + 2.0 * np.real(cross_den * z)
-        return np.where(den > 1e-12, num / np.where(den > 1e-12, den, 1.0), -np.inf)
+    # Re(c exp(1j theta)) = Re(c) cos(theta) - Im(c) sin(theta); the factor 2 is exact.
+    num_cos, num_sin = 2.0 * cross_num.real, 2.0 * cross_num.imag
+    den_cos, den_sin = 2.0 * cross_den.real, 2.0 * cross_den.imag
 
-    grid = np.linspace(0.0, _TWO_PI, num_phase_points, endpoint=False)
-    values = ratio(grid)
-    best_idx = np.argmax(values, axis=-1)
-    theta = grid[best_idx]
-    best_val = np.take_along_axis(values, best_idx[:, None], axis=-1)[:, 0]
+    def ratio(cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+        num = base_num + (num_cos * cos - num_sin * sin)
+        den = 2.0 + (den_cos * cos - den_sin * sin)
+        return np.divide(num, den, out=np.full(num.shape, -np.inf), where=den > 1e-12)
+
+    grid, grid_cos, grid_sin = _phase_table(num_phase_points)
+    values = ratio(grid_cos, grid_sin)
+    rows = np.arange(len(values))
+    best = np.argmax(values, axis=-1)
+    theta, best_val = grid[best], values[rows, best]
     step = _TWO_PI / num_phase_points
     for _ in range(3):
         step *= 0.5
-        for cand in (theta - step, theta + step):
-            val = ratio(cand[:, None])[:, 0]
-            better = val > best_val
-            best_val = np.where(better, val, best_val)
-            theta = np.where(better, cand, theta)
+        # Columns: the incumbent, then theta - step and theta + step; argmax
+        # keeps the first of equal values, so a candidate must be strictly better.
+        moved = theta[:, None] + np.array([-step, step])
+        cand = np.concatenate([theta[:, None], moved], axis=-1)
+        values = np.concatenate([best_val[:, None], ratio(np.cos(moved), np.sin(moved))], axis=-1)
+        best = np.argmax(values, axis=-1)
+        theta, best_val = cand[rows, best], values[rows, best]
 
     tx = tx_steer[:, :, 0] + np.exp(1j * theta)[:, None] * tx_steer[:, :, 1]
     tx = tx / np.sqrt(_power(tx))[:, None]

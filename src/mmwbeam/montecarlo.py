@@ -11,16 +11,20 @@ stream keyed by ``(seed, t)`` (counter 0): normals ``(2, L)`` for the gains,
 then ``L`` uniforms for the departure azimuths, then ``L`` for the arrival
 azimuths.  A draw whose gains all fall below ``_MIN_GAIN`` is redrawn from
 the same stream, at most ``_MAX_RESAMPLE`` times.  So runs are reproducible
-and every trial is a pure function of ``(seed, t)``.
+and every trial is a pure function of ``(seed, t)``.  Both rows of
+uniforms are drawn on [0, 1) in one call and mapped to the field of view
+once per chunk with numpy's own ``lo + (hi - lo) * u``, which consumes the
+stream and yields the values of two ``rng.uniform(lo, hi, L)`` calls.
 
 The engine works on chunks of consecutive trials.  A chunk is drawn into
 arrays ``gains``, ``aod`` and ``aoa`` of shape (B, L), the steering stacks
-(B, N, L) are built once, and the optimum and the scheme SNR come from the
-stacked kernels of :mod:`mmwbeam.beamformer`.  The chunk size follows from a
-fixed working-set budget of ``_CHUNK_BYTES``, so memory stays bounded for
-any trial count.  The public per-channel route ``sample_paths`` ->
-``reduced_optimal_beamformer`` -> ``SCHEMES[scheme]`` calls the same
-kernels and reproduces every loss bit for bit.
+(B, N, L) are built once (two exponential factors per column, see
+:func:`mmwbeam.steering.steering_stack`), and the optimum and the scheme
+SNR come from the stacked kernels of :mod:`mmwbeam.beamformer`.  The chunk
+size follows from a fixed working-set budget of ``_CHUNK_BYTES``, so memory
+stays bounded for any trial count.  The public per-channel route
+``sample_paths`` -> ``reduced_optimal_beamformer`` -> ``SCHEMES[scheme]``
+calls the same kernels and reproduces every loss bit for bit.
 """
 
 from __future__ import annotations
@@ -193,11 +197,13 @@ def _angle_bounds(cfg: McConfig) -> tuple[float, float]:
     return math.cos(hi), math.cos(lo)
 
 
-def _draw_once(cfg: McConfig, rng: np.random.Generator, normals, angles, bounds) -> None:
-    """One draw of the stream into ``normals`` (2, L) and ``angles`` (2, L): gains, then aod, then aoa."""
+def _draw_once(rng: np.random.Generator, normals, angles) -> None:
+    """One draw of the stream: gains into ``normals`` (2, L), then aod, aoa into ``angles`` (2, L).
+
+    ``angles`` receives raw uniforms on [0, 1), which :func:`_azimuths` maps.
+    """
     rng.standard_normal(out=normals)
-    angles[0] = rng.uniform(bounds[0], bounds[1], cfg.num_paths)
-    angles[1] = rng.uniform(bounds[0], bounds[1], cfg.num_paths)
+    rng.random(out=angles)
 
 
 def _gains(normals: np.ndarray) -> np.ndarray:
@@ -205,8 +211,14 @@ def _gains(normals: np.ndarray) -> np.ndarray:
     return (normals[:, 0] + 1j * normals[:, 1]) / math.sqrt(2.0)
 
 
-def _azimuths(cfg: McConfig, angles: np.ndarray) -> np.ndarray:
-    """Azimuths (B, 2, L) of the departure and arrival draws (B, 2, L)."""
+def _azimuths(cfg: McConfig, uniforms: np.ndarray) -> np.ndarray:
+    """Azimuths (B, 2, L) of the departure and arrival uniforms (B, 2, L) on [0, 1).
+
+    The map to the field of view is numpy's own ``lo + (hi - lo) * u``, so a
+    value equals the one ``rng.uniform(lo, hi)`` gives for the same draw.
+    """
+    lo, hi = _angle_bounds(cfg)
+    angles = lo + (hi - lo) * uniforms
     return np.arccos(angles) if cfg.angle_sampling == "uniform_cosine" else angles
 
 
@@ -215,20 +227,19 @@ def _vanishing(gains: np.ndarray) -> np.ndarray:
     return np.abs(gains).max(axis=-1) < _MIN_GAIN
 
 
-def _redraw(cfg: McConfig, rng: np.random.Generator, normals, angles) -> int:
+def _redraw(rng: np.random.Generator, normals, angles) -> int:
     """Draw one trial into ``normals``, ``angles`` (1, 2, L) until its gains are usable.
 
     Returns the number of redraws; raises after ``_MAX_RESAMPLE`` of them.
     """
-    bounds = _angle_bounds(cfg)
-    _draw_once(cfg, rng, normals[0], angles[0], bounds)
+    _draw_once(rng, normals[0], angles[0])
     redraws = 0
     while _vanishing(_gains(normals))[0]:
         redraws += 1
         if redraws > _MAX_RESAMPLE:
             seed, trial = rng.bit_generator.state["state"]["key"].tolist()
             raise RuntimeError(f"trial {trial} of seed {seed} kept producing degenerate channels")
-        _draw_once(cfg, rng, normals[0], angles[0], bounds)
+        _draw_once(rng, normals[0], angles[0])
     return redraws
 
 
@@ -248,16 +259,15 @@ def _draw_chunk(cfg: McConfig, trials: range):
         state["state"]["key"][1] = trial
         bitgen.state = state
 
-    bounds = _angle_bounds(cfg)
     shape = (len(trials), 2, cfg.num_paths)
     normals, angles = np.empty(shape), np.empty(shape)
     for row, trial in enumerate(trials):
         rekey(trial)
-        _draw_once(cfg, rng, normals[row], angles[row], bounds)
+        _draw_once(rng, normals[row], angles[row])
     redraws = 0
     for row in np.flatnonzero(_vanishing(_gains(normals))):
         rekey(trials[row])
-        redraws += _redraw(cfg, rng, normals[row : row + 1], angles[row : row + 1])
+        redraws += _redraw(rng, normals[row : row + 1], angles[row : row + 1])
     azimuths = _azimuths(cfg, angles)
     return _gains(normals), azimuths[:, 0], azimuths[:, 1], redraws
 
@@ -265,7 +275,7 @@ def _draw_chunk(cfg: McConfig, trials: range):
 def _draw_paths(cfg: McConfig, rng: np.random.Generator) -> list[PathComponent]:
     """Path components of one trial from its stream ``rng``, redrawn as :func:`run_ccdf` does."""
     normals, angles = np.empty((1, 2, cfg.num_paths)), np.empty((1, 2, cfg.num_paths))
-    _redraw(cfg, rng, normals, angles)
+    _redraw(rng, normals, angles)
     gains = _gains(normals)[0].tolist()
     aods, aoas = _azimuths(cfg, angles)[0].tolist()
     return [

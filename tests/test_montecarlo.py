@@ -134,6 +134,37 @@ class TestSampling:
             small_cfg(angle_sampling="sobol")
 
 
+def documented_draw(cfg, trial):
+    """Gains, aod and aoa (L,) of one trial, drawn literally as the stream contract states."""
+    half_fov = math.radians(cfg.fov_deg) / 2.0
+    lo, hi = math.pi / 2.0 - half_fov, math.pi / 2.0 + half_fov
+    if cfg.angle_sampling == "uniform_cosine":
+        lo, hi = math.cos(hi), math.cos(lo)
+    rng = trial_rng(cfg, trial)
+    normals = rng.standard_normal((2, cfg.num_paths))
+    aod = rng.uniform(lo, hi, cfg.num_paths)
+    aoa = rng.uniform(lo, hi, cfg.num_paths)
+    if cfg.angle_sampling == "uniform_cosine":
+        aod, aoa = np.arccos(aod), np.arccos(aoa)
+    return (normals[0] + 1j * normals[1]) / math.sqrt(2.0), aod, aoa
+
+
+class TestStreamContract:
+    @pytest.mark.parametrize("sampling", ANGLE_SAMPLING)
+    @pytest.mark.parametrize(
+        "seed,num_paths,fov_deg", [(0, 1, 120.0), (7, 2, 37.5), (2**64 - 1, 5, 180.0)]
+    )
+    def test_chunk_draw_equals_documented_stream(self, sampling, seed, num_paths, fov_deg):
+        cfg = small_cfg(seed=seed, num_paths=num_paths, fov_deg=fov_deg, angle_sampling=sampling)
+        trials = range(5, 12)
+        gains, aod, aoa, redraws = montecarlo._draw_chunk(cfg, trials)
+        assert redraws == 0
+        for row, trial in enumerate(trials):
+            expected = documented_draw(cfg, trial)
+            for drawn, literal in zip((gains[row], aod[row], aoa[row]), expected):
+                assert_same_bits(drawn.view(float), np.asarray(literal).view(float))
+
+
 class TestRunCcdf:
     def test_single_path_loss_is_zero(self):
         table = run_ccdf(small_cfg(num_paths=1, trials=100))
