@@ -45,6 +45,12 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 
+# A beam whose squared norm is at most this is treated as the zero vector: its
+# steering vectors have unit norm, so such a norm is cancellation residue and
+# an SNR ratio over it would be rounding noise; its SNR is -inf instead.
+MIN_BEAM_NORM_SQ = 1e-12
+
+
 class GridSizeError(RuntimeError):
     """Requested search grid exceeds the configured point budget."""
 
@@ -330,7 +336,7 @@ def _equal_power_snr(
     def ratio(cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
         num = base_num + (num_cos * cos - num_sin * sin)
         den = 2.0 + (den_cos * cos - den_sin * sin)
-        return np.divide(num, den, out=np.full(num.shape, -np.inf), where=den > 1e-12)
+        return np.divide(num, den, out=np.full(num.shape, -np.inf), where=den > MIN_BEAM_NORM_SQ)
 
     grid, grid_cos, grid_sin = _phase_table(num_phase_points)
     values = ratio(grid_cos, grid_sin)
@@ -520,7 +526,8 @@ def grid_search_beamformer(
         ok = feasible[lo : lo + chunk]
         num = np.einsum("pi,ij,pj->p", c.conj(), quad, c).real
         den = np.einsum("pi,ij,pj->p", c.conj(), gram, c).real
-        values = np.where(ok & (den > 1e-12), num / np.where(den > 1e-12, den, 1.0), -np.inf)
+        nonzero = den > MIN_BEAM_NORM_SQ
+        values = np.where(ok & nonzero, num / np.where(nonzero, den, 1.0), -np.inf)
         idx = int(np.argmax(values))
         if values[idx] > best_val:
             best_val = float(values[idx])

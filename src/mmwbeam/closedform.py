@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .beamformer import MIN_BEAM_NORM_SQ
 from .channel import PathComponent
 from .steering import ArrayGeometry, inner_product, steering_vector
 
@@ -157,6 +158,14 @@ def objective_grid(params: TwoPathParams, betas, thetas) -> np.ndarray:
 
     Returns an array of shape ``(len(betas), len(thetas))``; entries whose
     beam degenerates to the zero vector are ``-inf``.
+
+    The numerator keeps the term order of the plain left-to-right sum on
+    purpose: the beta-only terms as one (B, 1) column, then the two
+    theta-dependent outer products, added in place into at most two (B, T)
+    buffers (the second one then holds the denominator).  Every entry keeps
+    the bits of that sum, so grid searches keep their argmax, at about half
+    the full-size array passes.  The masked division runs only when some
+    beam norm vanishes.
     """
     a = params.gain_sq_1
     b = params.gain_sq_2
@@ -171,16 +180,24 @@ def objective_grid(params: TwoPathParams, betas, thetas) -> np.ndarray:
     cos_phi = np.cos(phi)
     pair_amp = 2.0 * beta * spread
 
-    num = (
+    beta_terms = (
         a * beta**2
         + b * spread**2
         + (b * beta**2 + a * spread**2) * vv**2
         + 2.0 * root_ab * vv * uu * math.cos(nu)
-        + pair_amp * (a + b) * vv * cos_phi
-        + pair_amp * root_ab * uu * (vv**2 * np.cos(nu + phi) + np.cos(nu - phi))
     )
-    den = 1.0 + pair_amp * vv * cos_phi
-    return np.where(den > 1e-12, num / np.where(den > 1e-12, den, 1.0) / 2.0, -np.inf)
+    num = np.multiply(pair_amp * (a + b) * vv, cos_phi)
+    num += beta_terms
+    work = np.multiply(pair_amp * root_ab * uu, vv**2 * np.cos(nu + phi) + np.cos(nu - phi))
+    num += work
+    den = np.multiply(pair_amp * vv, cos_phi, out=work)
+    den += 1.0
+    if den.min(initial=math.inf) > MIN_BEAM_NORM_SQ:
+        num /= den
+        num *= 0.5  # the bits of / 2.0, at a third of the cost
+        return num
+    ok = den > MIN_BEAM_NORM_SQ
+    return np.where(ok, num / np.where(ok, den, 1.0) / 2.0, -np.inf)
 
 
 def two_path_objective(params: TwoPathParams, alloc: AllocationPoint) -> float:
@@ -250,6 +267,18 @@ def beta_opt_v_orth(params: TwoPathParams) -> AllocationPoint:
     return AllocationPoint(beta=math.sqrt(min(beta_sq, 1.0)), theta=theta)
 
 
+def _v_orth_loss(a, b, uu_mag):
+    """Body of :func:`delta_snr_v_orth` on squared gains; floats or arrays broadcast.
+
+    On Python floats ``**`` is the C ``pow`` of the scalar route, so the
+    scalar function keeps its bits; arrays get one vectorized evaluation.
+    The radicand equals ``(a - b)^2 + 4ab uu^2 >= 0``; rounding can take it
+    a few ulps below zero near equal gains at ``uu = 0``, so it is clamped.
+    """
+    radicand = a**2 + b**2 + 2.0 * a * b * (2.0 * uu_mag**2 - 1.0)
+    return (a + b + np.sqrt(np.maximum(radicand, 0.0))) / (2.0 * np.maximum(a, b))
+
+
 def delta_snr_v_orth(params: TwoPathParams) -> float:
     """Loss (linear ratio >= 1) of dominant-path beamforming, v-orthogonal case.
 
@@ -264,8 +293,9 @@ def delta_snr_v_orth(params: TwoPathParams) -> float:
     _require_nonzero_gains(params)
     a = params.gain_sq_1
     b = params.gain_sq_2
-    root = math.sqrt(a**2 + b**2 + 2.0 * a * b * (2.0 * params.uu_mag**2 - 1.0))
-    return (a + b + root) / (2.0 * max(a, b))
+    if a == 0.0 and b == 0.0:
+        raise ValueError("SNR loss is undefined when both squared path gains underflow to zero")
+    return float(_v_orth_loss(a, b, params.uu_mag))
 
 
 def beta_opt_u_orth(params: TwoPathParams) -> AllocationPoint:

@@ -205,6 +205,12 @@ def mainlobe_freq_delta(geom: ArrayGeometry, magnitude: float) -> float:
     Returns the spatial-frequency separation in [0, first null] at which
     ``|cpo_inner_product|`` equals ``magnitude``.  The kernel magnitude is
     monotone decreasing from 1 to 0 on that interval, so bisection suffices.
+    It stops at the first midpoint that equals ``lo`` or ``hi``: that step
+    would leave ``(lo, hi)`` unchanged or collapse it onto the midpoint, a
+    fixed point either way, so the midpoint is what every later step would
+    return (after about 53 steps).  The 200-step cap still binds when
+    ``magnitude`` is within about 1e-15 of 1, where ``hi`` halves towards 0
+    without meeting ``lo``.
     """
     if not 0.0 <= magnitude <= 1.0:
         raise ValueError("magnitude must lie in [0, 1]")
@@ -218,6 +224,8 @@ def mainlobe_freq_delta(geom: ArrayGeometry, magnitude: float) -> float:
         return hi
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if abs(cpo_inner_product(geom, mid)) > magnitude:
             lo = mid
         else:

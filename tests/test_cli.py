@@ -265,6 +265,15 @@ class TestVerifyCommand:
         assert "[FAIL]" in out
         assert json.loads(err)["error"]["type"] == "verification"
 
+    def test_bounds_trials_must_be_nonnegative(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--suite", "bounds", "--trials", "-3")
+        assert code == EXIT_USAGE and out == ""
+        assert json.loads(err)["error"]["type"] == "usage"
+        for extra in ((), ("--trials", "0")):
+            code, out, _ = run_cli(capsys, "verify", "--suite", "bounds", *extra)
+            assert code == EXIT_OK
+            assert out.startswith("suite bounds: trials=0 ")
+
     def test_unknown_suite_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--suite", "prop9")
         assert code == EXIT_USAGE

@@ -169,6 +169,13 @@ class TestVOrthogonal:
     def test_zero_gains_rejected(self):
         with pytest.raises(ValueError, match="zero"):
             delta_snr_v_orth(TwoPathParams(0.0, 0.0))
+        with pytest.raises(ValueError, match="underflow"):
+            delta_snr_v_orth(TwoPathParams(1e-170, 1e-170))
+
+    def test_near_equal_gains_decoupled_receivers(self):
+        # the radicand rounds to -4.4e-16 here; it used to raise a math domain error
+        p = TwoPathParams(1.1728699829894298, 1.1728699854271236, uu_mag=0.0)
+        assert delta_snr_v_orth(p) == pytest.approx(1.0, abs=1e-8)
 
     def test_against_grid_oracle(self, rng):
         for _ in range(40):

@@ -1,9 +1,12 @@
-"""CCDF outputs of the command line pinned against the golden CSV files.
+"""Command-line outputs pinned against the golden files under ``tests/golden/``.
 
-Each file under ``tests/golden/`` is the stdout of one ``mmwbeam ccdf``
-call; its ``# config`` line records the parameters.  A rerun must give the
-same preamble and ``ccdf`` column byte for byte and every loss sample within
-``GOLDEN_TOL_DB``, the rounding a change of the arithmetic may move it by.
+Each file was written by one ``mmwbeam`` call and records its parameters in
+its config: the ``# config`` line of a CSV, the ``config`` key of a JSON
+document.  A CCDF rerun must give the same preamble and ``ccdf`` column byte
+for byte and every loss sample within ``GOLDEN_TOL_DB``, the rounding a
+change of the arithmetic may move it by.  ``closedform``, ``sweep`` and
+``verify`` reruns must give the same bytes: text and JSON report for
+``verify``, which writes its report to the relative path its config records.
 """
 
 import json
@@ -28,17 +31,52 @@ def split_csv(text):
     return config, samples, ccdf
 
 
-@pytest.mark.parametrize("path", sorted(GOLDEN.glob("ccdf_*.csv")), ids=lambda p: p.stem)
+def config_of(text):
+    """The run config recorded in a CSV preamble or a JSON document."""
+    if text.startswith("# config = "):
+        return json.loads(text.splitlines()[0].partition(" = ")[2])
+    return json.loads(text)["config"]
+
+
+def argv_of(config):
+    """The command line that reproduces a recorded config."""
+    argv = [config["command"], "--format", config["format"]]
+    for key, value in config["parameters"].items():
+        if value is not None:
+            argv += ["--" + key.replace("_", "-"), str(value)]
+    if config["output_path"] is not None:
+        argv += ["--out", config["output_path"]]
+    return argv
+
+
+def golden(*patterns):
+    paths = sorted(path for pattern in patterns for path in GOLDEN.glob(pattern))
+    return pytest.mark.parametrize("path", paths, ids=lambda p: p.stem)
+
+
+@golden("ccdf_*.csv")
 def test_ccdf_matches_golden(path, capsys):
     golden_config, golden_samples, golden_ccdf = split_csv(path.read_text())
-    (line,) = golden_config
-    parameters = json.loads(line.partition(" = ")[2])["parameters"]
-    argv = ["ccdf", "--format", "csv"]
-    for key, value in parameters.items():
-        argv += ["--" + key.replace("_", "-"), str(value)]
-    assert main(argv) == EXIT_OK
+    assert main(argv_of(config_of(path.read_text()))) == EXIT_OK
     config, samples, ccdf = split_csv(capsys.readouterr().out)
     assert config == golden_config
     assert ccdf == golden_ccdf
     diff = np.abs(np.array(samples, dtype=float) - np.array(golden_samples, dtype=float))
     assert diff.max() <= GOLDEN_TOL_DB
+
+
+@golden("closedform_*.json", "sweep_*.csv")
+def test_closedform_and_sweep_match_golden(path, capsys):
+    text = path.read_text()
+    assert main(argv_of(config_of(text))) == EXIT_OK
+    assert capsys.readouterr().out == text
+
+
+@golden("verify_*.json")
+def test_verify_matches_golden(path, capsys, tmp_path, monkeypatch):
+    report = path.read_text()
+    config = config_of(report)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv_of(config)) == EXIT_OK
+    assert capsys.readouterr().out == path.with_suffix(".txt").read_text()
+    assert (tmp_path / config["output_path"]).read_text() == report

@@ -1,14 +1,19 @@
-"""Properties of the batched Monte Carlo engine and its steering stacks over random inputs."""
+"""Properties over random inputs: the batched Monte Carlo engine, its steering stacks,
+the two-path objective grid, the v-orthogonal loss and the main-lobe bisection."""
+
+import math
 
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
+from mmwbeam import steering  # noqa: E402
+from mmwbeam.closedform import TwoPathParams, delta_snr_v_orth, objective_grid  # noqa: E402
 from mmwbeam.montecarlo import ANGLE_SAMPLING, McConfig, _trial_losses  # noqa: E402
-from mmwbeam.steering import ArrayGeometry, steering_stack  # noqa: E402
+from mmwbeam.steering import ArrayGeometry, mainlobe_freq_delta, steering_stack  # noqa: E402
 
 # Losses may dip below zero by rounding only.
 LOSS_FLOOR_DB = -1e-12
@@ -69,3 +74,125 @@ def test_steering_stack_matches_definition(n, spacing, freqs):
     # each row of the stack holds the bits of that row built alone
     for row, row_freqs in zip(stack, freqs):
         assert np.array_equal(row, steering_stack(geom, row_freqs))
+
+
+def objective_grid_reference(params, betas, thetas):
+    """The one-expression form of ``objective_grid``, kept verbatim as its oracle."""
+    a = params.gain_sq_1
+    b = params.gain_sq_2
+    uu = params.uu_mag
+    vv = params.vv_mag
+    nu = params.misalignment
+    root_ab = params.mag_a1 * params.mag_a2
+
+    beta = np.asarray(betas, dtype=float).reshape(-1, 1)
+    spread = np.sqrt(np.clip(1.0 - beta**2, 0.0, None))
+    phi = np.asarray(thetas, dtype=float).reshape(1, -1) + params.vv_phase
+    cos_phi = np.cos(phi)
+    pair_amp = 2.0 * beta * spread
+
+    num = (
+        a * beta**2
+        + b * spread**2
+        + (b * beta**2 + a * spread**2) * vv**2
+        + 2.0 * root_ab * vv * uu * math.cos(nu)
+        + pair_amp * (a + b) * vv * cos_phi
+        + pair_amp * root_ab * uu * (vv**2 * np.cos(nu + phi) + np.cos(nu - phi))
+    )
+    den = 1.0 + pair_amp * vv * cos_phi
+    return np.where(den > 1e-12, num / np.where(den > 1e-12, den, 1.0) / 2.0, -np.inf)
+
+
+def same_bits(x, y):
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+unit_coupling = st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.just(1.0))
+two_path_params = st.builds(
+    TwoPathParams,
+    mag_a1=st.floats(0.0, 10.0),
+    mag_a2=st.floats(0.0, 10.0),
+    phase_diff=st.floats(-7.0, 7.0),
+    uu_mag=unit_coupling,
+    uu_phase=st.floats(-7.0, 7.0),
+    vv_mag=unit_coupling,
+    vv_phase=st.one_of(st.just(0.0), st.floats(-7.0, 7.0)),
+)
+# beta = 1/sqrt(2) and phi = pi cancel the beam when vv = 1: the masked route
+split_axis = hnp.arrays(
+    float, st.integers(1, 40), elements=st.one_of(st.floats(0.0, 1.0), st.just(math.sqrt(0.5)))
+)
+phase_axis = hnp.arrays(
+    float, st.integers(1, 40), elements=st.one_of(st.floats(-7.0, 7.0), st.just(math.pi))
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(params=two_path_params, betas=split_axis, thetas=phase_axis)
+@example(
+    params=TwoPathParams(1.0, 1.0, uu_mag=1.0, vv_mag=1.0),
+    betas=np.array([0.0, math.sqrt(0.5), 1.0]),
+    thetas=np.array([0.0, math.pi]),
+)
+def test_objective_grid_matches_one_expression_form(params, betas, thetas):
+    grid = objective_grid(params, betas, thetas)
+    assert same_bits(grid, objective_grid_reference(params, betas, thetas))
+    if params.vv_mag == 1.0 and params.vv_phase == 0.0:
+        cancelled = np.isin(betas, math.sqrt(0.5))[:, None] & np.isin(thetas, math.pi)
+        assert np.all(np.isneginf(grid[cancelled]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(mag_a1=st.floats(1e-150, 1e3), mag_a2=st.floats(1e-150, 1e3), uu_mag=unit_coupling)
+# a kernel that squared by multiplication (a*a for a**2) would round this loss differently
+@example(mag_a1=0.7458805370776739, mag_a2=1.0, uu_mag=0.9383804870645365)
+def test_v_orth_loss_matches_scalar_expression(mag_a1, mag_a2, uu_mag):
+    params = TwoPathParams(mag_a1, mag_a2, uu_mag=uu_mag)
+    a, b = params.gain_sq_1, params.gain_sq_2
+    try:
+        root = math.sqrt(a**2 + b**2 + 2.0 * a * b * (2.0 * uu_mag**2 - 1.0))
+    except ValueError:  # a radicand rounded below zero used to raise; it now counts as 0
+        root = 0.0
+    assert delta_snr_v_orth(params) == (a + b + root) / (2.0 * max(a, b))
+
+
+def bisection_reference(geom, magnitude):
+    """The 200-step main-lobe bisection, written out in full."""
+    lo, hi = 0.0, 1.0 / (geom.num_elements * geom.spacing_wavelengths)
+    if magnitude == 0.0:
+        return hi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if abs(steering.cpo_inner_product(geom, mid)) > magnitude:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+magnitudes = st.one_of(
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1e-15),
+    st.floats(0.0, 1e-15).map(lambda x: 1.0 - x),
+    st.sampled_from([0.0, 1.0]),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n=st.integers(2, 1024), spacing=st.floats(0.05, 1.0), magnitude=magnitudes)
+def test_mainlobe_bisection_matches_full_run(n, spacing, magnitude):
+    geom = ArrayGeometry(n, spacing)
+    assert mainlobe_freq_delta(geom, magnitude) == bisection_reference(geom, magnitude)
+
+
+def test_mainlobe_bisection_stops_at_its_fixed_point(monkeypatch):
+    calls = []
+    inner = steering.cpo_inner_product
+
+    def counted(geom, freq_delta):
+        calls.append(freq_delta)
+        return inner(geom, freq_delta)
+
+    monkeypatch.setattr(steering, "cpo_inner_product", counted)
+    mainlobe_freq_delta(ArrayGeometry(16), 0.37)
+    assert len(calls) <= 70
