@@ -18,7 +18,6 @@ calls with B = 1, and give the same bits.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -298,63 +297,45 @@ def _bidirectional_snr(
     return (amp.real**2 + amp.imag**2) / gains.shape[-1], tx
 
 
-@functools.lru_cache(maxsize=64)
-def _phase_table(num_phase_points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Uniform phase grid over [0, 2 pi) with its cosines and sines, read-only."""
-    grid = np.linspace(0.0, _TWO_PI, num_phase_points, endpoint=False)
-    table = (grid, np.cos(grid), np.sin(grid))
-    for column in table:
-        column.setflags(write=False)
-    return table
-
-
 def _equal_power_snr(
-    gains: np.ndarray, tx_steer: np.ndarray, rx_steer: np.ndarray, num_phase_points: int = 720
+    gains: np.ndarray, tx_steer: np.ndarray, rx_steer: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """SNR (B,) and transmit beam (B, Nt) of the best equal split of an L=2 channel.
 
     The beam is ``f = v_0 + exp(1j theta) v_1`` normalized.  ``||H f||^2 /
-    ||f||^2`` is a ratio of two quadratic forms in ``(1, exp(1j theta))``; it
-    is maximized over a uniform phase grid and then by three halving
-    refinement passes around each row's best point.  The ratio is evaluated
-    in real arithmetic from ``cos theta`` and ``sin theta``; on the grid
-    these come from a table cached per ``num_phase_points``.  The SNR is
-    that of the normalized beam itself, not the ratio's value, which rounds
-    badly where ``||f||`` nearly vanishes.
+    ||f||^2`` is the ratio ``(a0 + a1 cos + a2 sin) / (2 + b1 cos + b2 sin)``
+    of two quadratic forms in ``(1, exp(1j theta))``.  Its derivative vanishes
+    where ``P sin + Q cos + R = 0`` with ``P = a0 b1 - 2 a1``, ``Q = 2 a2 -
+    a0 b2`` and ``R = a2 b1 - a1 b2``, at ``atan2(P, Q) +- arccos(-R /
+    sqrt(P^2 + Q^2))`` (over 1 where ``P = Q = 0``, with the cosine clipped
+    to [-1, 1]).  The maximum is the best of these two roots and
+    ``theta = 0``: when the departure angles coincide, rounding can put both
+    roots where the beam cancels, which the ``MIN_BEAM_NORM_SQ`` mask rules
+    out.  The SNR is that of the normalized beam itself, not the ratio's
+    value, which rounds badly where ``||f||`` nearly vanishes.
     """
     gram = _herm(tx_steer) @ tx_steer  # V^H V
     mapped = (rx_steer * gains[:, None, :]) @ gram  # H V / c
     quad = _herm(mapped) @ mapped
     cross_num = quad[:, 0, 1, None]
-    base_num = quad[:, 0, 0, None].real + quad[:, 1, 1, None].real
+    a0 = quad[:, 0, 0, None].real + quad[:, 1, 1, None].real
     cross_den = gram[:, 0, 1, None]
 
     # Re(c exp(1j theta)) = Re(c) cos(theta) - Im(c) sin(theta); the factor 2 is exact.
-    num_cos, num_sin = 2.0 * cross_num.real, 2.0 * cross_num.imag
-    den_cos, den_sin = 2.0 * cross_den.real, 2.0 * cross_den.imag
+    a1, a2 = 2.0 * cross_num.real, -2.0 * cross_num.imag
+    b1, b2 = 2.0 * cross_den.real, -2.0 * cross_den.imag
+    p, q, r = a0 * b1 - 2.0 * a1, 2.0 * a2 - a0 * b2, a2 * b1 - a1 * b2
+    scale = np.hypot(p, q)
+    scale[scale == 0.0] = 1.0
+    spread = np.arccos(np.clip(-r / scale, -1.0, 1.0))
+    theta = np.concatenate([np.zeros_like(p), np.arctan2(p, q) + [-1.0, 1.0] * spread], axis=-1)
+    cos, sin = np.cos(theta), np.sin(theta)
+    num = a0 + (a1 * cos + a2 * sin)
+    den = 2.0 + (b1 * cos + b2 * sin)
+    values = np.divide(num, den, out=np.full(num.shape, -np.inf), where=den > MIN_BEAM_NORM_SQ)
+    theta = np.take_along_axis(theta, np.argmax(values, axis=-1)[:, None], axis=-1)
 
-    def ratio(cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-        num = base_num + (num_cos * cos - num_sin * sin)
-        den = 2.0 + (den_cos * cos - den_sin * sin)
-        return np.divide(num, den, out=np.full(num.shape, -np.inf), where=den > MIN_BEAM_NORM_SQ)
-
-    grid, grid_cos, grid_sin = _phase_table(num_phase_points)
-    values = ratio(grid_cos, grid_sin)
-    rows = np.arange(len(values))
-    best = np.argmax(values, axis=-1)
-    theta, best_val = grid[best], values[rows, best]
-    step = _TWO_PI / num_phase_points
-    for _ in range(3):
-        step *= 0.5
-        # Columns: the incumbent, then theta - step and theta + step; argmax
-        # keeps the first of equal values, so a candidate must be strictly better.
-        moved = theta[:, None] + np.array([-step, step])
-        cand = np.concatenate([theta[:, None], moved], axis=-1)
-        values = np.concatenate([best_val[:, None], ratio(np.cos(moved), np.sin(moved))], axis=-1)
-        best = np.argmax(values, axis=-1)
-        theta, best_val = cand[rows, best], values[rows, best]
-
-    tx = tx_steer[:, :, 0] + np.exp(1j * theta)[:, None] * tx_steer[:, :, 1]
+    tx = tx_steer[:, :, 0] + np.exp(1j * theta) * tx_steer[:, :, 1]
     tx = tx / np.sqrt(_power(tx))[:, None]
     return _matched_snr(gains, tx_steer, rx_steer, tx), tx
 
@@ -428,22 +409,20 @@ def equal_power_beamformer(
     tx_geom: ArrayGeometry,
     rx_geom: ArrayGeometry,
     channel: ChannelMatrix | None = None,
-    num_phase_points: int = 720,
 ) -> BeamformerPair:
     """Split transmit power equally between the two paths of an L=2 channel.
 
-    The relative phase between the two steering vectors is chosen to
-    maximize the received SNR: a uniform phase grid followed by three
-    halving refinement passes around the best grid point.  The receiver
-    applies the matched filter on ``channel`` (assembled from ``paths``
-    when not given).
+    The relative phase between the two steering vectors is the exact
+    maximizer of the received SNR, solved from the stationary points of the
+    two-path ratio (see :func:`_equal_power_snr`).  The receiver applies the
+    matched filter on ``channel`` (assembled from ``paths`` when not given).
     """
     if len(paths) != 2:
         raise ValueError("equal-power beamforming is defined for exactly two paths")
     gains, tx_steer, rx_steer = _path_stacks(paths, tx_geom, rx_geom)
     if channel is None:
         channel = assemble_channel(paths, tx_geom, rx_geom)
-    snr, tx = _equal_power_snr(gains, tx_steer, rx_steer, num_phase_points)
+    snr, tx = _equal_power_snr(gains, tx_steer, rx_steer)
     return _as_pair(channel, tx[0], snr[0])
 
 

@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 usage error, 3 I/O error, 4 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -103,7 +104,13 @@ _PARAM_TYPES: dict[str, dict[str, type]] = {
 _COMMON_TYPES: dict[str, type] = {"out": str, "format": str, "seed": int}
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by later ``main`` calls.
+
+    Parsing leaves the parser unchanged: each call gets a fresh namespace,
+    and messages go to the ``sys.stdout``/``sys.stderr`` of the moment.
+    """
     parser = argparse.ArgumentParser(
         prog="mmwbeam",
         description="Two-path beamforming closed forms, loss sweeps, and CCDF simulation",

@@ -270,19 +270,23 @@ def beta_opt_v_orth(params: TwoPathParams) -> AllocationPoint:
 def _v_orth_loss(a, b, uu_mag):
     """Body of :func:`delta_snr_v_orth` on squared gains; floats or arrays broadcast.
 
-    On Python floats ``**`` is the C ``pow`` of the scalar route, so the
+    The radicand is written ``(a - b)^2 + 4ab uu^2``, which does not cancel.
+    The gains are first scaled by the power of two that takes the larger
+    into [0.5, 1): the scaling is exact, so the loss keeps its bits wherever
+    nothing under- or overflows, and squares of tiny or huge gains no longer
+    do.  On float scalars ``**`` is the C ``pow`` of the scalar route, so the
     scalar function keeps its bits; arrays get one vectorized evaluation.
-    The radicand equals ``(a - b)^2 + 4ab uu^2 >= 0``; rounding can take it
-    a few ulps below zero near equal gains at ``uu = 0``, so it is clamped.
     """
-    radicand = a**2 + b**2 + 2.0 * a * b * (2.0 * uu_mag**2 - 1.0)
-    return (a + b + np.sqrt(np.maximum(radicand, 0.0))) / (2.0 * np.maximum(a, b))
+    shift = -np.frexp(np.maximum(a, b))[1]
+    a, b = np.ldexp(a, shift), np.ldexp(b, shift)
+    root = np.sqrt((a - b) ** 2 + 4.0 * a * b * uu_mag**2)
+    return (a + b + root) / (2.0 * np.maximum(a, b))
 
 
 def delta_snr_v_orth(params: TwoPathParams) -> float:
     """Loss (linear ratio >= 1) of dominant-path beamforming, v-orthogonal case.
 
-    Equals ``(a + b + sqrt(a^2 + b^2 + 2ab(2uu^2 - 1))) / (2 max(a, b))``;
+    Equals ``(a + b + sqrt((a - b)^2 + 4ab uu^2)) / (2 max(a, b))``;
     at most 2 (a 3 dB loss), attained at equal gains with parallel receive
     steering vectors.
     """

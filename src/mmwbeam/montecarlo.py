@@ -293,12 +293,10 @@ def _chunk_trials(cfg: McConfig) -> int:
     """Trials per chunk: as many as fit the ``_CHUNK_BYTES`` working-set budget.
 
     A trial holds its complex steering stacks and their QR and Gram
-    products, about four complex (Nt + Nr) x L arrays, plus the equal-power
-    phase grid (a few rows of 720 values).
+    products, about four complex (Nt + Nr) x L arrays; every scheme's other
+    temporaries are a few values or one beam per trial.
     """
     per_trial = 4 * 16 * (cfg.nt + cfg.nr) * cfg.num_paths
-    if cfg.scheme == "equal_power":
-        per_trial += 6 * 8 * 720
     return max(1, min(cfg.trials, _CHUNK_BYTES // per_trial))
 
 

@@ -32,3 +32,23 @@ def random_paths(rng, num_paths, fov_deg=360.0):
 
 def geometry_pair(nt=8, nr=4, spacing=0.5):
     return ArrayGeometry(nt, spacing), ArrayGeometry(nr, spacing)
+
+
+def equal_power_grid_snr(paths, tx_geom, rx_geom, points=20_000):
+    """Best SNR of the normalized equal-power beams ``v_0 + exp(1j theta) v_1`` on a phase grid.
+
+    Evaluated on the dense channel matrix; beams that cancel to within
+    ``MIN_BEAM_NORM_SQ`` are skipped, as the scheme skips them.
+    """
+    from mmwbeam.beamformer import MIN_BEAM_NORM_SQ
+    from mmwbeam.channel import assemble_channel
+    from mmwbeam.steering import steering_matrix
+
+    h = assemble_channel(paths, tx_geom, rx_geom).entries
+    v = steering_matrix(tx_geom, [p.aod for p in paths])
+    theta = np.linspace(0.0, 2.0 * math.pi, points, endpoint=False)
+    beams = v[:, :1] + np.exp(1j * theta) * v[:, 1:]
+    norm_sq = np.sum(np.abs(beams) ** 2, axis=0)
+    kept = norm_sq > MIN_BEAM_NORM_SQ
+    snr = np.sum(np.abs(h @ beams[:, kept]) ** 2, axis=0) / norm_sq[kept]
+    return float(snr.max()) / (h.shape[0] * h.shape[1])

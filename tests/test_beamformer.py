@@ -1,13 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from conftest import geometry_pair, random_paths
+from conftest import equal_power_grid_snr, geometry_pair, random_paths
+from mmwbeam import montecarlo
 from mmwbeam.beamformer import (
     BeamformerPair,
     GridSizeError,
     GridSpec,
+    _loss_db,
     bidirectional_beamformer,
     dominant_path_beamformer,
     equal_power_beamformer,
@@ -389,6 +392,50 @@ class TestEqualPower:
                 params, AllocationPoint(beta=1.0 / math.sqrt(2.0), theta=theta)
             )
             assert pair.normalized_snr == pytest.approx(value, rel=1e-10)
+
+
+# (name, nt, gains, departure azimuths, arrival azimuths) of degenerate two-path channels
+DEGENERATE_EQUAL_POWER = [
+    ("nt1", 1, (0.8 + 0.3j, -0.5 + 0.9j), (1.0, 2.0), (1.2, 1.9)),
+    ("coincident_aod", 8, (0.8 + 0.3j, -0.5 + 0.9j), (1.0, 1.0), (1.2, 1.9)),
+    *[
+        (f"aod_gap_{gap:g}", 8, (0.8 + 0.3j, -0.5 + 0.9j), (1.0, 1.0 + gap), (1.2, 1.9))
+        for gap in (1e-15, 1e-12, 1e-9, 1e-6)
+    ],
+    ("cancelling_gains", 8, (0.6 - 0.7j, -0.6 + 0.7j), (1.0, 2.0), (1.2, 1.9)),
+    ("cancelling_gains_coincident_aod", 8, (0.6 - 0.7j, -0.6 + 0.7j), (1.0, 1.0), (1.2, 1.9)),
+]
+
+
+class TestEqualPowerDegenerate:
+    @pytest.mark.parametrize(
+        "nt,gains,aod,aoa",
+        [case[1:] for case in DEGENERATE_EQUAL_POWER],
+        ids=[case[0] for case in DEGENERATE_EQUAL_POWER],
+    )
+    def test_exact_phase_is_defined_and_matches_the_grid(self, nt, gains, aod, aoa, monkeypatch):
+        tx_geom, rx_geom = geometry_pair(nt=nt, nr=4)
+        paths = [PathComponent(g, AngleSpec(d), AngleSpec(a)) for g, d, a in zip(gains, aod, aoa)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            snr = equal_power_beamformer(paths, tx_geom, rx_geom).normalized_snr
+            optimal = reduced_optimal_beamformer(paths, tx_geom, rx_geom).normalized_snr
+        assert math.isfinite(snr)
+        assert snr <= optimal * (1.0 + 1e-12)
+        scale = abs(gains[0]) ** 2 + abs(gains[1]) ** 2
+        assert abs(snr - equal_power_grid_snr(paths, tx_geom, rx_geom)) <= 1e-8 * scale
+
+        # the Monte Carlo engine, fed this channel, gives the same loss bit for bit
+        def draw_chunk(cfg, trials):
+            return np.array([gains]), np.array([aod]), np.array([aoa]), 0
+
+        monkeypatch.setattr(montecarlo, "_draw_chunk", draw_chunk)
+        cfg = montecarlo.McConfig(num_paths=2, trials=1, seed=0, nt=nt, nr=4,
+                                  scheme="equal_power")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            losses, _ = montecarlo._trial_losses(cfg)
+        assert losses.tolist() == [_loss_db(optimal, snr)]
 
 
 class TestGridSearch:

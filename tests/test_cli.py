@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from mmwbeam import __version__
+from mmwbeam import __version__, cli
 from mmwbeam.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, RunConfig, main
 
 
@@ -321,3 +321,27 @@ class TestArgparseBoundary:
     def test_missing_subcommand_exits_two(self, capsys):
         assert main([]) == EXIT_USAGE
         capsys.readouterr()
+
+
+class TestParserReuse:
+    ARGVS = [
+        ["closedform", "--case", "v-orth", "--a1", "2", "--a2", "1", "--uu", "0.5"],
+        ["sweep", "--case", "u-orth", "--k-min", "1", "--k-max", "4", "--k-points", "5",
+         "--vv", "0.3", "--format", "json"],
+        ["ccdf", "--paths", "2", "--trials", "5", "--nt", "8", "--scheme", "equal_power"],
+        ["verify", "--suite", "prop1", "--trials", "2"],
+        ["closedform", "--nonsense", "1"],
+        ["--version"],
+    ]
+
+    def test_repeated_calls_give_the_same_bytes(self, capsys):
+        # the parser is built once per process; a second round must not see the first
+        cli._build_parser.cache_clear()
+        first = [run_cli(capsys, *argv) for argv in self.ARGVS]
+        second = [run_cli(capsys, *argv) for argv in self.ARGVS]
+        assert second == first
+        assert cli._build_parser.cache_info().misses == 1
+        codes = [code for code, _, _ in first]
+        assert codes == [EXIT_OK] * 4 + [EXIT_USAGE, EXIT_OK]
+        assert first[4][2].startswith("usage: mmwbeam")
+        assert first[5][1] == f"mmwbeam {__version__}\n"

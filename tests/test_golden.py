@@ -7,6 +7,7 @@ for byte and every loss sample within ``GOLDEN_TOL_DB``, the rounding a
 change of the arithmetic may move it by.  ``closedform``, ``sweep`` and
 ``verify`` reruns must give the same bytes: text and JSON report for
 ``verify``, which writes its report to the relative path its config records.
+Every file there must be read by one of these tests.
 """
 
 import json
@@ -49,9 +50,26 @@ def argv_of(config):
     return argv
 
 
-def golden(*patterns):
+# (glob pattern, partner suffixes) of every golden parametrization below: a test
+# reads each file matching the pattern and, beside it, the same stem with each suffix.
+READ = []
+
+
+def golden(*patterns, partners=()):
+    READ.extend((pattern, partners) for pattern in patterns)
     paths = sorted(path for pattern in patterns for path in GOLDEN.glob(pattern))
     return pytest.mark.parametrize("path", paths, ids=lambda p: p.stem)
+
+
+def is_read(path):
+    """True when a golden test reads ``path``, directly or as a partner of its primary file."""
+    for pattern, partners in READ:
+        primary = path.with_suffix(Path(pattern).suffix)
+        if path.match(pattern) or (
+            path.suffix in partners and primary.exists() and primary.match(pattern)
+        ):
+            return True
+    return False
 
 
 @golden("ccdf_*.csv")
@@ -72,7 +90,7 @@ def test_closedform_and_sweep_match_golden(path, capsys):
     assert capsys.readouterr().out == text
 
 
-@golden("verify_*.json")
+@golden("verify_*.json", partners=(".txt",))
 def test_verify_matches_golden(path, capsys, tmp_path, monkeypatch):
     report = path.read_text()
     config = config_of(report)
@@ -80,3 +98,8 @@ def test_verify_matches_golden(path, capsys, tmp_path, monkeypatch):
     assert main(argv_of(config)) == EXIT_OK
     assert capsys.readouterr().out == path.with_suffix(".txt").read_text()
     assert (tmp_path / config["output_path"]).read_text() == report
+
+
+def test_every_golden_file_is_read():
+    # a regenerated or renamed file that no pattern matches would drop out unnoticed
+    assert [path.name for path in sorted(GOLDEN.iterdir()) if not is_read(path)] == []

@@ -1,5 +1,6 @@
-"""Properties over random inputs: the batched Monte Carlo engine, its steering stacks,
-the two-path objective grid, the v-orthogonal loss and the main-lobe bisection."""
+"""Properties over random inputs: the batched Monte Carlo engine, the exact equal-power
+phase, the steering stacks, the two-path objective grid, the v-orthogonal loss and the
+main-lobe bisection."""
 
 import math
 
@@ -10,9 +11,11 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
+from conftest import equal_power_grid_snr  # noqa: E402
 from mmwbeam import steering  # noqa: E402
+from mmwbeam.beamformer import equal_power_beamformer, reduced_optimal_beamformer  # noqa: E402
 from mmwbeam.closedform import TwoPathParams, delta_snr_v_orth, objective_grid  # noqa: E402
-from mmwbeam.montecarlo import ANGLE_SAMPLING, McConfig, _trial_losses  # noqa: E402
+from mmwbeam.montecarlo import ANGLE_SAMPLING, McConfig, _trial_losses, sample_paths  # noqa: E402
 from mmwbeam.steering import ArrayGeometry, mainlobe_freq_delta, steering_stack  # noqa: E402
 
 # Losses may dip below zero by rounding only.
@@ -49,6 +52,19 @@ def test_losses_are_nonnegative_and_ordered(cfg):
         assert np.all(np.abs(dominant) <= -LOSS_FLOOR_DB)
     if cfg["num_paths"] == 2:
         assert np.all(losses("equal_power", **cfg) >= LOSS_FLOOR_DB)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(cfg=configs.map(lambda cfg: {**cfg, "num_paths": 2, "trials": min(cfg["trials"], 4)}))
+def test_equal_power_phase_is_exact(cfg):
+    mc = McConfig(scheme="equal_power", **cfg)
+    tx_geom, rx_geom = mc.tx_geometry, mc.rx_geometry
+    for trial in range(mc.trials):
+        paths = sample_paths(mc, trial)
+        snr = equal_power_beamformer(paths, tx_geom, rx_geom).normalized_snr
+        optimal = reduced_optimal_beamformer(paths, tx_geom, rx_geom).normalized_snr
+        assert snr >= (1.0 - 1e-12) * equal_power_grid_snr(paths, tx_geom, rx_geom)
+        assert snr <= (1.0 + 1e-12) * optimal
 
 
 # Units of the steering-entry error bound: 4 * eps * (1 + m * |step|) / sqrt(N).
@@ -142,18 +158,37 @@ def test_objective_grid_matches_one_expression_form(params, betas, thetas):
         assert np.all(np.isneginf(grid[cancelled]))
 
 
+gain_mags = st.floats(1e-150, 1e3)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(mag_a1=st.floats(1e-150, 1e3), mag_a2=st.floats(1e-150, 1e3), uu_mag=unit_coupling)
+@given(mag_a1=gain_mags, mag_a2=gain_mags, uu_mag=unit_coupling)
 # a kernel that squared by multiplication (a*a for a**2) would round this loss differently
 @example(mag_a1=0.7458805370776739, mag_a2=1.0, uu_mag=0.9383804870645365)
+# the form a^2 + b^2 + 2ab(2uu^2 - 1) cancels here and reads 0.9999999979
+@example(mag_a1=1.1728699829894298, mag_a2=1.1728699854271236, uu_mag=0.0)
 def test_v_orth_loss_matches_scalar_expression(mag_a1, mag_a2, uu_mag):
     params = TwoPathParams(mag_a1, mag_a2, uu_mag=uu_mag)
     a, b = params.gain_sq_1, params.gain_sq_2
-    try:
-        root = math.sqrt(a**2 + b**2 + 2.0 * a * b * (2.0 * uu_mag**2 - 1.0))
-    except ValueError:  # a radicand rounded below zero used to raise; it now counts as 0
-        root = 0.0
+    # scaling both gains by a power of two is exact and keeps their squares in range
+    shift = -math.frexp(max(a, b))[1]
+    a, b = math.ldexp(a, shift), math.ldexp(b, shift)
+    root = math.sqrt((a - b) ** 2 + 4.0 * a * b * uu_mag**2)
     assert delta_snr_v_orth(params) == (a + b + root) / (2.0 * max(a, b))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(mag_a1=gain_mags, mag_a2=gain_mags, uu_mag=st.one_of(unit_coupling, st.floats(0.0, 1e-6)))
+# squared gains near 1e-300: unscaled, every square underflows and the loss read 0.905
+@example(mag_a1=1e-150, mag_a2=0.9e-150, uu_mag=0.7)
+# rounding takes this loss to 1 - eps, the bound below
+@example(mag_a1=0.8623289211859997, mag_a2=1.1511750756077277, uu_mag=0.0)
+def test_v_orth_loss_is_at_least_one(mag_a1, mag_a2, uu_mag):
+    # The exact loss is >= 1.  With a >= b the computed root is >= fl(a - b), since
+    # sqrt(fl(y^2)) = |y|; fl(a + b) + fl(a - b) and its rounding lose at most 2u of 2a
+    # (u = eps / 2), so the computed loss is >= 1 - eps.
+    loss = delta_snr_v_orth(TwoPathParams(mag_a1, mag_a2, uu_mag=uu_mag))
+    assert loss >= 1.0 - np.finfo(float).eps
 
 
 def bisection_reference(geom, magnitude):
