@@ -10,14 +10,18 @@ brute-force grid search over the same reduced space are provided for
 benchmarking the loss against the optimum.
 
 The reduced route and the schemes evaluate their SNR in stacked kernels
-over a leading batch axis (``gains (B, L)``, steering stacks ``(B, N, L)``)
-built from L x L products, so ``H`` is never formed.  The Monte Carlo
-engine calls them on a chunk of trials; the per-channel functions here are
-calls with B = 1, and give the same bits.
+over a leading batch axis (``gains (B, L)`` and the Gram matrices ``(B, L,
+L)`` of the transmit and receive steering vectors, which
+:func:`mmwbeam.steering.gram_stack` gives in closed form), so neither ``H``
+nor any N-length vector is formed: a kernel's cost does not depend on Nt or
+Nr.  The Monte Carlo engine calls them on a chunk of trials; the
+per-channel functions here are calls with B = 1, and give the same bits.
+They build steering vectors only to form the beams they return.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -25,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .channel import ChannelMatrix, PathComponent, assemble_channel
-from .steering import ArrayGeometry, steering_matrix
+from .steering import ArrayGeometry, angle_frequencies, gram_stack, steering_matrix
 
 __all__ = [
     "BeamformerPair",
@@ -205,11 +209,20 @@ def optimal_beamformer(channel: ChannelMatrix) -> BeamformerPair:
 
 
 # Stacked kernels.  Every argument and result carries a leading batch axis B:
-# gains (B, L), transmit/receive steering stacks (B, Nt, L) and (B, Nr, L).
-# With c = sqrt(Nt * Nr / L), H = c * U diag(gain) V^H, so the normalized SNR
-# |rx^H H tx|^2 / (Nt * Nr) of unit-norm beams is |rx^H U diag(gain) V^H tx|^2 / L.
+# gains (B, L) and the Gram matrices (B, L, L) of the transmit and receive
+# steering vectors, G_t[l, k] = v_l^H v_k and G_r[l, k] = u_l^H u_k (see
+# mmwbeam.steering.gram_stack).  With c = sqrt(Nt * Nr / L), H = c U diag(gain) V^H,
+# so a transmit beam V w gives H V w = c U y with y = gain * (G_t w), and with a
+# matched-filter receiver its normalized SNR |rx^H H tx|^2 / (Nt * Nr) is
+# y^H G_r y / L.  No N-length vector is formed.  Each kernel returns the SNR (B,)
+# and the weights w (B, L) of its transmit beam V w, of unit norm up to rounding.
 # Each result depends only on its own channel's inputs: a stack of B channels
 # gives the same bits as B calls with a stack of one.
+
+# Eigenvalues of G_t at most this fraction of the largest are left out of the
+# optimal beam: along them the steering vectors (nearly) cancel, and dividing
+# by their root would only amplify rounding.
+GRAM_RANK_FLOOR = 1e-12
 
 
 def _herm(stack: np.ndarray) -> np.ndarray:
@@ -217,109 +230,134 @@ def _herm(stack: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(stack, -1, -2))
 
 
-def _power(vectors: np.ndarray) -> np.ndarray:
-    """Squared 2-norm along the last axis."""
-    return np.sum(vectors.real**2 + vectors.imag**2, axis=-1)
-
-
-def _path_stacks(
+def _path_grams(
     paths: Sequence[PathComponent], tx_geom: ArrayGeometry, rx_geom: ArrayGeometry
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gains (1, L) and steering stacks (1, Nt, L), (1, Nr, L) of one path list."""
+    """Gains (1, L) and the transmit/receive Grams (1, L, L) of one path list."""
     if len(paths) == 0:
         raise ValueError("at least one path component is required")
     gains = np.array([[complex(p.gain) for p in paths]])
-    tx_steer = steering_matrix(tx_geom, [p.aod for p in paths])
-    rx_steer = steering_matrix(rx_geom, [p.aoa for p in paths])
-    return gains, tx_steer[None], rx_steer[None]
+    gram_t = gram_stack(tx_geom, angle_frequencies([p.aod for p in paths]))
+    gram_r = gram_stack(rx_geom, angle_frequencies([p.aoa for p in paths]))
+    return gains, gram_t[None], gram_r[None]
+
+
+def _beam(steer: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Unit-norm beam (N,) of a steering matrix (N, L) and the weights (1, L) of a kernel."""
+    beam = steer @ weights[0]
+    return beam / np.linalg.norm(beam)
+
+
+def _matched_pair(
+    kernel,
+    paths: Sequence[PathComponent],
+    tx_geom: ArrayGeometry,
+    rx_geom: ArrayGeometry,
+    channel: ChannelMatrix | None,
+) -> BeamformerPair:
+    """The pair of a kernel on one path list: its beam and SNR, and a matched-filter receiver.
+
+    The receiver is the matched filter on ``channel`` (assembled from
+    ``paths`` when not given).
+    """
+    gains, gram_t, gram_r = _path_grams(paths, tx_geom, rx_geom)
+    if channel is None:
+        channel = assemble_channel(paths, tx_geom, rx_geom)
+    snr, weights = kernel(gains, gram_t, gram_r)
+    tx = _beam(steering_matrix(tx_geom, [p.aod for p in paths]), weights)
+    return _as_pair(channel, tx, snr[0])
 
 
 def _optimal_snr(
-    gains: np.ndarray, rx_steer: np.ndarray, r: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Optimal normalized SNR (B,) and the top eigenvector of the core (B, K).
+    gains: np.ndarray, gram_t: np.ndarray, gram_r: np.ndarray, beam: bool = False
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Optimal normalized SNR (B,) and, with ``beam``, the weights (B, L) of an optimal beam.
 
-    ``r`` is the R factor of the thin QR ``V = Q R`` of the transmit stack.
-    With ``W = U diag(gain) R^H``, ``H = c W Q^H``, so the optimum is the top
-    eigenvalue of the Hermitian core ``W^H W`` over L and the optimal transmit
-    beam is ``Q x`` for its eigenvector ``x``.
+    With ``G_t = E diag(lam) E^H`` and ``S = E diag(sqrt(lam))``, ``V = P S^H``
+    for a P with orthonormal columns, so ``H^H H`` is proportional to
+    ``P (T^H G_r T) P^H`` with ``T = diag(gain) S``.  The optimum is the top
+    eigenvalue of that Hermitian L x L core over L, and the optimal beam is
+    ``P y = V E diag(lam^-1/2) y`` for its eigenvector y, in which the
+    eigenvalues of G_t at most ``GRAM_RANK_FLOOR`` times the largest are left
+    out.  Negative rounding residue of lam counts as 0, so a rank-deficient
+    G_t (coincident paths, Nt < L) or core (cancelling paths) still yields a
+    defined SNR and beam.  Without ``beam`` the weights are None and only
+    the eigenvalues of the core are computed.
     """
-    core = (rx_steer * gains[:, None, :]) @ _herm(r)
-    eigvals, eigvecs = np.linalg.eigh(_herm(core) @ core)
-    return eigvals[:, -1] / gains.shape[-1], eigvecs[..., -1]
-
-
-def _dominant_index(gains: np.ndarray) -> np.ndarray:
-    """Index (B,) of each channel's strongest path; ties go to the lowest index."""
-    return np.argmax(np.abs(gains), axis=-1)
-
-
-def _dominant_columns(stack: np.ndarray, gains: np.ndarray) -> np.ndarray:
-    """Each stack's steering vector (B, N) of its channel's strongest path."""
-    index = _dominant_index(gains)[:, None, None]
-    return np.take_along_axis(stack, index, axis=-1)[..., 0]
-
-
-def _couplings(stack: np.ndarray, beams: np.ndarray) -> np.ndarray:
-    """Inner products ``s_l^H beam`` (B, L) of each steering vector with each beam (B, N)."""
-    return np.conj((np.conj(beams)[:, None, :] @ stack)[:, 0, :])
+    lam, basis = np.linalg.eigh(gram_t)
+    root = np.sqrt(np.maximum(lam, 0.0))
+    mapped = gains[:, :, None] * (basis * root[:, None, :])
+    core = _herm(mapped) @ (gram_r @ mapped)
+    snr = np.linalg.eigvalsh(core)[:, -1] / gains.shape[-1]
+    if not beam:
+        return snr, None
+    kept = lam > GRAM_RANK_FLOOR * lam[:, -1:]
+    top = np.linalg.eigh(core)[1][..., -1]
+    scaled = np.divide(top, root, out=np.zeros_like(top), where=kept)
+    return snr, (basis @ scaled[..., None])[..., 0]
 
 
 def _matched_snr(
-    gains: np.ndarray, tx_steer: np.ndarray, rx_steer: np.ndarray, tx: np.ndarray
+    gains: np.ndarray, gram_t: np.ndarray, gram_r: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
-    """SNR (B,) of unit-norm transmit beams ``tx`` (B, Nt) with a matched-filter receiver.
+    """SNR ``y^H G_r y / L`` (B,) of unit-norm transmit beams ``V w``, matched-filter receiver."""
+    y = gains * (gram_t @ weights[..., None])[..., 0]
+    power = np.sum(np.conj(y) * (gram_r @ y[..., None])[..., 0], axis=-1).real
+    return power / gains.shape[-1]
 
-    ``H tx = c U y`` with ``y_l = gain_l v_l^H tx``, so the SNR is ``||U y||^2 / L``.
-    """
-    weights = gains * _couplings(tx_steer, tx)
-    return _power((rx_steer @ weights[..., None])[..., 0]) / gains.shape[-1]
+
+def _dominant_weights(gains: np.ndarray) -> np.ndarray:
+    """One-hot weights (B, L) of each channel's strongest path; ties go to the lowest index."""
+    return np.eye(gains.shape[-1])[np.argmax(np.abs(gains), axis=-1)]
 
 
 def _dominant_snr(
-    gains: np.ndarray, tx_steer: np.ndarray, rx_steer: np.ndarray
+    gains: np.ndarray, gram_t: np.ndarray, gram_r: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """SNR (B,) and transmit beam (B, Nt) of steering at the strongest path, matched-filter receiver."""
-    tx = _dominant_columns(tx_steer, gains)
-    return _matched_snr(gains, tx_steer, rx_steer, tx), tx
+    """SNR (B,) and weights (B, L) of steering at the strongest path, matched-filter receiver."""
+    weights = _dominant_weights(gains)
+    return _matched_snr(gains, gram_t, gram_r, weights), weights
 
 
 def _bidirectional_snr(
-    gains: np.ndarray, tx_steer: np.ndarray, rx_steer: np.ndarray
+    gains: np.ndarray, gram_t: np.ndarray, gram_r: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """SNR (B,) and transmit beam (B, Nt) of steering both ends at the strongest path.
+    """SNR (B,) and weights (B, L) of steering both ends at the strongest path k.
 
-    ``u_k^H H v_k = c * sum_l gain_l (u_k^H u_l) (v_l^H v_k)``.
+    ``u_k^H H v_k = c * sum_l gain_l G_r[k, l] G_t[l, k]``; the receive beam
+    has the same weights on the receive steering vectors.
     """
-    tx = _dominant_columns(tx_steer, gains)
-    rx = _dominant_columns(rx_steer, gains)
-    amp = np.sum(gains * np.conj(_couplings(rx_steer, rx)) * _couplings(tx_steer, tx), axis=-1)
-    return (amp.real**2 + amp.imag**2) / gains.shape[-1], tx
+    weights = _dominant_weights(gains)
+    tx_couplings = (gram_t @ weights[..., None])[..., 0]
+    rx_couplings = (weights[:, None, :] @ gram_r)[:, 0]
+    amp = np.sum(gains * rx_couplings * tx_couplings, axis=-1)
+    return (amp.real**2 + amp.imag**2) / gains.shape[-1], weights
 
 
 def _equal_power_snr(
-    gains: np.ndarray, tx_steer: np.ndarray, rx_steer: np.ndarray
+    gains: np.ndarray, gram_t: np.ndarray, gram_r: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """SNR (B,) and transmit beam (B, Nt) of the best equal split of an L=2 channel.
+    """SNR (B,) and weights (B, 2) of the best equal split of an L=2 channel.
 
     The beam is ``f = v_0 + exp(1j theta) v_1`` normalized.  ``||H f||^2 /
     ||f||^2`` is the ratio ``(a0 + a1 cos + a2 sin) / (2 + b1 cos + b2 sin)``
-    of two quadratic forms in ``(1, exp(1j theta))``.  Its derivative vanishes
-    where ``P sin + Q cos + R = 0`` with ``P = a0 b1 - 2 a1``, ``Q = 2 a2 -
-    a0 b2`` and ``R = a2 b1 - a1 b2``, at ``atan2(P, Q) +- arccos(-R /
-    sqrt(P^2 + Q^2))`` (over 1 where ``P = Q = 0``, with the cosine clipped
-    to [-1, 1]).  The maximum is the best of these two roots and
-    ``theta = 0``: when the departure angles coincide, rounding can put both
-    roots where the beam cancels, which the ``MIN_BEAM_NORM_SQ`` mask rules
-    out.  The SNR is that of the normalized beam itself, not the ratio's
-    value, which rounds badly where ``||f||`` nearly vanishes.
+    of two quadratic forms in ``(1, exp(1j theta))``, with matrices
+    ``G_t^H M G_t`` (``M = diag(conj(gain)) G_r diag(gain)``) and ``G_t``.  Its
+    derivative vanishes where ``P sin + Q cos + R = 0`` with ``P = a0 b1 -
+    2 a1``, ``Q = 2 a2 - a0 b2`` and ``R = a2 b1 - a1 b2``, at ``atan2(P, Q)
+    +- arccos(-R / sqrt(P^2 + Q^2))`` (over 1 where ``P = Q = 0``, with the
+    cosine clipped to [-1, 1]).  The maximum is the best of these two roots
+    and ``theta = 0``: when the departure angles coincide, rounding can put
+    both roots where the beam cancels, which the ``MIN_BEAM_NORM_SQ`` mask
+    rules out.  The SNR is that of the normalized beam itself, with weights
+    ``(1, exp(1j theta)) / ||f||``, not the ratio's value, which rounds badly
+    where ``||f||`` nearly vanishes.
     """
-    gram = _herm(tx_steer) @ tx_steer  # V^H V
-    mapped = (rx_steer * gains[:, None, :]) @ gram  # H V / c
-    quad = _herm(mapped) @ mapped
+    mapped = gains[:, :, None] * gram_t  # U^H H V / c
+    quad = _herm(mapped) @ (gram_r @ mapped)
     cross_num = quad[:, 0, 1, None]
     a0 = quad[:, 0, 0, None].real + quad[:, 1, 1, None].real
-    cross_den = gram[:, 0, 1, None]
+    cross_den = gram_t[:, 0, 1, None]
 
     # Re(c exp(1j theta)) = Re(c) cos(theta) - Im(c) sin(theta); the factor 2 is exact.
     a1, a2 = 2.0 * cross_num.real, -2.0 * cross_num.imag
@@ -333,11 +371,11 @@ def _equal_power_snr(
     num = a0 + (a1 * cos + a2 * sin)
     den = 2.0 + (b1 * cos + b2 * sin)
     values = np.divide(num, den, out=np.full(num.shape, -np.inf), where=den > MIN_BEAM_NORM_SQ)
-    theta = np.take_along_axis(theta, np.argmax(values, axis=-1)[:, None], axis=-1)
-
-    tx = tx_steer[:, :, 0] + np.exp(1j * theta) * tx_steer[:, :, 1]
-    tx = tx / np.sqrt(_power(tx))[:, None]
-    return _matched_snr(gains, tx_steer, rx_steer, tx), tx
+    best = np.argmax(values, axis=-1)[:, None]
+    theta = np.take_along_axis(theta, best, axis=-1)
+    norm = np.sqrt(np.take_along_axis(den, best, axis=-1))
+    weights = np.concatenate([np.ones_like(theta), np.exp(1j * theta)], axis=-1) / norm
+    return _matched_snr(gains, gram_t, gram_r, weights), weights
 
 
 def reduced_optimal_beamformer(
@@ -348,21 +386,19 @@ def reduced_optimal_beamformer(
 ) -> BeamformerPair:
     """Best pair via the Hermitian L x L core of Proposition 1.
 
-    With the thin QR factorization ``V = Q R`` of the transmit steering
-    stack and ``W = U diag(gain) R^H``, the channel is proportional to
-    ``W Q^H``, so ``H^H H`` is proportional to ``Q (W^H W) Q^H``.  The
-    optimal transmit vector is ``Q x`` with ``x`` the top eigenvector of
-    ``W^H W``, and the normalized SNR is its eigenvalue over L; a
-    rank-deficient core (coincident or cancelling paths) still yields a
-    defined vector.  The receive vector is the matched filter on ``channel``
-    (assembled from ``paths`` when not given).
+    Every eigenvector of ``H^H H`` with a nonzero eigenvalue is a combination
+    of the transmit steering vectors, so the search collapses to L
+    dimensions.  The core is built from the path gains and the Grams of the
+    steering vectors alone (see :func:`_optimal_snr`): its top eigenvalue
+    over L is the normalized SNR, and its eigenvector gives the transmit
+    vector as a combination of the steering vectors.  A rank-deficient core
+    (coincident or cancelling paths) still yields a defined vector.  The
+    receive vector is the matched filter on ``channel`` (assembled from
+    ``paths`` when not given).
     """
-    gains, tx_steer, rx_steer = _path_stacks(paths, tx_geom, rx_geom)
-    if channel is None:
-        channel = assemble_channel(paths, tx_geom, rx_geom)
-    q, r = np.linalg.qr(tx_steer)
-    snr, top = _optimal_snr(gains, rx_steer, r)
-    return _as_pair(channel, q[0] @ top[0], snr[0])
+    return _matched_pair(
+        functools.partial(_optimal_snr, beam=True), paths, tx_geom, rx_geom, channel
+    )
 
 
 def dominant_path_beamformer(
@@ -377,11 +413,7 @@ def dominant_path_beamformer(
     phase shifters suffice); the receiver applies the matched filter on
     ``channel`` (assembled from ``paths`` when not given).
     """
-    gains, tx_steer, rx_steer = _path_stacks(paths, tx_geom, rx_geom)
-    if channel is None:
-        channel = assemble_channel(paths, tx_geom, rx_geom)
-    snr, tx = _dominant_snr(gains, tx_steer, rx_steer)
-    return _as_pair(channel, tx[0], snr[0])
+    return _matched_pair(_dominant_snr, paths, tx_geom, rx_geom, channel)
 
 
 def bidirectional_beamformer(
@@ -395,10 +427,10 @@ def bidirectional_beamformer(
     Both beams are steering vectors, so ``channel`` is not needed; it is
     accepted for the call signature shared by every scheme.
     """
-    gains, tx_steer, rx_steer = _path_stacks(paths, tx_geom, rx_geom)
-    snr, tx = _bidirectional_snr(gains, tx_steer, rx_steer)
-    tx = tx[0]
-    rx = _dominant_columns(rx_steer, gains)[0]
+    gains, gram_t, gram_r = _path_grams(paths, tx_geom, rx_geom)
+    snr, weights = _bidirectional_snr(gains, gram_t, gram_r)
+    tx = _beam(steering_matrix(tx_geom, [p.aod for p in paths]), weights)
+    rx = _beam(steering_matrix(rx_geom, [p.aoa for p in paths]), weights)
     tx.setflags(write=False)
     rx.setflags(write=False)
     return BeamformerPair(tx=tx, rx=rx, normalized_snr=float(snr[0]))
@@ -419,11 +451,7 @@ def equal_power_beamformer(
     """
     if len(paths) != 2:
         raise ValueError("equal-power beamforming is defined for exactly two paths")
-    gains, tx_steer, rx_steer = _path_stacks(paths, tx_geom, rx_geom)
-    if channel is None:
-        channel = assemble_channel(paths, tx_geom, rx_geom)
-    snr, tx = _equal_power_snr(gains, tx_steer, rx_steer)
-    return _as_pair(channel, tx[0], snr[0])
+    return _matched_pair(_equal_power_snr, paths, tx_geom, rx_geom, channel)
 
 
 def _axis_grid(window, default_lo, default_hi, count, endpoint):

@@ -245,16 +245,16 @@ def _closedform_record(args: dict) -> dict:
             raise UsageError("case u-parallel assumes --uu 1")
         uu = 1.0
 
-    params = closedform.TwoPathParams(
-        mag_a1=mag_a1,
-        mag_a2=mag_a2,
-        phase_diff=phase_diff,
-        uu_mag=uu,
-        uu_phase=uu_phase,
-        vv_mag=vv,
-        vv_phase=vv_phase,
-    )
     try:
+        params = closedform.TwoPathParams(
+            mag_a1=mag_a1,
+            mag_a2=mag_a2,
+            phase_diff=phase_diff,
+            uu_mag=uu,
+            uu_phase=uu_phase,
+            vv_mag=vv,
+            vv_phase=vv_phase,
+        )
         if case == "v-orth":
             alloc = closedform.beta_opt_v_orth(params)
             delta = closedform.delta_snr_v_orth(params)
@@ -328,15 +328,18 @@ def _sweep_rows(args: dict) -> list[dict]:
     ks = np.linspace(k_min, k_max, k_points)
     rows = []
     for k in ks:
-        params = closedform.TwoPathParams(
-            mag_a1=float(k),
-            mag_a2=1.0,
-            phase_diff=math.radians(nu_deg),
-            uu_mag=uu,
-            uu_phase=0.0,
-            vv_mag=vv,
-            vv_phase=0.0,
-        )
+        try:
+            params = closedform.TwoPathParams(
+                mag_a1=float(k),
+                mag_a2=1.0,
+                phase_diff=math.radians(nu_deg),
+                uu_mag=uu,
+                uu_phase=0.0,
+                vv_mag=vv,
+                vv_phase=0.0,
+            )
+        except ValueError as err:
+            raise UsageError(str(err)) from err
         if case == "v-orth":
             beta_sq = closedform.beta_opt_v_orth(params).beta ** 2
             delta = closedform.delta_snr_v_orth(params)

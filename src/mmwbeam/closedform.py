@@ -81,10 +81,11 @@ class TwoPathParams:
     vv_phase: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (self.mag_a1 >= 0.0 and math.isfinite(self.mag_a1)):
-            raise ValueError(f"mag_a1 must be finite and >= 0, got {self.mag_a1}")
-        if not (self.mag_a2 >= 0.0 and math.isfinite(self.mag_a2)):
-            raise ValueError(f"mag_a2 must be finite and >= 0, got {self.mag_a2}")
+        for name in ("mag_a1", "mag_a2"):
+            val = getattr(self, name)
+            # the squared gains must be finite too: Python's float ** raises on overflow
+            if not (val >= 0.0 and math.isfinite(val * val)):
+                raise ValueError(f"{name} must be >= 0 with a finite square, got {val}")
         for name in ("uu_mag", "vv_mag"):
             val = getattr(self, name)
             if not 0.0 <= val <= 1.0:
@@ -259,27 +260,30 @@ def beta_opt_v_orth(params: TwoPathParams) -> AllocationPoint:
         raise RegimeError(
             f"requires electrically orthogonal transmit vectors, |v1^H v2| = {params.vv_mag}"
         )
-    a = params.gain_sq_1
-    b = params.gain_sq_2
-    root = math.sqrt((a - b) ** 2 + 4.0 * a * b * params.uu_mag**2)
+    a, b, root = _v_orth_terms(params.gain_sq_1, params.gain_sq_2, params.uu_mag)
     beta_sq = 0.5 if root == 0.0 else 0.5 * (1.0 + (a - b) / root)
     theta = params.phase_diff - params.uu_phase
     return AllocationPoint(beta=math.sqrt(min(beta_sq, 1.0)), theta=theta)
 
 
-def _v_orth_loss(a, b, uu_mag):
-    """Body of :func:`delta_snr_v_orth` on squared gains; floats or arrays broadcast.
+def _v_orth_terms(a, b, uu_mag):
+    """Squared gains ``a``, ``b`` rescaled, and the root ``sqrt((a - b)^2 + 4ab uu^2)`` of them.
 
-    The radicand is written ``(a - b)^2 + 4ab uu^2``, which does not cancel.
-    The gains are first scaled by the power of two that takes the larger
-    into [0.5, 1): the scaling is exact, so the loss keeps its bits wherever
-    nothing under- or overflows, and squares of tiny or huge gains no longer
-    do.  On float scalars ``**`` is the C ``pow`` of the scalar route, so the
-    scalar function keeps its bits; arrays get one vectorized evaluation.
+    The radicand is written as this sum, which does not cancel.  The gains
+    are first scaled by the power of two that takes the larger into [0.5,
+    1): the scaling is exact, so every ratio of these terms keeps its bits
+    wherever nothing under- or overflows, and squares of tiny or huge gains
+    no longer do.  On float scalars ``**`` is the C ``pow`` of the scalar route, so the
+    scalar functions keep their bits; arrays get one vectorized evaluation.
     """
     shift = -np.frexp(np.maximum(a, b))[1]
     a, b = np.ldexp(a, shift), np.ldexp(b, shift)
-    root = np.sqrt((a - b) ** 2 + 4.0 * a * b * uu_mag**2)
+    return a, b, np.sqrt((a - b) ** 2 + 4.0 * a * b * uu_mag**2)
+
+
+def _v_orth_loss(a, b, uu_mag):
+    """Body of :func:`delta_snr_v_orth` on squared gains; floats or arrays broadcast."""
+    a, b, root = _v_orth_terms(a, b, uu_mag)
     return (a + b + root) / (2.0 * np.maximum(a, b))
 
 

@@ -17,14 +17,17 @@ once per chunk with numpy's own ``lo + (hi - lo) * u``, which consumes the
 stream and yields the values of two ``rng.uniform(lo, hi, L)`` calls.
 
 The engine works on chunks of consecutive trials.  A chunk is drawn into
-arrays ``gains``, ``aod`` and ``aoa`` of shape (B, L), the steering stacks
-(B, N, L) are built once (two exponential factors per column, see
-:func:`mmwbeam.steering.steering_stack`), and the optimum and the scheme
-SNR come from the stacked kernels of :mod:`mmwbeam.beamformer`.  The chunk
-size follows from a fixed working-set budget of ``_CHUNK_BYTES``, so memory
-stays bounded for any trial count.  The public per-channel route
-``sample_paths`` -> ``reduced_optimal_beamformer`` -> ``SCHEMES[scheme]``
-calls the same kernels and reproduces every loss bit for bit.
+arrays ``gains``, ``aod`` and ``aoa`` of shape (B, L), the Gram matrices
+(B, L, L) of the transmit and receive steering vectors are evaluated in
+closed form (see :func:`mmwbeam.steering.gram_stack`), and the optimum and
+the scheme SNR come from the stacked L x L kernels of
+:mod:`mmwbeam.beamformer`; no steering vector is formed, so a trial's cost
+does not depend on Nt or Nr.  The chunk size follows from the O(L^2)
+per-trial working set, a fixed budget of ``_CHUNK_BYTES`` and a cap of
+``_MAX_CHUNK_TRIALS``, so memory stays bounded for any trial count.  The
+public per-channel route ``sample_paths`` -> ``reduced_optimal_beamformer``
+-> ``SCHEMES[scheme]`` calls the same kernels and reproduces every loss bit
+for bit.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from .beamformer import (
     equal_power_beamformer,
 )
 from .channel import PathComponent
-from .steering import AngleSpec, ArrayGeometry, spatial_frequencies, steering_stack
+from .steering import AngleSpec, ArrayGeometry, gram_stack, spatial_frequencies
 
 __all__ = [
     "RNG_ALGORITHM",
@@ -71,7 +74,7 @@ SCHEMES: dict[str, Callable] = {
     "equal_power": equal_power_beamformer,
 }
 
-# The stacked kernel behind each scheme: (gains, tx_steer, rx_steer) -> (snr, beam).
+# The stacked kernel behind each scheme: (gains, gram_t, gram_r) -> (snr, beam weights).
 _SCHEME_SNR: dict[str, Callable] = {
     "bidirectional": _bidirectional_snr,
     "dominant_tx_mf_rx": _dominant_snr,
@@ -88,8 +91,9 @@ _MAX_RESAMPLE = 100
 # channel is zero to within rounding and the loss would be 0/0.
 _MIN_GAIN = 1e-150
 
-# Working-set budget of one chunk of trials (see _chunk_trials).
+# Working-set budget and trial cap of one chunk of trials (see _chunk_trials).
 _CHUNK_BYTES = 1 << 20
+_MAX_CHUNK_TRIALS = 256
 
 # Elevation of every drawn path: the azimuth plane.
 _BROADSIDE = math.pi / 2.0
@@ -290,14 +294,20 @@ def sample_paths(cfg: McConfig, trial_index: int) -> list[PathComponent]:
 
 
 def _chunk_trials(cfg: McConfig) -> int:
-    """Trials per chunk: as many as fit the ``_CHUNK_BYTES`` working-set budget.
+    """Trials per chunk: at most ``_MAX_CHUNK_TRIALS``, and as many as fit ``_CHUNK_BYTES``.
 
-    A trial holds its complex steering stacks and their QR and Gram
-    products, about four complex (Nt + Nr) x L arrays; every scheme's other
-    temporaries are a few values or one beam per trial.
+    A trial's arrays do not depend on Nt or Nr.  At most about eight
+    complex L x L arrays of a trial are alive at once (its two Grams and the
+    eigendecompositions and products of the kernels), plus a few hundred
+    bytes of draws, SNRs and Python floats: 750 bytes at L = 2 and 3 kB at
+    L = 5, measured with ``tracemalloc``.  Past a few hundred trials a
+    larger chunk gains little: the fixed cost of a chunk, one Philox key
+    schedule and about a hundred small numpy calls (0.15-0.25 ms on a
+    2-vCPU x86-64 box with numpy 2.4), is then under 1 microsecond per
+    trial.
     """
-    per_trial = 4 * 16 * (cfg.nt + cfg.nr) * cfg.num_paths
-    return max(1, min(cfg.trials, _CHUNK_BYTES // per_trial))
+    per_trial = 8 * 16 * cfg.num_paths**2 + 256
+    return max(1, min(cfg.trials, _MAX_CHUNK_TRIALS, _CHUNK_BYTES // per_trial))
 
 
 def _trial_losses(cfg: McConfig) -> tuple[np.ndarray, int]:
@@ -311,10 +321,10 @@ def _trial_losses(cfg: McConfig) -> tuple[np.ndarray, int]:
         trials = range(start, min(start + chunk, cfg.trials))
         gains, aod, aoa, redraws = _draw_chunk(cfg, trials)
         num_resampled += redraws
-        tx_steer = steering_stack(tx_geom, spatial_frequencies(aod, _BROADSIDE))
-        rx_steer = steering_stack(rx_geom, spatial_frequencies(aoa, _BROADSIDE))
-        optimal, _ = _optimal_snr(gains, rx_steer, np.linalg.qr(tx_steer, mode="r"))
-        scheme, _ = scheme_snr(gains, tx_steer, rx_steer)
+        gram_t = gram_stack(tx_geom, spatial_frequencies(aod, _BROADSIDE))
+        gram_r = gram_stack(rx_geom, spatial_frequencies(aoa, _BROADSIDE))
+        optimal, _ = _optimal_snr(gains, gram_t, gram_r)
+        scheme, _ = scheme_snr(gains, gram_t, gram_r)
         losses[start : trials.stop] = [
             _loss_db(o, s) for o, s in zip(optimal.tolist(), scheme.tolist())
         ]
@@ -326,10 +336,10 @@ def run_ccdf(cfg: McConfig) -> CcdfTable:
 
     Trials run in chunks sized to a ``_CHUNK_BYTES`` working set (see the
     module docstring for the stream contract).  Per chunk: draw every
-    trial's paths from its own stream, build the steering stacks once,
-    evaluate the optimal normalized SNR (QR of the transmit stack plus the
-    Hermitian L x L core) and the scheme's normalized SNR in stacked
-    kernels, and record ``10*log10(optimal/scheme)``.  Draws whose gains
+    trial's paths from its own stream, evaluate the Gram matrices of its
+    steering vectors, the optimal normalized SNR (the Hermitian L x L core)
+    and the scheme's normalized SNR in stacked kernels, and record
+    ``10*log10(optimal/scheme)``.  Draws whose gains
     all vanish are redrawn from the same stream and counted in
     ``num_resampled``.  Each loss equals, bit for bit, the one the public
     per-channel functions give for ``sample_paths(cfg, trial)``.

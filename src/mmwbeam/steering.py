@@ -19,7 +19,9 @@ __all__ = [
     "ArrayGeometry",
     "AngleSpec",
     "spatial_frequencies",
+    "angle_frequencies",
     "steering_stack",
+    "gram_stack",
     "steering_vector",
     "steering_matrix",
     "inner_product",
@@ -141,16 +143,63 @@ def steering_stack(geom: ArrayGeometry, freqs: np.ndarray) -> np.ndarray:
     return stack if full == n else np.ascontiguousarray(stack[..., :n, :])
 
 
+@functools.lru_cache(maxsize=16)
+def _pairs(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only row and column indices of the entries above the diagonal of a square matrix."""
+    rows, cols = np.triu_indices(size, 1)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
+
+
+def gram_stack(geom: ArrayGeometry, freqs: np.ndarray) -> np.ndarray:
+    """Gram matrices (..., L, L) of the steering vectors of spatial frequencies ``freqs`` (..., L).
+
+    Entry ``[l, k]`` is ``v_l^H v_k``, the Dirichlet kernel of
+    :func:`cpo_inner_product` at ``freqs[..., k] - freqs[..., l]``, evaluated
+    by the same expression on arrays: where the phase ``psi`` lies within
+    1e-12 cycles of a multiple of pi the two vectors coincide and the entry
+    is exactly 1.  Only the entries above the diagonal are evaluated; the
+    diagonal is exactly 1 and the entries below are their conjugates, so
+    each matrix is exactly Hermitian.  No N-length vector is formed.
+    Against ``steering_stack(...)^H @ steering_stack(...)`` an entry differs
+    by a few ``eps * (1 + N * |step|)``, the rounding of the phases the stack
+    multiplies by up to N - 1.  Each entry depends on its own pair of
+    frequencies only, so a stack of many channels holds the same bits as the
+    Grams of its channels built one at a time.
+    """
+    n = geom.num_elements
+    freqs = np.asarray(freqs, dtype=float)
+    size = freqs.shape[-1]
+    rows, cols = _pairs(size)
+    psi = math.pi * geom.spacing_wavelengths * (freqs[..., cols] - freqs[..., rows])
+    cycles = psi / math.pi
+    coincident = np.abs(cycles - np.round(cycles)) < 1e-12
+    ratio = np.divide(np.sin(n * psi), n * np.sin(psi), out=np.ones_like(psi), where=~coincident)
+    upper = np.exp(1j * (n - 1) * psi) * ratio
+    upper[coincident] = 1.0
+    gram = np.empty(freqs.shape + (size,), dtype=complex)
+    gram[..., rows, cols] = upper
+    gram[..., cols, rows] = np.conj(upper)
+    gram[..., range(size), range(size)] = 1.0
+    return gram
+
+
 def steering_vector(geom: ArrayGeometry, angle: AngleSpec) -> np.ndarray:
     """Unit-norm CPO steering vector for one direction (see :func:`steering_stack`)."""
     return steering_matrix(geom, [angle])[:, 0]
 
 
-def steering_matrix(geom: ArrayGeometry, angles) -> np.ndarray:
-    """Stack steering vectors for several directions into an (N, L) matrix."""
+def angle_frequencies(angles) -> np.ndarray:
+    """Spatial frequencies (L,) of a sequence of :class:`AngleSpec` directions."""
     azimuths = np.array([a.azimuth_rad for a in angles], dtype=float)
     elevations = np.array([a.elevation_rad for a in angles], dtype=float)
-    return steering_stack(geom, spatial_frequencies(azimuths, elevations))
+    return spatial_frequencies(azimuths, elevations)
+
+
+def steering_matrix(geom: ArrayGeometry, angles) -> np.ndarray:
+    """Stack steering vectors for several directions into an (N, L) matrix."""
+    return steering_stack(geom, angle_frequencies(angles))
 
 
 def inner_product(a: np.ndarray, b: np.ndarray) -> complex:

@@ -537,7 +537,7 @@ class TestStackedKernels:
     def test_stack_gives_the_bits_of_single_channels(self, rng):
         # the Monte Carlo engine evaluates chunks; the public functions one channel
         from mmwbeam import beamformer
-        from mmwbeam.steering import spatial_frequencies, steering_stack
+        from mmwbeam.steering import gram_stack, spatial_frequencies
 
         for nt, nr, num_paths in ((64, 4, 3), (2, 8, 5), (1, 3, 2), (16, 1, 2), (33, 5, 1)):
             tx_geom, rx_geom = geometry_pair(nt=nt, nr=nr, spacing=0.37)
@@ -546,19 +546,19 @@ class TestStackedKernels:
                 (batch, num_paths)
             )
             aod, aoa = rng.uniform(0.0, math.pi, (2, batch, num_paths))
-            tx_steer = steering_stack(tx_geom, spatial_frequencies(aod, math.pi / 2))
-            rx_steer = steering_stack(rx_geom, spatial_frequencies(aoa, math.pi / 2))
+            gram_t = gram_stack(tx_geom, spatial_frequencies(aod, math.pi / 2))
+            gram_r = gram_stack(rx_geom, spatial_frequencies(aoa, math.pi / 2))
             kernels = [
-                lambda g, t, u: beamformer._optimal_snr(g, u, np.linalg.qr(t, mode="r")),
+                lambda g, t, r: beamformer._optimal_snr(g, t, r, beam=True),
                 beamformer._dominant_snr,
                 beamformer._bidirectional_snr,
             ]
             if num_paths == 2:
                 kernels.append(beamformer._equal_power_snr)
             for kernel in kernels:
-                stacked = kernel(gains, tx_steer, rx_steer)
+                stacked = kernel(gains, gram_t, gram_r)
                 for b in range(batch):
                     rows = slice(b, b + 1)
-                    single = kernel(gains[rows], tx_steer[rows], rx_steer[rows])
+                    single = kernel(gains[rows], gram_t[rows], gram_r[rows])
                     for whole, one in zip(stacked, single):
                         np.testing.assert_array_equal(whole[rows], one)

@@ -103,6 +103,16 @@ class TestClosedform:
         record = json.loads(err)
         assert record["error"]["type"] == "usage"
 
+    def test_overflowing_gain_is_usage_error(self, capsys):
+        # the squared gain overflows; this used to end in an OverflowError traceback
+        code, out, err = run_cli(
+            capsys, "closedform", "--case", "v-orth", "--a1", "1e160", "--a2", "1", "--uu", "0.5",
+        )
+        assert code == EXIT_USAGE and out == ""
+        record = json.loads(err)
+        assert record["error"]["type"] == "usage"
+        assert "finite square" in record["error"]["message"]
+
     def test_missing_required_flag(self, capsys):
         code, _, err = run_cli(capsys, "closedform", "--case", "v-orth", "--a1", "1")
         assert code == EXIT_USAGE
@@ -150,6 +160,13 @@ class TestSweep:
             capsys, "sweep", "--case", "v-orth", "--k-min", "0.5", "--k-max", "2", "--uu", "0.3"
         )
         assert code == EXIT_USAGE
+
+    def test_overflowing_gain_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "--case", "v-orth", "--k-min", "1", "--k-max", "1e160", "--uu", "0.5"
+        )
+        assert code == EXIT_USAGE and out == ""
+        assert json.loads(err)["error"]["type"] == "usage"
 
 
 class TestCcdf:

@@ -51,6 +51,10 @@ class TestParams:
             TwoPathParams(mag_a1=-1.0, mag_a2=1.0)
         with pytest.raises(ValueError):
             TwoPathParams(mag_a1=1.0, mag_a2=1.0, uu_mag=1.5)
+        # a gain whose square overflows would make every closed form raise OverflowError
+        for mag in (1e160, math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite square"):
+                TwoPathParams(mag_a1=1.0, mag_a2=mag)
 
     def test_misalignment_wraps_to_half_open_interval(self):
         p = TwoPathParams(1.0, 1.0, phase_diff=3.0, uu_phase=-3.0, vv_phase=3.0)
@@ -176,6 +180,12 @@ class TestVOrthogonal:
         # the radicand rounds to -4.4e-16 here; it used to raise a math domain error
         p = TwoPathParams(1.1728699829894298, 1.1728699854271236, uu_mag=0.0)
         assert delta_snr_v_orth(p) == pytest.approx(1.0, abs=1e-8)
+
+    def test_split_is_scale_free_for_tiny_gains(self):
+        # squared gains near 1e-300: unscaled, every square underflowed and the split read 0.5
+        tiny = beta_opt_v_orth(TwoPathParams(1e-150, 0.9e-150, uu_mag=0.7))
+        unit = beta_opt_v_orth(TwoPathParams(1.0, 0.9, uu_mag=0.7))
+        assert tiny.beta**2 == unit.beta**2 == 0.5745539589027745
 
     def test_against_grid_oracle(self, rng):
         for _ in range(40):

@@ -1,5 +1,7 @@
 import json
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -249,10 +251,34 @@ class TestEngineMatchesPublicRoute:
         assert_same_bits(run_ccdf(cfg).samples_db, replayed_samples(cfg))
 
     def test_chunk_budget_bounds_large_arrays(self):
-        wide = McConfig(num_paths=2, trials=10**6, seed=0, nt=256, nr=16, scheme="equal_power")
-        chunk = montecarlo._chunk_trials(wide)
-        assert 1 <= chunk <= 32
+        # the peak allocation of a long run stays within the chunk budget plus its losses
+        wide = McConfig(num_paths=2, trials=20_000, seed=0, nt=256, nr=16, scheme="equal_power")
+        tracemalloc.start()
+        try:
+            montecarlo._trial_losses(wide)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * montecarlo._CHUNK_BYTES + 8 * wide.trials
         assert montecarlo._chunk_trials(small_cfg(trials=3)) == 3
+
+
+class TestDegenerateArrays:
+    @pytest.mark.parametrize("scheme,num_paths", [
+        (scheme, num_paths)
+        for scheme in SCHEMES
+        for num_paths in ((2,) if scheme == "equal_power" else (1, 2, 3, 5))
+    ])
+    def test_single_element_arrays_give_finite_losses(self, scheme, num_paths):
+        for nt, nr in ((1, 8), (16, 1), (1, 1)):
+            cfg = small_cfg(num_paths=num_paths, nt=nt, nr=nr, scheme=scheme, trials=500)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                losses = run_ccdf(cfg).samples_db
+            assert np.all(np.isfinite(losses))
+            if nt == nr == 1:
+                # every beam of a single-antenna link is optimal
+                assert np.all(np.abs(losses) <= 1e-12)
 
 
 def redraws_by_recount(cfg, trial, threshold):

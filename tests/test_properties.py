@@ -1,6 +1,6 @@
 """Properties over random inputs: the batched Monte Carlo engine, the exact equal-power
-phase, the steering stacks, the two-path objective grid, the v-orthogonal loss and the
-main-lobe bisection."""
+phase, the steering stacks and their Grams, the two-path objective grid, the v-orthogonal
+loss and the main-lobe bisection."""
 
 import math
 
@@ -13,10 +13,28 @@ from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from conftest import equal_power_grid_snr  # noqa: E402
 from mmwbeam import steering  # noqa: E402
-from mmwbeam.beamformer import equal_power_beamformer, reduced_optimal_beamformer  # noqa: E402
+from mmwbeam.beamformer import (  # noqa: E402
+    equal_power_beamformer,
+    optimal_beamformer,
+    received_snr,
+    reduced_optimal_beamformer,
+)
+from mmwbeam.channel import assemble_channel  # noqa: E402
 from mmwbeam.closedform import TwoPathParams, delta_snr_v_orth, objective_grid  # noqa: E402
-from mmwbeam.montecarlo import ANGLE_SAMPLING, McConfig, _trial_losses, sample_paths  # noqa: E402
-from mmwbeam.steering import ArrayGeometry, mainlobe_freq_delta, steering_stack  # noqa: E402
+from mmwbeam.montecarlo import (  # noqa: E402
+    ANGLE_SAMPLING,
+    SCHEMES,
+    McConfig,
+    _trial_losses,
+    sample_paths,
+)
+from mmwbeam.steering import (  # noqa: E402
+    ArrayGeometry,
+    cpo_inner_product,
+    gram_stack,
+    mainlobe_freq_delta,
+    steering_stack,
+)
 
 # Losses may dip below zero by rounding only.
 LOSS_FLOOR_DB = -1e-12
@@ -52,6 +70,33 @@ def test_losses_are_nonnegative_and_ordered(cfg):
         assert np.all(np.abs(dominant) <= -LOSS_FLOOR_DB)
     if cfg["num_paths"] == 2:
         assert np.all(losses("equal_power", **cfg) >= LOSS_FLOOR_DB)
+
+
+def dense_loss_ratio(cfg, trial):
+    """Optimal over scheme SNR of one trial, both from the dense channel matrix.
+
+    The optimum is the top singular value of ``H``; the scheme's SNR is
+    ``received_snr`` of its beams on ``H``.  No Gram or L x L core is involved.
+    """
+    tx_geom, rx_geom = cfg.tx_geometry, cfg.rx_geometry
+    paths = sample_paths(cfg, trial)
+    channel = assemble_channel(paths, tx_geom, rx_geom)
+    pair = SCHEMES[cfg.scheme](paths, tx_geom, rx_geom, channel=channel)
+    scheme = received_snr(channel, pair.tx, pair.rx).normalized_snr
+    return optimal_beamformer(channel).normalized_snr / scheme
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(cfg=configs)
+def test_engine_losses_match_dense_svd(cfg):
+    schemes = ["bidirectional", "dominant_tx_mf_rx"]
+    if cfg["num_paths"] == 2:
+        schemes.append("equal_power")
+    for scheme in schemes:
+        mc = McConfig(scheme=scheme, **cfg)
+        ratios = 10.0 ** (_trial_losses(mc)[0] / 10.0)
+        dense = np.array([dense_loss_ratio(mc, trial) for trial in range(mc.trials)])
+        assert np.all(np.abs(ratios - dense) <= 1e-9 * dense)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -90,6 +135,35 @@ def test_steering_stack_matches_definition(n, spacing, freqs):
     # each row of the stack holds the bits of that row built alone
     for row, row_freqs in zip(stack, freqs):
         assert np.array_equal(row, steering_stack(geom, row_freqs))
+
+
+# Units of the Gram-entry error bound: 32 * eps * (1 + N * max |step|).
+GRAM_ULPS = 32.0 * np.finfo(float).eps
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n=st.one_of(st.sampled_from([1, 2, 7, 13, 64, 256, 1000, 1024]), st.integers(1, 1024)),
+    spacing=st.floats(0.001, 1.0),
+    freqs=hnp.arrays(
+        float, hnp.array_shapes(min_dims=2, max_dims=2, max_side=5), elements=st.floats(-1.0, 1.0)
+    ),
+)
+def test_gram_stack_matches_dense_product(n, spacing, freqs):
+    geom = ArrayGeometry(n, spacing)
+    gram = gram_stack(geom, freqs)
+    stack = steering_stack(geom, freqs)
+    dense = np.conj(np.swapaxes(stack, -1, -2)) @ stack
+    # the dense product carries the rounding of phases up to (N - 1) * |step|
+    max_step = np.max(2.0 * np.pi * spacing * np.abs(freqs), axis=-1)
+    assert np.all(np.abs(gram - dense) <= GRAM_ULPS * (1.0 + n * max_step)[:, None, None])
+    assert np.all(np.diagonal(gram, axis1=-2, axis2=-1) == 1.0)
+    for row, row_freqs in zip(gram, freqs):
+        # each row holds the bits of that row built alone, and the closed form's values
+        assert np.array_equal(row, gram_stack(geom, row_freqs))
+        for (l, k), entry in np.ndenumerate(row):
+            expected = cpo_inner_product(geom, row_freqs[k] - row_freqs[l])
+            assert abs(entry - expected) <= 4.0 * np.finfo(float).eps
 
 
 def objective_grid_reference(params, betas, thetas):
