@@ -27,13 +27,10 @@ from .channel import (
 )
 from .beamformer import (
     BeamformerPair,
-    GridSizeError,
-    GridSpec,
     SnrReport,
     bidirectional_beamformer,
     dominant_path_beamformer,
     equal_power_beamformer,
-    grid_search_beamformer,
     matched_filter,
     optimal_beamformer,
     received_snr,
@@ -57,13 +54,10 @@ __all__ = [
     "channel_power",
     "channel_to_json",
     "BeamformerPair",
-    "GridSizeError",
-    "GridSpec",
     "SnrReport",
     "bidirectional_beamformer",
     "dominant_path_beamformer",
     "equal_power_beamformer",
-    "grid_search_beamformer",
     "matched_filter",
     "optimal_beamformer",
     "received_snr",

@@ -5,9 +5,8 @@ the top right singular vector of ``H``.  The reduced route uses the path
 structure: every eigenvector of ``H^H H`` with a nonzero eigenvalue is a
 combination of the transmit steering vectors, so the search collapses from
 Nt to L dimensions and becomes a Hermitian L x L eigenproblem.  The
-low-complexity schemes (dominant-path, bi-directional, equal-power) and the
-brute-force grid search over the same reduced space are provided for
-benchmarking the loss against the optimum.
+low-complexity schemes (dominant-path, bi-directional, equal-power) are
+provided for benchmarking the loss against the optimum.
 
 The reduced route and the schemes evaluate their SNR in stacked kernels
 over a leading batch axis (``gains (B, L)`` and the Gram matrices ``(B, L,
@@ -34,8 +33,6 @@ from .steering import ArrayGeometry, angle_frequencies, gram_stack, steering_mat
 __all__ = [
     "BeamformerPair",
     "SnrReport",
-    "GridSpec",
-    "GridSizeError",
     "received_snr",
     "matched_filter",
     "optimal_beamformer",
@@ -43,19 +40,16 @@ __all__ = [
     "dominant_path_beamformer",
     "bidirectional_beamformer",
     "equal_power_beamformer",
-    "grid_search_beamformer",
 ]
-
-_TWO_PI = 2.0 * math.pi
 
 # A beam whose squared norm is at most this is treated as the zero vector: its
 # steering vectors have unit norm, so such a norm is cancellation residue and
 # an SNR ratio over it would be rounding noise; its SNR is -inf instead.
 MIN_BEAM_NORM_SQ = 1e-12
 
-
-class GridSizeError(RuntimeError):
-    """Requested search grid exceeds the configured point budget."""
+# A matched filter divides ``H tx`` by its norm: below this floor the division
+# could overflow, so the beam is taken to miss the channel and is rejected.
+MIN_RESPONSE_NORM = 1e-300
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,29 +75,6 @@ class SnrReport:
     delta_snr_db: float
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Resolution and optional per-axis windows for the brute-force search.
-
-    ``num_beta`` points per amplitude axis and ``num_theta`` per phase axis;
-    with L paths there are L-1 axes of each kind.  Windows restrict an axis
-    to a sub-interval (used for zoom-in refinement); ``None`` means the full
-    range [0, 1] or [0, 2*pi).
-    """
-
-    num_beta: int = 25
-    num_theta: int = 24
-    beta_windows: tuple | None = None
-    theta_windows: tuple | None = None
-    max_points: int = 2_000_000
-
-    def __post_init__(self) -> None:
-        if self.num_beta < 2 or self.num_theta < 2:
-            raise ValueError("grid resolutions must be at least 2 points per axis")
-        if self.max_points < 1:
-            raise ValueError("max_points must be positive")
-
-
 def _canonical_phase(vec: np.ndarray) -> np.ndarray:
     """Rotate a vector so its first significant entry is real nonnegative."""
     mags = np.abs(vec)
@@ -123,7 +94,7 @@ def _as_pair(channel: ChannelMatrix, tx: np.ndarray, snr: float | None = None) -
     tx = _canonical_phase(tx)
     w = channel.entries @ tx
     norm_w = float(np.linalg.norm(w))
-    if norm_w < 1e-300:
+    if norm_w < MIN_RESPONSE_NORM:
         raise ValueError("H @ tx is numerically zero; degenerate channel or beam")
     rx = w / norm_w
     if snr is None:
@@ -188,7 +159,7 @@ def matched_filter(channel: ChannelMatrix, tx: np.ndarray) -> np.ndarray:
     """Unit-norm receive vector ``H tx / ||H tx||`` for a given beam."""
     w = channel.entries @ np.asarray(tx, dtype=complex)
     norm_w = float(np.linalg.norm(w))
-    if norm_w < 1e-300:
+    if norm_w < MIN_RESPONSE_NORM:
         raise ValueError("H @ tx is numerically zero; degenerate channel or beam")
     return w / norm_w
 
@@ -452,95 +423,3 @@ def equal_power_beamformer(
     if len(paths) != 2:
         raise ValueError("equal-power beamforming is defined for exactly two paths")
     return _matched_pair(_equal_power_snr, paths, tx_geom, rx_geom, channel)
-
-
-def _axis_grid(window, default_lo, default_hi, count, endpoint):
-    if window is None:
-        return np.linspace(default_lo, default_hi, count, endpoint=endpoint)
-    lo, hi = window
-    return np.linspace(lo, hi, count)
-
-
-def grid_search_beamformer(
-    paths: Sequence[PathComponent],
-    tx_geom: ArrayGeometry,
-    rx_geom: ArrayGeometry,
-    grid: GridSpec = GridSpec(),
-    channel: ChannelMatrix | None = None,
-) -> BeamformerPair:
-    """Exhaustive search over steering-vector combinations.
-
-    Candidates are ``f = b_1 v_1 + sum_{i>=2} b_i exp(1j t_i) v_i`` with
-    nonnegative amplitudes on the unit sphere (the last amplitude is
-    ``sqrt(1 - sum b_i^2)``) and free phases for all but the first path.
-    The Rayleigh quotient ``f^H H^H H f / f^H f`` is evaluated at every
-    grid point; ties resolve to the lowest linear index.  Used as the
-    brute-force oracle for the eigen-based and closed-form solutions.
-    """
-    if len(paths) == 0:
-        raise ValueError("at least one path component is required")
-    if channel is None:
-        channel = assemble_channel(paths, tx_geom, rx_geom)
-    num_paths = len(paths)
-    tx_steer = steering_matrix(tx_geom, [p.aod for p in paths])
-
-    if num_paths == 1:
-        return _as_pair(channel, tx_steer[:, 0])
-
-    num_axes = num_paths - 1
-    for name, windows in (("beta_windows", grid.beta_windows), ("theta_windows", grid.theta_windows)):
-        if windows is not None and len(windows) != num_axes:
-            raise ValueError(f"{name} needs one (lo, hi) pair per axis: {num_axes}")
-    total = grid.num_beta**num_axes * grid.num_theta**num_axes
-    if total > grid.max_points:
-        raise GridSizeError(
-            f"grid has {total} points, exceeding the budget of {grid.max_points}"
-        )
-
-    beta_axes = [
-        np.clip(_axis_grid(None if grid.beta_windows is None else grid.beta_windows[i],
-                           0.0, 1.0, grid.num_beta, True), 0.0, 1.0)
-        for i in range(num_axes)
-    ]
-    theta_axes = [
-        _axis_grid(None if grid.theta_windows is None else grid.theta_windows[i],
-                   0.0, _TWO_PI, grid.num_theta, False)
-        for i in range(num_axes)
-    ]
-    mesh = np.meshgrid(*beta_axes, *theta_axes, indexing="ij")
-    betas = np.stack([m.ravel() for m in mesh[:num_axes]], axis=1)  # (P, L-1)
-    thetas = np.stack([m.ravel() for m in mesh[num_axes:]], axis=1)  # (P, L-1)
-
-    sq_sum = np.sum(betas**2, axis=1)
-    feasible = sq_sum <= 1.0 + 1e-12
-    last_amp = np.sqrt(np.clip(1.0 - sq_sum, 0.0, None))
-
-    coeff = np.empty((betas.shape[0], num_paths), dtype=complex)
-    coeff[:, 0] = betas[:, 0]
-    for i in range(1, num_axes):
-        coeff[:, i] = betas[:, i] * np.exp(1j * thetas[:, i - 1])
-    coeff[:, num_paths - 1] = last_amp * np.exp(1j * thetas[:, num_axes - 1])
-
-    gram = tx_steer.conj().T @ tx_steer
-    mapped = channel.entries @ tx_steer
-    quad = mapped.conj().T @ mapped
-
-    best_val = -math.inf
-    best_row = None
-    chunk = 200_000
-    for lo in range(0, coeff.shape[0], chunk):
-        c = coeff[lo : lo + chunk]
-        ok = feasible[lo : lo + chunk]
-        num = np.einsum("pi,ij,pj->p", c.conj(), quad, c).real
-        den = np.einsum("pi,ij,pj->p", c.conj(), gram, c).real
-        nonzero = den > MIN_BEAM_NORM_SQ
-        values = np.where(ok & nonzero, num / np.where(nonzero, den, 1.0), -np.inf)
-        idx = int(np.argmax(values))
-        if values[idx] > best_val:
-            best_val = float(values[idx])
-            best_row = c[idx]
-    if best_row is None or not math.isfinite(best_val):
-        raise RuntimeError("no feasible grid point found")
-
-    tx = tx_steer @ best_row
-    return _as_pair(channel, tx / np.linalg.norm(tx))

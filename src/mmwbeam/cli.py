@@ -32,8 +32,8 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_VERIFY = 4
 
-_CLOSEDFORM_CASES = ("v-orth", "u-orth", "v-parallel", "u-parallel")
-_SWEEP_CASES = ("v-orth", "u-orth", "u-parallel")
+_CLOSEDFORM_CASES = tuple(closedform.REGIMES)
+_SWEEP_CASES = tuple(case for case, regime in closedform.REGIMES.items() if regime.allocation)
 
 
 class UsageError(Exception):
@@ -219,32 +219,40 @@ def _check_unit(value: float, flag: str) -> float:
     return value
 
 
+def _regime_couplings(args: dict, command: str) -> tuple[str, closedform.Regime, float, float]:
+    """The case of a closedform or sweep call, its regime, and ``(uu, vv)`` by the regime's rules.
+
+    The case must be one of the command's (a config file bypasses the
+    parser's choices).  The constrained flag, if given, must equal the
+    regime's forced value (and keeps its bits); otherwise it takes that
+    value.  ``sweep`` needs the free flag, and a regime with
+    ``free_positive`` needs it > 0.
+    """
+    case = _require(args, "case", command)
+    cases = _SWEEP_CASES if command == "sweep" else _CLOSEDFORM_CASES
+    if case not in cases:
+        raise UsageError(f"{command} has no case {case!r}; choose from {', '.join(cases)}")
+    regime = closedform.REGIMES[case]
+    couplings = {end: _check_unit(_fget(args, end, 0.0), f"--{end}") for end in ("uu", "vv")}
+    end, free = regime.constrained, regime.free
+    if args.get(end) is None:
+        couplings[end] = regime.forced
+    elif couplings[end] != regime.forced:
+        raise UsageError(f"case {case} assumes --{end} {regime.forced:g}")
+    if command == "sweep" and args.get(free) is None:
+        raise UsageError(f"case {case} needs --{free}")
+    if regime.free_positive and couplings[free] <= 0.0:
+        raise UsageError(f"case {case} needs --{free} > 0")
+    return case, regime, couplings["uu"], couplings["vv"]
+
+
 def _closedform_record(args: dict) -> dict:
-    case = _require(args, "case", "closedform")
+    case, regime, uu, vv = _regime_couplings(args, "closedform")
     mag_a1 = float(_require(args, "a1", "closedform"))
     mag_a2 = float(_require(args, "a2", "closedform"))
     if mag_a1 < 0 or mag_a2 < 0:
         raise UsageError("gain magnitudes must be nonnegative")
-    uu = _check_unit(_fget(args, "uu", 0.0), "--uu")
-    vv = _check_unit(_fget(args, "vv", 0.0), "--vv")
     phase_diff, uu_phase, vv_phase = _phases_from_args(args)
-
-    if case == "v-orth" and vv != 0.0:
-        raise UsageError("case v-orth assumes --vv 0 (transmit vectors orthogonal)")
-    if case == "u-orth":
-        if uu != 0.0:
-            raise UsageError("case u-orth assumes --uu 0 (receive vectors orthogonal)")
-        if vv <= 0.0:
-            raise UsageError("case u-orth needs --vv > 0; with --vv 0 use case v-orth")
-    if case == "v-parallel":
-        if args.get("vv") is not None and vv != 1.0:
-            raise UsageError("case v-parallel assumes --vv 1")
-        vv = 1.0
-    if case == "u-parallel":
-        if args.get("uu") is not None and uu != 1.0:
-            raise UsageError("case u-parallel assumes --uu 1")
-        uu = 1.0
-
     try:
         params = closedform.TwoPathParams(
             mag_a1=mag_a1,
@@ -255,27 +263,11 @@ def _closedform_record(args: dict) -> dict:
             vv_mag=vv,
             vv_phase=vv_phase,
         )
-        if case == "v-orth":
-            alloc = closedform.beta_opt_v_orth(params)
-            delta = closedform.delta_snr_v_orth(params)
-            snr_dom = closedform.snr_dominant_path(params)
-            snr_opt = delta * snr_dom
-        elif case == "u-orth":
-            alloc = closedform.beta_opt_u_orth(params)
-            delta = closedform.delta_snr_u_orth(params)
-            snr_dom = closedform.snr_dominant_path(params)
-            snr_opt = delta * snr_dom
-        elif case == "v-parallel":
-            alloc = None
-            delta = closedform.delta_snr_v_parallel(params)
-            snr_opt = closedform.snr_v_parallel(params)
-            snr_dom = snr_opt
-        else:  # u-parallel
-            alloc = closedform.beta_opt_u_parallel(params)
-            delta = closedform.delta_snr_u_parallel(params)
-            snr_opt = closedform.snr_u_parallel(params)
-            snr_dom = closedform.snr_dominant_path(params)
-    except (closedform.RegimeError, ValueError) as err:
+        alloc = regime.beta_opt(params)
+        delta = regime.delta_snr(params)
+        snr_dom = regime.snr_dominant(params)
+        snr_opt = regime.snr_optimal(params)
+    except ValueError as err:
         raise UsageError(str(err)) from err
 
     return {
@@ -296,7 +288,7 @@ def _closedform_record(args: dict) -> dict:
 
 
 def _sweep_rows(args: dict) -> list[dict]:
-    case = _require(args, "case", "sweep")
+    _, regime, uu, vv = _regime_couplings(args, "sweep")
     k_min = float(_require(args, "k_min", "sweep"))
     k_max = float(_require(args, "k_max", "sweep"))
     k_points = int(args["k_points"]) if args.get("k_points") is not None else 91
@@ -304,30 +296,10 @@ def _sweep_rows(args: dict) -> list[dict]:
         raise UsageError("need 1 <= k-min <= k-max (K is the dominant-to-weak gain ratio)")
     if k_points < 1:
         raise UsageError("--k-points must be >= 1")
-    uu = _check_unit(_fget(args, "uu", 0.0), "--uu")
-    vv = _check_unit(_fget(args, "vv", 0.0), "--vv")
     nu_deg = _fget(args, "nu_deg", 0.0)
 
-    if case == "v-orth":
-        if args.get("vv") is not None and vv != 0.0:
-            raise UsageError("case v-orth assumes --vv 0")
-        if args.get("uu") is None:
-            raise UsageError("case v-orth needs --uu")
-    elif case == "u-orth":
-        if args.get("uu") is not None and uu != 0.0:
-            raise UsageError("case u-orth assumes --uu 0")
-        if args.get("vv") is None or vv <= 0.0:
-            raise UsageError("case u-orth needs --vv > 0")
-    else:  # u-parallel
-        if args.get("uu") is not None and uu != 1.0:
-            raise UsageError("case u-parallel assumes --uu 1")
-        uu = 1.0
-        if args.get("vv") is None:
-            raise UsageError("case u-parallel needs --vv")
-
-    ks = np.linspace(k_min, k_max, k_points)
     rows = []
-    for k in ks:
+    for k in np.linspace(k_min, k_max, k_points):
         try:
             params = closedform.TwoPathParams(
                 mag_a1=float(k),
@@ -338,17 +310,10 @@ def _sweep_rows(args: dict) -> list[dict]:
                 vv_mag=vv,
                 vv_phase=0.0,
             )
+            beta_sq = regime.beta_opt(params).beta ** 2
+            delta = regime.delta_snr(params)
         except ValueError as err:
             raise UsageError(str(err)) from err
-        if case == "v-orth":
-            beta_sq = closedform.beta_opt_v_orth(params).beta ** 2
-            delta = closedform.delta_snr_v_orth(params)
-        elif case == "u-orth":
-            beta_sq = closedform.beta_opt_u_orth(params).beta ** 2
-            delta = closedform.delta_snr_u_orth(params)
-        else:
-            beta_sq = closedform.beta_opt_u_parallel(params).beta ** 2
-            delta = closedform.delta_snr_u_parallel(params)
         rows.append(
             {
                 "k": float(k),

@@ -9,8 +9,11 @@ the whole optimization lives on a (beta, theta) rectangle.
 Four regimes admit closed forms for the optimal split ``beta_opt`` and the
 SNR loss of dominant-path beamforming: transmit steering vectors
 electrically orthogonal, receive steering vectors electrically orthogonal,
-and the parallel counterparts of both.  The general objective function is
-provided for everything in between and as the brute-force oracle target.
+and the parallel counterparts of both.  :data:`REGIMES` is the one table
+of them, keyed by the CLI's case names: it says which coupling each regime
+fixes and names its closed forms, and the CLI and ``verify`` dispatch
+through it.  The general objective function is provided for everything in
+between and as the brute-force oracle target.
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ __all__ = [
     "TwoPathParams",
     "AllocationPoint",
     "RegimeError",
+    "Regime",
+    "REGIMES",
     "ORTHOGONAL_TOL",
     "PARALLEL_TOL",
     "two_path_objective",
@@ -51,6 +56,11 @@ _TWO_PI = 2.0 * math.pi
 
 ORTHOGONAL_TOL = 1e-9
 PARALLEL_TOL = 1e-9
+
+# The u-parallel loss divides by the dominant beam's power over a squared gain
+# scaled into [0.5, 1): at most this, that power is cancellation residue, and
+# the loss is +inf rather than a ratio of rounding noise.
+CANCELLED_POWER = 1e-300
 
 
 class RegimeError(ValueError):
@@ -154,6 +164,78 @@ class AllocationPoint:
         object.__setattr__(self, "theta", self.theta % _TWO_PI)
 
 
+@dataclass(frozen=True)
+class Regime:
+    """One closed-form regime: the coupling it fixes and the closed forms that hold in it.
+
+    ``constrained`` is the end whose steering vectors the regime fixes
+    (``"uu"`` receive, ``"vv"`` transmit) and ``forced`` their inner-product
+    magnitude: 0.0 electrically orthogonal, 1.0 parallel.  ``free`` is the
+    other end; ``free_positive`` marks a regime whose free coupling must not
+    vanish (u-orth: with both ends orthogonal the v-orth forms hold).
+    ``proposition`` numbers the paper's proposition on the regime's split.
+
+    The closed forms are held by name and looked up in this module at each
+    call, so a rebinding of the module attribute reaches every caller.
+    ``allocation`` is None where every split is optimal, and ``optimal`` None
+    where the optimal SNR is the loss times the dominant-path SNR.
+    """
+
+    constrained: str
+    forced: float
+    free: str
+    allocation: str | None
+    loss: str
+    optimal: str | None
+    dominant: str
+    free_positive: bool = False
+    proposition: int | None = None
+
+    def beta_opt(self, params: TwoPathParams) -> AllocationPoint | None:
+        return None if self.allocation is None else globals()[self.allocation](params)
+
+    def delta_snr(self, params: TwoPathParams) -> float:
+        return globals()[self.loss](params)
+
+    def snr_dominant(self, params: TwoPathParams) -> float:
+        return globals()[self.dominant](params)
+
+    def snr_optimal(self, params: TwoPathParams) -> float:
+        if self.optimal is None:
+            return self.delta_snr(params) * self.snr_dominant(params)
+        return globals()[self.optimal](params)
+
+
+REGIMES = {
+    "v-orth": Regime(
+        "vv", 0.0, "uu", "beta_opt_v_orth", "delta_snr_v_orth", None, "snr_dominant_path",
+        proposition=2,
+    ),
+    "u-orth": Regime(
+        "uu", 0.0, "vv", "beta_opt_u_orth", "delta_snr_u_orth", None, "snr_dominant_path",
+        free_positive=True, proposition=3,
+    ),
+    "v-parallel": Regime(
+        "vv", 1.0, "uu", None, "delta_snr_v_parallel", "snr_v_parallel", "snr_v_parallel"
+    ),
+    "u-parallel": Regime(
+        "uu", 1.0, "vv", "beta_opt_u_parallel", "delta_snr_u_parallel", "snr_u_parallel",
+        "snr_dominant_path", proposition=4,
+    ),
+}
+
+
+def _require_regime(params: TwoPathParams, end: str, forced: float) -> None:
+    """Raise :class:`RegimeError` unless the coupling at ``end`` is (nearly) ``forced``."""
+    mag = getattr(params, f"{end}_mag")
+    holds = mag < ORTHOGONAL_TOL if forced == 0.0 else mag > 1.0 - PARALLEL_TOL
+    if holds:
+        return
+    kind = "electrically orthogonal" if forced == 0.0 else "parallel"
+    side = "transmit" if end == "vv" else "receive"
+    raise RegimeError(f"requires {kind} {side} vectors, |{end[0]}1^H {end[1]}2| = {mag}")
+
+
 def objective_grid(params: TwoPathParams, betas, thetas) -> np.ndarray:
     """Normalized SNR of the two-path beam on a (beta, theta) product grid.
 
@@ -218,14 +300,13 @@ def allocation_grid_search(
     num_beta: int = 201,
     num_theta: int = 360,
     beta_window: tuple[float, float] | None = None,
-    theta_window: tuple[float, float] | None = None,
 ) -> tuple[AllocationPoint, float]:
     """Brute-force maximizer of the two-path objective on a uniform grid.
 
-    By default beta spans [0, 1] inclusive and theta spans [0, 2*pi)
-    without the endpoint; windows restrict either axis to a sub-interval
-    (with endpoints), which supports zoom-in refinement around a coarse
-    argmax.  Ties resolve to the lowest (beta-major) linear index.
+    Beta spans [0, 1] inclusive and theta spans [0, 2*pi) without the
+    endpoint; ``beta_window`` restricts beta to a sub-interval (with
+    endpoints), which supports zoom-in refinement around a coarse argmax.
+    Ties resolve to the lowest (beta-major) linear index.
     """
     if num_beta < 2 or num_theta < 2:
         raise ValueError("grid resolutions must be at least 2")
@@ -233,10 +314,7 @@ def allocation_grid_search(
         betas = np.linspace(0.0, 1.0, num_beta)
     else:
         betas = np.clip(np.linspace(beta_window[0], beta_window[1], num_beta), 0.0, 1.0)
-    if theta_window is None:
-        thetas = np.linspace(0.0, _TWO_PI, num_theta, endpoint=False)
-    else:
-        thetas = np.linspace(theta_window[0], theta_window[1], num_theta)
+    thetas = np.linspace(0.0, _TWO_PI, num_theta, endpoint=False)
     values = objective_grid(params, betas, thetas)
     flat = int(np.argmax(values))
     i, j = divmod(flat, num_theta)
@@ -245,9 +323,21 @@ def allocation_grid_search(
     )
 
 
-def _require_nonzero_gains(params: TwoPathParams) -> None:
+def _scaled_gains(params: TwoPathParams) -> tuple[float, float]:
+    """The squared gains, scaled by the power of two that takes the larger into [0.5, 1).
+
+    The scaling is exact, so a ratio of terms of one degree in ``a`` and
+    ``b`` keeps its bits wherever nothing under- or overflows, and products
+    of tiny or huge squared gains no longer do.
+    """
     if params.mag_a1 == 0.0 and params.mag_a2 == 0.0:
         raise ValueError("SNR loss is undefined when both path gains are zero")
+    a = params.gain_sq_1
+    b = params.gain_sq_2
+    if a == 0.0 and b == 0.0:
+        raise ValueError("SNR loss is undefined when both squared path gains underflow to zero")
+    shift = -math.frexp(max(a, b))[1]
+    return math.ldexp(a, shift), math.ldexp(b, shift)
 
 
 def beta_opt_v_orth(params: TwoPathParams) -> AllocationPoint:
@@ -256,10 +346,7 @@ def beta_opt_v_orth(params: TwoPathParams) -> AllocationPoint:
     The optimal split solves ``beta^2 = (1 + (a-b)/sqrt((a-b)^2 + 4ab*uu^2))/2``
     and the phase aligns the two paths through the receive-side coupling.
     """
-    if params.vv_mag >= ORTHOGONAL_TOL:
-        raise RegimeError(
-            f"requires electrically orthogonal transmit vectors, |v1^H v2| = {params.vv_mag}"
-        )
+    _require_regime(params, "vv", 0.0)
     a, b, root = _v_orth_terms(params.gain_sq_1, params.gain_sq_2, params.uu_mag)
     beta_sq = 0.5 if root == 0.0 else 0.5 * (1.0 + (a - b) / root)
     theta = params.phase_diff - params.uu_phase
@@ -294,15 +381,8 @@ def delta_snr_v_orth(params: TwoPathParams) -> float:
     at most 2 (a 3 dB loss), attained at equal gains with parallel receive
     steering vectors.
     """
-    if params.vv_mag >= ORTHOGONAL_TOL:
-        raise RegimeError(
-            f"requires electrically orthogonal transmit vectors, |v1^H v2| = {params.vv_mag}"
-        )
-    _require_nonzero_gains(params)
-    a = params.gain_sq_1
-    b = params.gain_sq_2
-    if a == 0.0 and b == 0.0:
-        raise ValueError("SNR loss is undefined when both squared path gains underflow to zero")
+    _require_regime(params, "vv", 0.0)
+    a, b = _scaled_gains(params)
     return float(_v_orth_loss(a, b, params.uu_mag))
 
 
@@ -312,17 +392,12 @@ def beta_opt_u_orth(params: TwoPathParams) -> AllocationPoint:
     Requires a nonzero transmit-side inner product; the fully orthogonal
     corner is covered by :func:`beta_opt_v_orth`.
     """
-    if params.uu_mag >= ORTHOGONAL_TOL:
-        raise RegimeError(
-            f"requires electrically orthogonal receive vectors, |u1^H u2| = {params.uu_mag}"
-        )
+    _require_regime(params, "uu", 0.0)
     if params.vv_mag < ORTHOGONAL_TOL:
         raise RegimeError(
             "transmit vectors are also orthogonal; use the v-orthogonal closed form"
         )
-    _require_nonzero_gains(params)
-    a = params.gain_sq_1
-    b = params.gain_sq_2
+    a, b = _scaled_gains(params)
     vv_sq = params.vv_mag**2
     diff_sq = (a - b) ** 2
     term_a = diff_sq / vv_sq + 2.0 * a * (a + b)
@@ -341,18 +416,13 @@ def delta_snr_u_orth(params: TwoPathParams) -> float:
     """Loss of dominant-path beamforming when receive vectors are orthogonal.
 
     Evaluates the optimal-over-dominant SNR ratio at the closed-form
-    allocation.  When the transmit vectors are orthogonal too, the
-    dominant path is exactly optimal and the ratio is 1.
+    allocation, and never below 1.  When the transmit vectors are
+    orthogonal too, the dominant path is exactly optimal and the ratio is 1.
     """
-    if params.uu_mag >= ORTHOGONAL_TOL:
-        raise RegimeError(
-            f"requires electrically orthogonal receive vectors, |u1^H u2| = {params.uu_mag}"
-        )
-    _require_nonzero_gains(params)
+    _require_regime(params, "uu", 0.0)
+    a, b = _scaled_gains(params)
     if params.vv_mag < ORTHOGONAL_TOL:
         return 1.0
-    a = params.gain_sq_1
-    b = params.gain_sq_2
     vv = params.vv_mag
     beta = beta_opt_u_orth(params).beta
     spread = math.sqrt(max(1.0 - beta**2, 0.0))
@@ -360,7 +430,9 @@ def delta_snr_u_orth(params: TwoPathParams) -> float:
         1.0 + 2.0 * beta * spread * vv
     )
     dominant = max(a + b * vv**2, b + a * vv**2)
-    return optimal / dominant
+    # the optimum is never below the dominant beam's SNR: a ratio under 1 is the
+    # rounding of a + b minus a term within a few ulps of it
+    return max(optimal / dominant, 1.0)
 
 
 def delta_snr_u_orth_equal_gains(vv_mag: float) -> float:
@@ -379,19 +451,13 @@ def delta_snr_v_parallel(params: TwoPathParams) -> float:
     The objective is independent of the power split, so any allocation,
     the dominant path included, achieves the optimum.
     """
-    if params.vv_mag <= 1.0 - PARALLEL_TOL:
-        raise RegimeError(
-            f"requires parallel transmit vectors, |v1^H v2| = {params.vv_mag}"
-        )
+    _require_regime(params, "vv", 1.0)
     return 1.0
 
 
 def snr_v_parallel(params: TwoPathParams) -> float:
     """Common normalized SNR of every allocation in the v-parallel regime."""
-    if params.vv_mag <= 1.0 - PARALLEL_TOL:
-        raise RegimeError(
-            f"requires parallel transmit vectors, |v1^H v2| = {params.vv_mag}"
-        )
+    _require_regime(params, "vv", 1.0)
     cross = 2.0 * params.mag_a1 * params.mag_a2 * params.uu_mag
     return (params.gain_sq_1 + params.gain_sq_2 + cross * math.cos(params.misalignment)) / 2.0
 
@@ -402,10 +468,7 @@ def beta_opt_u_parallel(params: TwoPathParams) -> AllocationPoint:
     Mimics maximum ratio combining: power proportional to path gain,
     ``beta^2 = a / (a + b)``.
     """
-    if params.uu_mag <= 1.0 - PARALLEL_TOL:
-        raise RegimeError(
-            f"requires parallel receive vectors, |u1^H u2| = {params.uu_mag}"
-        )
+    _require_regime(params, "uu", 1.0)
     a = params.gain_sq_1
     b = params.gain_sq_2
     if a + b == 0.0:
@@ -416,10 +479,7 @@ def beta_opt_u_parallel(params: TwoPathParams) -> AllocationPoint:
 
 def snr_u_parallel(params: TwoPathParams) -> float:
     """Optimal normalized SNR in the u-parallel regime."""
-    if params.uu_mag <= 1.0 - PARALLEL_TOL:
-        raise RegimeError(
-            f"requires parallel receive vectors, |u1^H u2| = {params.uu_mag}"
-        )
+    _require_regime(params, "uu", 1.0)
     cross = 2.0 * params.mag_a1 * params.mag_a2 * params.vv_mag
     return (params.gain_sq_1 + params.gain_sq_2 + cross * math.cos(params.misalignment)) / 2.0
 
@@ -428,21 +488,17 @@ def delta_snr_u_parallel(params: TwoPathParams) -> float:
     """Loss of dominant-path beamforming when receive vectors are parallel.
 
     ``1 + lo*(1 - vv^2) / (hi + vv^2*lo + 2*sqrt(hi*lo)*vv*cos(nu))`` with
-    hi/lo the ordered squared gains.  Returns ``+inf`` when the
-    denominator vanishes (equal gains, parallel transmit vectors, opposite
-    phase: the dominant-path beam is fully cancelled while the optimal
-    beam still combines the paths, so the loss is unbounded).
+    hi/lo the ordered squared gains, scaled as :func:`_scaled_gains` does.
+    Returns ``+inf`` when the denominator vanishes (equal gains, parallel
+    transmit vectors, opposite phase: the dominant-path beam is fully
+    cancelled while the optimal beam still combines the paths, so the loss
+    is unbounded).
     """
-    if params.uu_mag <= 1.0 - PARALLEL_TOL:
-        raise RegimeError(
-            f"requires parallel receive vectors, |u1^H u2| = {params.uu_mag}"
-        )
-    _require_nonzero_gains(params)
-    hi = max(params.gain_sq_1, params.gain_sq_2)
-    lo = min(params.gain_sq_1, params.gain_sq_2)
+    _require_regime(params, "uu", 1.0)
+    hi, lo = sorted(_scaled_gains(params), reverse=True)
     vv = params.vv_mag
     den = hi + vv**2 * lo + 2.0 * math.sqrt(hi * lo) * vv * math.cos(params.misalignment)
-    if den <= 1e-300:
+    if den <= CANCELLED_POWER:
         return math.inf
     return 1.0 + lo * (1.0 - vv**2) / den
 

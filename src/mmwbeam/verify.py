@@ -7,11 +7,15 @@ discrepancies:
 * ``prop1``: the optimal transmit (receive) beam from the dense SVD of the
   channel lies in the span of the transmit (receive) steering vectors, and
   the dense and reduced L x L routes agree on the achieved SNR.
-* ``prop2``: closed-form allocation vs. grid search, transmit vectors
-  electrically orthogonal; plus consistency with an actual ULA channel.
+* ``prop2``: closed-form allocation vs. a search of the (beta, theta)
+  allocation grid, transmit vectors electrically orthogonal; plus
+  consistency with an actual ULA channel.
 * ``prop3``: same for electrically orthogonal receive vectors.
 * ``prop4``: same for parallel receive vectors (gain-proportional split).
 * ``bounds``: worst-case loss bounds of dominant-path beamforming.
+
+``prop2``-``prop4`` look their regime up in ``closedform.REGIMES`` by the
+paper's proposition number, and draw and build their instances by one rule.
 """
 
 from __future__ import annotations
@@ -32,6 +36,27 @@ _TWO_PI = 2.0 * math.pi
 SUITE_NAMES = ("prop1", "prop2", "prop3", "prop4", "bounds")
 
 _DEFAULT_TRIALS = {"prop1": 1000, "prop2": 500, "prop3": 500, "prop4": 500, "bounds": 0}
+
+# The closed-form case each allocation suite checks.
+_SUITE_CASES = {
+    f"prop{regime.proposition}": case
+    for case, regime in closedform.REGIMES.items()
+    if regime.proposition is not None
+}
+
+# Denominator floor of a relative difference: a reference of 0 gives the absolute one.
+_REL_FLOOR = 1e-300
+
+# Drawn gains are floored here, so both are nonzero and every loss is defined.
+_MIN_DRAWN_GAIN = 1e-6
+
+# Range of the free coupling a suite draws, by end.  The transmit coupling stays
+# clear of 0, where u-orth meets v-orth, and of 1, where the u-parallel loss is unbounded.
+_FREE_RANGE = {"uu": (0.0, 1.0), "vv": (0.05, 0.95)}
+
+
+def _rel_diff(value: float, ref: float) -> float:
+    return abs(value - ref) / max(abs(ref), _REL_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -99,46 +124,35 @@ def _angles_for_freqs(f1: float, f2: float) -> tuple[AngleSpec, AngleSpec]:
 
 
 def _two_path_fixture(
-    regime: str,
+    case: str,
     mags: tuple[float, float],
     phases: tuple[float, float],
     coupling: float,
     nt: int = 16,
     nr: int = 8,
 ):
-    """An actual ULA channel realizing one closed-form regime.
+    """An actual ULA channel realizing the closed-form regime of ``case``.
 
     The constrained end sits exactly at a Dirichlet null (orthogonal) or
     at zero separation (parallel); the free end is placed on the main
-    lobe so its inner-product magnitude equals ``coupling``.
+    lobe so its inner-product magnitude equals ``coupling``.  Each end's
+    spatial frequencies are +-half its separation.
     """
-    tx_geom = ArrayGeometry(nt)
-    rx_geom = ArrayGeometry(nr)
-    null_tx = 1.0 / (nt * tx_geom.spacing_wavelengths)
-    null_rx = 1.0 / (nr * rx_geom.spacing_wavelengths)
-    if regime == "v_orth":
-        aod = _angles_for_freqs(-null_tx / 2, null_tx / 2)
-        d = mainlobe_freq_delta(rx_geom, coupling)
-        aoa = _angles_for_freqs(-d / 2, d / 2)
-    elif regime == "u_orth":
-        aoa = _angles_for_freqs(-null_rx / 2, null_rx / 2)
-        d = mainlobe_freq_delta(tx_geom, coupling)
-        aod = _angles_for_freqs(-d / 2, d / 2)
-    elif regime == "u_parallel":
-        aoa = _angles_for_freqs(0.0, 0.0)
-        d = mainlobe_freq_delta(tx_geom, coupling)
-        aod = _angles_for_freqs(-d / 2, d / 2)
-    elif regime == "v_parallel":
-        aod = _angles_for_freqs(0.0, 0.0)
-        d = mainlobe_freq_delta(rx_geom, coupling)
-        aoa = _angles_for_freqs(-d / 2, d / 2)
-    else:
-        raise ValueError(f"unknown regime {regime!r}")
+    regime = closedform.REGIMES[case]
+    geoms = {"vv": ArrayGeometry(nt), "uu": ArrayGeometry(nr)}
+    fixed = geoms[regime.constrained]
+    null = 1.0 / (fixed.num_elements * fixed.spacing_wavelengths)
+    half = {
+        regime.constrained: 0.0 if regime.forced else null / 2,
+        regime.free: mainlobe_freq_delta(geoms[regime.free], coupling) / 2,
+    }
+    aod = _angles_for_freqs(-half["vv"], half["vv"])
+    aoa = _angles_for_freqs(-half["uu"], half["uu"])
     paths = [
         PathComponent(mags[0] * np.exp(1j * phases[0]), aod=aod[0], aoa=aoa[0]),
         PathComponent(mags[1] * np.exp(1j * phases[1]), aod=aod[1], aoa=aoa[1]),
     ]
-    return paths, tx_geom, rx_geom
+    return paths, geoms["vv"], geoms["uu"]
 
 
 def _span_residual(basis: np.ndarray, vec: np.ndarray) -> float:
@@ -178,10 +192,7 @@ def verify_prop1(trials: int = 1000, seed: int = 0) -> SuiteReport:
         rx_span = steering_matrix(rx_geom, [p.aoa for p in paths])
         worst_tx_resid = max(worst_tx_resid, _span_residual(tx_span, dense.tx))
         worst_rx_resid = max(worst_rx_resid, _span_residual(rx_span, dense.rx))
-        rel = abs(dense.normalized_snr - by_reduction.normalized_snr) / max(
-            dense.normalized_snr, 1e-300
-        )
-        worst_rel = max(worst_rel, rel)
+        worst_rel = max(worst_rel, _rel_diff(by_reduction.normalized_snr, dense.normalized_snr))
     report = SuiteReport(suite="prop1", trials=trials, seed=seed)
     report.checks.append(CheckResult("tx beam within steering span", worst_tx_resid, 1e-8))
     report.checks.append(CheckResult("rx beam within steering span", worst_rx_resid, 1e-8))
@@ -189,19 +200,29 @@ def verify_prop1(trials: int = 1000, seed: int = 0) -> SuiteReport:
     return report
 
 
+def _draw_params(rng: np.random.Generator, regime: closedform.Regime) -> closedform.TwoPathParams:
+    """Random parameters in ``regime``, drawn in a fixed order.
+
+    Rayleigh gains and their phase difference; the constrained end's phase
+    (a parallel end only: an orthogonal one has none); then the free
+    coupling's magnitude, uniform on its ``_FREE_RANGE``, and its phase.
+    """
+    m1, m2 = _rayleigh_pair(rng)
+    fields = {"phase_diff": float(rng.uniform(0.0, _TWO_PI))}
+    fields[f"{regime.constrained}_mag"] = regime.forced
+    if regime.forced:
+        fields[f"{regime.constrained}_phase"] = float(rng.uniform(0.0, _TWO_PI))
+    fields[f"{regime.free}_mag"] = float(rng.uniform(*_FREE_RANGE[regime.free]))
+    fields[f"{regime.free}_phase"] = float(rng.uniform(0.0, _TWO_PI))
+    return closedform.TwoPathParams(mag_a1=m1, mag_a2=m2, **fields)
+
+
 def _alloc_suite(
-    name: str,
-    trials: int,
-    seed: int,
-    draw_params,
-    closed_alloc,
-    closed_snr,
-    fixture_regime: str,
-    fixture_coupling,
-    num_beta: int = 201,
-    num_theta: int = 360,
+    name: str, trials: int, seed: int, num_beta: int = 201, num_theta: int = 360
 ) -> SuiteReport:
-    """Shared battery: closed-form allocation vs. grid, plus matrix check."""
+    """Closed-form allocation of one suite's regime vs. the grid, plus a matrix check."""
+    case = _SUITE_CASES[name]
+    regime = closedform.REGIMES[case]
     beta_step = 1.0 / (num_beta - 1)
     worst_beta = 0.0
     worst_margin = -math.inf
@@ -210,16 +231,13 @@ def _alloc_suite(
     worst_matrix = 0.0
     for i in range(trials):
         rng = _instance_rng(seed, i)
-        params = draw_params(rng)
-        alloc = closed_alloc(params)
+        params = _draw_params(rng, regime)
+        alloc = regime.beta_opt(params)
         grid_alloc, grid_value = closedform.allocation_grid_search(params, num_beta, num_theta)
         cf_value = closedform.two_path_objective(params, alloc)
         worst_beta = max(worst_beta, abs(alloc.beta - grid_alloc.beta))
         worst_margin = max(worst_margin, grid_value - cf_value)
-        analytic = closed_snr(params)
-        worst_identity = max(
-            worst_identity, abs(cf_value - analytic) / max(abs(analytic), 1e-300)
-        )
+        worst_identity = max(worst_identity, _rel_diff(cf_value, regime.snr_optimal(params)))
         # zoomed second pass resolves optima near the beta = 1 edge, where
         # the sqrt(1 - beta^2) dependence defeats a uniform coarse grid;
         # theta stays a full sweep because it is unidentified at beta = 1
@@ -230,23 +248,19 @@ def _alloc_suite(
             beta_window=(grid_alloc.beta - beta_step, grid_alloc.beta + beta_step),
         )
         refined_value = max(refined_value, grid_value)
-        worst_refined = max(
-            worst_refined, abs(cf_value - refined_value) / max(abs(refined_value), 1e-300)
-        )
+        worst_refined = max(worst_refined, _rel_diff(cf_value, refined_value))
 
         paths, tx_geom, rx_geom = _two_path_fixture(
-            fixture_regime,
+            case,
             (params.mag_a1, params.mag_a2),
             (params.phase_diff, 0.0),
-            fixture_coupling(params),
+            getattr(params, f"{regime.free}_mag"),
         )
         measured = closedform.TwoPathParams.from_paths(paths, tx_geom, rx_geom)
         channel = assemble_channel(paths, tx_geom, rx_geom)
         pair = beamformer.optimal_beamformer(channel)
-        analytic_measured = closed_snr(measured)
         worst_matrix = max(
-            worst_matrix,
-            abs(pair.normalized_snr - analytic_measured) / max(abs(analytic_measured), 1e-300),
+            worst_matrix, _rel_diff(pair.normalized_snr, regime.snr_optimal(measured))
         )
     report = SuiteReport(suite=name, trials=trials, seed=seed)
     report.checks.append(
@@ -267,92 +281,22 @@ def _alloc_suite(
 
 def _rayleigh_pair(rng: np.random.Generator) -> tuple[float, float]:
     mags = rng.rayleigh(math.sqrt(0.5), 2)
-    return float(max(mags[0], 1e-6)), float(max(mags[1], 1e-6))
+    return float(max(mags[0], _MIN_DRAWN_GAIN)), float(max(mags[1], _MIN_DRAWN_GAIN))
 
 
 def verify_prop2(trials: int = 500, seed: int = 0) -> SuiteReport:
     """Orthogonal transmit vectors: optimal power split and its SNR."""
-
-    def draw(rng):
-        m1, m2 = _rayleigh_pair(rng)
-        return closedform.TwoPathParams(
-            mag_a1=m1,
-            mag_a2=m2,
-            phase_diff=float(rng.uniform(0.0, _TWO_PI)),
-            uu_mag=float(rng.uniform(0.0, 1.0)),
-            uu_phase=float(rng.uniform(0.0, _TWO_PI)),
-            vv_mag=0.0,
-        )
-
-    def snr(params):
-        return closedform.delta_snr_v_orth(params) * closedform.snr_dominant_path(params)
-
-    return _alloc_suite(
-        "prop2",
-        trials,
-        seed,
-        draw,
-        closedform.beta_opt_v_orth,
-        snr,
-        "v_orth",
-        lambda p: p.uu_mag,
-    )
+    return _alloc_suite("prop2", trials, seed)
 
 
 def verify_prop3(trials: int = 500, seed: int = 0) -> SuiteReport:
     """Orthogonal receive vectors: optimal power split and its SNR."""
-
-    def draw(rng):
-        m1, m2 = _rayleigh_pair(rng)
-        return closedform.TwoPathParams(
-            mag_a1=m1,
-            mag_a2=m2,
-            phase_diff=float(rng.uniform(0.0, _TWO_PI)),
-            uu_mag=0.0,
-            vv_mag=float(rng.uniform(0.05, 0.95)),
-            vv_phase=float(rng.uniform(0.0, _TWO_PI)),
-        )
-
-    def snr(params):
-        return closedform.delta_snr_u_orth(params) * closedform.snr_dominant_path(params)
-
-    return _alloc_suite(
-        "prop3",
-        trials,
-        seed,
-        draw,
-        closedform.beta_opt_u_orth,
-        snr,
-        "u_orth",
-        lambda p: p.vv_mag,
-    )
+    return _alloc_suite("prop3", trials, seed)
 
 
 def verify_prop4(trials: int = 500, seed: int = 0) -> SuiteReport:
     """Parallel receive vectors: gain-proportional power split."""
-
-    def draw(rng):
-        m1, m2 = _rayleigh_pair(rng)
-        return closedform.TwoPathParams(
-            mag_a1=m1,
-            mag_a2=m2,
-            phase_diff=float(rng.uniform(0.0, _TWO_PI)),
-            uu_mag=1.0,
-            uu_phase=float(rng.uniform(0.0, _TWO_PI)),
-            vv_mag=float(rng.uniform(0.05, 0.95)),
-            vv_phase=float(rng.uniform(0.0, _TWO_PI)),
-        )
-
-    return _alloc_suite(
-        "prop4",
-        trials,
-        seed,
-        draw,
-        closedform.beta_opt_u_parallel,
-        closedform.snr_u_parallel,
-        "u_parallel",
-        lambda p: p.vv_mag,
-    )
+    return _alloc_suite("prop4", trials, seed)
 
 
 def verify_bounds(trials: int = 0, seed: int = 0) -> SuiteReport:

@@ -169,6 +169,66 @@ class TestSweep:
         assert json.loads(err)["error"]["type"] == "usage"
 
 
+def usage_message(capsys, *argv):
+    """The message of a usage-error exit, which must leave stdout empty."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+    record = json.loads(err)
+    assert record["error"]["type"] == "usage"
+    return record["error"]["message"]
+
+
+def regime_argv(command, case, **flags):
+    """A closedform or sweep call of one case, valid apart from the regime flags given."""
+    if command == "closedform":
+        argv = [command, "--case", case, "--a1", "2", "--a2", "1"]
+    else:
+        argv = [command, "--case", case, "--k-min", "1", "--k-max", "2"]
+    for flag, value in flags.items():
+        argv += [f"--{flag}", value]
+    return argv
+
+
+# (case, constrained flag, free flag): the constrained magnitude is forced to 0 or 1
+REGIME_FLAGS = [
+    ("v-orth", "vv", "uu"),
+    ("u-orth", "uu", "vv"),
+    ("v-parallel", "vv", "uu"),
+    ("u-parallel", "uu", "vv"),
+]
+SWEEP_FLAGS = [flags for flags in REGIME_FLAGS if flags[0] != "v-parallel"]
+
+
+class TestRegimeRules:
+    @pytest.mark.parametrize(
+        "command, case, constrained, free",
+        [("closedform", *flags) for flags in REGIME_FLAGS]
+        + [("sweep", *flags) for flags in SWEEP_FLAGS],
+    )
+    def test_wrong_constrained_flag(self, capsys, command, case, constrained, free):
+        argv = regime_argv(command, case, **{constrained: "0.5", free: "0.3"})
+        message = usage_message(capsys, *argv)
+        assert case in message and f"--{constrained}" in message
+
+    @pytest.mark.parametrize("case, constrained, free", SWEEP_FLAGS)
+    def test_sweep_needs_the_free_flag(self, capsys, case, constrained, free):
+        message = usage_message(capsys, *regime_argv("sweep", case))
+        assert case in message and f"--{free}" in message
+
+    @pytest.mark.parametrize("command", ["closedform", "sweep"])
+    def test_u_orth_needs_nonzero_transmit_coupling(self, capsys, command):
+        message = usage_message(capsys, *regime_argv(command, "u-orth", vv="0"))
+        assert "u-orth" in message and "--vv" in message
+
+    def test_accepted_defaults(self, capsys):
+        code, out, _ = run_cli(capsys, *regime_argv("closedform", "v-orth"))
+        assert code == EXIT_OK
+        assert json.loads(out)["results"]["uu_mag"] == 0.0
+        code, out, _ = run_cli(capsys, *regime_argv("closedform", "v-parallel"))
+        assert code == EXIT_OK
+        assert json.loads(out)["results"]["vv_mag"] == 1.0
+
+
 class TestCcdf:
     def test_deterministic_csv_output(self, capsys, tmp_path):
         # identical command (including --out, which the config echo records)
@@ -316,6 +376,20 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, "closedform", "--config", str(cfg_file))
         assert code == EXIT_USAGE
         assert "bogus" in json.loads(err)["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "command, doc",
+        [
+            ("closedform", {"case": "bogus", "a1": 1.0, "a2": 1.0, "uu": 1.0}),
+            # sweep has no v-parallel case; it used to run as u-parallel from a file
+            ("sweep", {"case": "v-parallel", "k_min": 1.0, "k_max": 2.0, "vv": 0.5}),
+        ],
+    )
+    def test_case_outside_the_command_rejected(self, capsys, tmp_path, command, doc):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps(doc))
+        message = usage_message(capsys, command, "--config", str(cfg_file))
+        assert repr(doc["case"]) in message
 
     def test_missing_file_is_io_error(self, capsys, tmp_path):
         code, _, err = run_cli(

@@ -64,7 +64,7 @@ class TestParams:
 
     def test_from_paths_measures_channel(self, rng):
         paths, tx_geom, rx_geom = _two_path_fixture(
-            "v_orth", (2.0, 1.0), (0.3, -0.4), 0.6
+            "v-orth", (2.0, 1.0), (0.3, -0.4), 0.6
         )
         p = TwoPathParams.from_paths(paths, tx_geom, rx_geom)
         assert p.mag_a1 == pytest.approx(2.0)
@@ -104,7 +104,7 @@ class TestObjective:
             coupling_tx = float(rng.uniform(0.02, 0.98))
             mags = (float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.2, 2.0)))
             phases = (float(rng.uniform(0.0, 6.28)), float(rng.uniform(0.0, 6.28)))
-            paths, tx_geom, rx_geom = _two_path_fixture("v_orth", mags, phases, coupling_rx)
+            paths, tx_geom, rx_geom = _two_path_fixture("v-orth", mags, phases, coupling_rx)
             # replace the transmit side with a generic main-lobe separation
             from mmwbeam.steering import mainlobe_freq_delta
             from mmwbeam.channel import PathComponent
@@ -245,6 +245,43 @@ class TestUOrthogonal:
         for vv in np.linspace(0.01, 0.99, 23):
             general = delta_snr_u_orth(TwoPathParams(1.0, 1.0, vv_mag=float(vv)))
             assert general == pytest.approx(delta_snr_u_orth_equal_gains(float(vv)), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "function, params, message",
+    [
+        (delta_snr_v_orth, TwoPathParams(1.0, 1.0, vv_mag=0.5),
+         "requires electrically orthogonal transmit vectors, |v1^H v2| = 0.5"),
+        (beta_opt_u_orth, TwoPathParams(1.0, 1.0, uu_mag=0.25, vv_mag=0.5),
+         "requires electrically orthogonal receive vectors, |u1^H u2| = 0.25"),
+        (snr_v_parallel, TwoPathParams(1.0, 1.0, vv_mag=0.5),
+         "requires parallel transmit vectors, |v1^H v2| = 0.5"),
+        (delta_snr_u_parallel, TwoPathParams(1.0, 1.0, uu_mag=0.5),
+         "requires parallel receive vectors, |u1^H u2| = 0.5"),
+    ],
+)
+def test_regime_error_names_the_coupling(function, params, message):
+    with pytest.raises(RegimeError) as err:
+        function(params)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "function, couplings",
+    [
+        (delta_snr_v_orth, dict(uu_mag=0.7)),
+        (lambda p: beta_opt_u_orth(p).beta, dict(vv_mag=0.5)),
+        (delta_snr_u_orth, dict(vv_mag=0.5)),
+        (delta_snr_u_parallel, dict(uu_mag=1.0, vv_mag=0.5)),
+    ],
+    ids=["v-orth-loss", "u-orth-split", "u-orth-loss", "u-parallel-loss"],
+)
+def test_closed_forms_are_scale_free(function, couplings):
+    # powers of two scale exactly; unscaled, squares of squared gains under- or overflowed
+    # (u-orth raised, the u-parallel loss read 1.6 for 4/3 at gains 1e-150)
+    unit = function(TwoPathParams(1.0, 0.9, **couplings))
+    for scale in (2.0**-500, 2.0**500):
+        assert function(TwoPathParams(scale, 0.9 * scale, **couplings)) == unit
 
 
 class TestVParallel:

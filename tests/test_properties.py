@@ -1,6 +1,6 @@
 """Properties over random inputs: the batched Monte Carlo engine, the exact equal-power
-phase, the steering stacks and their Grams, the two-path objective grid, the v-orthogonal
-loss and the main-lobe bisection."""
+phase, the steering stacks and their Grams, the two-path objective grid, the closed-form
+regimes and the main-lobe bisection."""
 
 import math
 
@@ -20,7 +20,12 @@ from mmwbeam.beamformer import (  # noqa: E402
     reduced_optimal_beamformer,
 )
 from mmwbeam.channel import assemble_channel  # noqa: E402
-from mmwbeam.closedform import TwoPathParams, delta_snr_v_orth, objective_grid  # noqa: E402
+from mmwbeam.closedform import (  # noqa: E402
+    REGIMES,
+    TwoPathParams,
+    delta_snr_v_orth,
+    objective_grid,
+)
 from mmwbeam.montecarlo import (  # noqa: E402
     ANGLE_SAMPLING,
     SCHEMES,
@@ -35,6 +40,7 @@ from mmwbeam.steering import (  # noqa: E402
     mainlobe_freq_delta,
     steering_stack,
 )
+from mmwbeam.verify import _two_path_fixture  # noqa: E402
 
 # Losses may dip below zero by rounding only.
 LOSS_FLOOR_DB = -1e-12
@@ -251,18 +257,47 @@ def test_v_orth_loss_matches_scalar_expression(mag_a1, mag_a2, uu_mag):
     assert delta_snr_v_orth(params) == (a + b + root) / (2.0 * max(a, b))
 
 
+@pytest.mark.parametrize("case", list(REGIMES))
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(mag_a1=gain_mags, mag_a2=gain_mags, uu_mag=st.one_of(unit_coupling, st.floats(0.0, 1e-6)))
-# squared gains near 1e-300: unscaled, every square underflows and the loss read 0.905
-@example(mag_a1=1e-150, mag_a2=0.9e-150, uu_mag=0.7)
-# rounding takes this loss to 1 - eps, the bound below
-@example(mag_a1=0.8623289211859997, mag_a2=1.1511750756077277, uu_mag=0.0)
-def test_v_orth_loss_is_at_least_one(mag_a1, mag_a2, uu_mag):
-    # The exact loss is >= 1.  With a >= b the computed root is >= fl(a - b), since
-    # sqrt(fl(y^2)) = |y|; fl(a + b) + fl(a - b) and its rounding lose at most 2u of 2a
-    # (u = eps / 2), so the computed loss is >= 1 - eps.
-    loss = delta_snr_v_orth(TwoPathParams(mag_a1, mag_a2, uu_mag=uu_mag))
+@given(
+    mag_a1=gain_mags,
+    mag_a2=gain_mags,
+    coupling=st.one_of(unit_coupling, st.floats(0.0, 1e-6)),
+    phase_diff=st.one_of(st.just(0.0), st.just(math.pi), st.floats(-7.0, 7.0)),
+)
+# squared gains near 1e-300: unscaled, every square underflows and the v-orth loss read 0.905
+@example(mag_a1=1e-150, mag_a2=0.9e-150, coupling=0.7, phase_diff=0.0)
+# rounding takes the v-orth loss to 1 - eps, the bound below
+@example(mag_a1=0.8623289211859997, mag_a2=1.1511750756077277, coupling=0.0, phase_diff=0.0)
+# the dominant u-parallel beam cancels: the loss is unbounded
+@example(mag_a1=1.0, mag_a2=1.0, coupling=1.0, phase_diff=math.pi)
+def test_loss_is_at_least_one(case, mag_a1, mag_a2, coupling, phase_diff):
+    # The exact loss is >= 1.  For v-orth with a >= b the computed root is >= fl(a - b),
+    # since sqrt(fl(y^2)) = |y|; fl(a + b) + fl(a - b) and its rounding lose at most 2u
+    # of 2a (u = eps / 2), so the computed loss is >= 1 - eps.
+    regime = REGIMES[case]
+    couplings = {f"{regime.constrained}_mag": regime.forced, f"{regime.free}_mag": coupling}
+    loss = regime.delta_snr(TwoPathParams(mag_a1, mag_a2, phase_diff=phase_diff, **couplings))
     assert loss >= 1.0 - np.finfo(float).eps
+    # only a cancelled dominant beam, in the u-parallel regime, loses without bound
+    assert loss < math.inf or case == "u-parallel"
+
+
+# Couplings stay below 0.95: at 1 a parallel regime's optimum cancels to 0 at opposite
+# phases, where a relative limit reads rounding noise.
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    case=st.sampled_from(list(REGIMES)),
+    mags=st.tuples(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3)),
+    phases=st.tuples(st.floats(-7.0, 7.0), st.floats(-7.0, 7.0)),
+    coupling=st.floats(0.0, 0.95),
+)
+def test_regime_optimal_snr_matches_reduced_route(case, mags, phases, coupling):
+    paths, tx_geom, rx_geom = _two_path_fixture(case, mags, phases, coupling)
+    analytic = REGIMES[case].snr_optimal(TwoPathParams.from_paths(paths, tx_geom, rx_geom))
+    reduced = reduced_optimal_beamformer(paths, tx_geom, rx_geom).normalized_snr
+    # the limit verify applies to the same check against the dense SVD
+    assert abs(reduced - analytic) <= 1e-6 * abs(analytic)
 
 
 def bisection_reference(geom, magnitude):

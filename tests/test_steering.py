@@ -9,9 +9,11 @@ from mmwbeam.steering import (
     ArrayGeometry,
     cpo_inner_product,
     electrically_orthogonal,
+    gram_stack,
     inner_product,
     mainlobe_freq_delta,
     steering_matrix,
+    steering_stack,
     steering_vector,
 )
 
@@ -144,6 +146,20 @@ class TestInnerProduct:
         assert cpo_inner_product(geom, 4.0) == pytest.approx(1.0 + 0.0j)
         assert cpo_inner_product(geom, 0.0) == pytest.approx(1.0 + 0.0j)
         assert abs(cpo_inner_product(geom, 0.05)) < 1.0
+
+    @pytest.mark.parametrize(
+        "n, spacing, f1, f2",
+        [(1024, 0.5, 0.3, 0.3 + 1e-12), (64, 1.0, -0.5, 0.5 + 1e-13)],  # the second a grating lobe
+    )
+    def test_near_coincident_directions_keep_their_phase(self, n, spacing, f1, f2):
+        # within 1e-12 cycles of a multiple of pi these entries used to read exactly 1,
+        # off by 1.6e-9 and 2.0e-11 from the steering vectors' product
+        geom = ArrayGeometry(n, spacing)
+        freqs = np.array([f1, f2])
+        stack = steering_stack(geom, freqs)
+        exact = np.vdot(stack[:, 0], stack[:, 1])
+        assert abs(cpo_inner_product(geom, f2 - f1) - exact) <= 1e-13
+        assert abs(gram_stack(geom, freqs)[0, 1] - exact) <= 1e-13
 
     def test_conjugate_symmetry(self, rng):
         geom = ArrayGeometry(12)
