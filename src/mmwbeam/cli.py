@@ -98,6 +98,7 @@ _PARAM_TYPES: dict[str, dict[str, type]] = {
         "fov_deg": float,
         "scheme": str,
         "angle_sampling": str,
+        "rng": str,
     },
     "verify": {"suite": str, "trials": int},
 }
@@ -155,6 +156,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--fov-deg", type=float, default=None)
     sub.add_argument("--scheme", choices=sorted(montecarlo.SCHEMES), default=None)
     sub.add_argument("--angle-sampling", choices=montecarlo.ANGLE_SAMPLING, default=None)
+    sub.add_argument("--rng", choices=montecarlo.RNG_STREAMS, default=None, help="random stream")
     add_common(sub)
 
     sub = subs.add_parser("verify", help="run an oracle-equivalence battery")
@@ -430,6 +432,7 @@ def main(argv=None) -> int:
                     fov_deg=_fget(args, "fov_deg", 120.0),
                     scheme=args.get("scheme") or "bidirectional",
                     angle_sampling=args.get("angle_sampling") or "uniform_angle",
+                    rng=args.get("rng") or montecarlo.RNG_ALGORITHM,
                 )
             except ValueError as err:
                 raise UsageError(str(err)) from err
@@ -443,6 +446,7 @@ def main(argv=None) -> int:
                 fov_deg=cfg.fov_deg,
                 scheme=cfg.scheme,
                 angle_sampling=cfg.angle_sampling,
+                rng=cfg.rng,
             )
             run_config = RunConfig(command, _resolved_params(command, args), out_path, fmt)
             table = montecarlo.run_ccdf(cfg)

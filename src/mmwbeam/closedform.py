@@ -326,16 +326,18 @@ def allocation_grid_search(
 def _scaled_gains(params: TwoPathParams) -> tuple[float, float]:
     """The squared gains, scaled by the power of two that takes the larger into [0.5, 1).
 
-    The scaling is exact, so a ratio of terms of one degree in ``a`` and
-    ``b`` keeps its bits wherever nothing under- or overflows, and products
-    of tiny or huge squared gains no longer do.
+    The magnitudes are scaled by a power of two before they are squared, so
+    gains whose squares would under- or overflow keep their ratio.  The
+    scaling is exact, so a ratio of terms of one degree in ``a`` and ``b``
+    keeps its bits wherever nothing under- or overflows, and products of
+    tiny or huge squared gains no longer do.
     """
-    if params.mag_a1 == 0.0 and params.mag_a2 == 0.0:
-        raise ValueError("SNR loss is undefined when both path gains are zero")
-    a = params.gain_sq_1
-    b = params.gain_sq_2
-    if a == 0.0 and b == 0.0:
-        raise ValueError("SNR loss is undefined when both squared path gains underflow to zero")
+    larger = max(params.mag_a1, params.mag_a2)
+    if larger == 0.0:
+        raise ValueError("undefined when both path gains are zero")
+    shift = -math.frexp(larger)[1]
+    a = math.ldexp(params.mag_a1, shift) ** 2
+    b = math.ldexp(params.mag_a2, shift) ** 2
     shift = -math.frexp(max(a, b))[1]
     return math.ldexp(a, shift), math.ldexp(b, shift)
 
@@ -347,7 +349,7 @@ def beta_opt_v_orth(params: TwoPathParams) -> AllocationPoint:
     and the phase aligns the two paths through the receive-side coupling.
     """
     _require_regime(params, "vv", 0.0)
-    a, b, root = _v_orth_terms(params.gain_sq_1, params.gain_sq_2, params.uu_mag)
+    a, b, root = _v_orth_terms(*_scaled_gains(params), params.uu_mag)
     beta_sq = 0.5 if root == 0.0 else 0.5 * (1.0 + (a - b) / root)
     theta = params.phase_diff - params.uu_phase
     return AllocationPoint(beta=math.sqrt(min(beta_sq, 1.0)), theta=theta)
@@ -469,10 +471,7 @@ def beta_opt_u_parallel(params: TwoPathParams) -> AllocationPoint:
     ``beta^2 = a / (a + b)``.
     """
     _require_regime(params, "uu", 1.0)
-    a = params.gain_sq_1
-    b = params.gain_sq_2
-    if a + b == 0.0:
-        raise ValueError("undefined allocation: both path gains are zero")
+    a, b = _scaled_gains(params)
     theta = params.phase_diff - params.uu_phase
     return AllocationPoint(beta=math.sqrt(a / (a + b)), theta=theta)
 

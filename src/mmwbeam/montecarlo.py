@@ -6,15 +6,28 @@ normalized SNR and the SNR of a low-complexity scheme, and records the
 loss in dB.  Sorted losses with their complementary-CDF ordinates form a
 :class:`CcdfTable`.
 
-Stream contract: trial ``t`` draws from its own counter-based Philox
-stream keyed by ``(seed, t)`` (counter 0): normals ``(2, L)`` for the gains,
-then ``L`` uniforms for the departure azimuths, then ``L`` for the arrival
-azimuths.  A draw whose gains all fall below ``_MIN_GAIN`` is redrawn from
-the same stream, at most ``_MAX_RESAMPLE`` times.  So runs are reproducible
-and every trial is a pure function of ``(seed, t)``.  Both rows of
-uniforms are drawn on [0, 1) in one call and mapped to the field of view
-once per chunk with numpy's own ``lo + (hi - lo) * u``, which consumes the
-stream and yields the values of two ``rng.uniform(lo, hi, L)`` calls.
+Stream contract.  ``McConfig.rng`` names one of two counter-based Philox
+streams, and every trial is a pure function of ``(seed, t)`` under either:
+
+* ``philox4x64-v2`` (the default): one Philox keyed by ``(seed, 0)``; trial
+  ``t`` owns the ``L`` counter blocks after counter ``t*L``, that is the
+  ``4L`` doubles ``Generator.random`` gives from there: ``L`` uniforms
+  ``u1``, ``L`` uniforms ``u2``, then ``L`` for the departure and ``L`` for
+  the arrival azimuths.  Each gain is ``sqrt(-log1p(-u1)) * exp(2j*pi*u2)``:
+  its squared magnitude is exactly Exp(1) and its phase uniform and
+  independent, so the gain is CN(0, 1).  Slots do not overlap, so a chunk of
+  trials is read in one call and the values depend neither on the chunk
+  size nor on the order of chunks.  Redraw ``r >= 1`` of trial ``t`` reads
+  slot ``t`` of the Philox keyed by ``(seed, r)``.
+* ``philox4x64`` (v1): trial ``t`` reads its own Philox keyed by
+  ``(seed, t)`` from counter 0: normals ``(2, L)`` for the gains
+  ``(n0 + 1j*n1)/sqrt(2)``, then ``L`` uniforms for the departure and ``L``
+  for the arrival azimuths.  A redraw continues the same stream.
+
+A draw whose gains all fall below ``_MIN_GAIN`` is redrawn, at most
+``_MAX_RESAMPLE`` times, and counted.  The azimuth uniforms on [0, 1) are
+mapped to the field of view with numpy's own ``lo + (hi - lo) * u``, the
+value ``rng.uniform(lo, hi)`` gives for the same draw.
 
 The engine works on chunks of consecutive trials.  A chunk is drawn into
 arrays ``gains``, ``aod`` and ``aoa`` of shape (B, L), the Gram matrices
@@ -54,6 +67,7 @@ from .steering import AngleSpec, ArrayGeometry, gram_stack, spatial_frequencies
 
 __all__ = [
     "RNG_ALGORITHM",
+    "RNG_STREAMS",
     "SCHEMES",
     "McConfig",
     "CcdfTable",
@@ -66,7 +80,10 @@ __all__ = [
     "ccdf_to_json",
 ]
 
-RNG_ALGORITHM = "philox4x64"
+# The random streams a config may name (see the module docstring); the first is the default.
+RNG_STREAMS = ("philox4x64-v2", "philox4x64")
+RNG_ALGORITHM = RNG_STREAMS[0]
+_V1 = "philox4x64"
 
 SCHEMES: dict[str, Callable] = {
     "bidirectional": bidirectional_beamformer,
@@ -113,6 +130,7 @@ class McConfig:
     gain_model: str = "complex_gaussian"
     scheme: str = "bidirectional"
     angle_sampling: str = "uniform_angle"
+    rng: str = RNG_ALGORITHM
 
     def __post_init__(self) -> None:
         if self.num_paths < 1:
@@ -137,6 +155,8 @@ class McConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}; choose from {sorted(SCHEMES)}")
         if self.scheme == "equal_power" and self.num_paths != 2:
             raise ValueError("the equal_power scheme is defined for num_paths = 2 only")
+        if self.rng not in RNG_STREAMS:
+            raise ValueError(f"unknown random stream {self.rng!r}; choose from {RNG_STREAMS}")
 
     @property
     def tx_geometry(self) -> ArrayGeometry:
@@ -158,16 +178,13 @@ class McConfig:
             "gain_model": self.gain_model,
             "scheme": self.scheme,
             "angle_sampling": self.angle_sampling,
-            "rng": RNG_ALGORITHM,
+            "rng": self.rng,
         }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "McConfig":
-        """Inverse of :meth:`to_dict`; rejects a config recorded under another stream."""
-        rng = doc.get("rng", RNG_ALGORITHM)
-        if rng != RNG_ALGORITHM:
-            raise ValueError(f"unsupported random stream {rng!r}; expected {RNG_ALGORITHM!r}")
-        return cls(**{k: v for k, v in doc.items() if k != "rng"})
+        """Inverse of :meth:`to_dict`; rejects an unknown stream."""
+        return cls(**doc)
 
 
 @dataclass(frozen=True)
@@ -185,9 +202,16 @@ class CcdfTable:
 
 
 def trial_rng(cfg: McConfig, trial_index: int) -> np.random.Generator:
-    """Counter-based generator keyed by (seed, trial_index)."""
-    key = np.array([cfg.seed, trial_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """Generator positioned at the first draw of trial ``trial_index`` in the stream ``cfg.rng``."""
+    if cfg.rng == _V1:
+        return _philox(cfg, trial_index)
+    return _philox(cfg, 0, int(trial_index) * cfg.num_paths)
+
+
+def _philox(cfg: McConfig, key: int, counter: int = 0) -> np.random.Generator:
+    """Generator over the Philox keyed by ``(cfg.seed, key)`` from ``counter``, a Python int."""
+    bitgen = np.random.Philox(key=np.array([cfg.seed, key], dtype=np.uint64), counter=counter)
+    return np.random.Generator(bitgen)
 
 
 def _angle_bounds(cfg: McConfig) -> tuple[float, float]:
@@ -201,18 +225,25 @@ def _angle_bounds(cfg: McConfig) -> tuple[float, float]:
     return math.cos(hi), math.cos(lo)
 
 
-def _draw_once(rng: np.random.Generator, normals, angles) -> None:
-    """One draw of the stream: gains into ``normals`` (2, L), then aod, aoa into ``angles`` (2, L).
+def _draw_once(cfg: McConfig, rng: np.random.Generator, out: np.ndarray) -> None:
+    """One draw of the stream into ``out`` (..., 4, L): two rows for the gains, then aod, aoa.
 
-    ``angles`` receives raw uniforms on [0, 1), which :func:`_azimuths` maps.
+    v2 fills any number of consecutive trials in one call; v1 fills one
+    trial (4, L): normals in the gain rows, uniforms in the angle rows.  The
+    angle rows receive raw uniforms on [0, 1), which :func:`_azimuths` maps.
     """
-    rng.standard_normal(out=normals)
-    rng.random(out=angles)
+    if cfg.rng == _V1:
+        rng.standard_normal(out=out[:2])
+        rng.random(out=out[2:])
+    else:
+        rng.random(out=out)
 
 
-def _gains(normals: np.ndarray) -> np.ndarray:
-    """Complex gains (B, L) from standard normal draws (B, 2, L)."""
-    return (normals[:, 0] + 1j * normals[:, 1]) / math.sqrt(2.0)
+def _gains(cfg: McConfig, draws: np.ndarray) -> np.ndarray:
+    """Complex gains (B, L) from the gain rows of draws (B, 4, L)."""
+    if cfg.rng == _V1:
+        return (draws[:, 0] + 1j * draws[:, 1]) / math.sqrt(2.0)
+    return np.sqrt(-np.log1p(-draws[:, 0])) * np.exp(2j * np.pi * draws[:, 1])
 
 
 def _azimuths(cfg: McConfig, uniforms: np.ndarray) -> np.ndarray:
@@ -231,57 +262,54 @@ def _vanishing(gains: np.ndarray) -> np.ndarray:
     return np.abs(gains).max(axis=-1) < _MIN_GAIN
 
 
-def _redraw(rng: np.random.Generator, normals, angles) -> int:
-    """Draw one trial into ``normals``, ``angles`` (1, 2, L) until its gains are usable.
+def _draw_trial(cfg: McConfig, trial: int, out: np.ndarray) -> int:
+    """Draw one trial into ``out`` (1, 4, L) from its start, redrawing until its gains are usable.
 
     Returns the number of redraws; raises after ``_MAX_RESAMPLE`` of them.
     """
-    _draw_once(rng, normals[0], angles[0])
+    rng = trial_rng(cfg, trial)
+    _draw_once(cfg, rng, out[0])
     redraws = 0
-    while _vanishing(_gains(normals))[0]:
+    while _vanishing(_gains(cfg, out))[0]:
         redraws += 1
         if redraws > _MAX_RESAMPLE:
-            seed, trial = rng.bit_generator.state["state"]["key"].tolist()
-            raise RuntimeError(f"trial {trial} of seed {seed} kept producing degenerate channels")
-        _draw_once(rng, normals[0], angles[0])
+            raise RuntimeError(
+                f"trial {trial} of seed {cfg.seed} kept producing degenerate channels"
+            )
+        if cfg.rng != _V1:
+            rng = _philox(cfg, redraws, int(trial) * cfg.num_paths)
+        _draw_once(cfg, rng, out[0])
     return redraws
 
 
 def _draw_chunk(cfg: McConfig, trials: range):
     """Gains, aod and aoa (B, L) of consecutive trials, and the number of redraws.
 
-    One Philox bit generator is re-keyed to ``(seed, trial)`` for each
-    trial, which yields the same stream as :func:`trial_rng` without
-    building a generator per trial.  Rows that need redrawing are replayed
-    from the start of their stream by :func:`_redraw`.
+    v2 reads the whole chunk in one call from the generator at the first
+    trial's slot; v1 draws trial by trial.  Rows whose gains vanish are
+    drawn again from their start by :func:`_draw_trial`.
     """
-    bitgen = np.random.Philox(key=np.array([cfg.seed, trials.start], dtype=np.uint64))
-    rng = np.random.Generator(bitgen)
-    state = bitgen.state
-
-    def rekey(trial: int) -> None:
-        state["state"]["key"][1] = trial
-        bitgen.state = state
-
-    shape = (len(trials), 2, cfg.num_paths)
-    normals, angles = np.empty(shape), np.empty(shape)
-    for row, trial in enumerate(trials):
-        rekey(trial)
-        _draw_once(rng, normals[row], angles[row])
-    redraws = 0
-    for row in np.flatnonzero(_vanishing(_gains(normals))):
-        rekey(trials[row])
-        redraws += _redraw(rng, normals[row : row + 1], angles[row : row + 1])
-    azimuths = _azimuths(cfg, angles)
-    return _gains(normals), azimuths[:, 0], azimuths[:, 1], redraws
+    draws = np.empty((len(trials), 4, cfg.num_paths))
+    if cfg.rng == _V1:
+        for row, trial in enumerate(trials):
+            _draw_once(cfg, trial_rng(cfg, trial), draws[row])
+    else:
+        _draw_once(cfg, trial_rng(cfg, trials.start), draws)
+    gains = _gains(cfg, draws)
+    rows = np.flatnonzero(_vanishing(gains))
+    redraws = sum(_draw_trial(cfg, trials[row], draws[row : row + 1]) for row in rows)
+    if rows.size:
+        gains = _gains(cfg, draws)
+    azimuths = _azimuths(cfg, draws[:, 2:])
+    return gains, azimuths[:, 0], azimuths[:, 1], redraws
 
 
-def _draw_paths(cfg: McConfig, rng: np.random.Generator) -> list[PathComponent]:
-    """Path components of one trial from its stream ``rng``, redrawn as :func:`run_ccdf` does."""
-    normals, angles = np.empty((1, 2, cfg.num_paths)), np.empty((1, 2, cfg.num_paths))
-    _redraw(rng, normals, angles)
-    gains = _gains(normals)[0].tolist()
-    aods, aoas = _azimuths(cfg, angles)[0].tolist()
+def _draw_paths(cfg: McConfig, trial: int) -> list[PathComponent]:
+    """Path components of one trial, drawn and redrawn as :func:`run_ccdf` draws them."""
+    draws = np.empty((1, 4, cfg.num_paths))
+    _draw_trial(cfg, trial, draws)
+    gains = _gains(cfg, draws)[0].tolist()
+    aods, aoas = _azimuths(cfg, draws[:, 2:])[0].tolist()
     return [
         PathComponent(gain=gains[i], aod=AngleSpec(aods[i]), aoa=AngleSpec(aoas[i]))
         for i in range(cfg.num_paths)
@@ -289,8 +317,8 @@ def _draw_paths(cfg: McConfig, rng: np.random.Generator) -> list[PathComponent]:
 
 
 def sample_paths(cfg: McConfig, trial_index: int) -> list[PathComponent]:
-    """Path components of one trial; a pure function of (seed, trial_index)."""
-    return _draw_paths(cfg, trial_rng(cfg, trial_index))
+    """Path components of one trial; a pure function of (seed, trial_index) under ``cfg.rng``."""
+    return _draw_paths(cfg, trial_index)
 
 
 def _chunk_trials(cfg: McConfig) -> int:
@@ -301,10 +329,9 @@ def _chunk_trials(cfg: McConfig) -> int:
     eigendecompositions and products of the kernels), plus a few hundred
     bytes of draws, SNRs and Python floats: 750 bytes at L = 2 and 3 kB at
     L = 5, measured with ``tracemalloc``.  Past a few hundred trials a
-    larger chunk gains little: the fixed cost of a chunk, one Philox key
-    schedule and about a hundred small numpy calls (0.15-0.25 ms on a
-    2-vCPU x86-64 box with numpy 2.4), is then under 1 microsecond per
-    trial.
+    larger chunk gains little: the fixed cost of a chunk, one generator and
+    about a hundred small numpy calls (0.15-0.25 ms on a 2-vCPU x86-64 box
+    with numpy 2.4), is then under 1 microsecond per trial.
     """
     per_trial = 8 * 16 * cfg.num_paths**2 + 256
     return max(1, min(cfg.trials, _MAX_CHUNK_TRIALS, _CHUNK_BYTES // per_trial))
@@ -336,13 +363,13 @@ def run_ccdf(cfg: McConfig) -> CcdfTable:
 
     Trials run in chunks sized to a ``_CHUNK_BYTES`` working set (see the
     module docstring for the stream contract).  Per chunk: draw every
-    trial's paths from its own stream, evaluate the Gram matrices of its
-    steering vectors, the optimal normalized SNR (the Hermitian L x L core)
-    and the scheme's normalized SNR in stacked kernels, and record
-    ``10*log10(optimal/scheme)``.  Draws whose gains
-    all vanish are redrawn from the same stream and counted in
-    ``num_resampled``.  Each loss equals, bit for bit, the one the public
-    per-channel functions give for ``sample_paths(cfg, trial)``.
+    trial's paths, evaluate the Gram matrices of its steering vectors, the
+    optimal normalized SNR (the Hermitian L x L core) and the scheme's
+    normalized SNR in stacked kernels, and record
+    ``10*log10(optimal/scheme)``.  Draws whose gains all vanish are redrawn
+    as the stream defines and counted in ``num_resampled``.  Each loss
+    equals, bit for bit, the one the public per-channel functions give for
+    ``sample_paths(cfg, trial)``.
     """
     losses, num_resampled = _trial_losses(cfg)
     order = np.sort(losses)

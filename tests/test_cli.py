@@ -113,6 +113,23 @@ class TestClosedform:
         assert record["error"]["type"] == "usage"
         assert "finite square" in record["error"]["message"]
 
+    def test_underflowing_gains_are_defined(self, capsys):
+        # both squared gains underflow to 0; this used to exit 2
+        def record(a1, a2):
+            code, out, err = run_cli(
+                capsys, "closedform", "--case", "u-orth", "--a1", a1, "--a2", a2, "--vv", "0.5"
+            )
+            assert code == EXIT_OK and err == ""
+            return json.loads(out)["results"]
+
+        tiny, unit = record("1e-170", "1e-170"), record("1", "1")
+        for key in ("delta_snr", "delta_snr_db", "theta_deg", "gains_swapped"):
+            assert tiny[key] == unit[key]
+        assert tiny["delta_snr"] == 1.2  # (1 + vv) / (1 + vv^2) at equal gains
+        # the split is scale-free: the same bits at any power-of-two scale of the gains
+        scaled = record(repr(math.ldexp(1e-170, 560)), repr(math.ldexp(1e-170, 560)))
+        assert tiny["beta_sq"] == scaled["beta_sq"] == pytest.approx(unit["beta_sq"], rel=1e-15)
+
     def test_missing_required_flag(self, capsys):
         code, _, err = run_cli(capsys, "closedform", "--case", "v-orth", "--a1", "1")
         assert code == EXIT_USAGE
@@ -270,7 +287,8 @@ class TestCcdf:
         assert code == EXIT_OK
         doc = json.loads(out)
         res = doc["results"]
-        assert res["config"]["rng"] == "philox4x64"
+        assert res["config"]["rng"] == "philox4x64-v2"
+        assert doc["config"]["parameters"]["rng"] == "philox4x64-v2"
         assert len(res["samples_db"]) == 40
         assert res["p90_db"] >= res["median_db"]
 
@@ -295,6 +313,31 @@ class TestCcdf:
         assert code == EXIT_OK
         doc = json.loads(out)
         assert doc["results"]["config"]["angle_sampling"] == "uniform_cosine"
+
+    def test_rng_flag_and_config_key(self, capsys, tmp_path):
+        argv = ["ccdf", "--paths", "2", "--nt", "8", "--nr", "2", "--trials", "20", "--seed", "4"]
+        outputs = {}
+        for rng in ("philox4x64", "philox4x64-v2"):
+            code, out, _ = run_cli(capsys, *argv, "--rng", rng)
+            assert code == EXIT_OK
+            meta, _, rows = parse_csv(out)
+            assert json.loads(meta["config"])["parameters"]["rng"] == rng
+            outputs[rng] = rows
+            cfg_file = tmp_path / f"{rng}.json"
+            cfg_file.write_text(json.dumps({"rng": rng}))
+            assert run_cli(capsys, *argv, "--config", str(cfg_file))[1] == out
+        # the default is v2, and the two streams draw different channels
+        assert parse_csv(run_cli(capsys, *argv)[1])[2] == outputs["philox4x64-v2"]
+        assert outputs["philox4x64"] != outputs["philox4x64-v2"]
+
+    def test_unknown_rng_is_usage_error(self, capsys, tmp_path):
+        argv = ["ccdf", "--paths", "1", "--trials", "5"]
+        assert run_cli(capsys, *argv, "--rng", "philox4x64-v3")[0] == EXIT_USAGE
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({"rng": "philox4x64-v3"}))
+        code, out, err = run_cli(capsys, *argv, "--config", str(cfg_file))
+        assert code == EXIT_USAGE and out == ""
+        assert "philox4x64-v3" in json.loads(err)["error"]["message"]
 
     def test_unwritable_output_is_io_error(self, capsys, tmp_path):
         code, _, err = run_cli(

@@ -173,8 +173,8 @@ class TestVOrthogonal:
     def test_zero_gains_rejected(self):
         with pytest.raises(ValueError, match="zero"):
             delta_snr_v_orth(TwoPathParams(0.0, 0.0))
-        with pytest.raises(ValueError, match="underflow"):
-            delta_snr_v_orth(TwoPathParams(1e-170, 1e-170))
+        # squares that underflow are not zero gains: the loss is that of equal gains
+        assert delta_snr_v_orth(TwoPathParams(1e-170, 1e-170)) == 1.0
 
     def test_near_equal_gains_decoupled_receivers(self):
         # the radicand rounds to -4.4e-16 here; it used to raise a math domain error
@@ -269,18 +269,22 @@ def test_regime_error_names_the_coupling(function, params, message):
 @pytest.mark.parametrize(
     "function, couplings",
     [
+        (lambda p: beta_opt_v_orth(p).beta, dict(uu_mag=0.7)),
         (delta_snr_v_orth, dict(uu_mag=0.7)),
         (lambda p: beta_opt_u_orth(p).beta, dict(vv_mag=0.5)),
         (delta_snr_u_orth, dict(vv_mag=0.5)),
+        (lambda p: beta_opt_u_parallel(p).beta, dict(uu_mag=1.0, vv_mag=0.5)),
         (delta_snr_u_parallel, dict(uu_mag=1.0, vv_mag=0.5)),
     ],
-    ids=["v-orth-loss", "u-orth-split", "u-orth-loss", "u-parallel-loss"],
+    ids=["v-orth-split", "v-orth-loss", "u-orth-split", "u-orth-loss", "u-parallel-split",
+         "u-parallel-loss"],
 )
 def test_closed_forms_are_scale_free(function, couplings):
     # powers of two scale exactly; unscaled, squares of squared gains under- or overflowed
-    # (u-orth raised, the u-parallel loss read 1.6 for 4/3 at gains 1e-150)
+    # (u-orth raised, the u-parallel loss read 1.6 for 4/3 at gains 1e-150), and at
+    # 2**-600 the squared gains themselves underflow to 0
     unit = function(TwoPathParams(1.0, 0.9, **couplings))
-    for scale in (2.0**-500, 2.0**500):
+    for scale in (2.0**-600, 2.0**-500, 2.0**500):
         assert function(TwoPathParams(scale, 0.9 * scale, **couplings)) == unit
 
 
@@ -330,6 +334,13 @@ class TestUParallel:
         q = TwoPathParams(1.0, 1.0, uu_mag=1.0, vv_mag=0.5)
         assert delta_snr_u_parallel(q) == pytest.approx(4.0 / 3.0, rel=1e-12)
         assert 10.0 * math.log10(delta_snr_u_parallel(q)) == pytest.approx(1.2494, abs=1e-4)
+
+    def test_split_of_underflowing_squares(self):
+        # both squares underflow to 0; this raised "both path gains are zero"
+        tiny = beta_opt_u_parallel(TwoPathParams(1e-170, 5e-171, uu_mag=1.0, vv_mag=0.3))
+        unit = beta_opt_u_parallel(TwoPathParams(1.0, 0.5, uu_mag=1.0, vv_mag=0.3))
+        assert tiny == unit
+        assert tiny.beta**2 == pytest.approx(0.8, rel=1e-15)
 
     def test_destructive_singularity_returns_infinity(self):
         p = TwoPathParams(1.0, 1.0, phase_diff=math.pi, uu_mag=1.0, vv_mag=1.0)

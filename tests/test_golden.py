@@ -7,16 +7,21 @@ for byte and every loss sample within ``GOLDEN_TOL_DB``, the rounding a
 change of the arithmetic may move it by.  ``closedform``, ``sweep`` and
 ``verify`` reruns must give the same bytes: text and JSON report for
 ``verify``, which writes its report to the relative path its config records.
+The ``philox4x64-v2`` CCDF files are also checked trial by trial against
+a dense SVD of each redrawn channel.
 Every file there must be read by one of these tests.
 """
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mmwbeam.channel import assemble_channel
 from mmwbeam.cli import EXIT_OK, main
+from mmwbeam.montecarlo import SCHEMES, McConfig, sample_paths
 
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_TOL_DB = 1e-12
@@ -81,6 +86,33 @@ def test_ccdf_matches_golden(path, capsys):
     assert ccdf == golden_ccdf
     diff = np.abs(np.array(samples, dtype=float) - np.array(golden_samples, dtype=float))
     assert diff.max() <= GOLDEN_TOL_DB
+
+
+def dense_loss_db(cfg, trial):
+    """Loss of one trial, its optimum the top singular value of the dense channel matrix."""
+    tx_geom, rx_geom = cfg.tx_geometry, cfg.rx_geometry
+    paths = sample_paths(cfg, trial)
+    channel = assemble_channel(paths, tx_geom, rx_geom)
+    optimal = np.linalg.svd(channel.entries, compute_uv=False)[0] ** 2 / (cfg.nt * cfg.nr)
+    scheme = SCHEMES[cfg.scheme](paths, tx_geom, rx_geom, channel=channel).normalized_snr
+    return 10.0 * math.log10(optimal / scheme)
+
+
+@golden("ccdf_*_v2.csv")
+def test_v2_ccdf_golden_matches_dense_svd(path):
+    # every trial of the file, redrawn through the public route, against a dense SVD
+    params = config_of(path.read_text())["parameters"]
+    cfg = McConfig(
+        num_paths=params["paths"], trials=params["trials"], seed=params["seed"],
+        nt=params["nt"], nr=params["nr"], spacing_wavelengths=params["spacing"],
+        fov_deg=params["fov_deg"], scheme=params["scheme"],
+        angle_sampling=params["angle_sampling"], rng=params["rng"],
+    )
+    assert cfg.rng == "philox4x64-v2"
+    golden_db = np.array(split_csv(path.read_text())[1], dtype=float)
+    dense_db = np.sort([dense_loss_db(cfg, trial) for trial in range(cfg.trials)])
+    ratio = 10.0 ** ((golden_db - dense_db) / 10.0)
+    assert np.all(np.abs(ratio - 1.0) <= 1e-9)
 
 
 @golden("closedform_*.json", "sweep_*.csv")

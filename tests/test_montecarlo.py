@@ -15,6 +15,7 @@ from mmwbeam.montecarlo import (
     CcdfTable,
     McConfig,
     RNG_ALGORITHM,
+    RNG_STREAMS,
     ccdf_to_csv,
     ccdf_to_dict,
     ccdf_to_json,
@@ -76,13 +77,17 @@ class TestConfig:
     def test_dict_round_trip(self):
         cfg = small_cfg()
         doc = cfg.to_dict()
-        assert doc["rng"] == RNG_ALGORITHM
+        assert doc["rng"] == RNG_ALGORITHM == "philox4x64-v2"
         assert McConfig.from_dict(doc) == cfg
 
     def test_dict_rejects_other_stream(self):
-        doc = {**small_cfg().to_dict(), "rng": "philox4x64-v2"}
-        with pytest.raises(ValueError, match="philox4x64-v2"):
+        doc = {**small_cfg().to_dict(), "rng": "philox4x64-v3"}
+        with pytest.raises(ValueError, match="philox4x64-v3"):
             McConfig.from_dict(doc)
+        for name in ("philox4x64", "philox4x64-v2"):
+            cfg = small_cfg(rng=name)
+            assert McConfig.from_dict(cfg.to_dict()) == cfg
+            assert cfg.to_dict()["rng"] == name
 
 
 class TestSampling:
@@ -136,12 +141,18 @@ class TestSampling:
             small_cfg(angle_sampling="sobol")
 
 
-def documented_draw(cfg, trial):
-    """Gains, aod and aoa (L,) of one trial, drawn literally as the stream contract states."""
+def field_of_view(cfg):
+    """Range of the uniform angle draws: azimuths, or their cosines for ``uniform_cosine``."""
     half_fov = math.radians(cfg.fov_deg) / 2.0
     lo, hi = math.pi / 2.0 - half_fov, math.pi / 2.0 + half_fov
     if cfg.angle_sampling == "uniform_cosine":
         lo, hi = math.cos(hi), math.cos(lo)
+    return lo, hi
+
+
+def documented_draw(cfg, trial):
+    """Gains, aod and aoa (L,) of one v1 trial, drawn literally as the stream contract states."""
+    lo, hi = field_of_view(cfg)
     rng = trial_rng(cfg, trial)
     normals = rng.standard_normal((2, cfg.num_paths))
     aod = rng.uniform(lo, hi, cfg.num_paths)
@@ -151,13 +162,28 @@ def documented_draw(cfg, trial):
     return (normals[0] + 1j * normals[1]) / math.sqrt(2.0), aod, aoa
 
 
+def slot_read(cfg, trial, attempt=0):
+    """Gains, aod and aoa (L,) of one v2 trial: the 4L doubles after counter trial * L."""
+    lo, hi = field_of_view(cfg)
+    num_paths = cfg.num_paths
+    key = np.array([cfg.seed, attempt], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key, counter=trial * num_paths))
+    u1, u2, aod, aoa = rng.random(4 * num_paths).reshape(4, num_paths)
+    aod, aoa = lo + (hi - lo) * aod, lo + (hi - lo) * aoa
+    if cfg.angle_sampling == "uniform_cosine":
+        aod, aoa = np.arccos(aod), np.arccos(aoa)
+    return np.sqrt(-np.log1p(-u1)) * np.exp(2j * np.pi * u2), aod, aoa
+
+
+STREAM_CASES = [(0, 1, 120.0), (7, 2, 37.5), (2**64 - 1, 5, 180.0)]
+
+
 class TestStreamContract:
     @pytest.mark.parametrize("sampling", ANGLE_SAMPLING)
-    @pytest.mark.parametrize(
-        "seed,num_paths,fov_deg", [(0, 1, 120.0), (7, 2, 37.5), (2**64 - 1, 5, 180.0)]
-    )
+    @pytest.mark.parametrize("seed,num_paths,fov_deg", STREAM_CASES)
     def test_chunk_draw_equals_documented_stream(self, sampling, seed, num_paths, fov_deg):
-        cfg = small_cfg(seed=seed, num_paths=num_paths, fov_deg=fov_deg, angle_sampling=sampling)
+        cfg = small_cfg(seed=seed, num_paths=num_paths, fov_deg=fov_deg, angle_sampling=sampling,
+                        rng="philox4x64")
         trials = range(5, 12)
         gains, aod, aoa, redraws = montecarlo._draw_chunk(cfg, trials)
         assert redraws == 0
@@ -165,6 +191,39 @@ class TestStreamContract:
             expected = documented_draw(cfg, trial)
             for drawn, literal in zip((gains[row], aod[row], aoa[row]), expected):
                 assert_same_bits(drawn.view(float), np.asarray(literal).view(float))
+
+    @pytest.mark.parametrize("sampling", ANGLE_SAMPLING)
+    @pytest.mark.parametrize("seed,num_paths,fov_deg", STREAM_CASES)
+    def test_v2_chunk_draw_equals_slot_read(self, sampling, seed, num_paths, fov_deg):
+        cfg = small_cfg(seed=seed, num_paths=num_paths, fov_deg=fov_deg, angle_sampling=sampling)
+        assert cfg.rng == "philox4x64-v2"
+        # two chunks from different starting counters, overlapping in trials 9-11
+        for trials in (range(5, 12), range(9, 30)):
+            gains, aod, aoa, redraws = montecarlo._draw_chunk(cfg, trials)
+            assert redraws == 0
+            for row, trial in enumerate(trials):
+                expected = slot_read(cfg, trial)
+                for drawn, literal in zip((gains[row], aod[row], aoa[row]), expected):
+                    assert_same_bits(drawn.view(float), np.asarray(literal).view(float))
+
+    def test_v2_gain_law(self):
+        # |g|^2 is exactly Exp(1) and the phase uniform: P(|g|^2 > 1) = 1/e, E[g/|g|] = 0
+        cfg = small_cfg(num_paths=5, seed=3)
+        gains = montecarlo._draw_chunk(cfg, range(20_000))[0].ravel()
+        n = gains.size
+        p = math.exp(-1.0)
+        frac = float(np.mean(np.abs(gains) ** 2 > 1.0))
+        assert abs(frac - p) <= 5.0 * math.sqrt(p * (1.0 - p) / n)
+        assert abs(np.mean(gains / np.abs(gains))) <= 5.0 / math.sqrt(n)
+
+    @pytest.mark.parametrize("rng", RNG_STREAMS)
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_samples_do_not_depend_on_chunk_size(self, rng, chunk, monkeypatch):
+        cfg = small_cfg(num_paths=3, trials=60, rng=rng)
+        reference = run_ccdf(cfg).samples_db
+        monkeypatch.setattr(montecarlo, "_MAX_CHUNK_TRIALS", chunk)
+        assert montecarlo._chunk_trials(cfg) == chunk
+        assert_same_bits(run_ccdf(cfg).samples_db, reference)
 
 
 class TestRunCcdf:
@@ -210,7 +269,7 @@ class TestRunCcdf:
 
     def test_golden_median_regression(self):
         # frozen from this repository's first run of this configuration
-        table = run_ccdf(McConfig(num_paths=2, trials=2000, seed=42))
+        table = run_ccdf(McConfig(num_paths=2, trials=2000, seed=42, rng="philox4x64"))
         assert percentile(table, 0.5) == pytest.approx(0.16839306336987975, abs=1e-12)
 
     def test_median_grows_with_path_count(self):
@@ -240,10 +299,11 @@ ENGINE_CASES = [
 
 
 class TestEngineMatchesPublicRoute:
+    @pytest.mark.parametrize("rng", RNG_STREAMS)
     @pytest.mark.parametrize("scheme,num_paths,sampling", ENGINE_CASES)
-    def test_samples_equal_replay_bit_for_bit(self, scheme, num_paths, sampling):
+    def test_samples_equal_replay_bit_for_bit(self, scheme, num_paths, sampling, rng):
         base = dict(num_paths=num_paths, seed=11, nt=128, nr=8, scheme=scheme,
-                    angle_sampling=sampling)
+                    angle_sampling=sampling, rng=rng)
         chunk = montecarlo._chunk_trials(McConfig(trials=10**6, **base))
         # three full chunks would be 3 * chunk; stop half-way through the third
         cfg = McConfig(trials=2 * chunk + chunk // 2 + 1, **base)
@@ -282,7 +342,7 @@ class TestDegenerateArrays:
 
 
 def redraws_by_recount(cfg, trial, threshold):
-    """Redraws of one trial, counted straight from its documented stream."""
+    """Redraws of one v1 trial, counted straight from its documented stream."""
     rng = trial_rng(cfg, trial)
     count = 0
     while True:
@@ -294,26 +354,53 @@ def redraws_by_recount(cfg, trial, threshold):
         count += 1
 
 
+def redraws_by_slot_read(cfg, trial, threshold):
+    """Redraws of one v2 trial: attempt r reads the trial's slot under the key (seed, r)."""
+    attempt = 0
+    while np.abs(slot_read(cfg, trial, attempt)[0]).max() < threshold:
+        attempt += 1
+    return attempt
+
+
+RECOUNT = {"philox4x64": redraws_by_recount, "philox4x64-v2": redraws_by_slot_read}
+
+
 class TestResampling:
-    def test_count_matches_per_trial_recount(self, monkeypatch):
-        # raise the gain floor so that about one draw in five is redrawn
+    @pytest.mark.parametrize("rng", RNG_STREAMS)
+    def test_count_matches_per_trial_recount(self, rng, monkeypatch):
+        # raise the gain floor so that about one draw in twenty is redrawn (17 of 400 on v2)
         monkeypatch.setattr(montecarlo, "_MIN_GAIN", 0.5)
-        cfg = small_cfg(num_paths=2, trials=400, nt=128, nr=8)
+        cfg = small_cfg(num_paths=2, trials=400, nt=128, nr=8, rng=rng)
         assert montecarlo._chunk_trials(cfg) < cfg.trials
         table = run_ccdf(cfg)
-        expected = sum(redraws_by_recount(cfg, t, 0.5) for t in range(cfg.trials))
+        expected = sum(RECOUNT[rng](cfg, t, 0.5) for t in range(cfg.trials))
         assert expected > 0
         assert table.num_resampled == expected
         # sample_paths redraws the same way, so the public route still replays the run
         assert_same_bits(table.samples_db, replayed_samples(cfg))
         assert json.loads(ccdf_to_json(table))["num_resampled"] == expected
 
-    def test_gives_up_after_max_resample(self, monkeypatch):
+    def test_v2_redraw_reads_the_next_key(self, monkeypatch):
+        # redraw r of trial t is slot t of the Philox keyed by (seed, r), in the engine and
+        # in sample_paths alike; at this floor about one draw in five is redrawn
+        monkeypatch.setattr(montecarlo, "_MIN_GAIN", 0.8)
+        cfg = small_cfg(num_paths=2, trials=200)
+        gains, aod, aoa, redraws = montecarlo._draw_chunk(cfg, range(cfg.trials))
+        attempts = [redraws_by_slot_read(cfg, t, 0.8) for t in range(cfg.trials)]
+        assert redraws == sum(attempts) and max(attempts) >= 2
+        for trial, attempt in enumerate(attempts):
+            expected = slot_read(cfg, trial, attempt)
+            for drawn, literal in zip((gains[trial], aod[trial], aoa[trial]), expected):
+                assert_same_bits(drawn.view(float), np.asarray(literal).view(float))
+            assert [p.gain for p in sample_paths(cfg, trial)] == expected[0].tolist()
+
+    @pytest.mark.parametrize("rng", RNG_STREAMS)
+    def test_gives_up_after_max_resample(self, rng, monkeypatch):
         monkeypatch.setattr(montecarlo, "_MIN_GAIN", math.inf)
-        with pytest.raises(RuntimeError, match="degenerate"):
-            run_ccdf(small_cfg(trials=3))
-        with pytest.raises(RuntimeError, match="degenerate"):
-            sample_paths(small_cfg(), 0)
+        with pytest.raises(RuntimeError, match="trial 0 of seed 7 kept producing degenerate"):
+            run_ccdf(small_cfg(trials=3, rng=rng))
+        with pytest.raises(RuntimeError, match="trial 4 of seed 7 kept producing degenerate"):
+            sample_paths(small_cfg(rng=rng), 4)
 
 
 class TestPercentile:
