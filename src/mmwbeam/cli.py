@@ -103,6 +103,8 @@ _PARAM_TYPES: dict[str, dict[str, type]] = {
     "verify": {"suite": str, "trials": int},
 }
 _COMMON_TYPES: dict[str, type] = {"out": str, "format": str, "seed": int}
+# The McConfig field of each ccdf parameter whose name differs from it.
+_CCDF_FIELDS = {"paths": "num_paths", "spacing": "spacing_wavelengths"}
 
 
 @functools.lru_cache(maxsize=None)
@@ -156,7 +158,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--fov-deg", type=float, default=None)
     sub.add_argument("--scheme", choices=sorted(montecarlo.SCHEMES), default=None)
     sub.add_argument("--angle-sampling", choices=montecarlo.ANGLE_SAMPLING, default=None)
-    sub.add_argument("--rng", choices=montecarlo.RNG_STREAMS, default=None, help="random stream")
+    sub.add_argument(
+        "--rng", choices=[montecarlo.RNG_ALGORITHM], default=None, help="random stream"
+    )
     add_common(sub)
 
     sub = subs.add_parser("verify", help="run an oracle-equivalence battery")
@@ -187,10 +191,23 @@ def _merge_config_file(command: str, args: dict) -> dict:
             raise UsageError(f"unknown config key {key!r} for command {command!r}")
         if args.get(key) is None:
             try:
-                args[key] = None if value is None else known[key](value)
-            except (TypeError, ValueError) as err:
+                args[key] = None if value is None else _coerce(known[key], value)
+            except (TypeError, ValueError, OverflowError) as err:
                 raise UsageError(f"config key {key!r}: {err}") from err
     return args
+
+
+def _coerce(kind: type, value: Any) -> Any:
+    """A config-file value as ``kind``, refusing what the matching flag would refuse.
+
+    A boolean is no number, and an ``int`` key takes no fraction: ``int()``
+    alone would run ``true`` as 1 and ``2.5`` as 2.
+    """
+    if kind is not str and isinstance(value, bool):
+        raise ValueError(f"expected a number, got {json.dumps(value)}")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return kind(value)
 
 
 def _require(args: dict, key: str, command: str) -> Any:
@@ -421,33 +438,16 @@ def main(argv=None) -> int:
                 _emit(_records_to_csv(rows, _preamble(run_config)), out_path)
 
         elif command == "ccdf":
+            _require(args, "paths", "ccdf")
+            # McConfig field -> ccdf parameter, for every parameter the output records
+            names = {_CCDF_FIELDS.get(key, key): key for key in _resolved_params(command, args)}
+            given = {field: args[key] for field, key in names.items() if args.get(key) is not None}
             try:
-                cfg = montecarlo.McConfig(
-                    num_paths=int(_require(args, "paths", "ccdf")),
-                    trials=int(args["trials"]) if args.get("trials") is not None else 10_000,
-                    seed=int(args["seed"]) if args.get("seed") is not None else 0,
-                    nt=int(args["nt"]) if args.get("nt") is not None else 64,
-                    nr=int(args["nr"]) if args.get("nr") is not None else 4,
-                    spacing_wavelengths=_fget(args, "spacing", 0.5),
-                    fov_deg=_fget(args, "fov_deg", 120.0),
-                    scheme=args.get("scheme") or "bidirectional",
-                    angle_sampling=args.get("angle_sampling") or "uniform_angle",
-                    rng=args.get("rng") or montecarlo.RNG_ALGORITHM,
-                )
+                cfg = montecarlo.McConfig.from_dict({"trials": 10_000, "seed": 0, **given})
             except ValueError as err:
                 raise UsageError(str(err)) from err
-            args.update(
-                paths=cfg.num_paths,
-                trials=cfg.trials,
-                seed=cfg.seed,
-                nt=cfg.nt,
-                nr=cfg.nr,
-                spacing=cfg.spacing_wavelengths,
-                fov_deg=cfg.fov_deg,
-                scheme=cfg.scheme,
-                angle_sampling=cfg.angle_sampling,
-                rng=cfg.rng,
-            )
+            recorded = cfg.to_dict()
+            args.update({key: recorded[field] for field, key in names.items()})
             run_config = RunConfig(command, _resolved_params(command, args), out_path, fmt)
             table = montecarlo.run_ccdf(cfg)
             if fmt == "json":

@@ -6,23 +6,18 @@ normalized SNR and the SNR of a low-complexity scheme, and records the
 loss in dB.  Sorted losses with their complementary-CDF ordinates form a
 :class:`CcdfTable`.
 
-Stream contract.  ``McConfig.rng`` names one of two counter-based Philox
-streams, and every trial is a pure function of ``(seed, t)`` under either:
-
-* ``philox4x64-v2`` (the default): one Philox keyed by ``(seed, 0)``; trial
-  ``t`` owns the ``L`` counter blocks after counter ``t*L``, that is the
-  ``4L`` doubles ``Generator.random`` gives from there: ``L`` uniforms
-  ``u1``, ``L`` uniforms ``u2``, then ``L`` for the departure and ``L`` for
-  the arrival azimuths.  Each gain is ``sqrt(-log1p(-u1)) * exp(2j*pi*u2)``:
-  its squared magnitude is exactly Exp(1) and its phase uniform and
-  independent, so the gain is CN(0, 1).  Slots do not overlap, so a chunk of
-  trials is read in one call and the values depend neither on the chunk
-  size nor on the order of chunks.  Redraw ``r >= 1`` of trial ``t`` reads
-  slot ``t`` of the Philox keyed by ``(seed, r)``.
-* ``philox4x64`` (v1): trial ``t`` reads its own Philox keyed by
-  ``(seed, t)`` from counter 0: normals ``(2, L)`` for the gains
-  ``(n0 + 1j*n1)/sqrt(2)``, then ``L`` uniforms for the departure and ``L``
-  for the arrival azimuths.  A redraw continues the same stream.
+Stream contract (``philox4x64-v2``, recorded as ``rng`` in every output).
+Every trial is a pure function of ``(seed, t)``: one Philox keyed by
+``(seed, 0)``, in which trial ``t`` owns the ``L`` counter blocks after
+counter ``t*L``, that is the ``4L`` doubles ``Generator.random`` gives from
+there: ``L`` uniforms ``u1``, ``L`` uniforms ``u2``, then ``L`` for the
+departure and ``L`` for the arrival azimuths.  Each gain is
+``sqrt(-log1p(-u1)) * exp(2j*pi*u2)``: its squared magnitude is exactly
+Exp(1) and its phase uniform and independent, so the gain is CN(0, 1)
+(recorded as ``gain_model`` ``complex_gaussian``).  Slots do not overlap,
+so a chunk of trials is read in one call and the values depend neither on
+the chunk size nor on the order of chunks.  Redraw ``r >= 1`` of trial
+``t`` reads slot ``t`` of the Philox keyed by ``(seed, r)``.
 
 A draw whose gains all fall below ``_MIN_GAIN`` is redrawn, at most
 ``_MAX_RESAMPLE`` times, and counted.  The azimuth uniforms on [0, 1) are
@@ -47,6 +42,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -67,7 +63,6 @@ from .steering import AngleSpec, ArrayGeometry, gram_stack, spatial_frequencies
 
 __all__ = [
     "RNG_ALGORITHM",
-    "RNG_STREAMS",
     "SCHEMES",
     "McConfig",
     "CcdfTable",
@@ -80,10 +75,10 @@ __all__ = [
     "ccdf_to_json",
 ]
 
-# The random streams a config may name (see the module docstring); the first is the default.
-RNG_STREAMS = ("philox4x64-v2", "philox4x64")
-RNG_ALGORITHM = RNG_STREAMS[0]
-_V1 = "philox4x64"
+# The random stream and gain law of every trial (see the module docstring).  Each
+# output records them, and McConfig.from_dict accepts no other value.
+RNG_ALGORITHM = "philox4x64-v2"
+_GAIN_MODEL = "complex_gaussian"
 
 SCHEMES: dict[str, Callable] = {
     "bidirectional": bidirectional_beamformer,
@@ -97,8 +92,6 @@ _SCHEME_SNR: dict[str, Callable] = {
     "dominant_tx_mf_rx": _dominant_snr,
     "equal_power": _equal_power_snr,
 }
-
-GAIN_MODELS = ("complex_gaussian",)
 
 ANGLE_SAMPLING = ("uniform_angle", "uniform_cosine")
 
@@ -127,12 +120,14 @@ class McConfig:
     nr: int = 4
     spacing_wavelengths: float = 0.5
     fov_deg: float = 120.0
-    gain_model: str = "complex_gaussian"
     scheme: str = "bidirectional"
     angle_sampling: str = "uniform_angle"
-    rng: str = RNG_ALGORITHM
 
     def __post_init__(self) -> None:
+        for name in ("num_paths", "trials", "seed", "nt", "nr"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.num_paths < 1:
             raise ValueError("num_paths must be >= 1")
         if self.trials < 1:
@@ -145,8 +140,6 @@ class McConfig:
             raise ValueError("spacing_wavelengths must be > 0")
         if not 0.0 < self.fov_deg <= 180.0:
             raise ValueError("fov_deg must lie in (0, 180]")
-        if self.gain_model not in GAIN_MODELS:
-            raise ValueError(f"unknown gain model {self.gain_model!r}")
         if self.angle_sampling not in ANGLE_SAMPLING:
             raise ValueError(
                 f"unknown angle sampling {self.angle_sampling!r}; choose from {ANGLE_SAMPLING}"
@@ -155,8 +148,6 @@ class McConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}; choose from {sorted(SCHEMES)}")
         if self.scheme == "equal_power" and self.num_paths != 2:
             raise ValueError("the equal_power scheme is defined for num_paths = 2 only")
-        if self.rng not in RNG_STREAMS:
-            raise ValueError(f"unknown random stream {self.rng!r}; choose from {RNG_STREAMS}")
 
     @property
     def tx_geometry(self) -> ArrayGeometry:
@@ -175,16 +166,25 @@ class McConfig:
             "nr": self.nr,
             "spacing_wavelengths": self.spacing_wavelengths,
             "fov_deg": self.fov_deg,
-            "gain_model": self.gain_model,
+            "gain_model": _GAIN_MODEL,
             "scheme": self.scheme,
             "angle_sampling": self.angle_sampling,
-            "rng": self.rng,
+            "rng": RNG_ALGORITHM,
         }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "McConfig":
-        """Inverse of :meth:`to_dict`; rejects an unknown stream."""
-        return cls(**doc)
+        """Inverse of :meth:`to_dict`.
+
+        The keys ``rng`` and ``gain_model`` may be left out; given, they must
+        name the stream and gain law every trial is drawn with, and any other
+        value (such as the retired stream ``philox4x64``) raises ``ValueError``.
+        """
+        fields = dict(doc)
+        for key, only in (("rng", RNG_ALGORITHM), ("gain_model", _GAIN_MODEL)):
+            if fields.pop(key, only) != only:
+                raise ValueError(f"unknown {key} {doc[key]!r}; the only one is {only!r}")
+        return cls(**fields)
 
 
 @dataclass(frozen=True)
@@ -201,17 +201,11 @@ class CcdfTable:
     num_resampled: int = 0
 
 
-def trial_rng(cfg: McConfig, trial_index: int) -> np.random.Generator:
-    """Generator positioned at the first draw of trial ``trial_index`` in the stream ``cfg.rng``."""
-    if cfg.rng == _V1:
-        return _philox(cfg, trial_index)
-    return _philox(cfg, 0, int(trial_index) * cfg.num_paths)
-
-
-def _philox(cfg: McConfig, key: int, counter: int = 0) -> np.random.Generator:
-    """Generator over the Philox keyed by ``(cfg.seed, key)`` from ``counter``, a Python int."""
-    bitgen = np.random.Philox(key=np.array([cfg.seed, key], dtype=np.uint64), counter=counter)
-    return np.random.Generator(bitgen)
+def trial_rng(cfg: McConfig, trial_index: int, redraw: int = 0) -> np.random.Generator:
+    """Generator at the slot of trial ``trial_index`` in the Philox keyed by ``(seed, redraw)``."""
+    key = np.array([cfg.seed, redraw], dtype=np.uint64)
+    counter = int(trial_index) * cfg.num_paths
+    return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
 def _angle_bounds(cfg: McConfig) -> tuple[float, float]:
@@ -225,24 +219,8 @@ def _angle_bounds(cfg: McConfig) -> tuple[float, float]:
     return math.cos(hi), math.cos(lo)
 
 
-def _draw_once(cfg: McConfig, rng: np.random.Generator, out: np.ndarray) -> None:
-    """One draw of the stream into ``out`` (..., 4, L): two rows for the gains, then aod, aoa.
-
-    v2 fills any number of consecutive trials in one call; v1 fills one
-    trial (4, L): normals in the gain rows, uniforms in the angle rows.  The
-    angle rows receive raw uniforms on [0, 1), which :func:`_azimuths` maps.
-    """
-    if cfg.rng == _V1:
-        rng.standard_normal(out=out[:2])
-        rng.random(out=out[2:])
-    else:
-        rng.random(out=out)
-
-
-def _gains(cfg: McConfig, draws: np.ndarray) -> np.ndarray:
-    """Complex gains (B, L) from the gain rows of draws (B, 4, L)."""
-    if cfg.rng == _V1:
-        return (draws[:, 0] + 1j * draws[:, 1]) / math.sqrt(2.0)
+def _gains(draws: np.ndarray) -> np.ndarray:
+    """Complex gains (B, L) from the uniform rows ``u1``, ``u2`` of draws (B, 4, L)."""
     return np.sqrt(-np.log1p(-draws[:, 0])) * np.exp(2j * np.pi * draws[:, 1])
 
 
@@ -267,39 +245,32 @@ def _draw_trial(cfg: McConfig, trial: int, out: np.ndarray) -> int:
 
     Returns the number of redraws; raises after ``_MAX_RESAMPLE`` of them.
     """
-    rng = trial_rng(cfg, trial)
-    _draw_once(cfg, rng, out[0])
+    trial_rng(cfg, trial).random(out=out)
     redraws = 0
-    while _vanishing(_gains(cfg, out))[0]:
+    while _vanishing(_gains(out))[0]:
         redraws += 1
         if redraws > _MAX_RESAMPLE:
             raise RuntimeError(
                 f"trial {trial} of seed {cfg.seed} kept producing degenerate channels"
             )
-        if cfg.rng != _V1:
-            rng = _philox(cfg, redraws, int(trial) * cfg.num_paths)
-        _draw_once(cfg, rng, out[0])
+        trial_rng(cfg, trial, redraws).random(out=out)
     return redraws
 
 
 def _draw_chunk(cfg: McConfig, trials: range):
     """Gains, aod and aoa (B, L) of consecutive trials, and the number of redraws.
 
-    v2 reads the whole chunk in one call from the generator at the first
-    trial's slot; v1 draws trial by trial.  Rows whose gains vanish are
-    drawn again from their start by :func:`_draw_trial`.
+    The whole chunk is read in one call from the generator at the first
+    trial's slot.  Rows whose gains vanish are drawn again from their start
+    by :func:`_draw_trial`.
     """
     draws = np.empty((len(trials), 4, cfg.num_paths))
-    if cfg.rng == _V1:
-        for row, trial in enumerate(trials):
-            _draw_once(cfg, trial_rng(cfg, trial), draws[row])
-    else:
-        _draw_once(cfg, trial_rng(cfg, trials.start), draws)
-    gains = _gains(cfg, draws)
+    trial_rng(cfg, trials.start).random(out=draws)
+    gains = _gains(draws)
     rows = np.flatnonzero(_vanishing(gains))
     redraws = sum(_draw_trial(cfg, trials[row], draws[row : row + 1]) for row in rows)
     if rows.size:
-        gains = _gains(cfg, draws)
+        gains = _gains(draws)
     azimuths = _azimuths(cfg, draws[:, 2:])
     return gains, azimuths[:, 0], azimuths[:, 1], redraws
 
@@ -308,7 +279,7 @@ def _draw_paths(cfg: McConfig, trial: int) -> list[PathComponent]:
     """Path components of one trial, drawn and redrawn as :func:`run_ccdf` draws them."""
     draws = np.empty((1, 4, cfg.num_paths))
     _draw_trial(cfg, trial, draws)
-    gains = _gains(cfg, draws)[0].tolist()
+    gains = _gains(draws)[0].tolist()
     aods, aoas = _azimuths(cfg, draws[:, 2:])[0].tolist()
     return [
         PathComponent(gain=gains[i], aod=AngleSpec(aods[i]), aoa=AngleSpec(aoas[i]))
@@ -317,7 +288,7 @@ def _draw_paths(cfg: McConfig, trial: int) -> list[PathComponent]:
 
 
 def sample_paths(cfg: McConfig, trial_index: int) -> list[PathComponent]:
-    """Path components of one trial; a pure function of (seed, trial_index) under ``cfg.rng``."""
+    """Path components of one trial; a pure function of (seed, trial_index)."""
     return _draw_paths(cfg, trial_index)
 
 

@@ -316,28 +316,28 @@ class TestCcdf:
 
     def test_rng_flag_and_config_key(self, capsys, tmp_path):
         argv = ["ccdf", "--paths", "2", "--nt", "8", "--nr", "2", "--trials", "20", "--seed", "4"]
-        outputs = {}
-        for rng in ("philox4x64", "philox4x64-v2"):
-            code, out, _ = run_cli(capsys, *argv, "--rng", rng)
-            assert code == EXIT_OK
-            meta, _, rows = parse_csv(out)
-            assert json.loads(meta["config"])["parameters"]["rng"] == rng
-            outputs[rng] = rows
-            cfg_file = tmp_path / f"{rng}.json"
-            cfg_file.write_text(json.dumps({"rng": rng}))
-            assert run_cli(capsys, *argv, "--config", str(cfg_file))[1] == out
-        # the default is v2, and the two streams draw different channels
-        assert parse_csv(run_cli(capsys, *argv)[1])[2] == outputs["philox4x64-v2"]
-        assert outputs["philox4x64"] != outputs["philox4x64-v2"]
+        rng = "philox4x64-v2"
+        code, out, _ = run_cli(capsys, *argv, "--rng", rng)
+        assert code == EXIT_OK
+        meta, _, rows = parse_csv(out)
+        assert json.loads(meta["config"])["parameters"]["rng"] == rng
+        cfg_file = tmp_path / f"{rng}.json"
+        cfg_file.write_text(json.dumps({"rng": rng}))
+        assert run_cli(capsys, *argv, "--config", str(cfg_file))[1] == out
+        # the default is the same stream
+        assert run_cli(capsys, *argv)[1] == out
 
     def test_unknown_rng_is_usage_error(self, capsys, tmp_path):
         argv = ["ccdf", "--paths", "1", "--trials", "5"]
-        assert run_cli(capsys, *argv, "--rng", "philox4x64-v3")[0] == EXIT_USAGE
-        cfg_file = tmp_path / "run.json"
-        cfg_file.write_text(json.dumps({"rng": "philox4x64-v3"}))
-        code, out, err = run_cli(capsys, *argv, "--config", str(cfg_file))
-        assert code == EXIT_USAGE and out == ""
-        assert "philox4x64-v3" in json.loads(err)["error"]["message"]
+        # philox4x64 is the retired v1 stream: its files must not quietly run on v2
+        for rng in ("philox4x64-v3", "philox4x64"):
+            code, out, err = run_cli(capsys, *argv, "--rng", rng)
+            assert code == EXIT_USAGE and out == "" and f"'{rng}'" in err
+            cfg_file = tmp_path / "run.json"
+            cfg_file.write_text(json.dumps({"rng": rng}))
+            code, out, err = run_cli(capsys, *argv, "--config", str(cfg_file))
+            assert code == EXIT_USAGE and out == ""
+            assert f"'{rng}'" in json.loads(err)["error"]["message"]
 
     def test_unwritable_output_is_io_error(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -439,6 +439,31 @@ class TestConfigFile:
             capsys, "closedform", "--config", str(tmp_path / "nope.json")
         )
         assert code == EXIT_IO
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"seed": 1.7}, {"trials": 3.9}, {"paths": 2.5}, {"seed": True},
+            {"nt": False}, {"spacing": True}, {"fov_deg": False},
+            pytest.param({"spacing": 10**400}, id="spacing=10**400"),
+        ],
+        ids=lambda doc: "-".join(f"{key}={value}" for key, value in doc.items()),
+    )
+    def test_fractional_or_boolean_value_is_usage_error(self, capsys, tmp_path, doc):
+        # int() alone ran seed 1.7 as seed 1 and true as 1, and recorded them so;
+        # float() of a 400-digit integer raised OverflowError past the usage check
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({"paths": 2, "trials": 5, **doc}))
+        message = usage_message(capsys, "ccdf", "--config", str(cfg_file))
+        assert repr(next(iter(doc))) in message
+
+    def test_integral_float_value_is_accepted(self, capsys, tmp_path):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({"paths": 2.0, "trials": 5, "seed": 3.0}))
+        code, out, _ = run_cli(capsys, "ccdf", "--config", str(cfg_file), "--nt", "8")
+        assert code == EXIT_OK
+        assert out == run_cli(capsys, "ccdf", "--paths", "2", "--trials", "5", "--seed", "3",
+                              "--nt", "8")[1]
 
     def test_malformed_file_is_usage_error(self, capsys, tmp_path):
         cfg_file = tmp_path / "run.json"

