@@ -24,6 +24,9 @@ from mmwbeam.montecarlo import (
 )
 
 
+INTEGER_FIELDS = ("num_paths", "trials", "seed", "nt", "nr")
+
+
 def small_cfg(**overrides):
     base = dict(num_paths=2, trials=200, seed=7, nt=16, nr=4)
     base.update(overrides)
@@ -64,12 +67,17 @@ class TestConfig:
             McConfig(num_paths=2, trials=10, seed=1, fov_deg=200.0)
         with pytest.raises(ValueError):
             McConfig(num_paths=2, trials=10, seed=1, scheme="nonsense")
+
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, "3"])
+    @pytest.mark.parametrize("field", INTEGER_FIELDS)
+    def test_integer_field_rejects_other_types(self, field, value):
         # a seed of 1.5 used to run, and draw the samples of seed 1
-        for field in ("num_paths", "trials", "seed", "nt", "nr"):
-            for value in (1.5, 2.0, True, "3"):
-                with pytest.raises(ValueError, match=f"{field} must be an integer"):
-                    small_cfg(**{field: value})
-            assert small_cfg(**{field: np.int64(3)}) == small_cfg(**{field: 3})
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            small_cfg(**{field: value})
+
+    @pytest.mark.parametrize("field", INTEGER_FIELDS)
+    def test_integer_field_accepts_numpy_integer(self, field):
+        assert small_cfg(**{field: np.int64(3)}) == small_cfg(**{field: 3})
 
     def test_equal_power_needs_two_paths(self):
         with pytest.raises(ValueError, match="equal_power"):
@@ -82,17 +90,17 @@ class TestConfig:
         assert doc["rng"] == RNG_ALGORITHM == "philox4x64-v2"
         assert McConfig.from_dict(doc) == cfg
 
-    def test_dict_rejects_other_stream(self):
+    # philox4x64 is the retired v1 stream, whose files no longer replay
+    @pytest.mark.parametrize("key,value", [("rng", "philox4x64-v3"), ("rng", "philox4x64"),
+                                           ("gain_model", "rician")])
+    def test_dict_rejects_other_stream(self, key, value):
         cfg = small_cfg()
         doc = cfg.to_dict()
         assert doc["gain_model"] == "complex_gaussian"
-        # philox4x64 is the retired v1 stream, whose files no longer replay
-        for key, value in [("rng", "philox4x64-v3"), ("rng", "philox4x64"),
-                           ("gain_model", "rician")]:
-            with pytest.raises(ValueError, match=f"unknown {key} '{value}'"):
-                McConfig.from_dict({**doc, key: value})
-            # both keys are optional
-            assert McConfig.from_dict({k: v for k, v in doc.items() if k != key}) == cfg
+        with pytest.raises(ValueError, match=f"unknown {key} '{value}'"):
+            McConfig.from_dict({**doc, key: value})
+        # both keys are optional
+        assert McConfig.from_dict({k: v for k, v in doc.items() if k != key}) == cfg
 
 
 class TestSampling:
