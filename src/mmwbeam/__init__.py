@@ -21,13 +21,10 @@ from .channel import (
     ChannelMatrix,
     PathComponent,
     assemble_channel,
-    channel_from_json,
     channel_power,
-    channel_to_json,
 )
 from .beamformer import (
     BeamformerPair,
-    SnrReport,
     bidirectional_beamformer,
     dominant_path_beamformer,
     equal_power_beamformer,
@@ -50,11 +47,8 @@ __all__ = [
     "ChannelMatrix",
     "PathComponent",
     "assemble_channel",
-    "channel_from_json",
     "channel_power",
-    "channel_to_json",
     "BeamformerPair",
-    "SnrReport",
     "bidirectional_beamformer",
     "dominant_path_beamformer",
     "equal_power_beamformer",

@@ -32,7 +32,6 @@ from .steering import ArrayGeometry, angle_frequencies, gram_stack, steering_mat
 
 __all__ = [
     "BeamformerPair",
-    "SnrReport",
     "received_snr",
     "matched_filter",
     "optimal_beamformer",
@@ -51,6 +50,11 @@ MIN_BEAM_NORM_SQ = 1e-12
 # could overflow, so the beam is taken to miss the channel and is rejected.
 MIN_RESPONSE_NORM = 1e-300
 
+# The entry that fixes a beam's phase is the first whose magnitude exceeds this
+# fraction of the largest: the phase of an entry at rounding level is noise, so
+# rotating by it would make the returned beam's phase depend on rounding.
+PHASE_REFERENCE_FLOOR = 1e-12
+
 
 @dataclass(frozen=True, eq=False)
 class BeamformerPair:
@@ -65,23 +69,13 @@ class BeamformerPair:
     normalized_snr: float
 
 
-@dataclass(frozen=True)
-class SnrReport:
-    """Received-SNR bookkeeping for one (channel, tx, rx) evaluation."""
-
-    pre_beamforming_snr: float
-    received_snr: float
-    normalized_snr: float
-    delta_snr_db: float
-
-
 def _canonical_phase(vec: np.ndarray) -> np.ndarray:
     """Rotate a vector so its first significant entry is real nonnegative."""
     mags = np.abs(vec)
     peak = mags.max()
     if peak == 0.0:
         return vec
-    idx = int(np.argmax(mags > 1e-12 * peak))
+    idx = int(np.argmax(mags > PHASE_REFERENCE_FLOOR * peak))
     return vec * np.exp(-1j * np.angle(vec[idx]))
 
 
@@ -114,18 +108,11 @@ def _loss_db(optimal: float, achieved: float = 1.0) -> float:
     return 10.0 * math.log10(ratio) if math.isfinite(ratio) else math.inf
 
 
-def received_snr(
-    channel: ChannelMatrix,
-    tx: np.ndarray,
-    rx: np.ndarray,
-    pre_beamforming_snr: float = 1.0,
-) -> SnrReport:
-    """Evaluate ``rho * |rx^H H tx|^2 / (rx^H rx)`` and its normalized form.
+def received_snr(channel: ChannelMatrix, tx: np.ndarray, rx: np.ndarray) -> float:
+    """Normalized received SNR ``|rx^H H tx|^2 / (||rx||^2 * Nt * Nr)`` of a beam pair.
 
     ``tx`` must satisfy the energy constraint ``||tx|| <= 1``; ``rx`` may
-    have any nonzero norm (the quotient removes it).  ``delta_snr_db`` is
-    the loss of this pair relative to the best achievable SNR on the same
-    channel (nonnegative up to rounding).
+    have any nonzero norm (the quotient removes it).
     """
     tx = np.asarray(tx, dtype=complex)
     rx = np.asarray(rx, dtype=complex)
@@ -133,26 +120,14 @@ def received_snr(
         raise ValueError(f"tx has shape {tx.shape}, expected ({channel.num_tx},)")
     if rx.shape != (channel.num_rx,):
         raise ValueError(f"rx has shape {rx.shape}, expected ({channel.num_rx},)")
-    if not pre_beamforming_snr > 0:
-        raise ValueError("pre_beamforming_snr must be positive")
     tx_norm = float(np.linalg.norm(tx))
     if tx_norm > 1.0 + 1e-9:
         raise ValueError(f"||tx|| = {tx_norm} violates the unit energy constraint")
     rx_power = float(np.real(np.vdot(rx, rx)))
     if rx_power <= 0.0:
         raise ValueError("rx must be nonzero")
-
     amp = np.vdot(rx, channel.entries @ tx)
-    snr_over_rho = float(abs(amp) ** 2) / rx_power
-    dims = channel.num_tx * channel.num_rx
-    normalized = snr_over_rho / dims
-    best = float(np.linalg.norm(channel.entries, 2) ** 2) / dims
-    return SnrReport(
-        pre_beamforming_snr=pre_beamforming_snr,
-        received_snr=pre_beamforming_snr * snr_over_rho,
-        normalized_snr=normalized,
-        delta_snr_db=_loss_db(best, normalized),
-    )
+    return float(abs(amp) ** 2) / rx_power / (channel.num_tx * channel.num_rx)
 
 
 def matched_filter(channel: ChannelMatrix, tx: np.ndarray) -> np.ndarray:

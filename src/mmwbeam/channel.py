@@ -9,7 +9,6 @@ receive/transmit steering vectors of the path.  The leading constant keeps
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -23,10 +22,6 @@ __all__ = [
     "ChannelMatrix",
     "assemble_channel",
     "channel_power",
-    "channel_to_dict",
-    "channel_from_dict",
-    "channel_to_json",
-    "channel_from_json",
 ]
 
 
@@ -83,63 +78,3 @@ def channel_power(channel: ChannelMatrix) -> float:
     """Squared Frobenius norm of the channel matrix."""
     return float(np.linalg.norm(channel.entries, "fro") ** 2)
 
-
-def channel_to_dict(
-    paths: Sequence[PathComponent],
-    tx_geom: ArrayGeometry,
-    rx_geom: ArrayGeometry,
-) -> dict:
-    """Serialize a path list plus geometry to a plain dict fixture.
-
-    Angles are stored in degrees; elevations are omitted (broadside
-    elevation is implied), so only azimuth-plane fixtures round-trip.
-    """
-    if tx_geom.spacing_wavelengths != rx_geom.spacing_wavelengths:
-        raise ValueError("fixture format stores a single spacing shared by both arrays")
-    for p in paths:
-        if p.aod.elevation_rad != math.pi / 2 or p.aoa.elevation_rad != math.pi / 2:
-            raise ValueError("fixture format only covers broadside-elevation paths")
-    return {
-        "geometry": {
-            "nt": tx_geom.num_elements,
-            "nr": rx_geom.num_elements,
-            "spacing": tx_geom.spacing_wavelengths,
-        },
-        "paths": [
-            {
-                "gain_re": complex(p.gain).real,
-                "gain_im": complex(p.gain).imag,
-                "aod_deg": p.aod.azimuth_deg,
-                "aoa_deg": p.aoa.azimuth_deg,
-            }
-            for p in paths
-        ],
-    }
-
-
-def channel_from_dict(doc: dict) -> tuple[list[PathComponent], ArrayGeometry, ArrayGeometry]:
-    """Inverse of :func:`channel_to_dict`."""
-    geo = doc["geometry"]
-    tx_geom = ArrayGeometry(int(geo["nt"]), float(geo["spacing"]))
-    rx_geom = ArrayGeometry(int(geo["nr"]), float(geo["spacing"]))
-    paths = [
-        PathComponent(
-            gain=complex(p["gain_re"], p["gain_im"]),
-            aod=AngleSpec.from_degrees(float(p["aod_deg"])),
-            aoa=AngleSpec.from_degrees(float(p["aoa_deg"])),
-        )
-        for p in doc["paths"]
-    ]
-    return paths, tx_geom, rx_geom
-
-
-def channel_to_json(
-    paths: Sequence[PathComponent],
-    tx_geom: ArrayGeometry,
-    rx_geom: ArrayGeometry,
-) -> str:
-    return json.dumps(channel_to_dict(paths, tx_geom, rx_geom), sort_keys=True)
-
-
-def channel_from_json(text: str) -> tuple[list[PathComponent], ArrayGeometry, ArrayGeometry]:
-    return channel_from_dict(json.loads(text))

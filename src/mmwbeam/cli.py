@@ -17,7 +17,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -25,7 +24,7 @@ import numpy as np
 from . import __version__, closedform, montecarlo, verify
 from .beamformer import _loss_db
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -38,33 +37,6 @@ _SWEEP_CASES = tuple(case for case, regime in closedform.REGIMES.items() if regi
 
 class UsageError(Exception):
     """Invalid parameter combination detected after argument parsing."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved configuration of one CLI invocation."""
-
-    command: str
-    parameters: dict
-    output_path: str | None
-    format: str
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "parameters": self.parameters,
-            "output_path": self.output_path,
-            "format": self.format,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "RunConfig":
-        return cls(
-            command=doc["command"],
-            parameters=dict(doc["parameters"]),
-            output_path=doc["output_path"],
-            format=doc["format"],
-        )
 
 
 # Per-command parameter names and coercions, used to validate --config files.
@@ -310,7 +282,7 @@ def _sweep_rows(args: dict) -> list[dict]:
     _, regime, uu, vv = _regime_couplings(args, "sweep")
     k_min = float(_require(args, "k_min", "sweep"))
     k_max = float(_require(args, "k_max", "sweep"))
-    k_points = int(args["k_points"]) if args.get("k_points") is not None else 91
+    k_points = int(args["k_points"])
     if k_min < 1.0 or k_max < k_min:
         raise UsageError("need 1 <= k-min <= k-max (K is the dominant-to-weak gain ratio)")
     if k_points < 1:
@@ -363,15 +335,15 @@ def _records_to_csv(records: list[dict], preamble: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _preamble(run_config: RunConfig) -> list[str]:
+def _preamble(run_config: dict) -> list[str]:
     return [
-        "config = " + json.dumps(run_config.to_dict(), sort_keys=True),
+        "config = " + json.dumps(run_config, sort_keys=True),
         f"version = {__version__}",
     ]
 
 
-def _wrap_json(run_config: RunConfig, results) -> str:
-    doc = {"config": run_config.to_dict(), "version": __version__, "results": results}
+def _wrap_json(run_config: dict, results) -> str:
+    doc = {"config": run_config, "version": __version__, "results": results}
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
@@ -390,6 +362,12 @@ def _error_record(kind: str, message: str) -> None:
 def _resolved_params(command: str, args: dict) -> dict:
     names = list(_PARAM_TYPES[command]) + ["seed"]
     return {k: args.get(k) for k in names}
+
+
+def _run_config(command: str, args: dict, out_path: str | None, fmt: str) -> dict:
+    """The resolved configuration of one invocation, as every output records it."""
+    parameters = _resolved_params(command, args)
+    return {"command": command, "parameters": parameters, "output_path": out_path, "format": fmt}
 
 
 def main(argv=None) -> int:
@@ -420,7 +398,7 @@ def main(argv=None) -> int:
 
     try:
         if command == "closedform":
-            run_config = RunConfig(command, _resolved_params(command, args), out_path, fmt)
+            run_config = _run_config(command, args, out_path, fmt)
             record = _closedform_record(args)
             if fmt == "json":
                 _emit(_wrap_json(run_config, record), out_path)
@@ -430,7 +408,7 @@ def main(argv=None) -> int:
         elif command == "sweep":
             if args.get("k_points") is None:
                 args["k_points"] = 91
-            run_config = RunConfig(command, _resolved_params(command, args), out_path, fmt)
+            run_config = _run_config(command, args, out_path, fmt)
             rows = _sweep_rows(args)
             if fmt == "json":
                 _emit(_wrap_json(run_config, {"rows": rows}), out_path)
@@ -448,7 +426,7 @@ def main(argv=None) -> int:
                 raise UsageError(str(err)) from err
             recorded = cfg.to_dict()
             args.update({key: recorded[field] for field, key in names.items()})
-            run_config = RunConfig(command, _resolved_params(command, args), out_path, fmt)
+            run_config = _run_config(command, args, out_path, fmt)
             table = montecarlo.run_ccdf(cfg)
             if fmt == "json":
                 results = montecarlo.ccdf_to_dict(table)
@@ -468,7 +446,7 @@ def main(argv=None) -> int:
                 raise UsageError(str(err)) from err
             args["seed"] = seed
             args["trials"] = report.trials
-            run_config = RunConfig(command, _resolved_params(command, args), out_path, fmt)
+            run_config = _run_config(command, args, out_path, fmt)
             sys.stdout.write("\n".join(report.lines()) + "\n")
             if out_path is not None:
                 _emit(_wrap_json(run_config, report.to_dict()), out_path)

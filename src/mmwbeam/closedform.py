@@ -437,12 +437,14 @@ def delta_snr_u_orth(params: TwoPathParams) -> float:
     return max(optimal / dominant, 1.0)
 
 
-def delta_snr_u_orth_equal_gains(vv_mag: float) -> float:
+def delta_snr_u_orth_equal_gains(vv_mag):
     """Equal-gain simplification of the u-orthogonal loss: (1+vv)/(1+vv^2).
 
-    Maximized at ``vv = sqrt(2) - 1`` with value ``(sqrt(2)+1)/2``.
+    Maximized at ``vv = sqrt(2) - 1`` with value ``(sqrt(2)+1)/2``.  Takes a
+    float or an array of couplings, each of which must lie in [0, 1].
     """
-    if not 0.0 <= vv_mag <= 1.0:
+    vv = np.asarray(vv_mag)
+    if not np.all((vv >= 0.0) & (vv <= 1.0)):
         raise ValueError("vv_mag must lie in [0, 1]")
     return (1.0 + vv_mag) / (1.0 + vv_mag**2)
 

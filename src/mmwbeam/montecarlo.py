@@ -40,7 +40,6 @@ for bit.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -72,7 +71,6 @@ __all__ = [
     "percentile",
     "ccdf_to_csv",
     "ccdf_to_dict",
-    "ccdf_to_json",
 ]
 
 # The random stream and gain law of every trial (see the module docstring).  Each
@@ -136,6 +134,10 @@ class McConfig:
             raise ValueError("seed must be a 64-bit unsigned integer")
         if self.nt < 1 or self.nr < 1:
             raise ValueError("antenna counts must be >= 1")
+        for name in ("spacing_wavelengths", "fov_deg"):
+            value = getattr(self, name)
+            if isinstance(value, (bool, np.bool_)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if not self.spacing_wavelengths > 0:
             raise ValueError("spacing_wavelengths must be > 0")
         if not 0.0 < self.fov_deg <= 180.0:
@@ -383,7 +385,3 @@ def ccdf_to_dict(table: CcdfTable) -> dict:
         "samples_db": [float(x) for x in table.samples_db],
         "ccdf": [float(y) for y in table.ccdf],
     }
-
-
-def ccdf_to_json(table: CcdfTable, indent: int | None = None) -> str:
-    return json.dumps(ccdf_to_dict(table), sort_keys=True, indent=indent)

@@ -84,14 +84,6 @@ class AngleSpec:
         """Build an AngleSpec from degrees, wrapping azimuth into [0, 360)."""
         return cls(math.radians(azimuth_deg % 360.0), math.radians(elevation_deg))
 
-    @property
-    def azimuth_deg(self) -> float:
-        return math.degrees(self.azimuth_rad)
-
-    @property
-    def elevation_deg(self) -> float:
-        return math.degrees(self.elevation_rad)
-
     def spatial_frequency(self) -> float:
         """Normalized spatial frequency sin(elevation)*cos(azimuth), in [-1, 1]."""
         return float(spatial_frequencies(self.azimuth_rad, self.elevation_rad))
@@ -107,45 +99,18 @@ def spatial_frequencies(azimuth_rad, elevation_rad):
     return np.sin(elevation_rad) * np.cos(azimuth_rad)
 
 
-@functools.lru_cache(maxsize=64)
-def _split_exponents(n: int) -> tuple[np.ndarray, int, int]:
-    """Exponents of the two steering factors of an N-element array, read-only.
-
-    Each index is written ``m = a K + b`` with ``K = ceil(sqrt(N))`` and
-    ``A = ceil(N / K)``.  Returns ``1j * (0, 1, .., K-1, 0, K, .., (A-1) K)``
-    as a (K + A, 1) column, ``K`` and ``A * K``.
-    """
-    fine = math.isqrt(n - 1) + 1
-    coarse = -(-n // fine)
-    index = np.concatenate([np.arange(fine), fine * np.arange(coarse)]).astype(float)
-    exponents = 1j * index[:, None]
-    exponents.setflags(write=False)
-    return exponents, fine, coarse * fine
-
-
 def steering_stack(geom: ArrayGeometry, freqs: np.ndarray) -> np.ndarray:
     """Steering vectors of spatial frequencies ``freqs`` (..., L) as a (..., N, L) stack.
 
-    Entry m of column l equals ``exp(1j * m * step) / sqrt(N)`` with
-    ``step = 2 * pi * spacing_wavelengths * freqs[..., l]``.  It is built as
-    a product of two factors: with ``K = ceil(sqrt(N))`` and ``m = a K + b``,
-    entry m is ``exp(1j a K step) * (exp(1j b step) / sqrt(N))``, so a column
-    costs ``K + ceil(N / K)`` complex exponentials instead of N (16 instead
-    of 64 at N = 64).  Against the one-exponential form the entry differs by
-    at most ``4 * eps * (1 + m * |step|) / sqrt(N)``, the rounding of the
-    phases ``a K step`` and ``b step``, of the two exponentials, of the
-    scaling and of their product.  Each entry depends on its own
-    frequency only, so a stack of many channels holds the same bits as the
-    stacks of its channels built one at a time.
+    Entry m of column l is ``exp(1j * m * step) / sqrt(N)`` with ``step = 2 *
+    pi * spacing_wavelengths * freqs[..., l]``.  Each entry depends on its
+    own frequency only, so a stack of many channels holds the same bits as
+    the stacks of its channels built one at a time.
     """
     n = geom.num_elements
-    exponents, fine, full = _split_exponents(n)
     steps = _TWO_PI * geom.spacing_wavelengths * np.asarray(freqs, dtype=float)
-    factors = np.exp(exponents * steps[..., None, :])
-    scaled = factors[..., :fine, :] * (1.0 / math.sqrt(n))
-    stack = factors[..., fine:, None, :] * scaled[..., None, :, :]
-    stack = stack.reshape(steps.shape[:-1] + (full, steps.shape[-1]))
-    return stack if full == n else np.ascontiguousarray(stack[..., :n, :])
+    phases = np.arange(n)[:, None] * steps[..., None, :]
+    return np.exp(1j * phases) / math.sqrt(n)
 
 
 @functools.lru_cache(maxsize=16)

@@ -305,7 +305,9 @@ def verify_bounds(trials: int = 0, seed: int = 0) -> SuiteReport:
     Deterministic: ``trials`` and ``seed`` are only recorded.  The v-orth
     bound takes its sup over a 100 x 100 grid of gain ratio K in [1, 10] and
     ``|u1^H u2|`` in [0, 1] in one array call to the body of
-    :func:`closedform.delta_snr_v_orth`, so it tests the library's formula.
+    :func:`closedform.delta_snr_v_orth`, and the u-orth bound over 10 001
+    couplings in one call to :func:`closedform.delta_snr_u_orth_equal_gains`,
+    so both test the library's formulas.
     """
     report = SuiteReport(suite="bounds", trials=trials, seed=seed)
 
@@ -326,7 +328,7 @@ def verify_bounds(trials: int = 0, seed: int = 0) -> SuiteReport:
     )
 
     vv_grid = np.linspace(0.0, 1.0, 10001)
-    losses = (1.0 + vv_grid) / (1.0 + vv_grid**2)
+    losses = closedform.delta_snr_u_orth_equal_gains(vv_grid)
     top = int(np.argmax(losses))
     vv_step = vv_grid[1] - vv_grid[0]
     report.checks.append(

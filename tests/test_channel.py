@@ -8,12 +8,10 @@ from mmwbeam.channel import (
     ChannelMatrix,
     PathComponent,
     assemble_channel,
-    channel_from_json,
     channel_power,
-    channel_to_json,
 )
 from mmwbeam.montecarlo import McConfig, sample_paths
-from mmwbeam.steering import AngleSpec, ArrayGeometry, steering_vector
+from mmwbeam.steering import AngleSpec, steering_vector
 
 
 class TestAssembly:
@@ -127,28 +125,3 @@ class TestLinearity:
         h2 = assemble_channel(scaled, tx_geom, rx_geom).entries
         np.testing.assert_allclose(h2, c * h1, rtol=1e-14, atol=1e-14)
 
-
-class TestSerialization:
-    def test_round_trip(self, rng):
-        tx_geom, rx_geom = geometry_pair(nt=16, nr=4)
-        paths = random_paths(rng, 3)
-        doc = channel_to_json(paths, tx_geom, rx_geom)
-        paths2, tx2, rx2 = channel_from_json(doc)
-        assert tx2 == tx_geom and rx2 == rx_geom
-        h1 = assemble_channel(paths, tx_geom, rx_geom).entries
-        h2 = assemble_channel(paths2, tx2, rx2).entries
-        np.testing.assert_allclose(h2, h1, rtol=1e-12, atol=1e-12)
-
-    def test_schema_fields(self):
-        import json
-
-        tx_geom, rx_geom = geometry_pair(nt=8, nr=2)
-        paths = [PathComponent(1.0 - 0.5j, AngleSpec(0.7), AngleSpec(1.1))]
-        doc = json.loads(channel_to_json(paths, tx_geom, rx_geom))
-        assert doc["geometry"] == {"nt": 8, "nr": 2, "spacing": 0.5}
-        assert set(doc["paths"][0]) == {"gain_re", "gain_im", "aod_deg", "aoa_deg"}
-
-    def test_mismatched_spacing_rejected(self):
-        paths = [PathComponent(1.0, AngleSpec(0.7), AngleSpec(1.1))]
-        with pytest.raises(ValueError):
-            channel_to_json(paths, ArrayGeometry(8, 0.5), ArrayGeometry(4, 0.25))

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from mmwbeam import __version__, cli
-from mmwbeam.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, RunConfig, main
+from mmwbeam.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 
 
 def run_cli(capsys, *argv):
@@ -41,9 +41,10 @@ class TestClosedform:
         assert res["delta_snr_db"] == pytest.approx(0.3169, abs=1e-4)
         assert res["beta_sq"] == pytest.approx(0.5 * (1 + 3 / math.sqrt(13.0)), rel=1e-12)
         assert res["gains_swapped"] is False
-        cfg = RunConfig.from_dict(doc["config"])
-        assert cfg.command == "closedform"
-        assert cfg.parameters["a1"] == 2.0
+        cfg = doc["config"]
+        assert set(cfg) == {"command", "parameters", "output_path", "format"}
+        assert cfg["command"] == "closedform"
+        assert cfg["parameters"]["a1"] == 2.0
 
     def test_csv_round_trip(self, capsys):
         code, out, _ = run_cli(
@@ -65,9 +66,9 @@ class TestClosedform:
         assert code == EXIT_OK
         meta, header, rows = parse_csv(out)
         assert meta["version"] == __version__
-        echoed = RunConfig.from_dict(json.loads(meta["config"]))
-        assert echoed.command == "closedform"
-        assert echoed.format == "csv"
+        echoed = json.loads(meta["config"])
+        assert echoed["command"] == "closedform"
+        assert echoed["format"] == "csv"
         assert len(rows) == 1
         assert float(rows[0]["delta_snr_db"]) == pytest.approx(13.0103, abs=1e-3)
 
@@ -273,10 +274,10 @@ class TestCcdf:
         meta, header, rows = parse_csv(out_file.read_text())
         assert header == ["delta_snr_db", "ccdf"]
         assert len(rows) == 25
-        echoed = RunConfig.from_dict(json.loads(meta["config"]))
-        assert echoed.parameters["trials"] == 25
-        assert echoed.parameters["nt"] == 8
-        assert echoed.parameters["scheme"] == "bidirectional"
+        echoed = json.loads(meta["config"])["parameters"]
+        assert echoed["trials"] == 25
+        assert echoed["nt"] == 8
+        assert echoed["scheme"] == "bidirectional"
 
     def test_json_summary(self, capsys):
         code, out, _ = run_cli(

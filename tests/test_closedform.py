@@ -124,10 +124,8 @@ class TestObjective:
             v2 = steering_vector(tx_geom, paths[1].aod)
             beam = alloc.beta * v1 + math.sqrt(1 - alloc.beta**2) * np.exp(1j * alloc.theta) * v2
             beam /= np.linalg.norm(beam)
-            rep = received_snr(ch, beam, ch.entries @ beam)
-            assert two_path_objective(params, alloc) == pytest.approx(
-                rep.normalized_snr, abs=1e-10, rel=1e-10
-            )
+            snr = received_snr(ch, beam, ch.entries @ beam)
+            assert two_path_objective(params, alloc) == pytest.approx(snr, abs=1e-10, rel=1e-10)
 
     def test_degenerate_beam_rejected(self):
         # parallel transmit vectors with opposite phase cancel at beta = 1/sqrt(2)
@@ -245,6 +243,17 @@ class TestUOrthogonal:
         for vv in np.linspace(0.01, 0.99, 23):
             general = delta_snr_u_orth(TwoPathParams(1.0, 1.0, vv_mag=float(vv)))
             assert general == pytest.approx(delta_snr_u_orth_equal_gains(float(vv)), rel=1e-12)
+
+    def test_equal_gain_curve_on_arrays(self):
+        # the bounds suite evaluates the curve on its whole grid in one call
+        grid = np.linspace(0.0, 1.0, 101)
+        values = delta_snr_u_orth_equal_gains(grid)
+        assert values.tolist() == [delta_snr_u_orth_equal_gains(float(vv)) for vv in grid]
+        for bad in (-0.1, 1.5, math.nan):
+            with pytest.raises(ValueError, match="vv_mag must lie in"):
+                delta_snr_u_orth_equal_gains(bad)
+            with pytest.raises(ValueError, match="vv_mag must lie in"):
+                delta_snr_u_orth_equal_gains(np.append(grid, bad))
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,6 @@ from mmwbeam.montecarlo import (
     RNG_ALGORITHM,
     ccdf_to_csv,
     ccdf_to_dict,
-    ccdf_to_json,
     percentile,
     run_ccdf,
     sample_paths,
@@ -68,11 +67,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             McConfig(num_paths=2, trials=10, seed=1, scheme="nonsense")
 
-    @pytest.mark.parametrize("value", [1.5, 2.0, True, "3"])
-    @pytest.mark.parametrize("field", INTEGER_FIELDS)
+    @pytest.mark.parametrize(
+        "field, value",
+        [(field, value) for field in INTEGER_FIELDS for value in (1.5, 2.0, True, "3")]
+        + [("spacing_wavelengths", True), ("fov_deg", True)]
+        + [pytest.param("fov_deg", np.True_, id="fov_deg-numpy-True")],
+    )
     def test_integer_field_rejects_other_types(self, field, value):
-        # a seed of 1.5 used to run, and draw the samples of seed 1
-        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        # a seed of 1.5 used to run, and draw the samples of seed 1; the two float
+        # fields take no boolean either (fov_deg=True used to run at 1 degree)
+        kind = "an integer" if field in INTEGER_FIELDS else "a number"
+        with pytest.raises(ValueError, match=f"{field} must be {kind}"):
             small_cfg(**{field: value})
 
     @pytest.mark.parametrize("field", INTEGER_FIELDS)
@@ -341,7 +346,7 @@ class TestResampling:
         assert table.num_resampled == expected
         # sample_paths redraws the same way, so the public route still replays the run
         assert_same_bits(table.samples_db, replayed_samples(cfg))
-        assert json.loads(ccdf_to_json(table))["num_resampled"] == expected
+        assert json.loads(json.dumps(ccdf_to_dict(table)))["num_resampled"] == expected
 
     def test_v2_redraw_reads_the_next_key(self, monkeypatch):
         # redraw r of trial t is slot t of the Philox keyed by (seed, r), in the engine and
@@ -423,7 +428,7 @@ class TestSerialization:
 
     def test_json_round_trip(self):
         table = run_ccdf(small_cfg(trials=10))
-        doc = json.loads(ccdf_to_json(table))
+        doc = json.loads(json.dumps(ccdf_to_dict(table), sort_keys=True))
         assert doc["config"]["rng"] == RNG_ALGORITHM
         assert McConfig.from_dict(doc["config"]) == table.config
         assert len(doc["samples_db"]) == 10

@@ -41,7 +41,7 @@ class TestTypes:
 
     def test_from_degrees_wraps(self):
         a = AngleSpec.from_degrees(-30.0)
-        assert math.isclose(a.azimuth_deg, 330.0)
+        assert math.isclose(a.azimuth_rad, math.radians(330.0))
 
     def test_spatial_frequency_elevation(self):
         assert AngleSpec(0.0).spatial_frequency() == pytest.approx(1.0)
