@@ -428,7 +428,7 @@ class TestSerialization:
 
     def test_json_round_trip(self):
         table = run_ccdf(small_cfg(trials=10))
-        doc = json.loads(json.dumps(ccdf_to_dict(table), sort_keys=True))
+        doc = json.loads(json.dumps(ccdf_to_dict(table)))
         assert doc["config"]["rng"] == RNG_ALGORITHM
         assert McConfig.from_dict(doc["config"]) == table.config
         assert len(doc["samples_db"]) == 10
