@@ -4,9 +4,10 @@ Two independent routes compute the optimal pair.  The dense oracle takes
 the top right singular vector of ``H``.  The reduced route uses the path
 structure: every eigenvector of ``H^H H`` with a nonzero eigenvalue is a
 combination of the transmit steering vectors, so the search collapses from
-Nt to L dimensions and becomes a Hermitian L x L eigenproblem.  The
-low-complexity schemes (dominant-path, bi-directional, equal-power) are
-provided for benchmarking the loss against the optimum.
+Nt to L dimensions: a Hermitian L x L eigenproblem, set up through a pivoted
+Cholesky factor of the transmit Gram.  The low-complexity schemes
+(dominant-path, bi-directional, equal-power) are provided for benchmarking
+the loss against the optimum.
 
 The reduced route and the schemes evaluate their SNR in stacked kernels
 over a leading batch axis (``gains (B, L)`` and the Gram matrices ``(B, L,
@@ -165,10 +166,10 @@ def optimal_beamformer(channel: ChannelMatrix) -> BeamformerPair:
 # Each result depends only on its own channel's inputs: a stack of B channels
 # gives the same bits as B calls with a stack of one.
 
-# Eigenvalues of G_t at most this fraction of the largest are left out of the
-# optimal beam: along them the steering vectors (nearly) cancel, and dividing
-# by their root would only amplify rounding.
-GRAM_RANK_FLOOR = 1e-12
+# A pivot of the factor of G_t at or below this gives a zero column.  G_t has a
+# unit diagonal, so what remains of it after each step is known only to about
+# eps: a pivot at that level is rounding residue, and its root would amplify it.
+PIVOT_FLOOR = float(np.finfo(float).eps)
 
 
 def _herm(stack: np.ndarray) -> np.ndarray:
@@ -214,33 +215,87 @@ def _matched_pair(
     return _as_pair(channel, tx, snr[0])
 
 
+def _gram_factor(gram_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pivoted semidefinite Cholesky factor F (B, L, L) of ``G_t = F F^H``, and its pivots (B, L).
+
+    Step k takes the largest remaining diagonal, at row ``pivots[:, k]``, so
+    F is lower triangular in pivot order.  A pivot at most ``PIVOT_FLOOR``
+    gives a zero column, as does every later one: a singular G_t (coincident
+    departures, Nt < L) has a backward-stable factor (Higham 1990).  Row 0 is
+    the first pivot (the diagonal is 1), so at L = 2 F is ``[[1, 0],
+    [conj(rho), sqrt(1 - |rho|^2)]]`` with ``rho = G_t[0, 1]``: no division.
+    """
+    batch, size = gram_t.shape[:2]
+    rows = np.arange(batch)
+    factor = np.zeros((batch, size, size), dtype=complex)
+    first = factor[:, :, 0] = gram_t[:, :, 0]
+    pivots = np.tile(np.arange(size), (batch, 1))
+    if size == 2:
+        rest = 1.0 - (first[:, 1].real ** 2 + first[:, 1].imag ** 2)
+        factor[:, 1, 1] = np.sqrt(np.where(rest > PIVOT_FLOOR, rest, 0.0))
+        return factor, pivots
+    # a taken pivot keeps a zero row (for row 0 exactly: G_t[0, k] - conj(G_t[k, 0]))
+    # and a diagonal of -inf, so no later step reads it
+    schur = gram_t - first[:, :, None] * np.conj(first[:, None, :])
+    schur[:, 0, 0] = -np.inf
+    for k in range(1, size):
+        diag = schur.diagonal(0, 1, 2).real
+        pivot = pivots[:, k] = diag.argmax(axis=-1)
+        top = diag[rows, pivot]
+        scale = np.where(top > PIVOT_FLOOR, top, np.inf) ** -0.5
+        col = schur[rows, :, pivot] * scale[:, None]
+        # the real root itself: the diagonal's imaginary part is rounding residue
+        col[rows, pivot] = top * scale
+        factor[:, :, k] = col
+        if k + 1 < size:
+            schur -= col[:, :, None] * col[:, None, :].conj()
+            schur[rows, pivot] = 0.0
+            schur[rows, pivot, pivot] = -np.inf
+    return factor, pivots
+
+
 def _optimal_snr(
     gains: np.ndarray, gram_t: np.ndarray, gram_r: np.ndarray, beam: bool = False
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Optimal normalized SNR (B,) and, with ``beam``, the weights (B, L) of an optimal beam.
 
-    With ``G_t = E diag(lam) E^H`` and ``S = E diag(sqrt(lam))``, ``V = P S^H``
-    for a P with orthonormal columns, so ``H^H H`` is proportional to
-    ``P (T^H G_r T) P^H`` with ``T = diag(gain) S``.  The optimum is the top
-    eigenvalue of that Hermitian L x L core over L, and the optimal beam is
-    ``P y = V E diag(lam^-1/2) y`` for its eigenvector y, in which the
-    eigenvalues of G_t at most ``GRAM_RANK_FLOOR`` times the largest are left
-    out.  Negative rounding residue of lam counts as 0, so a rank-deficient
-    G_t (coincident paths, Nt < L) or core (cancelling paths) still yields a
-    defined SNR and beam.  Without ``beam`` the weights are None and only
-    the eigenvalues of the core are computed.
+    With ``G_t = F F^H`` (:func:`_gram_factor`), ``V = P F^H`` for a P with
+    orthonormal columns, so ``H^H H`` is proportional to ``P C P^H`` with the
+    core ``C = T^H G_r T``, ``T = diag(gain) F``.  The optimum is C's top
+    eigenvalue over L for any factor: ``C00`` at L = 1, ``(C00 + C11)/2 +
+    hypot((C00 - C11)/2, |C01|)`` at L = 2 (no LAPACK call), ``eigvalsh`` at
+    L >= 3.  The optimal beam is ``P y = V w`` for C's top eigenvector y, with
+    ``F^H w = y`` back-substituted in pivot order.  A zero column of F gives
+    a zero row and column of C; shifted below C's nonnegative spectrum, its
+    entry cannot carry y and its weight is 0, so a zero core (cancelling
+    paths) still yields a unit beam.  Without ``beam`` the weights are None.
     """
-    lam, basis = np.linalg.eigh(gram_t)
-    root = np.sqrt(np.maximum(lam, 0.0))
-    mapped = gains[:, :, None] * (basis * root[:, None, :])
+    size = gains.shape[-1]
+    factor, pivots = _gram_factor(gram_t)
+    mapped = gains[:, :, None] * factor
     core = _herm(mapped) @ (gram_r @ mapped)
-    snr = np.linalg.eigvalsh(core)[:, -1] / gains.shape[-1]
+    if size == 1:
+        top = core[:, 0, 0].real
+    elif size == 2:
+        c00, c11 = core[:, 0, 0].real, core[:, 1, 1].real
+        top = 0.5 * (c00 + c11) + np.hypot(0.5 * (c00 - c11), np.abs(core[:, 0, 1]))
+    else:
+        top = np.linalg.eigvalsh(core)[:, -1]
+    snr = top / size
     if not beam:
         return snr, None
-    kept = lam > GRAM_RANK_FLOOR * lam[:, -1:]
-    top = np.linalg.eigh(core)[1][..., -1]
-    scaled = np.divide(top, root, out=np.zeros_like(top), where=kept)
-    return snr, (basis @ scaled[..., None])[..., 0]
+    rows = np.arange(len(gains))[:, None]
+    ordered = np.conj(factor[rows, pivots])  # conj(F) with its rows in pivot order
+    roots = ordered.diagonal(0, 1, 2).real
+    vec = np.linalg.eigh(core - (roots == 0.0)[:, None, :] * np.eye(size))[1][..., -1]
+    inverse = np.where(roots > 0.0, roots, np.inf) ** -1.0
+    ordered, vec = ordered * inverse[:, None, :], vec * inverse
+    solved = np.zeros(vec.shape, dtype=complex)
+    for k in reversed(range(size)):
+        solved[:, k] = vec[:, k] - (ordered[:, :, k] * solved).sum(axis=-1)
+    weights = np.empty(solved.shape, dtype=complex)
+    weights[rows, pivots] = solved
+    return snr, weights
 
 
 def _matched_snr(
@@ -334,13 +389,13 @@ def reduced_optimal_beamformer(
 
     Every eigenvector of ``H^H H`` with a nonzero eigenvalue is a combination
     of the transmit steering vectors, so the search collapses to L
-    dimensions.  The core is built from the path gains and the Grams of the
-    steering vectors alone (see :func:`_optimal_snr`): its top eigenvalue
-    over L is the normalized SNR, and its eigenvector gives the transmit
-    vector as a combination of the steering vectors.  A rank-deficient core
-    (coincident or cancelling paths) still yields a defined vector.  The
-    receive vector is the matched filter on ``channel`` (assembled from
-    ``paths`` when not given).
+    dimensions.  The core comes from the gains, the receive Gram and a
+    pivoted Cholesky factor of the transmit Gram (see :func:`_optimal_snr`):
+    its top eigenvalue over L is the normalized SNR, and its top eigenvector,
+    back-substituted through the factor, weights the steering vectors.  A
+    singular Gram (coincident departures, Nt < L) or zero core (cancelling
+    paths) still yields a unit vector.  The receive vector is the matched
+    filter on ``channel`` (assembled from ``paths`` when not given).
     """
     return _matched_pair(
         functools.partial(_optimal_snr, beam=True), paths, tx_geom, rx_geom, channel

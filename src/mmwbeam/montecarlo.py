@@ -298,13 +298,14 @@ def _chunk_trials(cfg: McConfig) -> int:
     """Trials per chunk: at most ``_MAX_CHUNK_TRIALS``, and as many as fit ``_CHUNK_BYTES``.
 
     A trial's arrays do not depend on Nt or Nr.  At most about eight
-    complex L x L arrays of a trial are alive at once (its two Grams and the
-    eigendecompositions and products of the kernels), plus a few hundred
-    bytes of draws, SNRs and Python floats: 750 bytes at L = 2 and 3 kB at
-    L = 5, measured with ``tracemalloc``.  Past a few hundred trials a
-    larger chunk gains little: the fixed cost of a chunk, one generator and
-    about a hundred small numpy calls (0.15-0.25 ms on a 2-vCPU x86-64 box
-    with numpy 2.4), is then under 1 microsecond per trial.
+    complex L x L arrays of a trial are alive at once (its two Grams, the
+    factor of G_t and its Schur complement, and the kernels' products),
+    plus a few hundred bytes of draws, SNRs and Python floats: 550 bytes at
+    L = 2 and 3.2 kB at L = 5, measured with ``tracemalloc``.  Past a few
+    hundred trials a larger chunk gains little: the fixed cost of a chunk,
+    one generator and one to two hundred small numpy calls (0.15-0.35 ms on
+    a 2-vCPU x86-64 box with numpy 2.4), is then about 1 microsecond per
+    trial.
     """
     per_trial = 8 * 16 * cfg.num_paths**2 + 256
     return max(1, min(cfg.trials, _MAX_CHUNK_TRIALS, _CHUNK_BYTES // per_trial))
@@ -373,7 +374,7 @@ def ccdf_to_csv(table: CcdfTable, header_comments: Sequence[str] = ()) -> str:
     """
     lines = [f"# {c}" for c in header_comments]
     lines.append("delta_snr_db,ccdf")
-    for x, y in zip(table.samples_db, table.ccdf):
+    for x, y in zip(table.samples_db.tolist(), table.ccdf.tolist()):
         lines.append(f"{x:.17g},{y:.17g}")
     return "\n".join(lines) + "\n"
 
@@ -382,6 +383,6 @@ def ccdf_to_dict(table: CcdfTable) -> dict:
     return {
         "config": table.config.to_dict(),
         "num_resampled": table.num_resampled,
-        "samples_db": [float(x) for x in table.samples_db],
-        "ccdf": [float(y) for y in table.ccdf],
+        "samples_db": table.samples_db.tolist(),
+        "ccdf": table.ccdf.tolist(),
     }

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import equal_power_grid_snr, geometry_pair, random_paths
-from mmwbeam import montecarlo
+from mmwbeam import beamformer, montecarlo
 from mmwbeam.beamformer import (
     BeamformerPair,
     _loss_db,
@@ -19,7 +19,15 @@ from mmwbeam.beamformer import (
 )
 from mmwbeam.channel import ChannelMatrix, PathComponent, assemble_channel
 from mmwbeam.closedform import TwoPathParams, AllocationPoint, two_path_objective
-from mmwbeam.steering import AngleSpec, ArrayGeometry, steering_matrix, steering_vector
+from mmwbeam.montecarlo import sample_paths
+from mmwbeam.steering import (
+    AngleSpec,
+    ArrayGeometry,
+    gram_stack,
+    spatial_frequencies,
+    steering_matrix,
+    steering_vector,
+)
 
 
 def triple_product_oracle(h, f, g):
@@ -201,6 +209,17 @@ class TestReducedRoute:
                     assert by_reduction.normalized_snr == pytest.approx(
                         dense.normalized_snr, rel=1e-9
                     )
+
+    def test_beam_attains_the_optimum(self, rng):
+        # the SNR of the returned beams, not only the reported one, is the optimum
+        for nt, num_paths in ((8, 3), (64, 3), (8, 5), (64, 5)):
+            tx_geom, rx_geom = geometry_pair(nt=nt, nr=4)
+            for _ in range(20):
+                paths = random_paths(rng, num_paths)
+                ch = assemble_channel(paths, tx_geom, rx_geom)
+                pair = reduced_optimal_beamformer(paths, tx_geom, rx_geom, channel=ch)
+                dense = optimal_beamformer(ch).normalized_snr
+                assert received_snr(ch, pair.tx, pair.rx) == pytest.approx(dense, rel=1e-12)
 
     def test_tx_in_steering_span(self, rng):
         tx_geom, rx_geom = geometry_pair(nt=16, nr=4)
@@ -486,3 +505,158 @@ class TestStackedKernels:
                     single = kernel(gains[rows], gram_t[rows], gram_r[rows])
                     for whole, one in zip(stacked, single):
                         np.testing.assert_array_equal(whole[rows], one)
+
+
+def engine_inputs(cfg):
+    """Gains (B, L) and the Grams (B, L, L) the engine draws for every trial of ``cfg``."""
+    gains, aod, aoa, _ = montecarlo._draw_chunk(cfg, range(cfg.trials))
+    gram_t = gram_stack(cfg.tx_geometry, spatial_frequencies(aod, math.pi / 2))
+    gram_r = gram_stack(cfg.rx_geometry, spatial_frequencies(aoa, math.pi / 2))
+    return gains, gram_t, gram_r
+
+
+def dense_optimum(cfg, trial):
+    """Top squared singular value of the trial's assembled channel over Nt * Nr."""
+    paths = sample_paths(cfg, trial)
+    h = assemble_channel(paths, cfg.tx_geometry, cfg.rx_geometry).entries
+    return np.linalg.svd(h, compute_uv=False)[0] ** 2 / (cfg.nt * cfg.nr)
+
+
+class TestNearCollinearOptimum:
+    # At spacings far below half a wavelength every steering vector nearly
+    # equals every other: G_t is numerically rank deficient, and its factor
+    # must not amplify the rounding of its near-zero directions.
+    @pytest.mark.parametrize("nt", (2, 16, 64))
+    @pytest.mark.parametrize("num_paths", (2, 3, 5))
+    @pytest.mark.parametrize("spacing", (1e-6, 1e-4, 1e-2))
+    def test_engine_optimum_matches_dense_svd(self, spacing, num_paths, nt):
+        cfg = montecarlo.McConfig(num_paths=num_paths, trials=150, seed=2024, nt=nt, nr=4,
+                                  spacing_wavelengths=spacing)
+        optimal = beamformer._optimal_snr(*engine_inputs(cfg))[0]
+        dense = np.array([dense_optimum(cfg, trial) for trial in range(cfg.trials)])
+        assert np.max(np.abs(optimal - dense) / dense) <= 2e-12
+
+
+FACTOR_GAINS = (0.8 + 0.3j, -0.5 + 0.9j, 0.4 - 1.1j, -0.7 - 0.2j, 1.2 + 0.1j)
+FACTOR_ARRIVALS = (1.2, 1.9, 0.6, 2.4, 1.5)
+
+# (nt, gains, aod, aoa) whose transmit Gram G_t is singular or nearly so: departures
+# coincident or a gap apart, or fewer transmit antennas than paths.
+SINGULAR_GRAMS = [
+    *(
+        pytest.param(16, FACTOR_GAINS[:n], tuple(1.0 + gap * k for k in range(n)),
+                     FACTOR_ARRIVALS[:n], id=f"L{n}_aod_gap_{gap:g}")
+        for n in (3, 5)
+        for gap in (0.0, 1e-15, 1e-12, 1e-9)
+    ),
+    *(
+        pytest.param(nt, FACTOR_GAINS[:n], (0.4, 1.1, 1.7, 2.2, 2.9)[:n],
+                     FACTOR_ARRIVALS[:n], id=f"L{n}_nt{nt}")
+        for n in (3, 5)
+        for nt in (1, 2)
+    ),
+]
+
+# Coincident paths (both angles shared) whose gains sum to 0: the core is zero.
+CANCELLING_GAINS = [
+    pytest.param((1.0, -0.5, -0.5), id="L3"),
+    pytest.param((1.0, -1.0, 0.3, 0.3, -0.6), id="L5"),
+]
+
+
+def path_list(gains, aod, aoa):
+    return [PathComponent(g, AngleSpec(d), AngleSpec(a)) for g, d, a in zip(gains, aod, aoa)]
+
+
+def engine_losses(paths, nt, monkeypatch):
+    """Bi-directional losses of the Monte Carlo engine fed one channel, with warnings as errors."""
+    gains = np.array([[complex(p.gain) for p in paths]])
+    aod = np.array([[p.aod.azimuth_rad for p in paths]])
+    aoa = np.array([[p.aoa.azimuth_rad for p in paths]])
+
+    def draw_chunk(cfg, trials):
+        return gains, aod, aoa, 0
+
+    monkeypatch.setattr(montecarlo, "_draw_chunk", draw_chunk)
+    cfg = montecarlo.McConfig(num_paths=len(paths), trials=1, seed=0, nt=nt, nr=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return montecarlo._trial_losses(cfg)[0].tolist()
+
+
+class TestFactorDegenerateInputs:
+    @pytest.mark.parametrize("nt", (1, 2, 16))
+    @pytest.mark.parametrize("num_paths", (3, 5))
+    @pytest.mark.parametrize("spacing", (1e-6, 0.5))
+    def test_factor_is_triangular_in_pivot_order(self, spacing, num_paths, nt):
+        cfg = montecarlo.McConfig(num_paths=num_paths, trials=64, seed=5, nt=nt,
+                                  spacing_wavelengths=spacing)
+        gram_t = engine_inputs(cfg)[1]
+        factor, pivots = beamformer._gram_factor(gram_t)
+        np.testing.assert_allclose(factor @ np.conj(np.swapaxes(factor, 1, 2)), gram_t,
+                                   rtol=0.0, atol=16 * np.finfo(float).eps)
+        for f, order in zip(factor, pivots):
+            assert sorted(order) == list(range(num_paths))
+            ordered = f[order]
+            # exactly lower triangular in pivot order, with a nonnegative real diagonal
+            assert np.all(np.triu(ordered, 1) == 0.0)
+            assert np.all(np.diag(ordered).imag == 0.0) and np.all(np.diag(ordered).real >= 0.0)
+
+    def test_optimum_calls_lapack_only_for_the_core_at_three_paths_or_more(self, monkeypatch):
+        calls = []
+
+        def spy(name, original):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return call
+
+        for name in ("eigh", "eigvalsh", "svd", "cholesky", "solve", "lstsq", "pinv"):
+            monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
+        for num_paths in (1, 2, 3, 5):
+            inputs = engine_inputs(montecarlo.McConfig(num_paths=num_paths, trials=16, seed=1))
+            calls.clear()
+            beamformer._optimal_snr(*inputs)
+            assert calls == ([] if num_paths <= 2 else ["eigvalsh"])
+
+    @pytest.mark.parametrize("nt,gains,aod,aoa", SINGULAR_GRAMS)
+    def test_reduced_route_matches_dense_svd(self, nt, gains, aod, aoa):
+        tx_geom, rx_geom = geometry_pair(nt=nt, nr=4)
+        paths = path_list(gains, aod, aoa)
+        ch = assemble_channel(paths, tx_geom, rx_geom)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pair = reduced_optimal_beamformer(paths, tx_geom, rx_geom, channel=ch)
+        dense = optimal_beamformer(ch).normalized_snr
+        assert pair.normalized_snr == pytest.approx(dense, rel=1e-12)
+        # the beam from the back-substitution attains the optimum
+        assert abs(np.linalg.norm(pair.tx) - 1.0) < 1e-12
+        assert received_snr(ch, pair.tx, pair.rx) == pytest.approx(dense, rel=1e-12)
+
+    @pytest.mark.parametrize("nt,gains,aod,aoa", SINGULAR_GRAMS)
+    def test_engine_gives_the_public_loss(self, nt, gains, aod, aoa, monkeypatch):
+        tx_geom, rx_geom = geometry_pair(nt=nt, nr=4)
+        paths = path_list(gains, aod, aoa)
+        optimal = reduced_optimal_beamformer(paths, tx_geom, rx_geom).normalized_snr
+        scheme = bidirectional_beamformer(paths, tx_geom, rx_geom).normalized_snr
+        losses = engine_losses(paths, nt, monkeypatch)
+        assert losses == [_loss_db(optimal, scheme)]
+        assert math.isfinite(losses[0])
+
+    @pytest.mark.parametrize("gains", CANCELLING_GAINS)
+    def test_cancelling_coincident_gains_give_a_unit_beam(self, gains, monkeypatch):
+        tx_geom, rx_geom = geometry_pair()
+        paths = path_list(gains, (0.5,) * len(gains), (0.7,) * len(gains))
+        ch = assemble_channel(paths, tx_geom, rx_geom)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pair = reduced_optimal_beamformer(paths, tx_geom, rx_geom, channel=ch)
+            weights = beamformer._optimal_snr(*beamformer._path_grams(paths, tx_geom, rx_geom),
+                                              beam=True)[1]
+        assert 0.0 <= pair.normalized_snr < 1e-20
+        assert optimal_beamformer(ch).normalized_snr < 1e-20
+        assert np.all(np.isfinite(pair.tx)) and abs(np.linalg.norm(pair.tx) - 1.0) < 1e-12
+        # V w has unit norm: w^H G_t w = 1, with G_t all ones here
+        assert abs(np.sum(weights)) == pytest.approx(1.0, rel=1e-12)
+        scheme = bidirectional_beamformer(paths, tx_geom, rx_geom).normalized_snr
+        assert engine_losses(paths, 8, monkeypatch) == [_loss_db(pair.normalized_snr, scheme)]
