@@ -39,42 +39,54 @@ class UsageError(Exception):
     """Invalid parameter combination detected after argument parsing."""
 
 
-# Per-command parameter names and coercions, used to validate --config files.
-_PARAM_TYPES: dict[str, dict[str, type]] = {
+# Every parameter of each command, once: name -> (type, choices, help).  The
+# parser, the --config check and the recorded config all read this table.
+_PARAMS: dict[str, dict[str, tuple[type, Any, str | None]]] = {
     "closedform": {
-        "case": str,
-        "a1": float,
-        "a2": float,
-        "uu": float,
-        "vv": float,
-        "nu_deg": float,
-        "phase_diff_deg": float,
-        "uu_phase_deg": float,
-        "vv_phase_deg": float,
+        "case": (str, _CLOSEDFORM_CASES, None),
+        "a1": (float, None, "|gain| of path 1"),
+        "a2": (float, None, "|gain| of path 2"),
+        "uu": (float, None, "|u1^H u2|"),
+        "vv": (float, None, "|v1^H v2|"),
+        "nu_deg": (float, None, "phase misalignment"),
+        "phase_diff_deg": (float, None, None),
+        "uu_phase_deg": (float, None, None),
+        "vv_phase_deg": (float, None, None),
     },
     "sweep": {
-        "case": str,
-        "k_min": float,
-        "k_max": float,
-        "k_points": int,
-        "uu": float,
-        "vv": float,
-        "nu_deg": float,
+        "case": (str, _SWEEP_CASES, None),
+        "k_min": (float, None, None),
+        "k_max": (float, None, None),
+        "k_points": (int, None, None),
+        "uu": (float, None, None),
+        "vv": (float, None, None),
+        "nu_deg": (float, None, None),
     },
     "ccdf": {
-        "paths": int,
-        "nt": int,
-        "nr": int,
-        "trials": int,
-        "spacing": float,
-        "fov_deg": float,
-        "scheme": str,
-        "angle_sampling": str,
-        "rng": str,
+        "paths": (int, None, None),
+        "nt": (int, None, None),
+        "nr": (int, None, None),
+        "trials": (int, None, None),
+        "spacing": (float, None, None),
+        "fov_deg": (float, None, None),
+        "scheme": (str, sorted(montecarlo.SCHEMES), None),
+        "angle_sampling": (str, montecarlo.ANGLE_SAMPLING, None),
+        "rng": (str, [montecarlo.RNG_ALGORITHM], "random stream"),
     },
-    "verify": {"suite": str, "trials": int},
+    "verify": {"suite": (str, verify.SUITE_NAMES, None), "trials": (int, None, None)},
 }
-_COMMON_TYPES: dict[str, type] = {"out": str, "format": str, "seed": int}
+# The parameters every command takes, after its own.
+_COMMON = {
+    "out": (str, None, "output file (default: stdout)"),
+    "format": (str, ("csv", "json"), None),
+    "seed": (int, None, None),
+}
+_COMMAND_HELP = {
+    "closedform": "evaluate one closed-form case",
+    "sweep": "sweep the gain ratio K and tabulate the loss",
+    "ccdf": "Monte Carlo CCDF of the loss vs. the optimum",
+    "verify": "run an oracle-equivalence battery",
+}
 # The McConfig field of each ccdf parameter whose name differs from it.
 _CCDF_FIELDS = {"paths": "num_paths", "spacing": "spacing_wavelengths"}
 
@@ -92,54 +104,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"mmwbeam {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(sub):
-        sub.add_argument("--out", default=None, help="output file (default: stdout)")
-        sub.add_argument("--format", choices=["csv", "json"], default=None)
-        sub.add_argument("--seed", type=int, default=None)
+    for command, params in _PARAMS.items():
+        sub = subs.add_parser(command, help=_COMMAND_HELP[command])
+        for name, (kind, choices, text) in {**params, **_COMMON}.items():
+            flag = "--" + name.replace("_", "-")
+            sub.add_argument(flag, type=kind, choices=choices, default=None, help=text)
         sub.add_argument("--config", default=None, help="JSON file of defaults (flags win)")
-
-    sub = subs.add_parser("closedform", help="evaluate one closed-form case")
-    sub.add_argument("--case", choices=_CLOSEDFORM_CASES, default=None)
-    sub.add_argument("--a1", type=float, default=None, help="|gain| of path 1")
-    sub.add_argument("--a2", type=float, default=None, help="|gain| of path 2")
-    sub.add_argument("--uu", type=float, default=None, help="|u1^H u2|")
-    sub.add_argument("--vv", type=float, default=None, help="|v1^H v2|")
-    sub.add_argument("--nu-deg", type=float, default=None, help="phase misalignment")
-    sub.add_argument("--phase-diff-deg", type=float, default=None)
-    sub.add_argument("--uu-phase-deg", type=float, default=None)
-    sub.add_argument("--vv-phase-deg", type=float, default=None)
-    add_common(sub)
-
-    sub = subs.add_parser("sweep", help="sweep the gain ratio K and tabulate the loss")
-    sub.add_argument("--case", choices=_SWEEP_CASES, default=None)
-    sub.add_argument("--k-min", type=float, default=None)
-    sub.add_argument("--k-max", type=float, default=None)
-    sub.add_argument("--k-points", type=int, default=None)
-    sub.add_argument("--uu", type=float, default=None)
-    sub.add_argument("--vv", type=float, default=None)
-    sub.add_argument("--nu-deg", type=float, default=None)
-    add_common(sub)
-
-    sub = subs.add_parser("ccdf", help="Monte Carlo CCDF of the loss vs. the optimum")
-    sub.add_argument("--paths", type=int, default=None)
-    sub.add_argument("--nt", type=int, default=None)
-    sub.add_argument("--nr", type=int, default=None)
-    sub.add_argument("--trials", type=int, default=None)
-    sub.add_argument("--spacing", type=float, default=None)
-    sub.add_argument("--fov-deg", type=float, default=None)
-    sub.add_argument("--scheme", choices=sorted(montecarlo.SCHEMES), default=None)
-    sub.add_argument("--angle-sampling", choices=montecarlo.ANGLE_SAMPLING, default=None)
-    sub.add_argument(
-        "--rng", choices=[montecarlo.RNG_ALGORITHM], default=None, help="random stream"
-    )
-    add_common(sub)
-
-    sub = subs.add_parser("verify", help="run an oracle-equivalence battery")
-    sub.add_argument("--suite", choices=verify.SUITE_NAMES, default=None)
-    sub.add_argument("--trials", type=int, default=None)
-    add_common(sub)
-
     return parser
 
 
@@ -157,24 +127,34 @@ def _merge_config_file(command: str, args: dict) -> dict:
         raise UsageError(f"config file {path} is not valid JSON: {err}") from err
     if not isinstance(doc, dict):
         raise UsageError("config file must contain a JSON object")
-    known = {**_PARAM_TYPES[command], **_COMMON_TYPES}
+    known = {**_PARAMS[command], **_COMMON}
     for key, value in doc.items():
         if key not in known:
             raise UsageError(f"unknown config key {key!r} for command {command!r}")
-        if args.get(key) is None:
+        if args.get(key) is None and value is not None:
+            kind, choices, _ = known[key]
             try:
-                args[key] = None if value is None else _coerce(known[key], value)
+                value = _coerce(kind, value)
             except (TypeError, ValueError, OverflowError) as err:
                 raise UsageError(f"config key {key!r}: {err}") from err
+            if choices is not None and value not in choices:
+                raise UsageError(
+                    f"config key {key!r}: invalid choice {value!r} "
+                    f"(choose from {', '.join(choices)})"
+                )
+            args[key] = value
     return args
 
 
 def _coerce(kind: type, value: Any) -> Any:
     """A config-file value as ``kind``, refusing what the matching flag would refuse.
 
-    A boolean is no number, and an ``int`` key takes no fraction: ``int()``
-    alone would run ``true`` as 1 and ``2.5`` as 2.
+    A string key takes only a string, a boolean is no number, and an ``int``
+    key takes no fraction: ``str()`` alone would write to a file named
+    ``{'a': 1}``, and ``int()`` would run ``true`` as 1 and ``2.5`` as 2.
     """
+    if kind is str and not isinstance(value, str):
+        raise ValueError(f"expected a string, got {json.dumps(value)}")
     if kind is not str and isinstance(value, bool):
         raise ValueError(f"expected a number, got {json.dumps(value)}")
     if kind is int and isinstance(value, float) and not value.is_integer():
@@ -213,16 +193,11 @@ def _check_unit(value: float, flag: str) -> float:
 def _regime_couplings(args: dict, command: str) -> tuple[str, closedform.Regime, float, float]:
     """The case of a closedform or sweep call, its regime, and ``(uu, vv)`` by the regime's rules.
 
-    The case must be one of the command's (a config file bypasses the
-    parser's choices).  The constrained flag, if given, must equal the
-    regime's forced value (and keeps its bits); otherwise it takes that
-    value.  ``sweep`` needs the free flag, and a regime with
-    ``free_positive`` needs it > 0.
+    The constrained flag, if given, must equal the regime's forced value
+    (and keeps its bits); otherwise it takes that value.  ``sweep`` needs
+    the free flag, and a regime with ``free_positive`` needs it > 0.
     """
     case = _require(args, "case", command)
-    cases = _SWEEP_CASES if command == "sweep" else _CLOSEDFORM_CASES
-    if case not in cases:
-        raise UsageError(f"{command} has no case {case!r}; choose from {', '.join(cases)}")
     regime = closedform.REGIMES[case]
     couplings = {end: _check_unit(_fget(args, end, 0.0), f"--{end}") for end in ("uu", "vv")}
     end, free = regime.constrained, regime.free
@@ -360,7 +335,7 @@ def _error_record(kind: str, message: str) -> None:
 
 
 def _resolved_params(command: str, args: dict) -> dict:
-    names = list(_PARAM_TYPES[command]) + ["seed"]
+    names = list(_PARAMS[command]) + ["seed"]
     return {k: args.get(k) for k in names}
 
 
@@ -392,9 +367,6 @@ def main(argv=None) -> int:
     fmt = args.get("format")
     if fmt is None:
         fmt = "json" if command in ("closedform", "verify") else "csv"
-    if fmt not in ("csv", "json"):
-        _error_record("usage", f"unknown format {fmt!r}")
-        return EXIT_USAGE
 
     try:
         if command == "closedform":
@@ -453,10 +425,6 @@ def main(argv=None) -> int:
             if not report.passed:
                 _error_record("verification", f"suite {suite} failed {report.num_failed} checks")
                 return EXIT_VERIFY
-
-        else:  # pragma: no cover - argparse enforces the choices
-            _error_record("usage", f"unknown command {command!r}")
-            return EXIT_USAGE
 
     except UsageError as err:
         _error_record("usage", str(err))

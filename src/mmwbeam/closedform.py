@@ -44,7 +44,6 @@ __all__ = [
     "delta_snr_u_orth",
     "delta_snr_u_orth_equal_gains",
     "delta_snr_v_parallel",
-    "snr_v_parallel",
     "beta_opt_u_parallel",
     "delta_snr_u_parallel",
     "snr_u_parallel",
@@ -216,7 +215,7 @@ REGIMES = {
         free_positive=True, proposition=3,
     ),
     "v-parallel": Regime(
-        "vv", 1.0, "uu", None, "delta_snr_v_parallel", "snr_v_parallel", "snr_v_parallel"
+        "vv", 1.0, "uu", None, "delta_snr_v_parallel", None, "snr_dominant_path"
     ),
     "u-parallel": Regime(
         "uu", 1.0, "vv", "beta_opt_u_parallel", "delta_snr_u_parallel", "snr_u_parallel",
@@ -393,6 +392,12 @@ def beta_opt_u_orth(params: TwoPathParams) -> AllocationPoint:
 
     Requires a nonzero transmit-side inner product; the fully orthogonal
     corner is covered by :func:`beta_opt_v_orth`.
+
+    With ``s = (a - b)/vv`` the split is ``(term_a + root)/(2 term_c)``,
+    where ``term_a = s^2 + 2a(a + b)``, ``term_c = (a + b)^2 + s^2`` and
+    ``root = |s| sqrt(s^2 + 4ab)``.  Every term is a sum of nonnegative
+    parts, so none cancels as ``vv`` nears 0.  For ``a < b`` the root is
+    subtracted instead, which is the cancellation-free ``2a^2/(term_a + root)``.
     """
     _require_regime(params, "uu", 0.0)
     if params.vv_mag < ORTHOGONAL_TOL:
@@ -400,17 +405,15 @@ def beta_opt_u_orth(params: TwoPathParams) -> AllocationPoint:
             "transmit vectors are also orthogonal; use the v-orthogonal closed form"
         )
     a, b = _scaled_gains(params)
-    vv_sq = params.vv_mag**2
-    diff_sq = (a - b) ** 2
-    term_a = diff_sq / vv_sq + 2.0 * a * (a + b)
-    term_b = diff_sq**2 / vv_sq**2 + 4.0 * a * b * diff_sq / vv_sq
-    term_c = (1.0 + 1.0 / vv_sq) * (a + b) ** 2 - 4.0 * a * b / vv_sq
-    root = math.sqrt(max(term_b, 0.0))
+    s = (a - b) / params.vv_mag
+    term_a = s**2 + 2.0 * a * (a + b)
+    term_c = (a + b) ** 2 + s**2
+    root = abs(s) * math.sqrt(s**2 + 4.0 * a * b)
     if a >= b:
         beta_sq = (term_a + root) / (2.0 * term_c)
     else:
-        beta_sq = (term_a - root) / (2.0 * term_c)
-    beta_sq = min(max(beta_sq, 0.0), 1.0)
+        beta_sq = 2.0 * a**2 / (term_a + root)
+    beta_sq = min(beta_sq, 1.0)
     return AllocationPoint(beta=math.sqrt(beta_sq), theta=-params.vv_phase)
 
 
@@ -457,13 +460,6 @@ def delta_snr_v_parallel(params: TwoPathParams) -> float:
     """
     _require_regime(params, "vv", 1.0)
     return 1.0
-
-
-def snr_v_parallel(params: TwoPathParams) -> float:
-    """Common normalized SNR of every allocation in the v-parallel regime."""
-    _require_regime(params, "vv", 1.0)
-    cross = 2.0 * params.mag_a1 * params.mag_a2 * params.uu_mag
-    return (params.gain_sq_1 + params.gain_sq_2 + cross * math.cos(params.misalignment)) / 2.0
 
 
 def beta_opt_u_parallel(params: TwoPathParams) -> AllocationPoint:

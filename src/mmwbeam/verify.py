@@ -33,9 +33,8 @@ __all__ = ["CheckResult", "SuiteReport", "SUITE_NAMES", "run_suite"]
 
 _TWO_PI = 2.0 * math.pi
 
+# Suite ``name`` runs as the function ``verify_<name>``, whose ``trials`` default is the suite's.
 SUITE_NAMES = ("prop1", "prop2", "prop3", "prop4", "bounds")
-
-_DEFAULT_TRIALS = {"prop1": 1000, "prop2": 500, "prop3": 500, "prop4": 500, "bounds": 0}
 
 # The closed-form case each allocation suite checks.
 _SUITE_CASES = {
@@ -348,25 +347,18 @@ def verify_bounds(trials: int = 0, seed: int = 0) -> SuiteReport:
     return report
 
 
-_SUITES = {
-    "prop1": verify_prop1,
-    "prop2": verify_prop2,
-    "prop3": verify_prop3,
-    "prop4": verify_prop4,
-    "bounds": verify_bounds,
-}
-
-
 def run_suite(suite: str, trials: int | None = None, seed: int = 0) -> SuiteReport:
-    """Run one verification suite by name."""
-    if suite not in _SUITES:
+    """Run one verification suite by name, with its own trial count unless ``trials`` is given.
+
+    The function is looked up in this module at each call, so a rebinding of
+    ``verify_<suite>`` reaches it.
+    """
+    if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
+    run = globals()[f"verify_{suite}"]
     if trials is None:
-        trials = _DEFAULT_TRIALS[suite]
-    if suite == "bounds":
-        if trials < 0:
-            raise ValueError("trials must be >= 0")
-        return verify_bounds(trials, seed)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    return _SUITES[suite](trials, seed)
+        return run(seed=seed)
+    floor = 0 if suite == "bounds" else 1
+    if trials < floor:
+        raise ValueError(f"trials must be >= {floor}")
+    return run(trials, seed)

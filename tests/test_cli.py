@@ -238,6 +238,23 @@ class TestRegimeRules:
         message = usage_message(capsys, *regime_argv(command, "u-orth", vv="0"))
         assert "u-orth" in message and "--vv" in message
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["closedform", "--case", "u-orth", "--a1", "1", "--a2", "1"],
+            ["sweep", "--case", "u-orth", "--k-min", "1", "--k-max", "2", "--k-points", "3"],
+        ],
+        ids=["closedform", "sweep"],
+    )
+    def test_u_orth_just_above_orthogonal_transmitters(self, capsys, argv):
+        # equal gains at vv = 5e-9 ended in a ZeroDivisionError traceback
+        code, out, err = run_cli(capsys, *argv, "--vv", "5e-9", "--format", "json")
+        assert code == EXIT_OK and err == ""
+        results = json.loads(out)["results"]
+        first = results["rows"][0] if argv[0] == "sweep" else results
+        assert first["beta_sq"] == pytest.approx(0.5, abs=1e-15)
+        assert first["delta_snr"] == pytest.approx(1.0 + 5e-9, abs=1e-15)
+
     def test_accepted_defaults(self, capsys):
         code, out, _ = run_cli(capsys, *regime_argv("closedform", "v-orth"))
         assert code == EXIT_OK
@@ -435,6 +452,50 @@ class TestConfigFile:
         message = usage_message(capsys, command, "--config", str(cfg_file))
         assert repr(doc["case"]) in message
 
+    @pytest.mark.parametrize(
+        "command, doc, key",
+        [
+            ("closedform", {"case": "v-orth", "a1": 1.0, "a2": 1.0, "format": "xml"}, "format"),
+            ("ccdf", {"paths": 2, "trials": 5, "scheme": "foo"}, "scheme"),
+            ("ccdf", {"paths": 2, "trials": 5, "angle_sampling": "foo"}, "angle_sampling"),
+            ("ccdf", {"paths": 2, "trials": 5, "rng": "philox4x64"}, "rng"),
+            ("verify", {"suite": "bogus"}, "suite"),
+            ("closedform", {"case": "u-para", "a1": 1.0, "a2": 1.0, "vv": 0.5}, "case"),
+            ("sweep", {"case": "v-parallel", "k_min": 1.0, "k_max": 2.0, "uu": 0.5}, "case"),
+        ],
+        ids=["format", "scheme", "angle_sampling", "rng", "suite", "closedform-case",
+             "sweep-case"],
+    )
+    def test_value_outside_the_flag_choices_rejected(self, capsys, tmp_path, command, doc, key):
+        # a file is checked against its flag's choices, as the flag itself would be
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps(doc))
+        message = usage_message(capsys, command, "--config", str(cfg_file))
+        assert repr(key) in message and repr(doc[key]) in message
+
+    @pytest.mark.parametrize(
+        "argv, key, value",
+        [
+            (["closedform", "--a1", "2", "--a2", "1"], "case", "v-orth"),
+            (["closedform", "--case", "v-orth", "--a1", "2", "--a2", "1"], "format", "csv"),
+            (["sweep", "--k-min", "1", "--k-max", "2", "--k-points", "3", "--vv", "0.3"],
+             "case", "u-orth"),
+            (["ccdf", "--paths", "2", "--nt", "8", "--trials", "5"], "scheme", "equal_power"),
+            (["ccdf", "--paths", "2", "--nt", "8", "--trials", "5"],
+             "angle_sampling", "uniform_cosine"),
+            (["ccdf", "--paths", "2", "--nt", "8", "--trials", "5"], "rng", "philox4x64-v2"),
+            (["verify"], "suite", "bounds"),
+        ],
+        ids=["closedform-case", "format", "sweep-case", "scheme", "angle_sampling", "rng",
+             "suite"],
+    )
+    def test_value_inside_the_choices_runs_as_the_flag(self, capsys, tmp_path, argv, key, value):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({key: value}))
+        from_file = run_cli(capsys, *argv, "--config", str(cfg_file))
+        from_flag = run_cli(capsys, *argv, "--" + key.replace("_", "-"), value)
+        assert from_file == from_flag and from_file[0] == EXIT_OK
+
     def test_missing_file_is_io_error(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "closedform", "--config", str(tmp_path / "nope.json")
@@ -457,6 +518,22 @@ class TestConfigFile:
         cfg_file.write_text(json.dumps({"paths": 2, "trials": 5, **doc}))
         message = usage_message(capsys, "ccdf", "--config", str(cfg_file))
         assert repr(next(iter(doc))) in message
+
+    @pytest.mark.parametrize(
+        "doc",
+        [{"out": {"a": 1}}, {"out": 5}, {"scheme": True}, {"rng": ["philox4x64-v2"]}],
+        ids=lambda doc: "-".join(f"{key}={value}" for key, value in doc.items()),
+    )
+    def test_non_string_value_for_a_string_key_is_usage_error(
+        self, capsys, tmp_path, monkeypatch, doc
+    ):
+        # str() alone wrote the output to a file named "{'a': 1}"
+        monkeypatch.chdir(tmp_path)
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({"paths": 2, "trials": 5, **doc}))
+        message = usage_message(capsys, "ccdf", "--config", str(cfg_file))
+        assert repr(next(iter(doc))) in message and "expected a string" in message
+        assert list(tmp_path.iterdir()) == [cfg_file]
 
     def test_integral_float_value_is_accepted(self, capsys, tmp_path):
         cfg_file = tmp_path / "run.json"

@@ -6,6 +6,7 @@ import pytest
 from mmwbeam.beamformer import optimal_beamformer, received_snr
 from mmwbeam.channel import assemble_channel
 from mmwbeam.closedform import (
+    REGIMES,
     AllocationPoint,
     RegimeError,
     TwoPathParams,
@@ -22,13 +23,13 @@ from mmwbeam.closedform import (
     snr_dominant_path,
     snr_equal_power_coherent,
     snr_u_parallel,
-    snr_v_parallel,
     two_path_objective,
 )
 from mmwbeam.steering import steering_vector
 from mmwbeam.verify import _two_path_fixture
 
 SQRT2 = math.sqrt(2.0)
+EPS = np.finfo(float).eps
 
 
 def random_params(rng, **overrides):
@@ -244,6 +245,24 @@ class TestUOrthogonal:
             general = delta_snr_u_orth(TwoPathParams(1.0, 1.0, vv_mag=float(vv)))
             assert general == pytest.approx(delta_snr_u_orth_equal_gains(float(vv)), rel=1e-12)
 
+    # just above ORTHOGONAL_TOL a split with 1/vv^2 terms cancelled: at equal gains and
+    # vv in [1e-9, 1.05e-8] it divided by zero, and at vv = 1e-8 it read beta^2 = 0.25
+    NEAR_ORTHOGONAL = np.geomspace(1e-9, 1.0, 2001)
+
+    def test_equal_gains_near_orthogonal_transmitters(self):
+        for vv in self.NEAR_ORTHOGONAL:
+            p = TwoPathParams(1.0, 1.0, vv_mag=float(vv))
+            assert beta_opt_u_orth(p).beta ** 2 == pytest.approx(0.5, abs=EPS)
+            assert abs(delta_snr_u_orth(p) - delta_snr_u_orth_equal_gains(float(vv))) <= EPS
+
+    @pytest.mark.parametrize("weaker", [1e-3, 0.5, 1.0 - 1e-9])
+    def test_split_is_symmetric_under_path_swap(self, weaker):
+        # the a < b branch against the a >= b one: swapping the paths swaps the split
+        for vv in self.NEAR_ORTHOGONAL:
+            one = beta_opt_u_orth(TwoPathParams(1.0, weaker, vv_mag=float(vv))).beta ** 2
+            two = beta_opt_u_orth(TwoPathParams(weaker, 1.0, vv_mag=float(vv))).beta ** 2
+            assert one + two == pytest.approx(1.0, abs=2 * EPS)
+
     def test_equal_gain_curve_on_arrays(self):
         # the bounds suite evaluates the curve on its whole grid in one call
         grid = np.linspace(0.0, 1.0, 101)
@@ -263,7 +282,7 @@ class TestUOrthogonal:
          "requires electrically orthogonal transmit vectors, |v1^H v2| = 0.5"),
         (beta_opt_u_orth, TwoPathParams(1.0, 1.0, uu_mag=0.25, vv_mag=0.5),
          "requires electrically orthogonal receive vectors, |u1^H u2| = 0.25"),
-        (snr_v_parallel, TwoPathParams(1.0, 1.0, vv_mag=0.5),
+        (delta_snr_v_parallel, TwoPathParams(1.0, 1.0, vv_mag=0.5),
          "requires parallel transmit vectors, |v1^H v2| = 0.5"),
         (delta_snr_u_parallel, TwoPathParams(1.0, 1.0, uu_mag=0.5),
          "requires parallel receive vectors, |u1^H u2| = 0.5"),
@@ -311,7 +330,7 @@ class TestVParallel:
 
     def test_full_cancellation(self):
         p = TwoPathParams(1.0, 1.0, phase_diff=math.pi, uu_mag=1.0, vv_mag=1.0)
-        assert snr_v_parallel(p) == pytest.approx(0.0, abs=1e-12)
+        assert REGIMES["v-parallel"].snr_optimal(p) == pytest.approx(0.0, abs=1e-12)
 
     def test_wrong_regime(self):
         with pytest.raises(RegimeError):

@@ -299,6 +299,9 @@ def test_v_orth_loss_matches_scalar_expression(mag_a1, mag_a2, uu_mag):
 @example(mag_a1=0.8623289211859997, mag_a2=1.1511750756077277, coupling=0.0, phase_diff=0.0)
 # the dominant u-parallel beam cancels: the loss is unbounded
 @example(mag_a1=1.0, mag_a2=1.0, coupling=1.0, phase_diff=math.pi)
+# equal gains just above ORTHOGONAL_TOL: a u-orth split with 1/vv^2 terms divided by zero
+@example(mag_a1=1.0, mag_a2=1.0, coupling=1e-9, phase_diff=0.0)
+@example(mag_a1=1.0, mag_a2=1.0, coupling=5e-9, phase_diff=0.0)
 def test_loss_is_at_least_one(case, mag_a1, mag_a2, coupling, phase_diff):
     # The exact loss is >= 1.  For v-orth with a >= b the computed root is >= fl(a - b),
     # since sqrt(fl(y^2)) = |y|; fl(a + b) + fl(a - b) and its rounding lose at most 2u
