@@ -5,7 +5,10 @@ the top right singular vector of ``H``.  The reduced route uses the path
 structure: every eigenvector of ``H^H H`` with a nonzero eigenvalue is a
 combination of the transmit steering vectors, so the search collapses from
 Nt to L dimensions: a Hermitian L x L eigenproblem, set up through a pivoted
-Cholesky factor of the transmit Gram.  The low-complexity schemes
+Cholesky factor of the transmit Gram.  Its top eigenvector, mapped through
+the channel, weights each path by its conjugate gain times the receive
+beam's response on it: beam steering across the paths with per-path power
+allocation and phase compensation.  The low-complexity schemes
 (dominant-path, bi-directional, equal-power) are provided for benchmarking
 the loss against the optimum.
 
@@ -215,32 +218,31 @@ def _matched_pair(
     return _as_pair(channel, tx, snr[0])
 
 
-def _gram_factor(gram_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pivoted semidefinite Cholesky factor F (B, L, L) of ``G_t = F F^H``, and its pivots (B, L).
+def _gram_factor(gram_t: np.ndarray) -> np.ndarray:
+    """Pivoted semidefinite Cholesky factor F (B, L, L) of ``G_t = F F^H``.
 
-    Step k takes the largest remaining diagonal, at row ``pivots[:, k]``, so
-    F is lower triangular in pivot order.  A pivot at most ``PIVOT_FLOOR``
-    gives a zero column, as does every later one: a singular G_t (coincident
-    departures, Nt < L) has a backward-stable factor (Higham 1990).  Row 0 is
-    the first pivot (the diagonal is 1), so at L = 2 F is ``[[1, 0],
-    [conj(rho), sqrt(1 - |rho|^2)]]`` with ``rho = G_t[0, 1]``: no division.
+    Step k takes the largest remaining diagonal, so F is lower triangular in
+    pivot order.  A pivot at most ``PIVOT_FLOOR`` gives a zero column, as
+    does every later one: a singular G_t (coincident departures, Nt < L) has
+    a backward-stable factor (Higham 1990).  Row 0 is the first pivot (the
+    diagonal is 1), so at L = 2 F is ``[[1, 0], [conj(rho), sqrt(1 -
+    |rho|^2)]]`` with ``rho = G_t[0, 1]``: no division.
     """
     batch, size = gram_t.shape[:2]
     rows = np.arange(batch)
     factor = np.zeros((batch, size, size), dtype=complex)
     first = factor[:, :, 0] = gram_t[:, :, 0]
-    pivots = np.tile(np.arange(size), (batch, 1))
     if size == 2:
         rest = 1.0 - (first[:, 1].real ** 2 + first[:, 1].imag ** 2)
         factor[:, 1, 1] = np.sqrt(np.where(rest > PIVOT_FLOOR, rest, 0.0))
-        return factor, pivots
+        return factor
     # a taken pivot keeps a zero row (for row 0 exactly: G_t[0, k] - conj(G_t[k, 0]))
     # and a diagonal of -inf, so no later step reads it
     schur = gram_t - first[:, :, None] * np.conj(first[:, None, :])
     schur[:, 0, 0] = -np.inf
     for k in range(1, size):
         diag = schur.diagonal(0, 1, 2).real
-        pivot = pivots[:, k] = diag.argmax(axis=-1)
+        pivot = diag.argmax(axis=-1)
         top = diag[rows, pivot]
         scale = np.where(top > PIVOT_FLOOR, top, np.inf) ** -0.5
         col = schur[rows, :, pivot] * scale[:, None]
@@ -251,7 +253,7 @@ def _gram_factor(gram_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             schur -= col[:, :, None] * col[:, None, :].conj()
             schur[rows, pivot] = 0.0
             schur[rows, pivot, pivot] = -np.inf
-    return factor, pivots
+    return factor
 
 
 def _optimal_snr(
@@ -264,14 +266,17 @@ def _optimal_snr(
     core ``C = T^H G_r T``, ``T = diag(gain) F``.  The optimum is C's top
     eigenvalue over L for any factor: ``C00`` at L = 1, ``(C00 + C11)/2 +
     hypot((C00 - C11)/2, |C01|)`` at L = 2 (no LAPACK call), ``eigvalsh`` at
-    L >= 3.  The optimal beam is ``P y = V w`` for C's top eigenvector y, with
-    ``F^H w = y`` back-substituted in pivot order.  A zero column of F gives
-    a zero row and column of C; shifted below C's nonnegative spectrum, its
-    entry cannot carry y and its weight is 0, so a zero core (cancelling
-    paths) still yields a unit beam.  Without ``beam`` the weights are None.
+    L >= 3.  For C's top eigenvector y, ``C y = lambda y`` gives ``H^H H V w``
+    proportional to ``lambda V w`` with ``w = diag(conj(gain)) G_r T y``: the
+    paper's beam, each path weighted by its conjugate gain times the receive
+    beam's response on it.  The gains in w are first scaled by the power of
+    two that takes the largest magnitude into [0.5, 1), which is exact and
+    keeps w and its power from under- or overflowing; w is then normalized
+    by ``sqrt(w^H G_t w)``.  A zero core (cancelling paths) gives w = 0, and the strongest
+    path's weights instead.  Without ``beam`` the weights are None.
     """
     size = gains.shape[-1]
-    factor, pivots = _gram_factor(gram_t)
+    factor = _gram_factor(gram_t)
     mapped = gains[:, :, None] * factor
     core = _herm(mapped) @ (gram_r @ mapped)
     if size == 1:
@@ -284,18 +289,14 @@ def _optimal_snr(
     snr = top / size
     if not beam:
         return snr, None
-    rows = np.arange(len(gains))[:, None]
-    ordered = np.conj(factor[rows, pivots])  # conj(F) with its rows in pivot order
-    roots = ordered.diagonal(0, 1, 2).real
-    vec = np.linalg.eigh(core - (roots == 0.0)[:, None, :] * np.eye(size))[1][..., -1]
-    inverse = np.where(roots > 0.0, roots, np.inf) ** -1.0
-    ordered, vec = ordered * inverse[:, None, :], vec * inverse
-    solved = np.zeros(vec.shape, dtype=complex)
-    for k in reversed(range(size)):
-        solved[:, k] = vec[:, k] - (ordered[:, :, k] * solved).sum(axis=-1)
-    weights = np.empty(solved.shape, dtype=complex)
-    weights[rows, pivots] = solved
-    return snr, weights
+    vec = np.linalg.eigh(core)[1][..., -1:]
+    peak = np.abs(gains).max(axis=-1, keepdims=True)
+    scaled = gains * np.ldexp(1.0, -np.frexp(peak)[1])
+    weights = np.conj(scaled) * (gram_r @ (scaled[:, :, None] * factor) @ vec)[..., 0]
+    power = np.sum(np.conj(weights) * (gram_t @ weights[..., None])[..., 0], axis=-1).real
+    live = power > 0.0
+    weights[~live] = _dominant_weights(gains[~live])
+    return snr, weights / np.sqrt(np.where(live, power, 1.0))[:, None]
 
 
 def _matched_snr(
@@ -392,10 +393,10 @@ def reduced_optimal_beamformer(
     dimensions.  The core comes from the gains, the receive Gram and a
     pivoted Cholesky factor of the transmit Gram (see :func:`_optimal_snr`):
     its top eigenvalue over L is the normalized SNR, and its top eigenvector,
-    back-substituted through the factor, weights the steering vectors.  A
-    singular Gram (coincident departures, Nt < L) or zero core (cancelling
-    paths) still yields a unit vector.  The receive vector is the matched
-    filter on ``channel`` (assembled from ``paths`` when not given).
+    mapped through the channel, weights the steering vectors.  A singular
+    Gram (coincident departures, Nt < L) or zero core (cancelling paths)
+    still yields a unit vector.  The receive vector is the matched filter on
+    ``channel`` (assembled from ``paths`` when not given).
     """
     return _matched_pair(
         functools.partial(_optimal_snr, beam=True), paths, tx_geom, rx_geom, channel

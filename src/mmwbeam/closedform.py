@@ -348,31 +348,26 @@ def beta_opt_v_orth(params: TwoPathParams) -> AllocationPoint:
     and the phase aligns the two paths through the receive-side coupling.
     """
     _require_regime(params, "vv", 0.0)
-    a, b, root = _v_orth_terms(*_scaled_gains(params), params.uu_mag)
+    a, b = _scaled_gains(params)
+    root = _v_orth_root(a, b, params.uu_mag)
     beta_sq = 0.5 if root == 0.0 else 0.5 * (1.0 + (a - b) / root)
     theta = params.phase_diff - params.uu_phase
     return AllocationPoint(beta=math.sqrt(min(beta_sq, 1.0)), theta=theta)
 
 
-def _v_orth_terms(a, b, uu_mag):
-    """Squared gains ``a``, ``b`` rescaled, and the root ``sqrt((a - b)^2 + 4ab uu^2)`` of them.
+def _v_orth_root(a, b, uu_mag):
+    """The root ``sqrt((a - b)^2 + 4ab uu^2)`` of squared gains ``a``, ``b``.
 
-    The radicand is written as this sum, which does not cancel.  The gains
-    are first scaled by the power of two that takes the larger into [0.5,
-    1): the scaling is exact, so every ratio of these terms keeps its bits
-    wherever nothing under- or overflows, and squares of tiny or huge gains
-    no longer do.  On float scalars ``**`` is the C ``pow`` of the scalar route, so the
-    scalar functions keep their bits; arrays get one vectorized evaluation.
+    The radicand is written as this sum, which does not cancel.  Callers
+    pass gains scaled as :func:`_scaled_gains` does, or bounded ones, so
+    their products neither under- nor overflow.  Floats or arrays broadcast.
     """
-    shift = -np.frexp(np.maximum(a, b))[1]
-    a, b = np.ldexp(a, shift), np.ldexp(b, shift)
-    return a, b, np.sqrt((a - b) ** 2 + 4.0 * a * b * uu_mag**2)
+    return np.sqrt((a - b) ** 2 + 4.0 * a * b * uu_mag**2)
 
 
 def _v_orth_loss(a, b, uu_mag):
     """Body of :func:`delta_snr_v_orth` on squared gains; floats or arrays broadcast."""
-    a, b, root = _v_orth_terms(a, b, uu_mag)
-    return (a + b + root) / (2.0 * np.maximum(a, b))
+    return (a + b + _v_orth_root(a, b, uu_mag)) / (2.0 * np.maximum(a, b))
 
 
 def delta_snr_v_orth(params: TwoPathParams) -> float:

@@ -32,11 +32,6 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 
-# Band (in cycles of pi) around a multiple of pi in which the Dirichlet kernel
-# is evaluated at the reduced phase: there sin(psi) cancels, and the reduction
-# keeps the phase factor exp(1j (N - 1) psi) that a plain 1 would drop.
-COINCIDENT_CYCLES = 1e-12
-
 
 @dataclass(frozen=True)
 class ArrayGeometry:
@@ -127,10 +122,10 @@ def gram_stack(geom: ArrayGeometry, freqs: np.ndarray) -> np.ndarray:
 
     Entry ``[l, k]`` is ``v_l^H v_k``, the Dirichlet kernel of
     :func:`cpo_inner_product` at ``freqs[..., k] - freqs[..., l]``, evaluated
-    by the same expression and the same reduction of the phase ``psi`` on
-    arrays.  Only the entries above the diagonal are evaluated; the
-    diagonal is exactly 1 and the entries below are their conjugates, so
-    each matrix is exactly Hermitian.  No N-length vector is formed.
+    by the same expression at the same reduced phase ``psi`` on arrays.
+    Only the entries above the diagonal are evaluated; the diagonal is
+    exactly 1 and the entries below are their conjugates, so each matrix is
+    exactly Hermitian.  No N-length vector is formed.
     Against ``steering_stack(...)^H @ steering_stack(...)`` an entry differs
     by a few ``eps * (1 + N * |step|)``, the rounding of the phases the stack
     multiplies by up to N - 1.  Each entry depends on its own pair of
@@ -142,9 +137,7 @@ def gram_stack(geom: ArrayGeometry, freqs: np.ndarray) -> np.ndarray:
     size = freqs.shape[-1]
     rows, cols = _pairs(size)
     psi = math.pi * geom.spacing_wavelengths * (freqs[..., cols] - freqs[..., rows])
-    cycles = psi / math.pi
-    turns = np.round(cycles)
-    psi = np.where(np.abs(cycles - turns) < COINCIDENT_CYCLES, psi - turns * math.pi, psi)
+    psi -= np.round(psi / math.pi) * math.pi
     coincident = psi == 0.0
     ratio = np.divide(np.sin(n * psi), n * np.sin(psi), out=np.ones_like(psi), where=~coincident)
     upper = np.exp(1j * (n - 1) * psi) * ratio
@@ -190,19 +183,16 @@ def cpo_inner_product(geom: ArrayGeometry, freq_delta: float) -> complex:
 
         exp(1j*(N-1)*psi) * sin(N*psi) / (N*sin(psi)),  psi = pi*d/lambda*freq_delta.
 
-    The kernel is pi-periodic in psi.  Within ``COINCIDENT_CYCLES`` of a
-    multiple of pi, where ``sin(psi)`` nearly vanishes, psi is first reduced
-    by that multiple; where the reduced psi is exactly 0 the two vectors
-    coincide entrywise and the product is exactly 1.
+    The kernel is pi-periodic in psi, so it is evaluated at psi minus its
+    nearest multiple of pi: near that multiple ``sin(N*psi)`` of the
+    unreduced psi would carry the rounding of ``N*psi`` relative to its
+    small value.  Where the reduced psi is exactly 0 the product is exactly 1.
     """
     n = geom.num_elements
     psi = math.pi * geom.spacing_wavelengths * freq_delta
-    cycles = psi / math.pi
-    turns = round(cycles)
-    if abs(cycles - turns) < COINCIDENT_CYCLES:
-        psi -= turns * math.pi
-        if psi == 0.0:
-            return 1.0 + 0.0j
+    psi -= round(psi / math.pi) * math.pi
+    if psi == 0.0:
+        return 1.0 + 0.0j
     ratio = math.sin(n * psi) / (n * math.sin(psi))
     return complex(np.exp(1j * (n - 1) * psi) * ratio)
 

@@ -210,16 +210,23 @@ class TestReducedRoute:
                         dense.normalized_snr, rel=1e-9
                     )
 
-    def test_beam_attains_the_optimum(self, rng):
+    # the weights are quadratic in the gains and their power quartic: scales at which
+    # these under- or overflow included
+    @pytest.mark.parametrize("scale", (1e-150, 1e-100, 1.0, 1e100, 1e150))
+    @pytest.mark.parametrize("spacing", (1e-4, 0.5, 2.0))
+    def test_beam_attains_the_optimum(self, rng, spacing, scale):
         # the SNR of the returned beams, not only the reported one, is the optimum
         for nt, num_paths in ((8, 3), (64, 3), (8, 5), (64, 5)):
-            tx_geom, rx_geom = geometry_pair(nt=nt, nr=4)
+            tx_geom, rx_geom = geometry_pair(nt=nt, nr=4, spacing=spacing)
             for _ in range(20):
-                paths = random_paths(rng, num_paths)
+                paths = [PathComponent(scale * p.gain, p.aod, p.aoa)
+                         for p in random_paths(rng, num_paths)]
                 ch = assemble_channel(paths, tx_geom, rx_geom)
                 pair = reduced_optimal_beamformer(paths, tx_geom, rx_geom, channel=ch)
                 dense = optimal_beamformer(ch).normalized_snr
-                assert received_snr(ch, pair.tx, pair.rx) == pytest.approx(dense, rel=1e-12)
+                # abs=0: approx's default absolute tolerance would pass any SNR of tiny gains
+                assert received_snr(ch, pair.tx, pair.rx) == pytest.approx(
+                    dense, rel=1e-12, abs=0.0)
 
     def test_tx_in_steering_span(self, rng):
         tx_geom, rx_geom = geometry_pair(nt=16, nr=4)
@@ -584,6 +591,25 @@ def engine_losses(paths, nt, monkeypatch):
         return montecarlo._trial_losses(cfg)[0].tolist()
 
 
+def pivot_order(factor):
+    """Rows of a factor in its pivot order, read off the factor alone.
+
+    Column k's root is a row, not yet taken, with no nonzero entry after
+    column k.  Where several rows qualify (at the last live column, every
+    row left does), a real nonnegative entry marks the root, the largest if
+    several have one.  A column no row fits leaves the order short.
+    """
+    order = []
+    for k in range(factor.shape[1]):
+        rows = [r for r in range(factor.shape[0])
+                if r not in order and not np.any(factor[r, k + 1:])]
+        if rows:
+            entry = {r: factor[r, k] for r in rows}
+            order.append(max(rows, key=lambda r: (
+                entry[r].imag == 0.0 and entry[r].real >= 0.0, abs(entry[r]))))
+    return order
+
+
 class TestFactorDegenerateInputs:
     @pytest.mark.parametrize("nt", (1, 2, 16))
     @pytest.mark.parametrize("num_paths", (3, 5))
@@ -592,10 +618,11 @@ class TestFactorDegenerateInputs:
         cfg = montecarlo.McConfig(num_paths=num_paths, trials=64, seed=5, nt=nt,
                                   spacing_wavelengths=spacing)
         gram_t = engine_inputs(cfg)[1]
-        factor, pivots = beamformer._gram_factor(gram_t)
+        factor = beamformer._gram_factor(gram_t)
         np.testing.assert_allclose(factor @ np.conj(np.swapaxes(factor, 1, 2)), gram_t,
                                    rtol=0.0, atol=16 * np.finfo(float).eps)
-        for f, order in zip(factor, pivots):
+        for f in factor:
+            order = pivot_order(f)
             assert sorted(order) == list(range(num_paths))
             ordered = f[order]
             # exactly lower triangular in pivot order, with a nonnegative real diagonal
@@ -629,7 +656,7 @@ class TestFactorDegenerateInputs:
             pair = reduced_optimal_beamformer(paths, tx_geom, rx_geom, channel=ch)
         dense = optimal_beamformer(ch).normalized_snr
         assert pair.normalized_snr == pytest.approx(dense, rel=1e-12)
-        # the beam from the back-substitution attains the optimum
+        # the beam mapped through the channel attains the optimum
         assert abs(np.linalg.norm(pair.tx) - 1.0) < 1e-12
         assert received_snr(ch, pair.tx, pair.rx) == pytest.approx(dense, rel=1e-12)
 

@@ -1,6 +1,9 @@
-"""Every exported name resolves, and the CLI's case lists come from the regime table."""
+"""Every exported name resolves, the CLI's case lists come from the regime table, and the
+benchmark's tracer finds every function it times."""
 
 import argparse
+import importlib
+from pathlib import Path
 
 from mmwbeam import beamformer, channel, cli, closedform, montecarlo, steering, verify
 import mmwbeam
@@ -22,3 +25,14 @@ def test_exports_resolve_and_cli_cases_follow_the_regime_table():
     assert case_choices("sweep") == tuple(
         case for case, regime in closedform.REGIMES.items() if regime.allocation is not None
     )
+
+
+def test_bench_tracer_binds_every_target(monkeypatch):
+    # bench/run.py --trace 1 rebinds each function it times wherever the package binds
+    # it; a renamed or unbound function stops the run with "no binding site found"
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+    tracer = importlib.import_module("tracer")
+    run_ccdf = montecarlo.run_ccdf
+    with tracer.instrument(tracer.Tracer()):
+        assert montecarlo.run_ccdf is not run_ccdf
+    assert montecarlo.run_ccdf is run_ccdf

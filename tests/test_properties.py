@@ -127,17 +127,27 @@ def test_equal_power_phase_is_exact(cfg):
 SANDWICH_ULPS = 16.0 * np.finfo(float).eps
 
 
+# Configs whose spacing reaches 2 wavelengths, so grating lobes too.
+wide_configs = st.fixed_dictionaries({**CONFIG_FIELDS, "spacing_wavelengths": st.floats(0.01, 2.0)})
+
+
+def engine_grams(mc):
+    """Gains (B, L) and the transmit and receive Grams (B, L, L) of every trial the engine draws."""
+    gains, aod, aoa, _ = _draw_chunk(mc, range(mc.trials))
+    gram_t = gram_stack(mc.tx_geometry, spatial_frequencies(aod, math.pi / 2))
+    gram_r = gram_stack(mc.rx_geometry, spatial_frequencies(aoa, math.pi / 2))
+    return gains, gram_t, gram_r
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(cfg=st.fixed_dictionaries({**CONFIG_FIELDS, "spacing_wavelengths": st.floats(0.01, 2.0)}))
+@given(cfg=wide_configs)
 def test_optimum_lies_in_the_trace_sandwich(cfg):
     # With A = diag(g) G_t diag(g)^H, L * optimal is the largest eigenvalue of A G_r.  Its
     # L eigenvalues are those of a product of two PSD matrices, so none is negative:
     # the largest lies between their mean and their sum tr(A G_r), and bounds every
     # scheme.  No eigensolver enters the bounds.
     mc = McConfig(**cfg)
-    gains, aod, aoa, _ = _draw_chunk(mc, range(mc.trials))
-    gram_t = gram_stack(mc.tx_geometry, spatial_frequencies(aod, math.pi / 2))
-    gram_r = gram_stack(mc.rx_geometry, spatial_frequencies(aoa, math.pi / 2))
+    gains, gram_t, gram_r = engine_grams(mc)
     size = mc.num_paths
     terms = gains[:, :, None] * gram_t * np.conj(gains[:, None, :]) * np.swapaxes(gram_r, -1, -2)
     trace = terms.sum(axis=(-1, -2)).real
@@ -147,7 +157,22 @@ def test_optimum_lies_in_the_trace_sandwich(cfg):
     assert np.all(optimal <= trace + slack)
     for scheme, kernel in _SCHEME_SNR.items():
         if scheme != "equal_power" or size == 2:
-            assert np.all(size * kernel(gains, gram_t, gram_r)[0] <= optimal + slack)
+            snr = kernel(gains, gram_t, gram_r)[0]
+            assert np.all(snr >= 0.0)
+            assert np.all(size * snr <= optimal + slack)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(cfg=wide_configs)
+@example(cfg={"seed": 9, "num_paths": 5, "nt": 1, "nr": 3, "spacing_wavelengths": 2.0,
+              "angle_sampling": "uniform_angle", "trials": 183})
+def test_optimum_is_unchanged_by_swapping_the_ends(cfg):
+    # H^T has the transmit steering vectors conj(u_l) and the receive ones conj(v_l):
+    # its Grams are conj(G_r) and conj(G_t), and it has the singular values of H.
+    gains, gram_t, gram_r = engine_grams(McConfig(**cfg))
+    optimal = _optimal_snr(gains, gram_t, gram_r)[0]
+    swapped = _optimal_snr(gains, np.conj(gram_r), np.conj(gram_t))[0]
+    assert np.max(np.abs(swapped - optimal) / optimal) <= 2e-12
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -178,11 +203,13 @@ GRAM_ULPS = 32.0 * np.finfo(float).eps
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     n=st.one_of(st.sampled_from([1, 2, 7, 13, 64, 256, 1000, 1024]), st.integers(1, 1024)),
-    spacing=st.floats(0.001, 1.0),
+    spacing=st.floats(0.001, 2.0),
     freqs=hnp.arrays(
         float, hnp.array_shapes(min_dims=2, max_dims=2, max_side=5), elements=st.floats(-1.0, 1.0)
     ),
 )
+# a separation 1e-5 beyond a grating lobe: sin(N psi) of the unreduced psi loses digits
+@example(n=3, spacing=1.0, freqs=np.array([[-0.5, 0.50001]]))
 def test_gram_stack_matches_dense_product(n, spacing, freqs):
     geom = ArrayGeometry(n, spacing)
     gram = gram_stack(geom, freqs)
