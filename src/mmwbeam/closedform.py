@@ -235,26 +235,18 @@ def _require_regime(params: TwoPathParams, end: str, forced: float) -> None:
     raise RegimeError(f"requires {kind} {side} vectors, |{end[0]}1^H {end[1]}2| = {mag}")
 
 
-def objective_grid(params: TwoPathParams, betas, thetas) -> np.ndarray:
-    """Normalized SNR of the two-path beam on a (beta, theta) product grid.
+def _grid_axes(params: TwoPathParams, a: float, b: float, root_ab: float, betas, thetas):
+    """The per-axis terms of the objective: three (B, 1) columns and two (1, T) rows.
 
-    Returns an array of shape ``(len(betas), len(thetas))``; entries whose
-    beam degenerates to the zero vector are ``-inf``.
-
-    The numerator keeps the term order of the plain left-to-right sum on
-    purpose: the beta-only terms as one (B, 1) column, then the two
-    theta-dependent outer products, added in place into at most two (B, T)
-    buffers (the second one then holds the denominator).  Every entry keeps
-    the bits of that sum, so grid searches keep their argmax, at about half
-    the full-size array passes.  The masked division runs only when some
-    beam norm vanishes.
+    ``a``, ``b`` and ``root_ab`` stand for the squared gains and their
+    geometric mean; the objective is of degree one in them.  The columns
+    are the beta-only terms, then the coefficients of ``cos(phi)`` in the
+    numerator, of the coupling row, and of ``cos(phi)`` in the denominator;
+    the rows are ``cos(phi)`` and ``vv^2 cos(nu + phi) + cos(nu - phi)``.
     """
-    a = params.gain_sq_1
-    b = params.gain_sq_2
     uu = params.uu_mag
     vv = params.vv_mag
     nu = params.misalignment
-    root_ab = params.mag_a1 * params.mag_a2
 
     beta = np.asarray(betas, dtype=float).reshape(-1, 1)
     spread = np.sqrt(np.clip(1.0 - beta**2, 0.0, None))
@@ -268,30 +260,89 @@ def objective_grid(params: TwoPathParams, betas, thetas) -> np.ndarray:
         + (b * beta**2 + a * spread**2) * vv**2
         + 2.0 * root_ab * vv * uu * math.cos(nu)
     )
-    num = np.multiply(pair_amp * (a + b) * vv, cos_phi)
+    columns = (beta_terms, pair_amp * (a + b) * vv, pair_amp * root_ab * uu, pair_amp * vv)
+    rows = (cos_phi, vv**2 * np.cos(nu + phi) + np.cos(nu - phi))
+    return columns, rows
+
+
+def _grid_block(columns, rows, r0: int, r1: int, num: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Write the objective's rows ``[r0, r1)`` into ``num`` (``work`` is scratch); return ``num``.
+
+    Both buffers hold ``r1 - r0`` rows of the grid's width.  The numerator
+    keeps the term order of the plain left-to-right sum on purpose: the
+    cos(phi) product, then the beta-only column, then the coupling product,
+    each added in place; ``work`` then holds the denominator.  Every entry
+    keeps the bits of that sum whatever the block, so grid searches keep
+    their argmax.  The masked division runs only in a block where some beam
+    norm vanishes; such entries are ``-inf``.
+    """
+    beta_terms, cos_coef, cross_coef, den_coef = (col[r0:r1] for col in columns)
+    cos_phi, cross_row = rows
+    np.multiply(cos_coef, cos_phi, out=num)
     num += beta_terms
-    work = np.multiply(pair_amp * root_ab * uu, vv**2 * np.cos(nu + phi) + np.cos(nu - phi))
-    num += work
-    den = np.multiply(pair_amp * vv, cos_phi, out=work)
+    num += np.multiply(cross_coef, cross_row, out=work)
+    den = np.multiply(den_coef, cos_phi, out=work)
     den += 1.0
     if den.min(initial=math.inf) > MIN_BEAM_NORM_SQ:
         num /= den
         num *= 0.5  # the bits of / 2.0, at a third of the cost
         return num
     ok = den > MIN_BEAM_NORM_SQ
-    return np.where(ok, num / np.where(ok, den, 1.0) / 2.0, -np.inf)
+    num /= np.where(ok, den, 1.0)
+    num *= 0.5
+    num[~ok] = -np.inf
+    return num
+
+
+def objective_grid(params: TwoPathParams, betas, thetas) -> np.ndarray:
+    """Normalized SNR of the two-path beam on a (beta, theta) product grid.
+
+    Returns an array of shape ``(len(betas), len(thetas))``; entries whose
+    beam degenerates to the zero vector are ``-inf``.  The per-axis terms
+    (:func:`_grid_axes`) are combined by one block over every row
+    (:func:`_grid_block`), in two full-size buffers.
+    """
+    columns, rows = _grid_axes(
+        params, params.gain_sq_1, params.gain_sq_2, params.mag_a1 * params.mag_a2, betas, thetas
+    )
+    shape = (columns[0].shape[0], rows[0].shape[1])
+    return _grid_block(columns, rows, 0, shape[0], np.empty(shape), np.empty(shape))
+
+
+def _unscaled(value: float, shift: int) -> float:
+    """``value * 2**-shift``: an objective evaluated on gains scaled by ``2**shift``, scaled back.
+
+    A value beyond the float range reads as infinite.
+    """
+    try:
+        return math.ldexp(value, -shift)
+    except OverflowError:
+        return math.copysign(math.inf, value)
 
 
 def two_path_objective(params: TwoPathParams, alloc: AllocationPoint) -> float:
     """Normalized SNR achieved by one allocation on the two-path channel.
 
     Matrix-free evaluation of ``f^H H^H H f / (L * Nt * Nr * f^H f)`` for
-    ``f = beta*v_1 + sqrt(1-beta^2)*exp(1j*theta)*v_2``.
+    ``f = beta*v_1 + sqrt(1-beta^2)*exp(1j*theta)*v_2``, on the scaled
+    gains of :func:`allocation_grid_search` and scaled back, so it reads
+    that search's values; beyond the float range it is infinite.
     """
-    value = float(objective_grid(params, [alloc.beta], [alloc.theta])[0, 0])
-    if not math.isfinite(value):
+    *gains, shift = _scaled_terms(params)
+    columns, rows = _grid_axes(params, *gains, [alloc.beta], [alloc.theta])
+    value = float(_grid_block(columns, rows, 0, 1, np.empty((1, 1)), np.empty((1, 1)))[0, 0])
+    if value == -math.inf:
         raise ValueError("beam has numerically zero norm at this allocation")
-    return value
+    return _unscaled(value, shift)
+
+
+# Rows of one block of the grid search.  At the default 360 phases a block buffer
+# is 180 KiB, and glibc serves the two of them again from its heap on every call.
+# Median of 30 rounds of default searches on a 2-vCPU x86-64 box (numpy 2.4,
+# glibc 2.36), by rows per block: 32 -> 557 us, 64 -> 528 us, 96 -> 495 us, 128 ->
+# 514 us with 4 page faults per call, 201 (one block) -> 800 us with 247.  64 is
+# within noise of the fastest and keeps both buffers far from the size that faults.
+GRID_BLOCK_ROWS = 64
 
 
 def allocation_grid_search(
@@ -305,7 +356,18 @@ def allocation_grid_search(
     Beta spans [0, 1] inclusive and theta spans [0, 2*pi) without the
     endpoint; ``beta_window`` restricts beta to a sub-interval (with
     endpoints), which supports zoom-in refinement around a coarse argmax.
-    Ties resolve to the lowest (beta-major) linear index.
+
+    The grid is evaluated on the squared gains of :func:`_scaled_gains` and
+    their geometric mean, and its value scaled back (beyond the float range
+    it reads infinite), so scaling both gains by a power of two keeps the
+    point and scales the value exactly, and huge and tiny gains keep their
+    argmax.  Where the larger gain lies in [0.5, 1) every entry has the bits
+    of :func:`objective_grid`; elsewhere the two may differ in the last bit
+    of a squared gain, because ``x**2`` (libm's ``pow``) does not commute
+    with a power-of-two scaling.  Rows are evaluated in blocks of
+    ``GRID_BLOCK_ROWS`` into two buffers allocated once per call.  The
+    result is the point and value of ``np.argmax`` over the whole scaled
+    grid: ties resolve to the lowest (beta-major) linear index.
     """
     if num_beta < 2 or num_theta < 2:
         raise ValueError("grid resolutions must be at least 2")
@@ -314,12 +376,39 @@ def allocation_grid_search(
     else:
         betas = np.clip(np.linspace(beta_window[0], beta_window[1], num_beta), 0.0, 1.0)
     thetas = np.linspace(0.0, _TWO_PI, num_theta, endpoint=False)
-    values = objective_grid(params, betas, thetas)
-    flat = int(np.argmax(values))
-    i, j = divmod(flat, num_theta)
-    return AllocationPoint(beta=float(betas[i]), theta=float(thetas[j])), float(
-        values[i, j]
-    )
+    *gains, shift = _scaled_terms(params)
+    columns, rows = _grid_axes(params, *gains, betas, thetas)
+    shape = (min(GRID_BLOCK_ROWS, num_beta), num_theta)
+    num, work = np.empty(shape), np.empty(shape)
+    best, best_flat = -math.inf, -1
+    for r0 in range(0, num_beta, GRID_BLOCK_ROWS):
+        r1 = min(r0 + GRID_BLOCK_ROWS, num_beta)
+        block = _grid_block(columns, rows, r0, r1, num[: r1 - r0], work[: r1 - r0])
+        flat = int(np.argmax(block))
+        value = float(block.flat[flat])
+        # a later block wins only strictly; a NaN (a NaN phase) fills every unmasked
+        # entry, so the first block's holds, as np.argmax over the whole grid picks it
+        if best_flat < 0 or value > best:
+            best, best_flat = value, r0 * num_theta + flat
+    i, j = divmod(best_flat, num_theta)
+    return AllocationPoint(beta=float(betas[i]), theta=float(thetas[j])), _unscaled(best, shift)
+
+
+def _scaled_terms(params: TwoPathParams) -> tuple[float, float, float, int]:
+    """``a``, ``b`` and ``sqrt(ab)`` of :func:`_scaled_gains`, and the exponent of their scale.
+
+    The three are the squared gains and their geometric mean times
+    ``2**shift``, squared from the scaled magnitudes, so they depend on the
+    gains' ratio and mantissas only.  Zero gains give zeros and a shift of 0.
+    """
+    larger = max(params.mag_a1, params.mag_a2)
+    if larger == 0.0:
+        return 0.0, 0.0, 0.0, 0
+    half = -math.frexp(larger)[1]
+    m1, m2 = math.ldexp(params.mag_a1, half), math.ldexp(params.mag_a2, half)
+    a, b = m1**2, m2**2
+    rest = -math.frexp(max(a, b))[1]
+    return math.ldexp(a, rest), math.ldexp(b, rest), math.ldexp(m1 * m2, rest), 2 * half + rest
 
 
 def _scaled_gains(params: TwoPathParams) -> tuple[float, float]:
@@ -328,17 +417,13 @@ def _scaled_gains(params: TwoPathParams) -> tuple[float, float]:
     The magnitudes are scaled by a power of two before they are squared, so
     gains whose squares would under- or overflow keep their ratio.  The
     scaling is exact, so a ratio of terms of one degree in ``a`` and ``b``
-    keeps its bits wherever nothing under- or overflows, and products of
-    tiny or huge squared gains no longer do.
+    keeps its value wherever nothing under- or overflows, up to the last bit
+    of a square (libm's ``x**2`` is not correctly rounded), and products of
+    tiny or huge squared gains no longer under- or overflow.
     """
-    larger = max(params.mag_a1, params.mag_a2)
-    if larger == 0.0:
+    if max(params.mag_a1, params.mag_a2) == 0.0:
         raise ValueError("undefined when both path gains are zero")
-    shift = -math.frexp(larger)[1]
-    a = math.ldexp(params.mag_a1, shift) ** 2
-    b = math.ldexp(params.mag_a2, shift) ** 2
-    shift = -math.frexp(max(a, b))[1]
-    return math.ldexp(a, shift), math.ldexp(b, shift)
+    return _scaled_terms(params)[:2]
 
 
 def beta_opt_v_orth(params: TwoPathParams) -> AllocationPoint:

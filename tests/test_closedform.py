@@ -1,4 +1,7 @@
 import math
+import sys
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -133,6 +136,47 @@ class TestObjective:
         p = TwoPathParams(1.0, 1.0, vv_mag=1.0, vv_phase=0.0)
         with pytest.raises(ValueError, match="zero norm"):
             two_path_objective(p, AllocationPoint(beta=1.0 / SQRT2, theta=math.pi))
+
+
+class TestGridSearch:
+    def test_peak_memory_is_below_one_full_grid(self):
+        params = random_params(np.random.default_rng(3))
+        allocation_grid_search(params)  # let the allocator reach its steady state
+        tracemalloc.start()
+        try:
+            allocation_grid_search(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 201 * 360 * 8
+
+    @pytest.mark.parametrize("params", [
+        TwoPathParams(1.3, 1.2, 0.3, uu_mag=0.5, vv_mag=0.5),
+        TwoPathParams(0.6, 1.7, 2.1, uu_mag=0.9, uu_phase=1.0, vv_mag=0.2, vv_phase=-0.4),
+        TwoPathParams(1.0, 1.0, uu_mag=1.0, vv_mag=1.0),
+    ])
+    def test_extreme_gains_keep_the_scale_free_point(self, params):
+        # unscaled, a + b overflowed at 1e154 (a NaN value at beta = 0) and every square
+        # underflowed at 1e-170 (the search read (0, 0) and the objective raised)
+        point, value = allocation_grid_search(params)
+        for k in range(-560, 501, 10):
+            scaled = TwoPathParams(
+                math.ldexp(params.mag_a1, k), math.ldexp(params.mag_a2, k), params.phase_diff,
+                params.uu_mag, params.uu_phase, params.vv_mag, params.vv_phase,
+            )
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                scaled_point, scaled_value = allocation_grid_search(scaled)
+                objective = two_path_objective(scaled, point)
+            assert scaled_point == point
+            expected = math.ldexp(value, 2 * k)
+            if math.isfinite(expected) and expected >= sys.float_info.min:
+                assert scaled_value == objective == expected
+
+    def test_objective_beyond_the_float_range_reads_infinite(self):
+        params = TwoPathParams(1.3e154, 1.2e154, uu_mag=1.0, vv_mag=1.0)
+        point, value = allocation_grid_search(params)
+        assert value == two_path_objective(params, point) == math.inf
 
 
 class TestVOrthogonal:

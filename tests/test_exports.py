@@ -36,3 +36,15 @@ def test_bench_tracer_binds_every_target(monkeypatch):
     with tracer.instrument(tracer.Tracer()):
         assert montecarlo.run_ccdf is not run_ccdf
     assert montecarlo.run_ccdf is run_ccdf
+
+
+def test_bench_tracer_counts_the_default_grid(monkeypatch):
+    # the tracer counts grid points from allocation_grid_search's num_beta and num_theta,
+    # bound by name with their defaults
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+    tracer = importlib.import_module("tracer")
+    trace = tracer.Tracer()
+    with tracer.instrument(trace):
+        closedform.allocation_grid_search(closedform.TwoPathParams(1.0, 0.5, uu_mag=0.3))
+    assert trace.calls["closedform.grid_search"] == 1
+    assert trace.counts["closedform.grid_search.points"] == 201 * 360

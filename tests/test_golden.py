@@ -8,8 +8,11 @@ change of the arithmetic may move it by.  ``closedform``, ``sweep`` and
 ``verify`` reruns must give the same bytes: text and JSON report for
 ``verify``, which writes its report to the relative path its config records.
 Every CCDF file was drawn from the stream ``philox4x64-v2`` (the ``_v2``
-in its name) and is also checked trial by trial against a dense SVD of each
-redrawn channel.
+in its name); each CSV is also checked trial by trial against a dense SVD of
+each redrawn channel, and the JSON one, a JSON emission of the wide CSV's
+run, pins the emitter: its config, counts and CCDF exactly, its samples,
+median and 90th percentile within ``GOLDEN_TOL_DB``, and its bytes as
+``cli._wrap_json`` renders the parsed document.
 Every file there must be read by one of these tests.
 """
 
@@ -21,7 +24,7 @@ import numpy as np
 import pytest
 
 from mmwbeam.channel import assemble_channel
-from mmwbeam.cli import EXIT_OK, main
+from mmwbeam.cli import EXIT_OK, _wrap_json, main
 from mmwbeam.montecarlo import SCHEMES, McConfig, sample_paths
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -87,6 +90,37 @@ def test_ccdf_matches_golden(path, capsys):
     assert ccdf == golden_ccdf
     diff = np.abs(np.array(samples, dtype=float) - np.array(golden_samples, dtype=float))
     assert diff.max() <= GOLDEN_TOL_DB
+
+
+@golden("ccdf_*.json")
+def test_ccdf_json_matches_golden(path, capsys):
+    golden_doc = json.loads(path.read_text())
+    assert main(argv_of(golden_doc["config"])) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["config"] == golden_doc["config"]
+    assert doc["version"] == golden_doc["version"]
+    results, golden_results = doc["results"], golden_doc["results"]
+    assert results.keys() == golden_results.keys()
+    for key in ("config", "num_resampled", "ccdf"):
+        assert results[key] == golden_results[key]
+    for key in ("samples_db", "median_db", "p90_db"):
+        diff = np.abs(np.subtract(results[key], golden_results[key]))
+        assert diff.max() <= GOLDEN_TOL_DB
+
+
+@golden("ccdf_*.json")
+def test_json_emission_rerenders_golden_bytes(path):
+    # a faster writer of the JSON document must keep these bytes: the parsed golden
+    # renders back to itself, and so do values at the edges of float formatting
+    text = path.read_text()
+    doc = json.loads(text)
+    assert _wrap_json(doc["config"], doc["results"]) == text
+    results = {"samples_db": [math.inf, -0.0, 5e-324, 1e-300, 0.1], "p90_db": -math.inf}
+    reference = json.JSONEncoder(sort_keys=True, indent=2).iterencode(
+        {"config": doc["config"], "version": doc["version"], "results": results},
+        _one_shot=False,
+    )
+    assert _wrap_json(doc["config"], results) == "".join(reference) + "\n"
 
 
 def dense_loss_db(cfg, trial):

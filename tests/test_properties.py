@@ -11,23 +11,27 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
-from conftest import equal_power_grid_snr  # noqa: E402
+from conftest import equal_power_grid_snr, random_paths  # noqa: E402
 from mmwbeam import steering  # noqa: E402
 from mmwbeam.beamformer import (  # noqa: E402
+    _loss_db,
     _optimal_snr,
     equal_power_beamformer,
     optimal_beamformer,
     received_snr,
     reduced_optimal_beamformer,
 )
-from mmwbeam.channel import assemble_channel  # noqa: E402
+from mmwbeam.channel import PathComponent, assemble_channel  # noqa: E402
 from mmwbeam.closedform import (  # noqa: E402
+    GRID_BLOCK_ROWS,
     REGIMES,
     TwoPathParams,
+    allocation_grid_search,
     delta_snr_v_orth,
     objective_grid,
 )
 from mmwbeam.montecarlo import (  # noqa: E402
+    _MIN_GAIN,
     _SCHEME_SNR,
     ANGLE_SAMPLING,
     SCHEMES,
@@ -59,6 +63,8 @@ CONFIG_FIELDS = {
     "trials": st.integers(1, 40),
 }
 configs = st.fixed_dictionaries(CONFIG_FIELDS)
+# Configs whose spacing reaches 2 wavelengths, so grating lobes too.
+wide_configs = st.fixed_dictionaries({**CONFIG_FIELDS, "spacing_wavelengths": st.floats(0.01, 2.0)})
 
 
 def losses(scheme, **cfg):
@@ -66,7 +72,7 @@ def losses(scheme, **cfg):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(cfg=configs)
+@given(cfg=wide_configs)
 def test_losses_are_nonnegative_and_ordered(cfg):
     bidirectional = losses("bidirectional", **cfg)
     dominant = losses("dominant_tx_mf_rx", **cfg)
@@ -96,7 +102,7 @@ def dense_loss_ratio(cfg, trial):
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(cfg=configs)
+@given(cfg=wide_configs)
 def test_engine_losses_match_dense_svd(cfg):
     schemes = ["bidirectional", "dominant_tx_mf_rx"]
     if cfg["num_paths"] == 2:
@@ -125,10 +131,6 @@ def test_equal_power_phase_is_exact(cfg):
 # which bounds every sum of L^2 products that the trace, the core and the schemes
 # round (the worst seen over 6000 random configs was 3 of the 16).
 SANDWICH_ULPS = 16.0 * np.finfo(float).eps
-
-
-# Configs whose spacing reaches 2 wavelengths, so grating lobes too.
-wide_configs = st.fixed_dictionaries({**CONFIG_FIELDS, "spacing_wavelengths": st.floats(0.01, 2.0)})
 
 
 def engine_grams(mc):
@@ -173,6 +175,57 @@ def test_optimum_is_unchanged_by_swapping_the_ends(cfg):
     optimal = _optimal_snr(gains, gram_t, gram_r)[0]
     swapped = _optimal_snr(gains, np.conj(gram_r), np.conj(gram_t))[0]
     assert np.max(np.abs(swapped - optimal) / optimal) <= 2e-12
+
+
+def chunk_losses(kernel, gains, gram_t, gram_r):
+    """Loss (dB) of each trial of a chunk, as the engine takes it from the two kernels."""
+    optimal = _optimal_snr(gains, gram_t, gram_r)[0]
+    scheme = kernel(gains, gram_t, gram_r)[0]
+    return np.array([_loss_db(o, s) for o, s in zip(optimal.tolist(), scheme.tolist())])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(cfg=wide_configs)
+def test_losses_keep_their_values_at_gains_just_above_the_floor(cfg):
+    # A chunk whose largest gain is just above _MIN_GAIN is kept, not redrawn: its squared
+    # gains are near 1e-300, and every loss must read as at unit scale.
+    mc = McConfig(**cfg)
+    gains, gram_t, gram_r = engine_grams(mc)
+    tiny = gains * (1.1 * _MIN_GAIN / np.abs(gains).max())
+    for scheme, kernel in _SCHEME_SNR.items():
+        if scheme != "equal_power" or mc.num_paths == 2:
+            unit = chunk_losses(kernel, gains, gram_t, gram_r)
+            scaled = chunk_losses(kernel, tiny, gram_t, gram_r)
+            finite = np.isfinite(unit)
+            assert np.array_equal(np.isfinite(scaled), finite)
+            assert np.all(np.abs(scaled[finite] - unit[finite]) <= 1e-12)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_paths=st.sampled_from([1, 2, 3, 5]),
+    nt=st.integers(1, 64),
+    nr=st.integers(1, 64),
+    spacings=st.tuples(st.floats(0.01, 2.0), st.floats(0.01, 2.0)),
+    phase=st.floats(-7.0, 7.0),
+)
+def test_per_channel_optimum_is_invariant(seed, num_paths, nt, nr, spacings, phase):
+    rng = np.random.default_rng(seed)
+    paths = random_paths(rng, num_paths)
+    tx_geom, rx_geom = ArrayGeometry(nt, spacings[0]), ArrayGeometry(nr, spacings[1])
+    optimal = reduced_optimal_beamformer(paths, tx_geom, rx_geom).normalized_snr
+    # H^H: the ends swap and the gains are conjugated
+    adjoint = [PathComponent(np.conj(p.gain), aod=p.aoa, aoa=p.aod) for p in paths]
+    rotated = [PathComponent(p.gain * np.exp(1j * phase), p.aod, p.aoa) for p in paths]
+    permuted = [paths[k] for k in rng.permutation(num_paths)]
+    for changed, tx, rx in (
+        (adjoint, rx_geom, tx_geom),
+        (rotated, tx_geom, rx_geom),
+        (permuted, tx_geom, rx_geom),
+    ):
+        snr = reduced_optimal_beamformer(changed, tx, rx).normalized_snr
+        assert abs(snr - optimal) <= 2e-12 * optimal
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -291,6 +344,50 @@ def test_objective_grid_matches_one_expression_form(params, betas, thetas):
     if params.vv_mag == 1.0 and params.vv_phase == 0.0:
         cancelled = np.isin(betas, math.sqrt(0.5))[:, None] & np.isin(thetas, math.pi)
         assert np.all(np.isneginf(grid[cancelled]))
+
+
+def unit_scaled(params):
+    """``params`` with both gains scaled by the power of two that takes the larger into [0.5, 1).
+
+    The search squares its gains after that scaling, and libm's ``x**2`` does
+    not commute with a power-of-two scaling in the last bit; at such gains it
+    squares the same magnitudes as ``objective_grid``.
+    """
+    shift = -math.frexp(max(params.mag_a1, params.mag_a2))[1]
+    return TwoPathParams(
+        math.ldexp(params.mag_a1, shift), math.ldexp(params.mag_a2, shift),
+        params.phase_diff, params.uu_mag, params.uu_phase, params.vv_mag, params.vv_phase,
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    params=two_path_params.map(unit_scaled),
+    num_beta=st.one_of(st.just(201), st.integers(2, 3 * GRID_BLOCK_ROWS + 1)),
+    num_theta=st.one_of(st.just(360), st.integers(2, 64)),
+    window=st.one_of(st.none(), st.tuples(st.floats(-0.5, 1.5), st.floats(-0.5, 1.5))),
+)
+# vv = 1: the beam at beta = sqrt(1/2), theta = pi cancels, so the last block runs the
+# masked division; the window is clipped at 0 and is no multiple of the block
+@example(params=TwoPathParams(1.0, 1.0, uu_mag=1.0, vv_mag=1.0), num_beta=GRID_BLOCK_ROWS + 7,
+         num_theta=2, window=(-0.5, math.sqrt(0.5)))
+# a NaN phase: every unmasked entry is NaN, and np.argmax takes the first
+@example(params=TwoPathParams(1.0, 1.0, uu_phase=math.nan, uu_mag=1.0, vv_mag=1.0),
+         num_beta=GRID_BLOCK_ROWS + 7, num_theta=2, window=(-0.5, math.sqrt(0.5)))
+# a window clipped at both ends
+@example(params=TwoPathParams(0.6, 0.9, uu_mag=0.3, vv_mag=0.4), num_beta=GRID_BLOCK_ROWS + 3,
+         num_theta=360, window=(-0.25, 1.25))
+def test_grid_search_is_the_argmax_of_the_full_grid(params, num_beta, num_theta, window):
+    point, value = allocation_grid_search(params, num_beta, num_theta, window)
+    betas = np.linspace(0.0, 1.0, num_beta)
+    if window is not None:
+        betas = np.clip(np.linspace(window[0], window[1], num_beta), 0.0, 1.0)
+    thetas = np.linspace(0.0, 2.0 * math.pi, num_theta, endpoint=False)
+    grid = objective_grid(params, betas, thetas)
+    # np.argmax takes the lowest linear index among ties
+    i, j = divmod(int(np.argmax(grid)), num_theta)
+    assert (point.beta, point.theta) == (betas[i], thetas[j] % (2.0 * math.pi))
+    assert same_bits(np.float64(value), grid[i, j])
 
 
 gain_mags = st.floats(1e-150, 1e3)
