@@ -14,7 +14,6 @@ from .steering import (
     ArrayGeometry,
     cpo_inner_product,
     electrically_orthogonal,
-    inner_product,
     steering_vector,
 )
 from .channel import (
@@ -42,7 +41,6 @@ __all__ = [
     "ArrayGeometry",
     "cpo_inner_product",
     "electrically_orthogonal",
-    "inner_product",
     "steering_vector",
     "ChannelMatrix",
     "PathComponent",

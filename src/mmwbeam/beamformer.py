@@ -19,7 +19,8 @@ L)`` of the transmit and receive steering vectors, which
 nor any N-length vector is formed: a kernel's cost does not depend on Nt or
 Nr.  The Monte Carlo engine calls them on a chunk of trials; the
 per-channel functions here are calls with B = 1, and give the same bits.
-They build steering vectors only to form the beams they return.
+Each evaluates every end's spatial frequencies once, for its Grams and for
+the steering vectors of the beams it returns.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .channel import ChannelMatrix, PathComponent, assemble_channel
-from .steering import ArrayGeometry, angle_frequencies, gram_stack, steering_matrix
+from .steering import ArrayGeometry, angle_frequencies, gram_stack, steering_stack
 
 __all__ = [
     "BeamformerPair",
@@ -182,19 +183,23 @@ def _herm(stack: np.ndarray) -> np.ndarray:
 
 def _path_grams(
     paths: Sequence[PathComponent], tx_geom: ArrayGeometry, rx_geom: ArrayGeometry
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gains (1, L) and the transmit/receive Grams (1, L, L) of one path list."""
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """A kernel's arguments for one path list, and the spatial frequencies (L,) of each end.
+
+    The arguments are the gains (1, L) and the transmit/receive Grams (1, L, L).
+    """
     if len(paths) == 0:
         raise ValueError("at least one path component is required")
     gains = np.array([[complex(p.gain) for p in paths]])
-    gram_t = gram_stack(tx_geom, angle_frequencies([p.aod for p in paths]))
-    gram_r = gram_stack(rx_geom, angle_frequencies([p.aoa for p in paths]))
-    return gains, gram_t[None], gram_r[None]
+    freq_t = angle_frequencies([p.aod for p in paths])
+    freq_r = angle_frequencies([p.aoa for p in paths])
+    grams = gram_stack(tx_geom, freq_t)[None], gram_stack(rx_geom, freq_r)[None]
+    return (gains, *grams), (freq_t, freq_r)
 
 
-def _beam(steer: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Unit-norm beam (N,) of a steering matrix (N, L) and the weights (1, L) of a kernel."""
-    beam = steer @ weights[0]
+def _beam(geom: ArrayGeometry, freqs: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Unit-norm beam (N,) of a kernel's weights (1, L) on the steering vectors of ``freqs``."""
+    beam = steering_stack(geom, freqs) @ weights[0]
     return beam / np.linalg.norm(beam)
 
 
@@ -210,12 +215,11 @@ def _matched_pair(
     The receiver is the matched filter on ``channel`` (assembled from
     ``paths`` when not given).
     """
-    gains, gram_t, gram_r = _path_grams(paths, tx_geom, rx_geom)
+    args, (freq_t, _) = _path_grams(paths, tx_geom, rx_geom)
     if channel is None:
         channel = assemble_channel(paths, tx_geom, rx_geom)
-    snr, weights = kernel(gains, gram_t, gram_r)
-    tx = _beam(steering_matrix(tx_geom, [p.aod for p in paths]), weights)
-    return _as_pair(channel, tx, snr[0])
+    snr, weights = kernel(*args)
+    return _as_pair(channel, _beam(tx_geom, freq_t, weights), snr[0])
 
 
 def _gram_factor(gram_t: np.ndarray) -> np.ndarray:
@@ -429,10 +433,10 @@ def bidirectional_beamformer(
     Both beams are steering vectors, so ``channel`` is not needed; it is
     accepted for the call signature shared by every scheme.
     """
-    gains, gram_t, gram_r = _path_grams(paths, tx_geom, rx_geom)
-    snr, weights = _bidirectional_snr(gains, gram_t, gram_r)
-    tx = _beam(steering_matrix(tx_geom, [p.aod for p in paths]), weights)
-    rx = _beam(steering_matrix(rx_geom, [p.aoa for p in paths]), weights)
+    args, (freq_t, freq_r) = _path_grams(paths, tx_geom, rx_geom)
+    snr, weights = _bidirectional_snr(*args)
+    tx = _beam(tx_geom, freq_t, weights)
+    rx = _beam(rx_geom, freq_r, weights)
     tx.setflags(write=False)
     rx.setflags(write=False)
     return BeamformerPair(tx=tx, rx=rx, normalized_snr=float(snr[0]))

@@ -25,7 +25,7 @@ import numpy as np
 
 from .beamformer import MIN_BEAM_NORM_SQ
 from .channel import PathComponent
-from .steering import ArrayGeometry, inner_product, steering_vector
+from .steering import ArrayGeometry, angle_frequencies, cpo_inner_product
 
 __all__ = [
     "TwoPathParams",
@@ -123,18 +123,15 @@ class TwoPathParams:
         tx_geom: ArrayGeometry,
         rx_geom: ArrayGeometry,
     ) -> "TwoPathParams":
-        """Measure the reduced parameters of an actual two-path channel."""
+        """Measure the reduced parameters of two paths; each coupling is a Dirichlet kernel."""
         if len(paths) != 2:
             raise ValueError("exactly two paths are required")
         p1, p2 = paths
-        uu = inner_product(
-            steering_vector(rx_geom, p1.aoa), steering_vector(rx_geom, p2.aoa)
-        )
-        vv = inner_product(
-            steering_vector(tx_geom, p1.aod), steering_vector(tx_geom, p2.aod)
-        )
-        g1 = complex(p1.gain)
-        g2 = complex(p2.gain)
+        rx1, rx2 = angle_frequencies([p1.aoa, p2.aoa]).tolist()
+        tx1, tx2 = angle_frequencies([p1.aod, p2.aod]).tolist()
+        uu = cpo_inner_product(rx_geom, rx2 - rx1)
+        vv = cpo_inner_product(tx_geom, tx2 - tx1)
+        g1, g2 = complex(p1.gain), complex(p2.gain)
         return cls(
             mag_a1=abs(g1),
             mag_a2=abs(g2),

@@ -22,7 +22,8 @@ the chunk size nor on the order of chunks.  Redraw ``r >= 1`` of trial
 A draw whose gains all fall below ``_MIN_GAIN`` is redrawn, at most
 ``_MAX_RESAMPLE`` times, and counted.  The azimuth uniforms on [0, 1) are
 mapped to the field of view with numpy's own ``lo + (hi - lo) * u``, the
-value ``rng.uniform(lo, hi)`` gives for the same draw.
+value ``rng.uniform(lo, hi)`` gives for the same draw.  An azimuth reaches
+the steering vectors only through its spatial frequency ``cos(azimuth)``.
 
 The engine works on chunks of consecutive trials.  A chunk is drawn into
 arrays ``gains``, ``aod`` and ``aoa`` of shape (B, L), the Gram matrices
@@ -34,8 +35,8 @@ does not depend on Nt or Nr.  The chunk size follows from the O(L^2)
 per-trial working set, a fixed budget of ``_CHUNK_BYTES`` and a cap of
 ``_MAX_CHUNK_TRIALS``, so memory stays bounded for any trial count.  The
 public per-channel route ``sample_paths`` -> ``reduced_optimal_beamformer``
--> ``SCHEMES[scheme]`` calls the same kernels and reproduces every loss bit
-for bit.
+-> ``SCHEMES[scheme]`` draws its trial as a chunk of one through the same
+draw route, calls the same kernels and reproduces every loss bit for bit.
 """
 
 from __future__ import annotations
@@ -103,9 +104,6 @@ _MIN_GAIN = 1e-150
 _CHUNK_BYTES = 1 << 20
 _MAX_CHUNK_TRIALS = 256
 
-# Elevation of every drawn path: the azimuth plane.
-_BROADSIDE = math.pi / 2.0
-
 
 @dataclass(frozen=True)
 class McConfig:
@@ -132,14 +130,11 @@ class McConfig:
             raise ValueError("trials must be >= 1")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
-        if self.nt < 1 or self.nr < 1:
-            raise ValueError("antenna counts must be >= 1")
         for name in ("spacing_wavelengths", "fov_deg"):
             value = getattr(self, name)
             if isinstance(value, (bool, np.bool_)):
                 raise ValueError(f"{name} must be a number, got {value!r}")
-        if not self.spacing_wavelengths > 0:
-            raise ValueError("spacing_wavelengths must be > 0")
+        _ = self.tx_geometry, self.rx_geometry  # they check nt, nr and the spacing
         if not 0.0 < self.fov_deg <= 180.0:
             raise ValueError("fov_deg must lie in (0, 180]")
         if self.angle_sampling not in ANGLE_SAMPLING:
@@ -242,47 +237,37 @@ def _vanishing(gains: np.ndarray) -> np.ndarray:
     return np.abs(gains).max(axis=-1) < _MIN_GAIN
 
 
-def _draw_trial(cfg: McConfig, trial: int, out: np.ndarray) -> int:
-    """Draw one trial into ``out`` (1, 4, L) from its start, redrawing until its gains are usable.
-
-    Returns the number of redraws; raises after ``_MAX_RESAMPLE`` of them.
-    """
-    trial_rng(cfg, trial).random(out=out)
-    redraws = 0
-    while _vanishing(_gains(out))[0]:
-        redraws += 1
-        if redraws > _MAX_RESAMPLE:
-            raise RuntimeError(
-                f"trial {trial} of seed {cfg.seed} kept producing degenerate channels"
-            )
-        trial_rng(cfg, trial, redraws).random(out=out)
-    return redraws
-
-
 def _draw_chunk(cfg: McConfig, trials: range):
     """Gains, aod and aoa (B, L) of consecutive trials, and the number of redraws.
 
     The whole chunk is read in one call from the generator at the first
-    trial's slot.  Rows whose gains vanish are drawn again from their start
-    by :func:`_draw_trial`.
+    trial's slot.  A row whose gains vanish is redrawn in place from the
+    trial's slot under the next key, at most ``_MAX_RESAMPLE`` times.
     """
     draws = np.empty((len(trials), 4, cfg.num_paths))
     trial_rng(cfg, trials.start).random(out=draws)
     gains = _gains(draws)
-    rows = np.flatnonzero(_vanishing(gains))
-    redraws = sum(_draw_trial(cfg, trials[row], draws[row : row + 1]) for row in rows)
-    if rows.size:
-        gains = _gains(draws)
+    redraws = 0
+    for row in np.flatnonzero(_vanishing(gains)).tolist():
+        draw = draws[row : row + 1]
+        for redraw in range(1, _MAX_RESAMPLE + 1):
+            trial_rng(cfg, trials[row], redraw).random(out=draw)
+            if not _vanishing(_gains(draw))[0]:
+                break
+        else:
+            raise RuntimeError(
+                f"trial {trials[row]} of seed {cfg.seed} kept producing degenerate channels"
+            )
+        redraws += redraw
+        gains[row] = _gains(draw)[0]
     azimuths = _azimuths(cfg, draws[:, 2:])
     return gains, azimuths[:, 0], azimuths[:, 1], redraws
 
 
 def _draw_paths(cfg: McConfig, trial: int) -> list[PathComponent]:
-    """Path components of one trial, drawn and redrawn as :func:`run_ccdf` draws them."""
-    draws = np.empty((1, 4, cfg.num_paths))
-    _draw_trial(cfg, trial, draws)
-    gains = _gains(draws)[0].tolist()
-    aods, aoas = _azimuths(cfg, draws[:, 2:])[0].tolist()
+    """Path components of one trial, drawn as a chunk of one by :func:`_draw_chunk`."""
+    gains, aod, aoa, _ = _draw_chunk(cfg, range(trial, trial + 1))
+    gains, aods, aoas = gains[0].tolist(), aod[0].tolist(), aoa[0].tolist()
     return [
         PathComponent(gain=gains[i], aod=AngleSpec(aods[i]), aoa=AngleSpec(aoas[i]))
         for i in range(cfg.num_paths)
@@ -322,8 +307,8 @@ def _trial_losses(cfg: McConfig) -> tuple[np.ndarray, int]:
         trials = range(start, min(start + chunk, cfg.trials))
         gains, aod, aoa, redraws = _draw_chunk(cfg, trials)
         num_resampled += redraws
-        gram_t = gram_stack(tx_geom, spatial_frequencies(aod, _BROADSIDE))
-        gram_r = gram_stack(rx_geom, spatial_frequencies(aoa, _BROADSIDE))
+        gram_t = gram_stack(tx_geom, spatial_frequencies(aod))
+        gram_r = gram_stack(rx_geom, spatial_frequencies(aoa))
         optimal, _ = _optimal_snr(gains, gram_t, gram_r)
         scheme, _ = scheme_snr(gains, gram_t, gram_r)
         losses[start : trials.stop] = [

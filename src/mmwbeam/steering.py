@@ -1,10 +1,12 @@
 """Uniform linear array steering vectors and their inner products.
 
-A steering vector here is always a constant-phase-offset (CPO) vector:
-unit-magnitude entries with a linearly increasing phase, scaled to unit
-2-norm.  The inner product of two such vectors has a Dirichlet-kernel
-closed form, which is what makes "electrical orthogonality" between two
-directions a simple predicate on their spatial frequencies.
+A direction is an azimuth in the plane of the array, and the array sees it
+through its spatial frequency ``cos(azimuth)`` alone.  A steering vector
+here is always a constant-phase-offset (CPO) vector: unit-magnitude entries
+with a linearly increasing phase, scaled to unit 2-norm.  The inner product
+of two such vectors is the Dirichlet kernel of their frequency difference,
+which is what makes "electrical orthogonality" between two directions a
+simple predicate on their spatial frequencies.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ __all__ = [
     "gram_stack",
     "steering_vector",
     "steering_matrix",
-    "inner_product",
     "cpo_inner_product",
     "electrically_orthogonal",
     "mainlobe_freq_delta",
@@ -42,8 +43,8 @@ class ArrayGeometry:
     num_elements : int
         Number of antenna elements (>= 1).
     spacing_wavelengths : float
-        Inter-element spacing d divided by the carrier wavelength
-        (default 0.5, i.e. critical half-wavelength spacing).
+        Inter-element spacing d divided by the carrier wavelength, finite
+        and > 0 (default 0.5, i.e. critical half-wavelength spacing).
     """
 
     num_elements: int
@@ -52,46 +53,31 @@ class ArrayGeometry:
     def __post_init__(self) -> None:
         if int(self.num_elements) != self.num_elements or self.num_elements < 1:
             raise ValueError(f"num_elements must be a positive integer, got {self.num_elements}")
-        if not self.spacing_wavelengths > 0:
-            raise ValueError(f"spacing_wavelengths must be > 0, got {self.spacing_wavelengths}")
+        if not 0 < self.spacing_wavelengths < math.inf:
+            raise ValueError(
+                f"spacing_wavelengths must be finite and > 0, got {self.spacing_wavelengths}"
+            )
 
 
 @dataclass(frozen=True)
 class AngleSpec:
-    """Azimuth/elevation direction of a propagation path.
-
-    The spatial frequency seen by an X-axis ULA is
-    ``sin(elevation) * cos(azimuth)``; the default elevation of pi/2
-    reduces this to ``cos(azimuth)``.
-    """
+    """Azimuth of a propagation path in the plane of the array, in [0, 2*pi)."""
 
     azimuth_rad: float
-    elevation_rad: float = math.pi / 2
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.azimuth_rad < _TWO_PI:
             raise ValueError(f"azimuth_rad must lie in [0, 2*pi), got {self.azimuth_rad}")
-        if not 0.0 < self.elevation_rad <= math.pi:
-            raise ValueError(f"elevation_rad must lie in (0, pi], got {self.elevation_rad}")
-
-    @classmethod
-    def from_degrees(cls, azimuth_deg: float, elevation_deg: float = 90.0) -> "AngleSpec":
-        """Build an AngleSpec from degrees, wrapping azimuth into [0, 360)."""
-        return cls(math.radians(azimuth_deg % 360.0), math.radians(elevation_deg))
-
-    def spatial_frequency(self) -> float:
-        """Normalized spatial frequency sin(elevation)*cos(azimuth), in [-1, 1]."""
-        return float(spatial_frequencies(self.azimuth_rad, self.elevation_rad))
 
 
-def spatial_frequencies(azimuth_rad, elevation_rad):
-    """Elementwise ``sin(elevation) * cos(azimuth)`` over arrays of angles (radians).
+def spatial_frequencies(azimuth_rad):
+    """Elementwise spatial frequency ``cos(azimuth)`` over an array of azimuths (radians).
 
-    The one definition of the spatial frequency: :class:`AngleSpec`,
-    :func:`steering_matrix` and the batched Monte Carlo engine all call it,
-    so a direction maps to the same bits on every route.
+    The one definition of the spatial frequency: :func:`angle_frequencies`
+    and the batched Monte Carlo engine both call it, so a direction maps to
+    the same bits on every route.
     """
-    return np.sin(elevation_rad) * np.cos(azimuth_rad)
+    return np.cos(azimuth_rad)
 
 
 def steering_stack(geom: ArrayGeometry, freqs: np.ndarray) -> np.ndarray:
@@ -156,23 +142,12 @@ def steering_vector(geom: ArrayGeometry, angle: AngleSpec) -> np.ndarray:
 
 def angle_frequencies(angles) -> np.ndarray:
     """Spatial frequencies (L,) of a sequence of :class:`AngleSpec` directions."""
-    azimuths = np.array([a.azimuth_rad for a in angles], dtype=float)
-    elevations = np.array([a.elevation_rad for a in angles], dtype=float)
-    return spatial_frequencies(azimuths, elevations)
+    return spatial_frequencies(np.array([a.azimuth_rad for a in angles], dtype=float))
 
 
 def steering_matrix(geom: ArrayGeometry, angles) -> np.ndarray:
     """Stack steering vectors for several directions into an (N, L) matrix."""
     return steering_stack(geom, angle_frequencies(angles))
-
-
-def inner_product(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hermitian inner product a^H b of two equal-length vectors."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"vector length mismatch: {a.shape} vs {b.shape}")
-    return complex(np.vdot(a, b))
 
 
 def cpo_inner_product(geom: ArrayGeometry, freq_delta: float) -> complex:
@@ -210,8 +185,8 @@ def electrically_orthogonal(
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    delta = angle2.spatial_frequency() - angle1.spatial_frequency()
-    return bool(abs(cpo_inner_product(geom, delta)) < tol)
+    freq1, freq2 = angle_frequencies([angle1, angle2]).tolist()
+    return bool(abs(cpo_inner_product(geom, freq2 - freq1)) < tol)
 
 
 def mainlobe_freq_delta(geom: ArrayGeometry, magnitude: float) -> float:

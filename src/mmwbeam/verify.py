@@ -189,8 +189,8 @@ def verify_prop1(trials: int = 1000, seed: int = 0) -> SuiteReport:
         ]
         channel = assemble_channel(paths, tx_geom, rx_geom)
         dense = beamformer.optimal_beamformer(channel)
-        grams = beamformer._path_grams(paths, tx_geom, rx_geom)
-        reduced = float(beamformer._optimal_snr(*grams)[0][0])
+        args, _ = beamformer._path_grams(paths, tx_geom, rx_geom)
+        reduced = float(beamformer._optimal_snr(*args)[0][0])
         tx_span = steering_matrix(tx_geom, [p.aod for p in paths])
         rx_span = steering_matrix(rx_geom, [p.aoa for p in paths])
         worst_tx_resid = max(worst_tx_resid, _span_residual(tx_span, dense.tx))

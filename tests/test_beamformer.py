@@ -496,8 +496,8 @@ class TestStackedKernels:
                 (batch, num_paths)
             )
             aod, aoa = rng.uniform(0.0, math.pi, (2, batch, num_paths))
-            gram_t = gram_stack(tx_geom, spatial_frequencies(aod, math.pi / 2))
-            gram_r = gram_stack(rx_geom, spatial_frequencies(aoa, math.pi / 2))
+            gram_t = gram_stack(tx_geom, spatial_frequencies(aod))
+            gram_r = gram_stack(rx_geom, spatial_frequencies(aoa))
             kernels = [
                 lambda g, t, r: beamformer._optimal_snr(g, t, r, beam=True),
                 beamformer._dominant_snr,
@@ -517,8 +517,8 @@ class TestStackedKernels:
 def engine_inputs(cfg):
     """Gains (B, L) and the Grams (B, L, L) the engine draws for every trial of ``cfg``."""
     gains, aod, aoa, _ = montecarlo._draw_chunk(cfg, range(cfg.trials))
-    gram_t = gram_stack(cfg.tx_geometry, spatial_frequencies(aod, math.pi / 2))
-    gram_r = gram_stack(cfg.rx_geometry, spatial_frequencies(aoa, math.pi / 2))
+    gram_t = gram_stack(cfg.tx_geometry, spatial_frequencies(aod))
+    gram_r = gram_stack(cfg.rx_geometry, spatial_frequencies(aoa))
     return gains, gram_t, gram_r
 
 
@@ -678,8 +678,8 @@ class TestFactorDegenerateInputs:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             pair = reduced_optimal_beamformer(paths, tx_geom, rx_geom, channel=ch)
-            weights = beamformer._optimal_snr(*beamformer._path_grams(paths, tx_geom, rx_geom),
-                                              beam=True)[1]
+            args, _ = beamformer._path_grams(paths, tx_geom, rx_geom)
+            weights = beamformer._optimal_snr(*args, beam=True)[1]
         assert 0.0 <= pair.normalized_snr < 1e-20
         assert optimal_beamformer(ch).normalized_snr < 1e-20
         assert np.all(np.isfinite(pair.tx)) and abs(np.linalg.norm(pair.tx) - 1.0) < 1e-12

@@ -357,6 +357,16 @@ class TestCcdf:
         assert code == EXIT_USAGE and out == ""
         assert f"'{rng}'" in json.loads(err)["error"]["message"]
 
+    def test_infinite_spacing_is_usage_error(self, capsys, tmp_path):
+        # an infinite spacing used to run, writing inf for every loss and recording Infinity
+        argv = ["ccdf", "--paths", "2", "--trials", "5"]
+        message = usage_message(capsys, *argv, "--spacing", "inf")
+        assert "spacing_wavelengths must be finite" in message
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({"spacing": math.inf}))
+        assert cfg_file.read_text() == '{"spacing": Infinity}'
+        assert usage_message(capsys, *argv, "--config", str(cfg_file)) == message
+
     def test_unwritable_output_is_io_error(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys,

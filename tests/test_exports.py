@@ -1,9 +1,13 @@
 """Every exported name resolves, the CLI's case lists come from the regime table, and the
-benchmark's tracer finds every function it times."""
+benchmark's tracer, gate and replay find every function they call."""
 
 import argparse
+import contextlib
 import importlib
+import io
 from pathlib import Path
+
+import pytest
 
 from mmwbeam import beamformer, channel, cli, closedform, montecarlo, steering, verify
 import mmwbeam
@@ -27,10 +31,13 @@ def test_exports_resolve_and_cli_cases_follow_the_regime_table():
     )
 
 
+BENCH = str(Path(__file__).parents[1] / "bench")
+
+
 def test_bench_tracer_binds_every_target(monkeypatch):
     # bench/run.py --trace 1 rebinds each function it times wherever the package binds
     # it; a renamed or unbound function stops the run with "no binding site found"
-    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+    monkeypatch.syspath_prepend(BENCH)
     tracer = importlib.import_module("tracer")
     run_ccdf = montecarlo.run_ccdf
     with tracer.instrument(tracer.Tracer()):
@@ -41,10 +48,33 @@ def test_bench_tracer_binds_every_target(monkeypatch):
 def test_bench_tracer_counts_the_default_grid(monkeypatch):
     # the tracer counts grid points from allocation_grid_search's num_beta and num_theta,
     # bound by name with their defaults
-    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+    monkeypatch.syspath_prepend(BENCH)
     tracer = importlib.import_module("tracer")
     trace = tracer.Tracer()
     with tracer.instrument(trace):
         closedform.allocation_grid_search(closedform.TwoPathParams(1.0, 0.5, uu_mag=0.3))
     assert trace.calls["closedform.grid_search"] == 1
     assert trace.counts["closedform.grid_search.points"] == 201 * 360
+
+
+@pytest.mark.parametrize("workload", ["ccdf-paper", "ccdf-wide", "verify-oracles"])
+def test_bench_round_passes_its_gate_and_replay(workload, monkeypatch):
+    # the benchmark checks each output through the package's public calls: its gate
+    # recomputes ccdf trials from a dense SVD and its replay redraws them per channel
+    monkeypatch.syspath_prepend(BENCH)
+    workloads = importlib.import_module("workloads")
+    gate = importlib.import_module("gate")
+    run = importlib.import_module("run")
+    assert workload in workloads.WORKLOADS
+    for options in workloads.invocations(workload, 0, 0):
+        if options["command"] == "ccdf":
+            options["trials"] = 16
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(workloads.argv(options))
+        if options["command"] == "verify":
+            assert gate.check_verify(code, out.getvalue()) == [], options
+        else:
+            assert code == cli.EXIT_OK
+            assert gate.check_ccdf(options, out.getvalue()) == [], options
+            assert run.replay_matches(options, out.getvalue()) == [], options

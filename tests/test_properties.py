@@ -41,12 +41,15 @@ from mmwbeam.montecarlo import (  # noqa: E402
     sample_paths,
 )
 from mmwbeam.steering import (  # noqa: E402
+    AngleSpec,
     ArrayGeometry,
+    angle_frequencies,
     cpo_inner_product,
     gram_stack,
     mainlobe_freq_delta,
     spatial_frequencies,
     steering_stack,
+    steering_vector,
 )
 from mmwbeam.verify import _two_path_fixture  # noqa: E402
 
@@ -136,8 +139,8 @@ SANDWICH_ULPS = 16.0 * np.finfo(float).eps
 def engine_grams(mc):
     """Gains (B, L) and the transmit and receive Grams (B, L, L) of every trial the engine draws."""
     gains, aod, aoa, _ = _draw_chunk(mc, range(mc.trials))
-    gram_t = gram_stack(mc.tx_geometry, spatial_frequencies(aod, math.pi / 2))
-    gram_r = gram_stack(mc.rx_geometry, spatial_frequencies(aoa, math.pi / 2))
+    gram_t = gram_stack(mc.tx_geometry, spatial_frequencies(aod))
+    gram_r = gram_stack(mc.rx_geometry, spatial_frequencies(aoa))
     return gains, gram_t, gram_r
 
 
@@ -436,6 +439,47 @@ def test_loss_is_at_least_one(case, mag_a1, mag_a2, coupling, phase_diff):
     assert loss >= 1.0 - np.finfo(float).eps
     # only a cancelled dominant beam, in the u-parallel regime, loses without bound
     assert loss < math.inf or case == "u-parallel"
+
+
+def coupling_bound(n, spacing, freqs):
+    """Largest difference rounding allows between a measured coupling and the dense product.
+
+    Both routes read the same frequency bits.  With u = eps / 2 and s the largest |step|
+    = 2 pi d |f| of the two paths, so that |psi| <= s: the dense product rounds each
+    phase m * step by at most 3u m s and each of its N terms by about 11u of its size 1/N,
+    and sums them with at most (N - 1) u per component, in all under u (11 + 3 N s + 1.5 N).
+    The kernel's psi, reduction included, is off by at most 5u s, and the kernel's slope in
+    psi is at most 2 (N - 1); its phase (N - 1) psi and ratio add u N s and about 8u, in
+    all under u (9 + 11 N s).  Reading a coupling back from its magnitude and phase adds
+    about 5u.  The sum is under eps (13 + 7 N s + N), which the bound rounds up.
+    """
+    step = 2.0 * math.pi * spacing * max(abs(f) for f in freqs)
+    return np.finfo(float).eps * (16.0 + 8.0 * n * step + n)
+
+
+azimuths = st.floats(0.0, 2.0 * math.pi, exclude_max=True)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    nt=st.integers(1, 64),
+    nr=st.integers(1, 64),
+    spacing=st.floats(0.001, 2.0),
+    angles=st.tuples(azimuths, azimuths, azimuths, azimuths),
+)
+# departures 1e-5 in frequency beyond a grating lobe, arrivals on the same frequency
+@example(nt=64, nr=4, spacing=1.0, angles=(math.acos(-0.5), 1.0, math.acos(0.50001), 1.0))
+def test_measured_couplings_match_the_dense_product(nt, nr, spacing, angles):
+    tx_geom, rx_geom = ArrayGeometry(nt, spacing), ArrayGeometry(nr, spacing)
+    aod1, aoa1, aod2, aoa2 = (AngleSpec(a) for a in angles)
+    paths = [PathComponent(1.0, aod1, aoa1), PathComponent(0.5j, aod2, aoa2)]
+    params = TwoPathParams.from_paths(paths, tx_geom, rx_geom)
+    for end, geom, pair in (("uu", rx_geom, (aoa1, aoa2)), ("vv", tx_geom, (aod1, aod2))):
+        dense = np.vdot(steering_vector(geom, pair[0]), steering_vector(geom, pair[1]))
+        mag, phase = getattr(params, f"{end}_mag"), getattr(params, f"{end}_phase")
+        bound = coupling_bound(geom.num_elements, spacing, angle_frequencies(pair))
+        assert abs(mag - abs(dense)) <= bound
+        assert abs(mag * np.exp(1j * phase) - dense) <= bound
 
 
 # Couplings stay below 0.95: at 1 a parallel regime's optimum cancels to 0 at opposite

@@ -1,8 +1,10 @@
 """The verification suites read the library's own results."""
 
 import numpy as np
+import pytest
 
-from mmwbeam import beamformer, verify
+from mmwbeam import beamformer, closedform, verify
+from mmwbeam.closedform import ORTHOGONAL_TOL, TwoPathParams
 
 
 def test_prop1_reads_the_reduced_route_snr(monkeypatch):
@@ -28,3 +30,24 @@ def test_prop1_reads_the_reduced_route_snr(monkeypatch):
     for (paths, tx_geom, rx_geom), snr in zip(instances, snrs):
         pair = beamformer.reduced_optimal_beamformer(paths, tx_geom, rx_geom)
         assert np.float64(pair.normalized_snr).tobytes() == snr.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("suite", ["prop2", "prop3", "prop4"])
+def test_fixtures_measure_inside_their_regime(suite, seed):
+    # every ULA channel an allocation suite builds measures, through from_paths, as a
+    # parameter set its regime's closed forms accept
+    case = verify._SUITE_CASES[suite]
+    regime = closedform.REGIMES[case]
+    for i in range(500):
+        params = verify._draw_params(verify._instance_rng(seed, i), regime)
+        paths, tx_geom, rx_geom = verify._two_path_fixture(
+            case,
+            (params.mag_a1, params.mag_a2),
+            (params.phase_diff, 0.0),
+            getattr(params, f"{regime.free}_mag"),
+        )
+        measured = TwoPathParams.from_paths(paths, tx_geom, rx_geom)
+        closedform._require_regime(measured, regime.constrained, regime.forced)
+        if regime.free_positive:
+            assert getattr(measured, f"{regime.free}_mag") >= ORTHOGONAL_TOL
