@@ -19,8 +19,8 @@ L)`` of the transmit and receive steering vectors, which
 nor any N-length vector is formed: a kernel's cost does not depend on Nt or
 Nr.  The Monte Carlo engine calls them on a chunk of trials; the
 per-channel functions here are calls with B = 1, and give the same bits.
-Each evaluates every end's spatial frequencies once, for its Grams and for
-the steering vectors of the beams it returns.
+Each reads its pair from the paths alone: both beams are combinations of
+the steering vectors (see :func:`_pair`), and no channel is assembled.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import ChannelMatrix, PathComponent, assemble_channel
+from .channel import ChannelMatrix, PathComponent
 from .steering import ArrayGeometry, angle_frequencies, gram_stack, steering_stack
 
 __all__ = [
@@ -52,7 +52,7 @@ __all__ = [
 MIN_BEAM_NORM_SQ = 1e-12
 
 # A matched filter divides ``H tx`` by its norm: below this floor the division
-# could overflow, so the beam is taken to miss the channel and is rejected.
+# could overflow, so the beam is taken to miss the channel (see _pair).
 MIN_RESPONSE_NORM = 1e-300
 
 # The entry that fixes a beam's phase is the first whose magnitude exceeds this
@@ -74,32 +74,17 @@ class BeamformerPair:
     normalized_snr: float
 
 
-def _canonical_phase(vec: np.ndarray) -> np.ndarray:
-    """Rotate a vector so its first significant entry is real nonnegative."""
+def _phase_turn(vec: np.ndarray) -> complex:
+    """Unit factor that turns a vector's first significant entry real nonnegative."""
     mags = np.abs(vec)
-    peak = mags.max()
-    if peak == 0.0:
-        return vec
-    idx = int(np.argmax(mags > PHASE_REFERENCE_FLOOR * peak))
-    return vec * np.exp(-1j * np.angle(vec[idx]))
+    idx = int(np.argmax(mags > PHASE_REFERENCE_FLOOR * mags.max()))
+    return np.exp(-1j * np.angle(vec[idx]))
 
 
-def _as_pair(channel: ChannelMatrix, tx: np.ndarray, snr: float | None = None) -> BeamformerPair:
-    """Build the matched-filter pair for a given unit-norm transmit vector.
-
-    ``snr`` is the pair's normalized SNR when a kernel has already computed
-    it; otherwise it is ``|H tx|^2 / (Nt * Nr)``.
-    """
-    tx = _canonical_phase(tx)
-    w = channel.entries @ tx
-    norm_w = float(np.linalg.norm(w))
-    if norm_w < MIN_RESPONSE_NORM:
-        raise ValueError("H @ tx is numerically zero; degenerate channel or beam")
-    rx = w / norm_w
-    if snr is None:
-        snr = norm_w**2 / (channel.num_tx * channel.num_rx)
-    tx.setflags(write=False)
-    rx.setflags(write=False)
+def _frozen_pair(tx: np.ndarray, rx: np.ndarray, snr: float) -> BeamformerPair:
+    """A pair of read-only beams."""
+    for beam in (tx, rx):
+        beam.setflags(write=False)
     return BeamformerPair(tx=tx, rx=rx, normalized_snr=float(snr))
 
 
@@ -137,11 +122,16 @@ def received_snr(channel: ChannelMatrix, tx: np.ndarray, rx: np.ndarray) -> floa
 
 def matched_filter(channel: ChannelMatrix, tx: np.ndarray) -> np.ndarray:
     """Unit-norm receive vector ``H tx / ||H tx||`` for a given beam."""
-    w = channel.entries @ np.asarray(tx, dtype=complex)
+    return _matched(channel, np.asarray(tx, dtype=complex))[0]
+
+
+def _matched(channel: ChannelMatrix, tx: np.ndarray) -> tuple[np.ndarray, float]:
+    """The matched filter to a complex beam, and its normalized SNR ``||H tx||^2 / (Nt * Nr)``."""
+    w = channel.entries @ tx
     norm_w = float(np.linalg.norm(w))
     if norm_w < MIN_RESPONSE_NORM:
         raise ValueError("H @ tx is numerically zero; degenerate channel or beam")
-    return w / norm_w
+    return w / norm_w, norm_w**2 / (channel.num_tx * channel.num_rx)
 
 
 def optimal_beamformer(channel: ChannelMatrix) -> BeamformerPair:
@@ -155,8 +145,9 @@ def optimal_beamformer(channel: ChannelMatrix) -> BeamformerPair:
     h = channel.entries
     if not np.any(h):
         raise ValueError("channel matrix is zero")
-    _, _, vh = np.linalg.svd(h, full_matrices=False)
-    return _as_pair(channel, vh[0].conj())
+    tx = np.linalg.svd(h, full_matrices=False)[2][0].conj()
+    tx = tx * _phase_turn(tx)
+    return _frozen_pair(tx, *_matched(channel, tx))
 
 
 # Stacked kernels.  Every argument and result carries a leading batch axis B:
@@ -197,29 +188,40 @@ def _path_grams(
     return (gains, *grams), (freq_t, freq_r)
 
 
-def _beam(geom: ArrayGeometry, freqs: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Unit-norm beam (N,) of a kernel's weights (1, L) on the steering vectors of ``freqs``."""
-    beam = steering_stack(geom, freqs) @ weights[0]
-    return beam / np.linalg.norm(beam)
+def _unit_scaled(gains: np.ndarray) -> np.ndarray:
+    """Gains (B, L) scaled by the power of two that takes each row's peak into [0.5, 1)."""
+    peak = np.abs(gains).max(axis=-1, keepdims=True)
+    return gains * np.ldexp(1.0, -np.frexp(peak)[1])
 
 
-def _matched_pair(
+def _pair(
     kernel,
     paths: Sequence[PathComponent],
     tx_geom: ArrayGeometry,
     rx_geom: ArrayGeometry,
-    channel: ChannelMatrix | None,
+    steer_rx: bool = False,
 ) -> BeamformerPair:
-    """The pair of a kernel on one path list: its beam and SNR, and a matched-filter receiver.
+    """The pair of a kernel on one path list, read from the paths alone.
 
-    The receiver is the matched filter on ``channel`` (assembled from
-    ``paths`` when not given).
+    The SNR is the kernel's, and ``tx = V w / ||V w||`` for its weights w.
+    On ``H = c U diag(gain) V^H`` the matched filter to it is
+    ``rx = U y / ||U y||`` with ``y = gain * (G_t w)``, on gains scaled
+    exactly by :func:`_unit_scaled`; ``steer_rx`` takes ``y = w`` instead.
+    Where ``||U y|| <= MIN_RESPONSE_NORM`` (paths that cancel) ``rx`` is the
+    strongest path's steering vector.  One phase factor turns both beams so
+    that the first significant entry of ``tx`` is real nonnegative.
     """
-    args, (freq_t, _) = _path_grams(paths, tx_geom, rx_geom)
-    if channel is None:
-        channel = assemble_channel(paths, tx_geom, rx_geom)
-    snr, weights = kernel(*args)
-    return _as_pair(channel, _beam(tx_geom, freq_t, weights), snr[0])
+    (gains, gram_t, gram_r), (freq_t, freq_r) = _path_grams(paths, tx_geom, rx_geom)
+    snr, weights = kernel(gains, gram_t, gram_r)
+    tx = steering_stack(tx_geom, freq_t) @ weights[0]
+    tx /= np.linalg.norm(tx)
+    y = weights[0] if steer_rx else _unit_scaled(gains)[0] * (gram_t[0] @ weights[0])
+    steer = steering_stack(rx_geom, freq_r)
+    rx = steer @ y
+    norm = np.linalg.norm(rx)
+    rx = rx / norm if norm > MIN_RESPONSE_NORM else steer[:, np.argmax(np.abs(gains[0]))]
+    turn = _phase_turn(tx)
+    return _frozen_pair(tx * turn, rx * turn, snr[0])
 
 
 def _gram_factor(gram_t: np.ndarray) -> np.ndarray:
@@ -273,11 +275,11 @@ def _optimal_snr(
     L >= 3.  For C's top eigenvector y, ``C y = lambda y`` gives ``H^H H V w``
     proportional to ``lambda V w`` with ``w = diag(conj(gain)) G_r T y``: the
     paper's beam, each path weighted by its conjugate gain times the receive
-    beam's response on it.  The gains in w are first scaled by the power of
-    two that takes the largest magnitude into [0.5, 1), which is exact and
-    keeps w and its power from under- or overflowing; w is then normalized
-    by ``sqrt(w^H G_t w)``.  A zero core (cancelling paths) gives w = 0, and the strongest
-    path's weights instead.  Without ``beam`` the weights are None.
+    beam's response on it.  The gains in w are first scaled by
+    :func:`_unit_scaled`, which is exact and keeps w and its power from
+    under- or overflowing; w is then normalized by ``sqrt(w^H G_t w)``.  A
+    zero core (cancelling paths) gives w = 0, and the strongest path's
+    weights instead.  Without ``beam`` the weights are None.
     """
     size = gains.shape[-1]
     factor = _gram_factor(gram_t)
@@ -294,8 +296,7 @@ def _optimal_snr(
     if not beam:
         return snr, None
     vec = np.linalg.eigh(core)[1][..., -1:]
-    peak = np.abs(gains).max(axis=-1, keepdims=True)
-    scaled = gains * np.ldexp(1.0, -np.frexp(peak)[1])
+    scaled = _unit_scaled(gains)
     weights = np.conj(scaled) * (gram_r @ (scaled[:, :, None] * factor) @ vec)[..., 0]
     power = np.sum(np.conj(weights) * (gram_t @ weights[..., None])[..., 0], axis=-1).real
     live = power > 0.0
@@ -394,17 +395,15 @@ def reduced_optimal_beamformer(
 
     Every eigenvector of ``H^H H`` with a nonzero eigenvalue is a combination
     of the transmit steering vectors, so the search collapses to L
-    dimensions.  The core comes from the gains, the receive Gram and a
-    pivoted Cholesky factor of the transmit Gram (see :func:`_optimal_snr`):
-    its top eigenvalue over L is the normalized SNR, and its top eigenvector,
-    mapped through the channel, weights the steering vectors.  A singular
-    Gram (coincident departures, Nt < L) or zero core (cancelling paths)
-    still yields a unit vector.  The receive vector is the matched filter on
-    ``channel`` (assembled from ``paths`` when not given).
+    dimensions: the core's top eigenvalue over L is the normalized SNR, and
+    its top eigenvector, mapped through the channel, weights the steering
+    vectors (see :func:`_optimal_snr`).  A singular Gram (coincident
+    departures, Nt < L) or zero core (cancelling paths) still yields unit
+    beams.  The receive beam is the matched filter, read from the paths (see
+    :func:`_pair`); ``channel`` is accepted for the call signature shared by
+    every scheme and is not read.
     """
-    return _matched_pair(
-        functools.partial(_optimal_snr, beam=True), paths, tx_geom, rx_geom, channel
-    )
+    return _pair(functools.partial(_optimal_snr, beam=True), paths, tx_geom, rx_geom)
 
 
 def dominant_path_beamformer(
@@ -416,10 +415,11 @@ def dominant_path_beamformer(
     """Steer all transmit power along the strongest path.
 
     The transmit beam is the CPO steering vector of that path (analog
-    phase shifters suffice); the receiver applies the matched filter on
-    ``channel`` (assembled from ``paths`` when not given).
+    phase shifters suffice); the receive vector is the matched filter, read
+    from the paths (see :func:`_pair`).  ``channel`` is accepted for the
+    call signature shared by every scheme and is not read.
     """
-    return _matched_pair(_dominant_snr, paths, tx_geom, rx_geom, channel)
+    return _pair(_dominant_snr, paths, tx_geom, rx_geom)
 
 
 def bidirectional_beamformer(
@@ -430,16 +430,10 @@ def bidirectional_beamformer(
 ) -> BeamformerPair:
     """Steer CPO beams at the strongest path on both ends of the link.
 
-    Both beams are steering vectors, so ``channel`` is not needed; it is
-    accepted for the call signature shared by every scheme.
+    Both beams are steering vectors of the paths.  ``channel`` is accepted
+    for the call signature shared by every scheme and is not read.
     """
-    args, (freq_t, freq_r) = _path_grams(paths, tx_geom, rx_geom)
-    snr, weights = _bidirectional_snr(*args)
-    tx = _beam(tx_geom, freq_t, weights)
-    rx = _beam(rx_geom, freq_r, weights)
-    tx.setflags(write=False)
-    rx.setflags(write=False)
-    return BeamformerPair(tx=tx, rx=rx, normalized_snr=float(snr[0]))
+    return _pair(_bidirectional_snr, paths, tx_geom, rx_geom, steer_rx=True)
 
 
 def equal_power_beamformer(
@@ -452,9 +446,10 @@ def equal_power_beamformer(
 
     The relative phase between the two steering vectors is the exact
     maximizer of the received SNR, solved from the stationary points of the
-    two-path ratio (see :func:`_equal_power_snr`).  The receiver applies the
-    matched filter on ``channel`` (assembled from ``paths`` when not given).
+    two-path ratio (see :func:`_equal_power_snr`).  The receive vector is the
+    matched filter, read from the paths (see :func:`_pair`).  ``channel`` is
+    accepted for the call signature shared by every scheme and is not read.
     """
     if len(paths) != 2:
         raise ValueError("equal-power beamforming is defined for exactly two paths")
-    return _matched_pair(_equal_power_snr, paths, tx_geom, rx_geom, channel)
+    return _pair(_equal_power_snr, paths, tx_geom, rx_geom)

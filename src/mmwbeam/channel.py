@@ -40,10 +40,9 @@ class PathComponent:
 
 @dataclass(frozen=True)
 class ChannelMatrix:
-    """Dense Nr x Nt channel matrix together with its path count."""
+    """Dense Nr x Nt channel matrix."""
 
     entries: np.ndarray
-    num_paths: int
 
     @property
     def num_rx(self) -> int:
@@ -71,7 +70,7 @@ def assemble_channel(
     scale = math.sqrt(rx_geom.num_elements * tx_geom.num_elements / len(paths))
     entries = scale * (rx_steer * gains) @ tx_steer.conj().T
     entries.setflags(write=False)
-    return ChannelMatrix(entries=entries, num_paths=len(paths))
+    return ChannelMatrix(entries=entries)
 
 
 def channel_power(channel: ChannelMatrix) -> float:

@@ -552,10 +552,11 @@ def beta_opt_u_parallel(params: TwoPathParams) -> AllocationPoint:
 
 
 def snr_u_parallel(params: TwoPathParams) -> float:
-    """Optimal normalized SNR in the u-parallel regime."""
+    """Optimal normalized SNR in the u-parallel regime, on the gains of :func:`_scaled_terms`."""
     _require_regime(params, "uu", 1.0)
-    cross = 2.0 * params.mag_a1 * params.mag_a2 * params.vv_mag
-    return (params.gain_sq_1 + params.gain_sq_2 + cross * math.cos(params.misalignment)) / 2.0
+    a, b, root_ab, shift = _scaled_terms(params)
+    cross = 2.0 * root_ab * params.vv_mag
+    return _unscaled((a + b + cross * math.cos(params.misalignment)) / 2.0, shift)
 
 
 def delta_snr_u_parallel(params: TwoPathParams) -> float:
@@ -578,30 +579,19 @@ def delta_snr_u_parallel(params: TwoPathParams) -> float:
 
 
 def snr_dominant_path(params: TwoPathParams) -> float:
-    """Normalized SNR of steering all power along the stronger path."""
-    a = params.gain_sq_1
-    b = params.gain_sq_2
+    """Normalized SNR of steering all power along the stronger path, on :func:`_scaled_terms`."""
+    a, b, root_ab, shift = _scaled_terms(params)
     vv_sq = params.vv_mag**2
-    cross = (
-        2.0
-        * params.mag_a1
-        * params.mag_a2
-        * params.vv_mag
-        * params.uu_mag
-        * math.cos(params.misalignment)
-    )
-    return (max(a + b * vv_sq, b + a * vv_sq) + cross) / 2.0
+    cross = 2.0 * root_ab * params.vv_mag * params.uu_mag * math.cos(params.misalignment)
+    return _unscaled((max(a + b * vv_sq, b + a * vv_sq) + cross) / 2.0, shift)
 
 
 def snr_equal_power_coherent(params: TwoPathParams) -> float:
     """Normalized SNR of the equal-split beam under coherent alignment.
 
     Assumes the beam phase and the path misalignment are both zero, in
-    which case the split achieves ``(1+vv)*(a + b + 2*sqrt(ab)*uu)/4``.
+    which case the split achieves ``(1+vv)*(a + b + 2*sqrt(ab)*uu)/4``, on
+    the gains of :func:`_scaled_terms` and scaled back.
     """
-    cross = 2.0 * params.mag_a1 * params.mag_a2 * params.uu_mag
-    return (
-        (1.0 + params.vv_mag)
-        * (params.gain_sq_1 + params.gain_sq_2 + cross)
-        / 4.0
-    )
+    a, b, root_ab, shift = _scaled_terms(params)
+    return _unscaled((1.0 + params.vv_mag) * (a + b + 2.0 * root_ab * params.uu_mag) / 4.0, shift)

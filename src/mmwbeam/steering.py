@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +52,8 @@ class ArrayGeometry:
     spacing_wavelengths: float = 0.5
 
     def __post_init__(self) -> None:
-        if int(self.num_elements) != self.num_elements or self.num_elements < 1:
+        n = self.num_elements
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
             raise ValueError(f"num_elements must be a positive integer, got {self.num_elements}")
         if not 0 < self.spacing_wavelengths < math.inf:
             raise ValueError(

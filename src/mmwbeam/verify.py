@@ -53,6 +53,9 @@ _MIN_DRAWN_GAIN = 1e-6
 # clear of 0, where u-orth meets v-orth, and of 1, where the u-parallel loss is unbounded.
 _FREE_RANGE = {"uu": (0.0, 1.0), "vv": (0.05, 0.95)}
 
+# Beta and theta resolution of the allocation grid the suites search.
+_NUM_BETA, _NUM_THETA = 201, 360
+
 
 def _rel_diff(value: float, ref: float) -> float:
     return abs(value - ref) / max(abs(ref), _REL_FLOOR)
@@ -220,13 +223,11 @@ def _draw_params(rng: np.random.Generator, regime: closedform.Regime) -> closedf
     return closedform.TwoPathParams(mag_a1=m1, mag_a2=m2, **fields)
 
 
-def _alloc_suite(
-    name: str, trials: int, seed: int, num_beta: int = 201, num_theta: int = 360
-) -> SuiteReport:
+def _alloc_suite(name: str, trials: int, seed: int) -> SuiteReport:
     """Closed-form allocation of one suite's regime vs. the grid, plus a matrix check."""
     case = _SUITE_CASES[name]
     regime = closedform.REGIMES[case]
-    beta_step = 1.0 / (num_beta - 1)
+    beta_step = 1.0 / (_NUM_BETA - 1)
     worst_beta = 0.0
     worst_margin = -math.inf
     worst_refined = 0.0
@@ -236,7 +237,7 @@ def _alloc_suite(
         rng = _instance_rng(seed, i)
         params = _draw_params(rng, regime)
         alloc = regime.beta_opt(params)
-        grid_alloc, grid_value = closedform.allocation_grid_search(params, num_beta, num_theta)
+        grid_alloc, grid_value = closedform.allocation_grid_search(params, _NUM_BETA, _NUM_THETA)
         cf_value = closedform.two_path_objective(params, alloc)
         worst_beta = max(worst_beta, abs(alloc.beta - grid_alloc.beta))
         worst_margin = max(worst_margin, grid_value - cf_value)
@@ -244,12 +245,8 @@ def _alloc_suite(
         # zoomed second pass resolves optima near the beta = 1 edge, where
         # the sqrt(1 - beta^2) dependence defeats a uniform coarse grid;
         # theta stays a full sweep because it is unidentified at beta = 1
-        _, refined_value = closedform.allocation_grid_search(
-            params,
-            num_beta,
-            num_theta,
-            beta_window=(grid_alloc.beta - beta_step, grid_alloc.beta + beta_step),
-        )
+        window = (grid_alloc.beta - beta_step, grid_alloc.beta + beta_step)
+        _, refined_value = closedform.allocation_grid_search(params, _NUM_BETA, _NUM_THETA, window)
         refined_value = max(refined_value, grid_value)
         worst_refined = max(worst_refined, _rel_diff(cf_value, refined_value))
 

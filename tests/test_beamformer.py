@@ -119,7 +119,7 @@ class TestMatchedFilter:
         assert abs(np.vdot(g1, g2)) == pytest.approx(1.0, abs=1e-12)
 
     def test_degenerate_channel_rejected(self):
-        ch = ChannelMatrix(entries=np.zeros((4, 8), dtype=complex), num_paths=1)
+        ch = ChannelMatrix(entries=np.zeros((4, 8), dtype=complex))
         with pytest.raises(ValueError, match="zero"):
             matched_filter(ch, np.ones(8) / math.sqrt(8.0))
 
@@ -163,7 +163,7 @@ class TestOptimalBeamformer:
             assert np.all(quotient <= best * (1.0 + 1e-12))
 
     def test_zero_channel_rejected(self):
-        ch = ChannelMatrix(entries=np.zeros((4, 8), dtype=complex), num_paths=1)
+        ch = ChannelMatrix(entries=np.zeros((4, 8), dtype=complex))
         with pytest.raises(ValueError, match="zero"):
             optimal_beamformer(ch)
 
@@ -437,6 +437,55 @@ class TestEqualPowerDegenerate:
         assert losses.tolist() == [_loss_db(optimal, snr)]
 
 
+PER_CHANNEL = (
+    reduced_optimal_beamformer,
+    dominant_path_beamformer,
+    bidirectional_beamformer,
+    equal_power_beamformer,
+)
+
+
+class TestPairFromPaths:
+    @pytest.mark.parametrize("scheme", PER_CHANNEL)
+    def test_a_mismatched_channel_is_not_read(self, scheme):
+        # a receiver matched to the channel passed in, not to the paths, reaches
+        # 0.2458 of the 0.5063 reported for the dominant path here
+        tx_geom, rx_geom = geometry_pair(nt=8, nr=4)
+        paths = path_list((1.0, 0.3), (0.5, 1.5), (0.7, 2.0))
+        mismatched = assemble_channel(path_list((0.2, 0.3), (2.5, 1.5), (0.2, 2.0)),
+                                      tx_geom, rx_geom)
+        pair = scheme(paths, tx_geom, rx_geom, channel=mismatched)
+        evaluated = received_snr(assemble_channel(paths, tx_geom, rx_geom), pair.tx, pair.rx)
+        assert evaluated == pytest.approx(pair.normalized_snr, rel=1e-12)
+
+    @pytest.mark.parametrize("scheme", PER_CHANNEL)
+    @pytest.mark.parametrize("gain", (0.6 - 0.7j, 1e-200, 3e150j))
+    def test_cancelling_paths_listen_along_the_strongest(self, scheme, gain):
+        # g and -g on one direction cancel: the matched filter is undefined, and the
+        # receive beam is the first strongest path's steering vector
+        tx_geom, rx_geom = geometry_pair(nt=8, nr=4)
+        paths = path_list((gain, -gain), (0.5, 0.5), (0.7, 0.7))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pair = scheme(paths, tx_geom, rx_geom)
+        assert 0.0 <= pair.normalized_snr <= 1e-20 * abs(gain) ** 2
+        assert abs(np.linalg.norm(pair.tx) - 1.0) < 1e-12
+        np.testing.assert_allclose(pair.rx, steering_vector(rx_geom, paths[0].aoa),
+                                   rtol=0.0, atol=1e-15)
+
+    def test_tiny_gains_keep_the_matched_filter(self):
+        # the squared norm of the response to gains near 1e-157 is subnormal; the
+        # response to gains scaled by a power of two keeps the bits of its direction
+        tx_geom, rx_geom = geometry_pair(nt=8, nr=4)
+        unit = path_list((0.8 + 0.3j, -0.5 + 0.9j), (0.5, 1.5), (0.7, 2.0))
+        tiny = [PathComponent(p.gain * 2.0**-520, p.aod, p.aoa) for p in unit]
+        # the dominant beam is the one whose transmit side does not depend on the scale
+        reference = dominant_path_beamformer(unit, tx_geom, rx_geom)
+        pair = dominant_path_beamformer(tiny, tx_geom, rx_geom)
+        np.testing.assert_array_equal(pair.tx, reference.tx)
+        np.testing.assert_array_equal(pair.rx, reference.rx)
+
+
 class TestSchemeDominance:
     def test_no_scheme_beats_the_optimum(self, rng):
         tx_geom, rx_geom = geometry_pair(nt=16, nr=4)
@@ -470,12 +519,15 @@ class TestSchemeDominance:
         tx_geom, rx_geom = geometry_pair()
         paths = random_paths(rng, 2)
         ch = assemble_channel(paths, tx_geom, rx_geom)
+        # a channel of other paths is not read: the pair is that of its own paths
+        other = assemble_channel(random_paths(rng, 2), tx_geom, rx_geom)
         for pair in (
             optimal_beamformer(ch),
-            reduced_optimal_beamformer(paths, tx_geom, rx_geom, channel=ch),
-            dominant_path_beamformer(paths, tx_geom, rx_geom, channel=ch),
-            bidirectional_beamformer(paths, tx_geom, rx_geom, channel=ch),
-            equal_power_beamformer(paths, tx_geom, rx_geom, channel=ch),
+            *(
+                scheme(paths, tx_geom, rx_geom, channel=given)
+                for given in (ch, other)
+                for scheme in PER_CHANNEL
+            ),
         ):
             assert abs(np.linalg.norm(pair.tx) - 1.0) < 1e-12
             assert abs(np.linalg.norm(pair.rx) - 1.0) < 1e-12

@@ -70,7 +70,7 @@ class TestAssembly:
 
 class TestChannelPower:
     def test_zero_matrix(self):
-        ch = ChannelMatrix(entries=np.zeros((3, 5), dtype=complex), num_paths=1)
+        ch = ChannelMatrix(entries=np.zeros((3, 5), dtype=complex))
         assert channel_power(ch) == 0.0
 
     def test_rank_one_identity(self):

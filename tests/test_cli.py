@@ -114,6 +114,19 @@ class TestClosedform:
         assert record["error"]["type"] == "usage"
         assert "finite square" in record["error"]["message"]
 
+    def test_huge_gains_give_finite_snrs(self, capsys):
+        # 2 * a1 * a2 overflowed and was multiplied by vv = 0: both SNRs read NaN
+        code, out, err = run_cli(
+            capsys, "closedform", "--case", "v-orth", "--a1", "1.3e154", "--a2", "1.2e154",
+            "--uu", "0.5", "--format", "json",
+        )
+        assert code == EXIT_OK and err == ""
+        res = json.loads(out)["results"]
+        a, b = 1.3**2, 1.2**2
+        optimal = (a + b + math.sqrt((a - b) ** 2 + a * b)) / 4.0
+        assert res["snr_dominant"] == pytest.approx(a / 2.0 * 1e308, rel=1e-12)
+        assert res["snr_optimal"] == pytest.approx(optimal * 1e308, rel=1e-12)
+
     def test_underflowing_gains_are_defined(self, capsys):
         # both squared gains underflow to 0; this used to exit 2
         def record(a1, a2):

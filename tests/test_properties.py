@@ -3,6 +3,7 @@ phase, the steering stacks and their Grams, the two-path objective grid, the clo
 regimes and the main-lobe bisection."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from mmwbeam import steering  # noqa: E402
 from mmwbeam.beamformer import (  # noqa: E402
     _loss_db,
     _optimal_snr,
+    bidirectional_beamformer,
+    dominant_path_beamformer,
     equal_power_beamformer,
     optimal_beamformer,
     received_snr,
@@ -29,6 +32,8 @@ from mmwbeam.closedform import (  # noqa: E402
     allocation_grid_search,
     delta_snr_v_orth,
     objective_grid,
+    snr_dominant_path,
+    snr_equal_power_coherent,
 )
 from mmwbeam.montecarlo import (  # noqa: E402
     _MIN_GAIN,
@@ -229,6 +234,50 @@ def test_per_channel_optimum_is_invariant(seed, num_paths, nt, nr, spacings, pha
     ):
         snr = reduced_optimal_beamformer(changed, tx, rx).normalized_snr
         assert abs(snr - optimal) <= 2e-12 * optimal
+
+
+PER_CHANNEL = {
+    "optimal": reduced_optimal_beamformer,
+    "dominant": dominant_path_beamformer,
+    "bidirectional": bidirectional_beamformer,
+    "equal_power": equal_power_beamformer,
+}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    scheme=st.sampled_from(list(PER_CHANNEL)),
+    num_paths=st.sampled_from([1, 2, 3, 5]),
+    nt=st.integers(1, 64),
+    nr=st.integers(1, 64),
+    spacings=st.tuples(st.floats(0.01, 2.0), st.floats(0.01, 2.0)),
+    log_scale=st.floats(-150.0, 150.0),
+)
+def test_per_channel_pair_is_read_from_its_paths(
+    seed, scheme, num_paths, nt, nr, spacings, log_scale
+):
+    num_paths = 2 if scheme == "equal_power" else num_paths
+    rng = np.random.default_rng(seed)
+    paths = [PathComponent(10.0**log_scale * p.gain, p.aod, p.aoa)
+             for p in random_paths(rng, num_paths)]
+    tx_geom, rx_geom = ArrayGeometry(nt, spacings[0]), ArrayGeometry(nr, spacings[1])
+    channel = assemble_channel(paths, tx_geom, rx_geom)
+    mismatched = assemble_channel(random_paths(rng, num_paths), tx_geom, rx_geom)
+    build = PER_CHANNEL[scheme]
+    pair = build(paths, tx_geom, rx_geom)
+    # the channel a caller passes is not read
+    for other in (build(paths, tx_geom, rx_geom, channel=ch) for ch in (channel, mismatched)):
+        assert same_bits(other.tx, pair.tx) and same_bits(other.rx, pair.rx)
+        assert other.normalized_snr == pair.normalized_snr
+    assert abs(np.linalg.norm(pair.rx) - 1.0) <= 1e-12
+    # abs=0: approx's default absolute tolerance would pass any SNR of tiny gains
+    assert received_snr(channel, pair.tx, pair.rx) == pytest.approx(
+        pair.normalized_snr, rel=1e-12, abs=0.0)
+    if scheme != "bidirectional":
+        # both beams turn by one phase: rx^H H tx = ||H tx|| of the matched filter
+        amp = np.vdot(pair.rx, channel.entries @ pair.tx)
+        assert amp.real > 0.0 and abs(amp.imag) <= 1e-12 * amp.real
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -439,6 +488,36 @@ def test_loss_is_at_least_one(case, mag_a1, mag_a2, coupling, phase_diff):
     assert loss >= 1.0 - np.finfo(float).eps
     # only a cancelled dominant beam, in the u-parallel regime, loses without bound
     assert loss < math.inf or case == "u-parallel"
+
+
+@pytest.mark.parametrize("case", list(REGIMES))
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    mag_a1=st.one_of(st.just(0.0), st.floats(1e-3, 10.0)),
+    mag_a2=st.floats(1e-3, 10.0),
+    coupling=unit_coupling,
+    phase_diff=st.floats(-7.0, 7.0),
+    k=st.integers(-560, 500),
+)
+# scaled to 1.3e154 and 1.2e154: unscaled, 2 a1 a2 overflowed, and times vv = 0 read NaN
+@example(mag_a1=math.ldexp(1.3e154, -500), mag_a2=math.ldexp(1.2e154, -500), coupling=0.5,
+         phase_diff=0.0, k=500)
+def test_snr_closed_forms_scale_exactly(case, mag_a1, mag_a2, coupling, phase_diff, k):
+    # each SNR is of degree one in the squared gains, and a power of two scales exactly
+    regime = REGIMES[case]
+    couplings = {f"{regime.constrained}_mag": regime.forced, f"{regime.free}_mag": coupling}
+    unit = TwoPathParams(mag_a1, mag_a2, phase_diff=phase_diff, **couplings)
+    scaled = TwoPathParams(
+        math.ldexp(mag_a1, k), math.ldexp(mag_a2, k), phase_diff=phase_diff, **couplings
+    )
+    for snr in (snr_dominant_path, snr_equal_power_coherent, regime.snr_optimal):
+        try:
+            expected = math.ldexp(snr(unit), 2 * k)
+        except OverflowError:  # beyond the float range the scaled SNR reads +inf
+            assert snr(scaled) == math.inf
+            continue
+        if abs(expected) >= sys.float_info.min:
+            assert snr(scaled) == expected
 
 
 def coupling_bound(n, spacing, freqs):

@@ -32,6 +32,15 @@ class TestTypes:
         with pytest.raises(ValueError):
             ArrayGeometry(4, spacing_wavelengths=0.0)
 
+    # a count is a non-bool integer: True, 4.0 and inf are none, and inf must not overflow
+    @pytest.mark.parametrize("count", [True, 4.0, math.inf])
+    def test_geometry_rejects_a_count_that_is_no_integer(self, count):
+        with pytest.raises(ValueError, match="num_elements must be a positive integer"):
+            ArrayGeometry(count)
+
+    def test_geometry_accepts_numpy_integers(self):
+        assert ArrayGeometry(np.int64(4)).num_elements == 4
+
     @pytest.mark.parametrize("spacing", [math.inf, math.nan])
     def test_geometry_rejects_a_non_finite_spacing(self, spacing):
         # an infinite spacing used to reach the kernel and overflow in round(psi / pi)
