@@ -335,10 +335,12 @@ def two_path_objective(params: TwoPathParams, alloc: AllocationPoint) -> float:
 
 # Rows of one block of the grid search.  At the default 360 phases a block buffer
 # is 180 KiB, and glibc serves the two of them again from its heap on every call.
-# Median of 30 rounds of default searches on a 2-vCPU x86-64 box (numpy 2.4,
-# glibc 2.36), by rows per block: 32 -> 557 us, 64 -> 528 us, 96 -> 495 us, 128 ->
-# 514 us with 4 page faults per call, 201 (one block) -> 800 us with 247.  64 is
-# within noise of the fastest and keeps both buffers far from the size that faults.
+# The row test leaves about 2 rows of a coarse search and 30-130 of a refined one,
+# so blocks rarely fill.  Median of 15 rounds of a coarse and a refined search on
+# 120 of verify's prop2-prop4 draws, on a 2-vCPU x86-64 box (numpy 2.4, glibc 2.36),
+# by rows per block: 32 -> 628 us, 64 -> 607 us, 96 -> 606 us, 128 -> 603 us,
+# 201 (one block) -> 703 us.  64 is within noise of the fastest and keeps both
+# buffers far from the size at which they would come from fresh, faulting pages.
 GRID_BLOCK_ROWS = 64
 
 
@@ -361,10 +363,24 @@ def allocation_grid_search(
     argmax.  Where the larger gain lies in [0.5, 1) every entry has the bits
     of :func:`objective_grid`; elsewhere the two may differ in the last bit
     of a squared gain, because ``x**2`` (libm's ``pow``) does not commute
-    with a power-of-two scaling.  Rows are evaluated in blocks of
-    ``GRID_BLOCK_ROWS`` into two buffers allocated once per call.  The
-    result is the point and value of ``np.argmax`` over the whole scaled
-    grid: ties resolve to the lowest (beta-major) linear index.
+    with a power-of-two scaling.
+
+    Most rows are never evaluated.  A row's doubled objective is
+    ``(alpha + b cos(phi) + c sin(phi)) / (1 + delta cos(phi))``, which stays
+    below ``T`` at every phase exactly when ``hypot(b - T delta, c) < T - alpha``
+    (:func:`_candidate_blocks`).  ``T`` is twice the grid maximum of the row
+    whose maximum over a continuous phase is largest, and a row is skipped
+    only when ``T`` is finite, ``|delta| <= 1 - 1e-6`` and the test holds with
+    the margin ``64 eps (|alpha| + |cos_coef| + 2 (1 + |p| + 3 pi) |cross_coef|
+    + |T| (1 + |delta|))`` plus 64 times the smallest subnormal (``p`` the
+    transmit coupling's phase), which covers the rounding of the entries and
+    of the test.  A skipped row holds only finite entries strictly below the
+    grid's maximum; NaN and masked rows are always evaluated.  The other rows
+    are evaluated in ascending order in blocks of at most ``GRID_BLOCK_ROWS``
+    rows, into two buffers allocated once per call, under a running argmax
+    in which a later block wins only strictly.  So the result is the point
+    and value of ``np.argmax`` over the whole scaled grid: ties resolve to
+    the lowest (beta-major) linear index.
     """
     if num_beta < 2 or num_theta < 2:
         raise ValueError("grid resolutions must be at least 2")
@@ -378,17 +394,84 @@ def allocation_grid_search(
     shape = (min(GRID_BLOCK_ROWS, num_beta), num_theta)
     num, work = np.empty(shape), np.empty(shape)
     best, best_flat = -math.inf, -1
-    for r0 in range(0, num_beta, GRID_BLOCK_ROWS):
-        r1 = min(r0 + GRID_BLOCK_ROWS, num_beta)
+    for r0, r1 in _candidate_blocks(params, columns, rows, num, work):
         block = _grid_block(columns, rows, r0, r1, num[: r1 - r0], work[: r1 - r0])
         flat = int(np.argmax(block))
         value = float(block.flat[flat])
         # a later block wins only strictly; a NaN (a NaN phase) fills every unmasked
-        # entry, so the first block's holds, as np.argmax over the whole grid picks it
+        # entry and leaves every row a candidate, so the first block's holds, as
+        # np.argmax over the whole grid picks it
         if best_flat < 0 or value > best:
             best, best_flat = value, r0 * num_theta + flat
     i, j = divmod(best_flat, num_theta)
     return AllocationPoint(beta=float(betas[i]), theta=float(thetas[j])), _unscaled(best, shift)
+
+
+# The row test of the grid search leaves to the blocks every row whose denominator
+# column lies within this of 1 in magnitude, where a beam norm may come near vanishing.
+_ROW_TEST_DEN_GAP = 1e-6
+# Margin of the row test, in units of eps (see _candidate_blocks).
+_ROW_TEST_ULPS = 64.0
+
+
+def _candidate_blocks(params: TwoPathParams, columns, rows, num, work) -> list[tuple[int, int]]:
+    """Ascending ``[r0, r1)`` blocks of at most ``GRID_BLOCK_ROWS`` rows, holding every row of
+    the search's grid that may hold or tie its maximum (see :func:`allocation_grid_search`).
+
+    With ``w = vv^2``, ``vv^2 cos(nu + phi) + cos(nu - phi) = (1 + w) cos(nu) cos(phi)
+    + (1 - w) sin(nu) sin(phi)``, so a row's doubled objective is ``(alpha + b cos(phi)
+    + c sin(phi)) / (1 + delta cos(phi))``: ``alpha`` the beta-only column, ``delta``
+    the denominator column, ``b = cos_coef + cross_coef (1 + w) cos(nu)`` and
+    ``c = cross_coef (1 - w) sin(nu)``.  Where ``|delta| < 1`` the denominator is
+    positive, so the row stays below ``T`` at every phase if and only if
+    ``hypot(b - T delta, c) < T - alpha``; the smallest such ``T`` is the row's
+    maximum over a continuous phase, the larger root of ``(T - alpha)^2 =
+    (b - T delta)^2 + c^2``.  The row with the largest such maximum is the seed, and
+    ``T`` is twice the largest entry the blocks compute for it, a value the grid holds.
+
+    The margin bounds how far the entries :func:`_grid_block` computes, and the
+    test's own arithmetic, stray from the exact row at the stored phases ``phi``.
+    With u = eps / 2 and ``p`` the transmit coupling's phase: ``cos(phi)`` is off by
+    a few u; the phases ``nu +- phi`` round by at most ``u |nu +- phi| <= u (|p| +
+    3 pi)``, as the search's phases lie in [0, 2 pi) and ``|nu| <= pi``, so the
+    coupling row is off by under ``2u (|p| + 3 pi + 4)``.  The numerator's three
+    products and two sums each round by u of a partial sum at most ``|alpha| +
+    |cos_coef| + 2 |cross_coef|``; the denominator is off by under ``4u (1 +
+    |delta|)``, which with the division's rounding costs ``6u |T| (1 + |delta|)``
+    against ``T``.  The test's ``b``, ``c``, ``b - T delta``, hypot and ``T - alpha``
+    add under ``8u`` of the same terms.  All of it is under a fifth of the margin;
+    where a result is subnormal its rounding is absolute, which the subnormal term
+    covers.  So a skipped row's computed entries are finite and strictly below half
+    of ``T``, hence below the grid's maximum: they can neither win nor tie.
+    """
+    alpha, cos_coef, cross_coef, den_coef = (col[:, 0] for col in columns)
+    vv_sq = params.vv_mag**2
+    nu = params.misalignment
+    b = cos_coef + cross_coef * ((1.0 + vv_sq) * math.cos(nu))
+    c = cross_coef * ((1.0 - vv_sq) * math.sin(nu))
+    tested = np.abs(den_coef) <= 1.0 - _ROW_TEST_DEN_GAP
+    delta = np.where(tested, den_coef, 0.0)
+    # the root's discriminant reduces to this sum of squares
+    root = np.sqrt((b - alpha * delta) ** 2 + c * c * (1.0 - delta * delta))
+    peaks = (alpha - b * delta + root) / (1.0 - delta * delta)
+    peaks[~tested] = -np.inf
+    seed = int(np.argmax(peaks))
+    top = 2.0 * float(_grid_block(columns, rows, seed, seed + 1, num[:1], work[:1]).max())
+    skip = np.zeros(alpha.shape, dtype=bool)
+    if math.isfinite(top):
+        ulps = _ROW_TEST_ULPS * np.finfo(float).eps
+        margin = ulps * (np.abs(alpha) + np.abs(cos_coef) + abs(top) * (1.0 + np.abs(delta)))
+        # scaled before the product, so a huge phase cannot overflow it
+        margin += 2.0 * ulps * (1.0 + abs(params.vv_phase) + 3.0 * math.pi) * np.abs(cross_coef)
+        margin += _ROW_TEST_ULPS * np.finfo(float).smallest_subnormal
+        skip = tested & (np.hypot(b - top * delta, c) < (top - alpha) - margin)
+    # kept rows run between the rises and falls of the padded skip mask
+    edges = np.flatnonzero(np.diff(skip, prepend=True, append=True)).tolist()
+    return [
+        (r0, min(r0 + GRID_BLOCK_ROWS, stop))
+        for start, stop in zip(edges[::2], edges[1::2])
+        for r0 in range(start, stop, GRID_BLOCK_ROWS)
+    ]
 
 
 def _scaled_terms(params: TwoPathParams) -> tuple[float, float, float, int]:

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from mmwbeam import closedform
 from mmwbeam.beamformer import optimal_beamformer, received_snr
 from mmwbeam.channel import assemble_channel
 from mmwbeam.closedform import (
@@ -29,7 +30,7 @@ from mmwbeam.closedform import (
     two_path_objective,
 )
 from mmwbeam.steering import steering_vector
-from mmwbeam.verify import _two_path_fixture
+from mmwbeam.verify import _SUITE_CASES, _draw_params, _instance_rng, _two_path_fixture
 
 SQRT2 = math.sqrt(2.0)
 EPS = np.finfo(float).eps
@@ -172,6 +173,26 @@ class TestGridSearch:
             expected = math.ldexp(value, 2 * k)
             if math.isfinite(expected) and expected >= sys.float_info.min:
                 assert scaled_value == objective == expected
+
+    def test_row_test_skips_most_rows_of_the_verify_searches(self, monkeypatch):
+        # both passes of prop2-prop4 over their first 100 seed-0 draws evaluate 11 404
+        # rows, the seed rows included, where the full grids hold 120 600
+        evaluated = []
+        full_block = closedform._grid_block
+
+        def counting_block(columns, rows, r0, r1, num, work):
+            evaluated.append(r1 - r0)
+            return full_block(columns, rows, r0, r1, num, work)
+
+        monkeypatch.setattr(closedform, "_grid_block", counting_block)
+        for suite in ("prop2", "prop3", "prop4"):
+            regime = REGIMES[_SUITE_CASES[suite]]
+            for index in range(100):
+                params = _draw_params(_instance_rng(0, index), regime)
+                point, _ = allocation_grid_search(params)
+                window = (point.beta - 0.005, point.beta + 0.005)
+                allocation_grid_search(params, beta_window=window)
+        assert sum(evaluated) <= 15_000
 
     def test_objective_beyond_the_float_range_reads_infinite(self):
         params = TwoPathParams(1.3e154, 1.2e154, uu_mag=1.0, vv_mag=1.0)

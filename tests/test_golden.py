@@ -115,12 +115,18 @@ def test_json_emission_rerenders_golden_bytes(path):
     text = path.read_text()
     doc = json.loads(text)
     assert _wrap_json(doc["config"], doc["results"]) == text
-    results = {"samples_db": [math.inf, -0.0, 5e-324, 1e-300, 0.1], "p90_db": -math.inf}
-    reference = json.JSONEncoder(sort_keys=True, indent=2).iterencode(
-        {"config": doc["config"], "version": doc["version"], "results": results},
-        _one_shot=False,
-    )
-    assert _wrap_json(doc["config"], results) == "".join(reference) + "\n"
+    edges = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e-300, 0.1]
+    for results in (
+        {"samples_db": edges, "p90_db": -math.inf},
+        {"samples_db": [], "ccdf": [edges, [1, 2.0], []], "rows": [{"x": [0.5]}]},
+        # a string the emitter's placeholder could be mistaken for
+        {"samples_db": [0.5], "note": "\0float list 0\0"},
+    ):
+        reference = json.JSONEncoder(sort_keys=True, indent=2).iterencode(
+            {"config": doc["config"], "version": doc["version"], "results": results},
+            _one_shot=False,
+        )
+        assert _wrap_json(doc["config"], results) == "".join(reference) + "\n"
 
 
 def dense_loss_db(cfg, trial):

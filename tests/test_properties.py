@@ -56,7 +56,12 @@ from mmwbeam.steering import (  # noqa: E402
     steering_stack,
     steering_vector,
 )
-from mmwbeam.verify import _two_path_fixture  # noqa: E402
+from mmwbeam.verify import (  # noqa: E402
+    _SUITE_CASES,
+    _draw_params,
+    _instance_rng,
+    _two_path_fixture,
+)
 
 # Losses may dip below zero by rounding only.
 LOSS_FLOOR_DB = -1e-12
@@ -412,6 +417,21 @@ def unit_scaled(params):
     )
 
 
+def assert_search_is_the_grid_argmax(params, num_beta, num_theta, window):
+    """The search's point and value are those of ``np.argmax`` over ``objective_grid``."""
+    point, value = allocation_grid_search(params, num_beta, num_theta, window)
+    betas = np.linspace(0.0, 1.0, num_beta)
+    if window is not None:
+        betas = np.clip(np.linspace(window[0], window[1], num_beta), 0.0, 1.0)
+    thetas = np.linspace(0.0, 2.0 * math.pi, num_theta, endpoint=False)
+    grid = objective_grid(params, betas, thetas)
+    # np.argmax takes the lowest linear index among ties
+    i, j = divmod(int(np.argmax(grid)), num_theta)
+    assert (point.beta, point.theta) == (betas[i], thetas[j] % (2.0 * math.pi))
+    assert same_bits(np.float64(value), grid[i, j])
+    return point
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     params=two_path_params.map(unit_scaled),
@@ -426,20 +446,45 @@ def unit_scaled(params):
 # a NaN phase: every unmasked entry is NaN, and np.argmax takes the first
 @example(params=TwoPathParams(1.0, 1.0, uu_phase=math.nan, uu_mag=1.0, vv_mag=1.0),
          num_beta=GRID_BLOCK_ROWS + 7, num_theta=2, window=(-0.5, math.sqrt(0.5)))
+# a NaN transmit phase on the default grid: every entry is masked
+@example(params=TwoPathParams(0.6, 0.9, uu_mag=0.3, vv_mag=0.4, vv_phase=math.nan),
+         num_beta=201, num_theta=360, window=None)
 # a window clipped at both ends
 @example(params=TwoPathParams(0.6, 0.9, uu_mag=0.3, vv_mag=0.4), num_beta=GRID_BLOCK_ROWS + 3,
          num_theta=360, window=(-0.25, 1.25))
+# a flat grid: every row ties up to rounding, and the maximum sits at beta = 0.025
+@example(params=TwoPathParams(1.0, 1.0), num_beta=201, num_theta=360, window=None)
+# a window wholly above [0, 1]: every row clips to beta = 1 and they tie exactly
+@example(params=TwoPathParams(0.6, 0.9, uu_mag=0.3, vv_mag=0.4), num_beta=201,
+         num_theta=360, window=(1.2, 1.5))
+# a descending window
+@example(params=TwoPathParams(0.6, 0.9, uu_mag=0.3, vv_mag=0.4), num_beta=201,
+         num_theta=360, window=(0.9, 0.1))
+# vv = 1 with masked rows: every unmasked entry is the same value up to rounding
+@example(params=TwoPathParams(1.0, 1.0, uu_mag=0.3, vv_mag=1.0), num_beta=201,
+         num_theta=4, window=(-0.5, math.sqrt(0.5)))
+# a huge transmit phase rounds the phases nu +- phi by about 1e-10
+@example(params=TwoPathParams(0.6, 0.9, phase_diff=1.0, uu_mag=0.3, vv_mag=1.0, vv_phase=1e6),
+         num_beta=201, num_theta=360, window=None)
+@example(params=TwoPathParams(0.6, 0.9, phase_diff=1.0, uu_mag=0.3, vv_mag=0.9, vv_phase=1e6),
+         num_beta=201, num_theta=360, window=None)
+# subnormal entries: every row clips to beta = 0, where the doubled objective is 2147
+# smallest subnormals and halving it rounds up, so twice the grid maximum exceeds it
+@example(params=TwoPathParams(0.9, 1.03e-160), num_beta=201, num_theta=360,
+         window=(-0.5, -0.1))
 def test_grid_search_is_the_argmax_of_the_full_grid(params, num_beta, num_theta, window):
-    point, value = allocation_grid_search(params, num_beta, num_theta, window)
-    betas = np.linspace(0.0, 1.0, num_beta)
-    if window is not None:
-        betas = np.clip(np.linspace(window[0], window[1], num_beta), 0.0, 1.0)
-    thetas = np.linspace(0.0, 2.0 * math.pi, num_theta, endpoint=False)
-    grid = objective_grid(params, betas, thetas)
-    # np.argmax takes the lowest linear index among ties
-    i, j = divmod(int(np.argmax(grid)), num_theta)
-    assert (point.beta, point.theta) == (betas[i], thetas[j] % (2.0 * math.pi))
-    assert same_bits(np.float64(value), grid[i, j])
+    assert_search_is_the_grid_argmax(params, num_beta, num_theta, window)
+
+
+@pytest.mark.parametrize("suite", ["prop2", "prop3", "prop4"])
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), index=st.integers(0, 499))
+def test_grid_search_on_verify_draws_is_the_argmax_of_the_full_grid(suite, seed, index):
+    # both passes of the suite's search: the coarse grid, then the window around its point
+    params = unit_scaled(_draw_params(_instance_rng(seed, index), REGIMES[_SUITE_CASES[suite]]))
+    point = assert_search_is_the_grid_argmax(params, 201, 360, None)
+    step = 1.0 / 200
+    assert_search_is_the_grid_argmax(params, 201, 360, (point.beta - step, point.beta + step))
 
 
 gain_mags = st.floats(1e-150, 1e3)
