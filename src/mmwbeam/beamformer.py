@@ -188,10 +188,24 @@ def _path_grams(
     return (gains, *grams), (freq_t, freq_r)
 
 
-def _unit_scaled(gains: np.ndarray) -> np.ndarray:
-    """Gains (B, L) scaled by the power of two that takes each row's peak into [0.5, 1)."""
-    peak = np.abs(gains).max(axis=-1, keepdims=True)
-    return gains * np.ldexp(1.0, -np.frexp(peak)[1])
+def _unit_scaled(gains: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gains (B, L) scaled by the power of two that takes each row's peak into [0.5, 1).
+
+    Also returns the exponents (B,) of those powers.
+    """
+    shift = -np.frexp(np.abs(gains).max(axis=-1))[1]
+    return gains * np.ldexp(1.0, shift)[:, None], shift
+
+
+def _unscaled(value: float, shift: int) -> float:
+    """``value * 2**-shift``: a value of terms scaled by ``2**shift``, scaled back.
+
+    A value beyond the float range reads as infinite.
+    """
+    try:
+        return math.ldexp(value, -shift)
+    except OverflowError:
+        return math.copysign(math.inf, value)
 
 
 def _pair(
@@ -203,25 +217,29 @@ def _pair(
 ) -> BeamformerPair:
     """The pair of a kernel on one path list, read from the paths alone.
 
-    The SNR is the kernel's, and ``tx = V w / ||V w||`` for its weights w.
-    On ``H = c U diag(gain) V^H`` the matched filter to it is
-    ``rx = U y / ||U y||`` with ``y = gain * (G_t w)``, on gains scaled
-    exactly by :func:`_unit_scaled`; ``steer_rx`` takes ``y = w`` instead.
+    The kernel runs on the gains scaled exactly by :func:`_unit_scaled`, so
+    its weights w keep their direction at huge and tiny gains; its SNR,
+    which is of degree two in the gains, is scaled back (beyond the float
+    range it reads infinite).  ``tx = V w / ||V w||``, and on ``H = c U
+    diag(gain) V^H`` the matched filter to it is ``rx = U y / ||U y||`` with
+    ``y = gain * (G_t w)`` on the same scaled gains; ``steer_rx`` takes
+    ``y = w`` instead.
     Where ``||U y|| <= MIN_RESPONSE_NORM`` (paths that cancel) ``rx`` is the
     strongest path's steering vector.  One phase factor turns both beams so
     that the first significant entry of ``tx`` is real nonnegative.
     """
     (gains, gram_t, gram_r), (freq_t, freq_r) = _path_grams(paths, tx_geom, rx_geom)
-    snr, weights = kernel(gains, gram_t, gram_r)
+    scaled, shift = _unit_scaled(gains)
+    snr, weights = kernel(scaled, gram_t, gram_r)
     tx = steering_stack(tx_geom, freq_t) @ weights[0]
     tx /= np.linalg.norm(tx)
-    y = weights[0] if steer_rx else _unit_scaled(gains)[0] * (gram_t[0] @ weights[0])
+    y = weights[0] if steer_rx else scaled[0] * (gram_t[0] @ weights[0])
     steer = steering_stack(rx_geom, freq_r)
     rx = steer @ y
     norm = np.linalg.norm(rx)
     rx = rx / norm if norm > MIN_RESPONSE_NORM else steer[:, np.argmax(np.abs(gains[0]))]
     turn = _phase_turn(tx)
-    return _frozen_pair(tx * turn, rx * turn, snr[0])
+    return _frozen_pair(tx * turn, rx * turn, _unscaled(float(snr[0]), 2 * int(shift[0])))
 
 
 def _gram_factor(gram_t: np.ndarray) -> np.ndarray:
@@ -275,11 +293,11 @@ def _optimal_snr(
     L >= 3.  For C's top eigenvector y, ``C y = lambda y`` gives ``H^H H V w``
     proportional to ``lambda V w`` with ``w = diag(conj(gain)) G_r T y``: the
     paper's beam, each path weighted by its conjugate gain times the receive
-    beam's response on it.  The gains in w are first scaled by
-    :func:`_unit_scaled`, which is exact and keeps w and its power from
-    under- or overflowing; w is then normalized by ``sqrt(w^H G_t w)``.  A
-    zero core (cancelling paths) gives w = 0, and the strongest path's
-    weights instead.  Without ``beam`` the weights are None.
+    beam's response on it, normalized by ``sqrt(w^H G_t w)``.  The kernel
+    does not scale the gains: :func:`_pair` passes them scaled by
+    :func:`_unit_scaled`, which keeps the core, w and its power from under-
+    or overflowing.  A zero core (cancelling paths) gives w = 0, and the
+    strongest path's weights instead.  Without ``beam`` the weights are None.
     """
     size = gains.shape[-1]
     factor = _gram_factor(gram_t)
@@ -296,8 +314,7 @@ def _optimal_snr(
     if not beam:
         return snr, None
     vec = np.linalg.eigh(core)[1][..., -1:]
-    scaled = _unit_scaled(gains)
-    weights = np.conj(scaled) * (gram_r @ (scaled[:, :, None] * factor) @ vec)[..., 0]
+    weights = np.conj(gains) * (gram_r @ mapped @ vec)[..., 0]
     power = np.sum(np.conj(weights) * (gram_t @ weights[..., None])[..., 0], axis=-1).real
     live = power > 0.0
     weights[~live] = _dominant_weights(gains[~live])

@@ -395,6 +395,9 @@ def main(argv=None) -> int:
     command = args.pop("command")
     try:
         args = _merge_config_file(command, args)
+        # open() refuses such a path only once the work is done
+        if "\0" in (args.get("out") or ""):
+            raise UsageError("--out must not contain a NUL character")
     except UsageError as err:
         _error_record("usage", str(err))
         return EXIT_USAGE

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamformer import MIN_BEAM_NORM_SQ
+from .beamformer import MIN_BEAM_NORM_SQ, _unscaled
 from .channel import PathComponent
 from .steering import ArrayGeometry, angle_frequencies, cpo_inner_product
 
@@ -99,14 +99,18 @@ class TwoPathParams:
             val = getattr(self, name)
             if not 0.0 <= val <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {val}")
+        for name in ("phase_diff", "uu_phase", "vv_phase"):
+            val = getattr(self, name)
+            if not math.isfinite(val):
+                raise ValueError(f"{name} must be finite, got {val}")
 
     @property
     def gain_sq_1(self) -> float:
-        return self.mag_a1**2
+        return self.mag_a1 * self.mag_a1
 
     @property
     def gain_sq_2(self) -> float:
-        return self.mag_a2**2
+        return self.mag_a2 * self.mag_a2
 
     @property
     def misalignment(self) -> float:
@@ -262,23 +266,22 @@ def _grid_axes(params: TwoPathParams, a: float, b: float, root_ab: float, betas,
     return columns, rows
 
 
-def _grid_block(columns, rows, r0: int, r1: int, num: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """Write the objective's rows ``[r0, r1)`` into ``num`` (``work`` is scratch); return ``num``.
+def _grid_block(columns, rows) -> np.ndarray:
+    """The objective on the rows of ``columns``: one row per column entry, one column per phase.
 
-    Both buffers hold ``r1 - r0`` rows of the grid's width.  The numerator
-    keeps the term order of the plain left-to-right sum on purpose: the
-    cos(phi) product, then the beta-only column, then the coupling product,
-    each added in place; ``work`` then holds the denominator.  Every entry
-    keeps the bits of that sum whatever the block, so grid searches keep
-    their argmax.  The masked division runs only in a block where some beam
-    norm vanishes; such entries are ``-inf``.
+    The numerator keeps the term order of the plain left-to-right sum on
+    purpose: the cos(phi) product, then the beta-only column, then the
+    coupling product, each added in place.  Every entry is elementwise and
+    keeps the bits of that sum whichever rows share the block, so grid
+    searches keep their argmax.  The masked division runs only in a block
+    where some beam norm vanishes; such entries are ``-inf``.
     """
-    beta_terms, cos_coef, cross_coef, den_coef = (col[r0:r1] for col in columns)
+    beta_terms, cos_coef, cross_coef, den_coef = columns
     cos_phi, cross_row = rows
-    np.multiply(cos_coef, cos_phi, out=num)
+    num = cos_coef * cos_phi
     num += beta_terms
-    num += np.multiply(cross_coef, cross_row, out=work)
-    den = np.multiply(den_coef, cos_phi, out=work)
+    num += cross_coef * cross_row
+    den = den_coef * cos_phi
     den += 1.0
     if den.min(initial=math.inf) > MIN_BEAM_NORM_SQ:
         num /= den
@@ -297,24 +300,12 @@ def objective_grid(params: TwoPathParams, betas, thetas) -> np.ndarray:
     Returns an array of shape ``(len(betas), len(thetas))``; entries whose
     beam degenerates to the zero vector are ``-inf``.  The per-axis terms
     (:func:`_grid_axes`) are combined by one block over every row
-    (:func:`_grid_block`), in two full-size buffers.
+    (:func:`_grid_block`).
     """
     columns, rows = _grid_axes(
         params, params.gain_sq_1, params.gain_sq_2, params.mag_a1 * params.mag_a2, betas, thetas
     )
-    shape = (columns[0].shape[0], rows[0].shape[1])
-    return _grid_block(columns, rows, 0, shape[0], np.empty(shape), np.empty(shape))
-
-
-def _unscaled(value: float, shift: int) -> float:
-    """``value * 2**-shift``: an objective evaluated on gains scaled by ``2**shift``, scaled back.
-
-    A value beyond the float range reads as infinite.
-    """
-    try:
-        return math.ldexp(value, -shift)
-    except OverflowError:
-        return math.copysign(math.inf, value)
+    return _grid_block(columns, rows)
 
 
 def two_path_objective(params: TwoPathParams, alloc: AllocationPoint) -> float:
@@ -326,22 +317,10 @@ def two_path_objective(params: TwoPathParams, alloc: AllocationPoint) -> float:
     that search's values; beyond the float range it is infinite.
     """
     *gains, shift = _scaled_terms(params)
-    columns, rows = _grid_axes(params, *gains, [alloc.beta], [alloc.theta])
-    value = float(_grid_block(columns, rows, 0, 1, np.empty((1, 1)), np.empty((1, 1)))[0, 0])
+    value = float(_grid_block(*_grid_axes(params, *gains, [alloc.beta], [alloc.theta]))[0, 0])
     if value == -math.inf:
         raise ValueError("beam has numerically zero norm at this allocation")
     return _unscaled(value, shift)
-
-
-# Rows of one block of the grid search.  At the default 360 phases a block buffer
-# is 180 KiB, and glibc serves the two of them again from its heap on every call.
-# The row test leaves about 2 rows of a coarse search and 30-130 of a refined one,
-# so blocks rarely fill.  Median of 15 rounds of a coarse and a refined search on
-# 120 of verify's prop2-prop4 draws, on a 2-vCPU x86-64 box (numpy 2.4, glibc 2.36),
-# by rows per block: 32 -> 628 us, 64 -> 607 us, 96 -> 606 us, 128 -> 603 us,
-# 201 (one block) -> 703 us.  64 is within noise of the fastest and keeps both
-# buffers far from the size at which they would come from fresh, faulting pages.
-GRID_BLOCK_ROWS = 64
 
 
 def allocation_grid_search(
@@ -360,27 +339,30 @@ def allocation_grid_search(
     their geometric mean, and its value scaled back (beyond the float range
     it reads infinite), so scaling both gains by a power of two keeps the
     point and scales the value exactly, and huge and tiny gains keep their
-    argmax.  Where the larger gain lies in [0.5, 1) every entry has the bits
-    of :func:`objective_grid`; elsewhere the two may differ in the last bit
-    of a squared gain, because ``x**2`` (libm's ``pow``) does not commute
-    with a power-of-two scaling.
+    argmax.  Wherever nothing under- or overflows, every entry has the bits
+    of :func:`objective_grid`.
 
     Most rows are never evaluated.  A row's doubled objective is
     ``(alpha + b cos(phi) + c sin(phi)) / (1 + delta cos(phi))``, which stays
     below ``T`` at every phase exactly when ``hypot(b - T delta, c) < T - alpha``
-    (:func:`_candidate_blocks`).  ``T`` is twice the grid maximum of the row
+    (:func:`_candidate_rows`).  ``T`` is twice the grid maximum of the row
     whose maximum over a continuous phase is largest, and a row is skipped
     only when ``T`` is finite, ``|delta| <= 1 - 1e-6`` and the test holds with
     the margin ``64 eps (|alpha| + |cos_coef| + 2 (1 + |p| + 3 pi) |cross_coef|
     + |T| (1 + |delta|))`` plus 64 times the smallest subnormal (``p`` the
     transmit coupling's phase), which covers the rounding of the entries and
     of the test.  A skipped row holds only finite entries strictly below the
-    grid's maximum; NaN and masked rows are always evaluated.  The other rows
-    are evaluated in ascending order in blocks of at most ``GRID_BLOCK_ROWS``
-    rows, into two buffers allocated once per call, under a running argmax
-    in which a later block wins only strictly.  So the result is the point
-    and value of ``np.argmax`` over the whole scaled grid: ties resolve to
-    the lowest (beta-major) linear index.
+    grid's maximum; NaN and masked rows are always evaluated.  The kept rows
+    are evaluated together in one block, in ascending order, and ``np.argmax``
+    over it takes the first maximum.  So the result is the point and value of
+    ``np.argmax`` over the whole scaled grid: ties resolve to the lowest
+    (beta-major) linear index.
+
+    Memory follows the kept rows.  On ``verify``'s draws a coarse search
+    keeps a few rows and a refined one tens, up to 131 of 201, so a refined
+    search may hold more than the 565 KiB of one full grid.  An input where
+    no row can be skipped (a flat grid, ``TwoPathParams(1.0, 1.0)``, where
+    every row ties) is evaluated whole, as :func:`objective_grid` does.
     """
     if num_beta < 2 or num_theta < 2:
         raise ValueError("grid resolutions must be at least 2")
@@ -391,32 +373,23 @@ def allocation_grid_search(
     thetas = np.linspace(0.0, _TWO_PI, num_theta, endpoint=False)
     *gains, shift = _scaled_terms(params)
     columns, rows = _grid_axes(params, *gains, betas, thetas)
-    shape = (min(GRID_BLOCK_ROWS, num_beta), num_theta)
-    num, work = np.empty(shape), np.empty(shape)
-    best, best_flat = -math.inf, -1
-    for r0, r1 in _candidate_blocks(params, columns, rows, num, work):
-        block = _grid_block(columns, rows, r0, r1, num[: r1 - r0], work[: r1 - r0])
-        flat = int(np.argmax(block))
-        value = float(block.flat[flat])
-        # a later block wins only strictly; a NaN (a NaN phase) fills every unmasked
-        # entry and leaves every row a candidate, so the first block's holds, as
-        # np.argmax over the whole grid picks it
-        if best_flat < 0 or value > best:
-            best, best_flat = value, r0 * num_theta + flat
-    i, j = divmod(best_flat, num_theta)
-    return AllocationPoint(beta=float(betas[i]), theta=float(thetas[j])), _unscaled(best, shift)
+    kept = _candidate_rows(params, columns, rows)
+    block = _grid_block([col[kept] for col in columns], rows)
+    i, j = divmod(int(np.argmax(block)), num_theta)
+    point = AllocationPoint(beta=float(betas[kept[i]]), theta=float(thetas[j]))
+    return point, _unscaled(float(block[i, j]), shift)
 
 
-# The row test of the grid search leaves to the blocks every row whose denominator
-# column lies within this of 1 in magnitude, where a beam norm may come near vanishing.
+# The row test of the grid search keeps every row whose denominator column lies
+# within this of 1 in magnitude, where a beam norm may come near vanishing.
 _ROW_TEST_DEN_GAP = 1e-6
-# Margin of the row test, in units of eps (see _candidate_blocks).
+# Margin of the row test, in units of eps (see _candidate_rows).
 _ROW_TEST_ULPS = 64.0
 
 
-def _candidate_blocks(params: TwoPathParams, columns, rows, num, work) -> list[tuple[int, int]]:
-    """Ascending ``[r0, r1)`` blocks of at most ``GRID_BLOCK_ROWS`` rows, holding every row of
-    the search's grid that may hold or tie its maximum (see :func:`allocation_grid_search`).
+def _candidate_rows(params: TwoPathParams, columns, rows) -> np.ndarray:
+    """Ascending indices of every row of the search's grid that may hold or tie its maximum
+    (see :func:`allocation_grid_search`).
 
     With ``w = vv^2``, ``vv^2 cos(nu + phi) + cos(nu - phi) = (1 + w) cos(nu) cos(phi)
     + (1 - w) sin(nu) sin(phi)``, so a row's doubled objective is ``(alpha + b cos(phi)
@@ -427,7 +400,8 @@ def _candidate_blocks(params: TwoPathParams, columns, rows, num, work) -> list[t
     ``hypot(b - T delta, c) < T - alpha``; the smallest such ``T`` is the row's
     maximum over a continuous phase, the larger root of ``(T - alpha)^2 =
     (b - T delta)^2 + c^2``.  The row with the largest such maximum is the seed, and
-    ``T`` is twice the largest entry the blocks compute for it, a value the grid holds.
+    ``T`` is twice the largest entry :func:`_grid_block` computes for it from its
+    own one-row columns, a value the grid holds.
 
     The margin bounds how far the entries :func:`_grid_block` computes, and the
     test's own arithmetic, stray from the exact row at the stored phases ``phi``.
@@ -456,22 +430,16 @@ def _candidate_blocks(params: TwoPathParams, columns, rows, num, work) -> list[t
     peaks = (alpha - b * delta + root) / (1.0 - delta * delta)
     peaks[~tested] = -np.inf
     seed = int(np.argmax(peaks))
-    top = 2.0 * float(_grid_block(columns, rows, seed, seed + 1, num[:1], work[:1]).max())
-    skip = np.zeros(alpha.shape, dtype=bool)
-    if math.isfinite(top):
-        ulps = _ROW_TEST_ULPS * np.finfo(float).eps
-        margin = ulps * (np.abs(alpha) + np.abs(cos_coef) + abs(top) * (1.0 + np.abs(delta)))
-        # scaled before the product, so a huge phase cannot overflow it
-        margin += 2.0 * ulps * (1.0 + abs(params.vv_phase) + 3.0 * math.pi) * np.abs(cross_coef)
-        margin += _ROW_TEST_ULPS * np.finfo(float).smallest_subnormal
-        skip = tested & (np.hypot(b - top * delta, c) < (top - alpha) - margin)
-    # kept rows run between the rises and falls of the padded skip mask
-    edges = np.flatnonzero(np.diff(skip, prepend=True, append=True)).tolist()
-    return [
-        (r0, min(r0 + GRID_BLOCK_ROWS, stop))
-        for start, stop in zip(edges[::2], edges[1::2])
-        for r0 in range(start, stop, GRID_BLOCK_ROWS)
-    ]
+    top = 2.0 * float(_grid_block([col[seed : seed + 1] for col in columns], rows).max())
+    if not math.isfinite(top):
+        return np.arange(alpha.shape[0])
+    ulps = _ROW_TEST_ULPS * np.finfo(float).eps
+    margin = ulps * (np.abs(alpha) + np.abs(cos_coef) + abs(top) * (1.0 + np.abs(delta)))
+    # scaled before the product, so a huge phase cannot overflow it
+    margin += 2.0 * ulps * (1.0 + abs(params.vv_phase) + 3.0 * math.pi) * np.abs(cross_coef)
+    margin += _ROW_TEST_ULPS * np.finfo(float).smallest_subnormal
+    skip = tested & (np.hypot(b - top * delta, c) < (top - alpha) - margin)
+    return np.flatnonzero(~skip)
 
 
 def _scaled_terms(params: TwoPathParams) -> tuple[float, float, float, int]:
@@ -486,7 +454,7 @@ def _scaled_terms(params: TwoPathParams) -> tuple[float, float, float, int]:
         return 0.0, 0.0, 0.0, 0
     half = -math.frexp(larger)[1]
     m1, m2 = math.ldexp(params.mag_a1, half), math.ldexp(params.mag_a2, half)
-    a, b = m1**2, m2**2
+    a, b = m1 * m1, m2 * m2
     rest = -math.frexp(max(a, b))[1]
     return math.ldexp(a, rest), math.ldexp(b, rest), math.ldexp(m1 * m2, rest), 2 * half + rest
 
@@ -496,10 +464,10 @@ def _scaled_gains(params: TwoPathParams) -> tuple[float, float]:
 
     The magnitudes are scaled by a power of two before they are squared, so
     gains whose squares would under- or overflow keep their ratio.  The
-    scaling is exact, so a ratio of terms of one degree in ``a`` and ``b``
-    keeps its value wherever nothing under- or overflows, up to the last bit
-    of a square (libm's ``x**2`` is not correctly rounded), and products of
-    tiny or huge squared gains no longer under- or overflow.
+    scaling and the correctly rounded squares commute, so a ratio of terms of
+    one degree in ``a`` and ``b`` keeps its value wherever nothing under- or
+    overflows, and products of tiny or huge squared gains no longer under-
+    or overflow.
     """
     if max(params.mag_a1, params.mag_a2) == 0.0:
         raise ValueError("undefined when both path gains are zero")

@@ -485,6 +485,23 @@ class TestPairFromPaths:
         np.testing.assert_array_equal(pair.tx, reference.tx)
         np.testing.assert_array_equal(pair.rx, reference.rx)
 
+    @pytest.mark.parametrize("scheme", PER_CHANNEL)
+    def test_beams_do_not_depend_on_the_scale_of_the_gains(self, scheme):
+        # on unscaled gains x2^-560 the optimal core underflowed, and the reduced route
+        # returned the dominant beam (|<tx, unit tx>| = 0.967), equal power 0.534
+        tx_geom, rx_geom = geometry_pair(nt=8, nr=4)
+        unit = path_list((0.8 + 0.3j, -0.5 + 0.9j), (0.5, 1.5), (0.7, 2.0))
+        reference = scheme(unit, tx_geom, rx_geom)
+        for k in range(-600, 501, 10):
+            scaled = [PathComponent(p.gain * 2.0**k, p.aod, p.aoa) for p in unit]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                pair = scheme(scaled, tx_geom, rx_geom)
+            np.testing.assert_allclose(pair.tx, reference.tx, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(pair.rx, reference.rx, rtol=0.0, atol=1e-12)
+            if -500 <= k <= 500:
+                assert pair.normalized_snr == math.ldexp(reference.normalized_snr, 2 * k)
+
 
 class TestSchemeDominance:
     def test_no_scheme_beats_the_optimum(self, rng):

@@ -149,6 +149,15 @@ class TestClosedform:
         assert code == EXIT_USAGE
         assert "--a2" in json.loads(err)["error"]["message"]
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--nu-deg", "nan"), ("--phase-diff-deg", "-inf"), ("--uu-phase-deg", "nan"),
+        ("--vv-phase-deg", "inf"),
+    ])
+    def test_non_finite_phase_is_usage_error(self, capsys, flag, value):
+        # this exited 0 with NaN for snr_dominant, snr_optimal and theta_deg
+        argv = ["closedform", "--case", "v-orth", "--a1", "1", "--a2", "0.5", "--uu", "0.3"]
+        assert "must be finite" in usage_message(capsys, *argv, f"{flag}={value}")
+
     def test_nu_exclusive_with_phase_trio(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -191,6 +200,11 @@ class TestSweep:
             capsys, "sweep", "--case", "v-orth", "--k-min", "0.5", "--k-max", "2", "--uu", "0.3"
         )
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_phase_is_usage_error(self, capsys, value):
+        argv = ["sweep", "--case", "v-orth", "--k-min", "1", "--k-max", "2", "--uu", "0.3"]
+        assert "phase_diff must be finite" in usage_message(capsys, *argv, "--nu-deg", value)
 
     def test_overflowing_gain_is_usage_error(self, capsys):
         code, out, err = run_cli(
@@ -557,6 +571,21 @@ class TestConfigFile:
         message = usage_message(capsys, "ccdf", "--config", str(cfg_file))
         assert repr(next(iter(doc))) in message and "expected a string" in message
         assert list(tmp_path.iterdir()) == [cfg_file]
+
+    @pytest.mark.parametrize("argv", [
+        ["ccdf", "--paths", "2", "--trials", "5"],
+        ["closedform", "--case", "v-orth", "--a1", "2", "--a2", "1", "--uu", "0.5"],
+    ], ids=lambda argv: argv[0])
+    def test_nul_in_the_output_path_is_usage_error(self, capsys, tmp_path, monkeypatch, argv):
+        # open() raised "embedded null byte", a traceback with exit 1, after the whole run
+        def no_work(*args, **kwargs):
+            raise AssertionError("work ran before the output path was checked")
+
+        monkeypatch.setattr(cli.montecarlo, "run_ccdf", no_work)
+        monkeypatch.setattr(cli, "_closedform_record", no_work)
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({"out": "a\u0000b"}))
+        assert "NUL" in usage_message(capsys, *argv, "--config", str(cfg_file))
 
     def test_integral_float_value_is_accepted(self, capsys, tmp_path):
         cfg_file = tmp_path / "run.json"

@@ -61,6 +61,14 @@ class TestParams:
             with pytest.raises(ValueError, match="finite square"):
                 TwoPathParams(mag_a1=1.0, mag_a2=mag)
 
+    @pytest.mark.parametrize("name", ["phase_diff", "uu_phase", "vv_phase"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phase_rejected(self, name, value):
+        # a NaN transmit phase made every grid entry a masked -inf, a NaN receive phase
+        # every entry NaN
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            TwoPathParams(0.6, 0.9, uu_mag=0.3, vv_mag=0.4, **{name: value})
+
     def test_misalignment_wraps_to_half_open_interval(self):
         p = TwoPathParams(1.0, 1.0, phase_diff=3.0, uu_phase=-3.0, vv_phase=3.0)
         assert -math.pi < p.misalignment <= math.pi
@@ -180,9 +188,9 @@ class TestGridSearch:
         evaluated = []
         full_block = closedform._grid_block
 
-        def counting_block(columns, rows, r0, r1, num, work):
-            evaluated.append(r1 - r0)
-            return full_block(columns, rows, r0, r1, num, work)
+        def counting_block(columns, rows):
+            evaluated.append(columns[0].shape[0])
+            return full_block(columns, rows)
 
         monkeypatch.setattr(closedform, "_grid_block", counting_block)
         for suite in ("prop2", "prop3", "prop4"):

@@ -26,7 +26,6 @@ from mmwbeam.beamformer import (  # noqa: E402
 )
 from mmwbeam.channel import PathComponent, assemble_channel  # noqa: E402
 from mmwbeam.closedform import (  # noqa: E402
-    GRID_BLOCK_ROWS,
     REGIMES,
     TwoPathParams,
     allocation_grid_search,
@@ -403,14 +402,14 @@ def test_objective_grid_matches_one_expression_form(params, betas, thetas):
         assert np.all(np.isneginf(grid[cancelled]))
 
 
-def unit_scaled(params):
-    """``params`` with both gains scaled by the power of two that takes the larger into [0.5, 1).
+def unit_scaled(params, k=0):
+    """``params`` with both gains scaled by ``2**k`` times the power of two that takes the
+    larger into [0.5, 1).
 
-    The search squares its gains after that scaling, and libm's ``x**2`` does
-    not commute with a power-of-two scaling in the last bit; at such gains it
-    squares the same magnitudes as ``objective_grid``.
+    The search evaluates its grid on gains scaled the latter way, so at ``k = 0``
+    tiny gains under- and overflow alike there and in ``objective_grid``.
     """
-    shift = -math.frexp(max(params.mag_a1, params.mag_a2))[1]
+    shift = k - math.frexp(max(params.mag_a1, params.mag_a2))[1]
     return TwoPathParams(
         math.ldexp(params.mag_a1, shift), math.ldexp(params.mag_a2, shift),
         params.phase_diff, params.uu_mag, params.uu_phase, params.vv_mag, params.vv_phase,
@@ -435,22 +434,16 @@ def assert_search_is_the_grid_argmax(params, num_beta, num_theta, window):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     params=two_path_params.map(unit_scaled),
-    num_beta=st.one_of(st.just(201), st.integers(2, 3 * GRID_BLOCK_ROWS + 1)),
+    num_beta=st.one_of(st.just(201), st.integers(2, 3 * 64 + 1)),
     num_theta=st.one_of(st.just(360), st.integers(2, 64)),
     window=st.one_of(st.none(), st.tuples(st.floats(-0.5, 1.5), st.floats(-0.5, 1.5))),
 )
-# vv = 1: the beam at beta = sqrt(1/2), theta = pi cancels, so the last block runs the
-# masked division; the window is clipped at 0 and is no multiple of the block
-@example(params=TwoPathParams(1.0, 1.0, uu_mag=1.0, vv_mag=1.0), num_beta=GRID_BLOCK_ROWS + 7,
+# vv = 1: the beam at beta = sqrt(1/2), theta = pi cancels, so the search runs the
+# masked division; the window is clipped at 0
+@example(params=TwoPathParams(1.0, 1.0, uu_mag=1.0, vv_mag=1.0), num_beta=64 + 7,
          num_theta=2, window=(-0.5, math.sqrt(0.5)))
-# a NaN phase: every unmasked entry is NaN, and np.argmax takes the first
-@example(params=TwoPathParams(1.0, 1.0, uu_phase=math.nan, uu_mag=1.0, vv_mag=1.0),
-         num_beta=GRID_BLOCK_ROWS + 7, num_theta=2, window=(-0.5, math.sqrt(0.5)))
-# a NaN transmit phase on the default grid: every entry is masked
-@example(params=TwoPathParams(0.6, 0.9, uu_mag=0.3, vv_mag=0.4, vv_phase=math.nan),
-         num_beta=201, num_theta=360, window=None)
 # a window clipped at both ends
-@example(params=TwoPathParams(0.6, 0.9, uu_mag=0.3, vv_mag=0.4), num_beta=GRID_BLOCK_ROWS + 3,
+@example(params=TwoPathParams(0.6, 0.9, uu_mag=0.3, vv_mag=0.4), num_beta=64 + 3,
          num_theta=360, window=(-0.25, 1.25))
 # a flat grid: every row ties up to rounding, and the maximum sits at beta = 0.025
 @example(params=TwoPathParams(1.0, 1.0), num_beta=201, num_theta=360, window=None)
@@ -474,6 +467,15 @@ def assert_search_is_the_grid_argmax(params, num_beta, num_theta, window):
          window=(-0.5, -0.1))
 def test_grid_search_is_the_argmax_of_the_full_grid(params, num_beta, num_theta, window):
     assert_search_is_the_grid_argmax(params, num_beta, num_theta, window)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(params=two_path_params, k=st.integers(-250, 250))
+# with x**2 (libm's pow) for a square, the search, on gains scaled back into [0.5, 1),
+# and objective_grid squared different mantissas, and their values differed in the last bit
+@example(params=TwoPathParams(10.0, 9.999999999999998), k=-4)
+def test_grid_search_is_the_argmax_at_gains_scaled_by_a_power_of_two(params, k):
+    assert_search_is_the_grid_argmax(unit_scaled(params, k), 201, 360, None)
 
 
 @pytest.mark.parametrize("suite", ["prop2", "prop3", "prop4"])
