@@ -102,10 +102,10 @@ def received_snr(channel: ChannelMatrix, tx: np.ndarray, rx: np.ndarray) -> floa
     """Normalized received SNR ``|rx^H H tx|^2 / (||rx||^2 * Nt * Nr)`` of a beam pair.
 
     ``tx`` must satisfy the energy constraint ``||tx|| <= 1``; ``rx`` may
-    have any nonzero norm (the quotient removes it).
+    have any nonzero norm (the quotient removes it).  Both must be finite.
     """
-    tx = np.asarray(tx, dtype=complex)
-    rx = np.asarray(rx, dtype=complex)
+    tx = _finite_beam(tx, "tx")
+    rx = _finite_beam(rx, "rx")
     if tx.shape != (channel.num_tx,):
         raise ValueError(f"tx has shape {tx.shape}, expected ({channel.num_tx},)")
     if rx.shape != (channel.num_rx,):
@@ -121,8 +121,16 @@ def received_snr(channel: ChannelMatrix, tx: np.ndarray, rx: np.ndarray) -> floa
 
 
 def matched_filter(channel: ChannelMatrix, tx: np.ndarray) -> np.ndarray:
-    """Unit-norm receive vector ``H tx / ||H tx||`` for a given beam."""
-    return _matched(channel, np.asarray(tx, dtype=complex))[0]
+    """Unit-norm receive vector ``H tx / ||H tx||`` for a given finite beam."""
+    return _matched(channel, _finite_beam(tx, "tx"))[0]
+
+
+def _finite_beam(beam, name: str) -> np.ndarray:
+    """``beam`` as a complex array; a NaN or infinite entry raises ``ValueError``."""
+    beam = np.asarray(beam, dtype=complex)
+    if not np.isfinite(beam).all():
+        raise ValueError(f"{name} has a non-finite entry")
+    return beam
 
 
 def _matched(channel: ChannelMatrix, tx: np.ndarray) -> tuple[np.ndarray, float]:
@@ -189,12 +197,14 @@ def _path_grams(
 
 
 def _unit_scaled(gains: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gains (B, L) scaled by the power of two that takes each row's peak into [0.5, 1).
+    """Complex gains (B, L) scaled by the power of two that takes each row's peak into [0.5, 1).
 
-    Also returns the exponents (B,) of those powers.
+    Also returns the exponents (B,) of those powers.  The real and imaginary
+    parts are scaled by ``ldexp``: past a subnormal peak the power itself
+    would be beyond the float range.
     """
     shift = -np.frexp(np.abs(gains).max(axis=-1))[1]
-    return gains * np.ldexp(1.0, shift)[:, None], shift
+    return np.ldexp(gains.view(float), shift[:, None]).view(complex), shift
 
 
 def _unscaled(value: float, shift: int) -> float:

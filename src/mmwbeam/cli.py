@@ -33,6 +33,9 @@ EXIT_VERIFY = 4
 
 _CLOSEDFORM_CASES = tuple(closedform.REGIMES)
 _SWEEP_CASES = tuple(case for case, regime in closedform.REGIMES.items() if regime.allocation)
+# The columns of a sweep row, each the closedform record's value of its key.
+_SWEEP_COLUMNS = {"k": "mag_a1", "beta_sq": "beta_sq", "delta_snr": "delta_snr",
+                  "delta_snr_db": "delta_snr_db"}
 
 
 class UsageError(Exception):
@@ -118,12 +121,15 @@ def _merge_config_file(command: str, args: dict) -> dict:
     path = args.pop("config", None)
     if path is None:
         return args
+    if "\0" in path:
+        raise UsageError("--config must not contain a NUL character")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as err:
         raise OSError(f"cannot read config file {path}: {err}") from err
-    except json.JSONDecodeError as err:
+    # JSONDecodeError, or UnicodeDecodeError on a file that is not UTF-8
+    except ValueError as err:
         raise UsageError(f"config file {path} is not valid JSON: {err}") from err
     if not isinstance(doc, dict):
         raise UsageError("config file must contain a JSON object")
@@ -184,22 +190,17 @@ def _phases_from_args(args: dict) -> tuple[float, float, float]:
     return tuple(math.radians(float(v)) if v is not None else 0.0 for v in trio)
 
 
-def _check_unit(value: float, flag: str) -> float:
-    if not 0.0 <= value <= 1.0:
-        raise UsageError(f"{flag} must lie in [0, 1], got {value}")
-    return value
-
-
 def _regime_couplings(args: dict, command: str) -> tuple[str, closedform.Regime, float, float]:
     """The case of a closedform or sweep call, its regime, and ``(uu, vv)`` by the regime's rules.
 
     The constrained flag, if given, must equal the regime's forced value
     (and keeps its bits); otherwise it takes that value.  ``sweep`` needs
     the free flag, and a regime with ``free_positive`` needs it > 0.
+    :class:`closedform.TwoPathParams` checks that each lies in [0, 1].
     """
     case = _require(args, "case", command)
     regime = closedform.REGIMES[case]
-    couplings = {end: _check_unit(_fget(args, end, 0.0), f"--{end}") for end in ("uu", "vv")}
+    couplings = {end: _fget(args, end, 0.0) for end in ("uu", "vv")}
     end, free = regime.constrained, regime.free
     if args.get(end) is None:
         couplings[end] = regime.forced
@@ -213,11 +214,10 @@ def _regime_couplings(args: dict, command: str) -> tuple[str, closedform.Regime,
 
 
 def _closedform_record(args: dict) -> dict:
+    """The ``closedform`` record of one case; what ``TwoPathParams`` refuses is a usage error."""
     case, regime, uu, vv = _regime_couplings(args, "closedform")
     mag_a1 = float(_require(args, "a1", "closedform"))
     mag_a2 = float(_require(args, "a2", "closedform"))
-    if mag_a1 < 0 or mag_a2 < 0:
-        raise UsageError("gain magnitudes must be nonnegative")
     phase_diff, uu_phase, vv_phase = _phases_from_args(args)
     try:
         params = closedform.TwoPathParams(
@@ -254,7 +254,8 @@ def _closedform_record(args: dict) -> dict:
 
 
 def _sweep_rows(args: dict) -> list[dict]:
-    _, regime, uu, vv = _regime_couplings(args, "sweep")
+    """The split and loss at each gain ratio K: the ``closedform`` record of gains K and 1."""
+    _regime_couplings(args, "sweep")
     k_min = float(_require(args, "k_min", "sweep"))
     k_max = float(_require(args, "k_max", "sweep"))
     k_points = int(args["k_points"])
@@ -262,33 +263,9 @@ def _sweep_rows(args: dict) -> list[dict]:
         raise UsageError("need 1 <= k-min <= k-max (K is the dominant-to-weak gain ratio)")
     if k_points < 1:
         raise UsageError("--k-points must be >= 1")
-    nu_deg = _fget(args, "nu_deg", 0.0)
-
-    rows = []
-    for k in np.linspace(k_min, k_max, k_points):
-        try:
-            params = closedform.TwoPathParams(
-                mag_a1=float(k),
-                mag_a2=1.0,
-                phase_diff=math.radians(nu_deg),
-                uu_mag=uu,
-                uu_phase=0.0,
-                vv_mag=vv,
-                vv_phase=0.0,
-            )
-            beta_sq = regime.beta_opt(params).beta ** 2
-            delta = regime.delta_snr(params)
-        except ValueError as err:
-            raise UsageError(str(err)) from err
-        rows.append(
-            {
-                "k": float(k),
-                "beta_sq": beta_sq,
-                "delta_snr": delta,
-                "delta_snr_db": _loss_db(delta),
-            }
-        )
-    return rows
+    ratios = np.linspace(k_min, k_max, k_points).tolist()
+    records = (_closedform_record({**args, "a1": k, "a2": 1.0}) for k in ratios)
+    return [{column: rec[key] for column, key in _SWEEP_COLUMNS.items()} for rec in records]
 
 
 def _format_cell(value) -> str:
@@ -411,23 +388,16 @@ def main(argv=None) -> int:
         fmt = "json" if command in ("closedform", "verify") else "csv"
 
     try:
-        if command == "closedform":
-            run_config = _run_config(command, args, out_path, fmt)
-            record = _closedform_record(args)
-            if fmt == "json":
-                _emit(_wrap_json(run_config, record), out_path)
-            else:
-                _emit(_records_to_csv([record], _preamble(run_config)), out_path)
-
-        elif command == "sweep":
-            if args.get("k_points") is None:
+        if command in ("closedform", "sweep"):
+            if command == "sweep" and args["k_points"] is None:
                 args["k_points"] = 91
             run_config = _run_config(command, args, out_path, fmt)
-            rows = _sweep_rows(args)
+            records = [_closedform_record(args)] if command == "closedform" else _sweep_rows(args)
+            results = records[0] if command == "closedform" else {"rows": records}
             if fmt == "json":
-                _emit(_wrap_json(run_config, {"rows": rows}), out_path)
+                _emit(_wrap_json(run_config, results), out_path)
             else:
-                _emit(_records_to_csv(rows, _preamble(run_config)), out_path)
+                _emit(_records_to_csv(records, _preamble(run_config)), out_path)
 
         elif command == "ccdf":
             _require(args, "paths", "ccdf")

@@ -152,7 +152,7 @@ class AllocationPoint:
     """Power split and relative phase of the two-path transmit beam.
 
     ``beta`` is the amplitude on path 1 (path 2 gets ``sqrt(1-beta^2)``);
-    ``theta`` is the phase applied to path 2, stored in [0, 2*pi).
+    ``theta`` is the phase applied to path 2, stored in [0, 2*pi); it must be finite.
     """
 
     beta: float
@@ -161,6 +161,8 @@ class AllocationPoint:
     def __post_init__(self) -> None:
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError(f"beta must lie in [0, 1], got {self.beta}")
+        if not math.isfinite(self.theta):
+            raise ValueError(f"theta must be finite, got {self.theta}")
         object.__setattr__(self, "theta", self.theta % _TWO_PI)
 
 
@@ -170,26 +172,29 @@ class Regime:
 
     ``constrained`` is the end whose steering vectors the regime fixes
     (``"uu"`` receive, ``"vv"`` transmit) and ``forced`` their inner-product
-    magnitude: 0.0 electrically orthogonal, 1.0 parallel.  ``free`` is the
-    other end; ``free_positive`` marks a regime whose free coupling must not
-    vanish (u-orth: with both ends orthogonal the v-orth forms hold).
+    magnitude: 0.0 electrically orthogonal, 1.0 parallel.  :attr:`free` is
+    the other end; ``free_positive`` marks a regime whose free coupling must
+    not vanish (u-orth: with both ends orthogonal the v-orth forms hold).
     ``proposition`` numbers the paper's proposition on the regime's split.
 
     The closed forms are held by name and looked up in this module at each
-    call, so a rebinding of the module attribute reaches every caller.
+    call, so a rebinding of the module attribute reaches every caller; the
+    dominant-path SNR is :func:`snr_dominant_path` in every regime.
     ``allocation`` is None where every split is optimal, and ``optimal`` None
     where the optimal SNR is the loss times the dominant-path SNR.
     """
 
     constrained: str
     forced: float
-    free: str
     allocation: str | None
     loss: str
-    optimal: str | None
-    dominant: str
+    optimal: str | None = None
     free_positive: bool = False
     proposition: int | None = None
+
+    @property
+    def free(self) -> str:
+        return "vv" if self.constrained == "uu" else "uu"
 
     def beta_opt(self, params: TwoPathParams) -> AllocationPoint | None:
         return None if self.allocation is None else globals()[self.allocation](params)
@@ -198,29 +203,22 @@ class Regime:
         return globals()[self.loss](params)
 
     def snr_dominant(self, params: TwoPathParams) -> float:
-        return globals()[self.dominant](params)
+        return snr_dominant_path(params)
 
     def snr_optimal(self, params: TwoPathParams) -> float:
         if self.optimal is None:
-            return self.delta_snr(params) * self.snr_dominant(params)
+            return self.delta_snr(params) * snr_dominant_path(params)
         return globals()[self.optimal](params)
 
 
 REGIMES = {
-    "v-orth": Regime(
-        "vv", 0.0, "uu", "beta_opt_v_orth", "delta_snr_v_orth", None, "snr_dominant_path",
-        proposition=2,
-    ),
+    "v-orth": Regime("vv", 0.0, "beta_opt_v_orth", "delta_snr_v_orth", proposition=2),
     "u-orth": Regime(
-        "uu", 0.0, "vv", "beta_opt_u_orth", "delta_snr_u_orth", None, "snr_dominant_path",
-        free_positive=True, proposition=3,
+        "uu", 0.0, "beta_opt_u_orth", "delta_snr_u_orth", free_positive=True, proposition=3
     ),
-    "v-parallel": Regime(
-        "vv", 1.0, "uu", None, "delta_snr_v_parallel", None, "snr_dominant_path"
-    ),
+    "v-parallel": Regime("vv", 1.0, None, "delta_snr_v_parallel"),
     "u-parallel": Regime(
-        "uu", 1.0, "vv", "beta_opt_u_parallel", "delta_snr_u_parallel", "snr_u_parallel",
-        "snr_dominant_path", proposition=4,
+        "uu", 1.0, "beta_opt_u_parallel", "delta_snr_u_parallel", "snr_u_parallel", proposition=4
     ),
 }
 

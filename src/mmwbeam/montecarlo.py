@@ -155,19 +155,7 @@ class McConfig:
         return ArrayGeometry(self.nr, self.spacing_wavelengths)
 
     def to_dict(self) -> dict:
-        return {
-            "num_paths": self.num_paths,
-            "trials": self.trials,
-            "seed": self.seed,
-            "nt": self.nt,
-            "nr": self.nr,
-            "spacing_wavelengths": self.spacing_wavelengths,
-            "fov_deg": self.fov_deg,
-            "gain_model": _GAIN_MODEL,
-            "scheme": self.scheme,
-            "angle_sampling": self.angle_sampling,
-            "rng": RNG_ALGORITHM,
-        }
+        return {**vars(self), "gain_model": _GAIN_MODEL, "rng": RNG_ALGORITHM}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "McConfig":

@@ -88,6 +88,17 @@ class TestReceivedSnr:
         with pytest.raises(ValueError, match="energy"):
             received_snr(ch, np.ones(8, dtype=complex), np.ones(4, dtype=complex))
 
+    @pytest.mark.parametrize("end", ["tx", "rx"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.0, math.nan)])
+    def test_non_finite_beam_rejected(self, rng, end, value):
+        # a NaN entry passed both the energy and the nonzero check and gave a NaN SNR
+        tx_geom, rx_geom = geometry_pair()
+        ch = assemble_channel(random_paths(rng, 1), tx_geom, rx_geom)
+        beams = {"tx": np.full(8, 0.25, dtype=complex), "rx": np.ones(4, dtype=complex)}
+        beams[end][1] = value
+        with pytest.raises(ValueError, match=f"{end} has a non-finite entry"):
+            received_snr(ch, beams["tx"], beams["rx"])
+
 
 class TestMatchedFilter:
     def test_single_path_alignment(self):
@@ -122,6 +133,16 @@ class TestMatchedFilter:
         ch = ChannelMatrix(entries=np.zeros((4, 8), dtype=complex))
         with pytest.raises(ValueError, match="zero"):
             matched_filter(ch, np.ones(8) / math.sqrt(8.0))
+
+    @pytest.mark.parametrize("value", [math.nan, -math.inf])
+    def test_non_finite_beam_rejected(self, rng, value):
+        # a NaN entry gave a NaN receive vector and a RuntimeWarning
+        tx_geom, rx_geom = geometry_pair()
+        ch = assemble_channel(random_paths(rng, 2), tx_geom, rx_geom)
+        tx = np.full(8, 0.25, dtype=complex)
+        tx[3] = value
+        with pytest.raises(ValueError, match="tx has a non-finite entry"):
+            matched_filter(ch, tx)
 
 
 class TestOptimalBeamformer:
@@ -484,6 +505,20 @@ class TestPairFromPaths:
         pair = dominant_path_beamformer(tiny, tx_geom, rx_geom)
         np.testing.assert_array_equal(pair.tx, reference.tx)
         np.testing.assert_array_equal(pair.rx, reference.rx)
+
+    @pytest.mark.parametrize("scheme", PER_CHANNEL)
+    def test_subnormal_gains_give_the_beams_of_normal_gains(self, scheme):
+        # the scale of a subnormal peak, 2**1030 here, was formed alone and overflowed
+        tx_geom, rx_geom = geometry_pair(nt=8, nr=4)
+        tiny = path_list((1e-310, 3e-311j), (0.5, 1.5), (0.7, 2.0))
+        normal = [PathComponent(p.gain * 2.0**1000, p.aod, p.aoa) for p in tiny]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pair = scheme(tiny, tx_geom, rx_geom)
+        reference = scheme(normal, tx_geom, rx_geom)
+        np.testing.assert_array_equal(pair.tx, reference.tx)
+        np.testing.assert_array_equal(pair.rx, reference.rx)
+        assert pair.normalized_snr == math.ldexp(reference.normalized_snr, -2000)
 
     @pytest.mark.parametrize("scheme", PER_CHANNEL)
     def test_beams_do_not_depend_on_the_scale_of_the_gains(self, scheme):

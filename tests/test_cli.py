@@ -282,6 +282,21 @@ class TestRegimeRules:
         assert first["beta_sq"] == pytest.approx(0.5, abs=1e-15)
         assert first["delta_snr"] == pytest.approx(1.0 + 5e-9, abs=1e-15)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            regime_argv("closedform", "v-orth", uu="1.5"),
+            regime_argv("closedform", "v-orth", uu="nan"),
+            regime_argv("closedform", "v-orth", uu="0.5", a1="-1"),
+            regime_argv("sweep", "v-orth", uu="1.5"),
+            regime_argv("sweep", "v-orth", uu="nan"),
+        ],
+        ids=lambda argv: "-".join(argv[:1] + argv[-2:]),
+    )
+    def test_values_the_params_refuse_are_usage_errors(self, capsys, argv):
+        # the range of a coupling and the sign of a gain are TwoPathParams' rules
+        usage_message(capsys, *argv)
+
     def test_accepted_defaults(self, capsys):
         code, out, _ = run_cli(capsys, *regime_argv("closedform", "v-orth"))
         assert code == EXIT_OK
@@ -600,6 +615,16 @@ class TestConfigFile:
         cfg_file.write_text("{not json")
         code, _, err = run_cli(capsys, "closedform", "--config", str(cfg_file))
         assert code == EXIT_USAGE
+
+    def test_file_that_is_not_utf8_is_usage_error(self, capsys, tmp_path):
+        # reading it raised UnicodeDecodeError, a traceback
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_bytes(b"\xff\xfe{}")
+        assert "not valid JSON" in usage_message(capsys, "closedform", "--config", str(cfg_file))
+
+    def test_nul_in_the_config_path_is_usage_error(self, capsys):
+        # open() raised "embedded null byte", a traceback
+        assert "NUL" in usage_message(capsys, "closedform", "--config", "a\0b")
 
 
 class TestArgparseBoundary:

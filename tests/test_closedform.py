@@ -91,6 +91,12 @@ class TestParams:
         with pytest.raises(ValueError):
             AllocationPoint(beta=1.5, theta=0.0)
 
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_theta_rejected(self, theta):
+        # theta = inf was stored as nan, and the objective then read a zero-norm beam
+        with pytest.raises(ValueError, match="theta must be finite"):
+            AllocationPoint(beta=0.5, theta=theta)
+
 
 class TestObjective:
     def test_full_power_reduces_to_dominant_path_term(self, rng):
