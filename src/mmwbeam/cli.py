@@ -195,8 +195,8 @@ def _regime_couplings(args: dict, command: str) -> tuple[str, closedform.Regime,
 
     The constrained flag, if given, must equal the regime's forced value
     (and keeps its bits); otherwise it takes that value.  ``sweep`` needs
-    the free flag, and a regime with ``free_positive`` needs it > 0.
-    :class:`closedform.TwoPathParams` checks that each lies in [0, 1].
+    the free flag.  :class:`closedform.TwoPathParams` checks that each lies
+    in [0, 1], and the regime's closed forms what else they need.
     """
     case = _require(args, "case", command)
     regime = closedform.REGIMES[case]
@@ -208,8 +208,6 @@ def _regime_couplings(args: dict, command: str) -> tuple[str, closedform.Regime,
         raise UsageError(f"case {case} assumes --{end} {regime.forced:g}")
     if command == "sweep" and args.get(free) is None:
         raise UsageError(f"case {case} needs --{free}")
-    if regime.free_positive and couplings[free] <= 0.0:
-        raise UsageError(f"case {case} needs --{free} > 0")
     return case, regime, couplings["uu"], couplings["vv"]
 
 
@@ -231,7 +229,7 @@ def _closedform_record(args: dict) -> dict:
         )
         alloc = regime.beta_opt(params)
         delta = regime.delta_snr(params)
-        snr_dom = regime.snr_dominant(params)
+        snr_dom = closedform.snr_dominant_path(params)
         snr_opt = regime.snr_optimal(params)
     except ValueError as err:
         raise UsageError(str(err)) from err

@@ -105,14 +105,6 @@ class TwoPathParams:
                 raise ValueError(f"{name} must be finite, got {val}")
 
     @property
-    def gain_sq_1(self) -> float:
-        return self.mag_a1 * self.mag_a1
-
-    @property
-    def gain_sq_2(self) -> float:
-        return self.mag_a2 * self.mag_a2
-
-    @property
     def misalignment(self) -> float:
         """Phase misalignment between the two paths, in (-pi, pi].
 
@@ -173,9 +165,8 @@ class Regime:
     ``constrained`` is the end whose steering vectors the regime fixes
     (``"uu"`` receive, ``"vv"`` transmit) and ``forced`` their inner-product
     magnitude: 0.0 electrically orthogonal, 1.0 parallel.  :attr:`free` is
-    the other end; ``free_positive`` marks a regime whose free coupling must
-    not vanish (u-orth: with both ends orthogonal the v-orth forms hold).
-    ``proposition`` numbers the paper's proposition on the regime's split.
+    the other end.  ``proposition`` numbers the paper's proposition on the
+    regime's split.
 
     The closed forms are held by name and looked up in this module at each
     call, so a rebinding of the module attribute reaches every caller; the
@@ -189,7 +180,6 @@ class Regime:
     allocation: str | None
     loss: str
     optimal: str | None = None
-    free_positive: bool = False
     proposition: int | None = None
 
     @property
@@ -202,9 +192,6 @@ class Regime:
     def delta_snr(self, params: TwoPathParams) -> float:
         return globals()[self.loss](params)
 
-    def snr_dominant(self, params: TwoPathParams) -> float:
-        return snr_dominant_path(params)
-
     def snr_optimal(self, params: TwoPathParams) -> float:
         if self.optimal is None:
             return self.delta_snr(params) * snr_dominant_path(params)
@@ -213,9 +200,7 @@ class Regime:
 
 REGIMES = {
     "v-orth": Regime("vv", 0.0, "beta_opt_v_orth", "delta_snr_v_orth", proposition=2),
-    "u-orth": Regime(
-        "uu", 0.0, "beta_opt_u_orth", "delta_snr_u_orth", free_positive=True, proposition=3
-    ),
+    "u-orth": Regime("uu", 0.0, "beta_opt_u_orth", "delta_snr_u_orth", proposition=3),
     "v-parallel": Regime("vv", 1.0, None, "delta_snr_v_parallel"),
     "u-parallel": Regime(
         "uu", 1.0, "beta_opt_u_parallel", "delta_snr_u_parallel", "snr_u_parallel", proposition=4
@@ -223,8 +208,9 @@ REGIMES = {
 }
 
 
-def _require_regime(params: TwoPathParams, end: str, forced: float) -> None:
-    """Raise :class:`RegimeError` unless the coupling at ``end`` is (nearly) ``forced``."""
+def _require_regime(params: TwoPathParams, case: str) -> None:
+    """Raise :class:`RegimeError` unless the coupling ``REGIMES[case]`` fixes is (nearly) forced."""
+    end, forced = REGIMES[case].constrained, REGIMES[case].forced
     mag = getattr(params, f"{end}_mag")
     holds = mag < ORTHOGONAL_TOL if forced == 0.0 else mag > 1.0 - PARALLEL_TOL
     if holds:
@@ -234,15 +220,18 @@ def _require_regime(params: TwoPathParams, end: str, forced: float) -> None:
     raise RegimeError(f"requires {kind} {side} vectors, |{end[0]}1^H {end[1]}2| = {mag}")
 
 
-def _grid_axes(params: TwoPathParams, a: float, b: float, root_ab: float, betas, thetas):
-    """The per-axis terms of the objective: three (B, 1) columns and two (1, T) rows.
+def _grid_axes(params: TwoPathParams, betas, thetas):
+    """The per-axis terms of the objective: four (B, 1) columns, two (1, T) rows and a shift.
 
-    ``a``, ``b`` and ``root_ab`` stand for the squared gains and their
-    geometric mean; the objective is of degree one in them.  The columns
+    The terms are taken on the squared gains ``a``, ``b`` and their
+    geometric mean ``root_ab`` of :func:`_scaled_terms`, all times
+    ``2**shift``; the objective is of degree one in them, so a value of
+    :func:`_grid_block` times ``2**-shift`` is the objective's.  The columns
     are the beta-only terms, then the coefficients of ``cos(phi)`` in the
     numerator, of the coupling row, and of ``cos(phi)`` in the denominator;
     the rows are ``cos(phi)`` and ``vv^2 cos(nu + phi) + cos(nu - phi)``.
     """
+    a, b, root_ab, shift = _scaled_terms(params)
     uu = params.uu_mag
     vv = params.vv_mag
     nu = params.misalignment
@@ -261,7 +250,7 @@ def _grid_axes(params: TwoPathParams, a: float, b: float, root_ab: float, betas,
     )
     columns = (beta_terms, pair_amp * (a + b) * vv, pair_amp * root_ab * uu, pair_amp * vv)
     rows = (cos_phi, vv**2 * np.cos(nu + phi) + np.cos(nu - phi))
-    return columns, rows
+    return columns, rows, shift
 
 
 def _grid_block(columns, rows) -> np.ndarray:
@@ -298,12 +287,13 @@ def objective_grid(params: TwoPathParams, betas, thetas) -> np.ndarray:
     Returns an array of shape ``(len(betas), len(thetas))``; entries whose
     beam degenerates to the zero vector are ``-inf``.  The per-axis terms
     (:func:`_grid_axes`) are combined by one block over every row
-    (:func:`_grid_block`).
+    (:func:`_grid_block`) and scaled back, as the grid search's values are;
+    beyond the float range an entry is infinite.
     """
-    columns, rows = _grid_axes(
-        params, params.gain_sq_1, params.gain_sq_2, params.mag_a1 * params.mag_a2, betas, thetas
-    )
-    return _grid_block(columns, rows)
+    columns, rows, shift = _grid_axes(params, betas, thetas)
+    block = _grid_block(columns, rows)
+    with np.errstate(over="ignore"):
+        return np.ldexp(block, -shift, out=block)
 
 
 def two_path_objective(params: TwoPathParams, alloc: AllocationPoint) -> float:
@@ -311,11 +301,12 @@ def two_path_objective(params: TwoPathParams, alloc: AllocationPoint) -> float:
 
     Matrix-free evaluation of ``f^H H^H H f / (L * Nt * Nr * f^H f)`` for
     ``f = beta*v_1 + sqrt(1-beta^2)*exp(1j*theta)*v_2``, on the scaled
-    gains of :func:`allocation_grid_search` and scaled back, so it reads
-    that search's values; beyond the float range it is infinite.
+    terms of :func:`_grid_axes` and scaled back, so it reads the values of
+    :func:`objective_grid` and the grid search; beyond the float range it
+    is infinite.
     """
-    *gains, shift = _scaled_terms(params)
-    value = float(_grid_block(*_grid_axes(params, *gains, [alloc.beta], [alloc.theta]))[0, 0])
+    columns, rows, shift = _grid_axes(params, [alloc.beta], [alloc.theta])
+    value = float(_grid_block(columns, rows)[0, 0])
     if value == -math.inf:
         raise ValueError("beam has numerically zero norm at this allocation")
     return _unscaled(value, shift)
@@ -333,12 +324,11 @@ def allocation_grid_search(
     endpoint; ``beta_window`` restricts beta to a sub-interval (with
     endpoints), which supports zoom-in refinement around a coarse argmax.
 
-    The grid is evaluated on the squared gains of :func:`_scaled_gains` and
-    their geometric mean, and its value scaled back (beyond the float range
-    it reads infinite), so scaling both gains by a power of two keeps the
-    point and scales the value exactly, and huge and tiny gains keep their
-    argmax.  Wherever nothing under- or overflows, every entry has the bits
-    of :func:`objective_grid`.
+    The grid is evaluated on the scaled terms of :func:`_grid_axes` and its
+    value scaled back (beyond the float range it reads infinite), so
+    scaling both gains by a power of two keeps the point and scales the
+    value exactly, huge and tiny gains keep their argmax, and every entry
+    evaluated has the bits of :func:`objective_grid`.
 
     Most rows are never evaluated.  A row's doubled objective is
     ``(alpha + b cos(phi) + c sin(phi)) / (1 + delta cos(phi))``, which stays
@@ -369,8 +359,7 @@ def allocation_grid_search(
     else:
         betas = np.clip(np.linspace(beta_window[0], beta_window[1], num_beta), 0.0, 1.0)
     thetas = np.linspace(0.0, _TWO_PI, num_theta, endpoint=False)
-    *gains, shift = _scaled_terms(params)
-    columns, rows = _grid_axes(params, *gains, betas, thetas)
+    columns, rows, shift = _grid_axes(params, betas, thetas)
     kept = _candidate_rows(params, columns, rows)
     block = _grid_block([col[kept] for col in columns], rows)
     i, j = divmod(int(np.argmax(block)), num_theta)
@@ -478,7 +467,7 @@ def beta_opt_v_orth(params: TwoPathParams) -> AllocationPoint:
     The optimal split solves ``beta^2 = (1 + (a-b)/sqrt((a-b)^2 + 4ab*uu^2))/2``
     and the phase aligns the two paths through the receive-side coupling.
     """
-    _require_regime(params, "vv", 0.0)
+    _require_regime(params, "v-orth")
     a, b = _scaled_gains(params)
     root = _v_orth_root(a, b, params.uu_mag)
     beta_sq = 0.5 if root == 0.0 else 0.5 * (1.0 + (a - b) / root)
@@ -508,7 +497,7 @@ def delta_snr_v_orth(params: TwoPathParams) -> float:
     at most 2 (a 3 dB loss), attained at equal gains with parallel receive
     steering vectors.
     """
-    _require_regime(params, "vv", 0.0)
+    _require_regime(params, "v-orth")
     a, b = _scaled_gains(params)
     return float(_v_orth_loss(a, b, params.uu_mag))
 
@@ -525,7 +514,7 @@ def beta_opt_u_orth(params: TwoPathParams) -> AllocationPoint:
     parts, so none cancels as ``vv`` nears 0.  For ``a < b`` the root is
     subtracted instead, which is the cancellation-free ``2a^2/(term_a + root)``.
     """
-    _require_regime(params, "uu", 0.0)
+    _require_regime(params, "u-orth")
     if params.vv_mag < ORTHOGONAL_TOL:
         raise RegimeError(
             "transmit vectors are also orthogonal; use the v-orthogonal closed form"
@@ -550,7 +539,7 @@ def delta_snr_u_orth(params: TwoPathParams) -> float:
     allocation, and never below 1.  When the transmit vectors are
     orthogonal too, the dominant path is exactly optimal and the ratio is 1.
     """
-    _require_regime(params, "uu", 0.0)
+    _require_regime(params, "u-orth")
     a, b = _scaled_gains(params)
     if params.vv_mag < ORTHOGONAL_TOL:
         return 1.0
@@ -572,10 +561,11 @@ def delta_snr_u_orth_equal_gains(vv_mag):
     Maximized at ``vv = sqrt(2) - 1`` with value ``(sqrt(2)+1)/2``.  Takes a
     float or an array of couplings, each of which must lie in [0, 1].
     """
-    vv = np.asarray(vv_mag)
+    vv = np.asarray(vv_mag, dtype=float)
     if not np.all((vv >= 0.0) & (vv <= 1.0)):
         raise ValueError("vv_mag must lie in [0, 1]")
-    return (1.0 + vv_mag) / (1.0 + vv_mag**2)
+    loss = (1.0 + vv) / (1.0 + vv**2)
+    return float(loss) if loss.ndim == 0 else loss
 
 
 def delta_snr_v_parallel(params: TwoPathParams) -> float:
@@ -584,7 +574,7 @@ def delta_snr_v_parallel(params: TwoPathParams) -> float:
     The objective is independent of the power split, so any allocation,
     the dominant path included, achieves the optimum.
     """
-    _require_regime(params, "vv", 1.0)
+    _require_regime(params, "v-parallel")
     return 1.0
 
 
@@ -594,7 +584,7 @@ def beta_opt_u_parallel(params: TwoPathParams) -> AllocationPoint:
     Mimics maximum ratio combining: power proportional to path gain,
     ``beta^2 = a / (a + b)``.
     """
-    _require_regime(params, "uu", 1.0)
+    _require_regime(params, "u-parallel")
     a, b = _scaled_gains(params)
     theta = params.phase_diff - params.uu_phase
     return AllocationPoint(beta=math.sqrt(a / (a + b)), theta=theta)
@@ -602,7 +592,7 @@ def beta_opt_u_parallel(params: TwoPathParams) -> AllocationPoint:
 
 def snr_u_parallel(params: TwoPathParams) -> float:
     """Optimal normalized SNR in the u-parallel regime, on the gains of :func:`_scaled_terms`."""
-    _require_regime(params, "uu", 1.0)
+    _require_regime(params, "u-parallel")
     a, b, root_ab, shift = _scaled_terms(params)
     cross = 2.0 * root_ab * params.vv_mag
     return _unscaled((a + b + cross * math.cos(params.misalignment)) / 2.0, shift)
@@ -618,7 +608,7 @@ def delta_snr_u_parallel(params: TwoPathParams) -> float:
     cancelled while the optimal beam still combines the paths, so the loss
     is unbounded).
     """
-    _require_regime(params, "uu", 1.0)
+    _require_regime(params, "u-parallel")
     hi, lo = sorted(_scaled_gains(params), reverse=True)
     vv = params.vv_mag
     den = hi + vv**2 * lo + 2.0 * math.sqrt(hi * lo) * vv * math.cos(params.misalignment)

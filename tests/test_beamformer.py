@@ -165,7 +165,7 @@ class TestOptimalBeamformer:
         tx_geom, rx_geom = ArrayGeometry(nt), ArrayGeometry(nr)
         ch = assemble_channel(paths, tx_geom, rx_geom)
         params = TwoPathParams.from_paths(paths, tx_geom, rx_geom)
-        a, b, uu = params.gain_sq_1, params.gain_sq_2, params.uu_mag
+        a, b, uu = params.mag_a1 * params.mag_a1, params.mag_a2 * params.mag_a2, params.uu_mag
         expected = (a + b + math.sqrt(a**2 + b**2 + 2 * a * b * (2 * uu**2 - 1))) / 4.0
         assert optimal_beamformer(ch).normalized_snr == pytest.approx(expected, rel=1e-11)
 
@@ -333,7 +333,7 @@ class TestDominantPath:
         for _ in range(20):
             paths = random_paths(rng, 2)
             p = TwoPathParams.from_paths(paths, tx_geom, rx_geom)
-            a, b = p.gain_sq_1, p.gain_sq_2
+            a, b = p.mag_a1 * p.mag_a1, p.mag_a2 * p.mag_a2
             expected = (
                 max(a + b * p.vv_mag**2, b + a * p.vv_mag**2)
                 + 2.0 * p.mag_a1 * p.mag_a2 * p.vv_mag * p.uu_mag * math.cos(p.misalignment)

@@ -260,10 +260,21 @@ class TestRegimeRules:
         message = usage_message(capsys, *regime_argv("sweep", case))
         assert case in message and f"--{free}" in message
 
-    @pytest.mark.parametrize("command", ["closedform", "sweep"])
-    def test_u_orth_needs_nonzero_transmit_coupling(self, capsys, command):
-        message = usage_message(capsys, *regime_argv(command, "u-orth", vv="0"))
-        assert "u-orth" in message and "--vv" in message
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            regime_argv("closedform", "u-orth", vv="0"),
+            regime_argv("closedform", "u-orth", vv="1e-10"),
+            regime_argv("closedform", "u-orth"),
+            regime_argv("sweep", "u-orth", vv="0"),
+        ],
+        ids=["closedform", "closedform-vv-1e-10", "closedform-no-vv", "sweep"],
+    )
+    def test_u_orth_needs_nonzero_transmit_coupling(self, capsys, argv):
+        # the u-orth split refuses a vanishing transmit coupling, 1e-10 included: the
+        # v-orth closed forms hold there
+        message = usage_message(capsys, *argv)
+        assert "v-orthogonal closed form" in message
 
     @pytest.mark.parametrize(
         "argv",

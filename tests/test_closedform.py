@@ -102,7 +102,7 @@ class TestObjective:
     def test_full_power_reduces_to_dominant_path_term(self, rng):
         for _ in range(50):
             p = random_params(rng)
-            a, b = p.gain_sq_1, p.gain_sq_2
+            a, b = p.mag_a1 * p.mag_a1, p.mag_a2 * p.mag_a2
             expected = (
                 a
                 + b * p.vv_mag**2
@@ -207,6 +207,18 @@ class TestGridSearch:
                 window = (point.beta - 0.005, point.beta + 0.005)
                 allocation_grid_search(params, beta_window=window)
         assert sum(evaluated) <= 15_000
+
+    def test_objective_grid_at_huge_gains_holds_the_search_maximum(self):
+        # on the unscaled squared gains a + b overflowed: NaN and inf entries, with a warning
+        params = TwoPathParams(1.3e154, 1e154, uu_mag=0.3, vv_mag=0.4)
+        betas = np.linspace(0.0, 1.0, 201)
+        thetas = np.linspace(0.0, 2.0 * math.pi, 360, endpoint=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = objective_grid(params, betas, thetas)
+        assert not np.isnan(grid).any()
+        _, value = allocation_grid_search(params)
+        assert np.float64(value).tobytes() == grid.max().tobytes()
 
     def test_objective_beyond_the_float_range_reads_infinite(self):
         params = TwoPathParams(1.3e154, 1.2e154, uu_mag=1.0, vv_mag=1.0)
@@ -347,6 +359,11 @@ class TestUOrthogonal:
         grid = np.linspace(0.0, 1.0, 101)
         values = delta_snr_u_orth_equal_gains(grid)
         assert values.tolist() == [delta_snr_u_orth_equal_gains(float(vv)) for vv in grid]
+        # a list is read as its array; it raised TypeError after passing the range check
+        assert delta_snr_u_orth_equal_gains([0.2, 0.4]).tolist() == [
+            delta_snr_u_orth_equal_gains(0.2), delta_snr_u_orth_equal_gains(0.4)
+        ]
+        assert type(delta_snr_u_orth_equal_gains(0.2)) is float
         for bad in (-0.1, 1.5, math.nan):
             with pytest.raises(ValueError, match="vv_mag must lie in"):
                 delta_snr_u_orth_equal_gains(bad)

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from conftest import equal_power_grid_snr, random_paths  # noqa: E402
-from mmwbeam import steering  # noqa: E402
+from mmwbeam import closedform, steering  # noqa: E402
 from mmwbeam.beamformer import (  # noqa: E402
     _loss_db,
     _optimal_snr,
@@ -26,7 +26,9 @@ from mmwbeam.beamformer import (  # noqa: E402
 )
 from mmwbeam.channel import PathComponent, assemble_channel  # noqa: E402
 from mmwbeam.closedform import (  # noqa: E402
+    ORTHOGONAL_TOL,
     REGIMES,
+    RegimeError,
     TwoPathParams,
     allocation_grid_search,
     delta_snr_v_orth,
@@ -338,8 +340,8 @@ def test_gram_stack_matches_dense_product(n, spacing, freqs):
 
 def objective_grid_reference(params, betas, thetas):
     """The one-expression form of ``objective_grid``, kept verbatim as its oracle."""
-    a = params.gain_sq_1
-    b = params.gain_sq_2
+    a = params.mag_a1 * params.mag_a1
+    b = params.mag_a2 * params.mag_a2
     uu = params.uu_mag
     vv = params.vv_mag
     nu = params.misalignment
@@ -406,8 +408,9 @@ def unit_scaled(params, k=0):
     """``params`` with both gains scaled by ``2**k`` times the power of two that takes the
     larger into [0.5, 1).
 
-    The search evaluates its grid on gains scaled the latter way, so at ``k = 0``
-    tiny gains under- and overflow alike there and in ``objective_grid``.
+    The search and ``objective_grid`` evaluate their grids on gains scaled the
+    latter way, so ``k`` leaves their scaled terms as they are while both
+    magnitudes stay normal.
     """
     shift = k - math.frexp(max(params.mag_a1, params.mag_a2))[1]
     return TwoPathParams(
@@ -476,6 +479,16 @@ def test_grid_search_is_the_argmax_of_the_full_grid(params, num_beta, num_theta,
 @example(params=TwoPathParams(10.0, 9.999999999999998), k=-4)
 def test_grid_search_is_the_argmax_at_gains_scaled_by_a_power_of_two(params, k):
     assert_search_is_the_grid_argmax(unit_scaled(params, k), 201, 360, None)
+    # objective_grid scales alike: an entry normal at both scales scales exactly by 2**(2k)
+    betas = np.linspace(0.0, 1.0, 201)
+    thetas = np.linspace(0.0, 2.0 * math.pi, 360, endpoint=False)
+    unit = objective_grid(unit_scaled(params), betas, thetas)
+    grid = objective_grid(unit_scaled(params, k), betas, thetas)
+    finite = np.isfinite(unit)
+    assert np.array_equal(np.isfinite(grid), finite)
+    assert same_bits(grid[~finite], unit[~finite])
+    normal = finite & (np.abs(unit) >= sys.float_info.min) & (np.abs(grid) >= sys.float_info.min)
+    assert same_bits(grid[normal], np.ldexp(unit[normal], 2 * k))
 
 
 @pytest.mark.parametrize("suite", ["prop2", "prop3", "prop4"])
@@ -500,7 +513,7 @@ gain_mags = st.floats(1e-150, 1e3)
 @example(mag_a1=1.1728699829894298, mag_a2=1.1728699854271236, uu_mag=0.0)
 def test_v_orth_loss_matches_scalar_expression(mag_a1, mag_a2, uu_mag):
     params = TwoPathParams(mag_a1, mag_a2, uu_mag=uu_mag)
-    a, b = params.gain_sq_1, params.gain_sq_2
+    a, b = params.mag_a1 * params.mag_a1, params.mag_a2 * params.mag_a2
     # scaling both gains by a power of two is exact and keeps their squares in range
     shift = -math.frexp(max(a, b))[1]
     a, b = math.ldexp(a, shift), math.ldexp(b, shift)
@@ -535,6 +548,30 @@ def test_loss_is_at_least_one(case, mag_a1, mag_a2, coupling, phase_diff):
     assert loss >= 1.0 - np.finfo(float).eps
     # only a cancelled dominant beam, in the u-parallel regime, loses without bound
     assert loss < math.inf or case == "u-parallel"
+
+
+@pytest.mark.parametrize("case", list(REGIMES))
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    mag_a1=gain_mags,
+    mag_a2=gain_mags,
+    free=st.one_of(st.just(ORTHOGONAL_TOL), st.floats(ORTHOGONAL_TOL, 1.0), st.just(1.0)),
+    phase_diff=st.floats(-7.0, 7.0),
+)
+def test_closed_forms_accept_exactly_their_row(case, mag_a1, mag_a2, free, phase_diff):
+    # each closed form a REGIMES row names holds at the row's forced coupling and
+    # refuses a constrained coupling of 0.5
+    regime = REGIMES[case]
+    names = [n for n in (regime.allocation, regime.loss, regime.optimal) if n is not None]
+
+    def params(constrained):
+        couplings = {f"{regime.constrained}_mag": constrained, f"{regime.free}_mag": free}
+        return TwoPathParams(mag_a1, mag_a2, phase_diff=phase_diff, **couplings)
+
+    for name in names:
+        getattr(closedform, name)(params(regime.forced))
+        with pytest.raises(RegimeError):
+            getattr(closedform, name)(params(0.5))
 
 
 @pytest.mark.parametrize("case", list(REGIMES))
