@@ -74,11 +74,11 @@ class BeamformerPair:
     normalized_snr: float
 
 
-def _phase_turn(vec: np.ndarray) -> complex:
-    """Unit factor that turns a vector's first significant entry real nonnegative."""
+def _phase_turn(vec: np.ndarray) -> np.ndarray:
+    """Unit factors (...) that turn the first significant entry of each vector (..., N) real nonnegative."""
     mags = np.abs(vec)
-    idx = int(np.argmax(mags > PHASE_REFERENCE_FLOOR * mags.max()))
-    return np.exp(-1j * np.angle(vec[idx]))
+    idx = np.argmax(mags > PHASE_REFERENCE_FLOOR * mags.max(axis=-1, keepdims=True), axis=-1)
+    return np.exp(-1j * np.angle(np.take_along_axis(vec, idx[..., None], axis=-1)[..., 0]))
 
 
 def _frozen_pair(tx: np.ndarray, rx: np.ndarray, snr: float) -> BeamformerPair:
@@ -122,7 +122,7 @@ def received_snr(channel: ChannelMatrix, tx: np.ndarray, rx: np.ndarray) -> floa
 
 def matched_filter(channel: ChannelMatrix, tx: np.ndarray) -> np.ndarray:
     """Unit-norm receive vector ``H tx / ||H tx||`` for a given finite beam."""
-    return _matched(channel, _finite_beam(tx, "tx"))[0]
+    return _matched(channel.entries[None], _finite_beam(tx, "tx")[None])[0][0]
 
 
 def _finite_beam(beam, name: str) -> np.ndarray:
@@ -133,13 +133,21 @@ def _finite_beam(beam, name: str) -> np.ndarray:
     return beam
 
 
-def _matched(channel: ChannelMatrix, tx: np.ndarray) -> tuple[np.ndarray, float]:
-    """The matched filter to a complex beam, and its normalized SNR ``||H tx||^2 / (Nt * Nr)``."""
-    w = channel.entries @ tx
-    norm_w = float(np.linalg.norm(w))
-    if norm_w < MIN_RESPONSE_NORM:
+def _matched(entries: np.ndarray, tx: np.ndarray) -> tuple[np.ndarray, list[float]]:
+    """Matched filters (B, Nr) to complex beams (B, Nt) on channels (B, Nr, Nt), and their SNRs.
+
+    The SNR is the normalized ``||H tx||^2 / (Nt * Nr)``.  The norm is that
+    of ``np.linalg.norm``, ``sqrt(re . re + im . im)``, with the dot products
+    taken by stacked products, which call the same BLAS routine per row: each
+    row has the bits of its channel alone.
+    """
+    w = (entries @ tx[..., None])[..., 0]
+    re, im = w.real, w.imag
+    norms = np.sqrt((re[:, None, :] @ re[..., None] + im[:, None, :] @ im[..., None])[:, 0, 0])
+    if np.any(norms < MIN_RESPONSE_NORM):
         raise ValueError("H @ tx is numerically zero; degenerate channel or beam")
-    return w / norm_w, norm_w**2 / (channel.num_tx * channel.num_rx)
+    size = entries.shape[-2] * entries.shape[-1]
+    return w / norms[:, None], [norm**2 / size for norm in norms.tolist()]
 
 
 def optimal_beamformer(channel: ChannelMatrix) -> BeamformerPair:
@@ -149,13 +157,23 @@ def optimal_beamformer(channel: ChannelMatrix) -> BeamformerPair:
     of the top singular subspace when the top singular value is repeated);
     the receive vector is its matched filter.  This route ignores the path
     structure, so it is the oracle for :func:`reduced_optimal_beamformer`.
+    It is :func:`_dense_optimal` on one channel.
     """
-    h = channel.entries
-    if not np.any(h):
+    tx, rx, snr = _dense_optimal(channel.entries[None])
+    return _frozen_pair(tx[0], rx[0], snr[0])
+
+
+def _dense_optimal(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """:func:`optimal_beamformer` of each channel (B, Nr, Nt): beams (B, Nt), (B, Nr) and SNRs.
+
+    LAPACK and BLAS run on each matrix of a stack alone, so each row has the
+    bits of its channel's own pair.
+    """
+    if not np.all(np.any(entries, axis=(-2, -1))):
         raise ValueError("channel matrix is zero")
-    tx = np.linalg.svd(h, full_matrices=False)[2][0].conj()
-    tx = tx * _phase_turn(tx)
-    return _frozen_pair(tx, *_matched(channel, tx))
+    tx = np.linalg.svd(entries, full_matrices=False)[2][:, 0].conj()
+    tx *= _phase_turn(tx)[:, None]
+    return (tx, *_matched(entries, tx))
 
 
 # Stacked kernels.  Every argument and result carries a leading batch axis B:

@@ -64,13 +64,22 @@ def assemble_channel(
     """
     if len(paths) == 0:
         raise ValueError("at least one path component is required")
-    gains = np.array([complex(p.gain) for p in paths])
+    gains = np.array([[complex(p.gain) for p in paths]])
     rx_steer = steering_matrix(rx_geom, [p.aoa for p in paths])  # (Nr, L)
     tx_steer = steering_matrix(tx_geom, [p.aod for p in paths])  # (Nt, L)
-    scale = math.sqrt(rx_geom.num_elements * tx_geom.num_elements / len(paths))
-    entries = scale * (rx_steer * gains) @ tx_steer.conj().T
+    entries = _channel_stack(gains, rx_steer[None], tx_steer[None])[0]
     entries.setflags(write=False)
     return ChannelMatrix(entries=entries)
+
+
+def _channel_stack(gains: np.ndarray, rx_steer: np.ndarray, tx_steer: np.ndarray) -> np.ndarray:
+    """Channel matrices (B, Nr, Nt) of gains (B, L) and steering stacks (B, Nr, L), (B, Nt, L).
+
+    The stacked product calls the same BLAS routine on each matrix, so each
+    channel has the bits :func:`assemble_channel` gives it alone.
+    """
+    scale = math.sqrt(rx_steer.shape[-2] * tx_steer.shape[-2] / gains.shape[-1])
+    return (scale * (rx_steer * gains[:, None, :])) @ np.conj(np.swapaxes(tx_steer, -1, -2))
 
 
 def channel_power(channel: ChannelMatrix) -> float:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -220,48 +221,106 @@ def _require_regime(params: TwoPathParams, case: str) -> None:
     raise RegimeError(f"requires {kind} {side} vectors, |{end[0]}1^H {end[1]}2| = {mag}")
 
 
-def _grid_axes(params: TwoPathParams, betas, thetas):
-    """The per-axis terms of the objective: four (B, 1) columns, two (1, T) rows and a shift.
+# Margin of the row test, in units of eps (see _candidate_rows).
+_ROW_TEST_ULPS = 64.0
+_ROW_TEST_EPS = _ROW_TEST_ULPS * float(np.finfo(float).eps)
 
-    The terms are taken on the squared gains ``a``, ``b`` and their
-    geometric mean ``root_ab`` of :func:`_scaled_terms`, all times
+# The row test of the grid search keeps every row whose denominator column lies
+# within this of 1 in magnitude, where a beam norm may come near vanishing.
+_ROW_TEST_DEN_GAP = 1e-6
+
+# The grid searches evaluate their kept rows in blocks of at most this many rows.
+# A block's arrays then stay in cache: on 10 refined verify searches (230-420
+# rows kept) blocks of 32-64 rows ran 1.3-1.6x faster than blocks of 201.
+_BLOCK_ROWS = 64
+
+
+# The per-set scalars of the grid, in the order _grid_terms computes them.
+_TERMS = (
+    "a", "b", "root_ab", "shift", "uu", "vv", "vv_sq", "nu", "vv_phase", "coupling", "a_plus_b",
+    "cos_factor", "sin_factor", "phase_margin",
+)
+
+
+def _grid_terms(params: Sequence[TwoPathParams]) -> dict[str, np.ndarray]:
+    """The per-set scalars of the grid's terms, each a column (S, 1), one row per set.
+
+    Each is computed from one set by Python's scalar operations, as the
+    terms always were: Python's ``**`` and ``math`` functions may round
+    differently from numpy's.  They are ``a``, ``b``, ``root_ab`` and
+    ``shift`` of :func:`_scaled_terms`; the couplings, ``vv^2``, the
+    misalignment ``nu`` and the transmit coupling's phase; the coupling term
+    of the beta-only column and ``a + b``; the factors of the row test's
+    ``b`` and ``c`` and its phase margin (see :func:`_candidate_rows`).
+    """
+    table = []
+    for p in params:
+        a, b, root_ab, shift = _scaled_terms(p)
+        uu, vv, nu = p.uu_mag, p.vv_mag, p.misalignment
+        vv_sq = vv**2
+        table.append((
+            a, b, root_ab, shift, uu, vv, vv_sq, nu, p.vv_phase,
+            2.0 * root_ab * vv * uu * math.cos(nu),
+            a + b,
+            (1.0 + vv_sq) * math.cos(nu),
+            (1.0 - vv_sq) * math.sin(nu),
+            2.0 * _ROW_TEST_EPS * (1.0 + abs(p.vv_phase) + 3.0 * math.pi),
+        ))
+    columns = np.array(table, dtype=float).reshape(-1, len(_TERMS)).T
+    return {name: column[:, None] for name, column in zip(_TERMS, columns)}
+
+
+def _grid_columns(terms: dict[str, np.ndarray], betas) -> tuple[np.ndarray, ...]:
+    """The beta axis of the objective for each set of :func:`_grid_terms`: four columns (S, K).
+
+    ``betas`` (S, K) holds each set's amplitudes, or (1, K) amplitudes that
+    every set shares.  The terms are taken on the squared gains ``a``, ``b``
+    and their geometric mean ``root_ab`` of :func:`_scaled_terms`, all times
     ``2**shift``; the objective is of degree one in them, so a value of
     :func:`_grid_block` times ``2**-shift`` is the objective's.  The columns
     are the beta-only terms, then the coefficients of ``cos(phi)`` in the
-    numerator, of the coupling row, and of ``cos(phi)`` in the denominator;
-    the rows are ``cos(phi)`` and ``vv^2 cos(nu + phi) + cos(nu - phi)``.
+    numerator, of the coupling row (:func:`_grid_rows`), and of ``cos(phi)``
+    in the denominator.  Every entry is elementwise in its own set's terms,
+    so a set's entries keep their bits in any batch.
     """
-    a, b, root_ab, shift = _scaled_terms(params)
-    uu = params.uu_mag
-    vv = params.vv_mag
-    nu = params.misalignment
-
-    beta = np.asarray(betas, dtype=float).reshape(-1, 1)
+    a, b, vv = terms["a"], terms["b"], terms["vv"]
+    beta = np.asarray(betas, dtype=float)
     spread = np.sqrt(np.clip(1.0 - beta**2, 0.0, None))
-    phi = np.asarray(thetas, dtype=float).reshape(1, -1) + params.vv_phase
-    cos_phi = np.cos(phi)
     pair_amp = 2.0 * beta * spread
-
     beta_terms = (
-        a * beta**2
-        + b * spread**2
-        + (b * beta**2 + a * spread**2) * vv**2
-        + 2.0 * root_ab * vv * uu * math.cos(nu)
+        a * beta**2 + b * spread**2 + (b * beta**2 + a * spread**2) * terms["vv_sq"]
+        + terms["coupling"]
     )
-    columns = (beta_terms, pair_amp * (a + b) * vv, pair_amp * root_ab * uu, pair_amp * vv)
-    rows = (cos_phi, vv**2 * np.cos(nu + phi) + np.cos(nu - phi))
-    return columns, rows, shift
+    return (
+        beta_terms,
+        pair_amp * terms["a_plus_b"] * vv,
+        pair_amp * terms["root_ab"] * terms["uu"],
+        pair_amp * vv,
+    )
+
+
+def _grid_rows(terms: dict[str, np.ndarray], thetas) -> tuple[np.ndarray, np.ndarray]:
+    """The theta axis of the objective for each set of :func:`_grid_terms`: two rows (S, T).
+
+    ``thetas`` (S, T) holds each set's phases, or (1, T) phases that every
+    set shares.  With ``phi = theta + vv_phase`` the rows are ``cos(phi)``
+    and ``vv^2 cos(nu + phi) + cos(nu - phi)``, elementwise as the columns.
+    """
+    nu = terms["nu"]
+    phi = np.asarray(thetas, dtype=float) + terms["vv_phase"]
+    return np.cos(phi), terms["vv_sq"] * np.cos(nu + phi) + np.cos(nu - phi)
 
 
 def _grid_block(columns, rows) -> np.ndarray:
     """The objective on the rows of ``columns``: one row per column entry, one column per phase.
 
-    The numerator keeps the term order of the plain left-to-right sum on
-    purpose: the cos(phi) product, then the beta-only column, then the
-    coupling product, each added in place.  Every entry is elementwise and
-    keeps the bits of that sum whichever rows share the block, so grid
-    searches keep their argmax.  The masked division runs only in a block
-    where some beam norm vanishes; such entries are ``-inf``.
+    ``columns`` are (R, 1) and ``rows`` (R, T), each row its own phases, or
+    (1, T), phases every row shares.  The numerator keeps the term order of
+    the plain left-to-right sum on purpose: the cos(phi) product, then the
+    beta-only column, then the coupling product, each added in place.  Every
+    entry is elementwise and keeps the bits of that sum whichever rows share
+    the block, so grid searches keep their argmax.  The masked division runs
+    only in a block where some beam norm vanishes; such entries are ``-inf``.
     """
     beta_terms, cos_coef, cross_coef, den_coef = columns
     cos_phi, cross_row = rows
@@ -286,14 +345,16 @@ def objective_grid(params: TwoPathParams, betas, thetas) -> np.ndarray:
 
     Returns an array of shape ``(len(betas), len(thetas))``; entries whose
     beam degenerates to the zero vector are ``-inf``.  The per-axis terms
-    (:func:`_grid_axes`) are combined by one block over every row
+    (:func:`_grid_columns`, :func:`_grid_rows`) are combined by one block over every row
     (:func:`_grid_block`) and scaled back, as the grid search's values are;
     beyond the float range an entry is infinite.
     """
-    columns, rows, shift = _grid_axes(params, betas, thetas)
-    block = _grid_block(columns, rows)
+    terms = _grid_terms([params])
+    columns = _grid_columns(terms, np.asarray(betas, dtype=float).reshape(1, -1))
+    rows = _grid_rows(terms, np.asarray(thetas, dtype=float).reshape(1, -1))
+    block = _grid_block([col.reshape(-1, 1) for col in columns], rows)
     with np.errstate(over="ignore"):
-        return np.ldexp(block, -shift, out=block)
+        return np.ldexp(block, -int(terms["shift"][0, 0]), out=block)
 
 
 def two_path_objective(params: TwoPathParams, alloc: AllocationPoint) -> float:
@@ -301,15 +362,22 @@ def two_path_objective(params: TwoPathParams, alloc: AllocationPoint) -> float:
 
     Matrix-free evaluation of ``f^H H^H H f / (L * Nt * Nr * f^H f)`` for
     ``f = beta*v_1 + sqrt(1-beta^2)*exp(1j*theta)*v_2``, on the scaled
-    terms of :func:`_grid_axes` and scaled back, so it reads the values of
+    terms of :func:`_grid_columns` and scaled back, so it reads the values of
     :func:`objective_grid` and the grid search; beyond the float range it
-    is infinite.
+    is infinite.  This is :func:`_objectives` on one set.
     """
-    columns, rows, shift = _grid_axes(params, [alloc.beta], [alloc.theta])
-    value = float(_grid_block(columns, rows)[0, 0])
-    if value == -math.inf:
+    return _objectives([params], [alloc])[0]
+
+
+def _objectives(params: Sequence[TwoPathParams], allocs: Sequence[AllocationPoint]) -> list[float]:
+    """:func:`two_path_objective` of each parameter set at its own allocation, in one block."""
+    terms = _grid_terms(params)
+    columns = _grid_columns(terms, np.array([[alloc.beta] for alloc in allocs]))
+    rows = _grid_rows(terms, np.array([[alloc.theta] for alloc in allocs]))
+    values = _grid_block(columns, rows)[:, 0].tolist()
+    if -math.inf in values:
         raise ValueError("beam has numerically zero norm at this allocation")
-    return _unscaled(value, shift)
+    return [_unscaled(value, int(shift)) for value, shift in zip(values, terms["shift"][:, 0])]
 
 
 def allocation_grid_search(
@@ -324,7 +392,7 @@ def allocation_grid_search(
     endpoint; ``beta_window`` restricts beta to a sub-interval (with
     endpoints), which supports zoom-in refinement around a coarse argmax.
 
-    The grid is evaluated on the scaled terms of :func:`_grid_axes` and its
+    The grid is evaluated on the scaled terms of :func:`_grid_columns` and its
     value scaled back (beyond the float range it reads infinite), so
     scaling both gains by a power of two keeps the point and scales the
     value exactly, huge and tiny gains keep their argmax, and every entry
@@ -341,16 +409,15 @@ def allocation_grid_search(
     transmit coupling's phase), which covers the rounding of the entries and
     of the test.  A skipped row holds only finite entries strictly below the
     grid's maximum; NaN and masked rows are always evaluated.  The kept rows
-    are evaluated together in one block, in ascending order, and ``np.argmax``
-    over it takes the first maximum.  So the result is the point and value of
-    ``np.argmax`` over the whole scaled grid: ties resolve to the lowest
-    (beta-major) linear index.
+    are evaluated in ascending order, and ``np.argmax`` over them takes the
+    first maximum.  So the result is the point and value of ``np.argmax`` over
+    the whole scaled grid: ties resolve to the lowest (beta-major) linear index.
 
-    Memory follows the kept rows.  On ``verify``'s draws a coarse search
-    keeps a few rows and a refined one tens, up to 131 of 201, so a refined
-    search may hold more than the 565 KiB of one full grid.  An input where
-    no row can be skipped (a flat grid, ``TwoPathParams(1.0, 1.0)``, where
-    every row ties) is evaluated whole, as :func:`objective_grid` does.
+    Memory follows the kept rows, up to a block of 64 rows.  On ``verify``'s
+    draws a coarse search keeps a few rows and a refined one tens, up to 131
+    of 201.  An input where no row can be skipped (a flat grid,
+    ``TwoPathParams(1.0, 1.0)``, where every row ties) is evaluated whole, 64
+    rows at a time.  This is :class:`_Searches` on one set.
     """
     if num_beta < 2 or num_theta < 2:
         raise ValueError("grid resolutions must be at least 2")
@@ -358,24 +425,60 @@ def allocation_grid_search(
         betas = np.linspace(0.0, 1.0, num_beta)
     else:
         betas = np.clip(np.linspace(beta_window[0], beta_window[1], num_beta), 0.0, 1.0)
-    thetas = np.linspace(0.0, _TWO_PI, num_theta, endpoint=False)
-    columns, rows, shift = _grid_axes(params, betas, thetas)
-    kept = _candidate_rows(params, columns, rows)
-    block = _grid_block([col[kept] for col in columns], rows)
-    i, j = divmod(int(np.argmax(block)), num_theta)
-    point = AllocationPoint(beta=float(betas[kept[i]]), theta=float(thetas[j]))
-    return point, _unscaled(float(block[i, j]), shift)
+    return _Searches([params], num_theta).run(betas.reshape(1, -1))[0]
 
 
-# The row test of the grid search keeps every row whose denominator column lies
-# within this of 1 in magnitude, where a beam norm may come near vanishing.
-_ROW_TEST_DEN_GAP = 1e-6
-# Margin of the row test, in units of eps (see _candidate_rows).
-_ROW_TEST_ULPS = 64.0
+class _Searches:
+    """:func:`allocation_grid_search` of several parameter sets over one theta axis.
+
+    The sets' terms and phase rows are computed once, for any number of
+    searches on amplitude grids.
+    """
+
+    def __init__(self, params: Sequence[TwoPathParams], num_theta: int) -> None:
+        self.terms = _grid_terms(params)
+        self.thetas = np.linspace(0.0, _TWO_PI, num_theta, endpoint=False)
+        self.rows = _grid_rows(self.terms, self.thetas.reshape(1, -1))
+
+    def run(self, betas: np.ndarray) -> list[tuple[AllocationPoint, float]]:
+        """The point and value of each set's search on its own amplitudes ``betas[s]``.
+
+        ``betas`` is (S, K), or (1, K) for amplitudes every set shares.  The
+        columns and the row test are one array pass over all sets, and the
+        kept rows of all sets are evaluated together, ``_BLOCK_ROWS`` rows at
+        a time, each with its own set's phase row.  Every entry keeps the
+        bits it has in a search of its set alone, and each set's point is the
+        first maximum of its own kept rows in ascending order, as there.
+        """
+        columns = _grid_columns(self.terms, betas)
+        kept_set, kept_row = np.nonzero(_candidate_rows(self.terms, columns, self.rows))
+        row_max = np.empty(kept_set.shape)
+        row_arg = np.empty(kept_set.shape, dtype=int)
+        for start in range(0, kept_set.size, _BLOCK_ROWS):
+            chunk = slice(start, start + _BLOCK_ROWS)
+            sets, kept = kept_set[chunk], kept_row[chunk]
+            block = _grid_block(
+                [col[sets, kept, None] for col in columns], [row[sets] for row in self.rows]
+            )
+            row_arg[chunk] = np.argmax(block, axis=1)
+            row_max[chunk] = block[np.arange(sets.size), row_arg[chunk]]
+        # np.argmax over a set's row maxima, then within that row, is its argmax
+        # over the block of its kept rows: the first NaN, else the first maximum
+        shifts = self.terms["shift"][:, 0]
+        bounds = np.searchsorted(kept_set, np.arange(shifts.size + 1)).tolist()
+        results = []
+        for s, shift in enumerate(shifts.tolist()):
+            top = bounds[s] + int(np.argmax(row_max[bounds[s] : bounds[s + 1]]))
+            point = AllocationPoint(
+                beta=float(betas[min(s, betas.shape[0] - 1), kept_row[top]]),
+                theta=float(self.thetas[row_arg[top]]),
+            )
+            results.append((point, _unscaled(float(row_max[top]), int(shift))))
+        return results
 
 
-def _candidate_rows(params: TwoPathParams, columns, rows) -> np.ndarray:
-    """Ascending indices of every row of the search's grid that may hold or tie its maximum
+def _candidate_rows(terms: dict[str, np.ndarray], columns, rows) -> np.ndarray:
+    """Mask (S, K) of every row of each set's grid that may hold or tie its maximum
     (see :func:`allocation_grid_search`).
 
     With ``w = vv^2``, ``vv^2 cos(nu + phi) + cos(nu - phi) = (1 + w) cos(nu) cos(phi)
@@ -388,7 +491,8 @@ def _candidate_rows(params: TwoPathParams, columns, rows) -> np.ndarray:
     maximum over a continuous phase, the larger root of ``(T - alpha)^2 =
     (b - T delta)^2 + c^2``.  The row with the largest such maximum is the seed, and
     ``T`` is twice the largest entry :func:`_grid_block` computes for it from its
-    own one-row columns, a value the grid holds.
+    own one-row columns, a value the grid holds.  A set whose ``T`` is not finite
+    keeps every row.
 
     The margin bounds how far the entries :func:`_grid_block` computes, and the
     test's own arithmetic, stray from the exact row at the stored phases ``phi``.
@@ -405,28 +509,27 @@ def _candidate_rows(params: TwoPathParams, columns, rows) -> np.ndarray:
     covers.  So a skipped row's computed entries are finite and strictly below half
     of ``T``, hence below the grid's maximum: they can neither win nor tie.
     """
-    alpha, cos_coef, cross_coef, den_coef = (col[:, 0] for col in columns)
-    vv_sq = params.vv_mag**2
-    nu = params.misalignment
-    b = cos_coef + cross_coef * ((1.0 + vv_sq) * math.cos(nu))
-    c = cross_coef * ((1.0 - vv_sq) * math.sin(nu))
+    alpha, cos_coef, cross_coef, den_coef = columns
+    b = cos_coef + cross_coef * terms["cos_factor"]
+    c = cross_coef * terms["sin_factor"]
     tested = np.abs(den_coef) <= 1.0 - _ROW_TEST_DEN_GAP
     delta = np.where(tested, den_coef, 0.0)
     # the root's discriminant reduces to this sum of squares
     root = np.sqrt((b - alpha * delta) ** 2 + c * c * (1.0 - delta * delta))
     peaks = (alpha - b * delta + root) / (1.0 - delta * delta)
     peaks[~tested] = -np.inf
-    seed = int(np.argmax(peaks))
-    top = 2.0 * float(_grid_block([col[seed : seed + 1] for col in columns], rows).max())
-    if not math.isfinite(top):
-        return np.arange(alpha.shape[0])
-    ulps = _ROW_TEST_ULPS * np.finfo(float).eps
-    margin = ulps * (np.abs(alpha) + np.abs(cos_coef) + abs(top) * (1.0 + np.abs(delta)))
+    sets = np.arange(alpha.shape[0])
+    seed = np.argmax(peaks, axis=1)
+    seed_block = _grid_block([col[sets, seed, None] for col in columns], rows)
+    top = 2.0 * seed_block.max(axis=1, keepdims=True)
+    finite = np.isfinite(top)
+    top[~finite] = 0.0
+    margin = _ROW_TEST_EPS * (np.abs(alpha) + np.abs(cos_coef) + np.abs(top) * (1.0 + np.abs(delta)))
     # scaled before the product, so a huge phase cannot overflow it
-    margin += 2.0 * ulps * (1.0 + abs(params.vv_phase) + 3.0 * math.pi) * np.abs(cross_coef)
+    margin += terms["phase_margin"] * np.abs(cross_coef)
     margin += _ROW_TEST_ULPS * np.finfo(float).smallest_subnormal
-    skip = tested & (np.hypot(b - top * delta, c) < (top - alpha) - margin)
-    return np.flatnonzero(~skip)
+    skip = tested & finite & (np.hypot(b - top * delta, c) < (top - alpha) - margin)
+    return ~skip
 
 
 def _scaled_terms(params: TwoPathParams) -> tuple[float, float, float, int]:

@@ -120,21 +120,41 @@ def gram_stack(geom: ArrayGeometry, freqs: np.ndarray) -> np.ndarray:
     frequencies only, so a stack of many channels holds the same bits as the
     Grams of its channels built one at a time.
     """
-    n = geom.num_elements
+    return _grams(geom.num_elements, geom.spacing_wavelengths, freqs)
+
+
+def _grams(n, spacing: float, freqs) -> np.ndarray:
+    """:func:`gram_stack` at element count ``n``: an int, or integers (..., 1), one per matrix.
+
+    Each entry is computed from its own count by the same operations, so a
+    stack of arrays of several sizes holds the bits of each array's own Grams.
+    """
     freqs = np.asarray(freqs, dtype=float)
     size = freqs.shape[-1]
     rows, cols = _pairs(size)
-    psi = math.pi * geom.spacing_wavelengths * (freqs[..., cols] - freqs[..., rows])
-    psi -= np.round(psi / math.pi) * math.pi
-    coincident = psi == 0.0
-    ratio = np.divide(np.sin(n * psi), n * np.sin(psi), out=np.ones_like(psi), where=~coincident)
-    upper = np.exp(1j * (n - 1) * psi) * ratio
-    upper[coincident] = 1.0
+    upper = _dirichlet(n, spacing, freqs[..., cols] - freqs[..., rows])
     gram = np.empty(freqs.shape + (size,), dtype=complex)
     gram[..., rows, cols] = upper
     gram[..., cols, rows] = np.conj(upper)
     gram[..., range(size), range(size)] = 1.0
     return gram
+
+
+def _dirichlet(n, spacing: float, freq_delta: np.ndarray) -> np.ndarray:
+    """:func:`cpo_inner_product` on an array of separations, by the same expression on arrays.
+
+    ``n`` is an element count or an integer array that broadcasts against
+    ``freq_delta``.  The array functions used here round as the scalar
+    ``math`` ones do, so each entry has the bits of the scalar function.
+    """
+    psi = math.pi * spacing * freq_delta
+    psi -= np.rint(psi / math.pi) * math.pi
+    coincident = psi == 0.0
+    den = n * np.sin(psi)
+    den[coincident] = 1.0
+    kernel = np.exp(1j * (n - 1) * psi) * (np.sin(n * psi) / den)
+    kernel[coincident] = 1.0
+    return kernel
 
 
 def steering_vector(geom: ArrayGeometry, angle: AngleSpec) -> np.ndarray:
@@ -164,10 +184,10 @@ def cpo_inner_product(geom: ArrayGeometry, freq_delta: float) -> complex:
     nearest multiple of pi: near that multiple ``sin(N*psi)`` of the
     unreduced psi would carry the rounding of ``N*psi`` relative to its
     small value.  Where the reduced psi is exactly 0 the product is exactly 1.
-    This is :func:`gram_stack`'s kernel written again in scalar ``math`` on
-    purpose: a pair costs about 1.2 us this way and 27 us through ``gram_stack``
-    (2 vCPUs, numpy 2.4), and :func:`mainlobe_freq_delta` calls it about 55
-    times per ``verify`` fixture.
+    This is the kernel of :func:`gram_stack` and :func:`mainlobe_freq_delta`
+    written again in scalar ``math`` on purpose: a pair costs about 1.2 us this
+    way and 27 us through ``gram_stack`` (2 vCPUs, numpy 2.4), and
+    :meth:`mmwbeam.closedform.TwoPathParams.from_paths` measures one pair per end.
     """
     n = geom.num_elements
     psi = math.pi * geom.spacing_wavelengths * freq_delta
@@ -206,7 +226,8 @@ def mainlobe_freq_delta(geom: ArrayGeometry, magnitude: float) -> float:
     fixed point either way, so the midpoint is what every later step would
     return (after about 53 steps).  The 200-step cap still binds when
     ``magnitude`` is within about 1e-15 of 1, where ``hi`` halves towards 0
-    without meeting ``lo``.
+    without meeting ``lo``.  This is :func:`_mainlobe_freq_deltas` on one
+    magnitude.
     """
     if not 0.0 <= magnitude <= 1.0:
         raise ValueError("magnitude must lie in [0, 1]")
@@ -214,16 +235,34 @@ def mainlobe_freq_delta(geom: ArrayGeometry, magnitude: float) -> float:
         if magnitude == 1.0:
             return 0.0
         raise ValueError("a single-element array has |inner product| = 1 everywhere")
-    lo = 0.0
-    hi = 1.0 / (geom.num_elements * geom.spacing_wavelengths)  # first null
-    if magnitude == 0.0:
-        return hi
-    for _ in range(200):
+    return float(_mainlobe_freq_deltas(geom, np.array([magnitude]))[0])
+
+
+# The bisection of _mainlobe_freq_deltas tests for its fixed point once per this many steps.
+_STOP_TEST_STEPS = 8
+
+
+def _mainlobe_freq_deltas(geom: ArrayGeometry, magnitudes: np.ndarray) -> np.ndarray:
+    """:func:`mainlobe_freq_delta` of every entry of ``magnitudes``, in [0, 1], in one bisection.
+
+    Each step evaluates the kernel at every entry's midpoint, with the
+    magnitude ``hypot(re, im)`` that the scalar ``abs`` of a complex takes,
+    so each entry visits the midpoints of its scalar bisection.  An entry
+    past its fixed point stays there (see :func:`mainlobe_freq_delta`), so
+    the loop may test for the fixed point only every ``_STOP_TEST_STEPS``
+    steps and still return each entry's scalar result.  ``geom`` has at
+    least two elements.
+    """
+    n, spacing = geom.num_elements, geom.spacing_wavelengths
+    first_null = 1.0 / (n * spacing)
+    lo = np.zeros_like(magnitudes)
+    hi = np.full_like(magnitudes, first_null)
+    for step in range(200):
         mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
+        if step % _STOP_TEST_STEPS == 0 and np.all((mid == lo) | (mid == hi)):
             break
-        if abs(cpo_inner_product(geom, mid)) > magnitude:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        kernel = _dirichlet(n, spacing, mid)
+        above = np.hypot(kernel.real, kernel.imag) > magnitudes
+        np.copyto(lo, mid, where=above)
+        np.copyto(hi, mid, where=~above)
+    return np.where(magnitudes == 0.0, first_null, 0.5 * (lo + hi))

@@ -20,14 +20,22 @@ paper's proposition number, and draw and build their instances by one rule.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import beamformer, closedform
-from .channel import PathComponent, assemble_channel
-from .steering import AngleSpec, ArrayGeometry, mainlobe_freq_delta, steering_matrix
+from .channel import PathComponent, _channel_stack
+from .steering import (
+    AngleSpec,
+    ArrayGeometry,
+    _grams,
+    _mainlobe_freq_deltas,
+    spatial_frequencies,
+    steering_stack,
+)
 
 __all__ = ["CheckResult", "SuiteReport", "SUITE_NAMES", "run_suite"]
 
@@ -55,6 +63,13 @@ _FREE_RANGE = {"uu": (0.0, 1.0), "vv": (0.05, 0.95)}
 
 # Beta and theta resolution of the allocation grid the suites search.
 _NUM_BETA, _NUM_THETA = 201, 360
+
+# What prop1 draws: path counts, transmit and receive array sizes.
+_PATH_COUNTS, _TX_SIZES, _RX_SIZES = (1, 2, 3, 5), (8, 16, 64), (2, 4)
+
+# Instances a suite draws and checks in one array pass: at any trial count a
+# pass holds at most this many instances.
+_CHUNK = 40
 
 
 def _rel_diff(value: float, ref: float) -> float:
@@ -121,8 +136,60 @@ def _instance_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
 
 
-def _angles_for_freqs(f1: float, f2: float) -> tuple[AngleSpec, AngleSpec]:
-    return AngleSpec(math.acos(f1)), AngleSpec(math.acos(f2))
+def _chunks(trials: int):
+    """Consecutive ranges of at most ``_CHUNK`` instance indices covering ``range(trials)``."""
+    return (range(start, min(start + _CHUNK, trials)) for start in range(0, trials, _CHUNK))
+
+
+def _groups(keys) -> dict:
+    """Positions of each distinct key, in ascending order, keyed in order of first appearance."""
+    groups: dict = {}
+    for position, key in enumerate(keys):
+        groups.setdefault(key, []).append(position)
+    return groups
+
+
+def _worst(name: str, values, limit: float, start: float = 0.0) -> CheckResult:
+    """The check of per-instance ``values``: Python's ``max`` run from ``start`` over them.
+
+    A NaN value never raises the running maximum, as in a loop over the instances.
+    """
+    return CheckResult(name, functools.reduce(max, values, start), limit)
+
+
+def _fixtures(case: str, mags, phases, couplings, nt: int = 16, nr: int = 8):
+    """Actual ULA channels realizing the closed-form regime of ``case``, one per row.
+
+    Row s has the gains ``mags[s]`` (2,) with phases ``phases[s]`` and the
+    free coupling ``couplings[s]``.  The constrained end sits exactly at a
+    Dirichlet null (orthogonal) or at zero separation (parallel); the free
+    end is placed on the main lobe so its inner-product magnitude equals the
+    coupling, every row in one bisection.  Each end's spatial frequencies are
+    +-half its separation.  Returns the gains (S, 2), the departure and
+    arrival azimuths (S, 2) and the transmit and receive geometries.
+    """
+    regime = closedform.REGIMES[case]
+    geoms = {"vv": ArrayGeometry(nt), "uu": ArrayGeometry(nr)}
+    fixed = geoms[regime.constrained]
+    null = 1.0 / (fixed.num_elements * fixed.spacing_wavelengths)
+    deltas = _mainlobe_freq_deltas(geoms[regime.free], np.asarray(couplings, dtype=float))
+    halves = {
+        regime.constrained: [0.0 if regime.forced else null / 2] * len(deltas),
+        regime.free: (deltas / 2).tolist(),
+    }
+    # math.acos: numpy's arccos rounds differently
+    aods = np.array([(math.acos(-half), math.acos(half)) for half in halves["vv"]])
+    aoas = np.array([(math.acos(-half), math.acos(half)) for half in halves["uu"]])
+    gains = np.asarray(mags, dtype=float) * np.exp(1j * np.asarray(phases, dtype=float))
+    return gains, aods, aoas, geoms["vv"], geoms["uu"]
+
+
+def _path_list(gains, aods, aoas) -> list[PathComponent]:
+    """Path components of one instance's gains, departure and arrival azimuths (L,)."""
+    return [
+        PathComponent(complex(gain), AngleSpec(aod), AngleSpec(aoa))
+        for gain, aod, aoa in zip(gains.tolist(), aods.tolist(), aoas.tolist())
+    ]
 
 
 def _two_path_fixture(
@@ -133,33 +200,99 @@ def _two_path_fixture(
     nt: int = 16,
     nr: int = 8,
 ):
-    """An actual ULA channel realizing the closed-form regime of ``case``.
+    """:func:`_fixtures` of one instance, as its paths and the two geometries."""
+    gains, aods, aoas, tx_geom, rx_geom = _fixtures(case, [mags], [phases], [coupling], nt, nr)
+    return _path_list(gains[0], aods[0], aoas[0]), tx_geom, rx_geom
 
-    The constrained end sits exactly at a Dirichlet null (orthogonal) or
-    at zero separation (parallel); the free end is placed on the main
-    lobe so its inner-product magnitude equals ``coupling``.  Each end's
-    spatial frequencies are +-half its separation.
+
+def _residuals(bases: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Distances (B,) of vectors (B, N) from the spans of bases (B, N, L).
+
+    The norm is that of ``np.linalg.norm`` (see :func:`beamformer._matched`),
+    so each has the bits of its instance's own residual.
     """
-    regime = closedform.REGIMES[case]
-    geoms = {"vv": ArrayGeometry(nt), "uu": ArrayGeometry(nr)}
-    fixed = geoms[regime.constrained]
-    null = 1.0 / (fixed.num_elements * fixed.spacing_wavelengths)
-    half = {
-        regime.constrained: 0.0 if regime.forced else null / 2,
-        regime.free: mainlobe_freq_delta(geoms[regime.free], coupling) / 2,
-    }
-    aod = _angles_for_freqs(-half["vv"], half["vv"])
-    aoa = _angles_for_freqs(-half["uu"], half["uu"])
-    paths = [
-        PathComponent(mags[0] * np.exp(1j * phases[0]), aod=aod[0], aoa=aoa[0]),
-        PathComponent(mags[1] * np.exp(1j * phases[1]), aod=aod[1], aoa=aoa[1]),
-    ]
-    return paths, geoms["vv"], geoms["uu"]
+    q = np.linalg.qr(bases)[0]
+    resid = (vecs[..., None] - q @ (np.conj(np.swapaxes(q, -1, -2)) @ vecs[..., None]))[..., 0]
+    re, im = resid.real, resid.imag
+    return np.sqrt((re[:, None, :] @ re[..., None] + im[:, None, :] @ im[..., None])[:, 0, 0])
 
 
-def _span_residual(basis: np.ndarray, vec: np.ndarray) -> float:
-    q, _ = np.linalg.qr(basis)
-    return float(np.linalg.norm(vec - q @ (q.conj().T @ vec)))
+def _draw_prop1(seed: int, index: int):
+    """One ``prop1`` instance, drawn in a fixed order: Nt, Nr and the path arrays (L,).
+
+    The gains are the complex normal pairs ``normals (2, L)``, combined in
+    the suite; the azimuths are uniform on [0, 2 pi).
+    """
+    rng = _instance_rng(seed, index)
+    # the draws of rng.choice(sizes), without its checks of the sequence
+    num_paths, nt, nr = (
+        sizes[rng.integers(0, len(sizes))] for sizes in (_PATH_COUNTS, _TX_SIZES, _RX_SIZES)
+    )
+    normals = rng.standard_normal((2, num_paths))
+    aods = rng.uniform(0.0, _TWO_PI, num_paths)
+    aoas = rng.uniform(0.0, _TWO_PI, num_paths)
+    return nt, nr, normals, aods, aoas
+
+
+def _prop1_values(seed: int, indices: range) -> tuple[list, list, list]:
+    """The span residuals at each end and the cross-route SNR differences of some instances.
+
+    Each stage runs once per group of instances it can stack: the reduced
+    SNR per path count L (:func:`beamformer._optimal_snr` on Grams of any
+    array sizes), the steering stacks and span residuals per array size and
+    L, the channels per (Nt, Nr, L), and the dense SVD route per (Nt, Nr).
+    Every stacked kernel gives each instance the bits of its own call.
+    """
+    draws = [_draw_prop1(seed, i) for i in indices]
+    count = len(draws)
+    gains = [(normals[0] + 1j * normals[1]) / math.sqrt(2.0) for _, _, normals, _, _ in draws]
+    freqs_t = [spatial_frequencies(aods) for _, _, _, aods, _ in draws]
+    freqs_r = [spatial_frequencies(aoas) for _, _, _, _, aoas in draws]
+    spacing = ArrayGeometry(1).spacing_wavelengths  # every array here has the default spacing
+
+    reduced = [0.0] * count
+    for members in _groups(len(g) for g in gains).values():
+        sizes_t = np.array([[draws[k][0]] for k in members])
+        sizes_r = np.array([[draws[k][1]] for k in members])
+        snr, _ = beamformer._optimal_snr(
+            np.array([gains[k] for k in members]),
+            _grams(sizes_t, spacing, np.array([freqs_t[k] for k in members])),
+            _grams(sizes_r, spacing, np.array([freqs_r[k] for k in members])),
+        )
+        for k, value in zip(members, snr.tolist()):
+            reduced[k] = value
+
+    steer_t, steer_r = [None] * count, [None] * count
+    for end, steer, freqs in ((0, steer_t, freqs_t), (1, steer_r, freqs_r)):
+        for (size, _), members in _groups((d[end], len(f)) for d, f in zip(draws, freqs)).items():
+            stack = steering_stack(ArrayGeometry(size), np.array([freqs[k] for k in members]))
+            for k, matrix in zip(members, stack):
+                steer[k] = matrix
+
+    tx, rx, dense = [None] * count, [None] * count, [0.0] * count
+    for members in _groups((nt, nr) for nt, nr, _, _, _ in draws).values():
+        entries = np.empty((len(members), draws[members[0]][1], draws[members[0]][0]), complex)
+        for rows in _groups(len(gains[k]) for k in members).values():
+            picked = [members[r] for r in rows]
+            entries[rows] = _channel_stack(
+                np.array([gains[k] for k in picked]),
+                np.array([steer_r[k] for k in picked]),
+                np.array([steer_t[k] for k in picked]),
+            )
+        tx_beams, rx_beams, snrs = beamformer._dense_optimal(entries)
+        for k, tx_beam, rx_beam, snr in zip(members, tx_beams, rx_beams, snrs):
+            tx[k], rx[k], dense[k] = tx_beam, rx_beam, snr
+
+    resid_t, resid_r = [0.0] * count, [0.0] * count
+    for resid, steer, beams in ((resid_t, steer_t, tx), (resid_r, steer_r, rx)):
+        for members in _groups(steer[k].shape for k in range(count)).values():
+            values = _residuals(
+                np.array([steer[k] for k in members]), np.array([beams[k] for k in members])
+            )
+            for k, value in zip(members, values.tolist()):
+                resid[k] = value
+    rel = [_rel_diff(r, d) for r, d in zip(reduced, dense)]
+    return resid_t, resid_r, rel
 
 
 def verify_prop1(trials: int = 1000, seed: int = 0) -> SuiteReport:
@@ -167,42 +300,17 @@ def verify_prop1(trials: int = 1000, seed: int = 0) -> SuiteReport:
 
     The reduced route's SNR is its kernel's (``beamformer._optimal_snr`` on
     the paths' Grams), the bits ``reduced_optimal_beamformer`` reports, without
-    the beam and matched filter that no check here reads.
+    the beam and matched filter that no check here reads.  The instances are
+    checked ``_CHUNK`` at a time (see :func:`_prop1_values`).
     """
-    path_counts = (1, 2, 3, 5)
-    tx_sizes = (8, 16, 64)
-    rx_sizes = (2, 4)
-    worst_tx_resid = 0.0
-    worst_rx_resid = 0.0
-    worst_rel = 0.0
-    for i in range(trials):
-        rng = _instance_rng(seed, i)
-        num_paths = int(rng.choice(path_counts))
-        nt = int(rng.choice(tx_sizes))
-        nr = int(rng.choice(rx_sizes))
-        tx_geom = ArrayGeometry(nt)
-        rx_geom = ArrayGeometry(nr)
-        normals = rng.standard_normal((2, num_paths))
-        gains = (normals[0] + 1j * normals[1]) / math.sqrt(2.0)
-        aods = rng.uniform(0.0, _TWO_PI, num_paths)
-        aoas = rng.uniform(0.0, _TWO_PI, num_paths)
-        paths = [
-            PathComponent(complex(gains[k]), AngleSpec(float(aods[k])), AngleSpec(float(aoas[k])))
-            for k in range(num_paths)
-        ]
-        channel = assemble_channel(paths, tx_geom, rx_geom)
-        dense = beamformer.optimal_beamformer(channel)
-        args, _ = beamformer._path_grams(paths, tx_geom, rx_geom)
-        reduced = float(beamformer._optimal_snr(*args)[0][0])
-        tx_span = steering_matrix(tx_geom, [p.aod for p in paths])
-        rx_span = steering_matrix(rx_geom, [p.aoa for p in paths])
-        worst_tx_resid = max(worst_tx_resid, _span_residual(tx_span, dense.tx))
-        worst_rx_resid = max(worst_rx_resid, _span_residual(rx_span, dense.rx))
-        worst_rel = max(worst_rel, _rel_diff(reduced, dense.normalized_snr))
+    resid_t, resid_r, rel = [], [], []
+    for indices in _chunks(trials):
+        for out, values in zip((resid_t, resid_r, rel), _prop1_values(seed, indices)):
+            out += values
     report = SuiteReport(suite="prop1", trials=trials, seed=seed)
-    report.checks.append(CheckResult("tx beam within steering span", worst_tx_resid, 1e-8))
-    report.checks.append(CheckResult("rx beam within steering span", worst_rx_resid, 1e-8))
-    report.checks.append(CheckResult("cross-route SNR relative difference", worst_rel, 1e-9))
+    report.checks.append(_worst("tx beam within steering span", resid_t, 1e-8))
+    report.checks.append(_worst("rx beam within steering span", resid_r, 1e-8))
+    report.checks.append(_worst("cross-route SNR relative difference", rel, 1e-9))
     return report
 
 
@@ -223,59 +331,78 @@ def _draw_params(rng: np.random.Generator, regime: closedform.Regime) -> closedf
     return closedform.TwoPathParams(mag_a1=m1, mag_a2=m2, **fields)
 
 
-def _alloc_suite(name: str, trials: int, seed: int) -> SuiteReport:
-    """Closed-form allocation of one suite's regime vs. the grid, plus a matrix check."""
-    case = _SUITE_CASES[name]
+def _alloc_values(case: str, seed: int, indices: range) -> tuple[list, ...]:
+    """The five allocation checks' values of some instances of the regime of ``case``.
+
+    The closed forms run per instance; the coarse and refined grid searches,
+    the objective at the closed-form split, the fixtures' bisection and their
+    dense SVD route each run once over all the instances.
+    """
     regime = closedform.REGIMES[case]
     beta_step = 1.0 / (_NUM_BETA - 1)
-    worst_beta = 0.0
-    worst_margin = -math.inf
-    worst_refined = 0.0
-    worst_identity = 0.0
-    worst_matrix = 0.0
-    for i in range(trials):
-        rng = _instance_rng(seed, i)
-        params = _draw_params(rng, regime)
-        alloc = regime.beta_opt(params)
-        grid_alloc, grid_value = closedform.allocation_grid_search(params, _NUM_BETA, _NUM_THETA)
-        cf_value = closedform.two_path_objective(params, alloc)
-        worst_beta = max(worst_beta, abs(alloc.beta - grid_alloc.beta))
-        worst_margin = max(worst_margin, grid_value - cf_value)
-        worst_identity = max(worst_identity, _rel_diff(cf_value, regime.snr_optimal(params)))
-        # zoomed second pass resolves optima near the beta = 1 edge, where
-        # the sqrt(1 - beta^2) dependence defeats a uniform coarse grid;
-        # theta stays a full sweep because it is unidentified at beta = 1
-        window = (grid_alloc.beta - beta_step, grid_alloc.beta + beta_step)
-        _, refined_value = closedform.allocation_grid_search(params, _NUM_BETA, _NUM_THETA, window)
-        refined_value = max(refined_value, grid_value)
-        worst_refined = max(worst_refined, _rel_diff(cf_value, refined_value))
+    params = [_draw_params(_instance_rng(seed, i), regime) for i in indices]
+    allocs = [regime.beta_opt(p) for p in params]
+    searches = closedform._Searches(params, _NUM_THETA)
+    coarse = searches.run(np.linspace(0.0, 1.0, _NUM_BETA).reshape(1, -1))
+    cf_values = closedform._objectives(params, allocs)
+    # zoomed second pass resolves optima near the beta = 1 edge, where
+    # the sqrt(1 - beta^2) dependence defeats a uniform coarse grid;
+    # theta stays a full sweep because it is unidentified at beta = 1.
+    # Each window spans 2 beta_step > 0, so linspace takes the same steps
+    # on the array of windows as on each window alone.
+    starts = np.array([point.beta - beta_step for point, _ in coarse])
+    stops = np.array([point.beta + beta_step for point, _ in coarse])
+    windows = np.clip(np.linspace(starts, stops, _NUM_BETA, axis=1), 0.0, 1.0)
+    refined = searches.run(windows)
 
-        paths, tx_geom, rx_geom = _two_path_fixture(
-            case,
-            (params.mag_a1, params.mag_a2),
-            (params.phase_diff, 0.0),
-            getattr(params, f"{regime.free}_mag"),
-        )
-        measured = closedform.TwoPathParams.from_paths(paths, tx_geom, rx_geom)
-        channel = assemble_channel(paths, tx_geom, rx_geom)
-        pair = beamformer.optimal_beamformer(channel)
-        worst_matrix = max(
-            worst_matrix, _rel_diff(pair.normalized_snr, regime.snr_optimal(measured))
-        )
+    betas, margins, refined_diffs, identities = [], [], [], []
+    for p, alloc, (point, grid_value), cf_value, (_, refined_value) in zip(
+        params, allocs, coarse, cf_values, refined
+    ):
+        betas.append(abs(alloc.beta - point.beta))
+        margins.append(grid_value - cf_value)
+        identities.append(_rel_diff(cf_value, regime.snr_optimal(p)))
+        refined_diffs.append(_rel_diff(cf_value, max(refined_value, grid_value)))
+
+    gains, aods, aoas, tx_geom, rx_geom = _fixtures(
+        case,
+        [(p.mag_a1, p.mag_a2) for p in params],
+        [(p.phase_diff, 0.0) for p in params],
+        [getattr(p, f"{regime.free}_mag") for p in params],
+    )
+    measured = [
+        closedform.TwoPathParams.from_paths(_path_list(*instance), tx_geom, rx_geom)
+        for instance in zip(gains, aods, aoas)
+    ]
+    entries = _channel_stack(
+        gains,
+        steering_stack(rx_geom, spatial_frequencies(aoas)),
+        steering_stack(tx_geom, spatial_frequencies(aods)),
+    )
+    snrs = beamformer._dense_optimal(entries)[2]
+    matrix = [_rel_diff(snr, regime.snr_optimal(m)) for snr, m in zip(snrs, measured)]
+    return betas, margins, refined_diffs, identities, matrix
+
+
+def _alloc_suite(name: str, trials: int, seed: int) -> SuiteReport:
+    """Closed-form allocation of one suite's regime vs. the grid, plus a matrix check.
+
+    The instances are checked ``_CHUNK`` at a time (see :func:`_alloc_values`).
+    """
+    values = ([], [], [], [], [])
+    for indices in _chunks(trials):
+        for out, chunk in zip(values, _alloc_values(_SUITE_CASES[name], seed, indices)):
+            out += chunk
+    betas, margins, refined, identities, matrix = values
+    beta_step = 1.0 / (_NUM_BETA - 1)
     report = SuiteReport(suite=name, trials=trials, seed=seed)
     report.checks.append(
-        CheckResult("allocation argmax vs grid (beta)", worst_beta, beta_step + 1e-12)
+        _worst("allocation argmax vs grid (beta)", betas, beta_step + 1e-12)
     )
-    report.checks.append(CheckResult("grid SNR minus closed-form SNR", worst_margin, 1e-6))
-    report.checks.append(
-        CheckResult("refined grid vs closed-form SNR (relative)", worst_refined, 1e-3)
-    )
-    report.checks.append(
-        CheckResult("closed-form SNR identity (objective)", worst_identity, 1e-9)
-    )
-    report.checks.append(
-        CheckResult("ULA channel eigensolver consistency", worst_matrix, 1e-6)
-    )
+    report.checks.append(_worst("grid SNR minus closed-form SNR", margins, 1e-6, -math.inf))
+    report.checks.append(_worst("refined grid vs closed-form SNR (relative)", refined, 1e-3))
+    report.checks.append(_worst("closed-form SNR identity (objective)", identities, 1e-9))
+    report.checks.append(_worst("ULA channel eigensolver consistency", matrix, 1e-6))
     return report
 
 

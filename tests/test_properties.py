@@ -1,6 +1,6 @@
 """Properties over random inputs: the batched Monte Carlo engine, the exact equal-power
 phase, the steering stacks and their Grams, the two-path objective grid, the closed-form
-regimes and the main-lobe bisection."""
+regimes, the main-lobe bisection and the L-path bound on the dominant-path loss."""
 
 import math
 import sys
@@ -15,6 +15,7 @@ from hypothesis.extra import numpy as hnp  # noqa: E402
 from conftest import equal_power_grid_snr, random_paths  # noqa: E402
 from mmwbeam import closedform, steering  # noqa: E402
 from mmwbeam.beamformer import (  # noqa: E402
+    _dominant_snr,
     _loss_db,
     _optimal_snr,
     bidirectional_beamformer,
@@ -692,13 +693,74 @@ def test_mainlobe_bisection_matches_full_run(n, spacing, magnitude):
 
 
 def test_mainlobe_bisection_stops_at_its_fixed_point(monkeypatch):
+    # each bisection step evaluates the kernel once, on every magnitude's midpoint
     calls = []
-    inner = steering.cpo_inner_product
+    inner = steering._dirichlet
 
-    def counted(geom, freq_delta):
+    def counted(n, spacing, freq_delta):
         calls.append(freq_delta)
-        return inner(geom, freq_delta)
+        return inner(n, spacing, freq_delta)
 
-    monkeypatch.setattr(steering, "cpo_inner_product", counted)
+    monkeypatch.setattr(steering, "_dirichlet", counted)
     mainlobe_freq_delta(ArrayGeometry(16), 0.37)
-    assert len(calls) <= 70
+    assert 0 < len(calls) <= 70
+    # away from 1, where the 200-step cap binds (see mainlobe_freq_delta)
+    calls.clear()
+    magnitudes = np.linspace(0.0, 0.99, 100)
+    steering._mainlobe_freq_deltas(ArrayGeometry(16), magnitudes)
+    assert 0 < len(calls) <= 70
+
+
+# The L-path form of the 3 dB bound: with orthogonal transmit vectors (G_t = I) the
+# optimal SNR is the top eigenvalue of diag(g)^H G_r diag(g) over L, at most L max|g|^2 / L
+# since G_r's top eigenvalue is at most its trace L, while steering at the strongest path
+# gives max|g|^2 / L: dominant-path beamforming loses at most 10 log10 L dB.
+PATH_COUNTS = [2, 3, 4, 5, 8]
+gain_parts = st.floats(-1e3, 1e3).filter(lambda x: abs(x) >= 1e-3)
+
+
+def orthogonal_transmit_loss(gains, gram_r):
+    """Optimal over dominant-path SNR of one channel with G_t = I, and the path count."""
+    size = gains.shape[-1]
+    eye = np.eye(size, dtype=complex)[None]
+    optimal = _optimal_snr(gains[None], eye, gram_r[None])[0][0]
+    dominant = _dominant_snr(gains[None], eye, gram_r[None])[0][0]
+    return optimal / dominant, size
+
+
+@pytest.mark.parametrize("num_paths", PATH_COUNTS)
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data(), nr=st.integers(1, 64))
+def test_dominant_path_loses_at_most_the_path_count(num_paths, data, nr):
+    parts = data.draw(hnp.arrays(float, (2, num_paths), elements=gain_parts))
+    freqs = data.draw(hnp.arrays(float, num_paths, elements=st.floats(-1.0, 1.0)))
+    gram_r = gram_stack(ArrayGeometry(nr), freqs)
+    loss, size = orthogonal_transmit_loss(parts[0] + 1j * parts[1], gram_r)
+    # the eigensolver rounds the top eigenvalue by a few eps of ||C|| <= L max|g|^2
+    assert loss <= size * (1.0 + 4 * size * np.finfo(float).eps)
+    assert _loss_db(loss) <= 10.0 * math.log10(size) + 1e-13
+
+
+@pytest.mark.parametrize("num_paths", PATH_COUNTS)
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(re=gain_parts, im=gain_parts, nr=st.integers(1, 64), freq=st.floats(-1.0, 1.0))
+def test_equal_gains_on_parallel_receive_vectors_attain_the_bound(num_paths, re, im, nr, freq):
+    # coincident receive frequencies give G_r = all ones exactly; the L = 2 closed form
+    # reads L exactly, eigvalsh at L >= 3 within a few ulps (4 at most in 2000 random draws)
+    gains = np.full(num_paths, complex(re, im))
+    gram_r = gram_stack(ArrayGeometry(nr), np.full(num_paths, freq))
+    loss, size = orthogonal_transmit_loss(gains, gram_r)
+    ulps = abs(loss - size) / np.spacing(float(size))
+    assert ulps <= (0 if size == 2 else 2 * size)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    n=st.integers(2, 1024),
+    spacing=st.floats(0.05, 1.0),
+    magnitudes=st.lists(magnitudes, min_size=1, max_size=20),
+)
+def test_mainlobe_bisection_on_an_array_is_the_scalar_one(n, spacing, magnitudes):
+    geom = ArrayGeometry(n, spacing)
+    deltas = steering._mainlobe_freq_deltas(geom, np.array(magnitudes))
+    assert deltas.tolist() == [bisection_reference(geom, m) for m in magnitudes]

@@ -5,30 +5,33 @@ import pytest
 
 from mmwbeam import beamformer, closedform, verify
 from mmwbeam.closedform import TwoPathParams
+from verify_reference import alloc_values, prop1_instance, prop1_values
 
 
 def test_prop1_reads_the_reduced_route_snr(monkeypatch):
-    # prop1 takes the reduced SNR from the kernel, without the beam; it must be the value
-    # reduced_optimal_beamformer reports for the same instance, bit for bit
-    instances, snrs = [], []
-    path_grams, optimal_snr = beamformer._path_grams, beamformer._optimal_snr
+    # prop1 takes the reduced SNR from the kernel, without the beam, in one stacked call per
+    # path count; each instance's SNR must be the value reduced_optimal_beamformer reports
+    # for it, bit for bit
+    calls = []
+    optimal_snr = beamformer._optimal_snr
 
-    def recorded_grams(*args):
-        instances.append(args)
-        return path_grams(*args)
-
-    def recorded_snr(*args, **kwargs):
-        result = optimal_snr(*args, **kwargs)
-        snrs.append(result[0])
+    def recorded_snr(gains, gram_t, gram_r, **kwargs):
+        result = optimal_snr(gains, gram_t, gram_r, **kwargs)
+        calls.append((gains, result[0]))
         return result
 
-    monkeypatch.setattr(beamformer, "_path_grams", recorded_grams)
     monkeypatch.setattr(beamformer, "_optimal_snr", recorded_snr)
     assert verify.verify_prop1(trials=40, seed=0).passed
     monkeypatch.undo()
-    assert len(instances) == len(snrs) == 40
-    for (paths, tx_geom, rx_geom), snr in zip(instances, snrs):
+    instances = [prop1_instance(0, i) for i in range(40)]
+    assert len(calls) == len({len(paths) for paths, _, _ in instances})
+    snr_of = {
+        gains.tobytes(): snr for stack, snrs in calls for gains, snr in zip(stack, snrs)
+    }
+    assert len(snr_of) == sum(len(stack) for stack, _ in calls) == 40
+    for paths, tx_geom, rx_geom in instances:
         pair = beamformer.reduced_optimal_beamformer(paths, tx_geom, rx_geom)
+        snr = snr_of[np.array([complex(p.gain) for p in paths]).tobytes()]
         assert np.float64(pair.normalized_snr).tobytes() == snr.tobytes()
 
 
@@ -50,3 +53,68 @@ def test_fixtures_measure_inside_their_regime(suite, seed):
         measured = TwoPathParams.from_paths(paths, tx_geom, rx_geom)
         regime.beta_opt(measured)
         regime.delta_snr(measured)
+
+
+def python_max(values, start):
+    """The worst value a loop over the instances keeps: Python's running ``max``."""
+    worst = start
+    for value in values:
+        worst = max(worst, value)
+    return worst
+
+
+def bits(value):
+    return np.float64(value).tobytes()
+
+
+# trial counts below, at and above the chunk of instances one array pass holds
+@pytest.mark.parametrize("trials", [1, 7, 41])
+@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1])
+@pytest.mark.parametrize("suite", ["prop1", "prop2", "prop3", "prop4"])
+def test_suite_worst_values_match_the_per_instance_loops(suite, seed, trials):
+    if suite == "prop1":
+        values = prop1_values(seed, range(trials))
+        starts = (0.0, 0.0, 0.0)
+    else:
+        values = alloc_values(suite, seed, range(trials))
+        starts = (0.0, -np.inf, 0.0, 0.0, 0.0)
+    report = verify.run_suite(suite, trials, seed)
+    assert len(report.checks) == len(values)
+    for check, check_values, start in zip(report.checks, values, starts):
+        assert bits(check.worst) == bits(python_max(check_values, start)), check.name
+
+
+def grid_batch():
+    """Parameter sets and beta windows of a mixed batch of grid searches."""
+    regime = closedform.REGIMES["u-parallel"]
+    sets = [
+        # a flat grid: every row ties and is kept, more rows than one block holds
+        (TwoPathParams(1.0, 1.0), None),
+        (TwoPathParams(1.3e154, 1e154, uu_mag=0.3, vv_mag=0.4), None),
+        # the first row is beta = 1/sqrt(2), where theta = pi cancels the beam: masked entries
+        (TwoPathParams(1.0, 1.0, vv_mag=1.0), (2**-0.5, 0.8)),
+        (TwoPathParams(0.6, 1.7, 2.1, uu_mag=0.9, uu_phase=1.0, vv_mag=0.2, vv_phase=-0.4),
+         (0.1, 0.3)),
+        (TwoPathParams(1e-170, 3e-171, uu_mag=0.5, vv_mag=0.7, vv_phase=2.0), None),
+    ]
+    sets += [(verify._draw_params(verify._instance_rng(3, i), regime), None) for i in range(6)]
+    sets += [(params, (0.9, 1.1)) for params, _ in sets[-3:]]
+    return sets
+
+
+def search_betas(window, num_beta=201):
+    if window is None:
+        return np.linspace(0.0, 1.0, num_beta)
+    return np.clip(np.linspace(window[0], window[1], num_beta), 0.0, 1.0)
+
+
+def test_each_search_of_a_batch_is_its_search_alone():
+    sets = grid_batch()
+    betas = np.array([search_betas(window) for _, window in sets])
+    batch = closedform._Searches([params for params, _ in sets], 360).run(betas)
+    grid = closedform.objective_grid(sets[2][0], betas[2], np.linspace(0.0, 2 * np.pi, 360, False))
+    assert np.isneginf(grid[0]).any()
+    for (params, window), (point, value) in zip(sets, batch):
+        alone_point, alone_value = closedform.allocation_grid_search(params, 201, 360, window)
+        assert point == alone_point
+        assert bits(value) == bits(alone_value)
