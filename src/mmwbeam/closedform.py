@@ -366,12 +366,11 @@ def two_path_objective(params: TwoPathParams, alloc: AllocationPoint) -> float:
     :func:`objective_grid` and the grid search; beyond the float range it
     is infinite.  This is :func:`_objectives` on one set.
     """
-    return _objectives([params], [alloc])[0]
+    return _objectives(_grid_terms([params]), [alloc])[0]
 
 
-def _objectives(params: Sequence[TwoPathParams], allocs: Sequence[AllocationPoint]) -> list[float]:
-    """:func:`two_path_objective` of each parameter set at its own allocation, in one block."""
-    terms = _grid_terms(params)
+def _objectives(terms: dict[str, np.ndarray], allocs: Sequence[AllocationPoint]) -> list[float]:
+    """:func:`two_path_objective` of each set of :func:`_grid_terms` at its own allocation."""
     columns = _grid_columns(terms, np.array([[alloc.beta] for alloc in allocs]))
     rows = _grid_rows(terms, np.array([[alloc.theta] for alloc in allocs]))
     values = _grid_block(columns, rows)[:, 0].tolist()

@@ -344,7 +344,7 @@ def _alloc_values(case: str, seed: int, indices: range) -> tuple[list, ...]:
     allocs = [regime.beta_opt(p) for p in params]
     searches = closedform._Searches(params, _NUM_THETA)
     coarse = searches.run(np.linspace(0.0, 1.0, _NUM_BETA).reshape(1, -1))
-    cf_values = closedform._objectives(params, allocs)
+    cf_values = closedform._objectives(searches.terms, allocs)
     # zoomed second pass resolves optima near the beta = 1 edge, where
     # the sqrt(1 - beta^2) dependence defeats a uniform coarse grid;
     # theta stays a full sweep because it is unidentified at beta = 1.
