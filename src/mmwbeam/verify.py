@@ -78,11 +78,17 @@ def _rel_diff(value: float, ref: float) -> float:
 
 @dataclass(frozen=True)
 class CheckResult:
-    """Worst observed discrepancy of one check against its limit."""
+    """Worst observed discrepancy of one check against its limit.
+
+    ``instance`` is the index of the first instance that attains ``worst``,
+    which ``_instance_rng(seed, instance)`` draws again; None for a check
+    over no random instances.
+    """
 
     name: str
     worst: float
     limit: float
+    instance: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "worst", float(self.worst))
@@ -126,7 +132,13 @@ class SuiteReport:
             "seed": self.seed,
             "passed": self.passed,
             "checks": [
-                {"name": c.name, "worst": c.worst, "limit": c.limit, "passed": c.passed}
+                {
+                    "name": c.name,
+                    "worst": c.worst,
+                    "limit": c.limit,
+                    "passed": c.passed,
+                    "worst_instance": c.instance,
+                }
                 for c in self.checks
             ],
         }
@@ -149,12 +161,15 @@ def _groups(keys) -> dict:
     return groups
 
 
-def _worst(name: str, values, limit: float, start: float = 0.0) -> CheckResult:
+def _worst(name: str, values: list[float], limit: float, start: float = 0.0) -> CheckResult:
     """The check of per-instance ``values``: Python's ``max`` run from ``start`` over them.
 
-    A NaN value never raises the running maximum, as in a loop over the instances.
+    A NaN value never raises the running maximum, as in a loop over the
+    instances.  The check records the first instance whose value is the worst.
     """
-    return CheckResult(name, functools.reduce(max, values, start), limit)
+    worst = functools.reduce(max, values, start)
+    instance = next((i for i, value in enumerate(values) if value == worst), None)
+    return CheckResult(name, worst, limit, instance)
 
 
 def _fixtures(case: str, mags, phases, couplings, nt: int = 16, nr: int = 8):

@@ -1,5 +1,7 @@
 """The verification suites read the library's own results."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -73,15 +75,19 @@ def bits(value):
 @pytest.mark.parametrize("suite", ["prop1", "prop2", "prop3", "prop4"])
 def test_suite_worst_values_match_the_per_instance_loops(suite, seed, trials):
     if suite == "prop1":
-        values = prop1_values(seed, range(trials))
-        starts = (0.0, 0.0, 0.0)
+        reference, starts = prop1_values, (0.0, 0.0, 0.0)
     else:
-        values = alloc_values(suite, seed, range(trials))
+        reference = functools.partial(alloc_values, suite)
         starts = (0.0, -np.inf, 0.0, 0.0, 0.0)
+    values = reference(seed, range(trials))
     report = verify.run_suite(suite, trials, seed)
     assert len(report.checks) == len(values)
-    for check, check_values, start in zip(report.checks, values, starts):
+    for k, (check, check_values, start) in enumerate(zip(report.checks, values, starts)):
         assert bits(check.worst) == bits(python_max(check_values, start)), check.name
+        # the recorded instance is the first to attain the worst value, and replays it alone
+        assert check.instance == check_values.index(check.worst)
+        replayed = reference(seed, range(check.instance, check.instance + 1))[k]
+        assert bits(replayed[0]) == bits(check.worst)
 
 
 def grid_batch():
