@@ -75,7 +75,7 @@ class BeamformerPair:
 
 
 def _phase_turn(vec: np.ndarray) -> np.ndarray:
-    """Unit factors (...) that turn the first significant entry of each vector (..., N) real nonnegative."""
+    """Unit factors (...) turning the first significant entry of each vector (..., N) real >= 0."""
     mags = np.abs(vec)
     idx = np.argmax(mags > PHASE_REFERENCE_FLOOR * mags.max(axis=-1, keepdims=True), axis=-1)
     return np.exp(-1j * np.angle(np.take_along_axis(vec, idx[..., None], axis=-1)[..., 0]))

@@ -345,9 +345,9 @@ def objective_grid(params: TwoPathParams, betas, thetas) -> np.ndarray:
 
     Returns an array of shape ``(len(betas), len(thetas))``; entries whose
     beam degenerates to the zero vector are ``-inf``.  The per-axis terms
-    (:func:`_grid_columns`, :func:`_grid_rows`) are combined by one block over every row
-    (:func:`_grid_block`) and scaled back, as the grid search's values are;
-    beyond the float range an entry is infinite.
+    (:func:`_grid_columns`, :func:`_grid_rows`) are combined by one block over
+    every row (:func:`_grid_block`) and scaled back, as the grid search's
+    values are; beyond the float range an entry is infinite.
     """
     terms = _grid_terms([params])
     columns = _grid_columns(terms, np.asarray(betas, dtype=float).reshape(1, -1))
@@ -465,12 +465,12 @@ class _Searches:
         # over the block of its kept rows: the first NaN, else the first maximum
         shifts = self.terms["shift"][:, 0]
         bounds = np.searchsorted(kept_set, np.arange(shifts.size + 1)).tolist()
+        betas = np.broadcast_to(betas, (shifts.size, betas.shape[1]))
         results = []
         for s, shift in enumerate(shifts.tolist()):
             top = bounds[s] + int(np.argmax(row_max[bounds[s] : bounds[s + 1]]))
             point = AllocationPoint(
-                beta=float(betas[min(s, betas.shape[0] - 1), kept_row[top]]),
-                theta=float(self.thetas[row_arg[top]]),
+                beta=float(betas[s, kept_row[top]]), theta=float(self.thetas[row_arg[top]])
             )
             results.append((point, _unscaled(float(row_max[top]), int(shift))))
         return results
@@ -523,7 +523,8 @@ def _candidate_rows(terms: dict[str, np.ndarray], columns, rows) -> np.ndarray:
     top = 2.0 * seed_block.max(axis=1, keepdims=True)
     finite = np.isfinite(top)
     top[~finite] = 0.0
-    margin = _ROW_TEST_EPS * (np.abs(alpha) + np.abs(cos_coef) + np.abs(top) * (1.0 + np.abs(delta)))
+    margin = np.abs(alpha) + np.abs(cos_coef) + np.abs(top) * (1.0 + np.abs(delta))
+    margin *= _ROW_TEST_EPS
     # scaled before the product, so a huge phase cannot overflow it
     margin += terms["phase_margin"] * np.abs(cross_coef)
     margin += _ROW_TEST_ULPS * np.finfo(float).smallest_subnormal
