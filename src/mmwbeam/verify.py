@@ -153,12 +153,21 @@ def _chunks(trials: int):
     return (range(start, min(start + _CHUNK, trials)) for start in range(0, trials, _CHUNK))
 
 
-def _groups(keys) -> dict:
-    """Positions of each distinct key, in ascending order, keyed in order of first appearance."""
+def _stacked(keys: list, kernel, *inputs: list) -> list:
+    """Each instance's row of ``kernel``, run once per group of instances with equal keys.
+
+    ``kernel(key, *stacks)`` gets the rows of ``inputs`` of one group's
+    instances, stacked in instance order, and returns one row per instance.
+    """
     groups: dict = {}
     for position, key in enumerate(keys):
         groups.setdefault(key, []).append(position)
-    return groups
+    rows = [None] * len(keys)
+    for key, members in groups.items():
+        stacks = (np.array([values[k] for k in members]) for values in inputs)
+        for k, row in zip(members, kernel(key, *stacks)):
+            rows[k] = row
+    return rows
 
 
 def _worst(name: str, values: list[float], limit: float, start: float = 0.0) -> CheckResult:
@@ -259,53 +268,33 @@ def _prop1_values(seed: int, indices: range) -> tuple[list, list, list]:
     Every stacked kernel gives each instance the bits of its own call.
     """
     draws = [_draw_prop1(seed, i) for i in indices]
-    count = len(draws)
+    nts = [nt for nt, _, _, _, _ in draws]
+    nrs = [nr for _, nr, _, _, _ in draws]
     gains = [(normals[0] + 1j * normals[1]) / math.sqrt(2.0) for _, _, normals, _, _ in draws]
     freqs_t = [spatial_frequencies(aods) for _, _, _, aods, _ in draws]
     freqs_r = [spatial_frequencies(aoas) for _, _, _, _, aoas in draws]
+    paths = [len(g) for g in gains]
     spacing = ArrayGeometry(1).spacing_wavelengths  # every array here has the default spacing
 
-    reduced = [0.0] * count
-    for members in _groups(len(g) for g in gains).values():
-        sizes_t = np.array([[draws[k][0]] for k in members])
-        sizes_r = np.array([[draws[k][1]] for k in members])
-        snr, _ = beamformer._optimal_snr(
-            np.array([gains[k] for k in members]),
-            _grams(sizes_t, spacing, np.array([freqs_t[k] for k in members])),
-            _grams(sizes_r, spacing, np.array([freqs_r[k] for k in members])),
-        )
-        for k, value in zip(members, snr.tolist()):
-            reduced[k] = value
+    def reduced_snr(_, gain, freq_t, freq_r, nt, nr):
+        grams = _grams(nt[:, None], spacing, freq_t), _grams(nr[:, None], spacing, freq_r)
+        return beamformer._optimal_snr(gain, *grams)[0].tolist()
 
-    steer_t, steer_r = [None] * count, [None] * count
-    for end, steer, freqs in ((0, steer_t, freqs_t), (1, steer_r, freqs_r)):
-        for (size, _), members in _groups((d[end], len(f)) for d, f in zip(draws, freqs)).items():
-            stack = steering_stack(ArrayGeometry(size), np.array([freqs[k] for k in members]))
-            for k, matrix in zip(members, stack):
-                steer[k] = matrix
+    def steering(key, freqs):
+        return steering_stack(ArrayGeometry(key[0]), freqs)
 
-    tx, rx, dense = [None] * count, [None] * count, [0.0] * count
-    for members in _groups((nt, nr) for nt, nr, _, _, _ in draws).values():
-        entries = np.empty((len(members), draws[members[0]][1], draws[members[0]][0]), complex)
-        for rows in _groups(len(gains[k]) for k in members).values():
-            picked = [members[r] for r in rows]
-            entries[rows] = _channel_stack(
-                np.array([gains[k] for k in picked]),
-                np.array([steer_r[k] for k in picked]),
-                np.array([steer_t[k] for k in picked]),
-            )
-        tx_beams, rx_beams, snrs = beamformer._dense_optimal(entries)
-        for k, tx_beam, rx_beam, snr in zip(members, tx_beams, rx_beams, snrs):
-            tx[k], rx[k], dense[k] = tx_beam, rx_beam, snr
-
-    resid_t, resid_r = [0.0] * count, [0.0] * count
-    for resid, steer, beams in ((resid_t, steer_t, tx), (resid_r, steer_r, rx)):
-        for members in _groups(steer[k].shape for k in range(count)).values():
-            values = _residuals(
-                np.array([steer[k] for k in members]), np.array([beams[k] for k in members])
-            )
-            for k, value in zip(members, values.tolist()):
-                resid[k] = value
+    reduced = _stacked(paths, reduced_snr, gains, freqs_t, freqs_r, nts, nrs)
+    steer_t = _stacked(list(zip(nts, paths)), steering, freqs_t)
+    steer_r = _stacked(list(zip(nrs, paths)), steering, freqs_r)
+    channels = _stacked(
+        list(zip(nts, nrs, paths)), lambda _, *args: _channel_stack(*args), gains, steer_r, steer_t
+    )
+    pairs = _stacked(list(zip(nts, nrs)), lambda _, h: zip(*beamformer._dense_optimal(h)), channels)
+    tx, rx, dense = zip(*pairs)
+    resid_t, resid_r = (
+        _stacked(list(zip(sizes, paths)), lambda _, *args: _residuals(*args).tolist(), steer, beams)
+        for sizes, steer, beams in ((nts, steer_t, tx), (nrs, steer_r, rx))
+    )
     rel = [_rel_diff(r, d) for r, d in zip(reduced, dense)]
     return resid_t, resid_r, rel
 

@@ -1,7 +1,6 @@
-"""The per-instance loops of the ``verify`` suites, kept as the reference for their batched form.
+"""The per-instance loops of the ``verify`` suites: the reference for their batched form.
 
-Each function draws the suite's instances one at a time, as the suites did
-before they checked their instances in array passes, and returns every
+Each function draws the suite's instances one at a time and returns every
 check's value of every instance, in instance order, through the library's
 per-instance public functions.  A suite's worst value is Python's running
 ``max`` over these lists.
