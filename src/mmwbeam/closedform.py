@@ -245,9 +245,9 @@ _TERMS = (
 def _grid_terms(params: Sequence[TwoPathParams]) -> dict[str, np.ndarray]:
     """The per-set scalars of the grid's terms, each a column (S, 1), one row per set.
 
-    Each is computed from one set by Python's scalar operations, as the
-    terms always were: Python's ``**`` and ``math`` functions may round
-    differently from numpy's.  They are ``a``, ``b``, ``root_ab`` and
+    Each is computed from one set by Python's scalar operations (Python's
+    ``**`` rounds unlike numpy's ``power``), so a set's terms do not depend
+    on the batch it is in.  They are ``a``, ``b``, ``root_ab`` and
     ``shift`` of :func:`_scaled_terms`; the couplings, ``vv^2``, the
     misalignment ``nu`` and the transmit coupling's phase; the coupling term
     of the beta-only column and ``a + b``; the factors of the row test's
