@@ -184,10 +184,10 @@ def cpo_inner_product(geom: ArrayGeometry, freq_delta: float) -> complex:
     nearest multiple of pi: near that multiple ``sin(N*psi)`` of the
     unreduced psi would carry the rounding of ``N*psi`` relative to its
     small value.  Where the reduced psi is exactly 0 the product is exactly 1.
-    This is the kernel of :func:`gram_stack` and :func:`mainlobe_freq_delta`
-    written again in scalar ``math`` on purpose: a pair costs about 1.2 us this
-    way and 27 us through ``gram_stack`` (2 vCPUs, numpy 2.4), and
-    :meth:`mmwbeam.closedform.TwoPathParams.from_paths` measures one pair per end.
+    This is :func:`gram_stack`'s kernel written again in scalar ``math`` on
+    purpose: a pair costs about 1.2 us this way and 27 us through ``gram_stack``
+    (2 vCPUs, numpy 2.4), and :func:`mainlobe_freq_delta` calls it about 55
+    times per ``verify`` fixture.
     """
     n = geom.num_elements
     psi = math.pi * geom.spacing_wavelengths * freq_delta
@@ -226,8 +226,7 @@ def mainlobe_freq_delta(geom: ArrayGeometry, magnitude: float) -> float:
     fixed point either way, so the midpoint is what every later step would
     return (after about 53 steps).  The 200-step cap still binds when
     ``magnitude`` is within about 1e-15 of 1, where ``hi`` halves towards 0
-    without meeting ``lo``.  This is :func:`_mainlobe_freq_deltas` on one
-    magnitude.
+    without meeting ``lo``.
     """
     if not 0.0 <= magnitude <= 1.0:
         raise ValueError("magnitude must lie in [0, 1]")
@@ -235,34 +234,16 @@ def mainlobe_freq_delta(geom: ArrayGeometry, magnitude: float) -> float:
         if magnitude == 1.0:
             return 0.0
         raise ValueError("a single-element array has |inner product| = 1 everywhere")
-    return float(_mainlobe_freq_deltas(geom, np.array([magnitude]))[0])
-
-
-# The bisection of _mainlobe_freq_deltas tests for its fixed point once per this many steps.
-_STOP_TEST_STEPS = 8
-
-
-def _mainlobe_freq_deltas(geom: ArrayGeometry, magnitudes: np.ndarray) -> np.ndarray:
-    """:func:`mainlobe_freq_delta` of every entry of ``magnitudes``, in [0, 1], in one bisection.
-
-    Each step evaluates the kernel at every entry's midpoint, with the
-    magnitude ``hypot(re, im)`` that the scalar ``abs`` of a complex takes,
-    so each entry visits the midpoints of its scalar bisection.  An entry
-    past its fixed point stays there (see :func:`mainlobe_freq_delta`), so
-    the loop may test for the fixed point only every ``_STOP_TEST_STEPS``
-    steps and still return each entry's scalar result.  ``geom`` has at
-    least two elements.
-    """
-    n, spacing = geom.num_elements, geom.spacing_wavelengths
-    first_null = 1.0 / (n * spacing)
-    lo = np.zeros_like(magnitudes)
-    hi = np.full_like(magnitudes, first_null)
-    for step in range(200):
+    lo = 0.0
+    hi = 1.0 / (geom.num_elements * geom.spacing_wavelengths)  # first null
+    if magnitude == 0.0:
+        return hi
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if step % _STOP_TEST_STEPS == 0 and np.all((mid == lo) | (mid == hi)):
+        if mid == lo or mid == hi:
             break
-        kernel = _dirichlet(n, spacing, mid)
-        above = np.hypot(kernel.real, kernel.imag) > magnitudes
-        np.copyto(lo, mid, where=above)
-        np.copyto(hi, mid, where=~above)
-    return np.where(magnitudes == 0.0, first_null, 0.5 * (lo + hi))
+        if abs(cpo_inner_product(geom, mid)) > magnitude:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

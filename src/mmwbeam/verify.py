@@ -32,7 +32,7 @@ from .steering import (
     AngleSpec,
     ArrayGeometry,
     _grams,
-    _mainlobe_freq_deltas,
+    mainlobe_freq_delta,
     spatial_frequencies,
     steering_stack,
 )
@@ -188,7 +188,7 @@ def _fixtures(case: str, mags, phases, couplings, nt: int = 16, nr: int = 8):
     free coupling ``couplings[s]``.  The constrained end sits exactly at a
     Dirichlet null (orthogonal) or at zero separation (parallel); the free
     end is placed on the main lobe so its inner-product magnitude equals the
-    coupling, every row in one bisection.  Each end's spatial frequencies are
+    coupling, by one scalar bisection per row.  Each end's spatial frequencies are
     +-half its separation.  Returns the gains (S, 2), the departure and
     arrival azimuths (S, 2) and the transmit and receive geometries.
     """
@@ -196,10 +196,10 @@ def _fixtures(case: str, mags, phases, couplings, nt: int = 16, nr: int = 8):
     geoms = {"vv": ArrayGeometry(nt), "uu": ArrayGeometry(nr)}
     fixed = geoms[regime.constrained]
     null = 1.0 / (fixed.num_elements * fixed.spacing_wavelengths)
-    deltas = _mainlobe_freq_deltas(geoms[regime.free], np.asarray(couplings, dtype=float))
+    deltas = [mainlobe_freq_delta(geoms[regime.free], coupling) for coupling in couplings]
     halves = {
         regime.constrained: [0.0 if regime.forced else null / 2] * len(deltas),
-        regime.free: (deltas / 2).tolist(),
+        regime.free: [delta / 2 for delta in deltas],
     }
     # math.acos: numpy's arccos rounds differently
     aods = np.array([(math.acos(-half), math.acos(half)) for half in halves["vv"]])
@@ -214,19 +214,6 @@ def _path_list(gains, aods, aoas) -> list[PathComponent]:
         PathComponent(complex(gain), AngleSpec(aod), AngleSpec(aoa))
         for gain, aod, aoa in zip(gains.tolist(), aods.tolist(), aoas.tolist())
     ]
-
-
-def _two_path_fixture(
-    case: str,
-    mags: tuple[float, float],
-    phases: tuple[float, float],
-    coupling: float,
-    nt: int = 16,
-    nr: int = 8,
-):
-    """:func:`_fixtures` of one instance, as its paths and the two geometries."""
-    gains, aods, aoas, tx_geom, rx_geom = _fixtures(case, [mags], [phases], [coupling], nt, nr)
-    return _path_list(gains[0], aods[0], aoas[0]), tx_geom, rx_geom
 
 
 def _residuals(bases: np.ndarray, vecs: np.ndarray) -> np.ndarray:

@@ -30,7 +30,8 @@ from mmwbeam.closedform import (
     two_path_objective,
 )
 from mmwbeam.steering import steering_vector
-from mmwbeam.verify import _SUITE_CASES, _draw_params, _instance_rng, _two_path_fixture
+from mmwbeam.verify import _SUITE_CASES, _draw_params, _instance_rng
+from verify_reference import two_path_fixture
 
 SQRT2 = math.sqrt(2.0)
 EPS = np.finfo(float).eps
@@ -76,7 +77,7 @@ class TestParams:
         assert q.misalignment == pytest.approx(math.pi)
 
     def test_from_paths_measures_channel(self, rng):
-        paths, tx_geom, rx_geom = _two_path_fixture(
+        paths, tx_geom, rx_geom = two_path_fixture(
             "v-orth", (2.0, 1.0), (0.3, -0.4), 0.6
         )
         p = TwoPathParams.from_paths(paths, tx_geom, rx_geom)
@@ -123,7 +124,7 @@ class TestObjective:
             coupling_tx = float(rng.uniform(0.02, 0.98))
             mags = (float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.2, 2.0)))
             phases = (float(rng.uniform(0.0, 6.28)), float(rng.uniform(0.0, 6.28)))
-            paths, tx_geom, rx_geom = _two_path_fixture("v-orth", mags, phases, coupling_rx)
+            paths, tx_geom, rx_geom = two_path_fixture("v-orth", mags, phases, coupling_rx)
             # replace the transmit side with a generic main-lobe separation
             from mmwbeam.steering import mainlobe_freq_delta
             from mmwbeam.channel import PathComponent

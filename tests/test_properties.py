@@ -62,8 +62,8 @@ from mmwbeam.verify import (  # noqa: E402
     _SUITE_CASES,
     _draw_params,
     _instance_rng,
-    _two_path_fixture,
 )
+from verify_reference import two_path_fixture  # noqa: E402
 
 # Losses may dip below zero by rounding only.
 LOSS_FLOOR_DB = -1e-12
@@ -656,7 +656,7 @@ def test_measured_couplings_match_the_dense_product(nt, nr, spacing, angles):
     coupling=st.floats(0.0, 0.95),
 )
 def test_regime_optimal_snr_matches_reduced_route(case, mags, phases, coupling):
-    paths, tx_geom, rx_geom = _two_path_fixture(case, mags, phases, coupling)
+    paths, tx_geom, rx_geom = two_path_fixture(case, mags, phases, coupling)
     analytic = REGIMES[case].snr_optimal(TwoPathParams.from_paths(paths, tx_geom, rx_geom))
     reduced = reduced_optimal_beamformer(paths, tx_geom, rx_geom).normalized_snr
     # both are exact up to rounding: the worst over 4000 random draws is about 3e-15
@@ -693,21 +693,15 @@ def test_mainlobe_bisection_matches_full_run(n, spacing, magnitude):
 
 
 def test_mainlobe_bisection_stops_at_its_fixed_point(monkeypatch):
-    # each bisection step evaluates the kernel once, on every magnitude's midpoint
     calls = []
-    inner = steering._dirichlet
+    inner = steering.cpo_inner_product
 
-    def counted(n, spacing, freq_delta):
+    def counted(geom, freq_delta):
         calls.append(freq_delta)
-        return inner(n, spacing, freq_delta)
+        return inner(geom, freq_delta)
 
-    monkeypatch.setattr(steering, "_dirichlet", counted)
+    monkeypatch.setattr(steering, "cpo_inner_product", counted)
     mainlobe_freq_delta(ArrayGeometry(16), 0.37)
-    assert 0 < len(calls) <= 70
-    # away from 1, where the 200-step cap binds (see mainlobe_freq_delta)
-    calls.clear()
-    magnitudes = np.linspace(0.0, 0.99, 100)
-    steering._mainlobe_freq_deltas(ArrayGeometry(16), magnitudes)
     assert 0 < len(calls) <= 70
 
 
@@ -752,15 +746,3 @@ def test_equal_gains_on_parallel_receive_vectors_attain_the_bound(num_paths, re,
     loss, size = orthogonal_transmit_loss(gains, gram_r)
     ulps = abs(loss - size) / np.spacing(float(size))
     assert ulps <= (0 if size == 2 else 2 * size)
-
-
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(
-    n=st.integers(2, 1024),
-    spacing=st.floats(0.05, 1.0),
-    magnitudes=st.lists(magnitudes, min_size=1, max_size=20),
-)
-def test_mainlobe_bisection_on_an_array_is_the_scalar_one(n, spacing, magnitudes):
-    geom = ArrayGeometry(n, spacing)
-    deltas = steering._mainlobe_freq_deltas(geom, np.array(magnitudes))
-    assert deltas.tolist() == [bisection_reference(geom, m) for m in magnitudes]

@@ -44,14 +44,15 @@ def test_fixtures_measure_inside_their_regime(suite, seed):
     # parameter set its regime's closed forms accept: none of them raises
     case = verify._SUITE_CASES[suite]
     regime = closedform.REGIMES[case]
-    for i in range(500):
-        params = verify._draw_params(verify._instance_rng(seed, i), regime)
-        paths, tx_geom, rx_geom = verify._two_path_fixture(
-            case,
-            (params.mag_a1, params.mag_a2),
-            (params.phase_diff, 0.0),
-            getattr(params, f"{regime.free}_mag"),
-        )
+    params = [verify._draw_params(verify._instance_rng(seed, i), regime) for i in range(500)]
+    gains, aods, aoas, tx_geom, rx_geom = verify._fixtures(
+        case,
+        [(p.mag_a1, p.mag_a2) for p in params],
+        [(p.phase_diff, 0.0) for p in params],
+        [getattr(p, f"{regime.free}_mag") for p in params],
+    )
+    for instance in zip(gains, aods, aoas):
+        paths = verify._path_list(*instance)
         measured = TwoPathParams.from_paths(paths, tx_geom, rx_geom)
         regime.beta_opt(measured)
         regime.delta_snr(measured)
