@@ -6,8 +6,8 @@ Run from the repository root::
 
 The file has four parts:
 
-* ``end_to_end``: each workload of ``bench/run.py --trace 0`` run ``--runs``
-  times as a subprocess, ``--seconds`` each, with seeds 1, 2, ...; the median
+* ``end_to_end``: each workload of ``bench/run.py --trace 0`` run ``RUNS``
+  times as a subprocess, ``SECONDS`` each, with seeds 1, 2, ...; the median
   and quartiles of every metric of the result lines, and the lines themselves;
 * ``tier1``: the wall time and summary line of one Tier-1 run
   (``python -m pytest -q`` with ``src`` on the path);
@@ -45,16 +45,20 @@ from mmwbeam import beamformer, closedform, verify  # noqa: E402
 # Rounds of the verify suites the per-layer part times.
 STAGE_ROUNDS = 30
 
+# Untraced runs of each workload, and the length of each run in seconds.
+RUNS = 3
+SECONDS = 20.0
 
-def end_to_end(runs: int, seconds: float) -> dict:
-    """Median and quartiles of each metric of ``runs`` untraced runs of every workload."""
+
+def end_to_end() -> dict:
+    """Median and quartiles of each metric of ``RUNS`` untraced runs of every workload."""
     out = {}
     for workload in workloads.WORKLOADS:
         lines = []
-        for seed in range(1, runs + 1):
+        for seed in range(1, RUNS + 1):
             proc = subprocess.run(
                 [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-                 "--seconds", str(seconds), "--trace", "0"],
+                 "--seconds", str(SECONDS), "--trace", "0"],
                 cwd=ROOT, capture_output=True, text=True, check=True,
             )
             lines.append(json.loads(proc.stdout.strip().splitlines()[-1]))
@@ -62,7 +66,7 @@ def end_to_end(runs: int, seconds: float) -> dict:
         for name, entry in lines[0]["metrics"].items():
             values = [line["metrics"][name]["value"] for line in lines]
             metrics[name] = {"unit": entry["unit"], **bench_run.quartiles(values)}
-        out[workload] = {"seeds": list(range(1, runs + 1)), "metrics": metrics, "results": lines}
+        out[workload] = {"seeds": list(range(1, RUNS + 1)), "metrics": metrics, "results": lines}
     return out
 
 
@@ -161,14 +165,12 @@ def per_layer() -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="path of the JSON file to write")
-    parser.add_argument("--runs", type=int, default=3)
-    parser.add_argument("--seconds", type=float, default=20.0)
     args = parser.parse_args(argv)
     doc = {
         "machine": bench_run.machine_block(),
         "per_layer": per_layer(),
         "tier1": tier1(),
-        "end_to_end": end_to_end(args.runs, args.seconds),
+        "end_to_end": end_to_end(),
     }
     Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return 0
