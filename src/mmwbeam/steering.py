@@ -128,33 +128,24 @@ def _grams(n, spacing: float, freqs) -> np.ndarray:
 
     Each entry is computed from its own count by the same operations, so a
     stack of arrays of several sizes holds the bits of each array's own Grams.
+    The array functions used here round as the scalar ``math`` ones of
+    :func:`cpo_inner_product` do, so each entry has the bits of that function.
     """
     freqs = np.asarray(freqs, dtype=float)
     size = freqs.shape[-1]
     rows, cols = _pairs(size)
-    upper = _dirichlet(n, spacing, freqs[..., cols] - freqs[..., rows])
+    psi = math.pi * spacing * (freqs[..., cols] - freqs[..., rows])
+    psi -= np.rint(psi / math.pi) * math.pi
+    coincident = psi == 0.0
+    den = n * np.sin(psi)
+    den[coincident] = 1.0
+    upper = np.exp(1j * (n - 1) * psi) * (np.sin(n * psi) / den)
+    upper[coincident] = 1.0
     gram = np.empty(freqs.shape + (size,), dtype=complex)
     gram[..., rows, cols] = upper
     gram[..., cols, rows] = np.conj(upper)
     gram[..., range(size), range(size)] = 1.0
     return gram
-
-
-def _dirichlet(n, spacing: float, freq_delta: np.ndarray) -> np.ndarray:
-    """:func:`cpo_inner_product` on an array of separations, by the same expression on arrays.
-
-    ``n`` is an element count or an integer array that broadcasts against
-    ``freq_delta``.  The array functions used here round as the scalar
-    ``math`` ones do, so each entry has the bits of the scalar function.
-    """
-    psi = math.pi * spacing * freq_delta
-    psi -= np.rint(psi / math.pi) * math.pi
-    coincident = psi == 0.0
-    den = n * np.sin(psi)
-    den[coincident] = 1.0
-    kernel = np.exp(1j * (n - 1) * psi) * (np.sin(n * psi) / den)
-    kernel[coincident] = 1.0
-    return kernel
 
 
 def steering_vector(geom: ArrayGeometry, angle: AngleSpec) -> np.ndarray:
