@@ -32,8 +32,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import ChannelMatrix, PathComponent
-from .steering import ArrayGeometry, angle_frequencies, gram_stack, steering_stack
+from .channel import ChannelMatrix, PathComponent, _path_arrays
+from .steering import ArrayGeometry, gram_stack, steering_stack
 
 __all__ = [
     "BeamformerPair",
@@ -198,22 +198,6 @@ def _herm(stack: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(stack, -1, -2))
 
 
-def _path_grams(
-    paths: Sequence[PathComponent], tx_geom: ArrayGeometry, rx_geom: ArrayGeometry
-) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """A kernel's arguments for one path list, and the spatial frequencies (L,) of each end.
-
-    The arguments are the gains (1, L) and the transmit/receive Grams (1, L, L).
-    """
-    if len(paths) == 0:
-        raise ValueError("at least one path component is required")
-    gains = np.array([[complex(p.gain) for p in paths]])
-    freq_t = angle_frequencies([p.aod for p in paths])
-    freq_r = angle_frequencies([p.aoa for p in paths])
-    grams = gram_stack(tx_geom, freq_t)[None], gram_stack(rx_geom, freq_r)[None]
-    return (gains, *grams), (freq_t, freq_r)
-
-
 def _unit_scaled(gains: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Complex gains (B, L) scaled by the power of two that takes each row's peak into [0.5, 1).
 
@@ -256,8 +240,9 @@ def _pair(
     strongest path's steering vector.  One phase factor turns both beams so
     that the first significant entry of ``tx`` is real nonnegative.
     """
-    (gains, gram_t, gram_r), (freq_t, freq_r) = _path_grams(paths, tx_geom, rx_geom)
-    scaled, shift = _unit_scaled(gains)
+    gains, freq_t, freq_r = _path_arrays(paths)
+    gram_t, gram_r = gram_stack(tx_geom, freq_t)[None], gram_stack(rx_geom, freq_r)[None]
+    scaled, shift = _unit_scaled(gains[None])
     snr, weights = kernel(scaled, gram_t, gram_r)
     tx = steering_stack(tx_geom, freq_t) @ weights[0]
     tx /= np.linalg.norm(tx)
@@ -265,7 +250,7 @@ def _pair(
     steer = steering_stack(rx_geom, freq_r)
     rx = steer @ y
     norm = np.linalg.norm(rx)
-    rx = rx / norm if norm > MIN_RESPONSE_NORM else steer[:, np.argmax(np.abs(gains[0]))]
+    rx = rx / norm if norm > MIN_RESPONSE_NORM else steer[:, np.argmax(np.abs(gains))]
     turn = _phase_turn(tx)
     return _frozen_pair(tx * turn, rx * turn, _unscaled(float(snr[0]), 2 * int(shift[0])))
 

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .steering import AngleSpec, ArrayGeometry, steering_matrix
+from .steering import AngleSpec, ArrayGeometry, angle_frequencies, steering_stack
 
 __all__ = [
     "PathComponent",
@@ -36,6 +36,23 @@ class PathComponent:
     def __post_init__(self) -> None:
         if not cmath.isfinite(complex(self.gain)):
             raise ValueError(f"path gain must be finite, got {self.gain}")
+
+
+def _path_arrays(paths: Sequence[PathComponent]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gains and departure and arrival spatial frequencies (L,) of a path list: the one reader."""
+    if len(paths) == 0:
+        raise ValueError("at least one path component is required")
+    gains = np.array([complex(p.gain) for p in paths])
+    freq_t = angle_frequencies([p.aod for p in paths])
+    return gains, freq_t, angle_frequencies([p.aoa for p in paths])
+
+
+def _path_list(gains: np.ndarray, aods: np.ndarray, aoas: np.ndarray) -> list[PathComponent]:
+    """Path components of gains and departure and arrival azimuths (L,): the one writer."""
+    return [
+        PathComponent(complex(gain), AngleSpec(aod), AngleSpec(aoa))
+        for gain, aod, aoa in zip(gains.tolist(), aods.tolist(), aoas.tolist())
+    ]
 
 
 @dataclass(frozen=True)
@@ -62,12 +79,9 @@ def assemble_channel(
 
     Rows index receive antennas, columns transmit antennas.
     """
-    if len(paths) == 0:
-        raise ValueError("at least one path component is required")
-    gains = np.array([[complex(p.gain) for p in paths]])
-    rx_steer = steering_matrix(rx_geom, [p.aoa for p in paths])  # (Nr, L)
-    tx_steer = steering_matrix(tx_geom, [p.aod for p in paths])  # (Nt, L)
-    entries = _channel_stack(gains, rx_steer[None], tx_steer[None])[0]
+    gains, freq_t, freq_r = _path_arrays(paths)
+    steers = steering_stack(rx_geom, freq_r)[None], steering_stack(tx_geom, freq_t)[None]
+    entries = _channel_stack(gains[None], *steers)[0]
     entries.setflags(write=False)
     return ChannelMatrix(entries=entries)
 

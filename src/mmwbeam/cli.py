@@ -420,6 +420,8 @@ def main(argv=None) -> int:
 
         elif command == "verify":
             suite = _require(args, "suite", "verify")
+            if fmt != "json":
+                raise UsageError("verify writes JSON only; --format must be json")
             seed = int(args["seed"]) if args.get("seed") is not None else 0
             trials = int(args["trials"]) if args.get("trials") is not None else None
             try:

@@ -25,8 +25,8 @@ from typing import Sequence
 import numpy as np
 
 from .beamformer import MIN_BEAM_NORM_SQ, _unscaled
-from .channel import PathComponent
-from .steering import ArrayGeometry, angle_frequencies, cpo_inner_product
+from .channel import _path_arrays
+from .steering import ArrayGeometry, cpo_inner_product
 
 __all__ = [
     "TwoPathParams",
@@ -114,21 +114,13 @@ class TwoPathParams:
         return _wrap_pi(self.vv_phase - self.uu_phase + self.phase_diff)
 
     @classmethod
-    def from_paths(
-        cls,
-        paths,
-        tx_geom: ArrayGeometry,
-        rx_geom: ArrayGeometry,
-    ) -> "TwoPathParams":
+    def from_paths(cls, paths, tx_geom: ArrayGeometry, rx_geom: ArrayGeometry) -> "TwoPathParams":
         """Measure the reduced parameters of two paths; each coupling is a Dirichlet kernel."""
         if len(paths) != 2:
             raise ValueError("exactly two paths are required")
-        p1, p2 = paths
-        rx1, rx2 = angle_frequencies([p1.aoa, p2.aoa]).tolist()
-        tx1, tx2 = angle_frequencies([p1.aod, p2.aod]).tolist()
+        (g1, g2), (tx1, tx2), (rx1, rx2) = (values.tolist() for values in _path_arrays(paths))
         uu = cpo_inner_product(rx_geom, rx2 - rx1)
         vv = cpo_inner_product(tx_geom, tx2 - tx1)
-        g1, g2 = complex(p1.gain), complex(p2.gain)
         return cls(
             mag_a1=abs(g1),
             mag_a2=abs(g2),

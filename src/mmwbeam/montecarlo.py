@@ -58,8 +58,8 @@ from .beamformer import (
     dominant_path_beamformer,
     equal_power_beamformer,
 )
-from .channel import PathComponent
-from .steering import AngleSpec, ArrayGeometry, gram_stack, spatial_frequencies
+from .channel import PathComponent, _path_list
+from .steering import ArrayGeometry, gram_stack, spatial_frequencies
 
 __all__ = [
     "RNG_ALGORITHM",
@@ -255,11 +255,7 @@ def _draw_chunk(cfg: McConfig, trials: range):
 def _draw_paths(cfg: McConfig, trial: int) -> list[PathComponent]:
     """Path components of one trial, drawn as a chunk of one by :func:`_draw_chunk`."""
     gains, aod, aoa, _ = _draw_chunk(cfg, range(trial, trial + 1))
-    gains, aods, aoas = gains[0].tolist(), aod[0].tolist(), aoa[0].tolist()
-    return [
-        PathComponent(gain=gains[i], aod=AngleSpec(aods[i]), aoa=AngleSpec(aoas[i]))
-        for i in range(cfg.num_paths)
-    ]
+    return _path_list(gains[0], aod[0], aoa[0])
 
 
 def sample_paths(cfg: McConfig, trial_index: int) -> list[PathComponent]:

@@ -20,16 +20,14 @@ paper's proposition number, and draw and build their instances by one rule.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import beamformer, closedform
-from .channel import PathComponent, _channel_stack
+from .channel import _channel_stack, _path_list
 from .steering import (
-    AngleSpec,
     ArrayGeometry,
     _grams,
     mainlobe_freq_delta,
@@ -66,6 +64,9 @@ _NUM_BETA, _NUM_THETA = 201, 360
 
 # What prop1 draws: path counts, transmit and receive array sizes.
 _PATH_COUNTS, _TX_SIZES, _RX_SIZES = (1, 2, 3, 5), (8, 16, 64), (2, 4)
+
+# Transmit and receive array sizes of the allocation suites' ULA channels.
+_FIXTURE_NT, _FIXTURE_NR = 16, 8
 
 # Instances a suite draws and checks in one array pass: at any trial count a
 # pass holds at most this many instances.
@@ -173,15 +174,16 @@ def _stacked(keys: list, kernel, *inputs: list) -> list:
 def _worst(name: str, values: list[float], limit: float, start: float = 0.0) -> CheckResult:
     """The check of per-instance ``values``: Python's ``max`` run from ``start`` over them.
 
-    A NaN value never raises the running maximum, as in a loop over the
-    instances.  The check records the first instance whose value is the worst.
+    The check records the first instance whose value is the worst.  A NaN
+    value, which never raises a running maximum, makes the worst NaN instead,
+    at the first NaN instance, so the check fails.
     """
-    worst = functools.reduce(max, values, start)
-    instance = next((i for i, value in enumerate(values) if value == worst), None)
+    worst = math.nan if any(map(math.isnan, values)) else max([start, *values])
+    instance = next((i for i, v in enumerate(values) if v == worst or math.isnan(v)), None)
     return CheckResult(name, worst, limit, instance)
 
 
-def _fixtures(case: str, mags, phases, couplings, nt: int = 16, nr: int = 8):
+def _fixtures(case: str, mags, phases, couplings):
     """Actual ULA channels realizing the closed-form regime of ``case``, one per row.
 
     Row s has the gains ``mags[s]`` (2,) with phases ``phases[s]`` and the
@@ -193,7 +195,7 @@ def _fixtures(case: str, mags, phases, couplings, nt: int = 16, nr: int = 8):
     arrival azimuths (S, 2) and the transmit and receive geometries.
     """
     regime = closedform.REGIMES[case]
-    geoms = {"vv": ArrayGeometry(nt), "uu": ArrayGeometry(nr)}
+    geoms = {"vv": ArrayGeometry(_FIXTURE_NT), "uu": ArrayGeometry(_FIXTURE_NR)}
     fixed = geoms[regime.constrained]
     null = 1.0 / (fixed.num_elements * fixed.spacing_wavelengths)
     deltas = [mainlobe_freq_delta(geoms[regime.free], coupling) for coupling in couplings]
@@ -206,14 +208,6 @@ def _fixtures(case: str, mags, phases, couplings, nt: int = 16, nr: int = 8):
     aoas = np.array([(math.acos(-half), math.acos(half)) for half in halves["uu"]])
     gains = np.asarray(mags, dtype=float) * np.exp(1j * np.asarray(phases, dtype=float))
     return gains, aods, aoas, geoms["vv"], geoms["uu"]
-
-
-def _path_list(gains, aods, aoas) -> list[PathComponent]:
-    """Path components of one instance's gains, departure and arrival azimuths (L,)."""
-    return [
-        PathComponent(complex(gain), AngleSpec(aod), AngleSpec(aoa))
-        for gain, aod, aoa in zip(gains.tolist(), aods.tolist(), aoas.tolist())
-    ]
 
 
 def _residuals(bases: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -255,11 +249,9 @@ def _prop1_values(seed: int, indices: range) -> tuple[list, list, list]:
     Every stacked kernel gives each instance the bits of its own call.
     """
     draws = [_draw_prop1(seed, i) for i in indices]
-    nts = [nt for nt, _, _, _, _ in draws]
-    nrs = [nr for _, nr, _, _, _ in draws]
-    gains = [(normals[0] + 1j * normals[1]) / math.sqrt(2.0) for _, _, normals, _, _ in draws]
-    freqs_t = [spatial_frequencies(aods) for _, _, _, aods, _ in draws]
-    freqs_r = [spatial_frequencies(aoas) for _, _, _, _, aoas in draws]
+    nts, nrs, normals, aods, aoas = zip(*draws)
+    gains = [(normal[0] + 1j * normal[1]) / math.sqrt(2.0) for normal in normals]
+    freqs_t, freqs_r = ([spatial_frequencies(a) for a in azimuths] for azimuths in (aods, aoas))
     paths = [len(g) for g in gains]
     spacing = ArrayGeometry(1).spacing_wavelengths  # every array here has the default spacing
 

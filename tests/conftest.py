@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from mmwbeam.channel import PathComponent
-from mmwbeam.steering import AngleSpec, ArrayGeometry
+from mmwbeam.channel import PathComponent, _path_arrays
+from mmwbeam.steering import AngleSpec, ArrayGeometry, gram_stack
 
 
 @pytest.fixture
@@ -28,6 +28,12 @@ def random_paths(rng, num_paths, fov_deg=360.0):
             )
         )
     return out
+
+
+def kernel_args(paths, tx_geom, rx_geom):
+    """A stacked kernel's arguments for one path list: gains (1, L) and both Grams (1, L, L)."""
+    gains, freq_t, freq_r = _path_arrays(paths)
+    return gains[None], gram_stack(tx_geom, freq_t)[None], gram_stack(rx_geom, freq_r)[None]
 
 
 def geometry_pair(nt=8, nr=4, spacing=0.5):

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import equal_power_grid_snr, geometry_pair, random_paths
+from conftest import equal_power_grid_snr, geometry_pair, kernel_args, random_paths
 from mmwbeam import beamformer, montecarlo
 from mmwbeam.beamformer import (
     BeamformerPair,
@@ -782,7 +782,7 @@ class TestFactorDegenerateInputs:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             pair = reduced_optimal_beamformer(paths, tx_geom, rx_geom, channel=ch)
-            args, _ = beamformer._path_grams(paths, tx_geom, rx_geom)
+            args = kernel_args(paths, tx_geom, rx_geom)
             weights = beamformer._optimal_snr(*args, beam=True)[1]
         assert 0.0 <= pair.normalized_snr < 1e-20
         assert optimal_beamformer(ch).normalized_snr < 1e-20

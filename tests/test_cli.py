@@ -479,6 +479,28 @@ class TestVerifyCommand:
         code, _, _ = run_cli(capsys, "verify", "--suite", "prop9")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("from_file", [False, True], ids=["flag", "config"])
+    def test_csv_format_rejected(self, capsys, tmp_path, from_file):
+        # a report is JSON only: csv must not write a JSON document under a csv name
+        out_file = tmp_path / "report.csv"
+        argv = ["verify", "--suite", "bounds", "--out", str(out_file)]
+        if from_file:
+            cfg_file = tmp_path / "run.json"
+            cfg_file.write_text(json.dumps({"format": "csv"}))
+            argv += ["--config", str(cfg_file)]
+        else:
+            argv += ["--format", "csv"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert json.loads(err)["error"]["type"] == "usage"
+        assert not out_file.exists()
+
+    def test_json_format_accepted(self, capsys, tmp_path):
+        out_file = tmp_path / "report.json"
+        argv = ["verify", "--suite", "bounds", "--out", str(out_file), "--format", "json"]
+        assert run_cli(capsys, *argv)[0] == EXIT_OK
+        assert json.loads(out_file.read_text())["config"]["format"] == "json"
+
 
 class TestConfigFile:
     def test_file_supplies_defaults_and_flags_override(self, capsys, tmp_path):

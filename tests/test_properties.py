@@ -332,11 +332,10 @@ def test_gram_stack_matches_dense_product(n, spacing, freqs):
     assert np.all(np.abs(gram - dense) <= GRAM_ULPS * (1.0 + n * max_step)[:, None, None])
     assert np.all(np.diagonal(gram, axis1=-2, axis2=-1) == 1.0)
     for row, row_freqs in zip(gram, freqs):
-        # each row holds the bits of that row built alone, and the closed form's values
+        # each row holds the bits of that row built alone, and of the scalar closed form
         assert np.array_equal(row, gram_stack(geom, row_freqs))
         for (l, k), entry in np.ndenumerate(row):
-            expected = cpo_inner_product(geom, row_freqs[k] - row_freqs[l])
-            assert abs(entry - expected) <= 4.0 * np.finfo(float).eps
+            assert entry == cpo_inner_product(geom, row_freqs[k] - row_freqs[l])
 
 
 def objective_grid_reference(params, betas, thetas):

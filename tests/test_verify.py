@@ -1,11 +1,13 @@
 """The verification suites read the library's own results."""
 
 import functools
+import math
 
 import numpy as np
 import pytest
 
 from mmwbeam import beamformer, closedform, verify
+from mmwbeam.channel import _path_list
 from mmwbeam.closedform import TwoPathParams
 from verify_reference import alloc_values, prop1_instance, prop1_values
 
@@ -52,10 +54,29 @@ def test_fixtures_measure_inside_their_regime(suite, seed):
         [getattr(p, f"{regime.free}_mag") for p in params],
     )
     for instance in zip(gains, aods, aoas):
-        paths = verify._path_list(*instance)
+        paths = _path_list(*instance)
         measured = TwoPathParams.from_paths(paths, tx_geom, rx_geom)
         regime.beta_opt(measured)
         regime.delta_snr(measured)
+
+
+@pytest.mark.parametrize(
+    "values, instance", [([math.nan], 0), ([0.5, math.nan, 0.1], 1), ([0.1, math.nan, math.nan], 1)]
+)
+def test_a_nan_value_fails_its_check(values, instance):
+    check = verify._worst("x", values, 1e-9)
+    assert math.isnan(check.worst) and check.instance == instance
+    assert not check.passed
+
+
+def test_a_nan_closed_form_fails_its_suite(monkeypatch):
+    # Regime looks its closed forms up by module name, so the rebinding reaches prop2's checks
+    monkeypatch.setattr(closedform, "delta_snr_v_orth", lambda params: math.nan)
+    report = verify.run_suite("prop2", 3, 0)
+    assert not report.passed
+    failed = [check for check in report.checks if not check.passed]
+    assert failed and all(math.isnan(check.worst) for check in failed)
+    assert all(check.instance == 0 for check in failed)
 
 
 def python_max(values, start):

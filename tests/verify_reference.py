@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 
+from conftest import kernel_args
 from mmwbeam import beamformer, closedform, verify
 from mmwbeam.channel import PathComponent, assemble_channel
 from mmwbeam.steering import AngleSpec, ArrayGeometry, mainlobe_freq_delta, steering_matrix
@@ -65,8 +66,7 @@ def prop1_values(seed, indices):
     for i in indices:
         paths, tx_geom, rx_geom = prop1_instance(seed, i)
         dense = beamformer.optimal_beamformer(assemble_channel(paths, tx_geom, rx_geom))
-        args, _ = beamformer._path_grams(paths, tx_geom, rx_geom)
-        reduced = float(beamformer._optimal_snr(*args)[0][0])
+        reduced = float(beamformer._optimal_snr(*kernel_args(paths, tx_geom, rx_geom))[0][0])
         tx_span = steering_matrix(tx_geom, [p.aod for p in paths])
         rx_span = steering_matrix(rx_geom, [p.aoa for p in paths])
         tx_resid.append(span_residual(tx_span, dense.tx))

@@ -84,6 +84,26 @@ def tier1() -> dict:
     return {"wall_s": wall, "exit_code": proc.returncode, "summary": summary}
 
 
+def _search_stage(searches, betas) -> str:
+    # a coarse search shares one amplitude row; a refined one has a window per instance
+    return "coarse_search" if betas.shape[0] == 1 else "refined_search"
+
+
+# (owner, attribute, stage) of each timed stage function.  A stage is a name,
+# or a function of the call's arguments that gives one.
+STAGES = [
+    (verify, "_instance_rng", "draw"),
+    (verify, "_draw_prop1", "draw"),
+    (verify, "_draw_params", "draw"),
+    (closedform._Searches, "run", _search_stage),
+    (verify, "_fixtures", "fixtures"),
+    (beamformer, "_dense_optimal", "dense_svd_route"),
+    (verify, "_residuals", "span_residuals"),
+    (verify, "_grams", "reduced_snr"),
+    (beamformer, "_optimal_snr", "reduced_snr"),
+]
+
+
 def _stage_timers(totals: dict) -> list[tuple[object, str, object]]:
     """(owner, attribute, wrapper) for each timed stage function.
 
@@ -108,22 +128,7 @@ def _stage_timers(totals: dict) -> list[tuple[object, str, object]]:
 
         return wrapper
 
-    def search(searches, betas):
-        # a coarse search shares one amplitude row; a refined one has a window per instance
-        return "coarse_search" if betas.shape[0] == 1 else "refined_search"
-
-    stages = [
-        (verify, "_instance_rng", "draw"),
-        (verify, "_draw_prop1", "draw"),
-        (verify, "_draw_params", "draw"),
-        (closedform._Searches, "run", search),
-        (verify, "_fixtures", "fixtures"),
-        (beamformer, "_dense_optimal", "dense_svd_route"),
-        (verify, "_residuals", "span_residuals"),
-        (verify, "_grams", "reduced_snr"),
-        (beamformer, "_optimal_snr", "reduced_snr"),
-    ]
-    return [(owner, name, timed(stage, getattr(owner, name))) for owner, name, stage in stages]
+    return [(owner, name, timed(stage, getattr(owner, name))) for owner, name, stage in STAGES]
 
 
 def per_layer() -> dict:
