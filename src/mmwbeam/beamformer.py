@@ -133,17 +133,25 @@ def _finite_beam(beam, name: str) -> np.ndarray:
     return beam
 
 
+def _norms(vecs: np.ndarray) -> np.ndarray:
+    """Norms (B,) of complex vectors (B, N), each with the bits of its row alone.
+
+    The norm is that of ``np.linalg.norm``, ``sqrt(re . re + im . im)``, with
+    the dot products taken by stacked products, which call the same BLAS
+    routine per row.
+    """
+    re, im = vecs.real, vecs.imag
+    return np.sqrt((re[:, None, :] @ re[..., None] + im[:, None, :] @ im[..., None])[:, 0, 0])
+
+
 def _matched(entries: np.ndarray, tx: np.ndarray) -> tuple[np.ndarray, list[float]]:
     """Matched filters (B, Nr) to complex beams (B, Nt) on channels (B, Nr, Nt), and their SNRs.
 
-    The SNR is the normalized ``||H tx||^2 / (Nt * Nr)``.  The norm is that
-    of ``np.linalg.norm``, ``sqrt(re . re + im . im)``, with the dot products
-    taken by stacked products, which call the same BLAS routine per row: each
-    row has the bits of its channel alone.
+    The SNR is the normalized ``||H tx||^2 / (Nt * Nr)``, with the norm of
+    :func:`_norms`: each row has the bits of its channel alone.
     """
     w = (entries @ tx[..., None])[..., 0]
-    re, im = w.real, w.imag
-    norms = np.sqrt((re[:, None, :] @ re[..., None] + im[:, None, :] @ im[..., None])[:, 0, 0])
+    norms = _norms(w)
     if np.any(norms < MIN_RESPONSE_NORM):
         raise ValueError("H @ tx is numerically zero; degenerate channel or beam")
     size = entries.shape[-2] * entries.shape[-1]

@@ -7,7 +7,8 @@ configuration and the library version: JSON documents carry a ``config``
 key, CSV files a ``# config = ...`` comment preamble ahead of the
 mandatory header row.
 
-Exit codes: 0 success, 2 usage error, 3 I/O error, 4 verification failure.
+Exit codes: 0 success, 2 usage error (a run too large for memory included), 3 I/O error,
+4 verification failure.
 """
 
 from __future__ import annotations
@@ -229,8 +230,6 @@ def _closedform_record(args: dict) -> dict:
         )
         alloc = regime.beta_opt(params)
         delta = regime.delta_snr(params)
-        snr_dom = closedform.snr_dominant_path(params)
-        snr_opt = regime.snr_optimal(params)
     except ValueError as err:
         raise UsageError(str(err)) from err
 
@@ -246,8 +245,8 @@ def _closedform_record(args: dict) -> dict:
         "theta_deg": None if alloc is None else math.degrees(alloc.theta),
         "delta_snr": delta,
         "delta_snr_db": _loss_db(delta),
-        "snr_dominant": snr_dom,
-        "snr_optimal": snr_opt,
+        "snr_dominant": closedform.snr_dominant_path(params),
+        "snr_optimal": closedform.snr_optimal(params),
     }
 
 
@@ -257,8 +256,10 @@ def _sweep_rows(args: dict) -> list[dict]:
     k_min = float(_require(args, "k_min", "sweep"))
     k_max = float(_require(args, "k_max", "sweep"))
     k_points = int(args["k_points"])
-    if k_min < 1.0 or k_max < k_min:
-        raise UsageError("need 1 <= k-min <= k-max (K is the dominant-to-weak gain ratio)")
+    if not 1.0 <= k_min <= k_max < math.inf:
+        raise UsageError(
+            "need 1 <= --k-min <= --k-max < inf (K is the dominant-to-weak gain ratio)"
+        )
     if k_points < 1:
         raise UsageError("--k-points must be >= 1")
     ratios = np.linspace(k_min, k_max, k_points).tolist()
@@ -440,6 +441,10 @@ def main(argv=None) -> int:
 
     except UsageError as err:
         _error_record("usage", str(err))
+        return EXIT_USAGE
+    # a run too large for memory (--trials, --k-points) is a usage error, not a crash
+    except MemoryError as err:
+        _error_record("usage", str(err) or "out of memory")
         return EXIT_USAGE
     except OSError as err:
         _error_record("io", str(err))

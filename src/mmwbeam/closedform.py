@@ -6,14 +6,15 @@ inner products at each end, and the gain phase difference.  A candidate
 transmit beam is ``f = beta*v_1 + sqrt(1-beta^2)*exp(1j*theta)*v_2``, so
 the whole optimization lives on a (beta, theta) rectangle.
 
-Four regimes admit closed forms for the optimal split ``beta_opt`` and the
-SNR loss of dominant-path beamforming: transmit steering vectors
-electrically orthogonal, receive steering vectors electrically orthogonal,
-and the parallel counterparts of both.  :data:`REGIMES` is the one table
-of them, keyed by the CLI's case names: it says which coupling each regime
-fixes and names its closed forms, and the CLI and ``verify`` dispatch
-through it.  The general objective function is provided for everything in
-between and as the brute-force oracle target.
+The optimal SNR of any two-path channel is one 2 x 2 eigenvalue
+(:func:`snr_optimal`).  Four regimes admit closed forms for the optimal
+split ``beta_opt`` and the SNR loss of dominant-path beamforming: transmit
+steering vectors electrically orthogonal, receive steering vectors
+electrically orthogonal, and the parallel counterparts of both.
+:data:`REGIMES` is the one table of them, keyed by the CLI's case names: it
+says which coupling each regime fixes and names its closed forms, and the
+CLI and ``verify`` dispatch through it.  The general objective function is
+provided for everything in between and as the brute-force oracle target.
 """
 
 from __future__ import annotations
@@ -47,8 +48,8 @@ __all__ = [
     "delta_snr_v_parallel",
     "beta_opt_u_parallel",
     "delta_snr_u_parallel",
-    "snr_u_parallel",
     "snr_dominant_path",
+    "snr_optimal",
     "snr_equal_power_coherent",
 ]
 
@@ -163,16 +164,15 @@ class Regime:
 
     The closed forms are held by name and looked up in this module at each
     call, so a rebinding of the module attribute reaches every caller; the
-    dominant-path SNR is :func:`snr_dominant_path` in every regime.
-    ``allocation`` is None where every split is optimal, and ``optimal`` None
-    where the optimal SNR is the loss times the dominant-path SNR.
+    dominant-path SNR is :func:`snr_dominant_path` and the optimal SNR
+    :func:`snr_optimal` in every regime.  ``allocation`` is None where every
+    split is optimal.
     """
 
     constrained: str
     forced: float
     allocation: str | None
     loss: str
-    optimal: str | None = None
     proposition: int | None = None
 
     @property
@@ -185,19 +185,12 @@ class Regime:
     def delta_snr(self, params: TwoPathParams) -> float:
         return globals()[self.loss](params)
 
-    def snr_optimal(self, params: TwoPathParams) -> float:
-        if self.optimal is None:
-            return self.delta_snr(params) * snr_dominant_path(params)
-        return globals()[self.optimal](params)
-
 
 REGIMES = {
     "v-orth": Regime("vv", 0.0, "beta_opt_v_orth", "delta_snr_v_orth", proposition=2),
     "u-orth": Regime("uu", 0.0, "beta_opt_u_orth", "delta_snr_u_orth", proposition=3),
     "v-parallel": Regime("vv", 1.0, None, "delta_snr_v_parallel"),
-    "u-parallel": Regime(
-        "uu", 1.0, "beta_opt_u_parallel", "delta_snr_u_parallel", "snr_u_parallel", proposition=4
-    ),
+    "u-parallel": Regime("uu", 1.0, "beta_opt_u_parallel", "delta_snr_u_parallel", proposition=4),
 }
 
 
@@ -685,14 +678,6 @@ def beta_opt_u_parallel(params: TwoPathParams) -> AllocationPoint:
     return AllocationPoint(beta=math.sqrt(a / (a + b)), theta=theta)
 
 
-def snr_u_parallel(params: TwoPathParams) -> float:
-    """Optimal normalized SNR in the u-parallel regime, on the gains of :func:`_scaled_terms`."""
-    _require_regime(params, "u-parallel")
-    a, b, root_ab, shift = _scaled_terms(params)
-    cross = 2.0 * root_ab * params.vv_mag
-    return _unscaled((a + b + cross * math.cos(params.misalignment)) / 2.0, shift)
-
-
 def delta_snr_u_parallel(params: TwoPathParams) -> float:
     """Loss of dominant-path beamforming when receive vectors are parallel.
 
@@ -718,6 +703,30 @@ def snr_dominant_path(params: TwoPathParams) -> float:
     vv_sq = params.vv_mag**2
     cross = 2.0 * root_ab * params.vv_mag * params.uu_mag * math.cos(params.misalignment)
     return _unscaled((max(a + b * vv_sq, b + a * vv_sq) + cross) / 2.0, shift)
+
+
+def snr_optimal(params: TwoPathParams) -> float:
+    """Optimal normalized SNR of any two-path channel, on the gains of :func:`_scaled_terms`.
+
+    The L = 2 form of :func:`beamformer._optimal_snr` written on the
+    parameters: in the orthonormal basis ``v_1``, ``(v_2 - (v_1^H v_2) v_1) /
+    sqrt(1 - vv^2)`` the core has ``C00 = a + b vv^2 + 2r vv uu cos(nu)``,
+    ``C11 = b (1 - vv^2)`` and ``|C01| = sqrt(1 - vv^2) hypot(r uu + b vv
+    cos(nu), b vv sin(nu))``, with ``r = sqrt(ab)`` and ``nu`` the
+    misalignment, and the SNR is its top eigenvalue over 2.  ``|C01|`` is
+    written with the hypot on purpose: the shorter ``sqrt(C11 (a uu^2 + b
+    vv^2 + 2r uu vv cos(nu)))`` cancels at equal gains, ``uu = vv`` and ``nu
+    = pi``.  At ``vv = 1`` it is :func:`snr_dominant_path`'s value, clamped
+    at 0.
+    """
+    a, b, root_ab, shift = _scaled_terms(params)
+    uu, vv, nu = params.uu_mag, params.vv_mag, params.misalignment
+    vv_sq = vv**2
+    cos_nu = math.cos(nu)
+    c00 = a + b * vv_sq + 2.0 * root_ab * vv * uu * cos_nu
+    c11 = b * (1.0 - vv_sq)
+    c01 = math.sqrt(1.0 - vv_sq) * math.hypot(root_ab * uu + b * vv * cos_nu, b * vv * math.sin(nu))
+    return _unscaled(((c00 + c11) / 2.0 + math.hypot((c00 - c11) / 2.0, c01)) / 2.0, shift)
 
 
 def snr_equal_power_coherent(params: TwoPathParams) -> float:

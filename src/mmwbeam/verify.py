@@ -14,6 +14,14 @@ discrepancies:
 * ``prop4``: same for parallel receive vectors (gain-proportional split).
 * ``bounds``: worst-case loss bounds of dominant-path beamforming.
 
+The exact reference of ``prop2``-``prop4`` is :func:`closedform.snr_optimal`.
+Their fourth check is per instance the larger of two relative differences
+from it at the drawn parameters: that of the objective at the closed-form
+split, and that of the loss times the dominant-path SNR; a NaN on either
+side fails it.  Their fifth compares the dense SVD of a ULA channel built
+with the drawn gains and free coupling with it at the parameters measured
+on that channel, whose coupling phases come from the array geometry.
+
 ``prop2``-``prop4`` look their regime up in ``closedform.REGIMES`` by the
 paper's proposition number, and draw and build their instances by one rule.
 """
@@ -213,13 +221,12 @@ def _fixtures(case: str, mags, phases, couplings):
 def _residuals(bases: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """Distances (B,) of vectors (B, N) from the spans of bases (B, N, L).
 
-    The norm is that of ``np.linalg.norm`` (see :func:`beamformer._matched`),
+    The norm is that of ``np.linalg.norm`` (see :func:`beamformer._norms`),
     so each has the bits of its instance's own residual.
     """
     q = np.linalg.qr(bases)[0]
     resid = (vecs[..., None] - q @ (np.conj(np.swapaxes(q, -1, -2)) @ vecs[..., None]))[..., 0]
-    re, im = resid.real, resid.imag
-    return np.sqrt((re[:, None, :] @ re[..., None] + im[:, None, :] @ im[..., None])[:, 0, 0])
+    return beamformer._norms(resid)
 
 
 def _draw_prop1(seed: int, index: int):
@@ -344,7 +351,10 @@ def _alloc_values(case: str, seed: int, indices: range) -> tuple[list, ...]:
     ):
         betas.append(abs(alloc.beta - point.beta))
         margins.append(grid_value - cf_value)
-        identities.append(_rel_diff(cf_value, regime.snr_optimal(p)))
+        opt = closedform.snr_optimal(p)
+        product = regime.delta_snr(p) * closedform.snr_dominant_path(p)
+        # np.maximum, not max: a NaN on either side must fail the check
+        identities.append(float(np.maximum(_rel_diff(cf_value, opt), _rel_diff(product, opt))))
         refined_diffs.append(_rel_diff(cf_value, max(refined_value, grid_value)))
 
     gains, aods, aoas, tx_geom, rx_geom = _fixtures(
@@ -363,7 +373,7 @@ def _alloc_values(case: str, seed: int, indices: range) -> tuple[list, ...]:
         steering_stack(tx_geom, spatial_frequencies(aods)),
     )
     snrs = beamformer._dense_optimal(entries)[2]
-    matrix = [_rel_diff(snr, regime.snr_optimal(m)) for snr, m in zip(snrs, measured)]
+    matrix = [_rel_diff(snr, closedform.snr_optimal(m)) for snr, m in zip(snrs, measured)]
     return betas, margins, refined_diffs, identities, matrix
 
 

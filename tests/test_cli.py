@@ -104,6 +104,15 @@ class TestClosedform:
         record = json.loads(err)
         assert record["error"]["type"] == "usage"
 
+    @pytest.mark.parametrize("bounds", [("nan", "2"), ("1", "nan"), ("1", "inf")],
+                             ids=["nan-min", "nan-max", "inf-max"])
+    def test_non_finite_k_bound_is_usage_error(self, capsys, bounds):
+        # NaN reached TwoPathParams ("mag_a1 must be >= 0 ..."), and an infinite --k-max
+        # printed numpy's RuntimeWarning ahead of the error record
+        argv = ["sweep", "--case", "v-orth", "--k-min", bounds[0], "--k-max", bounds[1]]
+        message = usage_message(capsys, *argv, "--uu", "0.3")
+        assert "--k-min" in message and "--k-max" in message
+
     def test_overflowing_gain_is_usage_error(self, capsys):
         # the squared gain overflows; this used to end in an OverflowError traceback
         code, out, err = run_cli(
@@ -658,6 +667,21 @@ class TestConfigFile:
     def test_nul_in_the_config_path_is_usage_error(self, capsys):
         # open() raised "embedded null byte", a traceback
         assert "NUL" in usage_message(capsys, "closedform", "--config", "a\0b")
+
+
+@pytest.mark.parametrize("argv, callee, error", [
+    (["ccdf", "--paths", "2", "--trials", "5"], "run_ccdf",
+     MemoryError("Unable to allocate 7.3 PiB for an array")),
+    (["sweep", "--case", "v-orth", "--k-min", "1", "--k-max", "2", "--uu", "0.3"],
+     "_closedform_record", MemoryError()),
+], ids=["ccdf", "sweep"])
+def test_a_run_out_of_memory_is_usage_error(capsys, monkeypatch, argv, callee, error):
+    # a huge --trials or --k-points ended in a MemoryError traceback with exit 1
+    def exhausted(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli.montecarlo if callee == "run_ccdf" else cli, callee, exhausted)
+    assert usage_message(capsys, *argv) == (str(error) or "out of memory")
 
 
 class TestArgparseBoundary:

@@ -26,7 +26,7 @@ from mmwbeam.closedform import (
     objective_grid,
     snr_dominant_path,
     snr_equal_power_coherent,
-    snr_u_parallel,
+    snr_optimal,
     two_path_objective,
 )
 from mmwbeam.steering import steering_vector
@@ -427,7 +427,7 @@ class TestVParallel:
 
     def test_full_cancellation(self):
         p = TwoPathParams(1.0, 1.0, phase_diff=math.pi, uu_mag=1.0, vv_mag=1.0)
-        assert REGIMES["v-parallel"].snr_optimal(p) == pytest.approx(0.0, abs=1e-12)
+        assert snr_optimal(p) == pytest.approx(0.0, abs=1e-12)
 
     def test_wrong_regime(self):
         with pytest.raises(RegimeError):
@@ -448,7 +448,7 @@ class TestUParallel:
             p = random_params(rng, uu_mag=1.0, vv_mag=float(rng.uniform(0.0, 1.0)))
             alloc = beta_opt_u_parallel(p)
             assert two_path_objective(p, alloc) == pytest.approx(
-                snr_u_parallel(p), rel=1e-10, abs=1e-12
+                snr_optimal(p), rel=1e-10, abs=1e-12
             )
 
     def test_loss_values(self):

@@ -34,9 +34,9 @@ def test_exports_resolve_and_cli_cases_follow_the_regime_table():
 def test_every_regime_closed_form_is_exported():
     # the bench tracer times the beta_opt_/delta_snr_/snr_ names of __all__; a regime
     # function missing there would run untraced
-    names = {"snr_dominant_path"}
+    names = {"snr_dominant_path", "snr_optimal"}
     for regime in closedform.REGIMES.values():
-        names.update(name for name in (regime.allocation, regime.loss, regime.optimal) if name)
+        names.update(name for name in (regime.allocation, regime.loss) if name)
     assert names <= set(closedform.__all__)
 
 

@@ -36,6 +36,7 @@ from mmwbeam.closedform import (  # noqa: E402
     objective_grid,
     snr_dominant_path,
     snr_equal_power_coherent,
+    snr_optimal,
 )
 from mmwbeam.montecarlo import (  # noqa: E402
     _MIN_GAIN,
@@ -562,7 +563,7 @@ def test_closed_forms_accept_exactly_their_row(case, mag_a1, mag_a2, free, phase
     # each closed form a REGIMES row names holds at the row's forced coupling and
     # refuses a constrained coupling of 0.5
     regime = REGIMES[case]
-    names = [n for n in (regime.allocation, regime.loss, regime.optimal) if n is not None]
+    names = [n for n in (regime.allocation, regime.loss) if n is not None]
 
     def params(constrained):
         couplings = {f"{regime.constrained}_mag": constrained, f"{regime.free}_mag": free}
@@ -594,7 +595,7 @@ def test_snr_closed_forms_scale_exactly(case, mag_a1, mag_a2, coupling, phase_di
     scaled = TwoPathParams(
         math.ldexp(mag_a1, k), math.ldexp(mag_a2, k), phase_diff=phase_diff, **couplings
     )
-    for snr in (snr_dominant_path, snr_equal_power_coherent, regime.snr_optimal):
+    for snr in (snr_dominant_path, snr_equal_power_coherent, snr_optimal):
         try:
             expected = math.ldexp(snr(unit), 2 * k)
         except OverflowError:  # beyond the float range the scaled SNR reads +inf
@@ -656,10 +657,76 @@ def test_measured_couplings_match_the_dense_product(nt, nr, spacing, angles):
 )
 def test_regime_optimal_snr_matches_reduced_route(case, mags, phases, coupling):
     paths, tx_geom, rx_geom = two_path_fixture(case, mags, phases, coupling)
-    analytic = REGIMES[case].snr_optimal(TwoPathParams.from_paths(paths, tx_geom, rx_geom))
+    analytic = snr_optimal(TwoPathParams.from_paths(paths, tx_geom, rx_geom))
     reduced = reduced_optimal_beamformer(paths, tx_geom, rx_geom).normalized_snr
     # both are exact up to rounding: the worst over 4000 random draws is about 3e-15
     assert abs(reduced - analytic) <= 1e-12 * abs(analytic)
+
+
+def kernel_snr(params):
+    """``_optimal_snr`` on the 2 x 2 Grams of ``params``, its misalignment on path 1's gain.
+
+    The SNR depends on the phases only through the misalignment, so this puts it all on
+    the gain and keeps both Grams real: both routes then read the same float ``nu``.
+    """
+    gains = np.array([[params.mag_a1 * np.exp(1j * params.misalignment), params.mag_a2]])
+    gram_t, gram_r = (
+        np.array([[[1.0, mag], [mag, 1.0]]], dtype=complex)
+        for mag in (params.vv_mag, params.uu_mag)
+    )
+    return float(_optimal_snr(gains, gram_t, gram_r)[0][0])
+
+
+# Bound, in eps of (a + b) / 2, on |snr_optimal - kernel_snr|.  With s = a + b, u = eps / 2
+# and lambda = 2 SNR <= 2s the top eigenvalue of each route's 2 x 2 core: snr_optimal reads
+# a, b, r and fl(vv^2) (taken as the exact coupling, which moves lambda by at most u s)
+# within u, cos and sin within u; each entry sums at most three products of at most four
+# inputs of size at most s, so C00, C11 and |C01| are off by at most 12us, 4us and 14us.
+# By Weyl's inequality lambda moves by at most 12us + 14us, and the final sum, hypot and
+# halvings add 6us: 33us in all.  The kernel's factor and complex products put its entries
+# within about 16us each, and a pivot at most eps zeroed moves G_t by eps: under 40us.
+# So the SNRs, lambda / 2, differ by under 37us = 37 eps (s / 2), rounded up here.  Over
+# 3000 draws per regime, between them and on the set below, the worst seen was 3.4 eps.
+SNR_OPTIMAL_EPS = 40.0
+gain_or_zero = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
+phase_floats = st.floats(-7.0, 7.0)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from([*REGIMES, "between", "cancelling"]),
+    mags=st.tuples(gain_or_zero, gain_or_zero),
+    couplings=st.tuples(unit_coupling, unit_coupling),
+    phases=st.tuples(phase_floats, phase_floats, phase_floats),
+)
+# equal gains, uu = vv and nu = pi, where the short form of |C01| cancels
+@example(kind="cancelling", mags=(1.0, 1.0), couplings=(0.6, 0.6), phases=(0.0, 0.0, 0.0))
+def test_snr_optimal_matches_the_kernel(kind, mags, couplings, phases):
+    fields = dict(zip(("uu_mag", "vv_mag"), couplings))
+    fields.update(zip(("phase_diff", "uu_phase", "vv_phase"), phases))
+    if kind in REGIMES:
+        fields[f"{REGIMES[kind].constrained}_mag"] = REGIMES[kind].forced
+    elif kind == "cancelling":
+        mags = (mags[0], mags[0])
+        fields.update(vv_mag=fields["uu_mag"], phase_diff=math.pi, uu_phase=0.0, vv_phase=0.0)
+    params = TwoPathParams(*mags, **fields)
+    bound = SNR_OPTIMAL_EPS * np.finfo(float).eps * (mags[0] ** 2 + mags[1] ** 2) / 2.0
+    assert abs(snr_optimal(params) - kernel_snr(params)) <= bound
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    mags=st.tuples(gain_mags, gain_mags),
+    uu_mag=unit_coupling,
+    phases=st.tuples(phase_floats, phase_floats, phase_floats),
+)
+# the dominant beam's SNR rounds to -1.1e-16 here; the optimum reads 0
+@example(mags=(0.9222109257625241, 0.9222109262438443), uu_mag=1.0, phases=(math.pi, 0.0, 0.0))
+def test_snr_optimal_at_parallel_transmit_vectors_is_the_dominant_path_snr(mags, uu_mag, phases):
+    # at vv = 1 the core is C00 alone, the dominant beam's SNR term for term
+    phase = dict(zip(("phase_diff", "uu_phase", "vv_phase"), phases))
+    params = TwoPathParams(*mags, uu_mag=uu_mag, vv_mag=1.0, **phase)
+    assert snr_optimal(params) == max(snr_dominant_path(params), 0.0)
 
 
 def bisection_reference(geom, magnitude):

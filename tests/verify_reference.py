@@ -96,12 +96,15 @@ def alloc_values(suite, seed, indices):
         )
         measured = closedform.TwoPathParams.from_paths(paths, tx_geom, rx_geom)
         pair = beamformer.optimal_beamformer(assemble_channel(paths, tx_geom, rx_geom))
+        optimal = closedform.snr_optimal(params)
+        product = regime.delta_snr(params) * closedform.snr_dominant_path(params)
+        identity = (verify._rel_diff(cf_value, optimal), verify._rel_diff(product, optimal))
         for out, value in zip(values, (
             abs(alloc.beta - grid_alloc.beta),
             grid_value - cf_value,
             verify._rel_diff(cf_value, max(refined, grid_value)),
-            verify._rel_diff(cf_value, regime.snr_optimal(params)),
-            verify._rel_diff(pair.normalized_snr, regime.snr_optimal(measured)),
+            math.nan if any(map(math.isnan, identity)) else max(identity),
+            verify._rel_diff(pair.normalized_snr, closedform.snr_optimal(measured)),
         )):
             out.append(value)
     return values
