@@ -371,22 +371,12 @@ def main(argv=None) -> int:
     command = args.pop("command")
     try:
         args = _merge_config_file(command, args)
+        out_path = args.get("out")
         # open() refuses such a path only once the work is done
-        if "\0" in (args.get("out") or ""):
+        if "\0" in (out_path or ""):
             raise UsageError("--out must not contain a NUL character")
-    except UsageError as err:
-        _error_record("usage", str(err))
-        return EXIT_USAGE
-    except OSError as err:
-        _error_record("io", str(err))
-        return EXIT_IO
+        fmt = args.get("format") or ("json" if command in ("closedform", "verify") else "csv")
 
-    out_path = args.get("out")
-    fmt = args.get("format")
-    if fmt is None:
-        fmt = "json" if command in ("closedform", "verify") else "csv"
-
-    try:
         if command in ("closedform", "sweep"):
             if command == "sweep" and args["k_points"] is None:
                 args["k_points"] = 91
@@ -442,7 +432,7 @@ def main(argv=None) -> int:
     except UsageError as err:
         _error_record("usage", str(err))
         return EXIT_USAGE
-    # a run too large for memory (--trials, --k-points) is a usage error, not a crash
+    # a run or a --config file too large for memory is a usage error, not a crash
     except MemoryError as err:
         _error_record("usage", str(err) or "out of memory")
         return EXIT_USAGE

@@ -623,23 +623,16 @@ def beta_opt_u_orth(params: TwoPathParams) -> AllocationPoint:
 def delta_snr_u_orth(params: TwoPathParams) -> float:
     """Loss of dominant-path beamforming when receive vectors are orthogonal.
 
-    Evaluates the optimal-over-dominant SNR ratio at the closed-form
-    allocation, and never below 1.  When the transmit vectors are
+    The optimal over the dominant-path SNR, both on the scaled terms of
+    :func:`_two_path_snrs`, and never below 1.  When the transmit vectors are
     orthogonal too, the dominant path is exactly optimal and the ratio is 1.
     """
     _require_regime(params, "u-orth")
-    a, b = _scaled_gains(params)
+    _scaled_gains(params)  # refuses zero gains
     if params.vv_mag < ORTHOGONAL_TOL:
         return 1.0
-    vv = params.vv_mag
-    beta = beta_opt_u_orth(params).beta
-    spread = math.sqrt(max(1.0 - beta**2, 0.0))
-    optimal = a + b - (1.0 - vv**2) * (beta**2 * b + spread**2 * a) / (
-        1.0 + 2.0 * beta * spread * vv
-    )
-    dominant = max(a + b * vv**2, b + a * vv**2)
-    # the optimum is never below the dominant beam's SNR: a ratio under 1 is the
-    # rounding of a + b minus a term within a few ulps of it
+    optimal, dominant, _ = _two_path_snrs(params)
+    # the optimum is never below the dominant beam's SNR: a ratio under 1 is rounding
     return max(optimal / dominant, 1.0)
 
 
@@ -682,51 +675,61 @@ def delta_snr_u_parallel(params: TwoPathParams) -> float:
     """Loss of dominant-path beamforming when receive vectors are parallel.
 
     ``1 + lo*(1 - vv^2) / (hi + vv^2*lo + 2*sqrt(hi*lo)*vv*cos(nu))`` with
-    hi/lo the ordered squared gains, scaled as :func:`_scaled_gains` does.
-    Returns ``+inf`` when the denominator vanishes (equal gains, parallel
-    transmit vectors, opposite phase: the dominant-path beam is fully
-    cancelled while the optimal beam still combines the paths, so the loss
-    is unbounded).
+    hi/lo the ordered squared gains, scaled as :func:`_scaled_gains` does;
+    the denominator is twice the dominant-path SNR of :func:`_two_path_snrs`.
+    Returns ``+inf`` when it vanishes (equal gains, parallel transmit
+    vectors, opposite phase: the dominant-path beam is fully cancelled while
+    the optimal beam still combines the paths, so the loss is unbounded).
     """
     _require_regime(params, "u-parallel")
-    hi, lo = sorted(_scaled_gains(params), reverse=True)
-    vv = params.vv_mag
-    den = hi + vv**2 * lo + 2.0 * math.sqrt(hi * lo) * vv * math.cos(params.misalignment)
+    lo = min(_scaled_gains(params))
+    den = _two_path_snrs(params)[1]
     if den <= CANCELLED_POWER:
         return math.inf
-    return 1.0 + lo * (1.0 - vv**2) / den
+    return 1.0 + lo * (1.0 - params.vv_mag**2) / den
 
 
-def snr_dominant_path(params: TwoPathParams) -> float:
-    """Normalized SNR of steering all power along the stronger path, on :func:`_scaled_terms`."""
-    a, b, root_ab, shift = _scaled_terms(params)
-    vv_sq = params.vv_mag**2
-    cross = 2.0 * root_ab * params.vv_mag * params.uu_mag * math.cos(params.misalignment)
-    return _unscaled((max(a + b * vv_sq, b + a * vv_sq) + cross) / 2.0, shift)
+def _two_path_snrs(params: TwoPathParams) -> tuple[float, float, int]:
+    """Twice the optimal and twice the dominant-path SNR on :func:`_scaled_terms`, and its shift.
 
-
-def snr_optimal(params: TwoPathParams) -> float:
-    """Optimal normalized SNR of any two-path channel, on the gains of :func:`_scaled_terms`.
-
-    The L = 2 form of :func:`beamformer._optimal_snr` written on the
-    parameters: in the orthonormal basis ``v_1``, ``(v_2 - (v_1^H v_2) v_1) /
-    sqrt(1 - vv^2)`` the core has ``C00 = a + b vv^2 + 2r vv uu cos(nu)``,
-    ``C11 = b (1 - vv^2)`` and ``|C01| = sqrt(1 - vv^2) hypot(r uu + b vv
-    cos(nu), b vv sin(nu))``, with ``r = sqrt(ab)`` and ``nu`` the
-    misalignment, and the SNR is its top eigenvalue over 2.  ``|C01|`` is
+    The optimum is the L = 2 form of :func:`beamformer._optimal_snr` written
+    on the parameters: in the orthonormal basis ``v_1``, ``(v_2 - (v_1^H
+    v_2) v_1) / sqrt(1 - vv^2)`` the core has ``C00 = a + b vv^2 + 2r vv uu
+    cos(nu)``, ``C11 = b (1 - vv^2)`` and ``|C01| = sqrt(1 - vv^2) hypot(r uu
+    + b vv cos(nu), b vv sin(nu))``, with ``r = sqrt(ab)`` and ``nu`` the
+    misalignment, and twice the SNR is its top eigenvalue.  ``|C01|`` is
     written with the hypot on purpose: the shorter ``sqrt(C11 (a uu^2 + b
     vv^2 + 2r uu vv cos(nu)))`` cancels at equal gains, ``uu = vv`` and ``nu
-    = pi``.  At ``vv = 1`` it is :func:`snr_dominant_path`'s value, clamped
-    at 0.
+    = pi``.  The dominant beam steers at the stronger path, ``max(a + b vv^2,
+    b + a vv^2)`` plus the same cross term, clamped at 0: at ``uu = vv = 1``
+    and ``nu = pi`` the sum cancels and may round below it.  At ``vv = 1``
+    the two are equal.
     """
     a, b, root_ab, shift = _scaled_terms(params)
     uu, vv, nu = params.uu_mag, params.vv_mag, params.misalignment
     vv_sq = vv**2
     cos_nu = math.cos(nu)
-    c00 = a + b * vv_sq + 2.0 * root_ab * vv * uu * cos_nu
+    cross = 2.0 * root_ab * vv * uu * cos_nu
+    c00 = a + b * vv_sq + cross
     c11 = b * (1.0 - vv_sq)
     c01 = math.sqrt(1.0 - vv_sq) * math.hypot(root_ab * uu + b * vv * cos_nu, b * vv * math.sin(nu))
-    return _unscaled(((c00 + c11) / 2.0 + math.hypot((c00 - c11) / 2.0, c01)) / 2.0, shift)
+    optimal = (c00 + c11) / 2.0 + math.hypot((c00 - c11) / 2.0, c01)
+    return optimal, max(max(a + b * vv_sq, b + a * vv_sq) + cross, 0.0), shift
+
+
+def snr_dominant_path(params: TwoPathParams) -> float:
+    """Normalized SNR of steering all power along the stronger path; never below 0."""
+    _, dominant, shift = _two_path_snrs(params)
+    return _unscaled(dominant / 2.0, shift)
+
+
+def snr_optimal(params: TwoPathParams) -> float:
+    """Optimal normalized SNR of any two-path channel, on the gains of :func:`_scaled_terms`.
+
+    Half the top eigenvalue of :func:`_two_path_snrs`, scaled back.
+    """
+    optimal, _, shift = _two_path_snrs(params)
+    return _unscaled(optimal / 2.0, shift)
 
 
 def snr_equal_power_coherent(params: TwoPathParams) -> float:

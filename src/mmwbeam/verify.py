@@ -476,6 +476,9 @@ def run_suite(suite: str, trials: int | None = None, seed: int = 0) -> SuiteRepo
     """
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
+    # the instance streams key Philox with the seed as a uint64
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must be a 64-bit unsigned integer")
     run = globals()[f"verify_{suite}"]
     if trials is None:
         return run(seed=seed)

@@ -84,6 +84,17 @@ class TestClosedform:
         assert res["beta_sq"] is None  # any split achieves the optimum
         assert res["snr_optimal"] == pytest.approx(0.0, abs=1e-12)
 
+    def test_cancelled_dominant_beam_reads_zero(self, capsys):
+        # the dominant beam's sum rounds to -1.1e-16 here; snr_dominant read it
+        code, out, _ = run_cli(
+            capsys,
+            "closedform", "--case", "v-parallel", "--a1", "0.9222109257625241",
+            "--a2", "0.9222109262438443", "--uu", "1", "--nu-deg", "180",
+        )
+        assert code == EXIT_OK
+        res = json.loads(out)["results"]
+        assert (res["snr_dominant"], res["snr_optimal"], res["delta_snr"]) == (0.0, 0.0, 1.0)
+
     def test_destructive_alignment_reports_infinite_loss(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -484,6 +495,20 @@ class TestVerifyCommand:
             assert code == EXIT_OK
             assert out.startswith("suite bounds: trials=0 ")
 
+    @pytest.mark.parametrize("seed, from_file", [
+        ("-1", False), (str(2**64), False), (1e20, True),
+    ], ids=["negative", "two-to-the-64", "config-1e20"])
+    def test_seed_outside_64_bits_is_usage_error(self, capsys, tmp_path, seed, from_file):
+        # keying the Philox stream raised OverflowError, a traceback with exit 1
+        argv = ["verify", "--suite", "prop2", "--trials", "1"]
+        if from_file:
+            cfg_file = tmp_path / "run.json"
+            cfg_file.write_text(json.dumps({"seed": seed}))
+            argv += ["--config", str(cfg_file)]
+        else:
+            argv += ["--seed", seed]
+        assert usage_message(capsys, *argv) == "seed must be a 64-bit unsigned integer"
+
     def test_unknown_suite_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--suite", "prop9")
         assert code == EXIT_USAGE
@@ -682,6 +707,17 @@ def test_a_run_out_of_memory_is_usage_error(capsys, monkeypatch, argv, callee, e
 
     monkeypatch.setattr(cli.montecarlo if callee == "run_ccdf" else cli, callee, exhausted)
     assert usage_message(capsys, *argv) == (str(error) or "out of memory")
+
+
+def test_a_config_file_out_of_memory_is_usage_error(capsys, monkeypatch, tmp_path):
+    # a MemoryError while reading --config ended in a traceback with exit 1
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+
+    cfg_file = tmp_path / "run.json"
+    cfg_file.write_text("{}")
+    monkeypatch.setattr(cli.json, "load", exhausted)
+    assert usage_message(capsys, "closedform", "--config", str(cfg_file)) == "out of memory"
 
 
 class TestArgparseBoundary:
