@@ -50,7 +50,6 @@ __all__ = [
     "delta_snr_u_parallel",
     "snr_dominant_path",
     "snr_optimal",
-    "snr_equal_power_coherent",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -192,18 +191,6 @@ REGIMES = {
     "v-parallel": Regime("vv", 1.0, None, "delta_snr_v_parallel"),
     "u-parallel": Regime("uu", 1.0, "beta_opt_u_parallel", "delta_snr_u_parallel", proposition=4),
 }
-
-
-def _require_regime(params: TwoPathParams, case: str) -> None:
-    """Raise :class:`RegimeError` unless the coupling ``REGIMES[case]`` fixes is (nearly) forced."""
-    end, forced = REGIMES[case].constrained, REGIMES[case].forced
-    mag = getattr(params, f"{end}_mag")
-    holds = mag < ORTHOGONAL_TOL if forced == 0.0 else mag > 1.0 - PARALLEL_TOL
-    if holds:
-        return
-    kind = "electrically orthogonal" if forced == 0.0 else "parallel"
-    side = "transmit" if end == "vv" else "receive"
-    raise RegimeError(f"requires {kind} {side} vectors, |{end[0]}1^H {end[1]}2| = {mag}")
 
 
 # Margin of the row test, in units of eps (see _candidate_rows).
@@ -518,11 +505,15 @@ def _candidate_rows(terms: dict[str, np.ndarray], columns, rows) -> np.ndarray:
 
 
 def _scaled_terms(params: TwoPathParams) -> tuple[float, float, float, int]:
-    """``a``, ``b`` and ``sqrt(ab)`` of :func:`_scaled_gains`, and the exponent of their scale.
+    """The squared gains ``a``, ``b`` and ``sqrt(ab)``, scaled, and the exponent of their scale.
 
     The three are the squared gains and their geometric mean times
-    ``2**shift``, squared from the scaled magnitudes, so they depend on the
-    gains' ratio and mantissas only.  Zero gains give zeros and a shift of 0.
+    ``2**shift``, the power of two that takes the larger squared gain into
+    [0.5, 1).  The magnitudes are scaled before they are squared, so the
+    terms depend on the gains' ratio and mantissas only: gains whose squares
+    would under- or overflow keep their ratio, and a ratio of terms of one
+    degree in ``a`` and ``b`` keeps its value.  Zero gains give zeros and a
+    shift of 0.
     """
     larger = max(params.mag_a1, params.mag_a2)
     if larger == 0.0:
@@ -534,19 +525,21 @@ def _scaled_terms(params: TwoPathParams) -> tuple[float, float, float, int]:
     return math.ldexp(a, rest), math.ldexp(b, rest), math.ldexp(m1 * m2, rest), 2 * half + rest
 
 
-def _scaled_gains(params: TwoPathParams) -> tuple[float, float]:
-    """The squared gains, scaled by the power of two that takes the larger into [0.5, 1).
+def _regime_terms(params: TwoPathParams, case: str) -> tuple[float, float, float, int]:
+    """:func:`_scaled_terms` of parameters in ``REGIMES[case]``: every closed form's entry.
 
-    The magnitudes are scaled by a power of two before they are squared, so
-    gains whose squares would under- or overflow keep their ratio.  The
-    scaling and the correctly rounded squares commute, so a ratio of terms of
-    one degree in ``a`` and ``b`` keeps its value wherever nothing under- or
-    overflows, and products of tiny or huge squared gains no longer under-
-    or overflow.
+    Raises :class:`RegimeError` unless the coupling the regime fixes is
+    (nearly) forced, then ``ValueError`` when both gains are zero.
     """
+    end, forced = REGIMES[case].constrained, REGIMES[case].forced
+    mag = getattr(params, f"{end}_mag")
+    if not (mag < ORTHOGONAL_TOL if forced == 0.0 else mag > 1.0 - PARALLEL_TOL):
+        kind = "electrically orthogonal" if forced == 0.0 else "parallel"
+        side = "transmit" if end == "vv" else "receive"
+        raise RegimeError(f"requires {kind} {side} vectors, |{end[0]}1^H {end[1]}2| = {mag}")
     if max(params.mag_a1, params.mag_a2) == 0.0:
         raise ValueError("undefined when both path gains are zero")
-    return _scaled_terms(params)[:2]
+    return _scaled_terms(params)
 
 
 def beta_opt_v_orth(params: TwoPathParams) -> AllocationPoint:
@@ -555,8 +548,7 @@ def beta_opt_v_orth(params: TwoPathParams) -> AllocationPoint:
     The optimal split solves ``beta^2 = (1 + (a-b)/sqrt((a-b)^2 + 4ab*uu^2))/2``
     and the phase aligns the two paths through the receive-side coupling.
     """
-    _require_regime(params, "v-orth")
-    a, b = _scaled_gains(params)
+    a, b, _, _ = _regime_terms(params, "v-orth")
     root = _v_orth_root(a, b, params.uu_mag)
     beta_sq = 0.5 if root == 0.0 else 0.5 * (1.0 + (a - b) / root)
     theta = params.phase_diff - params.uu_phase
@@ -567,7 +559,7 @@ def _v_orth_root(a, b, uu_mag):
     """The root ``sqrt((a - b)^2 + 4ab uu^2)`` of squared gains ``a``, ``b``.
 
     The radicand is written as this sum, which does not cancel.  Callers
-    pass gains scaled as :func:`_scaled_gains` does, or bounded ones, so
+    pass gains scaled as :func:`_scaled_terms` does, or bounded ones, so
     their products neither under- nor overflow.  Floats or arrays broadcast.
     """
     return np.sqrt((a - b) ** 2 + 4.0 * a * b * uu_mag**2)
@@ -585,8 +577,7 @@ def delta_snr_v_orth(params: TwoPathParams) -> float:
     at most 2 (a 3 dB loss), attained at equal gains with parallel receive
     steering vectors.
     """
-    _require_regime(params, "v-orth")
-    a, b = _scaled_gains(params)
+    a, b, _, _ = _regime_terms(params, "v-orth")
     return float(_v_orth_loss(a, b, params.uu_mag))
 
 
@@ -602,12 +593,11 @@ def beta_opt_u_orth(params: TwoPathParams) -> AllocationPoint:
     parts, so none cancels as ``vv`` nears 0.  For ``a < b`` the root is
     subtracted instead, which is the cancellation-free ``2a^2/(term_a + root)``.
     """
-    _require_regime(params, "u-orth")
+    a, b, _, _ = _regime_terms(params, "u-orth")
     if params.vv_mag < ORTHOGONAL_TOL:
         raise RegimeError(
             "transmit vectors are also orthogonal; use the v-orthogonal closed form"
         )
-    a, b = _scaled_gains(params)
     s = (a - b) / params.vv_mag
     term_a = s**2 + 2.0 * a * (a + b)
     term_c = (a + b) ** 2 + s**2
@@ -627,11 +617,10 @@ def delta_snr_u_orth(params: TwoPathParams) -> float:
     :func:`_two_path_snrs`, and never below 1.  When the transmit vectors are
     orthogonal too, the dominant path is exactly optimal and the ratio is 1.
     """
-    _require_regime(params, "u-orth")
-    _scaled_gains(params)  # refuses zero gains
+    terms = _regime_terms(params, "u-orth")
     if params.vv_mag < ORTHOGONAL_TOL:
         return 1.0
-    optimal, dominant, _ = _two_path_snrs(params)
+    optimal, dominant, _ = _two_path_snrs(params, terms)
     # the optimum is never below the dominant beam's SNR: a ratio under 1 is rounding
     return max(optimal / dominant, 1.0)
 
@@ -655,7 +644,7 @@ def delta_snr_v_parallel(params: TwoPathParams) -> float:
     The objective is independent of the power split, so any allocation,
     the dominant path included, achieves the optimum.
     """
-    _require_regime(params, "v-parallel")
+    _regime_terms(params, "v-parallel")
     return 1.0
 
 
@@ -665,8 +654,7 @@ def beta_opt_u_parallel(params: TwoPathParams) -> AllocationPoint:
     Mimics maximum ratio combining: power proportional to path gain,
     ``beta^2 = a / (a + b)``.
     """
-    _require_regime(params, "u-parallel")
-    a, b = _scaled_gains(params)
+    a, b, _, _ = _regime_terms(params, "u-parallel")
     theta = params.phase_diff - params.uu_phase
     return AllocationPoint(beta=math.sqrt(a / (a + b)), theta=theta)
 
@@ -675,23 +663,24 @@ def delta_snr_u_parallel(params: TwoPathParams) -> float:
     """Loss of dominant-path beamforming when receive vectors are parallel.
 
     ``1 + lo*(1 - vv^2) / (hi + vv^2*lo + 2*sqrt(hi*lo)*vv*cos(nu))`` with
-    hi/lo the ordered squared gains, scaled as :func:`_scaled_gains` does;
+    hi/lo the ordered squared gains, scaled as :func:`_scaled_terms` does;
     the denominator is twice the dominant-path SNR of :func:`_two_path_snrs`.
     Returns ``+inf`` when it vanishes (equal gains, parallel transmit
     vectors, opposite phase: the dominant-path beam is fully cancelled while
     the optimal beam still combines the paths, so the loss is unbounded).
     """
-    _require_regime(params, "u-parallel")
-    lo = min(_scaled_gains(params))
-    den = _two_path_snrs(params)[1]
+    terms = _regime_terms(params, "u-parallel")
+    lo = min(terms[:2])
+    den = _two_path_snrs(params, terms)[1]
     if den <= CANCELLED_POWER:
         return math.inf
     return 1.0 + lo * (1.0 - params.vv_mag**2) / den
 
 
-def _two_path_snrs(params: TwoPathParams) -> tuple[float, float, int]:
-    """Twice the optimal and twice the dominant-path SNR on :func:`_scaled_terms`, and its shift.
+def _two_path_snrs(params: TwoPathParams, terms: tuple) -> tuple[float, float, int]:
+    """Twice the optimal and twice the dominant-path SNR on ``terms``, and their shift.
 
+    ``terms`` are ``params``' :func:`_scaled_terms`, which the caller has.
     The optimum is the L = 2 form of :func:`beamformer._optimal_snr` written
     on the parameters: in the orthonormal basis ``v_1``, ``(v_2 - (v_1^H
     v_2) v_1) / sqrt(1 - vv^2)`` the core has ``C00 = a + b vv^2 + 2r vv uu
@@ -705,7 +694,7 @@ def _two_path_snrs(params: TwoPathParams) -> tuple[float, float, int]:
     and ``nu = pi`` the sum cancels and may round below it.  At ``vv = 1``
     the two are equal.
     """
-    a, b, root_ab, shift = _scaled_terms(params)
+    a, b, root_ab, shift = terms
     uu, vv, nu = params.uu_mag, params.vv_mag, params.misalignment
     vv_sq = vv**2
     cos_nu = math.cos(nu)
@@ -719,7 +708,7 @@ def _two_path_snrs(params: TwoPathParams) -> tuple[float, float, int]:
 
 def snr_dominant_path(params: TwoPathParams) -> float:
     """Normalized SNR of steering all power along the stronger path; never below 0."""
-    _, dominant, shift = _two_path_snrs(params)
+    _, dominant, shift = _two_path_snrs(params, _scaled_terms(params))
     return _unscaled(dominant / 2.0, shift)
 
 
@@ -728,16 +717,6 @@ def snr_optimal(params: TwoPathParams) -> float:
 
     Half the top eigenvalue of :func:`_two_path_snrs`, scaled back.
     """
-    optimal, _, shift = _two_path_snrs(params)
+    optimal, _, shift = _two_path_snrs(params, _scaled_terms(params))
     return _unscaled(optimal / 2.0, shift)
 
-
-def snr_equal_power_coherent(params: TwoPathParams) -> float:
-    """Normalized SNR of the equal-split beam under coherent alignment.
-
-    Assumes the beam phase and the path misalignment are both zero, in
-    which case the split achieves ``(1+vv)*(a + b + 2*sqrt(ab)*uu)/4``, on
-    the gains of :func:`_scaled_terms` and scaled back.
-    """
-    a, b, root_ab, shift = _scaled_terms(params)
-    return _unscaled((1.0 + params.vv_mag) * (a + b + 2.0 * root_ab * params.uu_mag) / 4.0, shift)

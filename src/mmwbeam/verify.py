@@ -17,10 +17,11 @@ discrepancies:
 The exact reference of ``prop2``-``prop4`` is :func:`closedform.snr_optimal`.
 Their fourth check is per instance the larger of two relative differences
 from it at the drawn parameters: that of the objective at the closed-form
-split, and that of the loss times the dominant-path SNR; a NaN on either
-side fails it.  Their fifth compares the dense SVD of a ULA channel built
-with the drawn gains and free coupling with it at the parameters measured
-on that channel, whose coupling phases come from the array geometry.
+split, and that of the loss times the objective at the dominant split (all
+power on the stronger path); a NaN on either side fails it.  Their fifth
+compares the dense SVD of a ULA channel built with the drawn gains and free
+coupling with it at the parameters measured on that channel, whose coupling
+phases come from the array geometry.
 
 ``prop2``-``prop4`` look their regime up in ``closedform.REGIMES`` by the
 paper's proposition number, and draw and build their instances by one rule.
@@ -325,8 +326,8 @@ def _alloc_values(case: str, seed: int, indices: range) -> tuple[list, ...]:
     """The five allocation checks' values of some instances of the regime of ``case``.
 
     The closed forms run per instance; the coarse and refined grid searches,
-    the objective at the closed-form split, the fixtures' bisection and their
-    dense SVD route each run once over all the instances.
+    the objective at the closed-form and at the dominant split, the fixtures'
+    bisection and their dense SVD route each run once over all the instances.
     """
     regime = closedform.REGIMES[case]
     beta_step = 1.0 / (_NUM_BETA - 1)
@@ -335,6 +336,9 @@ def _alloc_values(case: str, seed: int, indices: range) -> tuple[list, ...]:
     searches = closedform._Searches(params, _NUM_THETA)
     coarse = searches.run(np.linspace(0.0, 1.0, _NUM_BETA).reshape(1, -1))
     cf_values = closedform._objectives(searches.terms, allocs)
+    # all power on the stronger path: the beam the loss is taken against
+    splits = [closedform.AllocationPoint(float(p.mag_a1 >= p.mag_a2), 0.0) for p in params]
+    dominant = closedform._objectives(searches.terms, splits)
     # zoomed second pass resolves optima near the beta = 1 edge, where
     # the sqrt(1 - beta^2) dependence defeats a uniform coarse grid;
     # theta stays a full sweep because it is unidentified at beta = 1.
@@ -346,13 +350,13 @@ def _alloc_values(case: str, seed: int, indices: range) -> tuple[list, ...]:
     refined = searches.run(windows)
 
     betas, margins, refined_diffs, identities = [], [], [], []
-    for p, alloc, (point, grid_value), cf_value, (_, refined_value) in zip(
-        params, allocs, coarse, cf_values, refined
+    for p, alloc, (point, grid_value), cf_value, dominant_value, (_, refined_value) in zip(
+        params, allocs, coarse, cf_values, dominant, refined
     ):
         betas.append(abs(alloc.beta - point.beta))
         margins.append(grid_value - cf_value)
         opt = closedform.snr_optimal(p)
-        product = regime.delta_snr(p) * closedform.snr_dominant_path(p)
+        product = regime.delta_snr(p) * dominant_value
         # np.maximum, not max: a NaN on either side must fail the check
         identities.append(float(np.maximum(_rel_diff(cf_value, opt), _rel_diff(product, opt))))
         refined_diffs.append(_rel_diff(cf_value, max(refined_value, grid_value)))

@@ -13,12 +13,13 @@ import pytest
 from mmwbeam.beamformer import dominant_path_beamformer, equal_power_beamformer
 from mmwbeam.channel import PathComponent, assemble_channel, channel_power
 from mmwbeam.closedform import (
+    AllocationPoint,
     TwoPathParams,
     delta_snr_u_parallel,
     delta_snr_v_orth,
     objective_grid,
     snr_dominant_path,
-    snr_equal_power_coherent,
+    two_path_objective,
 )
 from mmwbeam.cli import EXIT_OK, main
 from mmwbeam.montecarlo import McConfig, percentile, run_ccdf
@@ -168,8 +169,9 @@ def test_08_equal_power_wastes_half_under_orthogonal_transmit():
     limit_db = 10.0 * math.log10(2.0)
     k = 100.0
     p = TwoPathParams(k, 1.0, uu_mag=0.0, vv_mag=0.0)
+    equal_split = AllocationPoint(beta=math.sqrt(0.5), theta=0.0)
     closed_ratio_db = 10.0 * math.log10(
-        snr_dominant_path(p) / snr_equal_power_coherent(p)
+        snr_dominant_path(p) / two_path_objective(p, equal_split)
     )
 
     # the same comparison on an assembled channel with both separations on

@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 import tracemalloc
@@ -9,6 +10,7 @@ import pytest
 from mmwbeam import closedform
 from mmwbeam.beamformer import optimal_beamformer, received_snr
 from mmwbeam.channel import assemble_channel
+from mmwbeam.cli import EXIT_USAGE, main
 from mmwbeam.closedform import (
     REGIMES,
     AllocationPoint,
@@ -25,7 +27,6 @@ from mmwbeam.closedform import (
     delta_snr_v_parallel,
     objective_grid,
     snr_dominant_path,
-    snr_equal_power_coherent,
     snr_optimal,
     two_path_objective,
 )
@@ -413,6 +414,48 @@ def test_closed_forms_are_scale_free(function, couplings):
         assert function(TwoPathParams(scale, 0.9 * scale, **couplings)) == unit
 
 
+def in_regime(case, mag_a1, mag_a2):
+    """Parameters inside ``REGIMES[case]``, with the free coupling 0.5."""
+    regime = REGIMES[case]
+    couplings = {f"{regime.constrained}_mag": regime.forced, f"{regime.free}_mag": 0.5}
+    return TwoPathParams(mag_a1, mag_a2, **couplings)
+
+
+# (case, name) of every closed form of a regime
+REGIME_FORMS = [
+    (case, name)
+    for case, regime in REGIMES.items()
+    for name in (regime.allocation, regime.loss)
+    if name is not None
+]
+
+
+@pytest.mark.parametrize("case", REGIMES)
+def test_zero_gains_are_refused_in_every_regime(capsys, case):
+    # the v-parallel loss read 1 (a 0 dB loss) for a channel with no power
+    message = "undefined when both path gains are zero"
+    for name in (REGIMES[case].allocation, REGIMES[case].loss):
+        if name is not None:
+            with pytest.raises(ValueError, match=message):
+                getattr(closedform, name)(in_regime(case, 0.0, 0.0))
+    free = REGIMES[case].free
+    code = main(["closedform", "--case", case, "--a1", "0", "--a2", "0", f"--{free}", "0.5"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert json.loads(captured.err)["error"]["message"] == message
+
+
+@pytest.mark.parametrize("case, name", REGIME_FORMS, ids=[name for _, name in REGIME_FORMS])
+def test_each_closed_form_scales_the_gains_once(monkeypatch, case, name):
+    # the u-orth and u-parallel losses scaled them twice, the v-parallel loss never
+    calls = []
+    scaled_terms = closedform._scaled_terms
+    monkeypatch.setattr(closedform, "_scaled_terms", lambda p: calls.append(p) or scaled_terms(p))
+    params = in_regime(case, 1.0, 0.9)
+    getattr(closedform, name)(params)
+    assert calls == [params]
+
+
 class TestVParallel:
     def test_loss_is_unity(self, rng):
         for _ in range(20):
@@ -482,12 +525,6 @@ class TestBenchmarkExpressions:
             p = TwoPathParams(k, 1.0, uu_mag=1.0, vv_mag=1.0)
             assert snr_dominant_path(p) == pytest.approx((k + 1.0) ** 2 / 2.0, rel=1e-12)
 
-    def test_equal_power_orthogonal_transmit(self):
-        for k, uu in ((2.0, 0.3), (5.0, 0.9)):
-            p = TwoPathParams(k, 1.0, uu_mag=uu, vv_mag=0.0)
-            expected = (k**2 + 1.0 + 2.0 * k * uu) / 4.0
-            assert snr_equal_power_coherent(p) == pytest.approx(expected, rel=1e-12)
-
     def test_match_objective_at_their_allocations(self, rng):
         for _ in range(20):
             p = random_params(rng, phase_diff=0.0, uu_phase=0.0, vv_phase=0.0)
@@ -499,8 +536,6 @@ class TestBenchmarkExpressions:
                 ),
                 rel=1e-12,
             )
-            equal = two_path_objective(p, AllocationPoint(beta=1.0 / SQRT2, theta=0.0))
-            assert snr_equal_power_coherent(p) == pytest.approx(equal, rel=1e-12)
 
 
 class TestLossFloor:

@@ -35,7 +35,6 @@ from mmwbeam.closedform import (  # noqa: E402
     delta_snr_v_orth,
     objective_grid,
     snr_dominant_path,
-    snr_equal_power_coherent,
     snr_optimal,
 )
 from mmwbeam.montecarlo import (  # noqa: E402
@@ -595,7 +594,7 @@ def test_snr_closed_forms_scale_exactly(case, mag_a1, mag_a2, coupling, phase_di
     scaled = TwoPathParams(
         math.ldexp(mag_a1, k), math.ldexp(mag_a2, k), phase_diff=phase_diff, **couplings
     )
-    for snr in (snr_dominant_path, snr_equal_power_coherent, snr_optimal):
+    for snr in (snr_dominant_path, snr_optimal):
         try:
             expected = math.ldexp(snr(unit), 2 * k)
         except OverflowError:  # beyond the float range the scaled SNR reads +inf

@@ -1,10 +1,12 @@
 """The tools under ``tools/`` still reach the library names they use."""
 
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
-RECORDER = Path(__file__).resolve().parent.parent / "tools" / "record_bench.py"
+ROOT = Path(__file__).resolve().parent.parent
+RECORDER = ROOT / "tools" / "record_bench.py"
 
 
 def load_recorder(monkeypatch):
@@ -26,3 +28,19 @@ def test_every_timed_stage_resolves(monkeypatch):
     }
     for owner, name, _ in stages:
         assert callable(getattr(owner, name, None)), f"{owner.__name__}.{name}"
+
+
+def test_line_counts_match_the_modules():
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "src_lines.py")],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    header, *rows, total = [line.split() for line in out.splitlines()]
+    assert header == ["module", "total", "code"]
+    modules = sorted((ROOT / "src" / "mmwbeam").glob("*.py"))
+    assert [row[0] for row in rows] == [path.name for path in modules]
+    for (_, lines, code), path in zip(rows, modules):
+        assert int(lines) == len(path.read_text(encoding="utf-8").splitlines())
+        assert 0 < int(code) < int(lines)
+    assert total == ["total", str(sum(int(row[1]) for row in rows)),
+                     str(sum(int(row[2]) for row in rows))]

@@ -79,6 +79,22 @@ def test_a_nan_closed_form_fails_its_suite(monkeypatch):
     assert all(check.instance == 0 for check in failed)
 
 
+def test_the_loss_is_checked_against_the_grid_route(monkeypatch):
+    # the dominant-path SNR skewed by 1e-6 skews the u-orth loss back; the loss times
+    # snr_dominant_path still read the optimum, the loss times the grid objective does not
+    two_path_snrs = closedform._two_path_snrs
+
+    def skewed(params, terms):
+        optimal, dominant, shift = two_path_snrs(params, terms)
+        return optimal, dominant * (1.0 + 1e-6), shift
+
+    monkeypatch.setattr(closedform, "_two_path_snrs", skewed)
+    report = verify.run_suite("prop3", 10, 0)
+    failed = [check for check in report.checks if not check.passed]
+    assert [check.name for check in failed] == ["closed-form SNR identity (objective)"]
+    assert failed[0].worst == pytest.approx(1e-6, rel=1e-3)
+
+
 def python_max(values, start):
     """The worst value a loop over the instances keeps: Python's running ``max``."""
     worst = start

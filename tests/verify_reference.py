@@ -97,7 +97,8 @@ def alloc_values(suite, seed, indices):
         measured = closedform.TwoPathParams.from_paths(paths, tx_geom, rx_geom)
         pair = beamformer.optimal_beamformer(assemble_channel(paths, tx_geom, rx_geom))
         optimal = closedform.snr_optimal(params)
-        product = regime.delta_snr(params) * closedform.snr_dominant_path(params)
+        dominant_split = closedform.AllocationPoint(float(params.mag_a1 >= params.mag_a2), 0.0)
+        product = regime.delta_snr(params) * closedform.two_path_objective(params, dominant_split)
         identity = (verify._rel_diff(cf_value, optimal), verify._rel_diff(product, optimal))
         for out, value in zip(values, (
             abs(alloc.beta - grid_alloc.beta),
