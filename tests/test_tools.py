@@ -7,6 +7,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RECORDER = ROOT / "tools" / "record_bench.py"
+LINE_COUNTER = ROOT / "tools" / "src_lines.py"
 
 
 def load_recorder(monkeypatch):
@@ -32,7 +33,7 @@ def test_every_timed_stage_resolves(monkeypatch):
 
 def test_line_counts_match_the_modules():
     out = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "src_lines.py")],
+        [sys.executable, str(LINE_COUNTER)],
         capture_output=True, text=True, check=True,
     ).stdout
     header, *rows, total = [line.split() for line in out.splitlines()]
@@ -44,3 +45,32 @@ def test_line_counts_match_the_modules():
         assert 0 < int(code) < int(lines)
     assert total == ["total", str(sum(int(row[1]) for row in rows)),
                      str(sum(int(row[2]) for row in rows))]
+
+
+def test_code_lines_leave_out_blanks_comments_and_docstrings(tmp_path):
+    spec = importlib.util.spec_from_file_location("src_lines", LINE_COUNTER)
+    counter = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(counter)
+    module = tmp_path / "sample.py"
+    module.write_text(
+        '"""Module docstring,\n'
+        'two lines."""\n'
+        "\n"
+        "# a comment alone\n"
+        "import math  # code with a comment\n"
+        "\n"
+        "\n"
+        "class Shape:\n"
+        '    """Class docstring."""\n'
+        "\n"
+        "    def area(self):\n"
+        '        """Function docstring,\n'
+        "\n"
+        '        with a blank line inside."""\n'
+        "        # another comment\n"
+        '        "a string that is not a docstring"\n'
+        "        return math.pi\n",
+        encoding="utf-8",
+    )
+    # code: the import, the class and def lines, the bare string and the return
+    assert counter.count(module) == (17, 5)

@@ -2,9 +2,8 @@
 
 Run from anywhere::
 
-    python3 tools/src_lines.py [DIR]
+    python3 tools/src_lines.py
 
-``DIR`` defaults to the package directory ``src/mmwbeam`` of this checkout.
 A code line is any line that is not blank, not a comment alone and not part
 of a docstring (of the module, a class or a function, found with ``ast``).
 One row per module, then the sums.  Standard library only.
@@ -12,7 +11,6 @@ One row per module, then the sums.  Standard library only.
 
 from __future__ import annotations
 
-import argparse
 import ast
 import sys
 from pathlib import Path
@@ -48,11 +46,8 @@ def count(path: Path) -> tuple[int, int]:
     return len(lines), code
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("dir", nargs="?", type=Path, default=PACKAGE)
-    args = parser.parse_args(argv)
-    rows = [(path.name, *count(path)) for path in sorted(args.dir.glob("*.py"))]
+def main() -> int:
+    rows = [(path.name, *count(path)) for path in sorted(PACKAGE.glob("*.py"))]
     rows.append(("total", sum(row[1] for row in rows), sum(row[2] for row in rows)))
     print(f"{'module':<16}{'total':>7}{'code':>7}")
     for name, total, code in rows:
