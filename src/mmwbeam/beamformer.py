@@ -19,6 +19,12 @@ L)`` of the transmit and receive steering vectors, which
 nor any N-length vector is formed: a kernel's cost does not depend on Nt or
 Nr.  The Monte Carlo engine calls them on a chunk of trials; the
 per-channel functions here are calls with B = 1, and give the same bits.
+At L = 2, the paper's two-path case, the kernels' Hermitian forms (the
+optimum's core, the equal-power scheme's quadratic form and the SNR of a
+matched receiver) are written entry by entry over the stack
+(:func:`_hermitian_form`): numpy's stacked ``@`` dispatches to BLAS once per
+2 x 2 matrix, and that dispatch, not the arithmetic, would be most of their
+cost.
 Each reads its pair from the paths alone: both beams are combinations of
 the steering vectors (see :func:`_pair`), and no channel is assembled.
 """
@@ -206,6 +212,35 @@ def _herm(stack: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(stack, -1, -2))
 
 
+def _product2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Products (J, K, B) of matrices a (J, 2, B) and b (2, K, B) stacked along the last axis.
+
+    Each entry ``a[j, 0] b[0, k] + a[j, 1] b[1, k]`` is elementwise over the
+    stack, so a stack keeps the bits of its rows; with the batch axis last
+    and of unit stride, each operation runs over whole rows.
+    """
+    return a[:, :1] * b[:1] + a[:, 1:] * b[1:]
+
+
+def _hermitian_form(gains: np.ndarray, factor: np.ndarray, gram_r: np.ndarray) -> np.ndarray:
+    """Hermitian forms ``M^H G_r M`` (B, K, K) of ``M = diag(gain) Y``, factors Y (B, L, K).
+
+    At L = 2 both products are :func:`_product2`'s, entry by entry, on M laid
+    out with the batch axis last: a stacked ``@`` dispatches to BLAS once
+    per matrix, about 0.25 us each, so on 2 x 2 matrices it costs several
+    times the arithmetic of the whole stack.  Each entry then has the bits
+    of its own channel's form, but not those of ``@``, whose BLAS kernel
+    rounds its sums in another order.  At other L the form is the stacked
+    product.
+    """
+    if gains.shape[-1] != 2:
+        mapped = gains[:, :, None] * factor
+        return _herm(mapped) @ (gram_r @ mapped)
+    mapped = np.multiply(gains.T[:, None], factor.transpose(1, 2, 0), order="C")
+    rx = np.ascontiguousarray(gram_r.transpose(1, 2, 0))
+    return _product2(np.conj(mapped).transpose(1, 0, 2), _product2(rx, mapped)).transpose(2, 0, 1)
+
+
 def _unit_scaled(gains: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Complex gains (B, L) scaled by the power of two that takes each row's peak into [0.5, 1).
 
@@ -308,10 +343,12 @@ def _optimal_snr(
 
     With ``G_t = F F^H`` (:func:`_gram_factor`), ``V = P F^H`` for a P with
     orthonormal columns, so ``H^H H`` is proportional to ``P C P^H`` with the
-    core ``C = T^H G_r T``, ``T = diag(gain) F``.  The optimum is C's top
-    eigenvalue over L for any factor: ``C00`` at L = 1, ``(C00 + C11)/2 +
-    hypot((C00 - C11)/2, |C01|)`` at L = 2 (no LAPACK call), ``eigvalsh`` at
-    L >= 3.  For C's top eigenvector y, ``C y = lambda y`` gives ``H^H H V w``
+    core ``C = T^H G_r T``, ``T = diag(gain) F`` (:func:`_hermitian_form`,
+    entry by entry at L = 2, where a stacked ``@`` would spend its time
+    dispatching BLAS per matrix).  The optimum is C's top eigenvalue over L
+    for any factor: ``C00`` at L = 1, ``(C00 + C11)/2 + hypot((C00 -
+    C11)/2, |C01|)`` at L = 2 (no LAPACK call), ``eigvalsh`` at L >= 3.
+    For C's top eigenvector y, ``C y = lambda y`` gives ``H^H H V w``
     proportional to ``lambda V w`` with ``w = diag(conj(gain)) G_r T y``: the
     paper's beam, each path weighted by its conjugate gain times the receive
     beam's response on it, normalized by ``sqrt(w^H G_t w)``.  The kernel
@@ -322,8 +359,7 @@ def _optimal_snr(
     """
     size = gains.shape[-1]
     factor = _gram_factor(gram_t)
-    mapped = gains[:, :, None] * factor
-    core = _herm(mapped) @ (gram_r @ mapped)
+    core = _hermitian_form(gains, factor, gram_r)
     if size == 1:
         top = core[:, 0, 0].real
     elif size == 2:
@@ -335,7 +371,7 @@ def _optimal_snr(
     if not beam:
         return snr, None
     vec = np.linalg.eigh(core)[1][..., -1:]
-    weights = np.conj(gains) * (gram_r @ mapped @ vec)[..., 0]
+    weights = np.conj(gains) * (gram_r @ (gains[:, :, None] * factor) @ vec)[..., 0]
     power = np.sum(np.conj(weights) * (gram_t @ weights[..., None])[..., 0], axis=-1).real
     live = power > 0.0
     weights[~live] = _dominant_weights(gains[~live])
@@ -345,10 +381,13 @@ def _optimal_snr(
 def _matched_snr(
     gains: np.ndarray, gram_t: np.ndarray, gram_r: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
-    """SNR ``y^H G_r y / L`` (B,) of unit-norm transmit beams ``V w``, matched-filter receiver."""
-    y = gains * (gram_t @ weights[..., None])[..., 0]
-    power = np.sum(np.conj(y) * (gram_r @ y[..., None])[..., 0], axis=-1).real
-    return power / gains.shape[-1]
+    """SNR ``y^H G_r y / L`` (B,) of unit-norm transmit beams ``V w``, matched-filter receiver.
+
+    ``y = gain * (G_t w)``: the 1 x 1 form of :func:`_hermitian_form` with
+    ``Y = G_t w``.
+    """
+    form = _hermitian_form(gains, gram_t @ weights[..., None], gram_r)
+    return form[:, 0, 0].real / gains.shape[-1]
 
 
 def _dominant_weights(gains: np.ndarray) -> np.ndarray:
@@ -387,19 +426,21 @@ def _equal_power_snr(
     The beam is ``f = v_0 + exp(1j theta) v_1`` normalized.  ``||H f||^2 /
     ||f||^2`` is the ratio ``(a0 + a1 cos + a2 sin) / (2 + b1 cos + b2 sin)``
     of two quadratic forms in ``(1, exp(1j theta))``, with matrices
-    ``G_t^H M G_t`` (``M = diag(conj(gain)) G_r diag(gain)``) and ``G_t``.  Its
-    derivative vanishes where ``P sin + Q cos + R = 0`` with ``P = a0 b1 -
-    2 a1``, ``Q = 2 a2 - a0 b2`` and ``R = a2 b1 - a1 b2``, at ``atan2(P, Q)
-    +- arccos(-R / sqrt(P^2 + Q^2))`` (over 1 where ``P = Q = 0``, with the
-    cosine clipped to [-1, 1]).  The maximum is the best of these two roots
-    and ``theta = 0``: when the departure angles coincide, rounding can put
-    both roots where the beam cancels, which the ``MIN_BEAM_NORM_SQ`` mask
-    rules out.  The SNR is that of the normalized beam itself, with weights
-    ``(1, exp(1j theta)) / ||f||``, not the ratio's value, which rounds badly
-    where ``||f||`` nearly vanishes.
+    ``G_t^H M G_t`` (``M = diag(conj(gain)) G_r diag(gain)``; the form of
+    :func:`_hermitian_form` with ``Y = G_t``, written entry by entry since
+    numpy's stacked ``@`` would dispatch BLAS per 2 x 2 matrix) and
+    ``G_t``.  Its derivative vanishes where ``P sin + Q cos + R = 0`` with
+    ``P = a0 b1 - 2 a1``, ``Q = 2 a2 - a0 b2`` and ``R = a2 b1 - a1 b2``, at
+    ``atan2(P, Q) +- arccos(-R / sqrt(P^2 + Q^2))`` (over 1 where ``P = Q =
+    0``, with the cosine clipped to [-1, 1]).  The maximum is the best of
+    these two roots and ``theta = 0``: when the departure angles coincide,
+    rounding can put both roots where the beam cancels, which the
+    ``MIN_BEAM_NORM_SQ`` mask rules out.  The SNR is that of the normalized
+    beam itself (:func:`_matched_snr`, again a form written entry by entry),
+    with weights ``(1, exp(1j theta)) / ||f||``, not the ratio's value, which
+    rounds badly where ``||f||`` nearly vanishes.
     """
-    mapped = gains[:, :, None] * gram_t  # U^H H V / c
-    quad = _herm(mapped) @ (gram_r @ mapped)
+    quad = _hermitian_form(gains, gram_t, gram_r)
     cross_num = quad[:, 0, 1, None]
     a0 = quad[:, 0, 0, None].real + quad[:, 1, 1, None].real
     cross_den = gram_t[:, 0, 1, None]

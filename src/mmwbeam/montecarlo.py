@@ -28,12 +28,14 @@ the steering vectors only through its spatial frequency ``cos(azimuth)``.
 The engine works on chunks of consecutive trials.  A chunk is drawn into
 arrays ``gains``, ``aod`` and ``aoa`` of shape (B, L), the Gram matrices
 (B, L, L) of the transmit and receive steering vectors are evaluated in
-closed form (see :func:`mmwbeam.steering.gram_stack`), and the optimum and
-the scheme SNR come from the stacked L x L kernels of
-:mod:`mmwbeam.beamformer`; no steering vector is formed, so a trial's cost
-does not depend on Nt or Nr.  The chunk size follows from the O(L^2)
-per-trial working set, a fixed budget of ``_CHUNK_BYTES`` and a cap of
-``_MAX_CHUNK_TRIALS``, so memory stays bounded for any trial count.  The
+closed form, both ends in one call (see :func:`mmwbeam.steering.gram_stack`),
+the optimum and the scheme SNR come from the stacked L x L kernels of
+:mod:`mmwbeam.beamformer`, and the chunk's SNR ratios from one division,
+each turned into dB by ``beamformer._loss_db``; no steering vector is
+formed, so a trial's cost does not depend on Nt or Nr.  The chunk size
+follows from the O(L^2) per-trial working set, a fixed budget of
+``_CHUNK_BYTES`` and a cap of ``_MAX_CHUNK_TRIALS``, so memory stays
+bounded for any trial count.  The
 public per-channel route ``sample_paths`` -> ``reduced_optimal_beamformer``
 -> ``SCHEMES[scheme]`` draws its trial as a chunk of one through the same
 draw route, calls the same kernels and reproduces every loss bit for bit.
@@ -59,7 +61,7 @@ from .beamformer import (
     equal_power_beamformer,
 )
 from .channel import PathComponent, _path_list
-from .steering import ArrayGeometry, gram_stack, spatial_frequencies
+from .steering import ArrayGeometry, _grams, spatial_frequencies
 
 __all__ = [
     "RNG_ALGORITHM",
@@ -269,12 +271,14 @@ def _chunk_trials(cfg: McConfig) -> int:
     A trial's arrays do not depend on Nt or Nr.  At most about eight
     complex L x L arrays of a trial are alive at once (its two Grams, the
     factor of G_t and its Schur complement, and the kernels' products),
-    plus a few hundred bytes of draws, SNRs and Python floats: 550 bytes at
-    L = 2 and 3.2 kB at L = 5, measured with ``tracemalloc``.  Past a few
-    hundred trials a larger chunk gains little: the fixed cost of a chunk,
-    one generator and one to two hundred small numpy calls (0.15-0.35 ms on
-    a 2-vCPU x86-64 box with numpy 2.4), is then about 1 microsecond per
-    trial.
+    plus a few hundred bytes of draws, SNRs and Python floats: 160 bytes at
+    L = 1, 800 at L = 2 (where the forms are written entry by entry), 1.3 kB
+    at L = 3 and 3.2 kB at L = 5, measured with ``tracemalloc``.  Past a
+    few hundred trials a larger chunk gains little: the fixed cost of a
+    chunk, one generator and one to two hundred small numpy calls (0.15-0.35
+    ms on a 2-vCPU x86-64 box with numpy 2.4, against 0.3-0.6, 0.9-1.5,
+    4-6 and 8-13 microseconds per trial at L = 1, 2, 3 and 5), is then
+    about 1 microsecond per trial.
     """
     per_trial = 8 * 16 * cfg.num_paths**2 + 256
     return max(1, min(cfg.trials, _MAX_CHUNK_TRIALS, _CHUNK_BYTES // per_trial))
@@ -283,7 +287,8 @@ def _chunk_trials(cfg: McConfig) -> int:
 def _trial_losses(cfg: McConfig) -> tuple[np.ndarray, int]:
     """Loss (dB) of every trial in trial order, and the number of redraws."""
     scheme_snr = _SCHEME_SNR[cfg.scheme]
-    tx_geom, rx_geom = cfg.tx_geometry, cfg.rx_geometry
+    # element counts of the transmit and the receive array, one per Gram of a pair
+    sizes = np.array([cfg.nt, cfg.nr])[:, None, None]
     chunk = _chunk_trials(cfg)
     losses = np.empty(cfg.trials)
     num_resampled = 0
@@ -291,13 +296,15 @@ def _trial_losses(cfg: McConfig) -> tuple[np.ndarray, int]:
         trials = range(start, min(start + chunk, cfg.trials))
         gains, aod, aoa, redraws = _draw_chunk(cfg, trials)
         num_resampled += redraws
-        gram_t = gram_stack(tx_geom, spatial_frequencies(aod))
-        gram_r = gram_stack(rx_geom, spatial_frequencies(aoa))
+        freqs = spatial_frequencies(np.stack([aod, aoa]))
+        gram_t, gram_r = _grams(sizes, cfg.spacing_wavelengths, freqs)
         optimal, _ = _optimal_snr(gains, gram_t, gram_r)
         scheme, _ = scheme_snr(gains, gram_t, gram_r)
-        losses[start : trials.stop] = [
-            _loss_db(o, s) for o, s in zip(optimal.tolist(), scheme.tolist())
-        ]
+        # the ratio _loss_db takes, with the same rounding; a scheme SNR <= 0 reads inf
+        with np.errstate(over="ignore"):
+            ratios = np.divide(optimal, scheme, out=np.full(len(trials), math.inf),
+                               where=scheme > 0.0)
+        losses[start : trials.stop] = list(map(_loss_db, ratios.tolist()))
     return losses, num_resampled
 
 

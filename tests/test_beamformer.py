@@ -593,7 +593,9 @@ class TestStackedKernels:
         from mmwbeam import beamformer
         from mmwbeam.steering import gram_stack, spatial_frequencies
 
-        for nt, nr, num_paths in ((64, 4, 3), (2, 8, 5), (1, 3, 2), (16, 1, 2), (33, 5, 1)):
+        for nt, nr, num_paths in (
+            (64, 4, 3), (2, 8, 5), (1, 3, 2), (16, 1, 2), (256, 16, 2), (33, 5, 1)
+        ):
             tx_geom, rx_geom = geometry_pair(nt=nt, nr=nr, spacing=0.37)
             batch = 7
             gains = rng.standard_normal((batch, num_paths)) + 1j * rng.standard_normal(

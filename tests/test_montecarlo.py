@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from mmwbeam import montecarlo
-from mmwbeam.beamformer import reduced_optimal_beamformer
+from mmwbeam.beamformer import _loss_db, reduced_optimal_beamformer
 from mmwbeam.channel import assemble_channel
+from mmwbeam.steering import gram_stack, spatial_frequencies
 from mmwbeam.montecarlo import (
     ANGLE_SAMPLING,
     SCHEMES,
@@ -306,6 +307,42 @@ class TestEngineMatchesPublicRoute:
             tracemalloc.stop()
         assert peak <= 2 * montecarlo._CHUNK_BYTES + 8 * wide.trials
         assert montecarlo._chunk_trials(small_cfg(trials=3)) == 3
+
+
+class TestChunkLosses:
+    # optimal and scheme SNRs of one chunk, each pair chosen for a corner of the ratio
+    OPTIMAL = [2.0, 1.0, 0.7, 1.0, 1.0, 1e300, 1.0, 1.0, math.nan, 3.0]
+    SCHEME = [1.0, 0.3, 0.7, 0.0, -0.0, 1e-10, 5e-324, math.nan, 1.0, -1.0]
+
+    def test_each_loss_is_the_loss_of_its_own_pair(self, monkeypatch):
+        # the engine divides a chunk's SNRs at once; each loss must read as _loss_db(o, s)
+        def kernel(values):
+            return lambda gains, gram_t, gram_r: (np.array(values[: len(gains)]), None)
+
+        monkeypatch.setattr(montecarlo, "_optimal_snr", kernel(self.OPTIMAL))
+        monkeypatch.setitem(montecarlo._SCHEME_SNR, "bidirectional", kernel(self.SCHEME))
+        cfg = small_cfg(trials=len(self.OPTIMAL))
+        assert montecarlo._chunk_trials(cfg) == cfg.trials
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            losses = montecarlo._trial_losses(cfg)[0].tolist()
+        assert losses == [_loss_db(o, s) for o, s in zip(self.OPTIMAL, self.SCHEME)]
+        # a scheme SNR of 0, -0, NaN or below 0 and a ratio beyond the float range read inf
+        assert losses[:3] == [10.0 * math.log10(2.0), 10.0 * math.log10(1.0 / 0.3), 0.0]
+        assert losses[3:] == [math.inf] * 7
+
+    def test_engine_losses_are_the_losses_of_the_kernels(self):
+        # over several chunks, each loss is _loss_db of the kernels' SNRs on its trial
+        cfg = small_cfg(trials=700, scheme="equal_power", nt=256, nr=16)
+        losses = montecarlo._trial_losses(cfg)[0]
+        gains, aod, aoa, _ = montecarlo._draw_chunk(cfg, range(cfg.trials))
+        gram_t = gram_stack(cfg.tx_geometry, spatial_frequencies(aod))
+        gram_r = gram_stack(cfg.rx_geometry, spatial_frequencies(aoa))
+        optimal = montecarlo._optimal_snr(gains, gram_t, gram_r)[0]
+        scheme = montecarlo._equal_power_snr(gains, gram_t, gram_r)[0]
+        expected = [_loss_db(o, s) for o, s in zip(optimal.tolist(), scheme.tolist())]
+        assert montecarlo._chunk_trials(cfg) < cfg.trials
+        assert losses.tolist() == expected
 
 
 class TestDegenerateArrays:

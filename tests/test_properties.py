@@ -16,6 +16,9 @@ from conftest import equal_power_grid_snr, random_paths  # noqa: E402
 from mmwbeam import closedform, steering  # noqa: E402
 from mmwbeam.beamformer import (  # noqa: E402
     _dominant_snr,
+    _gram_factor,
+    _herm,
+    _hermitian_form,
     _loss_db,
     _optimal_snr,
     bidirectional_beamformer,
@@ -336,6 +339,57 @@ def test_gram_stack_matches_dense_product(n, spacing, freqs):
         assert np.array_equal(row, gram_stack(geom, row_freqs))
         for (l, k), entry in np.ndenumerate(row):
             assert entry == cpo_inner_product(geom, row_freqs[k] - row_freqs[l])
+
+
+# Units of the bound on the two-path form against the stacked product, in eps times
+# (|M|^T |G_r| |M|)[j, k].  With u = eps / 2, a complex product rounds within sqrt(5) u
+# (Brent, Percival and Zimmermann 2007) and a sum within u, so each 2 x 2 product
+# level of the entrywise form adds at most (sqrt(5) + 1) u and both levels about
+# 6.5 u = 3.3 eps, to first order.  BLAS may fuse and reorder each entry's four real
+# products and three sums, at most 4 u a level, 4 eps for both.  7.3 eps apart at
+# most; 8 leaves the second-order terms room.  A rounding that underflows errs by up
+# to half a subnormal spacing instead; an entry takes fewer than 16 roundings on
+# each route, so 16 spacings cover both.
+FORM_ULPS = 8.0 * np.finfo(float).eps
+FORM_FLOOR = 16.0 * np.finfo(float).smallest_subnormal
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    nt=st.one_of(st.just(1), st.integers(1, 256)),
+    nr=st.one_of(st.just(1), st.integers(1, 256)),
+    spacing=st.floats(0.01, 2.0),
+    coincident=st.sampled_from(["none", "departures", "arrivals", "both"]),
+    power=st.sampled_from([-500, 0, 500]),
+)
+def test_two_path_form_matches_the_stacked_product(seed, nt, nr, spacing, coincident, power):
+    # coincident paths and single-element arrays give |rho| = 1 and a singular Gram
+    rng = np.random.default_rng(seed)
+    batch = 8
+    unit = rng.standard_normal((batch, 2)) + 1j * rng.standard_normal((batch, 2))
+    gains = unit * 2.0**power
+    aod, aoa = rng.uniform(0.0, math.pi, (2, batch, 2))
+    if coincident in ("departures", "both"):
+        aod[:, 1] = aod[:, 0]
+    if coincident in ("arrivals", "both"):
+        aoa[:, 1] = aoa[:, 0]
+    gram_t = gram_stack(ArrayGeometry(nt, spacing), spatial_frequencies(aod))
+    gram_r = gram_stack(ArrayGeometry(nr, spacing), spatial_frequencies(aoa))
+    # the factors of the optimum and of the equal-power scheme
+    for factor in (_gram_factor(gram_t), gram_t):
+        form = _hermitian_form(gains, factor, gram_r)
+        mapped = gains[:, :, None] * factor
+        reference = _herm(mapped) @ (gram_r @ mapped)
+        size = np.swapaxes(np.abs(mapped), -1, -2) @ (np.abs(gram_r) @ np.abs(mapped))
+        assert np.all(np.abs(form - reference) <= FORM_ULPS * size + FORM_FLOOR)
+        if power == 500:
+            # nothing under- or overflows: the scale by a power of two is exact
+            assert np.array_equal(form, _hermitian_form(unit, factor, gram_r) * 2.0**1000)
+        for b in range(batch):
+            rows = slice(b, b + 1)
+            assert np.array_equal(form[rows], _hermitian_form(gains[rows], factor[rows],
+                                                              gram_r[rows]))
 
 
 def objective_grid_reference(params, betas, thetas):

@@ -21,7 +21,8 @@ def load_recorder(monkeypatch):
 
 def test_every_timed_stage_resolves(monkeypatch):
     # a renamed stage function must fail here, not the next time the recorder runs
-    stages = load_recorder(monkeypatch).STAGES
+    recorder = load_recorder(monkeypatch)
+    stages = recorder.STAGES
     assert {(owner.__name__, name) for owner, name, _ in stages} >= {
         ("mmwbeam.verify", "_fixtures"),
         ("_Searches", "run"),
@@ -29,6 +30,28 @@ def test_every_timed_stage_resolves(monkeypatch):
     }
     for owner, name, _ in stages:
         assert callable(getattr(owner, name, None)), f"{owner.__name__}.{name}"
+    engine = recorder.ENGINE_STAGES
+    assert {stage for _, _, stage in engine} == {
+        "draw", "gram_pair", "optimum", "scheme", "losses", "emission"}
+    # every scheme kernel the engine can call is timed
+    from mmwbeam import montecarlo
+    assert {name for owner, name, _ in engine if owner is montecarlo._SCHEME_SNR} == set(
+        montecarlo._SCHEME_SNR)
+    for owner, name, _ in engine:
+        assert callable(recorder.binding(owner, name)), name
+
+
+def test_every_engine_stage_runs_in_a_ccdf_call(monkeypatch):
+    # a binding the engine no longer calls would leave its stage silently at 0
+    recorder = load_recorder(monkeypatch)
+    monkeypatch.setattr(recorder, "STAGE_ROUNDS", 1)
+    options = {"command": "ccdf", "paths": 2, "nt": 16, "nr": 4, "trials": 20}
+    timed = set()
+    for scheme, fmt in (("bidirectional", "csv"), ("equal_power", "json")):
+        call = recorder._ccdf_call({**options, "scheme": scheme, "format": fmt})
+        rounds = recorder._timed_rounds(recorder.ENGINE_STAGES, call)
+        timed |= {stage for stage, values in rounds.items() if min(values) > 0.0}
+    assert timed >= {stage for _, _, stage in recorder.ENGINE_STAGES}
 
 
 def test_line_counts_match_the_modules():

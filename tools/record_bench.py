@@ -14,8 +14,15 @@ The file has four parts:
 * ``machine``: ``machine_block()`` of ``bench/run.py``;
 * ``per_layer``: the time per ``verify-oracles`` round of each ``verify``
   stage, from timers put around the stage functions while the suites run
-  in-process on the benchmark's trial counts.  The stages of the Monte Carlo
-  engine are not timed yet; a later change adds them.
+  in-process on the benchmark's trial counts; and, under ``engine``, the
+  time per ``ccdf`` invocation of each stage of the Monte Carlo engine
+  (draw, Gram pair, optimum, scheme kernel, losses, emission), from
+  ``cli.main`` run in-process on the ``ccdf-paper`` calls (L = 1, 2, 3, 5,
+  Nt = 64, Nr = 4, bidirectional) and the ``ccdf-wide`` call.  Each call
+  runs 200 trials, one chunk of the engine.
+
+After writing the file the script prints each row beside the same row of
+the newest earlier ``BENCH_<n>.json`` in the repository root.
 
 The script itself needs only the standard library; the per-layer part imports
 ``mmwbeam`` from ``src``, and ``machine_block`` imports numpy.
@@ -24,8 +31,11 @@ The script itself needs only the standard library; the per-layer part imports
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -40,9 +50,9 @@ sys.path.insert(0, str(ROOT / "src"))
 import run as bench_run  # noqa: E402  bench/run.py
 import workloads  # noqa: E402
 
-from mmwbeam import beamformer, closedform, verify  # noqa: E402
+from mmwbeam import beamformer, cli, closedform, montecarlo, verify  # noqa: E402
 
-# Rounds of the verify suites the per-layer part times.
+# Rounds of the verify suites, and of each ccdf call, that the per-layer part times.
 STAGE_ROUNDS = 30
 
 # Untraced runs of each workload, and the length of each run in seconds.
@@ -89,8 +99,8 @@ def _search_stage(searches, betas) -> str:
     return "coarse_search" if betas.shape[0] == 1 else "refined_search"
 
 
-# (owner, attribute, stage) of each timed stage function.  A stage is a name,
-# or a function of the call's arguments that gives one.
+# (owner, attribute, stage) of each timed stage function of the verify suites.
+# A stage is a name, or a function of the call's arguments that gives one.
 STAGES = [
     (verify, "_instance_rng", "draw"),
     (verify, "_draw_prop1", "draw"),
@@ -103,9 +113,39 @@ STAGES = [
     (beamformer, "_optimal_snr", "reduced_snr"),
 ]
 
+# The same for a ccdf call, at the bindings montecarlo and cli call: montecarlo
+# imports its kernels by name, and _SCHEME_SNR holds the scheme kernels.  The
+# self time of _trial_losses is the chunk loop itself: the frequency stack, the
+# SNR ratios and the log10 of each loss.
+ENGINE_STAGES = [
+    (montecarlo, "_draw_chunk", "draw"),
+    (montecarlo, "spatial_frequencies", "gram_pair"),
+    (montecarlo, "_grams", "gram_pair"),
+    (montecarlo, "_optimal_snr", "optimum"),
+    *((montecarlo._SCHEME_SNR, scheme, "scheme") for scheme in montecarlo._SCHEME_SNR),
+    (montecarlo, "_trial_losses", "losses"),
+    (montecarlo, "ccdf_to_csv", "emission"),
+    (montecarlo, "ccdf_to_dict", "emission"),
+    (cli, "_wrap_json", "emission"),
+    (cli, "_emit", "emission"),
+]
 
-def _stage_timers(totals: dict) -> list[tuple[object, str, object]]:
-    """(owner, attribute, wrapper) for each timed stage function.
+
+def binding(owner, name: str):
+    """What ``owner`` binds to ``name``: an attribute of a module or class, or a dict entry."""
+    return owner[name] if isinstance(owner, dict) else getattr(owner, name)
+
+
+def _rebind(owner, name: str, fn) -> None:
+    if isinstance(owner, dict):
+        owner[name] = fn
+    else:
+        setattr(owner, name, fn)
+
+
+@contextlib.contextmanager
+def _stage_timers(stages, totals: dict):
+    """Wrap every stage function for the duration of the block.
 
     Each wrapper adds its self time to ``totals[stage]``: the time of a timed
     call inside it (an instance's generator inside its draw) goes to that
@@ -128,43 +168,132 @@ def _stage_timers(totals: dict) -> list[tuple[object, str, object]]:
 
         return wrapper
 
-    return [(owner, name, timed(stage, getattr(owner, name))) for owner, name, stage in STAGES]
-
-
-def per_layer() -> dict:
-    """Median and minimum per round of each verify stage over ``STAGE_ROUNDS`` rounds."""
-    totals: dict = defaultdict(float)
-    timers = _stage_timers(totals)
-    originals = [(owner, name, getattr(owner, name)) for owner, name, _ in timers]
-    rounds: dict = defaultdict(list)
+    originals = [(owner, name, binding(owner, name)) for owner, name, _ in stages]
     try:
-        for owner, name, wrapper in timers:
-            setattr(owner, name, wrapper)
+        for (owner, name, fn), (_, _, stage) in zip(originals, stages):
+            _rebind(owner, name, timed(stage, fn))
+        yield
+    finally:
+        for owner, name, fn in originals:
+            _rebind(owner, name, fn)
+
+
+def _summary(rounds: dict, unit: str) -> dict:
+    """Median and minimum of each stage's times in seconds, given in ``unit`` (ms or us)."""
+    scale = {"ms": 1e3, "us": 1e6}[unit]
+    return {
+        stage: {f"median_{unit}": scale * statistics.median(values),
+                f"min_{unit}": scale * min(values)}
+        for stage, values in sorted(rounds.items())
+    }
+
+
+def _timed_rounds(stages, run) -> dict:
+    """Self time of each stage in each of ``STAGE_ROUNDS`` calls of ``run(index)``.
+
+    The first call warms caches and is not kept; ``all`` is each call's wall time.
+    """
+    totals: dict = defaultdict(float)
+    rounds: dict = defaultdict(list)
+    with _stage_timers(stages, totals):
         for index in range(STAGE_ROUNDS + 1):
             totals.clear()
             start = time.perf_counter()
-            for suite, trials in workloads.VERIFY_TRIALS:
-                if trials is not None:
-                    verify.run_suite(suite, trials, seed=index)
-            totals["all_suites"] = time.perf_counter() - start
-            if index:  # the first round warms caches
+            run(index)
+            totals["all"] = time.perf_counter() - start
+            if index:
                 for stage, seconds in totals.items():
                     rounds[stage].append(seconds)
-    finally:
-        for owner, name, fn in originals:
-            setattr(owner, name, fn)
+    return rounds
+
+
+def _verify_round(index: int) -> None:
+    for suite, trials in workloads.VERIFY_TRIALS:
+        if trials is not None:
+            verify.run_suite(suite, trials, seed=index)
+
+
+def _ccdf_call(options: dict):
+    """``run(index)`` for :func:`_timed_rounds`: the ``ccdf`` call at seed ``index``, in-process."""
+    def run(index: int) -> None:
+        argv = workloads.argv({**options, "seed": index})
+        with contextlib.redirect_stdout(io.StringIO()):
+            if cli.main(argv) != 0:
+                raise RuntimeError(f"mmwbeam {' '.join(argv)} failed")
+
+    return run
+
+
+def engine() -> dict:
+    """Median and minimum per ccdf call of each engine stage, for every ccdf call of the benchmark."""
+    configs = {}
+    for workload in ("ccdf-paper", "ccdf-wide"):
+        for options in workloads.invocations(workload, 1, 0):
+            name = f"{workload} L={options['paths']} Nt={options['nt']} Nr={options['nr']}"
+            rounds = _timed_rounds(ENGINE_STAGES, _ccdf_call(options))
+            rounds["other"] = [
+                total - sum(values[i] for stage, values in rounds.items() if stage != "all")
+                for i, total in enumerate(rounds["all"])
+            ]
+            argv = workloads.argv({key: value for key, value in options.items() if key != "seed"})
+            configs[name] = {"argv": argv, "stages": _summary(rounds, "us")}
+    return {
+        "unit": "us per ccdf call of 200 trials (one chunk), at --seed 1 to 30; "
+                "other: parsing, config and sorting",
+        "rounds": STAGE_ROUNDS,
+        "configs": configs,
+    }
+
+
+def per_layer() -> dict:
+    """Median and minimum per round of each verify stage, and the engine's stages per call."""
+    rounds = _timed_rounds(STAGES, _verify_round)
+    rounds["all_suites"] = rounds.pop("all")
     return {
         "unit": "ms per verify-oracles round (prop1 40 instances, prop2-prop4 10 each)",
         "rounds": STAGE_ROUNDS,
-        "stages": {
-            stage: {
-                "median_ms": 1e3 * statistics.median(values),
-                "min_ms": 1e3 * min(values),
-            }
-            for stage, values in sorted(rounds.items())
-        },
-        "engine": "not timed yet: the Monte Carlo engine's stages wait for a later change",
+        "stages": _summary(rounds, "ms"),
+        "engine": engine(),
     }
+
+
+def _rows(doc: dict) -> dict:
+    """Every compared number of a BENCH document, keyed by a readable row name."""
+    rows = {}
+    for workload, entry in doc.get("end_to_end", {}).items():
+        for metric, values in entry["metrics"].items():
+            rows[f"end_to_end {workload} {metric}"] = values["median"]
+    if "tier1" in doc:
+        rows["tier1 wall_s"] = doc["tier1"]["wall_s"]
+    layer = doc.get("per_layer", {})
+    for stage, values in layer.get("stages", {}).items():
+        rows[f"verify {stage} median_ms"] = values["median_ms"]
+    engine_part = layer.get("engine")
+    if isinstance(engine_part, dict):
+        for config, entry in engine_part["configs"].items():
+            for stage, values in entry["stages"].items():
+                rows[f"engine {config} {stage} median_us"] = values["median_us"]
+    return rows
+
+
+def compare(doc: dict, out: Path) -> None:
+    """Print each row of ``doc`` beside the newest earlier ``BENCH_<n>.json``, if any."""
+    earlier = {}
+    for path in ROOT.glob("BENCH_*.json"):
+        match = re.fullmatch(r"BENCH_(\d+)\.json", path.name)
+        if match and path.resolve() != out.resolve():
+            earlier[int(match.group(1))] = path
+    if not earlier:
+        print("no earlier BENCH_<n>.json to compare with")
+        return
+    base = earlier[max(earlier)]
+    old, new = _rows(json.loads(base.read_text(encoding="utf-8"))), _rows(doc)
+    print(f"{'row':<64} {base.name:>14} {out.name:>14} {'new/old':>8}")
+    for row in sorted(old.keys() | new.keys()):
+        before, after = old.get(row), new.get(row)
+        ratio = f"{after / before:8.3f}" if before and after is not None else " " * 8
+        cells = [f"{value:14.6g}" if value is not None else f"{'-':>14}" for value in (before, after)]
+        print(f"{row:<64} {cells[0]} {cells[1]} {ratio}")
 
 
 def main(argv=None) -> int:
@@ -177,7 +306,9 @@ def main(argv=None) -> int:
         "tier1": tier1(),
         "end_to_end": end_to_end(),
     }
-    Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    out = Path(args.out)
+    out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    compare(doc, out)
     return 0
 
 
