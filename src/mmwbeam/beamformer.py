@@ -19,12 +19,15 @@ L)`` of the transmit and receive steering vectors, which
 nor any N-length vector is formed: a kernel's cost does not depend on Nt or
 Nr.  The Monte Carlo engine calls them on a chunk of trials; the
 per-channel functions here are calls with B = 1, and give the same bits.
-At L = 2, the paper's two-path case, the kernels' Hermitian forms (the
-optimum's core, the equal-power scheme's quadratic form and the SNR of a
-matched receiver) are written entry by entry over the stack
+At L = 2, the paper's two-path case, and at L = 3 the kernels' Hermitian
+forms (the optimum's core, the equal-power scheme's quadratic form and the
+SNR of a matched receiver) are written entry by entry over the stack
 (:func:`_hermitian_form`): numpy's stacked ``@`` dispatches to BLAS once per
-2 x 2 matrix, and that dispatch, not the arithmetic, would be most of their
-cost.
+2 x 2 or 3 x 3 matrix, and that dispatch, not the arithmetic, would be most
+of their cost.  For the same reason the optimum's Gram factor is written
+entry by entry at L <= 3, and the core's top eigenvalue is read in closed
+form, at L = 3 by Smith's trigonometric formula with ``eigvalsh`` only where
+the core's top two eigenvalues nearly coincide (:func:`_top_eigenvalues`).
 Each reads its pair from the paths alone: both beams are combinations of
 the steering vectors (see :func:`_pair`), and no channel is assembled.
 """
@@ -99,9 +102,25 @@ def _loss_db(optimal: float, achieved: float = 1.0) -> float:
 
     ``achieved <= 0`` counts as an infinite ratio.  The scalar ``math.log10``
     is used on purpose: numpy's vectorised ``log10`` may round differently.
+    :func:`_losses_db` applies this rule to a stack of pairs.
     """
     ratio = optimal / achieved if achieved > 0.0 else math.inf
     return 10.0 * math.log10(ratio) if math.isfinite(ratio) else math.inf
+
+
+def _losses_db(optimal: np.ndarray, achieved: np.ndarray) -> np.ndarray:
+    """:func:`_loss_db` of each pair of SNRs (B,), bit for bit, in one pass over the stack.
+
+    One division gives the ratios, the scalar ``math.log10`` maps the finite
+    ones in one Python pass and one numpy product scales them by 10: a
+    division and a product round the same in numpy as in Python.
+    """
+    with np.errstate(over="ignore"):
+        ratios = np.divide(optimal, achieved, out=np.full(len(optimal), math.inf),
+                           where=achieved > 0.0)
+    finite = np.isfinite(ratios)
+    logs = map(math.log10, np.where(finite, ratios, 1.0).tolist())
+    return np.where(finite, 10.0 * np.fromiter(logs, float, len(ratios)), math.inf)
 
 
 def received_snr(channel: ChannelMatrix, tx: np.ndarray, rx: np.ndarray) -> float:
@@ -212,33 +231,37 @@ def _herm(stack: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(stack, -1, -2))
 
 
-def _product2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Products (J, K, B) of matrices a (J, 2, B) and b (2, K, B) stacked along the last axis.
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Products (J, K, B) of matrices a (J, L, B) and b (L, K, B) stacked along the last axis.
 
-    Each entry ``a[j, 0] b[0, k] + a[j, 1] b[1, k]`` is elementwise over the
-    stack, so a stack keeps the bits of its rows; with the batch axis last
-    and of unit stride, each operation runs over whole rows.
+    Each entry ``a[j, 0] b[0, k] + a[j, 1] b[1, k] + ...``, summed left to
+    right, is elementwise over the stack, so a stack keeps the bits of its
+    rows; with the batch axis last and of unit stride, each operation runs
+    over whole rows.
     """
-    return a[:, :1] * b[:1] + a[:, 1:] * b[1:]
+    out = a[:, :1] * b[:1]
+    for k in range(1, a.shape[1]):
+        out += a[:, k : k + 1] * b[k : k + 1]
+    return out
 
 
 def _hermitian_form(gains: np.ndarray, factor: np.ndarray, gram_r: np.ndarray) -> np.ndarray:
     """Hermitian forms ``M^H G_r M`` (B, K, K) of ``M = diag(gain) Y``, factors Y (B, L, K).
 
-    At L = 2 both products are :func:`_product2`'s, entry by entry, on M laid
-    out with the batch axis last: a stacked ``@`` dispatches to BLAS once
-    per matrix, about 0.25 us each, so on 2 x 2 matrices it costs several
-    times the arithmetic of the whole stack.  Each entry then has the bits
-    of its own channel's form, but not those of ``@``, whose BLAS kernel
-    rounds its sums in another order.  At other L the form is the stacked
-    product.
+    At L = 2 and 3 both products are :func:`_product`'s, entry by entry, on
+    M laid out with the batch axis last: a stacked ``@`` dispatches to BLAS
+    once per matrix, about 0.25 us each, so on 2 x 2 and 3 x 3 matrices it
+    costs several times the arithmetic of the whole stack.  Each entry then
+    has the bits of its own channel's form, but not those of ``@``, whose
+    BLAS kernel rounds its sums in another order.  At other L the form is
+    the stacked product: at L = 1 and L >= 4 entry by entry is slower.
     """
-    if gains.shape[-1] != 2:
+    if gains.shape[-1] not in (2, 3):
         mapped = gains[:, :, None] * factor
         return _herm(mapped) @ (gram_r @ mapped)
     mapped = np.multiply(gains.T[:, None], factor.transpose(1, 2, 0), order="C")
     rx = np.ascontiguousarray(gram_r.transpose(1, 2, 0))
-    return _product2(np.conj(mapped).transpose(1, 0, 2), _product2(rx, mapped)).transpose(2, 0, 1)
+    return _product(np.conj(mapped).transpose(1, 0, 2), _product(rx, mapped)).transpose(2, 0, 1)
 
 
 def _unit_scaled(gains: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -306,9 +329,12 @@ def _gram_factor(gram_t: np.ndarray) -> np.ndarray:
     does every later one: a singular G_t (coincident departures, Nt < L) has
     a backward-stable factor (Higham 1990).  Row 0 is the first pivot (the
     diagonal is 1), so at L = 2 F is ``[[1, 0], [conj(rho), sqrt(1 -
-    |rho|^2)]]`` with ``rho = G_t[0, 1]``: no division.
+    |rho|^2)]]`` with ``rho = G_t[0, 1]``: no division.  At L = 3 it is
+    written entry by entry too (:func:`_gram_factor3`).
     """
     batch, size = gram_t.shape[:2]
+    if size == 3:
+        return _gram_factor3(gram_t)
     rows = np.arange(batch)
     factor = np.zeros((batch, size, size), dtype=complex)
     first = factor[:, :, 0] = gram_t[:, :, 0]
@@ -336,6 +362,95 @@ def _gram_factor(gram_t: np.ndarray) -> np.ndarray:
     return factor
 
 
+def _gram_factor3(gram_t: np.ndarray) -> np.ndarray:
+    """:func:`_gram_factor` of Grams (B, 3, 3), entry by entry over the stack.
+
+    Column 0 is ``G_t[:, 0]``.  The second pivot p is row 1, or row 2 where
+    its remaining diagonal ``1 - |G_t[2, 0]|^2`` is the larger (``argmax``
+    breaks a tie to row 1), and o is the row left.  Column 1 holds the root
+    of p's pivot at row p and, at row o, the Schur entry ``G_t[o, p] -
+    G_t[o, 0] conj(G_t[p, 0])`` over it: the entry of (o, p) = (2, 1), or
+    its conjugate, since G_t is exactly Hermitian.  Column 2 holds the root
+    of what remains of o's diagonal at row o.  The entries above the pivots
+    are zero: row 0 of the Schur complement is ``G_t[0, k] - conj(G_t[k,
+    0])``, exactly zero.
+    """
+    first = gram_t[:, :, 0]
+    rest1, rest2 = 1.0 - (first.real[:, 1:] ** 2 + first.imag[:, 1:] ** 2).T
+    swap = rest2 > rest1
+    pivot, other = np.maximum(rest1, rest2), np.minimum(rest1, rest2)
+    cross = gram_t[:, 2, 1] - first[:, 2] * np.conj(first[:, 1])
+    scale = np.where(pivot > PIVOT_FLOOR, pivot, np.inf) ** -0.5
+    below = np.where(swap, np.conj(cross), cross) * scale
+    root = pivot * scale
+    left = other - (below.real**2 + below.imag**2)
+    last = np.sqrt(np.where(left > PIVOT_FLOOR, left, 0.0))
+    factor = np.zeros((3, 3, len(gram_t)), dtype=complex)
+    factor[:, 0] = first.T
+    factor[1, 1] = np.where(swap, below, root)
+    factor[2, 1] = np.where(swap, root, below)
+    factor[1, 2] = np.where(swap, last, 0.0)
+    factor[2, 2] = np.where(swap, 0.0, last)
+    return factor.transpose(2, 0, 1)
+
+
+# Smith's closed form reads a 3 x 3 core's top eigenvalue to a few eps, except where its
+# top two eigenvalues nearly coincide: there r = det(B)/2 nears -1 and the error grows
+# like eps / sqrt(1 + r).  Rows with 1 + r below this go to eigvalsh; on cores with top
+# gaps down to 1e-14 the rest stay within 6e-15 of the spectral radius, where the formula
+# alone errs by up to 2e-8.
+NEAR_DOUBLE_TOP = 1e-3
+
+# The spread p of a scaled core below which B = (A - qI) / p is formed with this in
+# place of p: the squares that give p underflow below it, and the top eigenvalue is q
+# to within 2p, far below rounding, whatever B reads.
+SPREAD_FLOOR = 1e-150
+
+
+def _top_eigenvalues(core: np.ndarray) -> np.ndarray:
+    """Top eigenvalues (B,) of Hermitian cores (B, L, L).
+
+    ``C00`` at L = 1; ``(C00 + C11)/2 + hypot((C00 - C11)/2, |C01|)`` at
+    L = 2; ``eigvalsh`` at L >= 4.  At L = 3 Smith's trigonometric formula
+    ``q + 2p cos(acos(r)/3)`` (Kopp, arXiv:physics/0610206), with ``q =
+    tr(A)/3``, ``p^2 = ||A - qI||_F^2 / 6`` and ``r = det(B)/2`` for ``B =
+    (A - qI)/p``, is taken on the core's lower triangle (the one
+    ``eigvalsh`` reads) scaled by the power of two that puts its largest
+    diagonal entry in [0.5, 1): the squares in p neither under- nor
+    overflow, and forming B before its determinant keeps ``p^3`` out.
+    The rows where ``1 + r < NEAR_DOUBLE_TOP`` (or is NaN) are read from
+    ``eigvalsh`` instead, which is then called on those rows alone.
+    """
+    size = core.shape[-1]
+    if size == 1:
+        return core[:, 0, 0].real
+    if size == 2:
+        c00, c11 = core[:, 0, 0].real, core[:, 1, 1].real
+        return 0.5 * (c00 + c11) + np.hypot(0.5 * (c00 - c11), np.abs(core[:, 0, 1]))
+    if size > 3:
+        return np.linalg.eigvalsh(core)[:, -1]
+    # the entries (6, B), batch last: A00, A11, A22, then A10, A20, A21, the lower triangle
+    entries = core.transpose(1, 2, 0)[(0, 1, 2, 1, 2, 2), (0, 1, 2, 0, 0, 1)]
+    shift = -np.frexp(entries[:3].real.max(axis=0))[1]
+    parts = np.ldexp(entries.view(float).reshape(6, -1, 2), shift[:, None])
+    diag, lower = parts[:3, :, 0], parts[3:].reshape(3, -1).view(complex)
+    q = diag.sum(axis=0) / 3.0
+    centred = diag - q
+    squares = lower.real**2 + lower.imag**2
+    p = np.sqrt(((centred**2).sum(axis=0) + 2.0 * squares.sum(axis=0)) / 6.0)
+    inv = 1.0 / np.maximum(p, SPREAD_FLOOR)
+    b, (x, y, z) = centred * inv, lower * inv
+    # det of [[b0, x*, y*], [x, b1, z*], [y, z, b2]]
+    det = (b.prod(axis=0) + 2.0 * (x * z * np.conj(y)).real
+           - (b[::-1] * squares).sum(axis=0) * (inv * inv))
+    r = np.maximum(np.minimum(0.5 * det, 1.0), -1.0)
+    top = np.ldexp(q + 2.0 * p * np.cos(np.arccos(r) / 3.0), -shift)
+    flagged = np.flatnonzero(~(1.0 + r >= NEAR_DOUBLE_TOP))
+    if flagged.size:
+        top[flagged] = np.linalg.eigvalsh(core[flagged])[:, -1]
+    return top
+
+
 def _optimal_snr(
     gains: np.ndarray, gram_t: np.ndarray, gram_r: np.ndarray, beam: bool = False
 ) -> tuple[np.ndarray, np.ndarray | None]:
@@ -344,10 +459,11 @@ def _optimal_snr(
     With ``G_t = F F^H`` (:func:`_gram_factor`), ``V = P F^H`` for a P with
     orthonormal columns, so ``H^H H`` is proportional to ``P C P^H`` with the
     core ``C = T^H G_r T``, ``T = diag(gain) F`` (:func:`_hermitian_form`,
-    entry by entry at L = 2, where a stacked ``@`` would spend its time
-    dispatching BLAS per matrix).  The optimum is C's top eigenvalue over L
-    for any factor: ``C00`` at L = 1, ``(C00 + C11)/2 + hypot((C00 -
-    C11)/2, |C01|)`` at L = 2 (no LAPACK call), ``eigvalsh`` at L >= 3.
+    entry by entry at L = 2 and 3, where a stacked ``@`` would spend its
+    time dispatching BLAS per matrix).  The optimum is C's top eigenvalue
+    over L for any factor (:func:`_top_eigenvalues`): in closed form at L <=
+    3, with no LAPACK call but ``eigvalsh`` on the L = 3 cores whose top
+    two eigenvalues nearly coincide, and ``eigvalsh`` at L >= 4.
     For C's top eigenvector y, ``C y = lambda y`` gives ``H^H H V w``
     proportional to ``lambda V w`` with ``w = diag(conj(gain)) G_r T y``: the
     paper's beam, each path weighted by its conjugate gain times the receive
@@ -357,17 +473,9 @@ def _optimal_snr(
     or overflowing.  A zero core (cancelling paths) gives w = 0, and the
     strongest path's weights instead.  Without ``beam`` the weights are None.
     """
-    size = gains.shape[-1]
     factor = _gram_factor(gram_t)
     core = _hermitian_form(gains, factor, gram_r)
-    if size == 1:
-        top = core[:, 0, 0].real
-    elif size == 2:
-        c00, c11 = core[:, 0, 0].real, core[:, 1, 1].real
-        top = 0.5 * (c00 + c11) + np.hypot(0.5 * (c00 - c11), np.abs(core[:, 0, 1]))
-    else:
-        top = np.linalg.eigvalsh(core)[:, -1]
-    snr = top / size
+    snr = _top_eigenvalues(core) / gains.shape[-1]
     if not beam:
         return snr, None
     vec = np.linalg.eigh(core)[1][..., -1:]

@@ -30,12 +30,12 @@ arrays ``gains``, ``aod`` and ``aoa`` of shape (B, L), the Gram matrices
 (B, L, L) of the transmit and receive steering vectors are evaluated in
 closed form, both ends in one call (see :func:`mmwbeam.steering.gram_stack`),
 the optimum and the scheme SNR come from the stacked L x L kernels of
-:mod:`mmwbeam.beamformer`, and the chunk's SNR ratios from one division,
-each turned into dB by ``beamformer._loss_db``; no steering vector is
-formed, so a trial's cost does not depend on Nt or Nr.  The chunk size
-follows from the O(L^2) per-trial working set, a fixed budget of
-``_CHUNK_BYTES`` and a cap of ``_MAX_CHUNK_TRIALS``, so memory stays
-bounded for any trial count.  The
+:mod:`mmwbeam.beamformer`, and the chunk's losses in dB from
+``beamformer._losses_db``, one division and one log pass with the bits
+``beamformer._loss_db`` gives each pair; no steering vector is formed, so a
+trial's cost does not depend on Nt or Nr.  The chunk size follows from the
+O(L^2) per-trial working set, a fixed budget of ``_CHUNK_BYTES`` and a cap
+of ``_MAX_CHUNK_TRIALS``, so memory stays bounded for any trial count.  The
 public per-channel route ``sample_paths`` -> ``reduced_optimal_beamformer``
 -> ``SCHEMES[scheme]`` draws its trial as a chunk of one through the same
 draw route, calls the same kernels and reproduces every loss bit for bit.
@@ -54,7 +54,7 @@ from .beamformer import (
     _bidirectional_snr,
     _dominant_snr,
     _equal_power_snr,
-    _loss_db,
+    _losses_db,
     _optimal_snr,
     bidirectional_beamformer,
     dominant_path_beamformer,
@@ -268,19 +268,21 @@ def sample_paths(cfg: McConfig, trial_index: int) -> list[PathComponent]:
 def _chunk_trials(cfg: McConfig) -> int:
     """Trials per chunk: at most ``_MAX_CHUNK_TRIALS``, and as many as fit ``_CHUNK_BYTES``.
 
-    A trial's arrays do not depend on Nt or Nr.  At most about eight
-    complex L x L arrays of a trial are alive at once (its two Grams, the
-    factor of G_t and its Schur complement, and the kernels' products),
-    plus a few hundred bytes of draws, SNRs and Python floats: 160 bytes at
-    L = 1, 800 at L = 2 (where the forms are written entry by entry), 1.3 kB
-    at L = 3 and 3.2 kB at L = 5, measured with ``tracemalloc``.  Past a
-    few hundred trials a larger chunk gains little: the fixed cost of a
-    chunk, one generator and one to two hundred small numpy calls (0.15-0.35
-    ms on a 2-vCPU x86-64 box with numpy 2.4, against 0.3-0.6, 0.9-1.5,
-    4-6 and 8-13 microseconds per trial at L = 1, 2, 3 and 5), is then
-    about 1 microsecond per trial.
+    A trial's arrays do not depend on Nt or Nr.  Counted below are ten
+    complex L x L arrays of a trial alive at once (its two Grams, the factor
+    of G_t, and the products and entry-by-entry temporaries of the kernels)
+    and half a kilobyte of draws, SNRs and Python floats: 672 bytes at L =
+    1, 1.2 kB at L = 2, 2.0 kB at L = 3 and 4.5 kB at L = 5.  With the trial
+    cap lifted, a run's peak beyond its losses, measured with
+    ``tracemalloc``, stays within 0.36, 0.78, 0.94 and 0.75 of
+    ``_CHUNK_BYTES`` at these L.  Past
+    a few hundred trials a larger chunk gains little: the fixed cost of a
+    chunk, one generator and one to three hundred small numpy calls
+    (0.1-0.35 ms on a 2-vCPU x86-64 box with numpy 2.4, against about 0.3,
+    0.4-1.4, 1.4-1.9 and 7-11 microseconds per trial at L = 1, 2, 3 and 5),
+    is then about 1 microsecond per trial.
     """
-    per_trial = 8 * 16 * cfg.num_paths**2 + 256
+    per_trial = 10 * 16 * cfg.num_paths**2 + 512
     return max(1, min(cfg.trials, _MAX_CHUNK_TRIALS, _CHUNK_BYTES // per_trial))
 
 
@@ -300,11 +302,7 @@ def _trial_losses(cfg: McConfig) -> tuple[np.ndarray, int]:
         gram_t, gram_r = _grams(sizes, cfg.spacing_wavelengths, freqs)
         optimal, _ = _optimal_snr(gains, gram_t, gram_r)
         scheme, _ = scheme_snr(gains, gram_t, gram_r)
-        # the ratio _loss_db takes, with the same rounding; a scheme SNR <= 0 reads inf
-        with np.errstate(over="ignore"):
-            ratios = np.divide(optimal, scheme, out=np.full(len(trials), math.inf),
-                               where=scheme > 0.0)
-        losses[start : trials.stop] = list(map(_loss_db, ratios.tolist()))
+        losses[start : trials.stop] = _losses_db(optimal, scheme)
     return losses, num_resampled
 
 
@@ -349,10 +347,10 @@ def ccdf_to_csv(table: CcdfTable, header_comments: Sequence[str] = ()) -> str:
     precision so reruns with the same config are byte-identical.
     """
     lines = [f"# {c}" for c in header_comments]
-    lines.append("delta_snr_db,ccdf")
-    for x, y in zip(table.samples_db.tolist(), table.ccdf.tolist()):
-        lines.append(f"{x:.17g},{y:.17g}")
-    return "\n".join(lines) + "\n"
+    lines.append("delta_snr_db,ccdf\n")
+    # one % over every row: a % per row takes about a sixth longer
+    values = np.column_stack((table.samples_db, table.ccdf)).ravel().tolist()
+    return "\n".join(lines) + ("%.17g,%.17g\n" * len(table.samples_db)) % tuple(values)
 
 
 def ccdf_to_dict(table: CcdfTable) -> dict:

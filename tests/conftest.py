@@ -58,3 +58,10 @@ def equal_power_grid_snr(paths, tx_geom, rx_geom, points=20_000):
     kept = norm_sq > MIN_BEAM_NORM_SQ
     snr = np.sum(np.abs(h @ beams[:, kept]) ** 2, axis=0) / norm_sq[kept]
     return float(snr.max()) / (h.shape[0] * h.shape[1])
+
+
+def rotated_cores(rng, spectra):
+    """Hermitian matrices (B, 3, 3) ``U diag(spectrum) U^H``, one random unitary U per spectrum."""
+    shape = (len(spectra), 3, 3)
+    basis = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))[0]
+    return (basis * np.asarray(spectra)[:, None, :]) @ np.conj(np.swapaxes(basis, 1, 2))

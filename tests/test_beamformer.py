@@ -4,7 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import equal_power_grid_snr, geometry_pair, kernel_args, random_paths
+from conftest import (
+    equal_power_grid_snr,
+    geometry_pair,
+    kernel_args,
+    random_paths,
+    rotated_cores,
+)
 from mmwbeam import beamformer, montecarlo
 from mmwbeam.beamformer import (
     BeamformerPair,
@@ -735,7 +741,9 @@ class TestFactorDegenerateInputs:
             assert np.all(np.triu(ordered, 1) == 0.0)
             assert np.all(np.diag(ordered).imag == 0.0) and np.all(np.diag(ordered).real >= 0.0)
 
-    def test_optimum_calls_lapack_only_for_the_core_at_three_paths_or_more(self, monkeypatch):
+    def test_optimum_calls_lapack_only_for_the_core_at_four_paths_or_more(self, monkeypatch):
+        # at L <= 3 the factor and the top eigenvalue are in closed form; at L = 3 eigvalsh
+        # is left for near-double tops, which these draws do not have
         calls = []
 
         def spy(name, original):
@@ -750,7 +758,7 @@ class TestFactorDegenerateInputs:
             inputs = engine_inputs(montecarlo.McConfig(num_paths=num_paths, trials=16, seed=1))
             calls.clear()
             beamformer._optimal_snr(*inputs)
-            assert calls == ([] if num_paths <= 2 else ["eigvalsh"])
+            assert calls == ([] if num_paths <= 3 else ["eigvalsh"])
 
     @pytest.mark.parametrize("nt,gains,aod,aoa", SINGULAR_GRAMS)
     def test_reduced_route_matches_dense_svd(self, nt, gains, aod, aoa):
@@ -793,3 +801,37 @@ class TestFactorDegenerateInputs:
         assert abs(np.sum(weights)) == pytest.approx(1.0, rel=1e-12)
         scheme = bidirectional_beamformer(paths, tx_geom, rx_geom).normalized_snr
         assert engine_losses(paths, 8, monkeypatch) == [_loss_db(pair.normalized_snr, scheme)]
+
+
+class TestTopEigenvalue:
+    # spectra whose top two eigenvalues are apart, and (at odd rows) ones where they
+    # coincide or nearly do, so that 1 + r falls below NEAR_DOUBLE_TOP
+    SPECTRA = [(3.0, 1.0, 0.5), (1.0, 1.0, 0.2), (1.0, 0.9, 0.0), (1.0, 1.0 - 1e-6, 0.0),
+               (1.0, 0.0, 0.0), (5.0, 5.0, 5.0 - 1e-3), (2.0, 1.0, 1.0)]
+    FLAGGED = [1, 3, 5]
+
+    def test_eigvalsh_runs_on_the_near_double_tops_alone(self, monkeypatch):
+        cores = rotated_cores(np.random.default_rng(0), self.SPECTRA)
+        expected = np.linalg.eigvalsh(cores)[:, -1]
+        seen, eigvalsh = [], np.linalg.eigvalsh
+
+        def spy(stack):
+            seen.append(stack.copy())
+            return eigvalsh(stack)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        top = beamformer._top_eigenvalues(cores)
+        assert len(seen) == 1 and np.array_equal(seen[0], cores[self.FLAGGED])
+        # the flagged rows read eigvalsh's bits; the others the closed form's, within a few eps
+        assert np.array_equal(top[self.FLAGGED], expected[self.FLAGGED])
+        np.testing.assert_allclose(top, expected, rtol=1e-14, atol=0.0)
+
+    def test_scaled_cores_give_the_scaled_top(self):
+        # the closed form runs on the core scaled by a power of two, so a power of two
+        # moves no bit, down to gains at the engine's floor and up past 2^500
+        apart = [spectrum for k, spectrum in enumerate(self.SPECTRA) if k not in self.FLAGGED]
+        cores = rotated_cores(np.random.default_rng(0), apart)
+        top = beamformer._top_eigenvalues(cores)
+        for power in (-1000, -600, 600, 1000):
+            assert np.array_equal(beamformer._top_eigenvalues(cores * 2.0**power),
+                                  top * 2.0**power)

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from mmwbeam import __version__, cli
@@ -752,3 +753,28 @@ class TestParserReuse:
         assert codes == [EXIT_OK] * 4 + [EXIT_USAGE, EXIT_OK]
         assert first[4][2].startswith("usage: mmwbeam")
         assert first[5][1] == f"mmwbeam {__version__}\n"
+
+
+def indented_json(run_config, results):
+    """The text _wrap_json must write: the plain indented ``json.dumps`` and a newline."""
+    doc = {"config": run_config, "version": __version__, "results": results}
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+class TestWrapJson:
+    CONFIG = {"command": "ccdf", "parameters": {"paths": 2}, "output_path": None, "format": "json"}
+
+    @pytest.mark.parametrize("n", [1, 2, 200, 10_000])
+    def test_float_lists_keep_the_bytes_of_the_indented_encoder(self, n):
+        # a negative zero, inf and subnormals among the samples
+        samples = np.sort(np.random.default_rng(n).standard_normal(n))
+        samples[: min(n, 5)] = [-0.0, math.inf, 5e-324, 1e-310, -2.5e-320][:n]
+        results = {"samples_db": samples.tolist(), "ccdf": ((n - np.arange(n)) / n).tolist(),
+                   "num_resampled": 0, "median_db": float(samples[0])}
+        assert cli._wrap_json(self.CONFIG, results) == indented_json(self.CONFIG, results)
+
+    def test_float_lists_keep_the_sign_of_a_zero(self):
+        # equal lists that encode differently: -0.0 == 0.0
+        for values in ([0.0, 0.5], [-0.0, 0.5], [0.0, 0.5]):
+            results = {"ccdf": values}
+            assert cli._wrap_json(self.CONFIG, results) == indented_json(self.CONFIG, results)

@@ -308,6 +308,28 @@ class TestEngineMatchesPublicRoute:
         assert peak <= 2 * montecarlo._CHUNK_BYTES + 8 * wide.trials
         assert montecarlo._chunk_trials(small_cfg(trials=3)) == 3
 
+    @pytest.mark.parametrize("scheme,num_paths", [
+        ("bidirectional", 1), ("bidirectional", 2), ("equal_power", 2), ("bidirectional", 3),
+        ("dominant_tx_mf_rx", 3), ("bidirectional", 5),
+    ])
+    def test_chunk_budget_alone_bounds_the_working_set(self, scheme, num_paths, monkeypatch):
+        # with the trial cap lifted the budget sizes each chunk, and a run's peak beyond its
+        # losses stays within the budget
+        monkeypatch.setattr(montecarlo, "_MAX_CHUNK_TRIALS", 10**6)
+        base = dict(num_paths=num_paths, seed=0, nt=64, nr=4, scheme=scheme)
+        chunk = montecarlo._chunk_trials(McConfig(trials=10**6, **base))
+        cfg = McConfig(trials=2 * chunk + chunk // 2, **base)
+        # a first run's one-time allocations are not the chunk's
+        montecarlo._trial_losses(McConfig(trials=3, **base))
+        tracemalloc.start()
+        try:
+            montecarlo._trial_losses(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert chunk > 200
+        assert peak <= montecarlo._CHUNK_BYTES + 8 * cfg.trials
+
 
 class TestChunkLosses:
     # optimal and scheme SNRs of one chunk, each pair chosen for a corner of the ratio
@@ -447,7 +469,48 @@ class TestPercentile:
             percentile(table, 1.0)
 
 
+def per_row_csv(table, header_comments=()):
+    """The CSV text formatted row by row with f-strings: the reference for ccdf_to_csv's bytes."""
+    lines = [f"# {c}" for c in header_comments] + ["delta_snr_db,ccdf"]
+    lines += [f"{x:.17g},{y:.17g}" for x, y in zip(table.samples_db.tolist(), table.ccdf.tolist())]
+    return "\n".join(lines) + "\n"
+
+
+# samples that print unlike plain losses: a negative zero, inf and subnormals
+ODD_SAMPLES = [-0.0, math.inf, 5e-324, 1e-310, -2.5e-320, 0.1, 1e300]
+
+
+def odd_table(n, ccdf=None, seed=0):
+    """A table of n sorted samples, the odd ones among them, and standard or given ordinates."""
+    samples = np.random.default_rng(seed).standard_normal(n) * 3.0
+    samples[: len(ODD_SAMPLES)] = ODD_SAMPLES[:n]
+    samples.sort()
+    ordinates = (n - np.arange(n, dtype=float)) / n if ccdf is None else np.asarray(ccdf)
+    return CcdfTable(samples_db=samples, ccdf=ordinates, config=small_cfg(trials=n))
+
+
 class TestSerialization:
+    @pytest.mark.parametrize("n", [1, 2, 200, 10_000])
+    def test_csv_keeps_the_bytes_of_per_row_formatting(self, n):
+        table = odd_table(n)
+        comments = ["config = {}", "version = 0"]
+        assert ccdf_to_csv(table, comments) == per_row_csv(table, comments)
+
+    def test_csv_keeps_the_bytes_of_any_ordinates(self):
+        # a table may carry ordinates other than the standard ones: other values, one array
+        # differing from another only in the sign of a zero, NaN, inf and subnormals
+        n = 200
+        standard = (n - np.arange(n, dtype=float)) / n
+        zero_end = np.linspace(1.0, 0.0, n)
+        negative_zero = zero_end.copy()
+        negative_zero[-1] = -0.0
+        odd = standard.copy()
+        odd[:4] = [math.nan, math.inf, 5e-324, -1e-310]
+        for ccdf in (standard, zero_end, negative_zero, odd):
+            table = odd_table(n, ccdf)
+            assert ccdf_to_csv(table) == per_row_csv(table)
+        assert ccdf_to_csv(odd_table(n, zero_end)) != ccdf_to_csv(odd_table(n, negative_zero))
+
     def test_csv_layout(self):
         table = run_ccdf(small_cfg(trials=10))
         text = ccdf_to_csv(table, header_comments=["config = {}"])

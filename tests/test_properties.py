@@ -12,7 +12,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
-from conftest import equal_power_grid_snr, random_paths  # noqa: E402
+from conftest import equal_power_grid_snr, random_paths, rotated_cores  # noqa: E402
 from mmwbeam import closedform, steering  # noqa: E402
 from mmwbeam.beamformer import (  # noqa: E402
     _dominant_snr,
@@ -21,6 +21,7 @@ from mmwbeam.beamformer import (  # noqa: E402
     _hermitian_form,
     _loss_db,
     _optimal_snr,
+    _top_eigenvalues,
     bidirectional_beamformer,
     dominant_path_beamformer,
     equal_power_beamformer,
@@ -390,6 +391,77 @@ def test_two_path_form_matches_the_stacked_product(seed, nt, nr, spacing, coinci
             rows = slice(b, b + 1)
             assert np.array_equal(form[rows], _hermitian_form(gains[rows], factor[rows],
                                                               gram_r[rows]))
+
+
+# The L = 3 closed form of a core's top eigenvalue against eigvalsh of the same core, in
+# units of its spectral radius: eigvalsh is backward stable to a few eps of it, and the
+# closed form to a few eps too, since the rows whose error could grow (top two
+# eigenvalues within about 1e-3 of the spread) go to eigvalsh.
+TOP_RTOL = 1e-13
+
+# Spectra of built cores, each of a row's uniform u in [0, 1): degenerate tops, lower
+# ranks and the zero core.
+BUILT_SPECTRA = {
+    "double": lambda u: (1.0, 1.0, u),
+    "triple": lambda u: (1.0, 1.0, 1.0),
+    "rank1": lambda u: (1.0, 0.0, 0.0),
+    "rank2": lambda u: (1.0, u, 0.0),
+    "zero": lambda u: (0.0, 0.0, 0.0),
+}
+
+
+def built_cores(rng, kind, rotated, batch=8):
+    """Hermitian cores (B, 3, 3) ``U diag(spectrum) U^H``, with U random unitary or the identity.
+
+    ``near_scalar`` is ``u I`` plus a Hermitian perturbation of size 1e-120 u: its spread
+    p cubed would underflow.
+    """
+    if kind == "near_scalar":
+        noise = rng.standard_normal((batch, 3, 3)) + 1j * rng.standard_normal((batch, 3, 3))
+        scale = 0.5 + rng.random(batch)[:, None, None]
+        return scale * (np.eye(3) + 1e-120 * (noise + _herm(noise)))
+    spectra = np.array([BUILT_SPECTRA[kind](u) for u in rng.random(batch)])
+    return rotated_cores(rng, spectra) if rotated else spectra[:, None, :] * np.eye(3) + 0j
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    source=st.sampled_from(["engine", "near_scalar", *BUILT_SPECTRA]),
+    rotated=st.booleans(),
+    nt=st.sampled_from([1, 2, 3, 64]),
+    nr=st.sampled_from([1, 2, 4, 64]),
+    coincident=st.sampled_from(["none", "departures", "arrivals"]),
+    scale=st.sampled_from(["tiny", "unit", "huge", "floor"]),
+)
+def test_three_path_top_eigenvalue_matches_eigvalsh(seed, source, rotated, nt, nr, coincident,
+                                                    scale):
+    rng = np.random.default_rng(seed)
+    if source == "engine":
+        # the optimum's core on the engine's draws, singular Grams included
+        cfg = McConfig(num_paths=3, trials=16, seed=seed, nt=nt, nr=nr)
+        gains, aod, aoa, _ = _draw_chunk(cfg, range(cfg.trials))
+        if coincident == "departures":
+            aod[:, 1] = aod[:, 0]
+        if coincident == "arrivals":
+            aoa[:, 2] = aoa[:, 0]
+        peak = np.abs(gains).max(axis=-1, keepdims=True)
+        gains = gains * {"tiny": 2.0**-500, "unit": 1.0, "huge": 2.0**500,
+                         "floor": 1.0001 * _MIN_GAIN / peak}[scale]
+        gram_t = gram_stack(cfg.tx_geometry, spatial_frequencies(aod))
+        gram_r = gram_stack(cfg.rx_geometry, spatial_frequencies(aoa))
+        core = _hermitian_form(gains, _gram_factor(gram_t), gram_r)
+    else:
+        # a core is of degree two in the gains
+        core = built_cores(rng, source, rotated) * {
+            "tiny": 2.0**-1000, "unit": 1.0, "huge": 2.0**1000, "floor": _MIN_GAIN**2}[scale]
+    top = _top_eigenvalues(core)
+    spectrum = np.linalg.eigvalsh(core)
+    assert np.all(np.isfinite(top))
+    assert np.all(np.abs(top - spectrum[:, -1]) <= TOP_RTOL * np.abs(spectrum).max(axis=-1))
+    if source in ("triple", "zero") and not rotated:
+        # a scalar core has no spread: its top eigenvalue is its diagonal
+        assert np.array_equal(top, core[:, 0, 0].real)
 
 
 def objective_grid_reference(params, betas, thetas):
@@ -900,7 +972,8 @@ def test_dominant_path_loses_at_most_the_path_count(num_paths, data, nr):
 @given(re=gain_parts, im=gain_parts, nr=st.integers(1, 64), freq=st.floats(-1.0, 1.0))
 def test_equal_gains_on_parallel_receive_vectors_attain_the_bound(num_paths, re, im, nr, freq):
     # coincident receive frequencies give G_r = all ones exactly; the L = 2 closed form
-    # reads L exactly, eigvalsh at L >= 3 within a few ulps (4 at most in 2000 random draws)
+    # reads L exactly, the L = 3 one (a rank-one core, r = 1) within 2 ulps in 3000 random
+    # draws, and eigvalsh at L >= 4 within a few ulps (4 at most in 2000 random draws)
     gains = np.full(num_paths, complex(re, im))
     gram_r = gram_stack(ArrayGeometry(nr), np.full(num_paths, freq))
     loss, size = orthogonal_transmit_loss(gains, gram_r)
