@@ -201,6 +201,10 @@ _ROW_TEST_EPS = _ROW_TEST_ULPS * float(np.finfo(float).eps)
 # within this of 1 in magnitude, where a beam norm may come near vanishing.
 _ROW_TEST_DEN_GAP = 1e-6
 
+# A kept row is evaluated at the grid phases within this many steps of its
+# continuous maximizer, and whole only where that window cannot decide it.
+_WINDOW_HALF = 2
+
 # The grid searches evaluate their kept rows in blocks of at most this many rows.
 # A block's arrays then stay in cache: on 10 refined verify searches (230-420
 # rows kept) blocks of 32-64 rows ran 1.3-1.6x faster than blocks of 201.
@@ -379,16 +383,20 @@ def allocation_grid_search(
     + |T| (1 + |delta|))`` plus 64 times the smallest subnormal (``p`` the
     transmit coupling's phase), which covers the rounding of the entries and
     of the test.  A skipped row holds only finite entries strictly below the
-    grid's maximum; NaN and masked rows are always evaluated.  The kept rows
-    are evaluated in ascending order, and ``np.argmax`` over them takes the
-    first maximum.  So the result is the point and value of ``np.argmax`` over
-    the whole scaled grid: ties resolve to the lowest (beta-major) linear index.
+    grid's maximum; NaN and masked rows are always evaluated.  A kept row is
+    evaluated at the 5 grid phases nearest its continuous maximizer, and
+    whole only where those cannot decide it (:meth:`_Searches._windows`); a
+    row at beta = 0 or 1 is constant and read at phase 0.  The kept rows are
+    taken in ascending order, and ``np.argmax`` over them takes the first
+    maximum.  So the result is the point and value of ``np.argmax`` over the
+    whole scaled grid: ties resolve to the lowest (beta-major) linear index.
 
-    Memory follows the kept rows, up to a block of 64 rows.  On ``verify``'s
-    draws a coarse search keeps a few rows and a refined one tens, up to 131
-    of 201.  An input where no row can be skipped (a flat grid,
-    ``TwoPathParams(1.0, 1.0)``, where every row ties) is evaluated whole, 64
-    rows at a time.  This is :class:`_Searches` on one set.
+    Memory follows the kept rows, up to a block of 64 whole rows.  On
+    ``verify``'s draws a coarse search keeps a few rows and a refined one
+    tens, up to 131 of 201, and every window decides its row.  An input where
+    no row can be skipped (a flat grid, ``TwoPathParams(1.0, 1.0)``, where
+    every row ties) is evaluated whole, 64 rows at a time.  This is
+    :class:`_Searches` on one set.
     """
     if num_beta < 2 or num_theta < 2:
         raise ValueError("grid resolutions must be at least 2")
@@ -410,29 +418,29 @@ class _Searches:
         self.terms = _grid_terms(params)
         self.thetas = np.linspace(0.0, _TWO_PI, num_theta, endpoint=False)
         self.rows = _grid_rows(self.terms, self.thetas.reshape(1, -1))
+        # the sets whose rows may be decided by a window (see _windows): five
+        # distinct phases with more outside, and phases whose rounding, which the
+        # phase margin bounds, stays below a grid step, so they keep their order
+        self.windowed = (num_theta >= 2 * _WINDOW_HALF + 3) & (
+            self.terms["phase_margin"][:, 0] < _TWO_PI / num_theta
+        )
 
     def run(self, betas: np.ndarray) -> list[tuple[AllocationPoint, float]]:
         """The point and value of each set's search on its own amplitudes ``betas[s]``.
 
         ``betas`` is (S, K), or (1, K) for amplitudes every set shares.  The
         columns and the row test are one array pass over all sets, and the
-        kept rows of all sets are evaluated together, ``_BLOCK_ROWS`` rows at
-        a time, each with its own set's phase row.  Every entry keeps the
-        bits it has in a search of its set alone, and each set's point is the
-        first maximum of its own kept rows in ascending order, as there.
+        kept rows of all sets are evaluated together (:meth:`_row_maxima`),
+        each with its own set's phase row.  Every entry keeps the bits it has
+        in a search of its set alone, and each set's point is the first
+        maximum of its own kept rows in ascending order, as there.
         """
         columns = _grid_columns(self.terms, betas)
-        kept_set, kept_row = np.nonzero(_candidate_rows(self.terms, columns, self.rows))
-        row_max = np.empty(kept_set.shape)
-        row_arg = np.empty(kept_set.shape, dtype=int)
-        for start in range(0, kept_set.size, _BLOCK_ROWS):
-            chunk = slice(start, start + _BLOCK_ROWS)
-            sets, kept = kept_set[chunk], kept_row[chunk]
-            block = _grid_block(
-                [col[sets, kept, None] for col in columns], [row[sets] for row in self.rows]
-            )
-            row_arg[chunk] = np.argmax(block, axis=1)
-            row_max[chunk] = block[np.arange(sets.size), row_arg[chunk]]
+        keep, peak_phases = _candidate_rows(self.terms, columns, self.rows)
+        kept_set, kept_row = np.nonzero(keep)
+        row_max, row_arg = self._row_maxima(
+            [col[kept_set, kept_row] for col in columns], kept_set, peak_phases[kept_set, kept_row]
+        )
         # np.argmax over a set's row maxima, then within that row, is its argmax
         # over the block of its kept rows: the first NaN, else the first maximum
         shifts = self.terms["shift"][:, 0]
@@ -447,10 +455,88 @@ class _Searches:
             results.append((point, _unscaled(float(row_max[top]), int(shift))))
         return results
 
+    def _row_maxima(self, cols, sets, peak_phases) -> tuple[np.ndarray, np.ndarray]:
+        """The value and phase index of the first maximum (or first NaN) of each given row.
 
-def _candidate_rows(terms: dict[str, np.ndarray], columns, rows) -> np.ndarray:
+        Row r has the column entries ``cols[i][r]`` (R,) and the phase row of
+        set ``sets[r]``; ``peak_phases[r]`` is its continuous maximizer.  A
+        row whose three phase columns are exactly 0 (beta = 0 or 1) has the
+        same bits at every phase, so its phase 0 is read alone.  A tested row
+        is decided by its window where :meth:`_windows` can; every other row
+        is evaluated whole, ``_BLOCK_ROWS`` rows at a time.
+        """
+        row_max = np.empty(sets.shape)
+        row_arg = np.zeros(sets.shape, dtype=int)
+        full = (cols[1] != 0.0) | (cols[2] != 0.0) | (cols[3] != 0.0)
+        flat = np.flatnonzero(~full)
+        if flat.size:
+            rows = [row[sets[flat], :1] for row in self.rows]
+            row_max[flat] = _grid_block([col[flat, None] for col in cols], rows)[:, 0]
+        tested = np.abs(cols[3]) <= 1.0 - _ROW_TEST_DEN_GAP
+        win = np.flatnonzero(full & tested & self.windowed[sets])
+        if win.size:
+            decided, row_max[win], row_arg[win] = self._windows(
+                [col[win] for col in cols], sets[win], peak_phases[win]
+            )
+            full[win[decided]] = False
+        rest = np.flatnonzero(full)
+        for start in range(0, rest.size, _BLOCK_ROWS):
+            chunk = rest[start : start + _BLOCK_ROWS]
+            block = _grid_block(
+                [col[chunk, None] for col in cols], [row[sets[chunk]] for row in self.rows]
+            )
+            row_arg[chunk] = np.argmax(block, axis=1)
+            row_max[chunk] = block[np.arange(chunk.size), row_arg[chunk]]
+        return row_max, row_arg
+
+    def _windows(self, cols, sets, peak_phases) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows decided by the ``2 _WINDOW_HALF + 1`` grid phases nearest their maximizer.
+
+        Arguments as :meth:`_row_maxima`, for tested rows (``|delta| <= 1 -
+        1e-6``) of sets in ``self.windowed``.  Returns which rows the window
+        decides, and each row's window maximum and the index of its first
+        occurrence in ascending phase order, which for a decided row are those
+        of the whole row.
+
+        With ``T`` twice the window maximum, the exact row satisfies ``num -
+        T den = (alpha - T) + (b - T delta) cos(phi) + c sin(phi)`` (see
+        :func:`_candidate_rows`): a sinusoid plus a constant, with one maximum
+        and one minimum on the circle.  The margin ``m`` of the row test at
+        this ``T`` is at least five times the rounding of ``num`` and ``T den``
+        plus the division's, so an entry whose exact ``num - T den`` is below
+        ``-m / 5`` computes below ``T / 2``.  A window edge whose computed
+        entry ``v`` and denominator ``den`` satisfy ``den (T - 2 v) > m`` has
+        an exact ``num - T den`` below ``-m + m / 5`` (the division's rounding,
+        about ``u |num|``, is within the margin's terms).  The entry at the
+        window maximum has one of at least ``-m / 5``, or it would compute
+        below ``T / 2``; so the sinusoid's maximum lies inside the window, and
+        at every phase outside it the sinusoid is below the larger of its
+        values at the two edges: every entry there computes strictly below
+        the window maximum.  This rests on the edge test alone, not on how
+        close ``peak_phases`` is, and on the set's phases keeping their
+        cyclic order, which ``self.windowed`` ensures.  A window with a
+        non-finite entry decides nothing.
+        """
+        num_theta = self.thetas.size
+        turn = np.mod(peak_phases - self.terms["vv_phase"][sets, 0], _TWO_PI)
+        centre = np.rint(turn * (num_theta / _TWO_PI)).astype(int)
+        phases = (centre[:, None] + np.arange(-_WINDOW_HALF, _WINDOW_HALF + 1)) % num_theta
+        rows = [row[sets[:, None], phases] for row in self.rows]
+        block = _grid_block([col[:, None] for col in cols], rows)
+        top = block.max(axis=1)
+        gap = 2.0 * (top[:, None] - block[:, [0, -1]])
+        den = cols[3][:, None] * rows[0][:, [0, -1]]
+        den += 1.0  # the bits of the block's denominator at the edges
+        gap *= den
+        margin = _row_margin(self.terms["phase_margin"][sets, 0], *cols, 2.0 * top)
+        decided = np.isfinite(block).all(axis=1) & (gap > margin[:, None]).all(axis=1)
+        first = np.where(block == top[:, None], phases, num_theta).min(axis=1)
+        return decided, top, first
+
+
+def _candidate_rows(terms: dict[str, np.ndarray], columns, rows) -> tuple[np.ndarray, np.ndarray]:
     """Mask (S, K) of every row of each set's grid that may hold or tie its maximum
-    (see :func:`allocation_grid_search`).
+    (see :func:`allocation_grid_search`), and each row's continuous maximizer (S, K).
 
     With ``w = vv^2``, ``vv^2 cos(nu + phi) + cos(nu - phi) = (1 + w) cos(nu) cos(phi)
     + (1 - w) sin(nu) sin(phi)``, so a row's doubled objective is ``(alpha + b cos(phi)
@@ -463,7 +549,10 @@ def _candidate_rows(terms: dict[str, np.ndarray], columns, rows) -> np.ndarray:
     (b - T delta)^2 + c^2``.  The row with the largest such maximum is the seed, and
     ``T`` is twice the largest entry :func:`_grid_block` computes for it from its
     own one-row columns, a value the grid holds.  A set whose ``T`` is not finite
-    keeps every row.
+    keeps every row.  At its own maximum ``T_r`` a row's ``num - T_r den`` is a
+    sinusoid in ``phi`` plus a constant whose peak, 0, lies at the row's
+    maximizer ``atan2(c, b - T_r delta)``; :meth:`_Searches._windows` centres a
+    window there.
 
     The margin bounds how far the entries :func:`_grid_block` computes, and the
     test's own arithmetic, stray from the exact row at the stored phases ``phi``.
@@ -477,8 +566,9 @@ def _candidate_rows(terms: dict[str, np.ndarray], columns, rows) -> np.ndarray:
     against ``T``.  The test's ``b``, ``c``, ``b - T delta``, hypot and ``T - alpha``
     add under ``8u`` of the same terms.  All of it is under a fifth of the margin;
     where a result is subnormal its rounding is absolute, which the subnormal term
-    covers.  So a skipped row's computed entries are finite and strictly below half
-    of ``T``, hence below the grid's maximum: they can neither win nor tie.
+    covers.  So an entry whose exact ``num - T den`` lies below ``-margin / 5``
+    computes strictly below half of ``T``, and a skipped row's computed entries are
+    finite and below the grid's maximum: they can neither win nor tie.
     """
     alpha, cos_coef, cross_coef, den_coef = columns
     b = cos_coef + cross_coef * terms["cos_factor"]
@@ -488,6 +578,7 @@ def _candidate_rows(terms: dict[str, np.ndarray], columns, rows) -> np.ndarray:
     # the root's discriminant reduces to this sum of squares
     root = np.sqrt((b - alpha * delta) ** 2 + c * c * (1.0 - delta * delta))
     peaks = (alpha - b * delta + root) / (1.0 - delta * delta)
+    peak_phases = np.arctan2(c, b - peaks * delta)
     peaks[~tested] = -np.inf
     sets = np.arange(alpha.shape[0])
     seed = np.argmax(peaks, axis=1)
@@ -495,13 +586,19 @@ def _candidate_rows(terms: dict[str, np.ndarray], columns, rows) -> np.ndarray:
     top = 2.0 * seed_block.max(axis=1, keepdims=True)
     finite = np.isfinite(top)
     top[~finite] = 0.0
+    margin = _row_margin(terms["phase_margin"], alpha, cos_coef, cross_coef, delta, top)
+    skip = tested & finite & (np.hypot(b - top * delta, c) < (top - alpha) - margin)
+    return ~skip, peak_phases
+
+
+def _row_margin(phase_margin, alpha, cos_coef, cross_coef, delta, top) -> np.ndarray:
+    """The rounding margin of the row test at the doubled threshold ``top`` (see :func:`_candidate_rows`)."""
     margin = np.abs(alpha) + np.abs(cos_coef) + np.abs(top) * (1.0 + np.abs(delta))
     margin *= _ROW_TEST_EPS
     # scaled before the product, so a huge phase cannot overflow it
-    margin += terms["phase_margin"] * np.abs(cross_coef)
+    margin += phase_margin * np.abs(cross_coef)
     margin += _ROW_TEST_ULPS * np.finfo(float).smallest_subnormal
-    skip = tested & finite & (np.hypot(b - top * delta, c) < (top - alpha) - margin)
-    return ~skip
+    return margin
 
 
 def _scaled_terms(params: TwoPathParams) -> tuple[float, float, float, int]:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,7 +178,7 @@ def cpo_inner_product(geom: ArrayGeometry, freq_delta: float) -> complex:
     small value.  Where the reduced psi is exactly 0 the product is exactly 1.
     This is :func:`gram_stack`'s kernel written again in scalar ``math`` on
     purpose: a pair costs about 1.2 us this way and 27 us through ``gram_stack``
-    (2 vCPUs, numpy 2.4), and :func:`mainlobe_freq_delta` calls it about 55
+    (2 vCPUs, numpy 2.4), and :func:`mainlobe_freq_delta` calls it about 12
     times per ``verify`` fixture.
     """
     n = geom.num_elements
@@ -206,6 +207,14 @@ def electrically_orthogonal(
     return bool(abs(cpo_inner_product(geom, freq2 - freq1)) < tol)
 
 
+# Twice a bound on how far the computed ``|cpo_inner_product|`` strays from the
+# exact kernel magnitude on the main lobe (see _mainlobe_bracket).
+_MAINLOBE_TOL = 64.0 * sys.float_info.epsilon
+
+# Newton steps that place the main-lobe crossing before its bracket is widened.
+_NEWTON_STEPS = 4
+
+
 def mainlobe_freq_delta(geom: ArrayGeometry, magnitude: float) -> float:
     """Invert the Dirichlet-kernel magnitude on its main lobe.
 
@@ -218,6 +227,13 @@ def mainlobe_freq_delta(geom: ArrayGeometry, magnitude: float) -> float:
     return (after about 53 steps).  The 200-step cap still binds when
     ``magnitude`` is within about 1e-15 of 1, where ``hi`` halves towards 0
     without meeting ``lo``.
+
+    Only the midpoints inside a certified bracket ``(below, above)`` of the
+    crossing evaluate the kernel (:func:`_mainlobe_bracket`): a midpoint at
+    or below ``below`` computes above ``magnitude`` and one at or above
+    ``above`` does not, so the bisection takes the steps, and returns the
+    float, of one that evaluates every midpoint.  On ``verify``'s fixtures
+    that is about 12 kernel calls in place of about 53.
     """
     if not 0.0 <= magnitude <= 1.0:
         raise ValueError("magnitude must lie in [0, 1]")
@@ -229,12 +245,84 @@ def mainlobe_freq_delta(geom: ArrayGeometry, magnitude: float) -> float:
     hi = 1.0 / (geom.num_elements * geom.spacing_wavelengths)  # first null
     if magnitude == 0.0:
         return hi
+    below, above = _mainlobe_bracket(geom, magnitude, hi)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if abs(cpo_inner_product(geom, mid)) > magnitude:
+        if mid <= below:
+            lo = mid
+        elif mid >= above:
+            hi = mid
+        elif abs(cpo_inner_product(geom, mid)) > magnitude:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _mainlobe_bracket(geom: ArrayGeometry, magnitude: float, null: float) -> tuple[float, float]:
+    """Separations ``below`` and ``above`` around the kernel's crossing of ``magnitude``.
+
+    Both lie in [0, ``null``].  Every separation in (0, ``below``] computes ``|cpo_inner_product|`` above
+    ``magnitude``, and every one in [``above``, ``null``) computes at most
+    ``magnitude``; ``below = 0`` and ``above = null`` say nothing.  A few
+    safeguarded Newton steps on ``D(psi) = sin(N psi) / (N sin psi)`` place
+    the crossing, and a bracket around it is widened until its ends compute
+    beyond ``magnitude -+ _MAINLOBE_TOL``.
+
+    ``_MAINLOBE_TOL`` is twice ``eps_k = 32 eps``, a bound on how far the
+    computed magnitude strays from the exact ``D`` at ``psi = pi_64 d f``,
+    ``pi_64`` the float pi: with ``u = eps / 2``, ``psi`` rounds by ``2u``
+    relative, which moves ``sin(N psi)`` by under ``3u N psi`` (``N psi`` adds
+    ``u``) and so the ratio by under ``3u psi / sin(psi) <= 5u``; the two
+    sines, the product by N and the division add ``2u + 5u + u`` of the ratio
+    (at most 1), and the unit phasor ``exp(1j (N - 1) psi)``, its product and
+    ``abs`` under ``6u``: about ``19u``, under a third of ``eps_k``.  The
+    exact ``D`` is decreasing on the main lobe, so an end that computes above
+    ``magnitude + 2 eps_k`` has every separation before it exactly above
+    ``magnitude + eps_k``, hence computing above ``magnitude``; the other end
+    alike.  Beyond the null, within the rounding of ``null`` itself, ``D``
+    stays below ``eps``.
+    """
+    n = geom.num_elements
+    if not _MAINLOBE_TOL < magnitude < 1.0 - _MAINLOBE_TOL:
+        return 0.0, null
+    # the crossing in psi = pi d f, from the quadratic start 1 - (n^2 - 1) psi^2 / 6
+    lo, hi = 0.0, math.pi / n
+    psi = math.sqrt(6.0 * (1.0 - magnitude) / (n * n - 1.0))
+    for _ in range(_NEWTON_STEPS):
+        sin_psi = math.sin(psi)
+        value = math.sin(n * psi) / (n * sin_psi)
+        if value > magnitude:
+            lo = psi
+        else:
+            hi = psi
+        slope = (math.cos(n * psi) - value * math.cos(psi)) / sin_psi
+        psi -= (value - magnitude) / slope if slope < 0.0 else math.inf
+        if not lo <= psi <= hi:
+            psi = 0.5 * (lo + hi)
+    scale = math.pi * geom.spacing_wavelengths
+    crossing = psi / scale
+    # about the separation that moves the magnitude by 2 _MAINLOBE_TOL
+    width = 4.0 * sys.float_info.epsilon * crossing
+    if slope < 0.0:
+        width = max(width, 2.0 * _MAINLOBE_TOL / (-slope * scale))
+    below = above = 0.0
+    step = width
+    while below == 0.0:
+        trial = crossing - step
+        if trial <= 0.0:
+            break
+        if abs(cpo_inner_product(geom, trial)) > magnitude + _MAINLOBE_TOL:
+            below = trial
+        step *= 2.0
+    step = width
+    while above == 0.0:
+        trial = crossing + step
+        if trial >= null:
+            above = null
+        elif abs(cpo_inner_product(geom, trial)) < magnitude - _MAINLOBE_TOL:
+            above = trial
+        step *= 2.0
+    return below, above

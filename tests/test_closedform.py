@@ -192,13 +192,17 @@ class TestGridSearch:
 
     def test_row_test_skips_most_rows_of_the_verify_searches(self, monkeypatch):
         # both passes of prop2-prop4 over their first 100 seed-0 draws evaluate 11 404
-        # rows, the seed rows included, where the full grids hold 120 600
-        evaluated = []
+        # rows, the seed rows included, where the full grids hold 120 600; the kept rows'
+        # windows bring their entries to 269 180, from 4 105 440 with whole rows, of
+        # which the 600 seed rows hold 216 000
+        evaluated, entries = [], []
         full_block = closedform._grid_block
 
         def counting_block(columns, rows):
             evaluated.append(columns[0].shape[0])
-            return full_block(columns, rows)
+            block = full_block(columns, rows)
+            entries.append(block.size)
+            return block
 
         monkeypatch.setattr(closedform, "_grid_block", counting_block)
         for suite in ("prop2", "prop3", "prop4"):
@@ -209,6 +213,33 @@ class TestGridSearch:
                 window = (point.beta - 0.005, point.beta + 0.005)
                 allocation_grid_search(params, beta_window=window)
         assert sum(evaluated) <= 15_000
+        assert sum(entries) <= 300_000
+
+    def test_windows_decide_every_kept_row_of_the_verify_searches(self, monkeypatch):
+        # a whole 360-phase row outside a search's seed rows is a kept row whose window
+        # failed; on verify's draws none does, so every search evaluates one whole block
+        whole_blocks = []
+        full_block = closedform._grid_block
+
+        def counting_block(columns, rows):
+            block = full_block(columns, rows)
+            whole_blocks.append(block.shape[1] == 360)
+            return block
+
+        monkeypatch.setattr(closedform, "_grid_block", counting_block)
+        runs = 0
+        for seed in range(20):
+            for suite in ("prop2", "prop3", "prop4"):
+                regime = REGIMES[_SUITE_CASES[suite]]
+                params = [_draw_params(_instance_rng(seed, index), regime) for index in range(40)]
+                searches = closedform._Searches(params, 360)
+                coarse = searches.run(np.linspace(0.0, 1.0, 201).reshape(1, -1))
+                starts = np.array([point.beta - 0.005 for point, _ in coarse])
+                stops = np.array([point.beta + 0.005 for point, _ in coarse])
+                windows = np.clip(np.linspace(starts, stops, 201, axis=1), 0.0, 1.0)
+                searches.run(windows)
+                runs += 2
+        assert sum(whole_blocks) == runs
 
     def test_objective_grid_at_huge_gains_holds_the_search_maximum(self):
         # on the unscaled squared gains a + b overflowed: NaN and inf entries, with a warning

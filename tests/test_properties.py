@@ -65,6 +65,7 @@ from mmwbeam.steering import (  # noqa: E402
 from mmwbeam.verify import (  # noqa: E402
     _SUITE_CASES,
     _draw_params,
+    _fixtures,
     _instance_rng,
 )
 from verify_reference import two_path_fixture  # noqa: E402
@@ -594,6 +595,27 @@ def assert_search_is_the_grid_argmax(params, num_beta, num_theta, window):
 # smallest subnormals and halving it rounds up, so twice the grid maximum exceeds it
 @example(params=TwoPathParams(0.9, 1.03e-160), num_beta=201, num_theta=360,
          window=(-0.5, -0.1))
+# the maximum sits at theta = 0, so the kept row's window wraps past index 0
+@example(params=TwoPathParams(0.6, 0.9, uu_mag=0.3, vv_mag=0.4), num_beta=201, num_theta=360,
+         window=None)
+# the row's maximizer lies midway between the last phase and phase 0: the two tie across
+# the wrap, and the search takes phase 0
+@example(params=TwoPathParams(0.6, 0.9, vv_mag=0.4, vv_phase=math.pi / 360), num_beta=201,
+         num_theta=360, window=None)
+# a maximizer midway between phases 10 and 11
+@example(params=TwoPathParams(0.6, 0.9, vv_mag=0.4, vv_phase=-21 * math.pi / 360), num_beta=201,
+         num_theta=360, window=None)
+# at 7 phases a window of 5 leaves two outside; at 6 every row is evaluated whole
+@example(params=TwoPathParams(0.6, 0.9, uu_mag=0.3, vv_mag=0.4), num_beta=201, num_theta=7,
+         window=None)
+@example(params=TwoPathParams(0.6, 0.9, uu_mag=0.3, vv_mag=0.4), num_beta=201, num_theta=6,
+         window=None)
+# a tie across the wrap at 7 phases
+@example(params=TwoPathParams(0.6, 0.9, vv_mag=0.4, vv_phase=0.4487989505128276), num_beta=201,
+         num_theta=7, window=None)
+# every row clips to beta = 0: flat rows, each read at phase 0
+@example(params=TwoPathParams(0.6, 0.9, uu_mag=0.3, vv_mag=0.4, vv_phase=0.5), num_beta=201,
+         num_theta=360, window=(-1.0, -0.5))
 def test_grid_search_is_the_argmax_of_the_full_grid(params, num_beta, num_theta, window):
     assert_search_is_the_grid_argmax(params, num_beta, num_theta, window)
 
@@ -922,6 +944,74 @@ magnitudes = st.one_of(
 def test_mainlobe_bisection_matches_full_run(n, spacing, magnitude):
     geom = ArrayGeometry(n, spacing)
     assert mainlobe_freq_delta(geom, magnitude) == bisection_reference(geom, magnitude)
+
+
+def mainlobe_bisection_reference(geom, magnitude):
+    """The main-lobe bisection that evaluates every midpoint, kept verbatim as the oracle of
+    ``mainlobe_freq_delta``'s bracketed form."""
+    if not 0.0 <= magnitude <= 1.0:
+        raise ValueError("magnitude must lie in [0, 1]")
+    if geom.num_elements == 1:
+        if magnitude == 1.0:
+            return 0.0
+        raise ValueError("a single-element array has |inner product| = 1 everywhere")
+    lo = 0.0
+    hi = 1.0 / (geom.num_elements * geom.spacing_wavelengths)  # first null
+    if magnitude == 0.0:
+        return hi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if abs(steering.cpo_inner_product(geom, mid)) > magnitude:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+eps = sys.float_info.epsilon
+bracket_magnitudes = st.one_of(
+    st.floats(0.0, 1.0),
+    st.sampled_from([0.0, 1.0, 5e-324, 1e-310, 1e-300, 64 * eps, 65 * eps, 1.0 - 64 * eps]),
+    st.floats(0.0, 2.2250738585072014e-308),
+    st.integers(1, 400).map(lambda k: 1.0 - k * eps),
+    st.integers(1, 400).map(lambda k: k * eps),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(n=st.integers(2, 1024), spacing=st.floats(0.001, 2.0, exclude_max=True),
+       magnitude=bracket_magnitudes)
+# verify's transmit fixture, and a magnitude that leaves no room below the bracket
+@example(n=16, spacing=0.5, magnitude=0.33)
+@example(n=2, spacing=0.5, magnitude=1.0 - 65 * eps)
+def test_bracketed_bisection_returns_the_full_bisections_bits(n, spacing, magnitude):
+    geom = ArrayGeometry(n, spacing)
+    expected = mainlobe_bisection_reference(geom, magnitude)
+    assert np.float64(mainlobe_freq_delta(geom, magnitude)).tobytes() == (
+        np.float64(expected).tobytes()
+    )
+
+
+@pytest.mark.parametrize("suite", ["prop2", "prop3", "prop4"])
+def test_a_verify_fixture_makes_few_kernel_calls(monkeypatch, suite):
+    # the bisection that evaluates every midpoint makes about 53 calls per fixture
+    calls = []
+    inner = steering.cpo_inner_product
+
+    def counted(geom, freq_delta):
+        calls.append(freq_delta)
+        return inner(geom, freq_delta)
+
+    monkeypatch.setattr(steering, "cpo_inner_product", counted)
+    regime = REGIMES[_SUITE_CASES[suite]]
+    for index in range(40):
+        p = _draw_params(_instance_rng(0, index), regime)
+        calls.clear()
+        _fixtures(_SUITE_CASES[suite], [(p.mag_a1, p.mag_a2)], [(p.phase_diff, 0.0)],
+                  [getattr(p, f"{regime.free}_mag")])
+        assert 0 < len(calls) <= 25
 
 
 def test_mainlobe_bisection_stops_at_its_fixed_point(monkeypatch):
