@@ -192,8 +192,9 @@ class TestGridSearch:
 
     def test_row_test_skips_most_rows_of_the_verify_searches(self, monkeypatch):
         # both passes of prop2-prop4 over their first 100 seed-0 draws evaluate 11 404
-        # rows, the seed rows included, where the full grids hold 120 600; the kept rows'
-        # windows bring their entries to 269 180, from 4 105 440 with whole rows, of
+        # rows, the seed rows included, where the full grids hold 120 600, and 3 268
+        # copies that pad each search's kept rows to a multiple of 8; the kept rows'
+        # windows bring their entries to 286 360, from 4 105 440 with whole rows, of
         # which the 600 seed rows hold 216 000
         evaluated, entries = [], []
         full_block = closedform._grid_block
