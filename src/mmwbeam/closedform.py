@@ -393,7 +393,7 @@ def allocation_grid_search(
     grid's maximum; NaN and masked rows are always evaluated.  A kept row is
     evaluated at the 5 grid phases nearest its continuous maximizer, and
     whole only where those cannot decide it (:meth:`_Searches._windows`); a
-    row at beta = 0 or 1 is constant and read at phase 0.  The kept rows are
+    row at beta = 0 or 1 is constant, its first maximum at phase 0.  The kept rows are
     taken in ascending order, and ``np.argmax`` over them takes the first
     maximum.  So the result is the point and value of ``np.argmax`` over the
     whole scaled grid: ties resolve to the lowest (beta-major) linear index.

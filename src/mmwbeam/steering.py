@@ -308,21 +308,17 @@ def _mainlobe_bracket(geom: ArrayGeometry, magnitude: float, null: float) -> tup
     width = 4.0 * sys.float_info.epsilon * crossing
     if slope < 0.0:
         width = max(width, 2.0 * _MAINLOBE_TOL / (-slope * scale))
-    below = above = 0.0
     step = width
-    while below == 0.0:
-        trial = crossing - step
-        if trial <= 0.0:
-            break
-        if abs(cpo_inner_product(geom, trial)) > magnitude + _MAINLOBE_TOL:
-            below = trial
+    while (
+        crossing - step > 0.0
+        and abs(cpo_inner_product(geom, crossing - step)) <= magnitude + _MAINLOBE_TOL
+    ):
         step *= 2.0
+    below = max(crossing - step, 0.0)
     step = width
-    while above == 0.0:
-        trial = crossing + step
-        if trial >= null:
-            above = null
-        elif abs(cpo_inner_product(geom, trial)) < magnitude - _MAINLOBE_TOL:
-            above = trial
+    while (
+        crossing + step < null
+        and abs(cpo_inner_product(geom, crossing + step)) >= magnitude - _MAINLOBE_TOL
+    ):
         step *= 2.0
-    return below, above
+    return below, min(crossing + step, null)
