@@ -393,10 +393,10 @@ def allocation_grid_search(
     grid's maximum; NaN and masked rows are always evaluated.  A kept row is
     evaluated at the 5 grid phases nearest its continuous maximizer, and
     whole only where those cannot decide it (:meth:`_Searches._windows`); a
-    row at beta = 0 or 1 is constant, its first maximum at phase 0.  The kept rows are
-    taken in ascending order, and ``np.argmax`` over them takes the first
-    maximum.  So the result is the point and value of ``np.argmax`` over the
-    whole scaled grid: ties resolve to the lowest (beta-major) linear index.
+    row at beta = 0 or 1 is constant, its first maximum at phase 0.  The kept
+    rows are taken in ascending order, and ``np.argmax`` over them takes the
+    first maximum.  So the result is the point and value of ``np.argmax`` over
+    the whole scaled grid: ties resolve to the lowest (beta-major) linear index.
 
     Memory follows the kept rows, up to a block of 64 whole rows.  On
     ``verify``'s draws a coarse search keeps a few rows and a refined one
@@ -597,7 +597,10 @@ def _candidate_rows(terms: dict[str, np.ndarray], columns, rows) -> tuple[np.nda
 
 
 def _row_margin(phase_margin, alpha, cos_coef, cross_coef, delta, top) -> np.ndarray:
-    """The rounding margin of the row test at the doubled threshold ``top`` (see :func:`_candidate_rows`)."""
+    """The row test's rounding margin at the doubled threshold ``top``.
+
+    See :func:`_candidate_rows`; :meth:`_Searches._windows` reads it too.
+    """
     margin = np.abs(alpha) + np.abs(cos_coef) + np.abs(top) * (1.0 + np.abs(delta))
     margin *= _ROW_TEST_EPS
     # scaled before the product, so a huge phase cannot overflow it

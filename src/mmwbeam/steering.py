@@ -264,12 +264,12 @@ def mainlobe_freq_delta(geom: ArrayGeometry, magnitude: float) -> float:
 def _mainlobe_bracket(geom: ArrayGeometry, magnitude: float, null: float) -> tuple[float, float]:
     """Separations ``below`` and ``above`` around the kernel's crossing of ``magnitude``.
 
-    Both lie in [0, ``null``].  Every separation in (0, ``below``] computes ``|cpo_inner_product|`` above
-    ``magnitude``, and every one in [``above``, ``null``) computes at most
-    ``magnitude``; ``below = 0`` and ``above = null`` say nothing.  A few
-    safeguarded Newton steps on ``D(psi) = sin(N psi) / (N sin psi)`` place
-    the crossing, and a bracket around it is widened until its ends compute
-    beyond ``magnitude -+ _MAINLOBE_TOL``.
+    Both lie in [0, ``null``].  Every separation in (0, ``below``] computes
+    ``|cpo_inner_product|`` above ``magnitude``, and every one in [``above``,
+    ``null``) computes at most ``magnitude``; ``below = 0`` and ``above =
+    null`` say nothing.  A few safeguarded Newton steps on ``D(psi) =
+    sin(N psi) / (N sin psi)`` place the crossing, and a bracket around it is
+    widened until its ends compute beyond ``magnitude -+ _MAINLOBE_TOL``.
 
     ``_MAINLOBE_TOL`` is twice ``eps_k = 32 eps``, a bound on how far the
     computed magnitude strays from the exact ``D`` at ``psi = pi_64 d f``,

@@ -983,7 +983,7 @@ bracket_magnitudes = st.one_of(
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(n=st.integers(2, 1024), spacing=st.floats(0.001, 2.0, exclude_max=True),
        magnitude=bracket_magnitudes)
-# verify's transmit fixture, and a magnitude that leaves no room below the bracket
+# verify's transmit fixture, and the magnitude nearest 1 that still gets a bracket
 @example(n=16, spacing=0.5, magnitude=0.33)
 @example(n=2, spacing=0.5, magnitude=1.0 - 65 * eps)
 def test_bracketed_bisection_returns_the_full_bisections_bits(n, spacing, magnitude):
