@@ -24,12 +24,16 @@ forms (the optimum's core, the equal-power scheme's quadratic form and the
 SNR of a matched receiver) are written entry by entry over the stack
 (:func:`_hermitian_form`): numpy's stacked ``@`` dispatches to BLAS once per
 2 x 2 or 3 x 3 matrix, and that dispatch, not the arithmetic, would be most
-of their cost.  For the same reason the optimum's Gram factor is written
-entry by entry at L <= 3, and the core's top eigenvalue is read in closed
-form, at L = 3 by Smith's trigonometric formula with ``eigvalsh`` only where
-the core's top two eigenvalues nearly coincide (:func:`_top_eigenvalues`).
-Each reads its pair from the paths alone: both beams are combinations of
-the steering vectors (see :func:`_pair`), and no channel is assembled.
+of their cost.  For the same reason the one-hot beams (dominant-path and
+bi-directional) read the strongest path's Gram column by index instead of
+multiplying by their weights, the optimum's Gram factor is written out at
+L <= 2 and taken from one LAPACK call on the whole stack from L = 3
+(:func:`_gram_factor`), and the core's top eigenvalue is read in closed
+form at L <= 3, at L = 3 by Smith's trigonometric formula with ``eigvalsh``
+only where the core's top two eigenvalues nearly coincide
+(:func:`_top_eigenvalues`).  Each per-channel function reads its pair from
+the paths alone: both beams are combinations of the steering vectors (see
+:func:`_pair`), and no channel is assembled.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .channel import ChannelMatrix, PathComponent, _path_arrays
 from .steering import ArrayGeometry, gram_stack, steering_stack
@@ -255,6 +260,8 @@ def _hermitian_form(gains: np.ndarray, factor: np.ndarray, gram_r: np.ndarray) -
     has the bits of its own channel's form, but not those of ``@``, whose
     BLAS kernel rounds its sums in another order.  At other L the form is
     the stacked product: at L = 1 and L >= 4 entry by entry is slower.
+    Y is the optimum's Gram factor, the equal-power scheme's ``G_t``, or
+    ``G_t w`` (K = 1) for a matched receiver.
     """
     if gains.shape[-1] not in (2, 3):
         mapped = gains[:, :, None] * factor
@@ -322,26 +329,50 @@ def _pair(
 
 
 def _gram_factor(gram_t: np.ndarray) -> np.ndarray:
-    """Pivoted semidefinite Cholesky factor F (B, L, L) of ``G_t = F F^H``.
+    """A Cholesky factor F (B, L, L) of each transmit Gram, ``G_t = F F^H``.
 
-    Step k takes the largest remaining diagonal, so F is lower triangular in
-    pivot order.  A pivot at most ``PIVOT_FLOOR`` gives a zero column, as
-    does every later one: a singular G_t (coincident departures, Nt < L) has
-    a backward-stable factor (Higham 1990).  Row 0 is the first pivot (the
-    diagonal is 1), so at L = 2 F is ``[[1, 0], [conj(rho), sqrt(1 -
-    |rho|^2)]]`` with ``rho = G_t[0, 1]``: no division.  At L = 3 it is
-    written entry by entry too (:func:`_gram_factor3`).
+    At L <= 2 it is written out: column 0 is ``G_t[:, 0]`` (the diagonal
+    is 1), so at L = 2 F is ``[[1, 0], [conj(rho), sqrt(1 - |rho|^2)]]``
+    with ``rho = G_t[0, 1]``, and a remainder at most ``PIVOT_FLOOR`` gives
+    a zero root: no division.  At L >= 3 F is LAPACK's (zpotrf), from one
+    call on the whole stack through the gufunc behind
+    ``np.linalg.cholesky``: it factors each matrix alone, so a row has the
+    bits of ``np.linalg.cholesky`` on its own Gram, and a Gram that zpotrf
+    refuses (a pivot not positive: coincident departures, Nt < L) comes
+    back all NaN instead of raising for the stack.  Those rows, and only
+    those, take the pivoted factor of :func:`_pivoted_factor`.
     """
     batch, size = gram_t.shape[:2]
-    if size == 3:
-        return _gram_factor3(gram_t)
-    rows = np.arange(batch)
+    if size > 2:
+        # a refusal raises the invalid flag; np.linalg.cholesky ignores the others too
+        with np.errstate(all="ignore"):
+            factor = _umath_linalg.cholesky_lo(gram_t, signature="D->D")
+        refused = np.flatnonzero(np.isnan(factor[:, 0, 0].real))
+        if refused.size:
+            factor[refused] = _pivoted_factor(gram_t[refused])
+        return factor
     factor = np.zeros((batch, size, size), dtype=complex)
     first = factor[:, :, 0] = gram_t[:, :, 0]
     if size == 2:
         rest = 1.0 - (first[:, 1].real ** 2 + first[:, 1].imag ** 2)
         factor[:, 1, 1] = np.sqrt(np.where(rest > PIVOT_FLOOR, rest, 0.0))
-        return factor
+    return factor
+
+
+def _pivoted_factor(gram_t: np.ndarray) -> np.ndarray:
+    """Pivoted semidefinite Cholesky factor F (B, L, L) of ``G_t = F F^H``, for L >= 3.
+
+    Step k takes the largest remaining diagonal, so F is lower triangular in
+    pivot order.  A pivot at most ``PIVOT_FLOOR`` gives a zero column, as
+    does every later one: a singular G_t (coincident departures, Nt < L) has
+    a backward-stable factor (Higham 1990).  Row 0 is the first pivot (the
+    diagonal is 1).  Each operation is elementwise over the stack, so a row
+    has the bits of its own Gram's factor.
+    """
+    batch, size = gram_t.shape[:2]
+    rows = np.arange(batch)
+    factor = np.zeros((batch, size, size), dtype=complex)
+    first = factor[:, :, 0] = gram_t[:, :, 0]
     # a taken pivot keeps a zero row (for row 0 exactly: G_t[0, k] - conj(G_t[k, 0]))
     # and a diagonal of -inf, so no later step reads it
     schur = gram_t - first[:, :, None] * np.conj(first[:, None, :])
@@ -360,38 +391,6 @@ def _gram_factor(gram_t: np.ndarray) -> np.ndarray:
             schur[rows, pivot] = 0.0
             schur[rows, pivot, pivot] = -np.inf
     return factor
-
-
-def _gram_factor3(gram_t: np.ndarray) -> np.ndarray:
-    """:func:`_gram_factor` of Grams (B, 3, 3), entry by entry over the stack.
-
-    Column 0 is ``G_t[:, 0]``.  The second pivot p is row 1, or row 2 where
-    its remaining diagonal ``1 - |G_t[2, 0]|^2`` is the larger (``argmax``
-    breaks a tie to row 1), and o is the row left.  Column 1 holds the root
-    of p's pivot at row p and, at row o, the Schur entry ``G_t[o, p] -
-    G_t[o, 0] conj(G_t[p, 0])`` over it: the entry of (o, p) = (2, 1), or
-    its conjugate, since G_t is exactly Hermitian.  Column 2 holds the root
-    of what remains of o's diagonal at row o.  The entries above the pivots
-    are zero: row 0 of the Schur complement is ``G_t[0, k] - conj(G_t[k,
-    0])``, exactly zero.
-    """
-    first = gram_t[:, :, 0]
-    rest1, rest2 = 1.0 - (first.real[:, 1:] ** 2 + first.imag[:, 1:] ** 2).T
-    swap = rest2 > rest1
-    pivot, other = np.maximum(rest1, rest2), np.minimum(rest1, rest2)
-    cross = gram_t[:, 2, 1] - first[:, 2] * np.conj(first[:, 1])
-    scale = np.where(pivot > PIVOT_FLOOR, pivot, np.inf) ** -0.5
-    below = np.where(swap, np.conj(cross), cross) * scale
-    root = pivot * scale
-    left = other - (below.real**2 + below.imag**2)
-    last = np.sqrt(np.where(left > PIVOT_FLOOR, left, 0.0))
-    factor = np.zeros((3, 3, len(gram_t)), dtype=complex)
-    factor[:, 0] = first.T
-    factor[1, 1] = np.where(swap, below, root)
-    factor[2, 1] = np.where(swap, root, below)
-    factor[1, 2] = np.where(swap, last, 0.0)
-    factor[2, 2] = np.where(swap, 0.0, last)
-    return factor.transpose(2, 0, 1)
 
 
 # Smith's closed form reads a 3 x 3 core's top eigenvalue to a few eps, except where its
@@ -461,9 +460,11 @@ def _optimal_snr(
     core ``C = T^H G_r T``, ``T = diag(gain) F`` (:func:`_hermitian_form`,
     entry by entry at L = 2 and 3, where a stacked ``@`` would spend its
     time dispatching BLAS per matrix).  The optimum is C's top eigenvalue
-    over L for any factor (:func:`_top_eigenvalues`): in closed form at L <=
-    3, with no LAPACK call but ``eigvalsh`` on the L = 3 cores whose top
-    two eigenvalues nearly coincide, and ``eigvalsh`` at L >= 4.
+    over L for any factor (:func:`_top_eigenvalues`), so F may be LAPACK's
+    unpivoted factor, one zpotrf call on the stack from L = 3, and the
+    pivoted one only where zpotrf refuses a Gram.  The eigenvalue is in
+    closed form at L <= 3, with ``eigvalsh`` only on the L = 3 cores whose
+    top two eigenvalues nearly coincide, and from ``eigvalsh`` at L >= 4.
     For C's top eigenvector y, ``C y = lambda y`` gives ``H^H H V w``
     proportional to ``lambda V w`` with ``w = diag(conj(gain)) G_r T y``: the
     paper's beam, each path weighted by its conjugate gain times the receive
@@ -486,29 +487,37 @@ def _optimal_snr(
     return snr, weights / np.sqrt(np.where(live, power, 1.0))[:, None]
 
 
-def _matched_snr(
-    gains: np.ndarray, gram_t: np.ndarray, gram_r: np.ndarray, weights: np.ndarray
-) -> np.ndarray:
+def _matched_snr(gains: np.ndarray, couplings: np.ndarray, gram_r: np.ndarray) -> np.ndarray:
     """SNR ``y^H G_r y / L`` (B,) of unit-norm transmit beams ``V w``, matched-filter receiver.
 
-    ``y = gain * (G_t w)``: the 1 x 1 form of :func:`_hermitian_form` with
-    ``Y = G_t w``.
+    ``couplings`` (B, L, 1) is ``G_t w``, and ``y = gain * (G_t w)``: the
+    1 x 1 form of :func:`_hermitian_form` with ``Y = G_t w``.
     """
-    form = _hermitian_form(gains, gram_t @ weights[..., None], gram_r)
+    form = _hermitian_form(gains, couplings, gram_r)
     return form[:, 0, 0].real / gains.shape[-1]
 
 
+def _strongest(gains: np.ndarray) -> np.ndarray:
+    """Index (B,) of each channel's strongest path; ties go to the lowest index."""
+    return np.argmax(np.abs(gains), axis=-1)
+
+
 def _dominant_weights(gains: np.ndarray) -> np.ndarray:
-    """One-hot weights (B, L) of each channel's strongest path; ties go to the lowest index."""
-    return np.eye(gains.shape[-1])[np.argmax(np.abs(gains), axis=-1)]
+    """One-hot weights (B, L) of each channel's strongest path."""
+    return np.eye(gains.shape[-1])[_strongest(gains)]
 
 
 def _dominant_snr(
     gains: np.ndarray, gram_t: np.ndarray, gram_r: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """SNR (B,) and weights (B, L) of steering at the strongest path, matched-filter receiver."""
-    weights = _dominant_weights(gains)
-    return _matched_snr(gains, gram_t, gram_r, weights), weights
+    """SNR (B,) and weights (B, L) of steering at the strongest path k, matched-filter receiver.
+
+    ``G_t w`` of the one-hot w is column k of ``G_t``, read by index: a
+    stacked ``@`` would dispatch BLAS once per matrix to add exact zeros.
+    """
+    strongest = _strongest(gains)
+    couplings = gram_t[np.arange(len(gains)), :, strongest, None]
+    return _matched_snr(gains, couplings, gram_r), np.eye(gains.shape[-1])[strongest]
 
 
 def _bidirectional_snr(
@@ -516,14 +525,14 @@ def _bidirectional_snr(
 ) -> tuple[np.ndarray, np.ndarray]:
     """SNR (B,) and weights (B, L) of steering both ends at the strongest path k.
 
-    ``u_k^H H v_k = c * sum_l gain_l G_r[k, l] G_t[l, k]``; the receive beam
-    has the same weights on the receive steering vectors.
+    ``u_k^H H v_k = c * sum_l gain_l G_r[k, l] G_t[l, k]``, with row k of
+    ``G_r`` and column k of ``G_t`` read by index (see :func:`_dominant_snr`);
+    the receive beam has the same weights on the receive steering vectors.
     """
-    weights = _dominant_weights(gains)
-    tx_couplings = (gram_t @ weights[..., None])[..., 0]
-    rx_couplings = (weights[:, None, :] @ gram_r)[:, 0]
-    amp = np.sum(gains * rx_couplings * tx_couplings, axis=-1)
-    return (amp.real**2 + amp.imag**2) / gains.shape[-1], weights
+    strongest = _strongest(gains)
+    rows = np.arange(len(gains))
+    amp = np.sum(gains * gram_r[rows, strongest] * gram_t[rows, :, strongest], axis=-1)
+    return (amp.real**2 + amp.imag**2) / gains.shape[-1], np.eye(gains.shape[-1])[strongest]
 
 
 def _equal_power_snr(
@@ -569,7 +578,7 @@ def _equal_power_snr(
     theta = np.take_along_axis(theta, best, axis=-1)
     norm = np.sqrt(np.take_along_axis(den, best, axis=-1))
     weights = np.concatenate([np.ones_like(theta), np.exp(1j * theta)], axis=-1) / norm
-    return _matched_snr(gains, gram_t, gram_r, weights), weights
+    return _matched_snr(gains, gram_t @ weights[..., None], gram_r), weights
 
 
 def reduced_optimal_beamformer(

@@ -96,10 +96,10 @@ _CCDF_FIELDS = {"paths": "num_paths", "spacing": "spacing_wavelengths"}
 
 
 @functools.lru_cache(maxsize=None)
-def _build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on first use and shared by later ``main`` calls.
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The command-line parser and each command's subparser, built on first use and shared.
 
-    Parsing leaves the parser unchanged: each call gets a fresh namespace,
+    Parsing leaves the parsers unchanged: each call gets a fresh namespace,
     and messages go to the ``sys.stdout``/``sys.stderr`` of the moment.
     """
     parser = argparse.ArgumentParser(
@@ -114,7 +114,28 @@ def _build_parser() -> argparse.ArgumentParser:
             flag = "--" + name.replace("_", "-")
             sub.add_argument(flag, type=kind, choices=choices, default=None, help=text)
         sub.add_argument("--config", default=None, help="JSON file of defaults (flags win)")
-    return parser
+    return parser, subs.choices
+
+
+def _parse(argv) -> argparse.Namespace:
+    """The namespace of a command line; a usage error, ``-h`` or ``--version`` exits.
+
+    The full parser would hand everything after the command word to that
+    command's subparser, so where the first word names a command the rest
+    goes straight to the subparser, with the same namespace and messages.
+    The full parser takes every other line: no command or an unknown one,
+    ``--`` anywhere (argparse versions differ in what they hand on after
+    it), and a line with an argument the subparser leaves unread, which
+    only the full parser reports.
+    """
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = commands.get(argv[0]) if argv else None
+    if sub is not None and "--" not in argv:
+        namespace, unread = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not unread:
+            return namespace
+    return parser.parse_args(argv)
 
 
 def _merge_config_file(command: str, args: dict) -> dict:
@@ -361,9 +382,8 @@ def _run_config(command: str, args: dict, out_path: str | None, fmt: str) -> dic
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        namespace = parser.parse_args(argv)
+        namespace = _parse(argv)
     except SystemExit as err:
         return int(err.code) if err.code is not None else EXIT_OK
 

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 
 from conftest import (
     equal_power_grid_snr,
@@ -32,6 +33,7 @@ from mmwbeam.steering import (
     gram_stack,
     spatial_frequencies,
     steering_matrix,
+    steering_stack,
     steering_vector,
 )
 
@@ -741,9 +743,11 @@ class TestFactorDegenerateInputs:
             assert np.all(np.triu(ordered, 1) == 0.0)
             assert np.all(np.diag(ordered).imag == 0.0) and np.all(np.diag(ordered).real >= 0.0)
 
-    def test_optimum_calls_lapack_only_for_the_core_at_four_paths_or_more(self, monkeypatch):
-        # at L <= 3 the factor and the top eigenvalue are in closed form; at L = 3 eigvalsh
-        # is left for near-double tops, which these draws do not have
+    def test_optimum_calls_lapack_for_the_factor_from_three_paths_and_the_core_from_four(
+            self, monkeypatch):
+        # at L <= 2 the factor and the top eigenvalue are in closed form; from L = 3 the
+        # factor is one stacked Cholesky call, and at L = 3 eigvalsh is left for near-double
+        # tops, which these draws do not have
         calls = []
 
         def spy(name, original):
@@ -754,11 +758,14 @@ class TestFactorDegenerateInputs:
 
         for name in ("eigh", "eigvalsh", "svd", "cholesky", "solve", "lstsq", "pinv"):
             monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
-        for num_paths in (1, 2, 3, 5):
+        monkeypatch.setattr(_umath_linalg, "cholesky_lo",
+                            spy("cholesky", _umath_linalg.cholesky_lo))
+        expected = {1: [], 2: [], 3: ["cholesky"], 5: ["cholesky", "eigvalsh"]}
+        for num_paths, route in expected.items():
             inputs = engine_inputs(montecarlo.McConfig(num_paths=num_paths, trials=16, seed=1))
             calls.clear()
             beamformer._optimal_snr(*inputs)
-            assert calls == ([] if num_paths <= 3 else ["eigvalsh"])
+            assert calls == route
 
     @pytest.mark.parametrize("nt,gains,aod,aoa", SINGULAR_GRAMS)
     def test_reduced_route_matches_dense_svd(self, nt, gains, aod, aoa):
@@ -801,6 +808,138 @@ class TestFactorDegenerateInputs:
         assert abs(np.sum(weights)) == pytest.approx(1.0, rel=1e-12)
         scheme = bidirectional_beamformer(paths, tx_geom, rx_geom).normalized_snr
         assert engine_losses(paths, 8, monkeypatch) == [_loss_db(pair.normalized_snr, scheme)]
+
+
+def singular_inputs(num_paths):
+    """Gains (B, L) and Grams (B, L, L) of the ``SINGULAR_GRAMS`` cases with L paths, Nr = 4."""
+    cases = [case.values for case in SINGULAR_GRAMS if len(case.values[1]) == num_paths]
+    gains = np.array([case[1] for case in cases])
+    gram_t = np.stack([gram_stack(ArrayGeometry(nt), spatial_frequencies(np.array(aod)))
+                       for nt, _, aod, _ in cases])
+    gram_r = gram_stack(ArrayGeometry(4), spatial_frequencies(np.array([c[3] for c in cases])))
+    return gains, gram_t, gram_r
+
+
+def mixed_inputs(num_paths):
+    """``singular_inputs`` and engine draws at Nt = 4 and 64, interleaved in one stack."""
+    parts = [singular_inputs(num_paths)] + [
+        engine_inputs(montecarlo.McConfig(num_paths=num_paths, trials=24, seed=11, nt=nt))
+        for nt in (4, 64)
+    ]
+    order = np.random.default_rng(num_paths).permutation(sum(len(part[0]) for part in parts))
+    return [np.concatenate(arrays)[order] for arrays in zip(*parts)]
+
+
+def refused_by_cholesky(gram):
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return True
+    return False
+
+
+class TestFactorRoute:
+    @pytest.mark.parametrize("num_paths", (3, 5))
+    def test_each_row_of_a_mixed_stack_has_the_bits_of_its_own_factor(self, num_paths):
+        # rows that zpotrf refuses take the pivoted factor; the others LAPACK's, and no row
+        # depends on the rows around it
+        gram_t = mixed_inputs(num_paths)[1]
+        refused = [refused_by_cholesky(gram) for gram in gram_t]
+        assert 0 < sum(refused) < len(gram_t)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            factor = beamformer._gram_factor(gram_t)
+        for gram, row, pivoted in zip(gram_t, factor, refused):
+            assert row.tobytes() == beamformer._gram_factor(gram[None])[0].tobytes()
+            expected = beamformer._pivoted_factor(gram[None])[0] if pivoted else (
+                np.linalg.cholesky(gram))
+            assert row.tobytes() == expected.tobytes()
+
+    def test_the_cholesky_gufunc_gives_nan_for_a_refused_row(self):
+        # the factor route reads refusals off this behaviour of numpy's gufunc: a refused
+        # matrix comes back all NaN, an accepted one with np.linalg.cholesky's bits
+        rng = np.random.default_rng(4)
+        draws = rng.standard_normal((4, 4, 4)) + 1j * rng.standard_normal((4, 4, 4))
+        definite = draws @ np.conj(np.swapaxes(draws, 1, 2)) + 0.1 * np.eye(4)
+        vec = draws[0, :, :1]
+        refused = np.stack([np.ones((4, 4)), vec @ np.conj(vec.T),
+                            np.diag([1.0, -1.0, 1.0, 1.0]), np.zeros((4, 4))]) + 0j
+        stack = np.stack([definite[0], refused[0], definite[1], refused[1], refused[2],
+                          definite[2], refused[3], definite[3]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="ignore"):
+                out = _umath_linalg.cholesky_lo(stack, signature="D->D")
+        for gram, row in zip(stack, out):
+            if refused_by_cholesky(gram):
+                assert np.all(np.isnan(row.real)) and np.all(np.isnan(row.imag))
+            else:
+                assert row.tobytes() == np.linalg.cholesky(gram).tobytes()
+        assert [refused_by_cholesky(gram) for gram in stack] == [
+            False, True, False, True, True, False, True, False]
+
+    @pytest.mark.parametrize("num_paths", (3, 4, 5, 6))
+    @pytest.mark.parametrize("nt", (2, 4, 64))
+    @pytest.mark.parametrize("gap", (None, 1e-3, 1e-6, 1e-9, 1e-12))
+    def test_optimum_matches_the_pivoted_core_and_the_dense_svd(self, gap, nt, num_paths):
+        # zpotrf accepts some rank-deficient Grams: their factor must still give the optimum
+        rng = np.random.default_rng(num_paths * 1000 + nt)
+        batch = 16
+        gains = rng.standard_normal((batch, num_paths)) + 1j * rng.standard_normal(
+            (batch, num_paths))
+        freq_t, freq_r = rng.uniform(-1.0, 1.0, (2, batch, num_paths))
+        if gap is not None:
+            # departures a gap apart: all of them in the first half of the rows, two after
+            apart = gap * np.arange(num_paths)
+            freq_t[: batch // 2] = freq_t[: batch // 2, :1] + apart
+            freq_t[batch // 2 :, 1] = freq_t[batch // 2 :, 0] + gap
+        tx_geom, rx_geom = geometry_pair(nt=nt, nr=4)
+        gram_t, gram_r = gram_stack(tx_geom, freq_t), gram_stack(rx_geom, freq_r)
+        channels = (steering_stack(rx_geom, freq_r) * gains[:, None, :]) @ np.conj(
+            np.swapaxes(steering_stack(tx_geom, freq_t), 1, 2))
+        dense = np.linalg.svd(channels, compute_uv=False)[:, 0] ** 2 / num_paths
+        for power in (-500, 0, 500):
+            scaled = gains * 2.0**power
+            optimal = beamformer._optimal_snr(scaled, gram_t, gram_r)[0]
+            core = beamformer._hermitian_form(scaled, beamformer._pivoted_factor(gram_t), gram_r)
+            pivoted = np.linalg.eigvalsh(core)[:, -1] / num_paths
+            assert np.all(np.abs(optimal - pivoted) <= 1e-13 * pivoted)
+            assert np.all(np.abs(optimal - dense * 4.0**power) <= 1e-13 * dense * 4.0**power)
+
+
+def stacked_one_hot_snrs(gains, gram_t, gram_r):
+    """Dominant-path and bi-directional SNRs (B,) with the one-hot weights applied by ``@``."""
+    size = gains.shape[-1]
+    weights = np.eye(size)[np.argmax(np.abs(gains), axis=-1)]
+    tx_couplings = gram_t @ weights[..., None]
+    rx_couplings = (weights[:, None, :] @ gram_r)[:, 0]
+    dominant = beamformer._hermitian_form(gains, tx_couplings, gram_r)[:, 0, 0].real / size
+    amp = np.sum(gains * rx_couplings * tx_couplings[..., 0], axis=-1)
+    return dominant, (amp.real**2 + amp.imag**2) / size, weights
+
+
+class TestOneHotReads:
+    @pytest.mark.parametrize("num_paths", (1, 2, 3, 5))
+    @pytest.mark.parametrize("nt", (4, 64))
+    @pytest.mark.parametrize("seed", (0, 1))
+    def test_column_reads_give_the_bits_of_the_stacked_product_on_engine_draws(
+            self, seed, nt, num_paths):
+        cfg = montecarlo.McConfig(num_paths=num_paths, trials=200, seed=seed, nt=nt)
+        self.assert_same_bits(*engine_inputs(cfg))
+
+    @pytest.mark.parametrize("num_paths", (3, 5))
+    def test_column_reads_give_the_bits_of_the_stacked_product_on_singular_grams(
+            self, num_paths):
+        self.assert_same_bits(*singular_inputs(num_paths))
+
+    @staticmethod
+    def assert_same_bits(gains, gram_t, gram_r):
+        dominant, bidirectional, weights = stacked_one_hot_snrs(gains, gram_t, gram_r)
+        for kernel, expected in ((beamformer._dominant_snr, dominant),
+                                 (beamformer._bidirectional_snr, bidirectional)):
+            snr, read_weights = kernel(gains, gram_t, gram_r)
+            assert snr.tobytes() == expected.tobytes()
+            assert read_weights.tobytes() == weights.tobytes()
 
 
 class TestTopEigenvalue:

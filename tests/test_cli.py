@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -753,6 +754,64 @@ class TestParserReuse:
         assert codes == [EXIT_OK] * 4 + [EXIT_USAGE, EXIT_OK]
         assert first[4][2].startswith("usage: mmwbeam")
         assert first[5][1] == f"mmwbeam {__version__}\n"
+
+
+class TestDirectParse:
+    # (argv, whether the full parser parses it): a line whose first word names a command
+    # goes to that command's subparser alone, unless it holds "--" or an argument the
+    # subparser leaves unread
+    CORPUS = [
+        (["closedform", "--case", "v-orth", "--a1", "2", "--a2", "1", "--uu", "0.5"], False),
+        (["closedform", "--case=v-orth", "--a1=2", "--a2=1", "--uu=0.5", "--format=csv"], False),
+        (["sweep", "--case", "u-orth", "--k-min", "1", "--k-max", "4", "--k-points", "5",
+          "--vv", "0.3"], False),
+        (["ccdf", "--paths", "3", "--trials", "20", "--nt", "8"], False),
+        (["ccdf", "--paths=2", "--trials=10", "--scheme=equal_power", "--format=json"], False),
+        (["ccdf", "--path", "2", "--trials", "5"], False),
+        (["ccdf", "--config", "{config}", "--nt", "8"], False),
+        (["verify", "--suite", "prop1", "--trials", "2"], False),
+        (["ccdf", "-h"], False),
+        (["ccdf", "--paths", "2", "--scheme", "nope"], False),
+        (["ccdf", "--paths", "x"], False),
+        (["ccdf", "--paths"], False),
+        (["ccdf", "--trials", "5"], False),
+        (["closedform", "--case", "v-orth", "--uu", "0.5"], False),
+        (["--version"], True),
+        (["-h"], True),
+        (["--version", "ccdf"], True),
+        (["ccdf", "--version"], True),
+        ([], True),
+        (["bogus", "--paths", "2"], True),
+        (["ccdf", "--bogus", "1", "--paths", "2"], True),
+        (["ccdf", "--paths", "2", "extra"], True),
+        (["ccdf", "--paths", "2", "--", "--trials", "5"], True),
+        (["ccdf", "--paths", "2", "--"], True),
+        (["--", "ccdf", "--paths", "2"], True),
+    ]
+
+    def test_the_direct_route_gives_the_bytes_of_the_full_parser(self, capsys, monkeypatch,
+                                                                  tmp_path):
+        config = tmp_path / "ccdf.json"
+        config.write_text(json.dumps({"paths": 2, "trials": 8}), encoding="utf-8")
+        corpus = [[arg.format(config=config) for arg in argv] for argv, _ in self.CORPUS]
+        full_parses = []
+        parse_args = argparse.ArgumentParser.parse_args
+
+        def spy(parser, args=None, namespace=None):
+            full_parses.append(parser.prog)
+            return parse_args(parser, args, namespace)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+        direct, routes = [], []
+        for argv in corpus:
+            full_parses.clear()
+            direct.append(run_cli(capsys, *argv))
+            routes.append(full_parses == ["mmwbeam"])
+        assert routes == [full for _, full in self.CORPUS]
+        monkeypatch.setattr(cli, "_parse", lambda argv: cli._build_parser()[0].parse_args(argv))
+        assert [run_cli(capsys, *argv) for argv in corpus] == direct
+        codes = [code for code, _, _ in direct]
+        assert codes[:8] == [EXIT_OK] * 8 and set(codes[8:]) == {EXIT_OK, EXIT_USAGE}
 
 
 def indented_json(run_config, results):

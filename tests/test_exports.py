@@ -1,7 +1,6 @@
 """Every exported name resolves, the CLI's case lists come from the regime table, and the
 benchmark's tracer, gate and replay find every function they call."""
 
-import argparse
 import contextlib
 import importlib
 import io
@@ -16,9 +15,8 @@ MODULES = (mmwbeam, steering, channel, beamformer, closedform, montecarlo, verif
 
 
 def case_choices(command):
-    parser = cli._build_parser()
-    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    (case,) = [a for a in subparsers.choices[command]._actions if a.dest == "case"]
+    commands = cli._build_parser()[1]
+    (case,) = [a for a in commands[command]._actions if a.dest == "case"]
     return tuple(case.choices)
 
 

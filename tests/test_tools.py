@@ -32,7 +32,7 @@ def test_every_timed_stage_resolves(monkeypatch):
         assert callable(getattr(owner, name, None)), f"{owner.__name__}.{name}"
     engine = recorder.ENGINE_STAGES
     assert {stage for _, _, stage in engine} == {
-        "draw", "gram_pair", "optimum", "scheme", "losses", "emission"}
+        "parsing", "draw", "gram_pair", "optimum", "scheme", "losses", "emission"}
     # every scheme kernel the engine can call is timed
     from mmwbeam import montecarlo
     assert {name for owner, name, _ in engine if owner is montecarlo._SCHEME_SNR} == set(

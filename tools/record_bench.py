@@ -15,11 +15,11 @@ The file has four parts:
 * ``per_layer``: the time per ``verify-oracles`` round of each ``verify``
   stage, from timers put around the stage functions while the suites run
   in-process on the benchmark's trial counts; and, under ``engine``, the
-  time per ``ccdf`` invocation of each stage of the Monte Carlo engine
-  (draw, Gram pair, optimum, scheme kernel, losses, emission), from
-  ``cli.main`` run in-process on the ``ccdf-paper`` calls (L = 1, 2, 3, 5,
-  Nt = 64, Nr = 4, bidirectional) and the ``ccdf-wide`` call.  Each call
-  runs 200 trials, one chunk of the engine.
+  time per ``ccdf`` invocation of argument parsing and of each stage of the
+  Monte Carlo engine (draw, Gram pair, optimum, scheme kernel, losses,
+  emission), from ``cli.main`` run in-process on the ``ccdf-paper`` calls
+  (L = 1, 2, 3, 5, Nt = 64, Nr = 4, bidirectional) and the ``ccdf-wide``
+  call.  Each call runs 200 trials, one chunk of the engine.
 
 After writing the file the script prints each row beside the same row of
 the newest earlier ``BENCH_<n>.json`` in the repository root.
@@ -118,6 +118,7 @@ STAGES = [
 # self time of _trial_losses is the chunk loop itself: the frequency stack, the
 # SNR ratios and the log10 of each loss.
 ENGINE_STAGES = [
+    (cli, "_parse", "parsing"),
     (montecarlo, "_draw_chunk", "draw"),
     (montecarlo, "spatial_frequencies", "gram_pair"),
     (montecarlo, "_grams", "gram_pair"),
@@ -239,7 +240,7 @@ def engine() -> dict:
             configs[name] = {"argv": argv, "stages": _summary(rounds, "us")}
     return {
         "unit": "us per ccdf call of 200 trials (one chunk), at --seed 1 to 30; "
-                "other: parsing, config and sorting",
+                "other: the config records and sorting",
         "rounds": STAGE_ROUNDS,
         "configs": configs,
     }
