@@ -27,7 +27,7 @@ import numpy as np
 
 from .beamformer import MIN_BEAM_NORM_SQ, _unscaled
 from .channel import _path_arrays
-from .steering import ArrayGeometry, cpo_inner_product
+from .steering import ArrayGeometry, _grams
 
 __all__ = [
     "TwoPathParams",
@@ -118,18 +118,31 @@ class TwoPathParams:
         """Measure the reduced parameters of two paths; each coupling is a Dirichlet kernel."""
         if len(paths) != 2:
             raise ValueError("exactly two paths are required")
-        (g1, g2), (tx1, tx2), (rx1, rx2) = (values.tolist() for values in _path_arrays(paths))
-        uu = cpo_inner_product(rx_geom, rx2 - rx1)
-        vv = cpo_inner_product(tx_geom, tx2 - tx1)
-        return cls(
-            mag_a1=abs(g1),
-            mag_a2=abs(g2),
-            phase_diff=math.atan2(g1.imag, g1.real) - math.atan2(g2.imag, g2.real),
-            uu_mag=min(abs(uu), 1.0),
-            uu_phase=float(np.angle(uu)) if abs(uu) > 0 else 0.0,
-            vv_mag=min(abs(vv), 1.0),
-            vv_phase=float(np.angle(vv)) if abs(vv) > 0 else 0.0,
+        gains, freqs_t, freqs_r = _path_arrays(paths)
+        return _measured(gains[None], freqs_t[None], freqs_r[None], tx_geom, rx_geom)[0]
+
+
+def _measured(gains, freqs_t, freqs_r, tx_geom: ArrayGeometry, rx_geom: ArrayGeometry) -> list:
+    """:meth:`TwoPathParams.from_paths` of two-path channels, one per row of the (B, 2) inputs.
+
+    ``gains`` are complex, ``freqs_t`` and ``freqs_r`` the departure and
+    arrival spatial frequencies.  Each end's couplings are one :func:`_grams`
+    call, whose entries have the bits of :func:`cpo_inner_product`; ``abs``
+    and ``np.angle`` keep the bits they have on one value.
+    """
+    ends = []
+    for geom, freqs in ((rx_geom, freqs_r), (tx_geom, freqs_t)):
+        kernel = _grams(geom.num_elements, geom.spacing_wavelengths, freqs)[:, 0, 1]
+        ends.append([
+            (min(abs(z), 1.0), phase if abs(z) > 0 else 0.0)
+            for z, phase in zip(kernel.tolist(), np.angle(kernel).tolist())
+        ])
+    return [
+        TwoPathParams(
+            abs(g1), abs(g2), math.atan2(g1.imag, g1.real) - math.atan2(g2.imag, g2.real), *uu, *vv
         )
+        for (g1, g2), uu, vv in zip(np.asarray(gains).tolist(), *ends)
+    ]
 
 
 @dataclass(frozen=True)
@@ -193,36 +206,14 @@ REGIMES = {
 }
 
 
-# Margin of the row test, in units of eps (see _candidate_rows).
-_ROW_TEST_ULPS = 64.0
-_ROW_TEST_EPS = _ROW_TEST_ULPS * float(np.finfo(float).eps)
-
-# The row test of the grid search keeps every row whose denominator column lies
-# within this of 1 in magnitude, where a beam norm may come near vanishing.
-_ROW_TEST_DEN_GAP = 1e-6
-
-# A kept row is evaluated at the grid phases within this many steps of its
-# continuous maximizer, and whole only where that window cannot decide it.
-_WINDOW_HALF = 2
-
-# A search's kept rows are padded to a multiple of this many with copies of the
-# last, so its per-row arrays come in few sizes: numpy keeps freed buffers under
-# 1 KiB for reuse by exact size, and kept-row counts of every size grew that
-# cache by about 1.4 MB of malloc's bytes in use over 1000 rounds of verify's
-# searches, against 0.15 MB padded.
-_ROW_PAD = 8
-
-# The grid searches evaluate their kept rows in blocks of at most this many rows.
-# A block's arrays then stay in cache: on 10 refined verify searches (230-420
-# rows kept) blocks of 32-64 rows ran 1.3-1.6x faster than blocks of 201.
-_BLOCK_ROWS = 64
-
+# Rows whose denominator column lies within this of 1 in magnitude, where the beam
+# can vanish, are searched on the theta grid instead of by their root (see _scans).
+_DEN_GAP = 1e-6
 
 # The per-set scalars of the grid, in the order _grid_terms computes them.
 _TERMS = (
     "a", "b", "root_ab", "shift", "uu", "vv", "vv_sq", "nu", "vv_phase", "coupling", "a_plus_b",
-    "cos_factor", "sin_factor", "phase_margin",
-)
+    "cos_factor", "sin_factor")
 
 
 def _grid_terms(params: Sequence[TwoPathParams]) -> dict[str, np.ndarray]:
@@ -233,8 +224,8 @@ def _grid_terms(params: Sequence[TwoPathParams]) -> dict[str, np.ndarray]:
     on the batch it is in.  They are ``a``, ``b``, ``root_ab`` and
     ``shift`` of :func:`_scaled_terms`; the couplings, ``vv^2``, the
     misalignment ``nu`` and the transmit coupling's phase; the coupling term
-    of the beta-only column and ``a + b``; the factors of the row test's
-    ``b`` and ``c`` and its phase margin (see :func:`_candidate_rows`).
+    of the beta-only column and ``a + b``; and the factors of a row's ``B``
+    and ``C`` (see :func:`_row_peaks`).
     """
     table = []
     for p in params:
@@ -247,7 +238,6 @@ def _grid_terms(params: Sequence[TwoPathParams]) -> dict[str, np.ndarray]:
             a + b,
             (1.0 + vv_sq) * math.cos(nu),
             (1.0 - vv_sq) * math.sin(nu),
-            2.0 * _ROW_TEST_EPS * (1.0 + abs(p.vv_phase) + 3.0 * math.pi),
         ))
     columns = np.array(table, dtype=float).reshape(-1, len(_TERMS)).T
     return {name: column[:, None] for name, column in zip(_TERMS, columns)}
@@ -302,7 +292,7 @@ def _grid_block(columns, rows) -> np.ndarray:
     the plain left-to-right sum on purpose: the cos(phi) product, then the
     beta-only column, then the coupling product, each added in place.  Every
     entry is elementwise and keeps the bits of that sum whichever rows share
-    the block, so grid searches keep their argmax.  The masked division runs
+    the block.  The masked division runs
     only in a block where some beam norm vanishes; such entries are ``-inf``.
     """
     beta_terms, cos_coef, cross_coef, den_coef = columns
@@ -329,8 +319,8 @@ def objective_grid(params: TwoPathParams, betas, thetas) -> np.ndarray:
     Returns an array of shape ``(len(betas), len(thetas))``; entries whose
     beam degenerates to the zero vector are ``-inf``.  The per-axis terms
     (:func:`_grid_columns`, :func:`_grid_rows`) are combined by one block over
-    every row (:func:`_grid_block`) and scaled back, as the grid search's
-    values are; beyond the float range an entry is infinite.
+    every row (:func:`_grid_block`) and scaled back, as the scan's values
+    are; beyond the float range an entry is infinite.
     """
     terms = _grid_terms([params])
     columns = _grid_columns(terms, np.asarray(betas, dtype=float).reshape(1, -1))
@@ -346,8 +336,8 @@ def two_path_objective(params: TwoPathParams, alloc: AllocationPoint) -> float:
     Matrix-free evaluation of ``f^H H^H H f / (L * Nt * Nr * f^H f)`` for
     ``f = beta*v_1 + sqrt(1-beta^2)*exp(1j*theta)*v_2``, on the scaled
     terms of :func:`_grid_columns` and scaled back, so it reads the values of
-    :func:`objective_grid` and the grid search; beyond the float range it
-    is infinite.  This is :func:`_objectives` on one set.
+    :func:`objective_grid`; beyond the float range it is infinite.  This is
+    :func:`_objectives` on one set.
     """
     return _objectives(_grid_terms([params]), [alloc])[0]
 
@@ -368,245 +358,104 @@ def allocation_grid_search(
     num_theta: int = 360,
     beta_window: tuple[float, float] | None = None,
 ) -> tuple[AllocationPoint, float]:
-    """Brute-force maximizer of the two-path objective on a uniform grid.
+    """Maximizer of the two-path objective over a uniform beta grid, theta exact at each beta.
 
-    Beta spans [0, 1] inclusive and theta spans [0, 2*pi) without the
-    endpoint; ``beta_window`` restricts beta to a sub-interval (with
-    endpoints), which supports zoom-in refinement around a coarse argmax.
-
-    The grid is evaluated on the scaled terms of :func:`_grid_columns` and its
-    value scaled back (beyond the float range it reads infinite), so
-    scaling both gains by a power of two keeps the point and scales the
-    value exactly, huge and tiny gains keep their argmax, and every entry
-    evaluated has the bits of :func:`objective_grid`.
-
-    Most rows are never evaluated.  A row's doubled objective is
-    ``(alpha + b cos(phi) + c sin(phi)) / (1 + delta cos(phi))``, which stays
-    below ``T`` at every phase exactly when ``hypot(b - T delta, c) < T - alpha``
-    (:func:`_candidate_rows`).  ``T`` is twice the grid maximum of the row
-    whose maximum over a continuous phase is largest, and a row is skipped
-    only when ``T`` is finite, ``|delta| <= 1 - 1e-6`` and the test holds with
-    the margin ``64 eps (|alpha| + |cos_coef| + 2 (1 + |p| + 3 pi) |cross_coef|
-    + |T| (1 + |delta|))`` plus 64 times the smallest subnormal (``p`` the
-    transmit coupling's phase), which covers the rounding of the entries and
-    of the test.  A skipped row holds only finite entries strictly below the
-    grid's maximum; NaN and masked rows are always evaluated.  A kept row is
-    evaluated at the 5 grid phases nearest its continuous maximizer, and
-    whole only where those cannot decide it (:meth:`_Searches._windows`); a
-    row at beta = 0 or 1 is constant, its first maximum at phase 0.  The kept
-    rows are taken in ascending order, and ``np.argmax`` over them takes the
-    first maximum.  So the result is the point and value of ``np.argmax`` over
-    the whole scaled grid: ties resolve to the lowest (beta-major) linear index.
-
-    Memory follows the kept rows, up to a block of 64 whole rows.  On
-    ``verify``'s draws a coarse search keeps a few rows and a refined one
-    tens, up to 131 of 201, and every window decides its row.  An input where
-    no row can be skipped (a flat grid, ``TwoPathParams(1.0, 1.0)``, where
-    every row ties) is evaluated whole, 64 rows at a time.  This is
-    :class:`_Searches` on one set.
+    Beta spans [0, 1] inclusive; ``beta_window`` restricts it to a
+    sub-interval (with endpoints), for zoom-in refinement around a coarse
+    argmax.  Theta is not on a grid: each beta row is maximized over a
+    continuous phase in closed form (:func:`_row_peaks`), and the value is
+    that maximum, not an entry of :func:`objective_grid`.  Only a row whose
+    beam can vanish (``|delta| > 1 - 1e-6``, nearly parallel transmit vectors)
+    is searched on ``num_theta`` phases in [0, 2*pi), with the grid's
+    entries.  The point is the first row of largest value, at its maximizing
+    phase.  The rows are taken on the scaled terms of :func:`_grid_columns`
+    and the value scaled back (beyond the float range it reads infinite), so
+    scaling both gains by a power of two keeps the point and scales the value
+    exactly.  This is :func:`_scans` on one set.
     """
     if num_beta < 2 or num_theta < 2:
         raise ValueError("grid resolutions must be at least 2")
-    if beta_window is None:
-        betas = np.linspace(0.0, 1.0, num_beta)
-    else:
-        betas = np.clip(np.linspace(beta_window[0], beta_window[1], num_beta), 0.0, 1.0)
-    return _Searches([params], num_theta).run(betas.reshape(1, -1))[0]
+    start, stop = (0.0, 1.0) if beta_window is None else beta_window
+    betas = np.clip(np.linspace(start, stop, num_beta), 0.0, 1.0)
+    return _scans(_grid_terms([params]), betas.reshape(1, -1), num_theta)[0]
 
 
-class _Searches:
-    """:func:`allocation_grid_search` of several parameter sets over one theta axis.
+def _scans(terms: dict[str, np.ndarray], betas, num_theta: int) -> list:
+    """:func:`allocation_grid_search` of each set of :func:`_grid_terms` on its own amplitudes.
 
-    The sets' terms and phase rows are computed once, for any number of
-    searches on amplitude grids.
+    ``betas`` is (S, K), or (1, K) amplitudes every set shares.  One array
+    pass serves all sets; the theta grid's phase rows are built only for
+    near-singular rows.  Every step is elementwise, so a set keeps its bits
+    in any batch.
     """
-
-    def __init__(self, params: Sequence[TwoPathParams], num_theta: int) -> None:
-        self.terms = _grid_terms(params)
-        self.thetas = np.linspace(0.0, _TWO_PI, num_theta, endpoint=False)
-        self.rows = _grid_rows(self.terms, self.thetas.reshape(1, -1))
-        # the sets whose rows may be decided by a window (see _windows): five
-        # distinct phases with more outside, and phases whose rounding, which the
-        # phase margin bounds, stays below a grid step, so they keep their order
-        self.windowed = (num_theta >= 2 * _WINDOW_HALF + 3) & (
-            self.terms["phase_margin"][:, 0] < _TWO_PI / num_theta
-        )
-
-    def run(self, betas: np.ndarray) -> list[tuple[AllocationPoint, float]]:
-        """The point and value of each set's search on its own amplitudes ``betas[s]``.
-
-        ``betas`` is (S, K), or (1, K) for amplitudes every set shares.  The
-        columns and the row test are one array pass over all sets, and the
-        kept rows of all sets are evaluated together (:meth:`_row_maxima`),
-        each with its own set's phase row.  Every entry keeps the bits it has
-        in a search of its set alone, and each set's point is the first
-        maximum of its own kept rows in ascending order, as there.
-        """
-        columns = _grid_columns(self.terms, betas)
-        keep, peak_phases = _candidate_rows(self.terms, columns, self.rows)
-        kept_set, kept_row = np.nonzero(keep)
-        # padded with copies of the last kept row (see _ROW_PAD)
-        count = kept_set.size
-        take = np.minimum(np.arange(count + -count % _ROW_PAD), count - 1)
-        sets, kept = kept_set[take], kept_row[take]
-        row_max, row_arg = self._row_maxima(
-            [col[sets, kept] for col in columns], sets, peak_phases[sets, kept]
-        )
-        row_max, row_arg = row_max[:count], row_arg[:count]
-        # np.argmax over a set's row maxima, then within that row, is its argmax
-        # over the block of its kept rows: the first NaN, else the first maximum
-        shifts = self.terms["shift"][:, 0]
-        bounds = np.searchsorted(kept_set, np.arange(shifts.size + 1)).tolist()
-        betas = np.broadcast_to(betas, (shifts.size, betas.shape[1]))
-        results = []
-        for s, shift in enumerate(shifts.tolist()):
-            top = bounds[s] + int(np.argmax(row_max[bounds[s] : bounds[s + 1]]))
-            point = AllocationPoint(
-                beta=float(betas[s, kept_row[top]]), theta=float(self.thetas[row_arg[top]])
-            )
-            results.append((point, _unscaled(float(row_max[top]), int(shift))))
-        return results
-
-    def _row_maxima(self, cols, sets, peak_phases) -> tuple[np.ndarray, np.ndarray]:
-        """The value and phase index of the first maximum (or first NaN) of each given row.
-
-        Row r has the column entries ``cols[i][r]`` (R,) and the phase row of
-        set ``sets[r]``; ``peak_phases[r]`` is its continuous maximizer.  A
-        tested row of a set in ``self.windowed`` is decided by its window
-        where :meth:`_windows` can.  A row whose three phase columns are
-        exactly 0 (beta = 0 or 1) has the same bits at every phase, so its
-        window holds its value and its first maximum is phase 0.  Every other
-        row is evaluated whole, ``_BLOCK_ROWS`` rows at a time.
-        """
-        decided, row_max, row_arg = self._windows(cols, sets, peak_phases)
-        decided &= np.abs(cols[3]) <= 1.0 - _ROW_TEST_DEN_GAP
-        decided &= self.windowed[sets]
-        flat = (cols[1] == 0.0) & (cols[2] == 0.0) & (cols[3] == 0.0)
-        row_arg[flat] = 0
-        rest = np.flatnonzero(~(decided | flat))
-        for start in range(0, rest.size, _BLOCK_ROWS):
-            chunk = rest[start : start + _BLOCK_ROWS]
-            block = _grid_block(
-                [col[chunk, None] for col in cols], [row[sets[chunk]] for row in self.rows]
-            )
-            row_arg[chunk] = np.argmax(block, axis=1)
-            row_max[chunk] = block[np.arange(chunk.size), row_arg[chunk]]
-        return row_max, row_arg
-
-    def _windows(self, cols, sets, peak_phases) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Rows decided by the ``2 _WINDOW_HALF + 1`` grid phases nearest their maximizer.
-
-        Arguments as :meth:`_row_maxima`.  Returns which rows the window
-        decides, and each row's window maximum and the index of its first
-        occurrence in ascending phase order, which for a decided row are those
-        of the whole row.  The decision holds for tested rows (``|delta| <= 1
-        - 1e-6``) of sets in ``self.windowed`` only.
-
-        With ``T`` twice the window maximum, the exact row satisfies ``num -
-        T den = (alpha - T) + (b - T delta) cos(phi) + c sin(phi)`` (see
-        :func:`_candidate_rows`): a sinusoid plus a constant, with one maximum
-        and one minimum on the circle.  The margin ``m`` of the row test at
-        this ``T`` is at least five times the rounding of ``num`` and ``T den``
-        plus the division's, so an entry whose exact ``num - T den`` is below
-        ``-m / 5`` computes below ``T / 2``.  A window edge whose computed
-        entry ``v`` and denominator ``den`` satisfy ``den (T - 2 v) > m`` has
-        an exact ``num - T den`` below ``-m + m / 5`` (the division's rounding,
-        about ``u |num|``, is within the margin's terms).  The entry at the
-        window maximum has one of at least ``-m / 5``, or it would compute
-        below ``T / 2``; so the sinusoid's maximum lies inside the window, and
-        at every phase outside it the sinusoid is below the larger of its
-        values at the two edges: every entry there computes strictly below
-        the window maximum.  This rests on the edge test alone, not on how
-        close ``peak_phases`` is, and on the set's phases keeping their
-        cyclic order, which ``self.windowed`` ensures.  A window with a
-        non-finite entry decides nothing.
-        """
-        num_theta = self.thetas.size
-        turn = np.mod(peak_phases - self.terms["vv_phase"][sets, 0], _TWO_PI)
-        centre = np.rint(turn * (num_theta / _TWO_PI)).astype(int)
-        phases = (centre[:, None] + np.arange(-_WINDOW_HALF, _WINDOW_HALF + 1)) % num_theta
-        rows = [row[sets[:, None], phases] for row in self.rows]
-        block = _grid_block([col[:, None] for col in cols], rows)
-        top = block.max(axis=1)
-        den = cols[3][:, None] * rows[0][:, [0, -1]]
-        den += 1.0  # the bits of the block's denominator at the edges
-        margin = _row_margin(self.terms["phase_margin"][sets, 0], *cols, 2.0 * top)
-        with np.errstate(invalid="ignore"):  # masked entries, in rows left undecided
-            gap = 2.0 * (top[:, None] - block[:, [0, -1]])
-            gap *= den
-            decided = np.isfinite(block).all(axis=1) & (gap > margin[:, None]).all(axis=1)
-        first = np.where(block == top[:, None], phases, num_theta).min(axis=1)
-        return decided, top, first
+    columns = _grid_columns(terms, betas)
+    peaks, phases = _row_peaks(terms, columns)
+    values = 0.5 * peaks
+    thetas = phases - terms["vv_phase"]
+    singular = np.abs(columns[3]) > 1.0 - _DEN_GAP
+    if singular.any():
+        sets, rows = np.nonzero(singular)
+        grid = np.linspace(0.0, _TWO_PI, num_theta, endpoint=False)
+        phase_rows = _grid_rows({name: col[sets] for name, col in terms.items()}, grid[None])
+        block = _grid_block([col[sets, rows, None] for col in columns], phase_rows)
+        arg = np.argmax(block, axis=1)
+        values[sets, rows] = block[np.arange(sets.size), arg]
+        thetas[sets, rows] = grid[arg]
+    top = np.argmax(values, axis=1)[:, None]  # each set's first maximum, or first NaN
+    betas = np.broadcast_to(betas, values.shape)
+    picked = (np.take_along_axis(x, top, axis=1)[:, 0].tolist() for x in (betas, thetas, values))
+    return [
+        (AllocationPoint(beta, theta), _unscaled(value, int(shift)))
+        for beta, theta, value, shift in zip(*picked, terms["shift"][:, 0].tolist())
+    ]
 
 
-def _candidate_rows(terms: dict[str, np.ndarray], columns, rows) -> tuple[np.ndarray, np.ndarray]:
-    """Mask (S, K) of every row of each set's grid that may hold or tie its maximum
-    (see :func:`allocation_grid_search`), and each row's continuous maximizer (S, K).
+def _row_peaks(terms: dict[str, np.ndarray], columns) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's doubled maximum over a continuous phase, and the ``phi`` that attains it.
 
-    With ``w = vv^2``, ``vv^2 cos(nu + phi) + cos(nu - phi) = (1 + w) cos(nu) cos(phi)
-    + (1 - w) sin(nu) sin(phi)``, so a row's doubled objective is ``(alpha + b cos(phi)
-    + c sin(phi)) / (1 + delta cos(phi))``: ``alpha`` the beta-only column, ``delta``
-    the denominator column, ``b = cos_coef + cross_coef (1 + w) cos(nu)`` and
-    ``c = cross_coef (1 - w) sin(nu)``.  Where ``|delta| < 1`` the denominator is
-    positive, so the row stays below ``T`` at every phase if and only if
-    ``hypot(b - T delta, c) < T - alpha``; the smallest such ``T`` is the row's
-    maximum over a continuous phase, the larger root of ``(T - alpha)^2 =
-    (b - T delta)^2 + c^2``.  The row with the largest such maximum is the seed, and
-    ``T`` is twice the largest entry :func:`_grid_block` computes for it from its
-    own one-row columns, a value the grid holds.  A set whose ``T`` is not finite
-    keeps every row.  At its own maximum ``T_r`` a row's ``num - T_r den`` is a
-    sinusoid in ``phi`` plus a constant whose peak, 0, lies at the row's
-    maximizer ``atan2(c, b - T_r delta)``; :meth:`_Searches._windows` centres a
-    window there.
+    As ``vv^2 cos(nu + phi) + cos(nu - phi) = (1 + vv^2) cos(nu) cos(phi) + (1
+    - vv^2) sin(nu) sin(phi)``, a row's doubled objective is ``(alpha + B
+    cos(phi) + C sin(phi)) / (1 + delta cos(phi))``, with ``alpha`` and
+    ``delta`` its first and last columns, ``B = cos_coef + cross_coef
+    cos_factor`` and ``C = cross_coef sin_factor``.  For ``|delta| < 1`` it
+    stays at most ``T`` exactly when ``hypot(B - T delta, C) <= T - alpha``,
+    so its maximum is the larger root of ``g T^2 - 2 p T - (B^2 + C^2 -
+    alpha^2) = 0``, ``g = (1 - delta)(1 + delta)``, ``p = alpha - B delta``,
+    attained at ``phi = atan2(C, B - T delta)``.  The discriminant is the sum
+    of squares ``D = (B - alpha delta)^2 + C^2 g``; the root is ``(p +
+    sqrt(D)) / g`` for ``p >= 0`` and, where that cancels, the conjugate
+    ``(B^2 + C^2 - alpha^2) / (sqrt(D) - p)``.  The numerator is a squared
+    norm, so ``alpha >= hypot(B, C)`` and ``p >= alpha (1 - |delta|) >= 0``:
+    only rounding (as on the cancelling set) takes ``p`` below 0.  Rows with
+    ``|delta| >= 1`` read NaN or infinity; :func:`_scans` does not use them.
 
-    The margin bounds how far the entries :func:`_grid_block` computes, and the
-    test's own arithmetic, stray from the exact row at the stored phases ``phi``.
-    With u = eps / 2 and ``p`` the transmit coupling's phase: ``cos(phi)`` is off by
-    a few u; the phases ``nu +- phi`` round by at most ``u |nu +- phi| <= u (|p| +
-    3 pi)``, as the search's phases lie in [0, 2 pi) and ``|nu| <= pi``, so the
-    coupling row is off by under ``2u (|p| + 3 pi + 4)``.  The numerator's three
-    products and two sums each round by u of a partial sum at most ``|alpha| +
-    |cos_coef| + 2 |cross_coef|``; the denominator is off by under ``4u (1 +
-    |delta|)``, which with the division's rounding costs ``6u |T| (1 + |delta|)``
-    against ``T``.  The test's ``b``, ``c``, ``b - T delta``, hypot and ``T - alpha``
-    add under ``8u`` of the same terms.  All of it is under a fifth of the margin;
-    where a result is subnormal its rounding is absolute, which the subnormal term
-    covers.  So an entry whose exact ``num - T den`` lies below ``-margin / 5``
-    computes strictly below half of ``T``, and a skipped row's computed entries are
-    finite and below the grid's maximum: they can neither win nor tie.
+    Rounding bound, with u = eps / 2, ``M = |alpha| + |cos_coef| + 2
+    |cross_coef|`` and ``N = |alpha| + |B| + |C| <= M``.  The row's values
+    lie in ``[-N, N] / (1 - |delta|)``, and ``1 - |delta| >= g / 2``.
+    ``B`` and ``C`` are off by ``16u M`` together (their factors by ``8u``
+    each, a product and a sum), which moves the maximum by ``32u M / g``.
+    ``g`` is off by ``3u`` relative, ``p`` and ``B - alpha delta`` by ``2u N``,
+    ``sqrt(D)`` by ``4u N + 3u sqrt(D)``.  For ``p >= 0`` the sum ``p +
+    sqrt(D) = T g`` of nonnegative parts is off by ``6u N + 4u T g``, so ``T``
+    by ``6u N / g + 8u T <= 22u N / g``.  For ``p < 0``, ``sqrt(D) - p`` is at
+    least ``T g`` and ``N g / 4`` (as ``|B - alpha delta| + |p| >= (|alpha| +
+    |B|)(1 - |delta|)`` and ``sqrt(D) >= |C| (1 - |delta|)``); the numerator
+    is off by ``3u N^2`` and the denominator by ``6u N + 4u (sqrt(D) - p)``,
+    so ``T`` by ``12u N / g + 6u N / g + 5u T <= 28u N / g``.  A subnormal
+    result rounds by at most half the smallest subnormal ``s``, for each of
+    the twenty-odd operations, each carried into ``T`` by at most ``4 / g``.
+    So the doubled maximum is within ``(32 eps M + 64 s) / g`` of the exact
+    maximum of the row's columns, and the value within half that.
     """
-    alpha, cos_coef, cross_coef, den_coef = columns
+    alpha, cos_coef, cross_coef, delta = columns
     b = cos_coef + cross_coef * terms["cos_factor"]
     c = cross_coef * terms["sin_factor"]
-    tested = np.abs(den_coef) <= 1.0 - _ROW_TEST_DEN_GAP
-    delta = np.where(tested, den_coef, 0.0)
-    # the root's discriminant reduces to this sum of squares
-    root = np.sqrt((b - alpha * delta) ** 2 + c * c * (1.0 - delta * delta))
-    peaks = (alpha - b * delta + root) / (1.0 - delta * delta)
-    peak_phases = np.arctan2(c, b - peaks * delta)
-    peaks[~tested] = -np.inf
-    sets = np.arange(alpha.shape[0])
-    seed = np.argmax(peaks, axis=1)
-    seed_block = _grid_block([col[sets, seed, None] for col in columns], rows)
-    top = 2.0 * seed_block.max(axis=1, keepdims=True)
-    finite = np.isfinite(top)
-    top[~finite] = 0.0
-    margin = _row_margin(terms["phase_margin"], alpha, cos_coef, cross_coef, delta, top)
-    skip = tested & finite & (np.hypot(b - top * delta, c) < (top - alpha) - margin)
-    return ~skip, peak_phases
-
-
-def _row_margin(phase_margin, alpha, cos_coef, cross_coef, delta, top) -> np.ndarray:
-    """The row test's rounding margin at the doubled threshold ``top``.
-
-    See :func:`_candidate_rows`; :meth:`_Searches._windows` reads it too.
-    """
-    margin = np.abs(alpha) + np.abs(cos_coef) + np.abs(top) * (1.0 + np.abs(delta))
-    margin *= _ROW_TEST_EPS
-    # scaled before the product, so a huge phase cannot overflow it
-    margin += phase_margin * np.abs(cross_coef)
-    margin += _ROW_TEST_ULPS * np.finfo(float).smallest_subnormal
-    return margin
+    p = alpha - b * delta
+    gap = (1.0 - delta) * (1.0 + delta)
+    root = np.sqrt((b - alpha * delta) ** 2 + c * c * gap)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        peaks = np.where(p >= 0.0, (p + root) / gap, (b * b + c * c - alpha * alpha) / (root - p))
+        return peaks, np.arctan2(c, b - peaks * delta)
 
 
 def _scaled_terms(params: TwoPathParams) -> tuple[float, float, float, int]:

@@ -7,9 +7,9 @@ discrepancies:
 * ``prop1``: the optimal transmit (receive) beam from the dense SVD of the
   channel lies in the span of the transmit (receive) steering vectors, and
   the dense and reduced L x L routes agree on the achieved SNR.
-* ``prop2``: closed-form allocation vs. a search of the (beta, theta)
-  allocation grid, transmit vectors electrically orthogonal; plus
-  consistency with an actual ULA channel.
+* ``prop2``: closed-form allocation vs. a scan of a beta grid that takes
+  each beta at its exact maximum over theta, transmit vectors electrically
+  orthogonal; plus consistency with an actual ULA channel.
 * ``prop3``: same for electrically orthogonal receive vectors.
 * ``prop4``: same for parallel receive vectors (gain-proportional split).
 * ``bounds``: worst-case loss bounds of dominant-path beamforming.
@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import beamformer, closedform
-from .channel import _channel_stack, _path_list
+from .channel import _channel_stack
 from .steering import (
     ArrayGeometry,
     _grams,
@@ -68,7 +68,7 @@ _MIN_DRAWN_GAIN = 1e-6
 # clear of 0, where u-orth meets v-orth, and of 1, where the u-parallel loss is unbounded.
 _FREE_RANGE = {"uu": (0.0, 1.0), "vv": (0.05, 0.95)}
 
-# Beta and theta resolution of the allocation grid the suites search.
+# Beta resolution of the suites' scans, and the theta grid of their near-singular rows.
 _NUM_BETA, _NUM_THETA = 201, 360
 
 # What prop1 draws: path counts, transmit and receive array sizes.
@@ -325,41 +325,41 @@ def _draw_params(rng: np.random.Generator, regime: closedform.Regime) -> closedf
 def _alloc_values(case: str, seed: int, indices: range) -> tuple[list, ...]:
     """The five allocation checks' values of some instances of the regime of ``case``.
 
-    The closed forms run per instance; the coarse and refined grid searches,
-    the objective at the closed-form and at the dominant split, the fixtures'
-    bisection and their dense SVD route each run once over all the instances.
+    The closed forms run per instance; the coarse and refined scans of the
+    beta axis, the objective at the closed-form and at the dominant split,
+    the fixtures' bisection and measurement and their dense SVD route each
+    run once over all the instances.
     """
     regime = closedform.REGIMES[case]
     beta_step = 1.0 / (_NUM_BETA - 1)
     params = [_draw_params(_instance_rng(seed, i), regime) for i in indices]
     allocs = [regime.beta_opt(p) for p in params]
-    searches = closedform._Searches(params, _NUM_THETA)
-    coarse = searches.run(np.linspace(0.0, 1.0, _NUM_BETA).reshape(1, -1))
-    cf_values = closedform._objectives(searches.terms, allocs)
+    terms = closedform._grid_terms(params)
+    coarse = closedform._scans(terms, np.linspace(0.0, 1.0, _NUM_BETA).reshape(1, -1), _NUM_THETA)
+    cf_values = closedform._objectives(terms, allocs)
     # all power on the stronger path: the beam the loss is taken against
     splits = [closedform.AllocationPoint(float(p.mag_a1 >= p.mag_a2), 0.0) for p in params]
-    dominant = closedform._objectives(searches.terms, splits)
+    dominant = closedform._objectives(terms, splits)
     # zoomed second pass resolves optima near the beta = 1 edge, where
-    # the sqrt(1 - beta^2) dependence defeats a uniform coarse grid;
-    # theta stays a full sweep because it is unidentified at beta = 1.
+    # the sqrt(1 - beta^2) dependence defeats a uniform coarse grid.
     # Each window spans 2 beta_step > 0, so linspace takes the same steps
     # on the array of windows as on each window alone.
     starts = np.array([point.beta - beta_step for point, _ in coarse])
     stops = np.array([point.beta + beta_step for point, _ in coarse])
     windows = np.clip(np.linspace(starts, stops, _NUM_BETA, axis=1), 0.0, 1.0)
-    refined = searches.run(windows)
+    refined = closedform._scans(terms, windows, _NUM_THETA)
 
     betas, margins, refined_diffs, identities = [], [], [], []
-    for p, alloc, (point, grid_value), cf_value, dominant_value, (_, refined_value) in zip(
+    for p, alloc, (point, scan_value), cf_value, dominant_value, (_, refined_value) in zip(
         params, allocs, coarse, cf_values, dominant, refined
     ):
         betas.append(abs(alloc.beta - point.beta))
-        margins.append(grid_value - cf_value)
+        margins.append(scan_value - cf_value)
         opt = closedform.snr_optimal(p)
         product = regime.delta_snr(p) * dominant_value
         # np.maximum, not max: a NaN on either side must fail the check
         identities.append(float(np.maximum(_rel_diff(cf_value, opt), _rel_diff(product, opt))))
-        refined_diffs.append(_rel_diff(cf_value, max(refined_value, grid_value)))
+        refined_diffs.append(_rel_diff(cf_value, max(refined_value, scan_value)))
 
     gains, aods, aoas, tx_geom, rx_geom = _fixtures(
         case,
@@ -367,14 +367,10 @@ def _alloc_values(case: str, seed: int, indices: range) -> tuple[list, ...]:
         [(p.phase_diff, 0.0) for p in params],
         [getattr(p, f"{regime.free}_mag") for p in params],
     )
-    measured = [
-        closedform.TwoPathParams.from_paths(_path_list(*instance), tx_geom, rx_geom)
-        for instance in zip(gains, aods, aoas)
-    ]
+    freqs_t, freqs_r = spatial_frequencies(aods), spatial_frequencies(aoas)
+    measured = closedform._measured(gains, freqs_t, freqs_r, tx_geom, rx_geom)
     entries = _channel_stack(
-        gains,
-        steering_stack(rx_geom, spatial_frequencies(aoas)),
-        steering_stack(tx_geom, spatial_frequencies(aods)),
+        gains, steering_stack(rx_geom, freqs_r), steering_stack(tx_geom, freqs_t)
     )
     snrs = beamformer._dense_optimal(entries)[2]
     matrix = [_rel_diff(snr, closedform.snr_optimal(m)) for snr, m in zip(snrs, measured)]

@@ -32,7 +32,7 @@ from mmwbeam.closedform import (
 )
 from mmwbeam.steering import steering_vector
 from mmwbeam.verify import _SUITE_CASES, _draw_params, _instance_rng
-from verify_reference import two_path_fixture
+from verify_reference import scan_bounds, two_path_fixture
 
 SQRT2 = math.sqrt(2.0)
 EPS = np.finfo(float).eps
@@ -188,61 +188,53 @@ class TestGridSearch:
             assert scaled_point == point
             expected = math.ldexp(value, 2 * k)
             if math.isfinite(expected) and expected >= sys.float_info.min:
-                assert scaled_value == objective == expected
+                assert scaled_value == expected
+                assert objective == math.ldexp(two_path_objective(params, point), 2 * k)
 
-    def test_row_test_skips_most_rows_of_the_verify_searches(self, monkeypatch):
-        # both passes of prop2-prop4 over their first 100 seed-0 draws evaluate 11 404
-        # rows, the seed rows included, where the full grids hold 120 600, and 3 268
-        # copies that pad each search's kept rows to a multiple of 8; the kept rows'
-        # windows bring their entries to 286 360, from 4 105 440 with whole rows, of
-        # which the 600 seed rows hold 216 000
-        evaluated, entries = [], []
-        full_block = closedform._grid_block
+    @staticmethod
+    def verify_scans(seed, suite, count):
+        """The coarse and refined scans of a suite's first ``count`` draws, as verify runs them."""
+        regime = REGIMES[_SUITE_CASES[suite]]
+        params = [_draw_params(_instance_rng(seed, index), regime) for index in range(count)]
+        terms = closedform._grid_terms(params)
+        coarse = closedform._scans(terms, np.linspace(0.0, 1.0, 201).reshape(1, -1), 360)
+        starts = np.array([point.beta - 0.005 for point, _ in coarse])
+        stops = np.array([point.beta + 0.005 for point, _ in coarse])
+        windows = np.clip(np.linspace(starts, stops, 201, axis=1), 0.0, 1.0)
+        return params, coarse, windows, closedform._scans(terms, windows, 360)
 
-        def counting_block(columns, rows):
-            evaluated.append(columns[0].shape[0])
-            block = full_block(columns, rows)
-            entries.append(block.size)
-            return block
+    def test_scans_of_the_verify_draws_evaluate_no_phase_grid(self, monkeypatch):
+        # no row of verify's draws is near singular, so no scan builds the theta grid's
+        # phase rows or evaluates a block of it (964 800 rows over seeds 0-19)
+        calls = []
 
-        monkeypatch.setattr(closedform, "_grid_block", counting_block)
-        for suite in ("prop2", "prop3", "prop4"):
-            regime = REGIMES[_SUITE_CASES[suite]]
-            for index in range(100):
-                params = _draw_params(_instance_rng(0, index), regime)
-                point, _ = allocation_grid_search(params)
-                window = (point.beta - 0.005, point.beta + 0.005)
-                allocation_grid_search(params, beta_window=window)
-        assert sum(evaluated) <= 15_000
-        assert sum(entries) <= 300_000
+        def counted(name):
+            full = getattr(closedform, name)
+            return lambda *args: calls.append(name) or full(*args)
 
-    def test_windows_decide_every_kept_row_of_the_verify_searches(self, monkeypatch):
-        # a whole 360-phase row outside a search's seed rows is a kept row whose window
-        # failed; on verify's draws none does, so every search evaluates one whole block
-        whole_blocks = []
-        full_block = closedform._grid_block
-
-        def counting_block(columns, rows):
-            block = full_block(columns, rows)
-            whole_blocks.append(block.shape[1] == 360)
-            return block
-
-        monkeypatch.setattr(closedform, "_grid_block", counting_block)
-        runs = 0
+        for name in ("_grid_rows", "_grid_block"):
+            monkeypatch.setattr(closedform, name, counted(name))
         for seed in range(20):
             for suite in ("prop2", "prop3", "prop4"):
-                regime = REGIMES[_SUITE_CASES[suite]]
-                params = [_draw_params(_instance_rng(seed, index), regime) for index in range(40)]
-                searches = closedform._Searches(params, 360)
-                coarse = searches.run(np.linspace(0.0, 1.0, 201).reshape(1, -1))
-                starts = np.array([point.beta - 0.005 for point, _ in coarse])
-                stops = np.array([point.beta + 0.005 for point, _ in coarse])
-                windows = np.clip(np.linspace(starts, stops, 201, axis=1), 0.0, 1.0)
-                searches.run(windows)
-                runs += 2
-        assert sum(whole_blocks) == runs
+                self.verify_scans(seed, suite, 40)
+        assert calls == []
 
-    def test_objective_grid_at_huge_gains_holds_the_search_maximum(self):
+    @pytest.mark.parametrize("suite", ["prop2", "prop3", "prop4"])
+    def test_scans_of_the_verify_draws_hold_the_grid_maximum(self, suite):
+        # each pass's value is at least the 360-phase grid's maximum over its beta axis and
+        # at most the optimum, within the rounding bounds, and its beta is within one step
+        # of the closed form's
+        thetas = np.linspace(0.0, 2.0 * math.pi, 360, endpoint=False)
+        params, coarse, windows, refined = self.verify_scans(0, suite, 100)
+        regime = REGIMES[_SUITE_CASES[suite]]
+        for p, (point, value), window, (_, refined_value) in zip(params, coarse, windows, refined):
+            for betas, found in ((np.linspace(0.0, 1.0, 201), value), (window, refined_value)):
+                scan, grid, optimum = scan_bounds(p, betas)
+                assert found >= objective_grid(p, betas, thetas).max() - float(np.max(scan + grid))
+                assert found <= snr_optimal(p) + float(np.max(scan)) + optimum
+            assert abs(point.beta - regime.beta_opt(p).beta) <= 0.005 + 1e-12
+
+    def test_scan_at_huge_gains_holds_the_grid_maximum(self):
         # on the unscaled squared gains a + b overflowed: NaN and inf entries, with a warning
         params = TwoPathParams(1.3e154, 1e154, uu_mag=0.3, vv_mag=0.4)
         betas = np.linspace(0.0, 1.0, 201)
@@ -252,12 +244,74 @@ class TestGridSearch:
             grid = objective_grid(params, betas, thetas)
         assert not np.isnan(grid).any()
         _, value = allocation_grid_search(params)
-        assert np.float64(value).tobytes() == grid.max().tobytes()
+        scan, grid_bound, optimum = scan_bounds(params, betas)
+        assert grid.max() - float(np.max(scan + grid_bound)) <= value
+        assert value <= snr_optimal(params) + float(np.max(scan)) + optimum
 
     def test_objective_beyond_the_float_range_reads_infinite(self):
         params = TwoPathParams(1.3e154, 1.2e154, uu_mag=1.0, vv_mag=1.0)
         point, value = allocation_grid_search(params)
         assert value == two_path_objective(params, point) == math.inf
+
+    def test_cancelling_set_reads_its_theta_grid_row(self):
+        # equal gains, uu = vv = 1 and nu = pi: the two paths cancel and the channel is 0.
+        # At beta = 1/sqrt(2) the beam vanishes at theta = pi (|delta| = 1), so that row is
+        # searched on the theta grid, masked entry included, and reads the grid's maximum
+        params = TwoPathParams(1.0, 1.0, phase_diff=math.pi, uu_mag=1.0, vv_mag=1.0)
+        assert params.misalignment == math.pi
+        thetas = np.linspace(0.0, 2.0 * math.pi, 360, endpoint=False)
+        row = objective_grid(params, [2**-0.5], thetas)[0]
+        assert np.isneginf(row).sum() == 1 and np.isfinite(row.max())
+        point, value = allocation_grid_search(params, 201, 360, (2**-0.5, 2**-0.5))
+        assert point.beta == 2**-0.5
+        assert np.float64(value).tobytes() == row.max().tobytes()
+        assert point.theta == thetas[int(np.argmax(row))]
+        # beside rows scanned by their root the result stays finite, and the exact 0 within
+        # the bound of the rows the root decides
+        point, value = allocation_grid_search(params, 201, 360, (2**-0.5, 0.8))
+        scan = scan_bounds(params, np.linspace(2**-0.5, 0.8, 201))[0]
+        assert math.isfinite(value) and abs(value) <= scan[np.isfinite(scan)].max()
+
+    def test_conjugate_root_keeps_rows_where_p_is_negative(self):
+        # a channel row has alpha >= hypot(B, C), so p = alpha - B delta >= 0 unless rounding
+        # takes it below; there (p + sqrt(D)) / g cancels (by 3e5 ulps at delta = 1 - 2^-20),
+        # and the conjugate form keeps the maximum (alpha + B) / (1 + delta) of a row with
+        # C = 0 and B > alpha delta, at phi = 0, to a few ulps
+        delta = np.array([[1.0 - 2.0**-20, 1.0 - 1e-5, 0.5, 0.0, 0.3]])
+        alpha = np.array([[0.0, 0.01, 0.1, -0.25, 0.2]])
+        b = np.array([[0.7, 0.9, 1.3, 1.0, 0.77]])
+        assert np.all(alpha - b * delta < 0.0)
+        zero = np.zeros((1, 1))
+        columns = (alpha, b, np.zeros_like(b), delta)
+        peaks, phases = closedform._row_peaks({"cos_factor": zero, "sin_factor": zero}, columns)
+        exact = (alpha + b) / (1.0 + delta)
+        assert np.all(np.abs(peaks - exact) <= 8 * EPS * exact)
+        assert np.all(phases == 0.0)
+
+    @pytest.mark.parametrize("case", list(REGIMES))
+    @pytest.mark.parametrize("weak_first", [False, True])
+    def test_extreme_gain_ratios_agree_with_the_closed_forms(self, case, weak_first):
+        # at squared-gain ratios of 2^1000-2^1100 the weaker path's scaled squared gain is
+        # subnormal, or 0 beyond 2^1074; the scan reads no NaN, and its beta and value agree
+        # with the closed form's split and snr_optimal within the bounds
+        regime = REGIMES[case]
+        betas = np.linspace(0.0, 1.0, 201)
+        for exponent in range(1000, 1101, 10):
+            weak = math.ldexp(1.0, -exponent // 2)
+            gains = (weak, 0.75) if weak_first else (0.75, weak)
+            couplings = {"uu_mag": 0.6, "vv_mag": 0.3, f"{regime.constrained}_mag": regime.forced}
+            params = TwoPathParams(*gains, 0.4, uu_phase=1.1, vv_phase=-0.7, **couplings)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                point, value = allocation_grid_search(params)
+            assert not math.isnan(value)
+            scan, _, optimum = scan_bounds(params, betas)
+            assert abs(value - snr_optimal(params)) <= float(np.max(scan)) + optimum
+            loss_times_dominant = regime.delta_snr(params) * snr_dominant_path(params)
+            assert abs(value - loss_times_dominant) <= float(np.max(scan)) + 2 * optimum
+            alloc = regime.beta_opt(params)
+            if alloc is not None:
+                assert abs(point.beta - alloc.beta) <= 0.005
 
 
 class TestVOrthogonal:

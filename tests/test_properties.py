@@ -40,6 +40,7 @@ from mmwbeam.closedform import (  # noqa: E402
     objective_grid,
     snr_dominant_path,
     snr_optimal,
+    two_path_objective,
 )
 from mmwbeam.montecarlo import (  # noqa: E402
     _MIN_GAIN,
@@ -68,7 +69,7 @@ from mmwbeam.verify import (  # noqa: E402
     _fixtures,
     _instance_rng,
 )
-from verify_reference import two_path_fixture  # noqa: E402
+from verify_reference import scan_bounds, two_path_fixture  # noqa: E402
 
 # Losses may dip below zero by rounding only.
 LOSS_FLOOR_DB = -1e-12
@@ -535,7 +536,7 @@ def unit_scaled(params, k=0):
     """``params`` with both gains scaled by ``2**k`` times the power of two that takes the
     larger into [0.5, 1).
 
-    The search and ``objective_grid`` evaluate their grids on gains scaled the
+    The scan and ``objective_grid`` evaluate their terms on gains scaled the
     latter way, so ``k`` leaves their scaled terms as they are while both
     magnitudes stay normal.
     """
@@ -546,18 +547,42 @@ def unit_scaled(params, k=0):
     )
 
 
-def assert_search_is_the_grid_argmax(params, num_beta, num_theta, window):
-    """The search's point and value are those of ``np.argmax`` over ``objective_grid``."""
+def assert_scan_is_bounded(params, num_beta, num_theta, window):
+    """The scan's rows against ``objective_grid``'s rows and ``snr_optimal``, within the bounds.
+
+    Each row's scanned maximum is at least the grid's row maximum and at most the
+    optimum, within the rounding bounds of ``verify_reference.scan_bounds``; a
+    near-singular row is the grid's row maximum at its first phase.  The search
+    takes the first best row, and its point evaluates to its value within the
+    bounds: from above, as no phase exceeds the row's maximum, and from below, as
+    the rounding of the maximizing phase enters the objective at second order.
+    """
     point, value = allocation_grid_search(params, num_beta, num_theta, window)
     betas = np.linspace(0.0, 1.0, num_beta)
     if window is not None:
         betas = np.clip(np.linspace(window[0], window[1], num_beta), 0.0, 1.0)
     thetas = np.linspace(0.0, 2.0 * math.pi, num_theta, endpoint=False)
     grid = objective_grid(params, betas, thetas)
-    # np.argmax takes the lowest linear index among ties
-    i, j = divmod(int(np.argmax(grid)), num_theta)
-    assert (point.beta, point.theta) == (betas[i], thetas[j] % (2.0 * math.pi))
-    assert same_bits(np.float64(value), grid[i, j])
+    # one set per row: each row's own scan
+    rows = closedform._scans(closedform._grid_terms([params] * num_beta), betas[:, None], num_theta)
+    values = np.array([row_value for _, row_value in rows])
+    delta = closedform._grid_columns(closedform._grid_terms([params]), betas[None])[3][0]
+    singular = np.abs(delta) > 1.0 - 1e-6
+    top = grid.max(axis=1)
+    assert same_bits(values[singular], top[singular])
+    for k in np.flatnonzero(singular):
+        assert rows[k][0].theta == thetas[int(np.argmax(grid[k]))]
+    scan, grid_bound, optimum = scan_bounds(params, betas)
+    tested = ~singular
+    assert np.all(values[tested] >= top[tested] - (scan + grid_bound)[tested])
+    assert np.all(values[tested] <= snr_optimal(params) + scan[tested] + optimum)
+    first = int(np.argmax(values))
+    assert rows[first][0] == point and same_bits(np.float64(value), values[first])
+    objective = two_path_objective(params, point)
+    if singular[first]:
+        assert same_bits(np.float64(objective), np.float64(value))
+    else:
+        assert abs(objective - value) <= scan[first] + grid_bound[first]
     return point
 
 
@@ -568,14 +593,14 @@ def assert_search_is_the_grid_argmax(params, num_beta, num_theta, window):
     num_theta=st.one_of(st.just(360), st.integers(2, 64)),
     window=st.one_of(st.none(), st.tuples(st.floats(-0.5, 1.5), st.floats(-0.5, 1.5))),
 )
-# vv = 1: the beam at beta = sqrt(1/2), theta = pi cancels, so the search runs the
-# masked division; the window is clipped at 0
+# vv = 1: the beam at beta = sqrt(1/2), theta = pi cancels, so that row is near singular
+# and searched on 2 phases with the masked division; the window is clipped at 0
 @example(params=TwoPathParams(1.0, 1.0, uu_mag=1.0, vv_mag=1.0), num_beta=64 + 7,
          num_theta=2, window=(-0.5, math.sqrt(0.5)))
 # a window clipped at both ends
 @example(params=TwoPathParams(0.6, 0.9, uu_mag=0.3, vv_mag=0.4), num_beta=64 + 3,
          num_theta=360, window=(-0.25, 1.25))
-# a flat grid: every row ties up to rounding, and the maximum sits at beta = 0.025
+# a flat objective: every row ties up to rounding
 @example(params=TwoPathParams(1.0, 1.0), num_beta=201, num_theta=360, window=None)
 # a window wholly above [0, 1]: every row clips to beta = 1 and they tie exactly
 @example(params=TwoPathParams(0.6, 0.9, uu_mag=0.3, vv_mag=0.4), num_beta=201,
@@ -583,41 +608,29 @@ def assert_search_is_the_grid_argmax(params, num_beta, num_theta, window):
 # a descending window
 @example(params=TwoPathParams(0.6, 0.9, uu_mag=0.3, vv_mag=0.4), num_beta=201,
          num_theta=360, window=(0.9, 0.1))
-# vv = 1 with masked rows: every unmasked entry is the same value up to rounding
+# vv = 1 with masked rows on 4 phases
 @example(params=TwoPathParams(1.0, 1.0, uu_mag=0.3, vv_mag=1.0), num_beta=201,
          num_theta=4, window=(-0.5, math.sqrt(0.5)))
-# a huge transmit phase rounds the phases nu +- phi by about 1e-10
+# the cancelling set: equal gains, uu = vv = 1 and nu = pi, where the channel is 0
+@example(params=TwoPathParams(1.0, 1.0, phase_diff=math.pi, uu_mag=1.0, vv_mag=1.0),
+         num_beta=201, num_theta=360, window=(math.sqrt(0.5), 0.8))
+# a huge transmit phase rounds the grid's phases nu +- phi by about 1e-10
 @example(params=TwoPathParams(0.6, 0.9, phase_diff=1.0, uu_mag=0.3, vv_mag=1.0, vv_phase=1e6),
          num_beta=201, num_theta=360, window=None)
 @example(params=TwoPathParams(0.6, 0.9, phase_diff=1.0, uu_mag=0.3, vv_mag=0.9, vv_phase=1e6),
          num_beta=201, num_theta=360, window=None)
-# subnormal entries: every row clips to beta = 0, where the doubled objective is 2147
-# smallest subnormals and halving it rounds up, so twice the grid maximum exceeds it
+# subnormal values: every row clips to beta = 0, where the doubled objective is 2147
+# smallest subnormals
 @example(params=TwoPathParams(0.9, 1.03e-160), num_beta=201, num_theta=360,
          window=(-0.5, -0.1))
-# the maximum sits at theta = 0, so the kept row's window wraps past index 0
-@example(params=TwoPathParams(0.6, 0.9, uu_mag=0.3, vv_mag=0.4), num_beta=201, num_theta=360,
-         window=None)
-# the row's maximizer lies midway between the last phase and phase 0: the two tie across
-# the wrap, and the search takes phase 0
-@example(params=TwoPathParams(0.6, 0.9, vv_mag=0.4, vv_phase=math.pi / 360), num_beta=201,
-         num_theta=360, window=None)
-# a maximizer midway between phases 10 and 11
+# a maximizer midway between grid phases 10 and 11: the scan's rows exceed the grid's
 @example(params=TwoPathParams(0.6, 0.9, vv_mag=0.4, vv_phase=-21 * math.pi / 360), num_beta=201,
          num_theta=360, window=None)
-# at 7 phases a window of 5 leaves two outside; at 6 every row is evaluated whole
-@example(params=TwoPathParams(0.6, 0.9, uu_mag=0.3, vv_mag=0.4), num_beta=201, num_theta=7,
-         window=None)
-@example(params=TwoPathParams(0.6, 0.9, uu_mag=0.3, vv_mag=0.4), num_beta=201, num_theta=6,
-         window=None)
-# a tie across the wrap at 7 phases
-@example(params=TwoPathParams(0.6, 0.9, vv_mag=0.4, vv_phase=0.4487989505128276), num_beta=201,
-         num_theta=7, window=None)
-# every row clips to beta = 0: flat rows, each read at phase 0
+# every row clips to beta = 0: constant rows
 @example(params=TwoPathParams(0.6, 0.9, uu_mag=0.3, vv_mag=0.4, vv_phase=0.5), num_beta=201,
          num_theta=360, window=(-1.0, -0.5))
-def test_grid_search_is_the_argmax_of_the_full_grid(params, num_beta, num_theta, window):
-    assert_search_is_the_grid_argmax(params, num_beta, num_theta, window)
+def test_scan_holds_each_grid_row_maximum_below_the_optimum(params, num_beta, num_theta, window):
+    assert_scan_is_bounded(params, num_beta, num_theta, window)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -625,8 +638,12 @@ def test_grid_search_is_the_argmax_of_the_full_grid(params, num_beta, num_theta,
 # with x**2 (libm's pow) for a square, the search, on gains scaled back into [0.5, 1),
 # and objective_grid squared different mantissas, and their values differed in the last bit
 @example(params=TwoPathParams(10.0, 9.999999999999998), k=-4)
-def test_grid_search_is_the_argmax_at_gains_scaled_by_a_power_of_two(params, k):
-    assert_search_is_the_grid_argmax(unit_scaled(params, k), 201, 360, None)
+def test_scan_at_gains_scaled_by_a_power_of_two(params, k):
+    point, value = allocation_grid_search(unit_scaled(params))
+    scaled_point, scaled_value = allocation_grid_search(unit_scaled(params, k))
+    assert scaled_point == point
+    if abs(value) >= sys.float_info.min and abs(scaled_value) >= sys.float_info.min:
+        assert scaled_value == math.ldexp(value, 2 * k)
     # objective_grid scales alike: an entry normal at both scales scales exactly by 2**(2k)
     betas = np.linspace(0.0, 1.0, 201)
     thetas = np.linspace(0.0, 2.0 * math.pi, 360, endpoint=False)
@@ -642,12 +659,12 @@ def test_grid_search_is_the_argmax_at_gains_scaled_by_a_power_of_two(params, k):
 @pytest.mark.parametrize("suite", ["prop2", "prop3", "prop4"])
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), index=st.integers(0, 499))
-def test_grid_search_on_verify_draws_is_the_argmax_of_the_full_grid(suite, seed, index):
-    # both passes of the suite's search: the coarse grid, then the window around its point
+def test_scan_on_verify_draws_is_bounded_by_the_grid_and_the_optimum(suite, seed, index):
+    # both passes of the suite's scan: the coarse axis, then the window around its point
     params = unit_scaled(_draw_params(_instance_rng(seed, index), REGIMES[_SUITE_CASES[suite]]))
-    point = assert_search_is_the_grid_argmax(params, 201, 360, None)
+    point = assert_scan_is_bounded(params, 201, 360, None)
     step = 1.0 / 200
-    assert_search_is_the_grid_argmax(params, 201, 360, (point.beta - step, point.beta + step))
+    assert_scan_is_bounded(params, 201, 360, (point.beta - step, point.beta + step))
 
 
 gain_mags = st.floats(1e-150, 1e3)

@@ -25,7 +25,7 @@ def test_every_timed_stage_resolves(monkeypatch):
     stages = recorder.STAGES
     assert {(owner.__name__, name) for owner, name, _ in stages} >= {
         ("mmwbeam.verify", "_fixtures"),
-        ("_Searches", "run"),
+        ("mmwbeam.closedform", "_scans"),
         ("mmwbeam.beamformer", "_dense_optimal"),
     }
     for owner, name, _ in stages:

@@ -1,5 +1,6 @@
 """The verification suites read the library's own results."""
 
+import dataclasses
 import functools
 import math
 
@@ -9,7 +10,8 @@ import pytest
 from mmwbeam import beamformer, closedform, verify
 from mmwbeam.channel import _path_list
 from mmwbeam.closedform import TwoPathParams
-from verify_reference import alloc_values, prop1_instance, prop1_values
+from mmwbeam.steering import spatial_frequencies
+from verify_reference import alloc_values, measured_params, prop1_instance, prop1_values
 
 
 def test_prop1_reads_the_reduced_route_snr(monkeypatch):
@@ -128,14 +130,15 @@ def test_suite_worst_values_match_the_per_instance_loops(suite, seed, trials):
         assert bits(replayed[0]) == bits(check.worst)
 
 
-def grid_batch():
-    """Parameter sets and beta windows of a mixed batch of grid searches."""
+def scan_batch():
+    """Parameter sets and beta windows of a mixed batch of scans."""
     regime = closedform.REGIMES["u-parallel"]
     sets = [
-        # a flat grid: every row ties and is kept, more rows than one block holds
+        # a flat objective: every row ties up to rounding
         (TwoPathParams(1.0, 1.0), None),
         (TwoPathParams(1.3e154, 1e154, uu_mag=0.3, vv_mag=0.4), None),
-        # the first row is beta = 1/sqrt(2), where theta = pi cancels the beam: masked entries
+        # the first row is beta = 1/sqrt(2), where theta = pi cancels the beam: a
+        # near-singular row, searched on the theta grid with masked entries
         (TwoPathParams(1.0, 1.0, vv_mag=1.0), (2**-0.5, 0.8)),
         (TwoPathParams(0.6, 1.7, 2.1, uu_mag=0.9, uu_phase=1.0, vv_mag=0.2, vv_phase=-0.4),
          (0.1, 0.3)),
@@ -152,13 +155,43 @@ def search_betas(window, num_beta=201):
     return np.clip(np.linspace(window[0], window[1], num_beta), 0.0, 1.0)
 
 
-def test_each_search_of_a_batch_is_its_search_alone():
-    sets = grid_batch()
+def test_each_scan_of_a_batch_is_its_scan_alone():
+    sets = scan_batch()
     betas = np.array([search_betas(window) for _, window in sets])
-    batch = closedform._Searches([params for params, _ in sets], 360).run(betas)
+    terms = closedform._grid_terms([params for params, _ in sets])
+    batch = closedform._scans(terms, betas, 360)
     grid = closedform.objective_grid(sets[2][0], betas[2], np.linspace(0.0, 2 * np.pi, 360, False))
     assert np.isneginf(grid[0]).any()
     for (params, window), (point, value) in zip(sets, batch):
         alone_point, alone_value = closedform.allocation_grid_search(params, 201, 360, window)
         assert point == alone_point
         assert bits(value) == bits(alone_value)
+
+
+def field_bits(params):
+    return tuple(bits(value) for value in dataclasses.astuple(params))
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("suite", ["prop2", "prop3", "prop4"])
+def test_batched_measurement_keeps_the_bits_of_each_pair(suite, seed):
+    # an allocation suite measures a chunk's fixtures with one Gram call per end; every
+    # field keeps the bits of one scalar Dirichlet kernel and np.angle per pair, and
+    # from_paths, the same measurement on one pair, does too
+    case = verify._SUITE_CASES[suite]
+    regime = closedform.REGIMES[case]
+    params = [verify._draw_params(verify._instance_rng(seed, i), regime) for i in range(500)]
+    gains, aods, aoas, tx_geom, rx_geom = verify._fixtures(
+        case,
+        [(p.mag_a1, p.mag_a2) for p in params],
+        [(p.phase_diff, 0.0) for p in params],
+        [getattr(p, f"{regime.free}_mag") for p in params],
+    )
+    batch = closedform._measured(
+        gains, spatial_frequencies(aods), spatial_frequencies(aoas), tx_geom, rx_geom
+    )
+    for instance, measured in zip(zip(gains, aods, aoas), batch):
+        paths = _path_list(*instance)
+        expected = field_bits(measured_params(paths, tx_geom, rx_geom))
+        assert field_bits(measured) == expected
+        assert field_bits(TwoPathParams.from_paths(paths, tx_geom, rx_geom)) == expected

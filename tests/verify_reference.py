@@ -3,7 +3,10 @@
 Each function draws the suite's instances one at a time and returns every
 check's value of every instance, in instance order, through the library's
 per-instance public functions.  A suite's worst value is Python's running
-``max`` over these lists.
+``max`` over these lists.  The allocation suites' fixtures are measured here
+by the scalar coupling of each pair (:func:`measured_params`), and
+:func:`scan_bounds` gives the rounding bounds the tests hold the scan of the
+beta axis to.
 """
 
 import math
@@ -13,10 +16,19 @@ import numpy as np
 from conftest import kernel_args
 from mmwbeam import beamformer, closedform, verify
 from mmwbeam.channel import PathComponent, assemble_channel
-from mmwbeam.steering import AngleSpec, ArrayGeometry, mainlobe_freq_delta, steering_matrix
+from mmwbeam.steering import (
+    AngleSpec,
+    ArrayGeometry,
+    angle_frequencies,
+    cpo_inner_product,
+    mainlobe_freq_delta,
+    steering_matrix,
+)
 
 TWO_PI = 2.0 * math.pi
 NUM_BETA, NUM_THETA = 201, 360
+EPS = float(np.finfo(float).eps)
+SUBNORMAL = float(np.finfo(float).smallest_subnormal)
 
 
 def two_path_fixture(case, mags, phases, coupling, nt=16, nr=8):
@@ -36,6 +48,67 @@ def two_path_fixture(case, mags, phases, coupling, nt=16, nr=8):
         PathComponent(mags[1] * np.exp(1j * phases[1]), aod=aod[1], aoa=aoa[1]),
     ]
     return paths, geoms["vv"], geoms["uu"]
+
+
+def measured_params(paths, tx_geom, rx_geom):
+    """The reduced parameters of two paths, one scalar Dirichlet kernel per coupling."""
+    (g1, g2), (tx1, tx2), (rx1, rx2) = (
+        gains.tolist() for gains in (
+            np.array([complex(p.gain) for p in paths]),
+            angle_frequencies([p.aod for p in paths]),
+            angle_frequencies([p.aoa for p in paths]),
+        )
+    )
+    uu = cpo_inner_product(rx_geom, rx2 - rx1)
+    vv = cpo_inner_product(tx_geom, tx2 - tx1)
+    return closedform.TwoPathParams(
+        mag_a1=abs(g1),
+        mag_a2=abs(g2),
+        phase_diff=math.atan2(g1.imag, g1.real) - math.atan2(g2.imag, g2.real),
+        uu_mag=min(abs(uu), 1.0),
+        uu_phase=float(np.angle(uu)) if abs(uu) > 0 else 0.0,
+        vv_mag=min(abs(vv), 1.0),
+        vv_phase=float(np.angle(vv)) if abs(vv) > 0 else 0.0,
+    )
+
+
+def scan_bounds(params, betas):
+    """Rounding bounds at each amplitude of ``betas``, unscaled: the scan's row maximum,
+    ``objective_grid``'s entries, and ``snr_optimal``.
+
+    With u = eps / 2, ``M = |alpha| + |cos_coef| + 2 |cross_coef|`` of the row's
+    columns, ``g = (1 - delta)(1 + delta)`` and ``s`` the smallest subnormal:
+
+    * the scan's value is within ``(16 eps M + 32 s) / g`` of the row's exact
+      maximum, half the doubled bound derived in ``closedform._row_peaks``;
+    * an entry of ``objective_grid`` at a phase ``theta`` in [0, 2 pi) is within
+      ``(M (E + 5u) + 8 s) / o^2`` of the exact row there, ``o = 1 - |delta|``.
+      ``phi = theta + p`` rounds by ``u (2 pi + |p|)``, ``p`` the transmit
+      phase, and ``nu +- phi`` by as much again plus ``u (3 pi + |p|)``, so
+      each cosine, and the coupling row ``w cos(nu + phi) + cos(nu - phi)``,
+      is off by at most ``E = 4u (3 pi + |p| + 3)``.  The numerator's three
+      products and two sums add ``4u M``, so it is off by ``M (E + 4u)``, and
+      the denominator by ``E + 4u``.  The doubled value ``v = num / den``,
+      ``|v| <= M / o`` and ``den >= o``, is off by ``(M (E + 4u) + M (E + 4u)
+      / o) / o + u M / o <= 2 M (E + 5u) / o^2``; the value is half of it;
+    * ``snr_optimal`` is within ``16 eps (a + b) + 16 s`` of the exact optimum
+      of the scaled squared gains: the dozen roundings of ``_two_path_snrs``
+      each cost at most ``u`` of a partial sum below ``2 (a + b)``.
+    """
+    terms = closedform._grid_terms([params])
+    columns = closedform._grid_columns(terms, np.reshape(betas, (1, -1)))
+    alpha, cos_coef, cross_coef, delta = (col[0] for col in columns)
+    u = EPS / 2
+    big = np.abs(alpha) + np.abs(cos_coef) + 2.0 * np.abs(cross_coef)
+    gap = (1.0 - delta) * (1.0 + delta)
+    off = 1.0 - np.abs(delta)
+    phase_err = 4.0 * u * (3.0 * math.pi + abs(params.vv_phase) + 3.0)
+    shift = -int(terms["shift"][0, 0])
+    with np.errstate(divide="ignore", over="ignore"):  # |delta| = 1: no bound
+        scan = np.ldexp((16.0 * EPS * big + 32.0 * SUBNORMAL) / gap, shift)
+        grid = np.ldexp((big * (phase_err + 5.0 * u) + 8.0 * SUBNORMAL) / off**2, shift)
+    a, b = terms["a"][0, 0], terms["b"][0, 0]
+    return scan, grid, math.ldexp(16.0 * EPS * (a + b) + 16.0 * SUBNORMAL, shift)
 
 
 def span_residual(basis, vec):
@@ -94,7 +167,7 @@ def alloc_values(suite, seed, indices):
             (params.phase_diff, 0.0),
             getattr(params, f"{regime.free}_mag"),
         )
-        measured = closedform.TwoPathParams.from_paths(paths, tx_geom, rx_geom)
+        measured = measured_params(paths, tx_geom, rx_geom)
         pair = beamformer.optimal_beamformer(assemble_channel(paths, tx_geom, rx_geom))
         optimal = closedform.snr_optimal(params)
         dominant_split = closedform.AllocationPoint(float(params.mag_a1 >= params.mag_a2), 0.0)

@@ -94,8 +94,8 @@ def tier1() -> dict:
     return {"wall_s": wall, "exit_code": proc.returncode, "summary": summary}
 
 
-def _search_stage(searches, betas) -> str:
-    # a coarse search shares one amplitude row; a refined one has a window per instance
+def _search_stage(terms, betas, num_theta) -> str:
+    # a coarse scan shares one amplitude row; a refined one has a window per instance
     return "coarse_search" if betas.shape[0] == 1 else "refined_search"
 
 
@@ -105,7 +105,7 @@ STAGES = [
     (verify, "_instance_rng", "draw"),
     (verify, "_draw_prop1", "draw"),
     (verify, "_draw_params", "draw"),
-    (closedform._Searches, "run", _search_stage),
+    (closedform, "_scans", _search_stage),
     (verify, "_fixtures", "fixtures"),
     (beamformer, "_dense_optimal", "dense_svd_route"),
     (verify, "_residuals", "span_residuals"),
