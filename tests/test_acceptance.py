@@ -86,7 +86,7 @@ def test_03_v_orthogonal_allocation_vs_grid():
         worst["allocation argmax vs grid (beta)"] <= beta_step + 1e-12
         and worst["grid SNR minus closed-form SNR"] <= 1e-6
     )
-    announce(3, "v-orthogonal closed-form split vs 201x360 grid", ok,
+    announce(3, "v-orthogonal closed-form split vs 201-point beta scan", ok,
              f"beta_dev={worst['allocation argmax vs grid (beta)']:.2e} "
              f"margin={worst['grid SNR minus closed-form SNR']:.2e}")
 

@@ -15,11 +15,10 @@ import numpy as np
 
 from conftest import kernel_args
 from mmwbeam import beamformer, closedform, verify
-from mmwbeam.channel import PathComponent, assemble_channel
+from mmwbeam.channel import PathComponent, _path_arrays, assemble_channel
 from mmwbeam.steering import (
     AngleSpec,
     ArrayGeometry,
-    angle_frequencies,
     cpo_inner_product,
     mainlobe_freq_delta,
     steering_matrix,
@@ -52,13 +51,7 @@ def two_path_fixture(case, mags, phases, coupling, nt=16, nr=8):
 
 def measured_params(paths, tx_geom, rx_geom):
     """The reduced parameters of two paths, one scalar Dirichlet kernel per coupling."""
-    (g1, g2), (tx1, tx2), (rx1, rx2) = (
-        gains.tolist() for gains in (
-            np.array([complex(p.gain) for p in paths]),
-            angle_frequencies([p.aod for p in paths]),
-            angle_frequencies([p.aoa for p in paths]),
-        )
-    )
+    (g1, g2), (tx1, tx2), (rx1, rx2) = (values.tolist() for values in _path_arrays(paths))
     uu = cpo_inner_product(rx_geom, rx2 - rx1)
     vv = cpo_inner_product(tx_geom, tx2 - tx1)
     return closedform.TwoPathParams(
