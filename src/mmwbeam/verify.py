@@ -25,6 +25,11 @@ phases come from the array geometry.
 
 ``prop2``-``prop4`` look their regime up in ``closedform.REGIMES`` by the
 paper's proposition number, and draw and build their instances by one rule.
+
+Instance ``i`` of a run at ``seed`` is drawn from the stream of a Philox
+keyed by ``(seed, i)``: a chunk's instances share one generator, re-keyed
+to a fresh state before each (:func:`_instance_draws`), and
+``_instance_rng(seed, i)`` draws any one of them again alone.
 """
 
 from __future__ import annotations
@@ -155,7 +160,32 @@ class SuiteReport:
 
 
 def _instance_rng(seed: int, index: int) -> np.random.Generator:
+    """The generator of instance ``index`` alone: a fresh Philox keyed by ``(seed, index)``.
+
+    The suites draw through :func:`_instance_draws`, which gives each
+    instance this generator's stream.
+    """
     return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+
+
+def _instance_draws(seed: int, indices: range, draw, *args) -> list:
+    """``draw(rng, *args)`` of each instance of ``indices``, in order.
+
+    Each ``rng`` draws what ``_instance_rng(seed, index)`` draws, but one
+    Philox serves them all: before each instance it takes a fresh
+    generator's state (counter 0, empty buffer, no cached 32-bit half) with
+    the key ``(seed, index)``, which costs a fraction of building a new one.
+    """
+    bit_generator = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    rng = np.random.Generator(bit_generator)
+    fresh = bit_generator.state
+    key = fresh["state"]["key"]
+    draws = []
+    for index in indices:
+        key[1] = index
+        bit_generator.state = fresh
+        draws.append(draw(rng, *args))
+    return draws
 
 
 def _chunks(trials: int):
@@ -230,20 +260,23 @@ def _residuals(bases: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return beamformer._norms(resid)
 
 
-def _draw_prop1(seed: int, index: int):
+def _draw_prop1(rng: np.random.Generator):
     """One ``prop1`` instance, drawn in a fixed order: Nt, Nr and the path arrays (L,).
 
-    The gains are the complex normal pairs ``normals (2, L)``, combined in
-    the suite; the azimuths are uniform on [0, 2 pi).
+    ``rng`` is the instance's generator, re-keyed by :func:`_instance_draws`
+    or fresh from :func:`_instance_rng`; both give the same stream.  The
+    gains are the complex normal pairs ``normals (2, L)``, combined in the
+    suite; the azimuths are uniform on [0, 2 pi), both rows from one call
+    that draws the stream of two ``rng.uniform(0, 2 pi, L)`` calls.  The
+    size picks stay scalar calls: one ``rng.integers`` with a bound per
+    pick draws the same stream but costs about twice as much (numpy 2.4).
     """
-    rng = _instance_rng(seed, index)
     # the draws of rng.choice(sizes), without its checks of the sequence
     num_paths, nt, nr = (
         sizes[rng.integers(0, len(sizes))] for sizes in (_PATH_COUNTS, _TX_SIZES, _RX_SIZES)
     )
     normals = rng.standard_normal((2, num_paths))
-    aods = rng.uniform(0.0, _TWO_PI, num_paths)
-    aoas = rng.uniform(0.0, _TWO_PI, num_paths)
+    aods, aoas = rng.uniform(0.0, _TWO_PI, (2, num_paths))
     return nt, nr, normals, aods, aoas
 
 
@@ -256,7 +289,7 @@ def _prop1_values(seed: int, indices: range) -> tuple[list, list, list]:
     L, the channels per (Nt, Nr, L), and the dense SVD route per (Nt, Nr).
     Every stacked kernel gives each instance the bits of its own call.
     """
-    draws = [_draw_prop1(seed, i) for i in indices]
+    draws = _instance_draws(seed, indices, _draw_prop1)
     nts, nrs, normals, aods, aoas = zip(*draws)
     gains = [(normal[0] + 1j * normal[1]) / math.sqrt(2.0) for normal in normals]
     freqs_t, freqs_r = ([spatial_frequencies(a) for a in azimuths] for azimuths in (aods, aoas))
@@ -311,6 +344,8 @@ def _draw_params(rng: np.random.Generator, regime: closedform.Regime) -> closedf
     Rayleigh gains and their phase difference; the constrained end's phase
     (a parallel end only: an orthogonal one has none); then the free
     coupling's magnitude, uniform on its ``_FREE_RANGE``, and its phase.
+    The uniforms stay scalar calls: one ``rng.uniform`` with a bound per
+    field draws the same stream but costs about twice as much (numpy 2.4).
     """
     m1, m2 = _rayleigh_pair(rng)
     fields = {"phase_diff": float(rng.uniform(0.0, _TWO_PI))}
@@ -332,7 +367,7 @@ def _alloc_values(case: str, seed: int, indices: range) -> tuple[list, ...]:
     """
     regime = closedform.REGIMES[case]
     beta_step = 1.0 / (_NUM_BETA - 1)
-    params = [_draw_params(_instance_rng(seed, i), regime) for i in indices]
+    params = _instance_draws(seed, indices, _draw_params, regime)
     allocs = [regime.beta_opt(p) for p in params]
     terms = closedform._grid_terms(params)
     coarse = closedform._scans(terms, np.linspace(0.0, 1.0, _NUM_BETA).reshape(1, -1), _NUM_THETA)

@@ -1086,3 +1086,34 @@ def test_equal_gains_on_parallel_receive_vectors_attain_the_bound(num_paths, re,
     loss, size = orthogonal_transmit_loss(gains, gram_r)
     ulps = abs(loss - size) / np.spacing(float(size))
     assert ulps <= (0 if size == 2 else 2 * size)
+
+
+def numpy_cpo_inner_product(geom, freq_delta):
+    """``cpo_inner_product`` with its phasor taken by ``np.exp`` of the Python complex and
+    the product turned back into a Python complex: the bit reference of its ``cmath.exp``."""
+    n = geom.num_elements
+    psi = math.pi * geom.spacing_wavelengths * freq_delta
+    psi -= round(psi / math.pi) * math.pi
+    if psi == 0.0:
+        return 1.0 + 0.0j
+    ratio = math.sin(n * psi) / (n * math.sin(psi))
+    return complex(np.exp(1j * (n - 1) * psi) * ratio)
+
+
+freq_deltas = st.one_of(
+    st.floats(-4.0, 4.0),
+    st.floats(-1e-8, 1e-8),
+    # separations near a period of the kernel, where psi is reduced to near 0
+    st.tuples(st.integers(-4, 4), st.floats(-1e-8, 1e-8)).map(lambda t: 2.0 * t[0] + t[1]),
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(n=st.integers(1, 1024), spacing=st.floats(0.001, 2.0), freq_delta=freq_deltas)
+@example(n=16, spacing=0.5, freq_delta=0.0)
+@example(n=2, spacing=0.5, freq_delta=-1e-8)
+def test_cpo_inner_product_keeps_the_bits_of_the_numpy_phasor(n, spacing, freq_delta):
+    geom = ArrayGeometry(n, spacing)
+    value, expected = cpo_inner_product(geom, freq_delta), numpy_cpo_inner_product(geom, freq_delta)
+    assert type(value) is complex
+    assert (value.real.hex(), value.imag.hex()) == (expected.real.hex(), expected.imag.hex())

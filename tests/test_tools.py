@@ -54,6 +54,22 @@ def test_every_engine_stage_runs_in_a_ccdf_call(monkeypatch):
     assert timed >= {stage for _, _, stage in recorder.ENGINE_STAGES}
 
 
+def test_every_verify_stage_runs_in_a_round(monkeypatch):
+    # a binding the suites no longer call would leave its stage silently at 0, or
+    # hide beside a live binding of the same stage: so each binding is timed alone too
+    recorder = load_recorder(monkeypatch)
+    monkeypatch.setattr(recorder, "STAGE_ROUNDS", 1)
+    alone = [(owner, name, f"{owner.__name__}.{name}") for owner, name, _ in recorder.STAGES]
+    expected = {stage for _, _, stage in alone}
+    named = {stage for _, _, stage in recorder.STAGES if isinstance(stage, str)}
+    expected |= named | {"coarse_search", "refined_search"}
+    timed = set()
+    for stages in (alone, recorder.STAGES):
+        rounds = recorder._timed_rounds(stages, recorder._verify_round)
+        timed |= {stage for stage, values in rounds.items() if min(values) > 0.0}
+    assert expected - timed == set()
+
+
 def test_line_counts_match_the_modules():
     out = subprocess.run(
         [sys.executable, str(LINE_COUNTER)],

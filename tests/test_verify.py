@@ -195,3 +195,42 @@ def test_batched_measurement_keeps_the_bits_of_each_pair(suite, seed):
         expected = field_bits(measured_params(paths, tx_geom, rx_geom))
         assert field_bits(measured) == expected
         assert field_bits(TwoPathParams.from_paths(paths, tx_geom, rx_geom)) == expected
+
+
+def prop1_bits(draw):
+    nt, nr, normals, aods, aoas = draw
+    return nt, nr, normals.tobytes(), aods.tobytes(), aoas.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+def test_prop1_draws_the_reference_instance(seed):
+    # both azimuth rows come from one call, the reference's from one call per row
+    for index in range(200):
+        nt, nr, normals, aods, aoas = verify._draw_prop1(verify._instance_rng(seed, index))
+        paths, tx_geom, rx_geom = prop1_instance(seed, index)
+        assert (nt, nr) == (tx_geom.num_elements, rx_geom.num_elements)
+        gains = (normals[0] + 1j * normals[1]) / math.sqrt(2.0)
+        assert gains.tobytes() == np.array([p.gain for p in paths]).tobytes()
+        assert aods.tobytes() == np.array([p.aod.azimuth_rad for p in paths]).tobytes()
+        assert aoas.tobytes() == np.array([p.aoa.azimuth_rad for p in paths]).tobytes()
+
+
+# prop1 and every regime a suite can draw in
+DRAWS = [(verify._draw_prop1, (), prop1_bits)] + [
+    (verify._draw_params, (regime,), field_bits) for regime in closedform.REGIMES.values()
+]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 12345, 2**63, 2**64 - 1])
+@pytest.mark.parametrize("draw, args, key", DRAWS)
+def test_each_instance_of_a_chunk_draws_its_own_generators_stream(draw, args, key, seed):
+    # the chunk's one re-keyed generator gives each instance the stream of a fresh
+    # Philox keyed by (seed, instance): prop1's size picks leave a cached 32-bit
+    # half, which the next instance must not read
+    chunks = list(verify._chunks(2 * verify._CHUNK))
+    assert len(chunks) == 2
+    for indices in chunks:
+        drawn = verify._instance_draws(seed, indices, draw, *args)
+        assert len(drawn) == len(indices)
+        for index, instance in zip(indices, drawn):
+            assert key(instance) == key(draw(verify._instance_rng(seed, index), *args))

@@ -102,9 +102,7 @@ def _search_stage(terms, betas, num_theta) -> str:
 # (owner, attribute, stage) of each timed stage function of the verify suites.
 # A stage is a name, or a function of the call's arguments that gives one.
 STAGES = [
-    (verify, "_instance_rng", "draw"),
-    (verify, "_draw_prop1", "draw"),
-    (verify, "_draw_params", "draw"),
+    (verify, "_instance_draws", "draw"),
     (closedform, "_scans", _search_stage),
     (verify, "_fixtures", "fixtures"),
     (beamformer, "_dense_optimal", "dense_svd_route"),
@@ -149,8 +147,7 @@ def _stage_timers(stages, totals: dict):
     """Wrap every stage function for the duration of the block.
 
     Each wrapper adds its self time to ``totals[stage]``: the time of a timed
-    call inside it (an instance's generator inside its draw) goes to that
-    call's stage only.
+    call inside it goes to that call's stage only.
     """
     active = []  # time spent in timed calls nested in each active timed call
 
