@@ -292,8 +292,7 @@ def _grid_block(columns, rows) -> np.ndarray:
     the plain left-to-right sum on purpose: the cos(phi) product, then the
     beta-only column, then the coupling product, each added in place.  Every
     entry is elementwise and keeps the bits of that sum whichever rows share
-    the block.  The masked division runs
-    only in a block where some beam norm vanishes; such entries are ``-inf``.
+    the block.  Entries where the beam norm vanishes are ``-inf``.
     """
     beta_terms, cos_coef, cross_coef, den_coef = columns
     cos_phi, cross_row = rows
@@ -302,13 +301,9 @@ def _grid_block(columns, rows) -> np.ndarray:
     num += cross_coef * cross_row
     den = den_coef * cos_phi
     den += 1.0
-    if den.min(initial=math.inf) > MIN_BEAM_NORM_SQ:
-        num /= den
-        num *= 0.5  # the bits of / 2.0, at a third of the cost
-        return num
     ok = den > MIN_BEAM_NORM_SQ
     num /= np.where(ok, den, 1.0)
-    num *= 0.5
+    num *= 0.5  # the bits of / 2.0, at a third of the cost
     num[~ok] = -np.inf
     return num
 

@@ -177,11 +177,12 @@ def cpo_inner_product(geom: ArrayGeometry, freq_delta: float) -> complex:
     nearest multiple of pi: near that multiple ``sin(N*psi)`` of the
     unreduced psi would carry the rounding of ``N*psi`` relative to its
     small value.  Where the reduced psi is exactly 0 the product is exactly 1.
-    This is :func:`gram_stack`'s kernel written again in scalar ``math`` on
-    purpose: a pair costs about 0.6 us this way and 27 us through ``gram_stack``
-    (2 vCPUs, Python 3.11, numpy 2.4), and :func:`mainlobe_freq_delta` calls
-    it about 12 times per ``verify`` fixture.  ``cmath.exp`` gives the phasor
-    the bits of ``np.exp`` without a round trip through a numpy scalar.
+    This is :func:`_grams`' kernel written again in scalar ``math``, entry
+    for entry with its bits: the scalar reference that
+    :func:`electrically_orthogonal` and ``tests/verify_reference.py`` use,
+    at about 0.6 us a pair against 27 us through ``gram_stack`` (2 vCPUs,
+    Python 3.11, numpy 2.4).  ``cmath.exp`` gives the phasor the bits of
+    ``np.exp`` without a round trip through a numpy scalar.
     """
     n = geom.num_elements
     psi = math.pi * geom.spacing_wavelengths * freq_delta
@@ -209,91 +210,45 @@ def electrically_orthogonal(
     return bool(abs(cpo_inner_product(geom, freq2 - freq1)) < tol)
 
 
-# Twice a bound on how far the computed ``|cpo_inner_product|`` strays from the
-# exact kernel magnitude on the main lobe (see _mainlobe_bracket).
-_MAINLOBE_TOL = 64.0 * sys.float_info.epsilon
-
-# Newton steps that place the main-lobe crossing before its bracket is widened.
-_NEWTON_STEPS = 4
-
-
 def mainlobe_freq_delta(geom: ArrayGeometry, magnitude: float) -> float:
     """Invert the Dirichlet-kernel magnitude on its main lobe.
 
     Returns the spatial-frequency separation in [0, first null] at which
-    ``|cpo_inner_product|`` equals ``magnitude``.  The kernel magnitude is
-    monotone decreasing from 1 to 0 on that interval, so bisection suffices.
-    It stops at the first midpoint that equals ``lo`` or ``hi``: that step
-    would leave ``(lo, hi)`` unchanged or collapse it onto the midpoint, a
-    fixed point either way, so the midpoint is what every later step would
-    return (after about 53 steps).  The 200-step cap still binds when
-    ``magnitude`` is within about 1e-15 of 1, where ``hi`` halves towards 0
-    without meeting ``lo``.
+    ``|cpo_inner_product|`` equals ``magnitude``: 0.0 at 1, the null at 0.
+    There the magnitude is ``D(psi) = sin(N psi) / (N sin psi)``, ``psi = pi
+    d f``, falling from 1 to 0 on ``[0, pi / N]``.  A safeguarded Newton
+    iteration solves ``D = magnitude`` from the quadratic estimate ``D ~ 1 -
+    (N^2 - 1) psi^2 / 6``; the sign of ``D - magnitude`` keeps a bracket
+    ``[lo, hi]``, and a step that leaves it bisects it.  It stops when a step
+    moves psi by at most ``4 eps psi`` or back to the iterate before, or
+    after 64 steps: on ``verify``'s draws 5 on average, at most 9.  Within
+    about 400 eps of 1, where the crossing is ill-conditioned, it can take
+    45.  (Stopping once the steps stop shrinking stops early at subnormal
+    magnitudes.)
 
-    Only the midpoints inside a certified bracket ``(below, above)`` of the
-    crossing evaluate the kernel (:func:`_mainlobe_bracket`): a midpoint at
-    or below ``below`` computes above ``magnitude`` and one at or above
-    ``above`` does not, so the bisection takes the steps, and returns the
-    float, of one that evaluates every midpoint.  On ``verify``'s fixtures
-    that is about 12 kernel calls in place of about 53.
+    The computed ``|cpo_inner_product|`` at the result is within ``32 eps``
+    of ``magnitude``.  With ``u = eps / 2`` and ``psi |D'| <= pi / 2`` on the
+    main lobe, the iteration's ``D`` strays from the exact one by under
+    ``8u`` (two sines, product, quotient, ``N psi``), and that of
+    ``cpo_inner_product`` by under ``19u`` (psi's rounding and the phasor
+    too).  A last step of at most ``8u psi`` moves ``D`` by at most ``13u``,
+    and leaves a residual as small (Newton) or a bracket as narrow
+    (bisection): ``53u`` in all.  An iterate returns to the one before only
+    when rounding sets the steps, and ``D`` is then within it of the target.
     """
     if not 0.0 <= magnitude <= 1.0:
         raise ValueError("magnitude must lie in [0, 1]")
-    if geom.num_elements == 1:
-        if magnitude == 1.0:
-            return 0.0
-        raise ValueError("a single-element array has |inner product| = 1 everywhere")
-    lo = 0.0
-    hi = 1.0 / (geom.num_elements * geom.spacing_wavelengths)  # first null
-    if magnitude == 0.0:
-        return hi
-    below, above = _mainlobe_bracket(geom, magnitude, hi)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if mid <= below:
-            lo = mid
-        elif mid >= above:
-            hi = mid
-        elif abs(cpo_inner_product(geom, mid)) > magnitude:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _mainlobe_bracket(geom: ArrayGeometry, magnitude: float, null: float) -> tuple[float, float]:
-    """Separations ``below`` and ``above`` around the kernel's crossing of ``magnitude``.
-
-    Both lie in [0, ``null``].  Every separation in (0, ``below``] computes
-    ``|cpo_inner_product|`` above ``magnitude``, and every one in [``above``,
-    ``null``) computes at most ``magnitude``; ``below = 0`` and ``above =
-    null`` say nothing.  A few safeguarded Newton steps on ``D(psi) =
-    sin(N psi) / (N sin psi)`` place the crossing, and a bracket around it is
-    widened until its ends compute beyond ``magnitude -+ _MAINLOBE_TOL``.
-
-    ``_MAINLOBE_TOL`` is twice ``eps_k = 32 eps``, a bound on how far the
-    computed magnitude strays from the exact ``D`` at ``psi = pi_64 d f``,
-    ``pi_64`` the float pi: with ``u = eps / 2``, ``psi`` rounds by ``2u``
-    relative, which moves ``sin(N psi)`` by under ``3u N psi`` (``N psi`` adds
-    ``u``) and so the ratio by under ``3u psi / sin(psi) <= 5u``; the two
-    sines, the product by N and the division add ``2u + 5u + u`` of the ratio
-    (at most 1), and the unit phasor ``exp(1j (N - 1) psi)``, its product and
-    ``abs`` under ``6u``: about ``19u``, under a third of ``eps_k``.  The
-    exact ``D`` is decreasing on the main lobe, so an end that computes above
-    ``magnitude + 2 eps_k`` has every separation before it exactly above
-    ``magnitude + eps_k``, hence computing above ``magnitude``; the other end
-    alike.  Beyond the null, within the rounding of ``null`` itself, ``D``
-    stays below ``eps``.
-    """
+    if magnitude == 1.0:
+        return 0.0
     n = geom.num_elements
-    if not _MAINLOBE_TOL < magnitude < 1.0 - _MAINLOBE_TOL:
-        return 0.0, null
-    # the crossing in psi = pi d f, from the quadratic start 1 - (n^2 - 1) psi^2 / 6
+    if n == 1:
+        raise ValueError("a single-element array has |inner product| = 1 everywhere")
+    null = 1.0 / (n * geom.spacing_wavelengths)
+    if magnitude == 0.0:
+        return null
     lo, hi = 0.0, math.pi / n
-    psi = math.sqrt(6.0 * (1.0 - magnitude) / (n * n - 1.0))
-    for _ in range(_NEWTON_STEPS):
+    psi, previous = math.sqrt(6.0 * (1.0 - magnitude) / (n * n - 1.0)), math.nan
+    for _ in range(64):
         sin_psi = math.sin(psi)
         value = math.sin(n * psi) / (n * sin_psi)
         if value > magnitude:
@@ -301,26 +256,10 @@ def _mainlobe_bracket(geom: ArrayGeometry, magnitude: float, null: float) -> tup
         else:
             hi = psi
         slope = (math.cos(n * psi) - value * math.cos(psi)) / sin_psi
-        psi -= (value - magnitude) / slope if slope < 0.0 else math.inf
-        if not lo <= psi <= hi:
-            psi = 0.5 * (lo + hi)
-    scale = math.pi * geom.spacing_wavelengths
-    crossing = psi / scale
-    # about the separation that moves the magnitude by 2 _MAINLOBE_TOL
-    width = 4.0 * sys.float_info.epsilon * crossing
-    if slope < 0.0:
-        width = max(width, 2.0 * _MAINLOBE_TOL / (-slope * scale))
-    step = width
-    while (
-        crossing - step > 0.0
-        and abs(cpo_inner_product(geom, crossing - step)) <= magnitude + _MAINLOBE_TOL
-    ):
-        step *= 2.0
-    below = max(crossing - step, 0.0)
-    step = width
-    while (
-        crossing + step < null
-        and abs(cpo_inner_product(geom, crossing + step)) >= magnitude - _MAINLOBE_TOL
-    ):
-        step *= 2.0
-    return below, min(crossing + step, null)
+        new = psi - (value - magnitude) / slope if slope < 0.0 else math.nan
+        if not lo <= new <= hi or new == 0.0:
+            new = 0.5 * (lo + hi)
+        if abs(new - psi) <= 4.0 * sys.float_info.epsilon * psi or new == previous:
+            break
+        previous, psi = psi, new
+    return min(new / (math.pi * geom.spacing_wavelengths), null)

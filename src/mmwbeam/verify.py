@@ -35,6 +35,7 @@ to a fresh state before each (:func:`_instance_draws`), and
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -229,9 +230,10 @@ def _fixtures(case: str, mags, phases, couplings):
     free coupling ``couplings[s]``.  The constrained end sits exactly at a
     Dirichlet null (orthogonal) or at zero separation (parallel); the free
     end is placed on the main lobe so its inner-product magnitude equals the
-    coupling, by one scalar bisection per row.  Each end's spatial frequencies are
-    +-half its separation.  Returns the gains (S, 2), the departure and
-    arrival azimuths (S, 2) and the transmit and receive geometries.
+    coupling, by one scalar Newton inversion (:func:`mainlobe_freq_delta`) per
+    row.  Each end's spatial frequencies are +-half its separation.  Returns
+    the gains (S, 2), the departure and arrival azimuths (S, 2) and the
+    transmit and receive geometries.
     """
     regime = closedform.REGIMES[case]
     geoms = {"vv": ArrayGeometry(_FIXTURE_NT), "uu": ArrayGeometry(_FIXTURE_NR)}
@@ -362,8 +364,8 @@ def _alloc_values(case: str, seed: int, indices: range) -> tuple[list, ...]:
 
     The closed forms run per instance; the coarse and refined scans of the
     beta axis, the objective at the closed-form and at the dominant split,
-    the fixtures' bisection and measurement and their dense SVD route each
-    run once over all the instances.
+    the fixtures' main-lobe inversion and measurement and their dense SVD
+    route each run once over all the instances.
     """
     regime = closedform.REGIMES[case]
     beta_step = 1.0 / (_NUM_BETA - 1)
@@ -511,6 +513,11 @@ def run_suite(suite: str, trials: int | None = None, seed: int = 0) -> SuiteRepo
     """
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
+    # McConfig's rule for integer fields: a float seed would key Philox as its uint64 cast
+    values = {"seed": seed} if trials is None else {"seed": seed, "trials": trials}
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     # the instance streams key Philox with the seed as a uint64
     if not 0 <= seed < 2**64:
         raise ValueError("seed must be a 64-bit unsigned integer")

@@ -1,5 +1,6 @@
 """The README's examples run as written: every ``mmwbeam`` line of its CLI section
-exits 0, and its Library example executes."""
+exits 0, and its Library example executes.  Its Benchmark section names the newest
+benchmark record."""
 
 import re
 import shlex
@@ -9,7 +10,8 @@ import pytest
 
 from mmwbeam.cli import EXIT_OK, main
 
-README = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+ROOT = Path(__file__).parent.parent
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def section(title):
@@ -46,3 +48,11 @@ def test_library_example_runs(capsys):
     (block,) = code_blocks(section("Library example"), "python")
     exec(compile(block, "README.md", "exec"), {})
     assert capsys.readouterr().out.startswith("directional beamforming loses ")
+
+
+def test_the_benchmark_section_names_the_newest_record():
+    records = [re.fullmatch(r"BENCH_(\d+)\.json", path.name) for path in ROOT.glob("BENCH_*.json")]
+    newest = f"BENCH_{max(int(m.group(1)) for m in records if m)}.json"
+    text = section("Benchmark")
+    assert re.findall(r"--out (BENCH_\d+\.json)", text) == [newest]
+    assert re.findall(r"The newest\s+file is `(BENCH_\d+\.json)`", text) == [newest]

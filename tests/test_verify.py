@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -45,7 +46,9 @@ def test_prop1_reads_the_reduced_route_snr(monkeypatch):
 @pytest.mark.parametrize("suite", ["prop2", "prop3", "prop4"])
 def test_fixtures_measure_inside_their_regime(suite, seed):
     # every ULA channel an allocation suite builds measures, through from_paths, as a
-    # parameter set its regime's closed forms accept: none of them raises
+    # parameter set its regime's closed forms accept: none of them raises.  Its free
+    # coupling is the drawn one within mainlobe_freq_delta's 32 eps bound (the azimuths'
+    # acos/cos round trip included), and its constrained one sits at its null or peak
     case = verify._SUITE_CASES[suite]
     regime = closedform.REGIMES[case]
     params = [verify._draw_params(verify._instance_rng(seed, i), regime) for i in range(500)]
@@ -55,11 +58,30 @@ def test_fixtures_measure_inside_their_regime(suite, seed):
         [(p.phase_diff, 0.0) for p in params],
         [getattr(p, f"{regime.free}_mag") for p in params],
     )
-    for instance in zip(gains, aods, aoas):
+    for p, instance in zip(params, zip(gains, aods, aoas)):
         paths = _path_list(*instance)
         measured = TwoPathParams.from_paths(paths, tx_geom, rx_geom)
         regime.beta_opt(measured)
         regime.delta_snr(measured)
+        free = getattr(measured, f"{regime.free}_mag")
+        assert abs(free - getattr(p, f"{regime.free}_mag")) <= 32 * sys.float_info.epsilon
+        constrained = getattr(measured, f"{regime.constrained}_mag")
+        if regime.forced == 0.0:
+            assert constrained < closedform.ORTHOGONAL_TOL
+        else:
+            assert constrained > 1.0 - closedform.PARALLEL_TOL
+
+
+@pytest.mark.parametrize(
+    "trials, seed, name",
+    [(3, 1.5, "seed"), (3, 1.0, "seed"), (3, -1.5, "seed"), (3, True, "seed"),
+     (True, 0, "trials"), (2.5, 0, "trials"), (0.5, 0, "trials"), (np.float64(3.0), 0, "trials")],
+)
+def test_run_suite_refuses_a_non_integer_seed_or_trial_count(trials, seed, name):
+    # a float seed would key Philox as its uint64 cast and be reported as given; the type
+    # is checked before the range, so -1.5 and 0.5 get the same error
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        verify.run_suite("prop2", trials, seed)
 
 
 @pytest.mark.parametrize(
