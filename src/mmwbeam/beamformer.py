@@ -535,49 +535,78 @@ def _bidirectional_snr(
     return (amp.real**2 + amp.imag**2) / gains.shape[-1], np.eye(gains.shape[-1])[strongest]
 
 
+def _phase_peak(alpha, b, c, delta) -> tuple[np.ndarray, np.ndarray]:
+    """Maximum over phi of ``(alpha + b cos(phi) + c sin(phi)) / (1 + delta cos(phi))``, and its phi.
+
+    For ``0 <= delta < 1`` the ratio stays at most ``T`` exactly when
+    ``hypot(b - T delta, c) <= T - alpha``, so its maximum is the larger root
+    of ``g T^2 - 2 p T - (b^2 + c^2 - alpha^2) = 0``, ``g = (1 - delta)(1 +
+    delta)``, ``p = alpha - b delta``, attained at ``phi = atan2(c, b - T
+    delta)``.  The discriminant is ``D = q^2 + c^2 g``, ``q = b - alpha
+    delta``, and ``sqrt(D) = |q| + c^2 g / (sqrt(D) + |q|)`` splits the root
+    ``(p + sqrt(D)) / g`` into ``T = (alpha + s b) / (1 + s delta) + c^2 /
+    (sqrt(D) + |q|)``, ``s = copysign(1, q)``, as ``p + s q = (alpha + s b)(1
+    - s delta)``.  No term is a difference of nearly equal parts, whatever
+    ``delta``; the ``c^2`` term is 0 where ``c = 0``.  At ``q = 0`` both
+    signs give ``alpha``, so a sign that rounding flips moves ``T`` only by
+    ``2 |q| / g``.  At ``delta = 1`` the result may be infinite or NaN.
+
+    Rounding bound, with u = eps / 2, ``N = |alpha| + |b| + |c|``, and
+    ``1 - delta >= g / 2``: ``|T| <= 2N / g`` and the ``c^2`` term is at most
+    ``|c| / sqrt(g) <= N / g``.  The first term is off by ``3u`` relative, so
+    by ``6u N / g``.  ``q`` is off by ``2u N``, ``sqrt(D)`` by ``2u N + 4u
+    sqrt(D)`` and ``sqrt(D) + |q|`` by ``4u N + 5u (sqrt(D) + |q|)``; as
+    ``(sqrt(D) + |q|)^2 >= c^2 g``, the ``c^2`` term is off by ``7u N / g + 4u
+    N / g``.  A flipped sign adds ``4u N / g`` and the last sum ``2u N / g``:
+    ``T`` is within ``23u N / g`` of the exact maximum.  A subnormal result
+    rounds by at most half the smallest subnormal ``s`` for each of the
+    fifteen operations, each carried into ``T`` by at most ``4 / g``.
+    """
+    q = b - alpha * delta
+    sign = np.copysign(1.0, q)
+    square = c * c
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root = np.sqrt(q * q + square * ((1.0 - delta) * (1.0 + delta))) + np.abs(q)
+        peak = (alpha + sign * b) / (1.0 + sign * delta) + square / np.where(c == 0.0, 1.0, root)
+        return peak, np.arctan2(c, b - peak * delta)
+
+
 def _equal_power_snr(
     gains: np.ndarray, gram_t: np.ndarray, gram_r: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """SNR (B,) and weights (B, 2) of the best equal split of an L=2 channel.
 
     The beam is ``f = v_0 + exp(1j theta) v_1`` normalized.  ``||H f||^2 /
-    ||f||^2`` is the ratio ``(a0 + a1 cos + a2 sin) / (2 + b1 cos + b2 sin)``
-    of two quadratic forms in ``(1, exp(1j theta))``, with matrices
-    ``G_t^H M G_t`` (``M = diag(conj(gain)) G_r diag(gain)``; the form of
-    :func:`_hermitian_form` with ``Y = G_t``, written entry by entry since
-    numpy's stacked ``@`` would dispatch BLAS per 2 x 2 matrix) and
-    ``G_t``.  Its derivative vanishes where ``P sin + Q cos + R = 0`` with
-    ``P = a0 b1 - 2 a1``, ``Q = 2 a2 - a0 b2`` and ``R = a2 b1 - a1 b2``, at
-    ``atan2(P, Q) +- arccos(-R / sqrt(P^2 + Q^2))`` (over 1 where ``P = Q =
-    0``, with the cosine clipped to [-1, 1]).  The maximum is the best of
-    these two roots and ``theta = 0``: when the departure angles coincide,
-    rounding can put both roots where the beam cancels, which the
-    ``MIN_BEAM_NORM_SQ`` mask rules out.  The SNR is that of the normalized
-    beam itself (:func:`_matched_snr`, again a form written entry by entry),
-    with weights ``(1, exp(1j theta)) / ||f||``, not the ratio's value, which
+    ||f||^2`` is the ratio of two quadratic forms in ``(1, exp(1j theta))``,
+    with matrices ``Q = G_t^H M G_t`` (``M = diag(conj(gain)) G_r
+    diag(gain)``; the form of :func:`_hermitian_form` with ``Y = G_t``,
+    written entry by entry since numpy's stacked ``@`` would dispatch BLAS
+    per 2 x 2 matrix) and ``G_t``.  With ``rho = G_t[0, 1]``, ``phi = theta
+    + arg(rho)`` and ``k = Q[0, 1] exp(-1j arg(rho))`` it is ``(alpha + Re(k)
+    cos(phi) - Im(k) sin(phi)) / (1 + |rho| cos(phi))``, ``alpha = (Q[0, 0] +
+    Q[1, 1]) / 2``, whose maximizing phase is :func:`_phase_peak`'s.  The
+    cross term is divided by ``alpha`` where ``alpha > 0``: the kernel does
+    not scale its gains, so at tiny gains ``Im(k)^2`` would underflow and
+    lose the phase.  Where the beam at that phase vanishes (``||f||^2 = 2 +
+    2 |rho| cos(phi) <= MIN_BEAM_NORM_SQ``: coincident departures, where
+    rounding can put the peak where the beam cancels) ``phi = 0`` is taken,
+    the phase of the largest norm.  The SNR is that of the normalized beam
+    itself (:func:`_matched_snr`, again a form written entry by entry), with
+    weights ``(1, exp(1j theta)) / ||f||``, not the ratio's value, which
     rounds badly where ``||f||`` nearly vanishes.
     """
     quad = _hermitian_form(gains, gram_t, gram_r)
-    cross_num = quad[:, 0, 1, None]
-    a0 = quad[:, 0, 0, None].real + quad[:, 1, 1, None].real
-    cross_den = gram_t[:, 0, 1, None]
-
-    # Re(c exp(1j theta)) = Re(c) cos(theta) - Im(c) sin(theta); the factor 2 is exact.
-    a1, a2 = 2.0 * cross_num.real, -2.0 * cross_num.imag
-    b1, b2 = 2.0 * cross_den.real, -2.0 * cross_den.imag
-    p, q, r = a0 * b1 - 2.0 * a1, 2.0 * a2 - a0 * b2, a2 * b1 - a1 * b2
-    scale = np.hypot(p, q)
-    scale[scale == 0.0] = 1.0
-    spread = np.arccos(np.clip(-r / scale, -1.0, 1.0))
-    theta = np.concatenate([np.zeros_like(p), np.arctan2(p, q) + [-1.0, 1.0] * spread], axis=-1)
-    cos, sin = np.cos(theta), np.sin(theta)
-    num = a0 + (a1 * cos + a2 * sin)
-    den = 2.0 + (b1 * cos + b2 * sin)
-    values = np.divide(num, den, out=np.full(num.shape, -np.inf), where=den > MIN_BEAM_NORM_SQ)
-    best = np.argmax(values, axis=-1)[:, None]
-    theta = np.take_along_axis(theta, best, axis=-1)
-    norm = np.sqrt(np.take_along_axis(den, best, axis=-1))
-    weights = np.concatenate([np.ones_like(theta), np.exp(1j * theta)], axis=-1) / norm
+    rho = gram_t[:, 0, 1]
+    delta, turn = np.abs(rho), np.angle(rho)
+    alpha = 0.5 * (quad[:, 0, 0].real + quad[:, 1, 1].real)
+    unit = np.where(alpha > 0.0, alpha, 1.0)
+    cross = quad[:, 0, 1] * np.exp(-1j * turn) / unit
+    phi = _phase_peak(alpha / unit, cross.real, -cross.imag, delta)[1]
+    norm_sq = 2.0 + 2.0 * delta * np.cos(phi)
+    live = norm_sq > MIN_BEAM_NORM_SQ
+    theta = np.where(live, phi, 0.0) - turn
+    norm = np.sqrt(np.where(live, norm_sq, 2.0 + 2.0 * delta))
+    weights = np.stack([np.ones_like(theta), np.exp(1j * theta)], axis=-1) / norm[:, None]
     return _matched_snr(gains, gram_t @ weights[..., None], gram_r), weights
 
 
@@ -641,8 +670,8 @@ def equal_power_beamformer(
     """Split transmit power equally between the two paths of an L=2 channel.
 
     The relative phase between the two steering vectors is the exact
-    maximizer of the received SNR, solved from the stationary points of the
-    two-path ratio (see :func:`_equal_power_snr`).  The receive vector is the
+    maximizer of the received SNR, in the closed form of the two-path ratio's
+    maximum (see :func:`_equal_power_snr`).  The receive vector is the
     matched filter, read from the paths (see :func:`_pair`).  ``channel`` is
     accepted for the call signature shared by every scheme and is not read.
     """

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .beamformer import MIN_BEAM_NORM_SQ, _unscaled
+from .beamformer import MIN_BEAM_NORM_SQ, _phase_peak, _unscaled
 from .channel import _path_arrays
 from .steering import ArrayGeometry, _grams
 
@@ -411,46 +411,23 @@ def _row_peaks(terms: dict[str, np.ndarray], columns) -> tuple[np.ndarray, np.nd
     As ``vv^2 cos(nu + phi) + cos(nu - phi) = (1 + vv^2) cos(nu) cos(phi) + (1
     - vv^2) sin(nu) sin(phi)``, a row's doubled objective is ``(alpha + B
     cos(phi) + C sin(phi)) / (1 + delta cos(phi))``, with ``alpha`` and
-    ``delta`` its first and last columns, ``B = cos_coef + cross_coef
-    cos_factor`` and ``C = cross_coef sin_factor``.  For ``|delta| < 1`` it
-    stays at most ``T`` exactly when ``hypot(B - T delta, C) <= T - alpha``,
-    so its maximum is the larger root of ``g T^2 - 2 p T - (B^2 + C^2 -
-    alpha^2) = 0``, ``g = (1 - delta)(1 + delta)``, ``p = alpha - B delta``,
-    attained at ``phi = atan2(C, B - T delta)``.  The discriminant is the sum
-    of squares ``D = (B - alpha delta)^2 + C^2 g``; the root is ``(p +
-    sqrt(D)) / g`` for ``p >= 0`` and, where that cancels, the conjugate
-    ``(B^2 + C^2 - alpha^2) / (sqrt(D) - p)``.  The numerator is a squared
-    norm, so ``alpha >= hypot(B, C)`` and ``p >= alpha (1 - |delta|) >= 0``:
-    only rounding (as on the cancelling set) takes ``p`` below 0.  Rows with
-    ``|delta| >= 1`` read NaN or infinity; :func:`_scans` does not use them.
+    ``delta >= 0`` its first and last columns, ``B = cos_coef + cross_coef
+    cos_factor`` and ``C = cross_coef sin_factor``: :func:`_phase_peak`'s
+    ratio.  Rows with ``delta >= 1`` may read NaN or infinity; :func:`_scans`
+    does not use them.
 
     Rounding bound, with u = eps / 2, ``M = |alpha| + |cos_coef| + 2
-    |cross_coef|`` and ``N = |alpha| + |B| + |C| <= M``.  The row's values
-    lie in ``[-N, N] / (1 - |delta|)``, and ``1 - |delta| >= g / 2``.
-    ``B`` and ``C`` are off by ``16u M`` together (their factors by ``8u``
-    each, a product and a sum), which moves the maximum by ``32u M / g``.
-    ``g`` is off by ``3u`` relative, ``p`` and ``B - alpha delta`` by ``2u N``,
-    ``sqrt(D)`` by ``4u N + 3u sqrt(D)``.  For ``p >= 0`` the sum ``p +
-    sqrt(D) = T g`` of nonnegative parts is off by ``6u N + 4u T g``, so ``T``
-    by ``6u N / g + 8u T <= 22u N / g``.  For ``p < 0``, ``sqrt(D) - p`` is at
-    least ``T g`` and ``N g / 4`` (as ``|B - alpha delta| + |p| >= (|alpha| +
-    |B|)(1 - |delta|)`` and ``sqrt(D) >= |C| (1 - |delta|)``); the numerator
-    is off by ``3u N^2`` and the denominator by ``6u N + 4u (sqrt(D) - p)``,
-    so ``T`` by ``12u N / g + 6u N / g + 5u T <= 28u N / g``.  A subnormal
-    result rounds by at most half the smallest subnormal ``s``, for each of
-    the twenty-odd operations, each carried into ``T`` by at most ``4 / g``.
-    So the doubled maximum is within ``(32 eps M + 64 s) / g`` of the exact
-    maximum of the row's columns, and the value within half that.
+    |cross_coef|``, ``N = |alpha| + |B| + |C| <= M`` and ``g = (1 - delta)(1
+    + delta)``.  ``B`` and ``C`` are off by ``16u M`` together (their factors
+    by ``8u`` each, a product and a sum), which moves the maximum by ``32u M
+    / g``, as ``1 - delta >= g / 2``; :func:`_phase_peak` adds ``23u N / g``
+    and the subnormal terms.  So the doubled maximum is within ``(32 eps M +
+    64 s) / g`` of the exact maximum of the row's columns, and the value
+    within half that.
     """
     alpha, cos_coef, cross_coef, delta = columns
     b = cos_coef + cross_coef * terms["cos_factor"]
-    c = cross_coef * terms["sin_factor"]
-    p = alpha - b * delta
-    gap = (1.0 - delta) * (1.0 + delta)
-    root = np.sqrt((b - alpha * delta) ** 2 + c * c * gap)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        peaks = np.where(p >= 0.0, (p + root) / gap, (b * b + c * c - alpha * alpha) / (root - p))
-        return peaks, np.arctan2(c, b - peaks * delta)
+    return _phase_peak(alpha, b, cross_coef * terms["sin_factor"], delta)
 
 
 def _scaled_terms(params: TwoPathParams) -> tuple[float, float, float, int]:

@@ -96,6 +96,16 @@ class TestReceivedSnr:
         with pytest.raises(ValueError, match="energy"):
             received_snr(ch, np.ones(8, dtype=complex), np.ones(4, dtype=complex))
 
+    @pytest.mark.parametrize("end, size", [("tx", 4), ("rx", 8), ("tx", (8, 1)), ("rx", (1, 4))])
+    def test_beam_of_the_wrong_shape_rejected(self, rng, end, size):
+        tx_geom, rx_geom = geometry_pair()
+        ch = assemble_channel(random_paths(rng, 1), tx_geom, rx_geom)
+        beams = {"tx": np.full(8, 0.25, dtype=complex), "rx": np.ones(4, dtype=complex)}
+        beams[end] = np.full(size, 0.25, dtype=complex)
+        expected = {"tx": r"\(8,\)", "rx": r"\(4,\)"}[end]
+        with pytest.raises(ValueError, match=f"{end} has shape .*, expected {expected}"):
+            received_snr(ch, beams["tx"], beams["rx"])
+
     @pytest.mark.parametrize("end", ["tx", "rx"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.0, math.nan)])
     def test_non_finite_beam_rejected(self, rng, end, value):

@@ -86,6 +86,19 @@ class TestClosedform:
         assert res["beta_sq"] is None  # any split achieves the optimum
         assert res["snr_optimal"] == pytest.approx(0.0, abs=1e-12)
 
+    def test_v_parallel_csv_leaves_the_split_cells_empty(self, capsys):
+        # any split achieves the optimum: beta_sq and theta_deg are None, written as empty cells
+        code, out, _ = run_cli(
+            capsys,
+            "closedform", "--case", "v-parallel", "--a1", "1", "--a2", "1",
+            "--uu", "1", "--nu-deg", "180", "--format", "csv",
+        )
+        assert code == EXIT_OK
+        _, header, rows = parse_csv(out)
+        assert len(rows) == 1 and len(rows[0]) == len(header)
+        assert rows[0]["beta_sq"] == rows[0]["theta_deg"] == ""
+        assert rows[0]["delta_snr"] == "1"
+
     def test_cancelled_dominant_beam_reads_zero(self, capsys):
         # the dominant beam's sum rounds to -1.1e-16 here; snr_dominant read it
         code, out, _ = run_cli(
@@ -222,6 +235,10 @@ class TestSweep:
             capsys, "sweep", "--case", "v-orth", "--k-min", "0.5", "--k-max", "2", "--uu", "0.3"
         )
         assert code == EXIT_USAGE
+
+    def test_zero_k_points_is_usage_error(self, capsys):
+        argv = ["sweep", "--case", "v-orth", "--k-min", "1", "--k-max", "2", "--uu", "0.3"]
+        assert usage_message(capsys, *argv, "--k-points", "0") == "--k-points must be >= 1"
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_phase_is_usage_error(self, capsys, value):
@@ -684,6 +701,13 @@ class TestConfigFile:
         cfg_file.write_text("{not json")
         code, _, err = run_cli(capsys, "closedform", "--config", str(cfg_file))
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("doc", [[], [1, 2], "text", 3, None])
+    def test_file_that_is_not_a_json_object_is_usage_error(self, capsys, tmp_path, doc):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps(doc))
+        message = usage_message(capsys, "closedform", "--config", str(cfg_file))
+        assert message == "config file must contain a JSON object"
 
     def test_file_that_is_not_utf8_is_usage_error(self, capsys, tmp_path):
         # reading it raised UnicodeDecodeError, a traceback

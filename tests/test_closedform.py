@@ -87,6 +87,13 @@ class TestParams:
         assert p.uu_mag == pytest.approx(0.6, abs=1e-12)
         assert p.phase_diff == pytest.approx(0.7)
 
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_from_paths_needs_two_paths(self, count):
+        paths, tx_geom, rx_geom = two_path_fixture("v-orth", (2.0, 1.0), (0.3, -0.4), 0.6)
+        paths = (paths * 2)[:count]
+        with pytest.raises(ValueError, match="exactly two paths"):
+            TwoPathParams.from_paths(paths, tx_geom, rx_geom)
+
     def test_allocation_theta_normalized(self):
         a = AllocationPoint(beta=0.5, theta=-1.0)
         assert 0.0 <= a.theta < 2.0 * math.pi
@@ -253,6 +260,11 @@ class TestGridSearch:
         point, value = allocation_grid_search(params)
         assert value == two_path_objective(params, point) == math.inf
 
+    @pytest.mark.parametrize("num_beta, num_theta", [(1, 360), (201, 1), (0, 0)])
+    def test_resolution_below_two_rejected(self, num_beta, num_theta):
+        with pytest.raises(ValueError, match="at least 2"):
+            allocation_grid_search(TwoPathParams(1.0, 0.5), num_beta, num_theta)
+
     def test_cancelling_set_reads_its_theta_grid_row(self):
         # equal gains, uu = vv = 1 and nu = pi: the two paths cancel and the channel is 0.
         # At beta = 1/sqrt(2) the beam vanishes at theta = pi (|delta| = 1), so that row is
@@ -274,9 +286,9 @@ class TestGridSearch:
 
     def test_conjugate_root_keeps_rows_where_p_is_negative(self):
         # a channel row has alpha >= hypot(B, C), so p = alpha - B delta >= 0 unless rounding
-        # takes it below; there (p + sqrt(D)) / g cancels (by 3e5 ulps at delta = 1 - 2^-20),
-        # and the conjugate form keeps the maximum (alpha + B) / (1 + delta) of a row with
-        # C = 0 and B > alpha delta, at phi = 0, to a few ulps
+        # takes it below; there the root (p + sqrt(D)) / g would cancel (by 3e5 ulps at
+        # delta = 1 - 2^-20), while the one form of _phase_peak reads the maximum (alpha + B)
+        # / (1 + delta) of a row with C = 0 and B > alpha delta, at phi = 0, to a few ulps
         delta = np.array([[1.0 - 2.0**-20, 1.0 - 1e-5, 0.5, 0.0, 0.3]])
         alpha = np.array([[0.0, 0.01, 0.1, -0.25, 0.2]])
         b = np.array([[0.7, 0.9, 1.3, 1.0, 0.77]])
@@ -286,6 +298,21 @@ class TestGridSearch:
         peaks, phases = closedform._row_peaks({"cos_factor": zero, "sin_factor": zero}, columns)
         exact = (alpha + b) / (1.0 + delta)
         assert np.all(np.abs(peaks - exact) <= 8 * EPS * exact)
+        assert np.all(phases == 0.0)
+
+    @pytest.mark.parametrize("vv_mag", [1.0 - 1e-9, 0.9999])
+    def test_row_peaks_keep_their_ulps_as_delta_nears_one(self, vv_mag):
+        # nu = 0, so C = 0 and each row's maximum is its value at phi = 0, (alpha + B) / (1 +
+        # delta); a root through the differences p = alpha - B delta and B - alpha delta lost
+        # up to 5.7e6 ulps of it here, as delta nears 1
+        params = TwoPathParams(0.8, 0.6, uu_mag=0.5, vv_mag=vv_mag)
+        assert params.misalignment == 0.0
+        betas = np.linspace(0.6, 0.8, 201)
+        terms = closedform._grid_terms([params])
+        peaks, phases = closedform._row_peaks(terms, closedform._grid_columns(terms, betas[None]))
+        rows = np.ldexp(0.5 * peaks[0], -int(terms["shift"][0, 0]))
+        at_zero = objective_grid(params, betas, [0.0])[:, 0]
+        assert np.all(np.abs(rows - at_zero) <= 4 * np.spacing(at_zero))
         assert np.all(phases == 0.0)
 
     @pytest.mark.parametrize("case", list(REGIMES))

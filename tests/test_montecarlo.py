@@ -438,6 +438,11 @@ class TestPercentile:
         for p in (0.1, 0.5, 0.9):
             assert percentile(table, p) == 0.0
 
+    def test_empty_table_rejected(self):
+        table = CcdfTable(samples_db=np.empty(0), ccdf=np.empty(0), config=small_cfg(trials=5))
+        with pytest.raises(ValueError, match="empty table"):
+            percentile(table, 0.5)
+
     def test_nearest_rank_definition(self):
         cfg = small_cfg(trials=5)
         table = CcdfTable(

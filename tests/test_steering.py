@@ -218,3 +218,14 @@ class TestMainlobeInversion:
         geom = ArrayGeometry(8)
         assert mainlobe_freq_delta(geom, 1.0) == pytest.approx(0.0)
         assert abs(cpo_inner_product(geom, mainlobe_freq_delta(geom, 0.0))) < 1e-12
+
+    @pytest.mark.parametrize("magnitude", [-1e-300, 1.0 + 2**-52, math.nan, math.inf])
+    def test_magnitude_outside_the_unit_interval_rejected(self, magnitude):
+        with pytest.raises(ValueError, match=r"magnitude must lie in \[0, 1\]"):
+            mainlobe_freq_delta(ArrayGeometry(8), magnitude)
+
+    @pytest.mark.parametrize("magnitude", [0.0, 0.5])
+    def test_single_element_array_rejected(self, magnitude):
+        # its one-entry steering vectors couple with magnitude 1 at every frequency
+        with pytest.raises(ValueError, match="single-element"):
+            mainlobe_freq_delta(ArrayGeometry(1), magnitude)

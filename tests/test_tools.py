@@ -49,7 +49,7 @@ def test_every_engine_stage_runs_in_a_ccdf_call(monkeypatch):
     timed = set()
     for scheme, fmt in (("bidirectional", "csv"), ("equal_power", "json")):
         call = recorder._ccdf_call({**options, "scheme": scheme, "format": fmt})
-        rounds = recorder._timed_rounds(recorder.ENGINE_STAGES, call)
+        rounds = recorder._timed_rounds({"ccdf": (recorder.ENGINE_STAGES, call)})["ccdf"]
         timed |= {stage for stage, values in rounds.items() if min(values) > 0.0}
     assert timed >= {stage for _, _, stage in recorder.ENGINE_STAGES}
 
@@ -65,9 +65,38 @@ def test_every_verify_stage_runs_in_a_round(monkeypatch):
     expected |= named | {"coarse_search", "refined_search"}
     timed = set()
     for stages in (alone, recorder.STAGES):
-        rounds = recorder._timed_rounds(stages, recorder._verify_round)
+        rounds = recorder._timed_rounds({"verify": (stages, recorder._verify_round)})["verify"]
         timed |= {stage for stage, values in rounds.items() if min(values) > 0.0}
     assert expected - timed == set()
+
+
+def test_rounds_take_turns_and_report_quartiles(monkeypatch):
+    # rounds taken in blocks, one call after the other, read a drift in machine load as a
+    # change in one call's stages; in turns it reaches every call and widens the quartiles
+    recorder = load_recorder(monkeypatch)
+    monkeypatch.setattr(recorder, "STAGE_ROUNDS", 4)
+    calls = []
+    runs = {name: ([], lambda index, name=name: calls.append((index, name))) for name in "abc"}
+    rounds = recorder._timed_rounds(runs)
+    assert calls == [(index, name) for index in range(5) for name in "abc"]
+    assert {name: len(stages["all"]) for name, stages in rounds.items()} == dict.fromkeys("abc", 4)
+    summary = recorder._summary({"all": [4e-6, 1e-6, 3e-6, 2e-6, 5e-6]}, "us")["all"]
+    assert list(summary) == ["q1_us", "median_us", "q3_us"]
+    assert summary["q1_us"] <= summary["median_us"] == 3.0 <= summary["q3_us"]
+
+
+def test_per_layer_runs_every_call_in_one_schedule(monkeypatch):
+    # the verify round and every ccdf call of the benchmark share the one round-robin
+    recorder = load_recorder(monkeypatch)
+    seen = {}
+    monkeypatch.setattr(recorder, "_timed_rounds", lambda runs: seen.update(runs) or {
+        name: {"all": [1.0, 2.0], "draw": [0.5, 0.5]} for name in runs})
+    doc = recorder.per_layer()
+    assert list(seen) == ["verify", *recorder._ccdf_calls()]
+    assert len(doc["engine"]["configs"]) == 5
+    assert set(doc["stages"]) == {"all_suites", "draw"}
+    for entry in doc["engine"]["configs"].values():
+        assert entry["stages"]["other"]["median_us"] == 1e6
 
 
 def test_line_counts_match_the_modules():

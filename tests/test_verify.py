@@ -72,6 +72,12 @@ def test_fixtures_measure_inside_their_regime(suite, seed):
             assert constrained > 1.0 - closedform.PARALLEL_TOL
 
 
+@pytest.mark.parametrize("suite", ["prop5", "PROP2", ""])
+def test_run_suite_refuses_an_unknown_suite(suite):
+    with pytest.raises(ValueError, match="unknown suite"):
+        verify.run_suite(suite)
+
+
 @pytest.mark.parametrize(
     "trials, seed, name",
     [(3, 1.5, "seed"), (3, 1.0, "seed"), (3, -1.5, "seed"), (3, True, "seed"),

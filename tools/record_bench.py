@@ -19,7 +19,12 @@ The file has four parts:
   Monte Carlo engine (draw, Gram pair, optimum, scheme kernel, losses,
   emission), from ``cli.main`` run in-process on the ``ccdf-paper`` calls
   (L = 1, 2, 3, 5, Nt = 64, Nr = 4, bidirectional) and the ``ccdf-wide``
-  call.  Each call runs 200 trials, one chunk of the engine.
+  call.  Each call runs 200 trials, one chunk of the engine.  The verify
+  round and the five calls take turns, one of each per round, for
+  ``STAGE_ROUNDS`` rounds, and each stage is given by the quartiles of its
+  times: a drift in machine load while they run reaches every stage alike
+  and widens its quartiles, where blocks of rounds, one call after the
+  other, would read it as a change of one call's stages.
 
 After writing the file the script prints each row beside the same row of
 the newest earlier ``BENCH_<n>.json`` in the repository root.
@@ -36,7 +41,6 @@ import io
 import json
 import os
 import re
-import statistics
 import subprocess
 import sys
 import time
@@ -177,31 +181,34 @@ def _stage_timers(stages, totals: dict):
 
 
 def _summary(rounds: dict, unit: str) -> dict:
-    """Median and minimum of each stage's times in seconds, given in ``unit`` (ms or us)."""
+    """Quartiles of each stage's times in seconds, given in ``unit`` (ms or us)."""
     scale = {"ms": 1e3, "us": 1e6}[unit]
-    return {
-        stage: {f"median_{unit}": scale * statistics.median(values),
-                f"min_{unit}": scale * min(values)}
-        for stage, values in sorted(rounds.items())
-    }
+    summary = {}
+    for stage, values in sorted(rounds.items()):
+        q = bench_run.quartiles([scale * value for value in values])
+        summary[stage] = {f"{key}_{unit}": q[key] for key in ("q1", "median", "q3")}
+    return summary
 
 
-def _timed_rounds(stages, run) -> dict:
-    """Self time of each stage in each of ``STAGE_ROUNDS`` calls of ``run(index)``.
+def _timed_rounds(runs: dict) -> dict:
+    """Self time of each stage in each of ``STAGE_ROUNDS`` rounds, for every run of ``runs``.
 
-    The first call warms caches and is not kept; ``all`` is each call's wall time.
+    ``runs`` maps a name to ``(stages, run)``.  A round calls each
+    ``run(index)`` once, in turn, with its own stages timed, so the runs
+    interleave.  The first round warms caches and is not kept; ``all`` is
+    each call's wall time.
     """
-    totals: dict = defaultdict(float)
-    rounds: dict = defaultdict(list)
-    with _stage_timers(stages, totals):
-        for index in range(STAGE_ROUNDS + 1):
-            totals.clear()
-            start = time.perf_counter()
-            run(index)
-            totals["all"] = time.perf_counter() - start
+    rounds: dict = {name: defaultdict(list) for name in runs}
+    for index in range(STAGE_ROUNDS + 1):
+        for name, (stages, run) in runs.items():
+            totals: dict = defaultdict(float)
+            with _stage_timers(stages, totals):
+                start = time.perf_counter()
+                run(index)
+                totals["all"] = time.perf_counter() - start
             if index:
                 for stage, seconds in totals.items():
-                    rounds[stage].append(seconds)
+                    rounds[name][stage].append(seconds)
     return rounds
 
 
@@ -222,19 +229,26 @@ def _ccdf_call(options: dict):
     return run
 
 
-def engine() -> dict:
-    """Median and minimum per ccdf call of each engine stage, for every ccdf call of the benchmark."""
+def _ccdf_calls() -> dict:
+    """Options of every ccdf call of the benchmark, by a readable name."""
+    return {
+        f"{workload} L={options['paths']} Nt={options['nt']} Nr={options['nr']}": options
+        for workload in ("ccdf-paper", "ccdf-wide")
+        for options in workloads.invocations(workload, 1, 0)
+    }
+
+
+def _engine(calls: dict, rounds: dict) -> dict:
+    """Quartiles per ccdf call of each engine stage, from the rounds of each call."""
     configs = {}
-    for workload in ("ccdf-paper", "ccdf-wide"):
-        for options in workloads.invocations(workload, 1, 0):
-            name = f"{workload} L={options['paths']} Nt={options['nt']} Nr={options['nr']}"
-            rounds = _timed_rounds(ENGINE_STAGES, _ccdf_call(options))
-            rounds["other"] = [
-                total - sum(values[i] for stage, values in rounds.items() if stage != "all")
-                for i, total in enumerate(rounds["all"])
-            ]
-            argv = workloads.argv({key: value for key, value in options.items() if key != "seed"})
-            configs[name] = {"argv": argv, "stages": _summary(rounds, "us")}
+    for name, options in calls.items():
+        stages = rounds[name]
+        stages["other"] = [
+            total - sum(values[i] for stage, values in stages.items() if stage != "all")
+            for i, total in enumerate(stages["all"])
+        ]
+        argv = workloads.argv({key: value for key, value in options.items() if key != "seed"})
+        configs[name] = {"argv": argv, "stages": _summary(stages, "us")}
     return {
         "unit": "us per ccdf call of 200 trials (one chunk), at --seed 1 to 30; "
                 "other: the config records and sorting",
@@ -244,14 +258,19 @@ def engine() -> dict:
 
 
 def per_layer() -> dict:
-    """Median and minimum per round of each verify stage, and the engine's stages per call."""
-    rounds = _timed_rounds(STAGES, _verify_round)
-    rounds["all_suites"] = rounds.pop("all")
+    """Quartiles per round of each verify stage, and of the engine's stages per ccdf call."""
+    calls = _ccdf_calls()
+    runs = {"verify": (STAGES, _verify_round)}
+    runs.update((name, (ENGINE_STAGES, _ccdf_call(options))) for name, options in calls.items())
+    rounds = _timed_rounds(runs)
+    suites = rounds.pop("verify")
+    suites["all_suites"] = suites.pop("all")
     return {
         "unit": "ms per verify-oracles round (prop1 40 instances, prop2-prop4 10 each)",
         "rounds": STAGE_ROUNDS,
-        "stages": _summary(rounds, "ms"),
-        "engine": engine(),
+        "schedule": "round-robin: each round runs the verify round, then each ccdf call once",
+        "stages": _summary(suites, "ms"),
+        "engine": _engine(calls, rounds),
     }
 
 
