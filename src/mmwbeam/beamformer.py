@@ -591,9 +591,10 @@ def _equal_power_snr(
     2 |rho| cos(phi) <= MIN_BEAM_NORM_SQ``: coincident departures, where
     rounding can put the peak where the beam cancels) ``phi = 0`` is taken,
     the phase of the largest norm.  The SNR is that of the normalized beam
-    itself (:func:`_matched_snr`, again a form written entry by entry), with
-    weights ``(1, exp(1j theta)) / ||f||``, not the ratio's value, which
-    rounds badly where ``||f||`` nearly vanishes.
+    itself (:func:`_matched_snr`, again a form written entry by entry, on
+    ``G_t w = (w0 + rho w1, conj(rho) w0 + w1)``), with weights ``(1,
+    exp(1j theta)) / ||f||``, not the ratio's value, which rounds badly where
+    ``||f||`` nearly vanishes.
     """
     quad = _hermitian_form(gains, gram_t, gram_r)
     rho = gram_t[:, 0, 1]
@@ -607,7 +608,9 @@ def _equal_power_snr(
     theta = np.where(live, phi, 0.0) - turn
     norm = np.sqrt(np.where(live, norm_sq, 2.0 + 2.0 * delta))
     weights = np.stack([np.ones_like(theta), np.exp(1j * theta)], axis=-1) / norm[:, None]
-    return _matched_snr(gains, gram_t @ weights[..., None], gram_r), weights
+    w0, w1 = weights[:, 0], weights[:, 1]
+    couplings = np.stack([w0 + rho * w1, np.conj(rho) * w0 + w1], axis=-1)
+    return _matched_snr(gains, couplings[..., None], gram_r), weights
 
 
 def reduced_optimal_beamformer(

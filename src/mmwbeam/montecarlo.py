@@ -107,6 +107,19 @@ _CHUNK_BYTES = 1 << 20
 _MAX_CHUNK_TRIALS = 256
 
 
+def _check_integers(**values) -> None:
+    """The rule for integer fields, of ``McConfig`` and ``verify.run_suite``.
+
+    Each value must be an integer and not a bool, checked before any range,
+    and ``seed``, which keys Philox, a 64-bit unsigned one.
+    """
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not 0 <= values["seed"] < 2**64:
+        raise ValueError("seed must be a 64-bit unsigned integer")
+
+
 @dataclass(frozen=True)
 class McConfig:
     """Configuration of one CCDF run."""
@@ -122,16 +135,12 @@ class McConfig:
     angle_sampling: str = "uniform_angle"
 
     def __post_init__(self) -> None:
-        for name in ("num_paths", "trials", "seed", "nt", "nr"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        integers = ("num_paths", "trials", "seed", "nt", "nr")
+        _check_integers(**{name: getattr(self, name) for name in integers})
         if self.num_paths < 1:
             raise ValueError("num_paths must be >= 1")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must be a 64-bit unsigned integer")
         for name in ("spacing_wavelengths", "fov_deg"):
             value = getattr(self, name)
             if isinstance(value, (bool, np.bool_)):
@@ -188,11 +197,20 @@ class CcdfTable:
     num_resampled: int = 0
 
 
+def _slot_rng(seed: int, key: int, slot: int, blocks: int) -> np.random.Generator:
+    """Generator at ``slot``, of ``blocks`` counter blocks, of the Philox keyed by ``(seed, key)``.
+
+    Every keyed Philox of the package is built here: slot ``t`` starts at
+    counter ``t * blocks``, and ``Generator.random`` gives its ``4 * blocks``
+    doubles from there.
+    """
+    key_words = np.array([seed, key], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key_words, counter=slot * blocks))
+
+
 def trial_rng(cfg: McConfig, trial_index: int, redraw: int = 0) -> np.random.Generator:
     """Generator at the slot of trial ``trial_index`` in the Philox keyed by ``(seed, redraw)``."""
-    key = np.array([cfg.seed, redraw], dtype=np.uint64)
-    counter = int(trial_index) * cfg.num_paths
-    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+    return _slot_rng(cfg.seed, redraw, int(trial_index), cfg.num_paths)
 
 
 def _angle_bounds(cfg: McConfig) -> tuple[float, float]:

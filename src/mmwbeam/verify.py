@@ -26,21 +26,24 @@ phases come from the array geometry.
 ``prop2``-``prop4`` look their regime up in ``closedform.REGIMES`` by the
 paper's proposition number, and draw and build their instances by one rule.
 
-Instance ``i`` of a run at ``seed`` is drawn from the stream of a Philox
-keyed by ``(seed, i)``: a chunk's instances share one generator, re-keyed
-to a fresh state before each (:func:`_instance_draws`), and
-``_instance_rng(seed, i)`` draws any one of them again alone.
+Instances are drawn as ``montecarlo`` draws its trials: instance ``i`` of
+a run at ``seed`` owns the counter blocks after ``i * blocks`` of the one
+Philox keyed by ``(seed, 0)``, 6 blocks for ``prop1`` and 2 for the
+allocation suites, and a chunk of instances is read in one call
+(:func:`_uniforms`).  Slots do not overlap, so an instance's values depend
+neither on the chunk it is drawn in nor on the other instances, and
+instance ``i`` alone is its suite's draw function on ``range(i, i + 1)``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import beamformer, closedform
+from . import beamformer, closedform, montecarlo
 from .channel import _channel_stack
 from .steering import (
     ArrayGeometry,
@@ -96,9 +99,10 @@ def _rel_diff(value: float, ref: float) -> float:
 class CheckResult:
     """Worst observed discrepancy of one check against its limit.
 
-    ``instance`` is the index of the first instance that attains ``worst``,
-    which ``_instance_rng(seed, instance)`` draws again; None for a check
-    over no random instances.
+    ``instance`` is the index of the first instance that attains ``worst``;
+    None for a check over no random instances.  Instance ``i`` reads its own
+    slot of the run's Philox (see the module docstring), so the suite's draw
+    function on ``range(i, i + 1)`` draws it again alone.
     """
 
     name: str
@@ -160,38 +164,26 @@ class SuiteReport:
         }
 
 
-def _instance_rng(seed: int, index: int) -> np.random.Generator:
-    """The generator of instance ``index`` alone: a fresh Philox keyed by ``(seed, index)``.
+def _uniforms(seed: int, indices: range, blocks: int) -> np.ndarray:
+    """Uniforms (S, 4 blocks) on [0, 1) of the consecutive instances ``indices``, in one call.
 
-    The suites draw through :func:`_instance_draws`, which gives each
-    instance this generator's stream.
+    Row s holds the ``blocks`` counter blocks after ``indices[s] * blocks``
+    of the Philox keyed by ``(seed, 0)``: instance ``indices[s]``'s slot.
     """
-    return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+    uniforms = np.empty((len(indices), 4 * blocks))
+    montecarlo._slot_rng(seed, 0, indices.start, blocks).random(out=uniforms)
+    return uniforms
 
 
-def _instance_draws(seed: int, indices: range, draw, *args) -> list:
-    """``draw(rng, *args)`` of each instance of ``indices``, in order.
+def _chunked_values(values, trials: int, *args) -> list[list]:
+    """Each check's values over ``range(trials)``, in instance order.
 
-    Each ``rng`` draws what ``_instance_rng(seed, index)`` draws, but one
-    Philox serves them all: before each instance it takes a fresh
-    generator's state (counter 0, empty buffer, no cached 32-bit half) with
-    the key ``(seed, index)``, which costs a fraction of building a new one.
+    ``values(*args, indices)`` gives them for each chunk of at most
+    ``_CHUNK`` consecutive instances.
     """
-    bit_generator = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
-    rng = np.random.Generator(bit_generator)
-    fresh = bit_generator.state
-    key = fresh["state"]["key"]
-    draws = []
-    for index in indices:
-        key[1] = index
-        bit_generator.state = fresh
-        draws.append(draw(rng, *args))
-    return draws
-
-
-def _chunks(trials: int):
-    """Consecutive ranges of at most ``_CHUNK`` instance indices covering ``range(trials)``."""
-    return (range(start, min(start + _CHUNK, trials)) for start in range(0, trials, _CHUNK))
+    starts = range(0, trials, _CHUNK)
+    chunks = [values(*args, range(start, min(start + _CHUNK, trials))) for start in starts]
+    return [list(itertools.chain(*column)) for column in zip(*chunks)]
 
 
 def _stacked(keys: list, kernel, *inputs: list) -> list:
@@ -262,24 +254,28 @@ def _residuals(bases: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return beamformer._norms(resid)
 
 
-def _draw_prop1(rng: np.random.Generator):
-    """One ``prop1`` instance, drawn in a fixed order: Nt, Nr and the path arrays (L,).
+def _draw_prop1(seed: int, indices: range) -> tuple[list, ...]:
+    """Nt, Nr and the gains, departure and arrival azimuths (L,) of ``prop1`` instances.
 
-    ``rng`` is the instance's generator, re-keyed by :func:`_instance_draws`
-    or fresh from :func:`_instance_rng`; both give the same stream.  The
-    gains are the complex normal pairs ``normals (2, L)``, combined in the
-    suite; the azimuths are uniform on [0, 2 pi), both rows from one call
-    that draws the stream of two ``rng.uniform(0, 2 pi, L)`` calls.  The
-    size picks stay scalar calls: one ``rng.integers`` with a bound per
-    pick draws the same stream but costs about twice as much (numpy 2.4).
+    Each instance reads 6 counter blocks (:func:`_uniforms`).  Block 0 picks
+    L, Nt and Nr from its first three uniforms, each as ``sizes[floor(u n)]``
+    (``u < 1`` keeps ``u n`` below ``n`` after rounding).  Blocks 1-5 hold
+    five each of ``u1``, ``u2``, departure and arrival uniforms, of which the
+    first L are read: the gains are ``montecarlo._gains`` of ``u1`` and
+    ``u2``, so CN(0, 1), and the azimuths ``2 pi u``, uniform on [0, 2 pi).
     """
-    # the draws of rng.choice(sizes), without its checks of the sequence
-    num_paths, nt, nr = (
-        sizes[rng.integers(0, len(sizes))] for sizes in (_PATH_COUNTS, _TX_SIZES, _RX_SIZES)
+    most = max(_PATH_COUNTS)
+    uniforms = _uniforms(seed, indices, 1 + most)
+    num_paths, nts, nrs = (
+        np.array(sizes)[(uniforms[:, k] * len(sizes)).astype(int)].tolist()
+        for k, sizes in enumerate((_PATH_COUNTS, _TX_SIZES, _RX_SIZES))
     )
-    normals = rng.standard_normal((2, num_paths))
-    aods, aoas = rng.uniform(0.0, _TWO_PI, (2, num_paths))
-    return nt, nr, normals, aods, aoas
+    paths = uniforms[:, 4:].reshape(-1, 4, most)
+    azimuths = _TWO_PI * paths[:, 2:]
+    return nts, nrs, *(
+        [row[:count] for row, count in zip(rows, num_paths)]
+        for rows in (montecarlo._gains(paths), azimuths[:, 0], azimuths[:, 1])
+    )
 
 
 def _prop1_values(seed: int, indices: range) -> tuple[list, list, list]:
@@ -291,9 +287,7 @@ def _prop1_values(seed: int, indices: range) -> tuple[list, list, list]:
     L, the channels per (Nt, Nr, L), and the dense SVD route per (Nt, Nr).
     Every stacked kernel gives each instance the bits of its own call.
     """
-    draws = _instance_draws(seed, indices, _draw_prop1)
-    nts, nrs, normals, aods, aoas = zip(*draws)
-    gains = [(normal[0] + 1j * normal[1]) / math.sqrt(2.0) for normal in normals]
+    nts, nrs, gains, aods, aoas = _draw_prop1(seed, indices)
     freqs_t, freqs_r = ([spatial_frequencies(a) for a in azimuths] for azimuths in (aods, aoas))
     paths = [len(g) for g in gains]
     spacing = ArrayGeometry(1).spacing_wavelengths  # every array here has the default spacing
@@ -329,10 +323,7 @@ def verify_prop1(trials: int = 1000, seed: int = 0) -> SuiteReport:
     the beam and matched filter that no check here reads.  The instances are
     checked ``_CHUNK`` at a time (see :func:`_prop1_values`).
     """
-    resid_t, resid_r, rel = [], [], []
-    for indices in _chunks(trials):
-        for out, values in zip((resid_t, resid_r, rel), _prop1_values(seed, indices)):
-            out += values
+    resid_t, resid_r, rel = _chunked_values(_prop1_values, trials, seed)
     report = SuiteReport(suite="prop1", trials=trials, seed=seed)
     report.checks.append(_worst("tx beam within steering span", resid_t, 1e-8))
     report.checks.append(_worst("rx beam within steering span", resid_r, 1e-8))
@@ -340,23 +331,35 @@ def verify_prop1(trials: int = 1000, seed: int = 0) -> SuiteReport:
     return report
 
 
-def _draw_params(rng: np.random.Generator, regime: closedform.Regime) -> closedform.TwoPathParams:
-    """Random parameters in ``regime``, drawn in a fixed order.
+def _draw_params(
+    seed: int, indices: range, regime: closedform.Regime
+) -> list[closedform.TwoPathParams]:
+    """Random parameters in ``regime`` of allocation instances.
 
-    Rayleigh gains and their phase difference; the constrained end's phase
-    (a parallel end only: an orthogonal one has none); then the free
-    coupling's magnitude, uniform on its ``_FREE_RANGE``, and its phase.
-    The uniforms stay scalar calls: one ``rng.uniform`` with a bound per
-    field draws the same stream but costs about twice as much (numpy 2.4).
+    Each instance reads 2 counter blocks (:func:`_uniforms`), eight
+    uniforms ``u``: the gain magnitudes ``sqrt(-log1p(-u))`` of ``u[0:2]``
+    (Rayleigh, their squares Exp(1)), floored at ``_MIN_DRAWN_GAIN``; the
+    phase difference ``2 pi u[2]``; the constrained end's phase ``2 pi
+    u[3]``, read at a parallel end only (an orthogonal one has none); the
+    free coupling's magnitude, uniform on its ``_FREE_RANGE``, from
+    ``u[4]``, and its phase ``2 pi u[5]``.
     """
-    m1, m2 = _rayleigh_pair(rng)
-    fields = {"phase_diff": float(rng.uniform(0.0, _TWO_PI))}
-    fields[f"{regime.constrained}_mag"] = regime.forced
+    uniforms = _uniforms(seed, indices, 2)
+    mags = np.maximum(np.sqrt(-np.log1p(-uniforms[:, :2])), _MIN_DRAWN_GAIN)
+    phases = _TWO_PI * uniforms
+    lo, hi = _FREE_RANGE[regime.free]
+    columns = {
+        "mag_a1": mags[:, 0],
+        "mag_a2": mags[:, 1],
+        "phase_diff": phases[:, 2],
+        f"{regime.free}_mag": lo + (hi - lo) * uniforms[:, 4],
+        f"{regime.free}_phase": phases[:, 5],
+    }
     if regime.forced:
-        fields[f"{regime.constrained}_phase"] = float(rng.uniform(0.0, _TWO_PI))
-    fields[f"{regime.free}_mag"] = float(rng.uniform(*_FREE_RANGE[regime.free]))
-    fields[f"{regime.free}_phase"] = float(rng.uniform(0.0, _TWO_PI))
-    return closedform.TwoPathParams(mag_a1=m1, mag_a2=m2, **fields)
+        columns[f"{regime.constrained}_phase"] = phases[:, 3]
+    rows = zip(*(column.tolist() for column in columns.values()))
+    forced = {f"{regime.constrained}_mag": regime.forced}
+    return [closedform.TwoPathParams(**dict(zip(columns, row)), **forced) for row in rows]
 
 
 def _alloc_values(case: str, seed: int, indices: range) -> tuple[list, ...]:
@@ -369,7 +372,7 @@ def _alloc_values(case: str, seed: int, indices: range) -> tuple[list, ...]:
     """
     regime = closedform.REGIMES[case]
     beta_step = 1.0 / (_NUM_BETA - 1)
-    params = _instance_draws(seed, indices, _draw_params, regime)
+    params = _draw_params(seed, indices, regime)
     allocs = [regime.beta_opt(p) for p in params]
     terms = closedform._grid_terms(params)
     coarse = closedform._scans(terms, np.linspace(0.0, 1.0, _NUM_BETA).reshape(1, -1), _NUM_THETA)
@@ -419,10 +422,7 @@ def _alloc_suite(name: str, trials: int, seed: int) -> SuiteReport:
 
     The instances are checked ``_CHUNK`` at a time (see :func:`_alloc_values`).
     """
-    values = ([], [], [], [], [])
-    for indices in _chunks(trials):
-        for out, chunk in zip(values, _alloc_values(_SUITE_CASES[name], seed, indices)):
-            out += chunk
+    values = _chunked_values(_alloc_values, trials, _SUITE_CASES[name], seed)
     betas, margins, refined, identities, matrix = values
     beta_step = 1.0 / (_NUM_BETA - 1)
     report = SuiteReport(suite=name, trials=trials, seed=seed)
@@ -434,11 +434,6 @@ def _alloc_suite(name: str, trials: int, seed: int) -> SuiteReport:
     report.checks.append(_worst("closed-form SNR identity (objective)", identities, 1e-9))
     report.checks.append(_worst("ULA channel eigensolver consistency", matrix, 1e-6))
     return report
-
-
-def _rayleigh_pair(rng: np.random.Generator) -> tuple[float, float]:
-    mags = rng.rayleigh(math.sqrt(0.5), 2)
-    return float(max(mags[0], _MIN_DRAWN_GAIN)), float(max(mags[1], _MIN_DRAWN_GAIN))
 
 
 def verify_prop2(trials: int = 500, seed: int = 0) -> SuiteReport:
@@ -513,14 +508,8 @@ def run_suite(suite: str, trials: int | None = None, seed: int = 0) -> SuiteRepo
     """
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
-    # McConfig's rule for integer fields: a float seed would key Philox as its uint64 cast
-    values = {"seed": seed} if trials is None else {"seed": seed, "trials": trials}
-    for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    # the instance streams key Philox with the seed as a uint64
-    if not 0 <= seed < 2**64:
-        raise ValueError("seed must be a 64-bit unsigned integer")
+    # McConfig's rule: a float seed would key Philox as its uint64 cast
+    montecarlo._check_integers(seed=seed, **({} if trials is None else {"trials": trials}))
     run = globals()[f"verify_{suite}"]
     if trials is None:
         return run(seed=seed)

@@ -35,6 +35,7 @@ from mmwbeam.steering import (
     steering_matrix,
     steering_stack,
     steering_vector,
+    _grams,
 )
 
 
@@ -430,6 +431,22 @@ class TestEqualPower:
                 params, AllocationPoint(beta=1.0 / math.sqrt(2.0), theta=theta)
             )
             assert pair.normalized_snr == pytest.approx(value, rel=1e-10)
+
+    @pytest.mark.parametrize("sampling", montecarlo.ANGLE_SAMPLING)
+    @pytest.mark.parametrize("nt, nr", [(256, 16), (8, 4), (2, 2)])
+    def test_couplings_keep_the_bits_of_the_gram_product(self, nt, nr, sampling):
+        # G_t w is formed entry by entry, (w0 + rho w1, conj(rho) w0 + w1), with the
+        # bits of the stacked product gram_t @ w on a chunk of the engine
+        cfg = montecarlo.McConfig(
+            num_paths=2, trials=200, seed=nt + nr, nt=nt, nr=nr, scheme="equal_power",
+            angle_sampling=sampling,
+        )
+        gains, aod, aoa, _ = montecarlo._draw_chunk(cfg, range(cfg.trials))
+        sizes = np.array([nt, nr])[:, None, None]
+        gram_t, gram_r = _grams(sizes, 0.5, spatial_frequencies(np.stack([aod, aoa])))
+        snr, weights = beamformer._equal_power_snr(gains, gram_t, gram_r)
+        product = beamformer._matched_snr(gains, gram_t @ weights[..., None], gram_r)
+        assert snr.tobytes() == product.tobytes()
 
 
 # (name, nt, gains, departure azimuths, arrival azimuths) of degenerate two-path channels

@@ -31,7 +31,7 @@ from mmwbeam.closedform import (
     two_path_objective,
 )
 from mmwbeam.steering import steering_vector
-from mmwbeam.verify import _SUITE_CASES, _draw_params, _instance_rng
+from mmwbeam.verify import _SUITE_CASES, _draw_params
 from verify_reference import scan_bounds, two_path_fixture
 
 SQRT2 = math.sqrt(2.0)
@@ -202,7 +202,7 @@ class TestGridSearch:
     def verify_scans(seed, suite, count):
         """The coarse and refined scans of a suite's first ``count`` draws, as verify runs them."""
         regime = REGIMES[_SUITE_CASES[suite]]
-        params = [_draw_params(_instance_rng(seed, index), regime) for index in range(count)]
+        params = _draw_params(seed, range(count), regime)
         terms = closedform._grid_terms(params)
         coarse = closedform._scans(terms, np.linspace(0.0, 1.0, 201).reshape(1, -1), 360)
         starts = np.array([point.beta - 0.005 for point, _ in coarse])

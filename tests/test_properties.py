@@ -1,7 +1,9 @@
 """Properties over random inputs: the batched Monte Carlo engine, the exact equal-power
 phase, the steering stacks and their Grams, the two-path objective grid, the closed-form
-regimes, the main-lobe inverse and the L-path bound on the dominant-path loss."""
+regimes, the main-lobe inverse, the L-path bound on the dominant-path loss and the draws of
+the ``verify`` suites."""
 
+import dataclasses
 import math
 import sys
 from types import SimpleNamespace
@@ -67,7 +69,8 @@ from mmwbeam.steering import (  # noqa: E402
 from mmwbeam.verify import (  # noqa: E402
     _SUITE_CASES,
     _draw_params,
-    _instance_rng,
+    _draw_prop1,
+    _uniforms,
 )
 from verify_reference import scan_bounds, two_path_fixture  # noqa: E402
 
@@ -661,10 +664,56 @@ def test_scan_at_gains_scaled_by_a_power_of_two(params, k):
 @given(seed=st.integers(0, 2**32 - 1), index=st.integers(0, 499))
 def test_scan_on_verify_draws_is_bounded_by_the_grid_and_the_optimum(suite, seed, index):
     # both passes of the suite's scan: the coarse axis, then the window around its point
-    params = unit_scaled(_draw_params(_instance_rng(seed, index), REGIMES[_SUITE_CASES[suite]]))
+    regime = REGIMES[_SUITE_CASES[suite]]
+    params = unit_scaled(_draw_params(seed, range(index, index + 1), regime)[0])
     point = assert_scan_is_bounded(params, 201, 360, None)
     step = 1.0 / 200
     assert_scan_is_bounded(params, 201, 360, (point.beta - step, point.beta + step))
+
+
+def prop1_rows(seed, indices):
+    nts, nrs, *arrays = _draw_prop1(seed, indices)
+    return [(nt, nr, *(a.tobytes() for a in row)) for nt, nr, *row in zip(nts, nrs, *arrays)]
+
+
+def params_rows(regime):
+    def rows(seed, indices):
+        draws = _draw_params(seed, indices, regime)
+        return [tuple(np.float64(v).tobytes() for v in dataclasses.astuple(p)) for p in draws]
+
+    return rows
+
+
+def uniform_rows(blocks):
+    return lambda seed, indices: [row.tobytes() for row in _uniforms(seed, indices, blocks)]
+
+
+# verify's two draw functions, in every regime, and the slot reader at both suites' widths
+VERIFY_DRAWS = {
+    "prop1": prop1_rows,
+    **{case: params_rows(regime) for case, regime in REGIMES.items()},
+    "slots-2": uniform_rows(2),
+    "slots-6": uniform_rows(6),
+}
+
+
+@pytest.mark.parametrize("draw", list(VERIFY_DRAWS))
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    start=st.integers(0, 2**62),
+    length=st.integers(1, 50),
+    cut=st.integers(0, 50),
+)
+def test_verify_draws_do_not_depend_on_how_instances_are_chunked(draw, seed, start, length, cut):
+    # each instance reads its own counter slot, so a range, any split of it and its
+    # chunks of one give the same rows, bit for bit
+    rows = VERIFY_DRAWS[draw]
+    split, stop = start + min(cut, length), start + length
+    whole = rows(seed, range(start, stop))
+    assert len(whole) == length
+    assert rows(seed, range(start, split)) + rows(seed, range(split, stop)) == whole
+    assert [row for i in range(start, stop) for row in rows(seed, range(i, i + 1))] == whole
 
 
 gain_mags = st.floats(1e-150, 1e3)

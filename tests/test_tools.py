@@ -23,6 +23,10 @@ def test_every_timed_stage_resolves(monkeypatch):
     # a renamed stage function must fail here, not the next time the recorder runs
     recorder = load_recorder(monkeypatch)
     stages = recorder.STAGES
+    assert {(owner.__name__, name, stage) for owner, name, stage in stages} >= {
+        ("mmwbeam.verify", "_draw_prop1", "draw"),
+        ("mmwbeam.verify", "_draw_params", "draw"),
+    }
     assert {(owner.__name__, name) for owner, name, _ in stages} >= {
         ("mmwbeam.verify", "_fixtures"),
         ("mmwbeam.closedform", "_scans"),

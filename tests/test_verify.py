@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from mmwbeam import beamformer, closedform, verify
+from mmwbeam import beamformer, closedform, montecarlo, verify
 from mmwbeam.channel import _path_list
 from mmwbeam.closedform import TwoPathParams
 from mmwbeam.steering import spatial_frequencies
@@ -51,7 +51,7 @@ def test_fixtures_measure_inside_their_regime(suite, seed):
     # acos/cos round trip included), and its constrained one sits at its null or peak
     case = verify._SUITE_CASES[suite]
     regime = closedform.REGIMES[case]
-    params = [verify._draw_params(verify._instance_rng(seed, i), regime) for i in range(500)]
+    params = verify._draw_params(seed, range(500), regime)
     gains, aods, aoas, tx_geom, rx_geom = verify._fixtures(
         case,
         [(p.mag_a1, p.mag_a2) for p in params],
@@ -88,6 +88,21 @@ def test_run_suite_refuses_a_non_integer_seed_or_trial_count(trials, seed, name)
     # is checked before the range, so -1.5 and 0.5 get the same error
     with pytest.raises(ValueError, match=f"{name} must be an integer"):
         verify.run_suite("prop2", trials, seed)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("seed", value) for value in (1.5, True, np.float64(3.0), -1, 2**64)]
+    + [("trials", value) for value in (2.5, True, "3", 0)],
+)
+def test_run_suite_keeps_mcconfigs_integer_rule(field, value):
+    # one rule serves both: the same seed or trial count gets the same message
+    given = {"seed": 7, "trials": 3, field: value}
+    with pytest.raises(ValueError) as config_error:
+        montecarlo.McConfig(num_paths=2, **given)
+    with pytest.raises(ValueError) as suite_error:
+        verify.run_suite("prop2", given["trials"], given["seed"])
+    assert str(suite_error.value) == str(config_error.value)
 
 
 @pytest.mark.parametrize(
@@ -172,7 +187,7 @@ def scan_batch():
          (0.1, 0.3)),
         (TwoPathParams(1e-170, 3e-171, uu_mag=0.5, vv_mag=0.7, vv_phase=2.0), None),
     ]
-    sets += [(verify._draw_params(verify._instance_rng(3, i), regime), None) for i in range(6)]
+    sets += [(params, None) for params in verify._draw_params(3, range(6), regime)]
     sets += [(params, (0.9, 1.1)) for params, _ in sets[-3:]]
     return sets
 
@@ -208,7 +223,7 @@ def test_batched_measurement_keeps_the_bits_of_each_pair(suite, seed):
     # from_paths, the same measurement on one pair, does too
     case = verify._SUITE_CASES[suite]
     regime = closedform.REGIMES[case]
-    params = [verify._draw_params(verify._instance_rng(seed, i), regime) for i in range(500)]
+    params = verify._draw_params(seed, range(500), regime)
     gains, aods, aoas, tx_geom, rx_geom = verify._fixtures(
         case,
         [(p.mag_a1, p.mag_a2) for p in params],
@@ -225,40 +240,52 @@ def test_batched_measurement_keeps_the_bits_of_each_pair(suite, seed):
         assert field_bits(TwoPathParams.from_paths(paths, tx_geom, rx_geom)) == expected
 
 
-def prop1_bits(draw):
-    nt, nr, normals, aods, aoas = draw
-    return nt, nr, normals.tobytes(), aods.tobytes(), aoas.tobytes()
-
-
 @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
 def test_prop1_draws_the_reference_instance(seed):
-    # both azimuth rows come from one call, the reference's from one call per row
-    for index in range(200):
-        nt, nr, normals, aods, aoas = verify._draw_prop1(verify._instance_rng(seed, index))
+    # the chunk's one call against a generator of each instance's own at its slot
+    nts, nrs, gains, aods, aoas = verify._draw_prop1(seed, range(200))
+    for index, drawn in enumerate(zip(nts, nrs, gains, aods, aoas)):
+        nt, nr, instance_gains, instance_aods, instance_aoas = drawn
         paths, tx_geom, rx_geom = prop1_instance(seed, index)
         assert (nt, nr) == (tx_geom.num_elements, rx_geom.num_elements)
-        gains = (normals[0] + 1j * normals[1]) / math.sqrt(2.0)
-        assert gains.tobytes() == np.array([p.gain for p in paths]).tobytes()
-        assert aods.tobytes() == np.array([p.aod.azimuth_rad for p in paths]).tobytes()
-        assert aoas.tobytes() == np.array([p.aoa.azimuth_rad for p in paths]).tobytes()
+        assert instance_gains.tobytes() == np.array([p.gain for p in paths]).tobytes()
+        assert instance_aods.tobytes() == np.array([p.aod.azimuth_rad for p in paths]).tobytes()
+        assert instance_aoas.tobytes() == np.array([p.aoa.azimuth_rad for p in paths]).tobytes()
 
 
-# prop1 and every regime a suite can draw in
-DRAWS = [(verify._draw_prop1, (), prop1_bits)] + [
-    (verify._draw_params, (regime,), field_bits) for regime in closedform.REGIMES.values()
-]
+def within_four_sigma_of_one(exponentials):
+    """Whether the mean of Exp(1) samples lies within 4 standard errors of 1."""
+    return abs(np.mean(exponentials) - 1.0) <= 4.0 / math.sqrt(len(exponentials))
 
 
-@pytest.mark.parametrize("seed", [0, 7, 12345, 2**63, 2**64 - 1])
-@pytest.mark.parametrize("draw, args, key", DRAWS)
-def test_each_instance_of_a_chunk_draws_its_own_generators_stream(draw, args, key, seed):
-    # the chunk's one re-keyed generator gives each instance the stream of a fresh
-    # Philox keyed by (seed, instance): prop1's size picks leave a cached 32-bit
-    # half, which the next instance must not read
-    chunks = list(verify._chunks(2 * verify._CHUNK))
-    assert len(chunks) == 2
-    for indices in chunks:
-        drawn = verify._instance_draws(seed, indices, draw, *args)
-        assert len(drawn) == len(indices)
-        for index, instance in zip(indices, drawn):
-            assert key(instance) == key(draw(verify._instance_rng(seed, index), *args))
+def in_zero_to_two_pi(values):
+    return bool(np.all((np.asarray(values) >= 0.0) & (np.asarray(values) < 2 * math.pi)))
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_prop1_draws_keep_their_laws(seed):
+    nts, nrs, gains, aods, aoas = verify._draw_prop1(seed, range(20_000))
+    assert {len(g) for g in gains} == set(verify._PATH_COUNTS)
+    assert (set(nts), set(nrs)) == (set(verify._TX_SIZES), set(verify._RX_SIZES))
+    assert all(len(a) == len(b) == len(g) for g, a, b in zip(gains, aods, aoas))
+    assert within_four_sigma_of_one(np.abs(np.concatenate(gains)) ** 2)
+    assert in_zero_to_two_pi(np.concatenate(aods)) and in_zero_to_two_pi(np.concatenate(aoas))
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("case", list(closedform.REGIMES))
+def test_allocation_draws_keep_their_laws(case, seed):
+    regime = closedform.REGIMES[case]
+    params = verify._draw_params(seed, range(20_000), regime)
+    mags = np.array([(p.mag_a1, p.mag_a2) for p in params])
+    assert mags.min() >= verify._MIN_DRAWN_GAIN
+    assert within_four_sigma_of_one(mags.ravel() ** 2)
+    lo, hi = verify._FREE_RANGE[regime.free]
+    free = np.array([getattr(p, f"{regime.free}_mag") for p in params])
+    assert lo <= free.min() and free.max() < hi
+    assert {getattr(p, f"{regime.constrained}_mag") for p in params} == {regime.forced}
+    phases = ["phase_diff", f"{regime.free}_phase"]
+    phases += [f"{regime.constrained}_phase"] if regime.forced else []
+    assert all(in_zero_to_two_pi([getattr(p, name) for p in params]) for name in phases)
+    if not regime.forced:  # an orthogonal end has no phase to draw
+        assert {getattr(p, f"{regime.constrained}_phase") for p in params} == {0.0}

@@ -1,7 +1,8 @@
 """The per-instance loops of the ``verify`` suites: the reference for their batched form.
 
-Each function draws the suite's instances one at a time and returns every
-check's value of every instance, in instance order, through the library's
+Each function draws the suite's instances one at a time, each from its own
+generator at its slot (:func:`slot_uniforms`), and returns every check's
+value of every instance, in instance order, through the library's
 per-instance public functions.  A suite's worst value is Python's running
 ``max`` over these lists.  The allocation suites' fixtures are measured here
 by the scalar coupling of each pair (:func:`measured_params`), and
@@ -109,21 +110,44 @@ def span_residual(basis, vec):
     return float(np.linalg.norm(vec - q @ (q.conj().T @ vec)))
 
 
+def slot_uniforms(seed, index, blocks):
+    """The ``4 blocks`` uniforms of instance ``index``, from a Philox of its own at its slot."""
+    key = np.array([seed, 0], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key, counter=index * blocks))
+    return rng.random(4 * blocks)
+
+
 def prop1_instance(seed, index):
     """The paths and geometries of one ``prop1`` instance."""
-    rng = verify._instance_rng(seed, index)
-    num_paths = int(rng.choice((1, 2, 3, 5)))
-    nt = int(rng.choice((8, 16, 64)))
-    nr = int(rng.choice((2, 4)))
-    normals = rng.standard_normal((2, num_paths))
-    gains = (normals[0] + 1j * normals[1]) / math.sqrt(2.0)
-    aods = rng.uniform(0.0, TWO_PI, num_paths)
-    aoas = rng.uniform(0.0, TWO_PI, num_paths)
+    u = slot_uniforms(seed, index, 6)
+    num_paths = (1, 2, 3, 5)[int(u[0] * 4)]
+    nt = (8, 16, 64)[int(u[1] * 3)]
+    nr = (2, 4)[int(u[2] * 2)]
+    u1, u2, aods, aoas = u[4:].reshape(4, 5)[:, :num_paths]
+    gains = np.sqrt(-np.log1p(-u1)) * np.exp(2j * np.pi * u2)
+    aods, aoas = TWO_PI * aods, TWO_PI * aoas
     paths = [
         PathComponent(complex(gains[k]), AngleSpec(float(aods[k])), AngleSpec(float(aoas[k])))
         for k in range(num_paths)
     ]
     return paths, ArrayGeometry(nt), ArrayGeometry(nr)
+
+
+def alloc_params(seed, index, regime):
+    """The parameters of one allocation instance in ``regime``."""
+    u = slot_uniforms(seed, index, 2)
+    mags = np.maximum(np.sqrt(-np.log1p(-u[:2])), verify._MIN_DRAWN_GAIN)
+    lo, hi = verify._FREE_RANGE[regime.free]
+    fields = {
+        f"{regime.constrained}_mag": regime.forced,
+        f"{regime.free}_mag": float(lo + (hi - lo) * u[4]),
+        f"{regime.free}_phase": float(TWO_PI * u[5]),
+    }
+    if regime.forced:
+        fields[f"{regime.constrained}_phase"] = float(TWO_PI * u[3])
+    return closedform.TwoPathParams(
+        mag_a1=float(mags[0]), mag_a2=float(mags[1]), phase_diff=float(TWO_PI * u[2]), **fields
+    )
 
 
 def prop1_values(seed, indices):
@@ -148,7 +172,7 @@ def alloc_values(suite, seed, indices):
     beta_step = 1.0 / (NUM_BETA - 1)
     values = ([], [], [], [], [])
     for i in indices:
-        params = verify._draw_params(verify._instance_rng(seed, i), regime)
+        params = alloc_params(seed, i, regime)
         alloc = regime.beta_opt(params)
         grid_alloc, grid_value = closedform.allocation_grid_search(params, NUM_BETA, NUM_THETA)
         cf_value = closedform.two_path_objective(params, alloc)

@@ -106,7 +106,8 @@ def _search_stage(terms, betas, num_theta) -> str:
 # (owner, attribute, stage) of each timed stage function of the verify suites.
 # A stage is a name, or a function of the call's arguments that gives one.
 STAGES = [
-    (verify, "_instance_draws", "draw"),
+    (verify, "_draw_prop1", "draw"),
+    (verify, "_draw_params", "draw"),
     (closedform, "_scans", _search_stage),
     (verify, "_fixtures", "fixtures"),
     (beamformer, "_dense_optimal", "dense_svd_route"),
