@@ -9,6 +9,8 @@ closed form.
 
 __version__ = "0.1.0"
 
+import importlib
+
 from .steering import (
     AngleSpec,
     ArrayGeometry,
@@ -32,8 +34,31 @@ from .beamformer import (
     received_snr,
     reduced_optimal_beamformer,
 )
-from .closedform import AllocationPoint, RegimeError, TwoPathParams
-from .montecarlo import CcdfTable, McConfig, percentile, run_ccdf, sample_paths
+
+# The module of each root name imported on first access (PEP 562): a ``ccdf``
+# run never loads ``closedform``, and a ``closedform`` run never loads
+# ``montecarlo``.
+_LAZY = {
+    "AllocationPoint": "closedform",
+    "RegimeError": "closedform",
+    "TwoPathParams": "closedform",
+    "CcdfTable": "montecarlo",
+    "McConfig": "montecarlo",
+    "percentile": "montecarlo",
+    "run_ccdf": "montecarlo",
+    "sample_paths": "montecarlo",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
+
 
 __all__ = [
     "__version__",

@@ -7,6 +7,10 @@ configuration and the library version: JSON documents carry a ``config``
 key, CSV files a ``# config = ...`` comment preamble ahead of the
 mandatory header row.
 
+A process loads only what its command runs: ``closedform``, ``montecarlo``
+or ``verify`` is imported by the command that uses it, and a command line
+that names a command builds that command's parser alone.
+
 Exit codes: 0 success, 2 usage error (a run too large for memory included), 3 I/O error,
 4 verification failure.
 """
@@ -18,12 +22,15 @@ import functools
 import json
 import math
 import sys
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from . import __version__, closedform, montecarlo, verify
+from . import __version__
 from .beamformer import _loss_db
+
+if TYPE_CHECKING:
+    from . import closedform
 
 __all__ = ["main"]
 
@@ -32,8 +39,6 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_VERIFY = 4
 
-_CLOSEDFORM_CASES = tuple(closedform.REGIMES)
-_SWEEP_CASES = tuple(case for case, regime in closedform.REGIMES.items() if regime.allocation)
 # The columns of a sweep row, each the closedform record's value of its key.
 _SWEEP_COLUMNS = {"k": "mag_a1", "beta_sq": "beta_sq", "delta_snr": "delta_snr",
                   "delta_snr_db": "delta_snr_db"}
@@ -43,42 +48,58 @@ class UsageError(Exception):
     """Invalid parameter combination detected after argument parsing."""
 
 
-# Every parameter of each command, once: name -> (type, choices, help).  The
-# parser, the --config check and the recorded config all read this table.
-_PARAMS: dict[str, dict[str, tuple[type, Any, str | None]]] = {
-    "closedform": {
-        "case": (str, _CLOSEDFORM_CASES, None),
-        "a1": (float, None, "|gain| of path 1"),
-        "a2": (float, None, "|gain| of path 2"),
-        "uu": (float, None, "|u1^H u2|"),
-        "vv": (float, None, "|v1^H v2|"),
-        "nu_deg": (float, None, "phase misalignment"),
-        "phase_diff_deg": (float, None, None),
-        "uu_phase_deg": (float, None, None),
-        "vv_phase_deg": (float, None, None),
-    },
-    "sweep": {
-        "case": (str, _SWEEP_CASES, None),
+@functools.lru_cache(maxsize=None)
+def _params(command: str) -> dict[str, tuple[type, Any, str | None]]:
+    """Every parameter of ``command``, once: name -> (type, choices, help).
+
+    The parser, the --config check and the recorded config all read this
+    table.  Its choices come from the module that runs the command, imported
+    here on first use, so a process loads only its own command's module.
+    """
+    if command == "ccdf":
+        from . import montecarlo
+
+        return {
+            "paths": (int, None, None),
+            "nt": (int, None, None),
+            "nr": (int, None, None),
+            "trials": (int, None, None),
+            "spacing": (float, None, None),
+            "fov_deg": (float, None, None),
+            "scheme": (str, sorted(montecarlo.SCHEMES), None),
+            "angle_sampling": (str, montecarlo.ANGLE_SAMPLING, None),
+            "rng": (str, [montecarlo.RNG_ALGORITHM], "random stream"),
+        }
+    if command == "verify":
+        from . import verify
+
+        return {"suite": (str, verify.SUITE_NAMES, None), "trials": (int, None, None)}
+    from . import closedform
+
+    if command == "closedform":
+        return {
+            "case": (str, tuple(closedform.REGIMES), None),
+            "a1": (float, None, "|gain| of path 1"),
+            "a2": (float, None, "|gain| of path 2"),
+            "uu": (float, None, "|u1^H u2|"),
+            "vv": (float, None, "|v1^H v2|"),
+            "nu_deg": (float, None, "phase misalignment"),
+            "phase_diff_deg": (float, None, None),
+            "uu_phase_deg": (float, None, None),
+            "vv_phase_deg": (float, None, None),
+        }
+    allocation = tuple(case for case, regime in closedform.REGIMES.items() if regime.allocation)
+    return {
+        "case": (str, allocation, None),
         "k_min": (float, None, None),
         "k_max": (float, None, None),
         "k_points": (int, None, None),
         "uu": (float, None, None),
         "vv": (float, None, None),
         "nu_deg": (float, None, None),
-    },
-    "ccdf": {
-        "paths": (int, None, None),
-        "nt": (int, None, None),
-        "nr": (int, None, None),
-        "trials": (int, None, None),
-        "spacing": (float, None, None),
-        "fov_deg": (float, None, None),
-        "scheme": (str, sorted(montecarlo.SCHEMES), None),
-        "angle_sampling": (str, montecarlo.ANGLE_SAMPLING, None),
-        "rng": (str, [montecarlo.RNG_ALGORITHM], "random stream"),
-    },
-    "verify": {"suite": (str, verify.SUITE_NAMES, None), "trials": (int, None, None)},
-}
+    }
+
+
 # The parameters every command takes, after its own.
 _COMMON = {
     "out": (str, None, "output file (default: stdout)"),
@@ -95,6 +116,15 @@ _COMMAND_HELP = {
 _CCDF_FIELDS = {"paths": "num_paths", "spacing": "spacing_wavelengths"}
 
 
+def _add_arguments(sub: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
+    """``sub`` with the flags of ``command``: its own parameters, the common ones, ``--config``."""
+    for name, (kind, choices, text) in {**_params(command), **_COMMON}.items():
+        flag = "--" + name.replace("_", "-")
+        sub.add_argument(flag, type=kind, choices=choices, default=None, help=text)
+    sub.add_argument("--config", default=None, help="JSON file of defaults (flags win)")
+    return sub
+
+
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The command-line parser and each command's subparser, built on first use and shared.
@@ -108,13 +138,19 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     )
     parser.add_argument("--version", action="version", version=f"mmwbeam {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-    for command, params in _PARAMS.items():
-        sub = subs.add_parser(command, help=_COMMAND_HELP[command])
-        for name, (kind, choices, text) in {**params, **_COMMON}.items():
-            flag = "--" + name.replace("_", "-")
-            sub.add_argument(flag, type=kind, choices=choices, default=None, help=text)
-        sub.add_argument("--config", default=None, help="JSON file of defaults (flags win)")
+    for command, text in _COMMAND_HELP.items():
+        _add_arguments(subs.add_parser(command, help=text), command)
     return parser, subs.choices
+
+
+@functools.lru_cache(maxsize=None)
+def _command_parser(command: str) -> argparse.ArgumentParser:
+    """The subparser of ``command`` alone, as :func:`_build_parser` builds it, and shared.
+
+    ``add_parser`` builds a subparser as an ``ArgumentParser`` named by the
+    program and the command, so its usage, help and errors read the same.
+    """
+    return _add_arguments(argparse.ArgumentParser(prog=f"mmwbeam {command}"), command)
 
 
 def _parse(argv) -> argparse.Namespace:
@@ -122,20 +158,21 @@ def _parse(argv) -> argparse.Namespace:
 
     The full parser would hand everything after the command word to that
     command's subparser, so where the first word names a command the rest
-    goes straight to the subparser, with the same namespace and messages.
-    The full parser takes every other line: no command or an unknown one,
-    ``--`` anywhere (argparse versions differ in what they hand on after
-    it), and a line with an argument the subparser leaves unread, which
-    only the full parser reports.
+    goes straight to a parser of that command alone, with the same namespace
+    and messages; the full parser is built only for the lines it takes: no
+    command or an unknown one, ``--`` anywhere (argparse versions differ in
+    what they hand on after it), and a line with an argument the subparser
+    leaves unread, which only the full parser reports.
     """
-    parser, commands = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    sub = commands.get(argv[0]) if argv else None
-    if sub is not None and "--" not in argv:
-        namespace, unread = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if argv and argv[0] in _COMMAND_HELP and "--" not in argv:
+        command = argv[0]
+        namespace, unread = _command_parser(command).parse_known_args(
+            argv[1:], argparse.Namespace(command=command)
+        )
         if not unread:
             return namespace
-    return parser.parse_args(argv)
+    return _build_parser()[0].parse_args(argv)
 
 
 def _merge_config_file(command: str, args: dict) -> dict:
@@ -155,7 +192,7 @@ def _merge_config_file(command: str, args: dict) -> dict:
         raise UsageError(f"config file {path} is not valid JSON: {err}") from err
     if not isinstance(doc, dict):
         raise UsageError("config file must contain a JSON object")
-    known = {**_PARAMS[command], **_COMMON}
+    known = {**_params(command), **_COMMON}
     for key, value in doc.items():
         if key not in known:
             raise UsageError(f"unknown config key {key!r} for command {command!r}")
@@ -220,6 +257,8 @@ def _regime_couplings(args: dict, command: str) -> tuple[str, closedform.Regime,
     the free flag.  :class:`closedform.TwoPathParams` checks that each lies
     in [0, 1], and the regime's closed forms what else they need.
     """
+    from . import closedform
+
     case = _require(args, "case", command)
     regime = closedform.REGIMES[case]
     couplings = {end: _fget(args, end, 0.0) for end in ("uu", "vv")}
@@ -235,6 +274,8 @@ def _regime_couplings(args: dict, command: str) -> tuple[str, closedform.Regime,
 
 def _closedform_record(args: dict) -> dict:
     """The ``closedform`` record of one case; what ``TwoPathParams`` refuses is a usage error."""
+    from . import closedform
+
     case, regime, uu, vv = _regime_couplings(args, "closedform")
     mag_a1 = float(_require(args, "a1", "closedform"))
     mag_a2 = float(_require(args, "a2", "closedform"))
@@ -371,7 +412,7 @@ def _error_record(kind: str, message: str) -> None:
 
 
 def _resolved_params(command: str, args: dict) -> dict:
-    names = list(_PARAMS[command]) + ["seed"]
+    names = list(_params(command)) + ["seed"]
     return {k: args.get(k) for k in names}
 
 
@@ -409,6 +450,8 @@ def main(argv=None) -> int:
                 _emit(_records_to_csv(records, _preamble(run_config)), out_path)
 
         elif command == "ccdf":
+            from . import montecarlo
+
             _require(args, "paths", "ccdf")
             # McConfig field -> ccdf parameter, for every parameter the output records
             names = {_CCDF_FIELDS.get(key, key): key for key in _resolved_params(command, args)}
@@ -430,6 +473,8 @@ def main(argv=None) -> int:
                 _emit(montecarlo.ccdf_to_csv(table, _preamble(run_config)), out_path)
 
         elif command == "verify":
+            from . import verify
+
             suite = _require(args, "suite", "verify")
             if fmt != "json":
                 raise UsageError("verify writes JSON only; --format must be json")

@@ -1,11 +1,15 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mmwbeam import __version__, cli
+from mmwbeam import __version__, cli, montecarlo
 from mmwbeam.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 
 
@@ -682,7 +686,7 @@ class TestConfigFile:
         def no_work(*args, **kwargs):
             raise AssertionError("work ran before the output path was checked")
 
-        monkeypatch.setattr(cli.montecarlo, "run_ccdf", no_work)
+        monkeypatch.setattr(montecarlo, "run_ccdf", no_work)
         monkeypatch.setattr(cli, "_closedform_record", no_work)
         cfg_file = tmp_path / "run.json"
         cfg_file.write_text(json.dumps({"out": "a\u0000b"}))
@@ -731,7 +735,7 @@ def test_a_run_out_of_memory_is_usage_error(capsys, monkeypatch, argv, callee, e
     def exhausted(*args, **kwargs):
         raise error
 
-    monkeypatch.setattr(cli.montecarlo if callee == "run_ccdf" else cli, callee, exhausted)
+    monkeypatch.setattr(montecarlo if callee == "run_ccdf" else cli, callee, exhausted)
     assert usage_message(capsys, *argv) == (str(error) or "out of memory")
 
 
@@ -768,11 +772,15 @@ class TestParserReuse:
     ]
 
     def test_repeated_calls_give_the_same_bytes(self, capsys):
-        # the parser is built once per process; a second round must not see the first
+        # each command's parser, and the full parser, is built once per process; a second
+        # round must not see the first
+        cli._command_parser.cache_clear()
         cli._build_parser.cache_clear()
         first = [run_cli(capsys, *argv) for argv in self.ARGVS]
         second = [run_cli(capsys, *argv) for argv in self.ARGVS]
         assert second == first
+        commands = cli._command_parser.cache_info()
+        assert (commands.misses, commands.currsize) == (4, 4)
         assert cli._build_parser.cache_info().misses == 1
         codes = [code for code, _, _ in first]
         assert codes == [EXIT_OK] * 4 + [EXIT_USAGE, EXIT_OK]
@@ -836,6 +844,41 @@ class TestDirectParse:
         assert [run_cli(capsys, *argv) for argv in corpus] == direct
         codes = [code for code, _, _ in direct]
         assert codes[:8] == [EXIT_OK] * 8 and set(codes[8:]) == {EXIT_OK, EXIT_USAGE}
+
+
+# A fresh interpreter runs one command line and prints its exit code, the mmwbeam
+# modules it loaded, and whether it built the full parser.
+_FRESH_RUN = """\
+import contextlib, io, json, sys
+from mmwbeam import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(json.loads(sys.argv[1]))
+loaded = sorted(name for name in sys.modules if name.startswith("mmwbeam."))
+print(json.dumps([code, loaded, cli._build_parser.cache_info().currsize]))
+"""
+
+
+class TestColdStart:
+    @pytest.mark.parametrize("argv, unloaded", [
+        (["ccdf", "--paths", "2", "--trials", "5", "--nt", "8"], ["closedform", "verify"]),
+        (["closedform", "--case", "v-orth", "--a1", "2", "--a2", "1", "--uu", "0.5"],
+         ["montecarlo", "verify"]),
+        (["sweep", "--case", "u-orth", "--k-min", "1", "--k-max", "4", "--vv", "0.3"],
+         ["montecarlo", "verify"]),
+    ], ids=["ccdf", "closedform", "sweep"])
+    def test_a_command_loads_only_its_own_modules_and_parser(self, tmp_path, argv, unloaded):
+        src = str(Path(cli.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _FRESH_RUN, json.dumps(argv)], cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, loaded, full_parsers = json.loads(proc.stdout)
+        assert code == EXIT_OK
+        assert "mmwbeam.cli" in loaded
+        assert [name for name in loaded if name.split(".")[1] in unloaded] == []
+        assert full_parsers == 0
 
 
 def indented_json(run_config, results):

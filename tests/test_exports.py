@@ -29,6 +29,20 @@ def test_exports_resolve_and_cli_cases_follow_the_regime_table():
     )
 
 
+def test_root_names_resolve_on_first_access():
+    # the package root imports closedform and montecarlo only when one of their names is read
+    assert mmwbeam.TwoPathParams is mmwbeam.closedform.TwoPathParams
+    assert mmwbeam.run_ccdf is montecarlo.run_ccdf
+    star: dict = {}
+    exec("from mmwbeam import *", star)
+    assert {name: star[name] for name in mmwbeam.__all__} == {
+        name: getattr(mmwbeam, name) for name in mmwbeam.__all__
+    }
+    assert set(mmwbeam.__all__) <= set(dir(mmwbeam))
+    with pytest.raises(AttributeError, match="has no attribute 'nonesuch'"):
+        mmwbeam.nonesuch
+
+
 def test_every_regime_closed_form_is_exported():
     # the bench tracer times the beta_opt_/delta_snr_/snr_ names of __all__; a regime
     # function missing there would run untraced

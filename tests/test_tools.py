@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 RECORDER = ROOT / "tools" / "record_bench.py"
 LINE_COUNTER = ROOT / "tools" / "src_lines.py"
@@ -101,6 +103,43 @@ def test_per_layer_runs_every_call_in_one_schedule(monkeypatch):
     assert set(doc["stages"]) == {"all_suites", "draw"}
     for entry in doc["engine"]["configs"].values():
         assert entry["stages"]["other"]["median_us"] == 1e6
+
+
+def test_cold_start_rows_come_from_fresh_interpreters(monkeypatch):
+    # each command's rows hold COLD_SPAWNS samples per tree, and a module that a command
+    # does not import reads 0
+    recorder = load_recorder(monkeypatch)
+    times, stderr = recorder._cold_child(ROOT / "src", recorder.cold_commands()["ccdf"], True)
+    assert times["import_cli"] > 0.0 and times["first_main"] > 0.0
+    imported = recorder.importtime_us(stderr)
+    assert imported["mmwbeam.cli"][0] > 0 and "mmwbeam.verify" not in imported
+    assert imported["numpy.random"][1] >= imported["numpy.random"][0] > 0
+    monkeypatch.setattr(recorder, "COLD_SPAWNS", 2)
+    monkeypatch.setattr(recorder, "_cold_child", lambda src, argv, importtime: (
+        {"import_cli": 0.1, "first_main": 0.02}, stderr))
+    cold = recorder.cold_start({"src": ROOT / "src"})
+    assert list(cold["trees"]["src"]) == ["ccdf", "verify", "closedform"]
+    rows = cold["trees"]["src"]["verify"]
+    assert rows["import_cli"]["median_ms"] == 100.0
+    assert rows["mmwbeam.verify"]["median_ms"] == 0.0
+    assert rows["mmwbeam.cli"]["median_ms"] == pytest.approx(imported["mmwbeam.cli"][0] / 1e3)
+    assert {"numpy cumulative", "numpy.random cumulative"} <= set(rows)
+
+
+def test_slowest_tests_are_read_from_the_durations_report(monkeypatch):
+    recorder = load_recorder(monkeypatch)
+    report = (
+        "..... [100%]\n"
+        "============================= slowest 10 durations =============================\n"
+        "4.12s call     tests/test_acceptance.py::test_01_channel_power_normalization\n"
+        "0.88s setup    tests/test_properties.py::test_dominant_path[8]\n"
+        "856 passed in 45.65s\n"
+    )
+    assert recorder.slowest_tests(report) == [
+        {"seconds": 4.12, "phase": "call",
+         "test": "tests/test_acceptance.py::test_01_channel_power_normalization"},
+        {"seconds": 0.88, "phase": "setup", "test": "tests/test_properties.py::test_dominant_path[8]"},
+    ]
 
 
 def test_line_counts_match_the_modules():

@@ -2,15 +2,15 @@
 
 Run from the repository root::
 
-    python3 tools/record_bench.py --out BENCH_22.json
+    python3 tools/record_bench.py --out BENCH_22.json [--baseline CHECKOUT]
 
 The file has four parts:
 
 * ``end_to_end``: each workload of ``bench/run.py --trace 0`` run ``RUNS``
   times as a subprocess, ``SECONDS`` each, with seeds 1, 2, ...; the median
   and quartiles of every metric of the result lines, and the lines themselves;
-* ``tier1``: the wall time and summary line of one Tier-1 run
-  (``python -m pytest -q`` with ``src`` on the path);
+* ``tier1``: the wall time, summary line and ten slowest tests of one
+  Tier-1 run (``python -m pytest -q --durations=10`` with ``src`` on the path);
 * ``machine``: ``machine_block()`` of ``bench/run.py``;
 * ``per_layer``: the time per ``verify-oracles`` round of each ``verify``
   stage, from timers put around the stage functions while the suites run
@@ -24,7 +24,14 @@ The file has four parts:
   ``STAGE_ROUNDS`` rounds, and each stage is given by the quartiles of its
   times: a drift in machine load while they run reaches every stage alike
   and widens its quartiles, where blocks of rounds, one call after the
-  other, would read it as a change of one call's stages.
+  other, would read it as a change of one call's stages.  Under
+  ``cold_start``, for each of ``ccdf``, ``verify`` and ``closedform``, the
+  quartiles over ``COLD_SPAWNS`` fresh interpreters of the time to import
+  ``mmwbeam.cli``, of the first ``main`` call, and of the ``-X importtime``
+  self time of each ``mmwbeam`` module, of ``numpy`` and of ``numpy.random``
+  (with the cumulative time of the last two).  With
+  ``--baseline``, the same rows of another checkout's ``src`` are recorded
+  in the same rounds, the two trees taking turns.
 
 After writing the file the script prints each row beside the same row of
 the newest earlier ``BENCH_<n>.json`` in the repository root.
@@ -63,6 +70,25 @@ STAGE_ROUNDS = 30
 RUNS = 3
 SECONDS = 20.0
 
+# Fresh interpreters per command and source tree that the cold-start part runs.
+COLD_SPAWNS = 11
+# Modules besides the package's whose -X importtime self and cumulative times the
+# cold-start part records: numpy loads numpy.random on the first draw.
+COLD_MODULES = ("numpy", "numpy.random")
+# A fresh interpreter of the cold-start part: it imports mmwbeam.cli from the tree
+# given first, runs the command line given second, and prints its two times.
+_COLD_CHILD = """\
+import contextlib, io, json, sys, time
+sys.path.insert(0, sys.argv[1])
+start = time.perf_counter()
+import mmwbeam.cli
+imported = time.perf_counter()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = mmwbeam.cli.main(json.loads(sys.argv[2]))
+done = time.perf_counter()
+print(json.dumps({"exit": code, "import_cli": imported - start, "first_main": done - imported}))
+"""
+
 
 def end_to_end() -> dict:
     """Median and quartiles of each metric of ``RUNS`` untraced runs of every workload."""
@@ -85,17 +111,102 @@ def end_to_end() -> dict:
 
 
 def tier1() -> dict:
-    """Wall time and summary line of one Tier-1 run."""
+    """Wall time, summary line and ten slowest tests of one Tier-1 run."""
     path = os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     start = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--durations=10"],
         cwd=ROOT, capture_output=True, text=True, env=env,
     )
     wall = time.perf_counter() - start
     summary = proc.stdout.strip().splitlines()[-1]
-    return {"wall_s": wall, "exit_code": proc.returncode, "summary": summary}
+    return {"wall_s": wall, "exit_code": proc.returncode, "summary": summary,
+            "slowest": slowest_tests(proc.stdout)}
+
+
+def slowest_tests(report: str) -> list[dict]:
+    """The ``--durations`` lines of a pytest report: seconds, phase and test id of each."""
+    lines = re.findall(r"^(\d+\.\d+)s (setup|call|teardown) +(\S+)$", report, flags=re.M)
+    return [{"seconds": float(seconds), "phase": phase, "test": test}
+            for seconds, phase, test in lines]
+
+
+def cold_commands() -> dict:
+    """The command line of each command whose cold start is recorded.
+
+    ``ccdf`` and ``verify`` are the set-up calls of ``ccdf-paper`` and
+    ``verify-oracles``, one item each, as ``bench/run.py`` times them.
+    """
+    return {
+        "ccdf": workloads.argv(workloads.setup_options("ccdf-paper", 1)),
+        "verify": workloads.argv(workloads.setup_options("verify-oracles", 1)),
+        "closedform": ["closedform", "--case", "v-orth", "--a1", "2", "--a2", "1", "--uu", "0.5"],
+    }
+
+
+def importtime_us(stderr: str) -> dict:
+    """Self and cumulative microseconds of each module in ``-X importtime`` output, by name."""
+    rows = re.findall(r"^import time: +(\d+) \| +(\d+) \| +(\S+)$", stderr, flags=re.M)
+    return {name: (int(self_us), int(cumulative)) for self_us, cumulative, name in rows}
+
+
+def _cold_child(src: Path, argv: list, importtime: bool) -> tuple[dict, str]:
+    """The times one fresh interpreter prints, and its stderr."""
+    flags = ["-X", "importtime"] if importtime else []
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _COLD_CHILD, str(src), json.dumps(argv)],
+        cwd=ROOT, stdin=subprocess.DEVNULL, capture_output=True, text=True,
+        timeout=bench_run.SETUP_TIMEOUT_S, check=True,
+    )
+    times = json.loads(proc.stdout)
+    if times["exit"] != 0:
+        raise RuntimeError(f"mmwbeam {' '.join(argv)} exited {times['exit']} under {src}")
+    return times, proc.stderr
+
+
+def _package_modules(src: Path) -> list[str]:
+    """The name of every module of the ``mmwbeam`` package under ``src``."""
+    stems = sorted(path.stem for path in (src / "mmwbeam").glob("*.py"))
+    return ["mmwbeam" if stem == "__init__" else f"mmwbeam.{stem}" for stem in stems]
+
+
+def cold_start(trees: dict) -> dict:
+    """Quartiles in ms of each command's cold-start rows, for every source tree of ``trees``.
+
+    ``trees`` maps a name to a ``src`` directory.  A round runs, for each
+    command and tree in turn, one plain interpreter for the import and
+    ``main`` times and one under ``-X importtime`` for the module self times;
+    a module that an interpreter does not import reads 0.  Every other round
+    runs the trees in reverse order.
+    """
+    commands = cold_commands()
+    samples: dict = {tree: {command: defaultdict(list) for command in commands} for tree in trees}
+    modules = {tree: [*_package_modules(src), *COLD_MODULES] for tree, src in trees.items()}
+    for index in range(COLD_SPAWNS):
+        for command, argv in commands.items():
+            # the trees take turns to go first
+            for tree, src in list(trees.items())[:: 1 if index % 2 == 0 else -1]:
+                rows = samples[tree][command]
+                times, _ = _cold_child(src, argv, importtime=False)
+                rows["import_cli"].append(times["import_cli"])
+                rows["first_main"].append(times["first_main"])
+                _, stderr = _cold_child(src, argv, importtime=True)
+                imported = importtime_us(stderr)
+                for name in modules[tree]:
+                    rows[name].append(imported.get(name, (0, 0))[0] / 1e6)
+                for name in COLD_MODULES:
+                    rows[f"{name} cumulative"].append(imported.get(name, (0, 0))[1] / 1e6)
+    return {
+        "unit": "ms per fresh interpreter; import_cli: import mmwbeam.cli; first_main: the first "
+                "main call; each module: its -X importtime self time (and cumulative time, "
+                "where named)",
+        "spawns": COLD_SPAWNS,
+        "bytecode_written": not sys.flags.dont_write_bytecode,
+        "argv": commands,
+        "trees": {tree: {command: _summary(rows, "ms") for command, rows in by_command.items()}
+                  for tree, by_command in samples.items()},
+    }
 
 
 def _search_stage(terms, betas, num_theta) -> str:
@@ -291,7 +402,22 @@ def _rows(doc: dict) -> dict:
         for config, entry in engine_part["configs"].items():
             for stage, values in entry["stages"].items():
                 rows[f"engine {config} {stage} median_us"] = values["median_us"]
+    for tree, commands in layer.get("cold_start", {}).get("trees", {}).items():
+        for command, stages in commands.items():
+            for stage, values in stages.items():
+                rows[f"cold_start {tree} {command} {stage} median_ms"] = values["median_ms"]
     return rows
+
+
+def compare_trees(cold: dict) -> None:
+    """Print each cold-start row of the baseline tree beside this tree's, with the saving."""
+    trees = cold["trees"]
+    print(f"{'cold start, median ms':<40} {'baseline':>10} {'src':>10} {'saved':>10}")
+    for command, stages in trees["src"].items():
+        for stage, values in stages.items():
+            before = trees["baseline"][command].get(stage, {}).get("median_ms", 0.0)
+            after = values["median_ms"]
+            print(f"{command + ' ' + stage:<40} {before:10.3f} {after:10.3f} {before - after:10.3f}")
 
 
 def compare(doc: dict, out: Path) -> None:
@@ -314,19 +440,38 @@ def compare(doc: dict, out: Path) -> None:
         print(f"{row:<64} {cells[0]} {cells[1]} {ratio}")
 
 
+def _commit(checkout: Path) -> str | None:
+    """The commit checked out at ``checkout``, or None where it is no git work tree."""
+    proc = subprocess.run(["git", "-C", str(checkout), "rev-parse", "HEAD"],
+                          capture_output=True, text=True, check=False)
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="path of the JSON file to write")
+    parser.add_argument("--baseline", type=Path, default=None,
+                        help="checkout (such as the parent commit's) whose src/ cold start "
+                             "is recorded beside this one's")
     args = parser.parse_args(argv)
+    trees = {"src": ROOT / "src"}
+    if args.baseline is not None:
+        trees["baseline"] = args.baseline / "src"
+    layer = per_layer()
+    layer["cold_start"] = cold_start(trees)
+    if args.baseline is not None:
+        layer["cold_start"]["baseline_commit"] = _commit(args.baseline)
     doc = {
         "machine": bench_run.machine_block(),
-        "per_layer": per_layer(),
+        "per_layer": layer,
         "tier1": tier1(),
         "end_to_end": end_to_end(),
     }
     out = Path(args.out)
     out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     compare(doc, out)
+    if args.baseline is not None:
+        compare_trees(layer["cold_start"])
     return 0
 
 
