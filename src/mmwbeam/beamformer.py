@@ -19,11 +19,11 @@ L)`` of the transmit and receive steering vectors, which
 nor any N-length vector is formed: a kernel's cost does not depend on Nt or
 Nr.  The Monte Carlo engine calls them on a chunk of trials; the
 per-channel functions here are calls with B = 1, and give the same bits.
-At L = 2, the paper's two-path case, and at L = 3 the kernels' Hermitian
-forms (the optimum's core, the equal-power scheme's quadratic form and the
-SNR of a matched receiver) are written entry by entry over the stack
+At L = 2, the paper's two-path case, and at L = 3 and 4 the kernels'
+Hermitian forms (the optimum's core, the equal-power scheme's quadratic form
+and the SNR of a matched receiver) are written entry by entry over the stack
 (:func:`_hermitian_form`): numpy's stacked ``@`` dispatches to BLAS once per
-2 x 2 or 3 x 3 matrix, and that dispatch, not the arithmetic, would be most
+2 x 2 to 4 x 4 matrix, and that dispatch, not the arithmetic, would be most
 of their cost.  For the same reason the one-hot beams (dominant-path and
 bi-directional) read the strongest path's Gram column by index instead of
 multiplying by their weights, the optimum's Gram factor is written out at
@@ -89,10 +89,14 @@ class BeamformerPair:
 
 
 def _phase_turn(vec: np.ndarray) -> np.ndarray:
-    """Unit factors (...) turning the first significant entry of each vector (..., N) real >= 0."""
+    """Unit factors (B,) turning the first significant entry of each vector (B, N) real >= 0.
+
+    A vector (N,) gives one factor, of shape ().
+    """
     mags = np.abs(vec)
     idx = np.argmax(mags > PHASE_REFERENCE_FLOOR * mags.max(axis=-1, keepdims=True), axis=-1)
-    return np.exp(-1j * np.angle(np.take_along_axis(vec, idx[..., None], axis=-1)[..., 0]))
+    ref = vec[idx] if vec.ndim == 1 else vec[np.arange(len(vec)), idx]
+    return np.exp(-1j * np.angle(ref))
 
 
 def _frozen_pair(tx: np.ndarray, rx: np.ndarray, snr: float) -> BeamformerPair:
@@ -253,17 +257,17 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _hermitian_form(gains: np.ndarray, factor: np.ndarray, gram_r: np.ndarray) -> np.ndarray:
     """Hermitian forms ``M^H G_r M`` (B, K, K) of ``M = diag(gain) Y``, factors Y (B, L, K).
 
-    At L = 2 and 3 both products are :func:`_product`'s, entry by entry, on
+    At L = 2 to 4 both products are :func:`_product`'s, entry by entry, on
     M laid out with the batch axis last: a stacked ``@`` dispatches to BLAS
-    once per matrix, about 0.25 us each, so on 2 x 2 and 3 x 3 matrices it
-    costs several times the arithmetic of the whole stack.  Each entry then
+    once per matrix, about 0.25 us each, so on 2 x 2 to 4 x 4 matrices it
+    costs more than the arithmetic of the whole stack.  Each entry then
     has the bits of its own channel's form, but not those of ``@``, whose
     BLAS kernel rounds its sums in another order.  At other L the form is
-    the stacked product: at L = 1 and L >= 4 entry by entry is slower.
+    the stacked product: at L = 1 and L >= 5 entry by entry is slower.
     Y is the optimum's Gram factor, the equal-power scheme's ``G_t``, or
     ``G_t w`` (K = 1) for a matched receiver.
     """
-    if gains.shape[-1] not in (2, 3):
+    if gains.shape[-1] not in (2, 3, 4):
         mapped = gains[:, :, None] * factor
         return _herm(mapped) @ (gram_r @ mapped)
     mapped = np.multiply(gains.T[:, None], factor.transpose(1, 2, 0), order="C")

@@ -334,17 +334,30 @@ def two_path_objective(params: TwoPathParams, alloc: AllocationPoint) -> float:
     :func:`objective_grid`; beyond the float range it is infinite.  This is
     :func:`_objectives` on one set.
     """
-    return _objectives(_grid_terms([params]), [alloc])[0]
+    return _objectives(_grid_terms([params]), [alloc])[0][0]
 
 
-def _objectives(terms: dict[str, np.ndarray], allocs: Sequence[AllocationPoint]) -> list[float]:
-    """:func:`two_path_objective` of each set of :func:`_grid_terms` at its own allocation."""
-    columns = _grid_columns(terms, np.array([[alloc.beta] for alloc in allocs]))
-    rows = _grid_rows(terms, np.array([[alloc.theta] for alloc in allocs]))
-    values = _grid_block(columns, rows)[:, 0].tolist()
-    if -math.inf in values:
+def _objectives(
+    terms: dict[str, np.ndarray], *splits: Sequence[AllocationPoint]
+) -> list[list[float]]:
+    """:func:`two_path_objective` of each set of :func:`_grid_terms` at each of its allocations.
+
+    Each of ``splits`` holds one allocation per set; the result holds, for
+    each, the objective of every set.  One block (:func:`_grid_block`) takes
+    every split as a column of betas and thetas (S, len(splits)): every
+    entry is elementwise, so each keeps the bits it has alone.
+    """
+    per_set = list(zip(*splits))
+    columns = _grid_columns(terms, np.array([[alloc.beta for alloc in row] for row in per_set]))
+    rows = _grid_rows(terms, np.array([[alloc.theta for alloc in row] for row in per_set]))
+    block = _grid_block(columns, rows)
+    if np.isneginf(block).any():
         raise ValueError("beam has numerically zero norm at this allocation")
-    return [_unscaled(value, int(shift)) for value, shift in zip(values, terms["shift"][:, 0])]
+    shifts = terms["shift"][:, 0].tolist()
+    return [
+        [_unscaled(value, int(shift)) for value, shift in zip(values, shifts)]
+        for values in block.T.tolist()
+    ]
 
 
 def allocation_grid_search(
@@ -396,9 +409,13 @@ def _scans(terms: dict[str, np.ndarray], betas, num_theta: int) -> list:
         arg = np.argmax(block, axis=1)
         values[sets, rows] = block[np.arange(sets.size), arg]
         thetas[sets, rows] = grid[arg]
-    top = np.argmax(values, axis=1)[:, None]  # each set's first maximum, or first NaN
-    betas = np.broadcast_to(betas, values.shape)
-    picked = (np.take_along_axis(x, top, axis=1)[:, 0].tolist() for x in (betas, thetas, values))
+    top = np.argmax(values, axis=1)  # each set's first maximum, or first NaN
+    sets = np.arange(len(top))
+    picked = (
+        betas[sets if len(betas) > 1 else 0, top].tolist(),  # shared amplitudes: their one row
+        thetas[sets, top].tolist(),
+        values[sets, top].tolist(),
+    )
     return [
         (AllocationPoint(beta, theta), _unscaled(value, int(shift)))
         for beta, theta, value, shift in zip(*picked, terms["shift"][:, 0].tolist())

@@ -19,9 +19,10 @@ Their fourth check is per instance the larger of two relative differences
 from it at the drawn parameters: that of the objective at the closed-form
 split, and that of the loss times the objective at the dominant split (all
 power on the stronger path); a NaN on either side fails it.  Their fifth
-compares the dense SVD of a ULA channel built with the drawn gains and free
-coupling with it at the parameters measured on that channel, whose coupling
-phases come from the array geometry.
+compares the dense optimum of a ULA channel built with the drawn gains and
+free coupling, ``sigma_1^2 / (Nt Nr)`` from the singular values of its dense
+SVD alone, with it at the parameters measured on that channel, whose
+coupling phases come from the array geometry.
 
 ``prop2``-``prop4`` look their regime up in ``closedform.REGIMES`` by the
 paper's proposition number, and draw and build their instances by one rule.
@@ -29,8 +30,8 @@ paper's proposition number, and draw and build their instances by one rule.
 Instances are drawn as ``montecarlo`` draws its trials: instance ``i`` of
 a run at ``seed`` owns the counter blocks after ``i * blocks`` of the one
 Philox keyed by ``(seed, 0)``, 6 blocks for ``prop1`` and 2 for the
-allocation suites, and a chunk of instances is read in one call
-(:func:`_uniforms`).  Slots do not overlap, so an instance's values depend
+allocation suites, and a chunk of up to ``_CHUNK`` instances is read in one
+call (:func:`_uniforms`).  Slots do not overlap, so an instance's values depend
 neither on the chunk it is drawn in nor on the other instances, and
 instance ``i`` alone is its suite's draw function on ``range(i, i + 1)``.
 """
@@ -42,6 +43,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import beamformer, closedform, montecarlo
 from .channel import _channel_stack
@@ -80,6 +82,9 @@ _FREE_RANGE = {"uu": (0.0, 1.0), "vv": (0.05, 0.95)}
 # Beta resolution of the suites' scans, and the theta grid of their near-singular rows.
 _NUM_BETA, _NUM_THETA = 201, 360
 
+# The coarse scan's amplitudes, which every instance shares.
+_COARSE_BETAS = np.linspace(0.0, 1.0, _NUM_BETA).reshape(1, -1)
+
 # What prop1 draws: path counts, transmit and receive array sizes.
 _PATH_COUNTS, _TX_SIZES, _RX_SIZES = (1, 2, 3, 5), (8, 16, 64), (2, 4)
 
@@ -87,8 +92,8 @@ _PATH_COUNTS, _TX_SIZES, _RX_SIZES = (1, 2, 3, 5), (8, 16, 64), (2, 4)
 _FIXTURE_NT, _FIXTURE_NR = 16, 8
 
 # Instances a suite draws and checks in one array pass: at any trial count a
-# pass holds at most this many instances.
-_CHUNK = 40
+# pass holds at most this many instances, the engine's cap on a chunk of trials.
+_CHUNK = montecarlo._MAX_CHUNK_TRIALS
 
 
 def _rel_diff(value: float, ref: float) -> float:
@@ -246,10 +251,18 @@ def _fixtures(case: str, mags, phases, couplings):
 def _residuals(bases: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """Distances (B,) of vectors (B, N) from the spans of bases (B, N, L).
 
-    The norm is that of ``np.linalg.norm`` (see :func:`beamformer._norms`),
-    so each has the bits of its instance's own residual.
+    Only Q of the reduced QR is formed: the two LAPACK gufuncs behind
+    ``np.linalg.qr`` (zgeqrf, then zungqr) run on a copy of the stack, so Q
+    has the bits of ``np.linalg.qr(bases)[0]`` without its R.  Where numpy's
+    wrapper raises ``LinAlgError`` on a non-finite basis, this gives a NaN
+    residual, which fails its check.  The norm is that of ``np.linalg.norm``
+    (see :func:`beamformer._norms`), so each has the bits of its instance's
+    own residual.
     """
-    q = np.linalg.qr(bases)[0]
+    q = np.array(bases, dtype=complex)
+    with np.errstate(all="ignore"):
+        tau = _umath_linalg.qr_r_raw(q, signature="D->D")
+        q = _umath_linalg.qr_reduced(q, tau, signature="DD->D")
     resid = (vecs[..., None] - q @ (np.conj(np.swapaxes(q, -1, -2)) @ vecs[..., None]))[..., 0]
     return beamformer._norms(resid)
 
@@ -366,20 +379,21 @@ def _alloc_values(case: str, seed: int, indices: range) -> tuple[list, ...]:
     """The five allocation checks' values of some instances of the regime of ``case``.
 
     The closed forms run per instance; the coarse and refined scans of the
-    beta axis, the objective at the closed-form and at the dominant split,
-    the fixtures' main-lobe inversion and measurement and their dense SVD
-    route each run once over all the instances.
+    beta axis, the objective at the closed-form and the dominant split (one
+    block of two columns), the fixtures' main-lobe inversion and measurement
+    and their singular values each run once over all the instances.  Check
+    5 reads only the dense optimum ``sigma_1^2 / (Nt Nr)`` of each fixture
+    (:func:`_fixture_snrs`), not its beams.
     """
     regime = closedform.REGIMES[case]
     beta_step = 1.0 / (_NUM_BETA - 1)
     params = _draw_params(seed, indices, regime)
     allocs = [regime.beta_opt(p) for p in params]
     terms = closedform._grid_terms(params)
-    coarse = closedform._scans(terms, np.linspace(0.0, 1.0, _NUM_BETA).reshape(1, -1), _NUM_THETA)
-    cf_values = closedform._objectives(terms, allocs)
+    coarse = closedform._scans(terms, _COARSE_BETAS, _NUM_THETA)
     # all power on the stronger path: the beam the loss is taken against
     splits = [closedform.AllocationPoint(float(p.mag_a1 >= p.mag_a2), 0.0) for p in params]
-    dominant = closedform._objectives(terms, splits)
+    cf_values, dominant = closedform._objectives(terms, allocs, splits)
     # zoomed second pass resolves optima near the beta = 1 edge, where
     # the sqrt(1 - beta^2) dependence defeats a uniform coarse grid.
     # Each window spans 2 beta_step > 0, so linspace takes the same steps
@@ -412,9 +426,21 @@ def _alloc_values(case: str, seed: int, indices: range) -> tuple[list, ...]:
     entries = _channel_stack(
         gains, steering_stack(rx_geom, freqs_r), steering_stack(tx_geom, freqs_t)
     )
-    snrs = beamformer._dense_optimal(entries)[2]
+    snrs = _fixture_snrs(entries)
     matrix = [_rel_diff(snr, closedform.snr_optimal(m)) for snr, m in zip(snrs, measured)]
     return betas, margins, refined_diffs, identities, matrix
+
+
+def _fixture_snrs(entries: np.ndarray) -> list[float]:
+    """The dense optimum ``sigma_1^2 / (Nt Nr)`` of each channel (B, Nr, Nt).
+
+    The singular values alone come from LAPACK (zgesdd without vectors),
+    which runs on each matrix of the stack alone, so each value has the bits
+    of its own channel's.  The optimal pair's normalized SNR is this value up
+    to rounding; the beams are not formed.
+    """
+    size = entries.shape[-2] * entries.shape[-1]
+    return [sigma**2 / size for sigma in np.linalg.svd(entries, compute_uv=False)[:, 0].tolist()]
 
 
 def _alloc_suite(name: str, trials: int, seed: int) -> SuiteReport:

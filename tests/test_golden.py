@@ -12,7 +12,9 @@ in its name); each CSV is also checked trial by trial against a dense SVD of
 each redrawn channel, and the JSON one, a JSON emission of the wide CSV's
 run, pins the emitter: its config, counts and CCDF exactly, its samples,
 median and 90th percentile within ``GOLDEN_TOL_DB``, and its bytes as
-``cli._wrap_json`` renders the parsed document.
+``cli._wrap_json`` renders the parsed document.  A rerun of the paper's
+configuration at L = 4, which no file holds, is checked against the dense
+SVD the same way.
 Every file there must be read by one of these tests.
 """
 
@@ -139,20 +141,33 @@ def dense_loss_db(cfg, trial):
     return 10.0 * math.log10(optimal / scheme)
 
 
-@golden("ccdf_*.csv")
-def test_v2_ccdf_golden_matches_dense_svd(path):
-    # every trial of the file, redrawn through the public route, against a dense SVD
-    params = config_of(path.read_text())["parameters"]
+def assert_matches_dense_svd(text):
+    """Every trial of a CSV emission, redrawn through the public route, against a dense SVD."""
+    params = config_of(text)["parameters"]
     cfg = McConfig.from_dict(dict(
         num_paths=params["paths"], trials=params["trials"], seed=params["seed"],
         nt=params["nt"], nr=params["nr"], spacing_wavelengths=params["spacing"],
         fov_deg=params["fov_deg"], scheme=params["scheme"],
         angle_sampling=params["angle_sampling"], rng=params["rng"],
     ))
-    golden_db = np.array(split_csv(path.read_text())[1], dtype=float)
+    emitted_db = np.array(split_csv(text)[1], dtype=float)
     dense_db = np.sort([dense_loss_db(cfg, trial) for trial in range(cfg.trials)])
-    ratio = 10.0 ** ((golden_db - dense_db) / 10.0)
+    ratio = 10.0 ** ((emitted_db - dense_db) / 10.0)
     assert np.all(np.abs(ratio - 1.0) <= 1e-9)
+
+
+@golden("ccdf_*.csv")
+def test_v2_ccdf_golden_matches_dense_svd(path):
+    assert_matches_dense_svd(path.read_text())
+
+
+def test_l4_ccdf_matches_dense_svd(capsys):
+    # no golden file holds L = 4, whose Hermitian forms are written entry by entry as
+    # at L = 2 and 3: the paper's configuration rerun at L = 4, checked trial by trial
+    config = config_of((GOLDEN / "ccdf_L3_nt64_nr4_v2.csv").read_text())
+    config["parameters"]["paths"] = 4
+    assert main(argv_of(config)) == EXIT_OK
+    assert_matches_dense_svd(capsys.readouterr().out)
 
 
 @golden("closedform_*.json", "sweep_*.csv")

@@ -32,6 +32,8 @@ def test_every_timed_stage_resolves(monkeypatch):
     assert {(owner.__name__, name) for owner, name, _ in stages} >= {
         ("mmwbeam.verify", "_fixtures"),
         ("mmwbeam.closedform", "_scans"),
+        ("mmwbeam.closedform", "_objectives"),
+        ("mmwbeam.verify", "_fixture_snrs"),
         ("mmwbeam.beamformer", "_dense_optimal"),
     }
     for owner, name, _ in stages:
@@ -103,6 +105,30 @@ def test_per_layer_runs_every_call_in_one_schedule(monkeypatch):
     assert set(doc["stages"]) == {"all_suites", "draw"}
     for entry in doc["engine"]["configs"].values():
         assert entry["stages"]["other"]["median_us"] == 1e6
+
+
+def test_a_baseline_trees_verify_stages_are_its_own(monkeypatch):
+    # the baseline's package is imported beside mmwbeam under another name: every stage it
+    # times is its module's, a stage function it lacks is left out, and its round runs
+    recorder = load_recorder(monkeypatch)
+    monkeypatch.setattr(recorder, "STAGE_ROUNDS", 1)
+    missing = (recorder.verify, "_no_such_stage", "missing")
+    monkeypatch.setattr(recorder, "STAGES", [*recorder.STAGES, missing])
+    try:
+        stages, run = recorder._baseline_verify(ROOT / "src")
+        assert len(stages) == len(recorder.STAGES) - 1
+        for (owner, name, stage), (src_owner, src_name, src_stage) in zip(
+                stages, recorder.STAGES):
+            assert owner.__name__ == src_owner.__name__.replace(
+                "mmwbeam", recorder.BASELINE_PACKAGE, 1)
+            assert (name, stage) == (src_name, src_stage)
+            assert getattr(owner, name) is not getattr(src_owner, src_name)
+        rounds = recorder._timed_rounds({"baseline verify": (stages, run)})["baseline verify"]
+        timed = {stage for stage, values in rounds.items() if min(values) > 0.0}
+        assert timed >= {stage for _, _, stage in stages if isinstance(stage, str)}
+    finally:
+        for name in [name for name in sys.modules if name.startswith(recorder.BASELINE_PACKAGE)]:
+            del sys.modules[name]
 
 
 def test_cold_start_rows_come_from_fresh_interpreters(monkeypatch):

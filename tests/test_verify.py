@@ -9,10 +9,17 @@ import numpy as np
 import pytest
 
 from mmwbeam import beamformer, closedform, montecarlo, verify
-from mmwbeam.channel import _path_list
+from mmwbeam.channel import _path_list, assemble_channel
 from mmwbeam.closedform import TwoPathParams
 from mmwbeam.steering import spatial_frequencies
-from verify_reference import alloc_values, measured_params, prop1_instance, prop1_values
+from verify_reference import (
+    alloc_values,
+    dense_optimum,
+    measured_params,
+    prop1_instance,
+    prop1_values,
+    span_residual,
+)
 
 
 def test_prop1_reads_the_reduced_route_snr(monkeypatch):
@@ -70,6 +77,46 @@ def test_fixtures_measure_inside_their_regime(suite, seed):
             assert constrained < closedform.ORTHOGONAL_TOL
         else:
             assert constrained > 1.0 - closedform.PARALLEL_TOL
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("suite", ["prop2", "prop3", "prop4"])
+def test_check_5_reads_the_optimal_pairs_snr(suite, seed):
+    # check 5 takes sigma_1^2 / (Nt Nr) from the singular values alone; on every fixture
+    # channel that is the SNR the dense SVD route's pair achieves, to within 8 eps relative
+    case = verify._SUITE_CASES[suite]
+    regime = closedform.REGIMES[case]
+    params = verify._draw_params(seed, range(500), regime)
+    gains, aods, aoas, tx_geom, rx_geom = verify._fixtures(
+        case,
+        [(p.mag_a1, p.mag_a2) for p in params],
+        [(p.phase_diff, 0.0) for p in params],
+        [getattr(p, f"{regime.free}_mag") for p in params],
+    )
+    channels = [assemble_channel(_path_list(*instance), tx_geom, rx_geom)
+                for instance in zip(gains, aods, aoas)]
+    entries = np.array([channel.entries for channel in channels])
+    for snr, channel in zip(verify._fixture_snrs(entries), channels):
+        assert snr == dense_optimum(channel)
+        pair_snr = beamformer.optimal_beamformer(channel).normalized_snr
+        assert abs(snr - pair_snr) <= 8 * sys.float_info.epsilon * pair_snr
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_non_finite_basis_gives_a_nan_residual(bad):
+    # the span residuals factor the stack without numpy's qr wrapper, which would raise
+    # LinAlgError for the whole stack: the row reads NaN, which fails its check, and
+    # the other rows keep the bits they have alone
+    rng = np.random.default_rng(5)
+    bases = rng.standard_normal((3, 8, 2)) + 1j * rng.standard_normal((3, 8, 2))
+    vecs = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
+    bases[1, 2, 1] = bad
+    resid = verify._residuals(bases, vecs)
+    assert math.isnan(resid[1])
+    for row in (0, 2):
+        alone = verify._residuals(bases[row : row + 1], vecs[row : row + 1])
+        assert bits(resid[row]) == bits(alone[0])
+        assert bits(alone[0]) == bits(span_residual(bases[row], vecs[row]))
 
 
 @pytest.mark.parametrize("suite", ["prop5", "PROP2", ""])
@@ -152,11 +199,13 @@ def bits(value):
     return np.float64(value).tobytes()
 
 
-# trial counts below, at and above the chunk of instances one array pass holds
+# trial counts below, at and above a chunk of 40 instances, which the test sets: the suites'
+# own chunk is too large to cross at a trial count the per-instance loops run in good time
 @pytest.mark.parametrize("trials", [1, 7, 41])
 @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1])
 @pytest.mark.parametrize("suite", ["prop1", "prop2", "prop3", "prop4"])
-def test_suite_worst_values_match_the_per_instance_loops(suite, seed, trials):
+def test_suite_worst_values_match_the_per_instance_loops(suite, seed, trials, monkeypatch):
+    monkeypatch.setattr(verify, "_CHUNK", 40)
     if suite == "prop1":
         reference, starts = prop1_values, (0.0, 0.0, 0.0)
     else:

@@ -31,7 +31,11 @@ The file has four parts:
   self time of each ``mmwbeam`` module, of ``numpy`` and of ``numpy.random``
   (with the cumulative time of the last two).  With
   ``--baseline``, the same rows of another checkout's ``src`` are recorded
-  in the same rounds, the two trees taking turns.
+  in the same rounds, the two trees taking turns: its cold start, and, under
+  ``baseline_stages``, its ``verify`` stages, from its package imported
+  beside this one under another name, whose round runs right after this
+  tree's in each round.  A stage function that the baseline lacks is not
+  timed there.
 
 After writing the file the script prints each row beside the same row of
 the newest earlier ``BENCH_<n>.json`` in the repository root.
@@ -44,6 +48,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -220,7 +225,9 @@ STAGES = [
     (verify, "_draw_prop1", "draw"),
     (verify, "_draw_params", "draw"),
     (closedform, "_scans", _search_stage),
+    (closedform, "_objectives", "objectives"),
     (verify, "_fixtures", "fixtures"),
+    (verify, "_fixture_snrs", "fixture_svd"),
     (beamformer, "_dense_optimal", "dense_svd_route"),
     (verify, "_residuals", "span_residuals"),
     (verify, "_grams", "reduced_snr"),
@@ -324,10 +331,39 @@ def _timed_rounds(runs: dict) -> dict:
     return rounds
 
 
-def _verify_round(index: int) -> None:
+def _verify_round(index: int, suites=verify) -> None:
     for suite, trials in workloads.VERIFY_TRIALS:
         if trials is not None:
-            verify.run_suite(suite, trials, seed=index)
+            suites.run_suite(suite, trials, seed=index)
+
+
+# The name the baseline tree's package is imported under, beside ``mmwbeam``.
+BASELINE_PACKAGE = "baseline_mmwbeam"
+
+
+def _baseline_verify(src: Path) -> tuple[list, object]:
+    """``(stages, run)`` of the verify round of the ``mmwbeam`` package under ``src``.
+
+    The package is imported once, as ``BASELINE_PACKAGE``; its modules import
+    one another by relative name, so none of them is this tree's.  Each of
+    :data:`STAGES` is timed on the baseline's module of the same name, where
+    that module has the function.
+    """
+    if BASELINE_PACKAGE not in sys.modules:
+        package_dir = src / "mmwbeam"
+        spec = importlib.util.spec_from_file_location(
+            BASELINE_PACKAGE, package_dir / "__init__.py",
+            submodule_search_locations=[str(package_dir)])
+        package = importlib.util.module_from_spec(spec)
+        sys.modules[BASELINE_PACKAGE] = package
+        spec.loader.exec_module(package)
+    stages = []
+    for owner, name, stage in STAGES:
+        module = importlib.import_module(owner.__name__.replace("mmwbeam", BASELINE_PACKAGE, 1))
+        if callable(getattr(module, name, None)):
+            stages.append((module, name, stage))
+    baseline = importlib.import_module(f"{BASELINE_PACKAGE}.verify")
+    return stages, lambda index: _verify_round(index, baseline)
 
 
 def _ccdf_call(options: dict):
@@ -369,21 +405,32 @@ def _engine(calls: dict, rounds: dict) -> dict:
     }
 
 
-def per_layer() -> dict:
-    """Quartiles per round of each verify stage, and of the engine's stages per ccdf call."""
+def per_layer(baseline: Path | None = None) -> dict:
+    """Quartiles per round of each verify stage, and of the engine's stages per ccdf call.
+
+    ``baseline`` names another tree's ``src``, whose verify stages are
+    recorded too, under ``baseline_stages``.
+    """
     calls = _ccdf_calls()
     runs = {"verify": (STAGES, _verify_round)}
+    if baseline is not None:
+        runs["baseline verify"] = _baseline_verify(baseline)
     runs.update((name, (ENGINE_STAGES, _ccdf_call(options))) for name, options in calls.items())
     rounds = _timed_rounds(runs)
-    suites = rounds.pop("verify")
-    suites["all_suites"] = suites.pop("all")
-    return {
+    layer = {
         "unit": "ms per verify-oracles round (prop1 40 instances, prop2-prop4 10 each)",
         "rounds": STAGE_ROUNDS,
-        "schedule": "round-robin: each round runs the verify round, then each ccdf call once",
-        "stages": _summary(suites, "ms"),
-        "engine": _engine(calls, rounds),
+        "schedule": "round-robin: each round runs the verify round"
+                    + (", then the baseline's" if baseline is not None else "")
+                    + ", then each ccdf call once",
     }
+    for key, run in (("stages", "verify"), ("baseline_stages", "baseline verify")):
+        if run in rounds:
+            suites = rounds.pop(run)
+            suites["all_suites"] = suites.pop("all")
+            layer[key] = _summary(suites, "ms")
+    layer["engine"] = _engine(calls, rounds)
+    return layer
 
 
 def _rows(doc: dict) -> dict:
@@ -397,6 +444,8 @@ def _rows(doc: dict) -> dict:
     layer = doc.get("per_layer", {})
     for stage, values in layer.get("stages", {}).items():
         rows[f"verify {stage} median_ms"] = values["median_ms"]
+    for stage, values in layer.get("baseline_stages", {}).items():
+        rows[f"verify baseline {stage} median_ms"] = values["median_ms"]
     engine_part = layer.get("engine")
     if isinstance(engine_part, dict):
         for config, entry in engine_part["configs"].items():
@@ -409,9 +458,14 @@ def _rows(doc: dict) -> dict:
     return rows
 
 
-def compare_trees(cold: dict) -> None:
-    """Print each cold-start row of the baseline tree beside this tree's, with the saving."""
-    trees = cold["trees"]
+def compare_trees(layer: dict) -> None:
+    """Print each verify stage and cold-start row of the baseline tree beside this tree's."""
+    print(f"{'verify stage, median ms':<40} {'baseline':>10} {'src':>10} {'saved':>10}")
+    for stage in sorted(layer["stages"].keys() | layer["baseline_stages"].keys()):
+        before, after = (layer[key].get(stage, {}).get("median_ms", 0.0)
+                         for key in ("baseline_stages", "stages"))
+        print(f"{stage:<40} {before:10.3f} {after:10.3f} {before - after:10.3f}")
+    trees = layer["cold_start"]["trees"]
     print(f"{'cold start, median ms':<40} {'baseline':>10} {'src':>10} {'saved':>10}")
     for command, stages in trees["src"].items():
         for stage, values in stages.items():
@@ -451,13 +505,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="path of the JSON file to write")
     parser.add_argument("--baseline", type=Path, default=None,
-                        help="checkout (such as the parent commit's) whose src/ cold start "
-                             "is recorded beside this one's")
+                        help="checkout (such as the parent commit's) whose src/ verify stages "
+                             "and cold start are recorded beside this one's")
     args = parser.parse_args(argv)
     trees = {"src": ROOT / "src"}
     if args.baseline is not None:
         trees["baseline"] = args.baseline / "src"
-    layer = per_layer()
+    layer = per_layer(trees.get("baseline"))
     layer["cold_start"] = cold_start(trees)
     if args.baseline is not None:
         layer["cold_start"]["baseline_commit"] = _commit(args.baseline)
@@ -471,7 +525,7 @@ def main(argv=None) -> int:
     out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     compare(doc, out)
     if args.baseline is not None:
-        compare_trees(layer["cold_start"])
+        compare_trees(layer)
     return 0
 
 
