@@ -8,8 +8,11 @@ key, CSV files a ``# config = ...`` comment preamble ahead of the
 mandatory header row.
 
 A process loads only what its command runs: ``closedform``, ``montecarlo``
-or ``verify`` is imported by the command that uses it, and a command line
-that names a command builds that command's parser alone.
+or ``verify`` is imported by the command that uses it.  A command line made
+of a command and exact ``--flag value`` pairs of that command's flags is
+read straight from its parameter table, without argparse; any other line is
+left to argparse, imported then, and to the parser of that command alone
+where the line names one (see :func:`_parse`).
 
 Exit codes: 0 success, 2 usage error (a run too large for memory included), 3 I/O error,
 4 verification failure.
@@ -17,11 +20,11 @@ Exit codes: 0 success, 2 usage error (a run too large for memory included), 3 I/
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import math
 import sys
+import types
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -30,6 +33,8 @@ from . import __version__
 from .beamformer import _loss_db
 
 if TYPE_CHECKING:
+    import argparse
+
     from . import closedform
 
 __all__ = ["main"]
@@ -106,6 +111,8 @@ _COMMON = {
     "format": (str, ("csv", "json"), None),
     "seed": (int, None, None),
 }
+# The flag every command takes last, which no --config file may set.
+_CONFIG = {"config": (str, None, "JSON file of defaults (flags win)")}
 _COMMAND_HELP = {
     "closedform": "evaluate one closed-form case",
     "sweep": "sweep the gain ratio K and tabulate the loss",
@@ -116,31 +123,61 @@ _COMMAND_HELP = {
 _CCDF_FIELDS = {"paths": "num_paths", "spacing": "spacing_wavelengths"}
 
 
+@functools.lru_cache(maxsize=None)
+def _flags(command: str) -> dict[str, tuple[str, type, Any, str | None]]:
+    """Each flag of ``command``, in the parser's order: flag -> (name, type, choices, help).
+
+    Its own parameters, then the common ones, then ``--config``.
+    """
+    params = {**_params(command), **_COMMON, **_CONFIG}
+    return {"--" + name.replace("_", "-"): (name, *spec) for name, spec in params.items()}
+
+
+@functools.lru_cache(maxsize=None)
+def _unset(command: str) -> dict[str, None]:
+    """The namespace of ``command`` with no flag given: ``command`` and every flag's name, None."""
+    return dict.fromkeys(["command", *(name for name, *_ in _flags(command).values())])
+
+
 def _add_arguments(sub: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
-    """``sub`` with the flags of ``command``: its own parameters, the common ones, ``--config``."""
-    for name, (kind, choices, text) in {**_params(command), **_COMMON}.items():
-        flag = "--" + name.replace("_", "-")
+    """``sub`` with the flags of ``command``."""
+    for flag, (_, kind, choices, text) in _flags(command).items():
         sub.add_argument(flag, type=kind, choices=choices, default=None, help=text)
-    sub.add_argument("--config", default=None, help="JSON file of defaults (flags win)")
     return sub
 
 
 @functools.lru_cache(maxsize=None)
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The command-line parser and each command's subparser, built on first use and shared.
+def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared.
 
-    Parsing leaves the parsers unchanged: each call gets a fresh namespace,
+    A command's subparser is given that command's flags only when a line is
+    first handed to it, so the lines that stop at the top level (``-h``,
+    ``--version``, no command or an unknown one) import no command's module.
+    Parsing leaves the parser unchanged: each call gets a fresh namespace,
     and messages go to the ``sys.stdout``/``sys.stderr`` of the moment.
     """
+    import argparse
+
+    class CommandParser(argparse.ArgumentParser):
+        def __init__(self, command: str, **kwargs):
+            super().__init__(**kwargs)
+            self._command = command
+
+        def parse_known_args(self, args=None, namespace=None):
+            if self._command is not None:
+                _add_arguments(self, self._command)
+                self._command = None
+            return super().parse_known_args(args, namespace)
+
     parser = argparse.ArgumentParser(
         prog="mmwbeam",
         description="Two-path beamforming closed forms, loss sweeps, and CCDF simulation",
     )
     parser.add_argument("--version", action="version", version=f"mmwbeam {__version__}")
-    subs = parser.add_subparsers(dest="command", required=True)
+    subs = parser.add_subparsers(dest="command", required=True, parser_class=CommandParser)
     for command, text in _COMMAND_HELP.items():
-        _add_arguments(subs.add_parser(command, help=text), command)
-    return parser, subs.choices
+        subs.add_parser(command, help=text, command=command)
+    return parser
 
 
 @functools.lru_cache(maxsize=None)
@@ -150,29 +187,72 @@ def _command_parser(command: str) -> argparse.ArgumentParser:
     ``add_parser`` builds a subparser as an ``ArgumentParser`` named by the
     program and the command, so its usage, help and errors read the same.
     """
+    import argparse
+
     return _add_arguments(argparse.ArgumentParser(prog=f"mmwbeam {command}"), command)
 
 
-def _parse(argv) -> argparse.Namespace:
+def _parse_table(command: str, pairs: list) -> types.SimpleNamespace | None:
+    """The namespace argparse gives ``pairs`` after ``command``, read from the flag table; or None.
+
+    ``pairs`` is read only where it is made of ``--flag value`` pairs, each
+    flag one of ``command``'s flags spelled out in full and each value one
+    that argparse would take as it stands: it does not start with ``-``,
+    the flag's type converts it, and the result is among the flag's choices.
+    The namespace has argparse's keys in argparse's order, ``command`` and
+    then every flag's name, ``None`` where a flag is absent, and the last
+    value of a repeated flag.  Any other line is declined.
+    """
+    flags = _flags(command)
+    if len(pairs) % 2:
+        return None
+    values = {**_unset(command), "command": command}
+    for flag, text in zip(pairs[::2], pairs[1::2]):
+        if flag not in flags or text.startswith("-"):
+            return None
+        name, kind, choices, _ = flags[flag]
+        try:
+            value = kind(text)
+        except ValueError:
+            return None
+        if choices is not None and value not in choices:
+            return None
+        values[name] = value
+    return types.SimpleNamespace(**values)
+
+
+def _parse(argv) -> argparse.Namespace | types.SimpleNamespace:
     """The namespace of a command line; a usage error, ``-h`` or ``--version`` exits.
 
-    The full parser would hand everything after the command word to that
-    command's subparser, so where the first word names a command the rest
-    goes straight to a parser of that command alone, with the same namespace
-    and messages; the full parser is built only for the lines it takes: no
-    command or an unknown one, ``--`` anywhere (argparse versions differ in
-    what they hand on after it), and a line with an argument the subparser
-    leaves unread, which only the full parser reports.
+    A line whose first word names a command and whose rest is exact
+    ``--flag value`` pairs of that command is read straight from the flag
+    table (:func:`_parse_table`), with the namespace argparse would give and
+    without importing argparse.  Every other line goes to argparse,
+    imported then.  The full parser would hand everything after the command
+    word to that command's subparser, so where the first word names a
+    command the rest goes to a parser of that command alone, with the same
+    namespace and messages; this covers ``-h``, ``--flag=value``,
+    abbreviations, negative numbers and every bad value.  The full parser
+    is built only for the lines it takes: no command or an unknown one,
+    ``--`` anywhere (argparse versions differ in what they hand on after
+    it), and a line with an argument the subparser leaves unread, which only
+    the full parser reports.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] in _COMMAND_HELP and "--" not in argv:
+    if argv and argv[0] in _COMMAND_HELP:
         command = argv[0]
-        namespace, unread = _command_parser(command).parse_known_args(
-            argv[1:], argparse.Namespace(command=command)
-        )
-        if not unread:
+        namespace = _parse_table(command, argv[1:])
+        if namespace is not None:
             return namespace
-    return _build_parser()[0].parse_args(argv)
+        if "--" not in argv:
+            import argparse
+
+            namespace, unread = _command_parser(command).parse_known_args(
+                argv[1:], argparse.Namespace(command=command)
+            )
+            if not unread:
+                return namespace
+    return _build_parser().parse_args(argv)
 
 
 def _merge_config_file(command: str, args: dict) -> dict:

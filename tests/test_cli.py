@@ -772,15 +772,16 @@ class TestParserReuse:
     ]
 
     def test_repeated_calls_give_the_same_bytes(self, capsys):
-        # each command's parser, and the full parser, is built once per process; a second
-        # round must not see the first
+        # a valid line builds no parser; the error line builds its command's parser, and it
+        # and --version the full parser, once per process; a second round must not see the first
         cli._command_parser.cache_clear()
         cli._build_parser.cache_clear()
         first = [run_cli(capsys, *argv) for argv in self.ARGVS]
         second = [run_cli(capsys, *argv) for argv in self.ARGVS]
         assert second == first
         commands = cli._command_parser.cache_info()
-        assert (commands.misses, commands.currsize) == (4, 4)
+        assert (commands.misses, commands.currsize) == (1, 1)
+        assert cli._command_parser("closedform") is cli._command_parser("closedform")
         assert cli._build_parser.cache_info().misses == 1
         codes = [code for code, _, _ in first]
         assert codes == [EXIT_OK] * 4 + [EXIT_USAGE, EXIT_OK]
@@ -789,73 +790,117 @@ class TestParserReuse:
 
 
 class TestDirectParse:
-    # (argv, whether the full parser parses it): a line whose first word names a command
-    # goes to that command's subparser alone, unless it holds "--" or an argument the
-    # subparser leaves unread
+    # (argv, the route that parses it): "table" reads a command and exact --flag value pairs
+    # of its flags without argparse; "command" is the command's parser alone, for every
+    # other line that names a command, unless it holds "--" or an argument that parser
+    # leaves unread, which go to the "full" parser
     CORPUS = [
-        (["closedform", "--case", "v-orth", "--a1", "2", "--a2", "1", "--uu", "0.5"], False),
-        (["closedform", "--case=v-orth", "--a1=2", "--a2=1", "--uu=0.5", "--format=csv"], False),
+        (["closedform", "--case", "v-orth", "--a1", "2", "--a2", "1", "--uu", "0.5"], "table"),
+        (["closedform", "--case=v-orth", "--a1=2", "--a2=1", "--uu=0.5", "--format=csv"],
+         "command"),
         (["sweep", "--case", "u-orth", "--k-min", "1", "--k-max", "4", "--k-points", "5",
-          "--vv", "0.3"], False),
-        (["ccdf", "--paths", "3", "--trials", "20", "--nt", "8"], False),
-        (["ccdf", "--paths=2", "--trials=10", "--scheme=equal_power", "--format=json"], False),
-        (["ccdf", "--path", "2", "--trials", "5"], False),
-        (["ccdf", "--config", "{config}", "--nt", "8"], False),
-        (["verify", "--suite", "prop1", "--trials", "2"], False),
-        (["ccdf", "-h"], False),
-        (["ccdf", "--paths", "2", "--scheme", "nope"], False),
-        (["ccdf", "--paths", "x"], False),
-        (["ccdf", "--paths"], False),
-        (["ccdf", "--trials", "5"], False),
-        (["closedform", "--case", "v-orth", "--uu", "0.5"], False),
-        (["--version"], True),
-        (["-h"], True),
-        (["--version", "ccdf"], True),
-        (["ccdf", "--version"], True),
-        ([], True),
-        (["bogus", "--paths", "2"], True),
-        (["ccdf", "--bogus", "1", "--paths", "2"], True),
-        (["ccdf", "--paths", "2", "extra"], True),
-        (["ccdf", "--paths", "2", "--", "--trials", "5"], True),
-        (["ccdf", "--paths", "2", "--"], True),
-        (["--", "ccdf", "--paths", "2"], True),
+          "--vv", "0.3"], "table"),
+        (["ccdf", "--paths", "3", "--trials", "20", "--nt", "8"], "table"),
+        (["ccdf", "--paths=2", "--trials=10", "--scheme=equal_power", "--format=json"], "command"),
+        (["ccdf", "--path", "2", "--trials", "5"], "command"),
+        (["ccdf", "--config", "{config}", "--nt", "8"], "table"),
+        (["verify", "--suite", "prop1", "--trials", "2"], "table"),
+        (["ccdf", "-h"], "command"),
+        (["ccdf", "--paths", "2", "--scheme", "nope"], "command"),
+        (["ccdf", "--paths", "x"], "command"),
+        (["ccdf", "--paths"], "command"),
+        (["ccdf", "--trials", "5"], "table"),
+        (["closedform", "--case", "v-orth", "--uu", "0.5"], "table"),
+        (["ccdf", "--paths", "3", "--trials", "5", "--paths", "2", "--nt", " 8"], "table"),
+        (["ccdf", "--paths", "2", "--trials", "1_0", "--spacing", "nan"], "table"),
+        (["ccdf", "--paths", "2", "--trials", "5", "--spacing", "1e999"], "table"),
+        (["ccdf", "--paths", "2", "--trials", ""], "command"),
+        (["ccdf", "--paths", "2", "--trials", "5", "--seed", "-5"], "command"),
+        (["ccdf", "--paths", "2", "--trials", "5", "--spacing", "-.5"], "command"),
+        (["ccdf", "--paths", "2", "--out", "-x"], "command"),
+        (["ccdf", "--paths", "2", "--trials", "5", "--format", "-h"], "command"),
+        (["ccdf", "--paths", "2", "--trials", "5", "--paths"], "command"),
+        (["ccdf", "--paths", "2", "--trials", "5", "--rng", "pcg64"], "command"),
+        (["closedform", "--case", "u-orth", "--case", "nope", "--a1", "2"], "command"),
+        (["--version"], "full"),
+        (["-h"], "full"),
+        (["--version", "ccdf"], "full"),
+        (["ccdf", "--version"], "full"),
+        ([], "full"),
+        (["bogus", "--paths", "2"], "full"),
+        (["ccdf", "--bogus", "1", "--paths", "2"], "full"),
+        (["ccdf", "--paths", "2", "extra"], "full"),
+        (["ccdf", "--paths", "2", "--", "--trials", "5"], "full"),
+        (["ccdf", "--paths", "2", "--"], "full"),
+        (["--", "ccdf", "--paths", "2"], "full"),
     ]
 
-    def test_the_direct_route_gives_the_bytes_of_the_full_parser(self, capsys, monkeypatch,
-                                                                  tmp_path):
+    def test_each_route_gives_the_bytes_of_the_full_parser(self, capsys, monkeypatch, tmp_path):
         config = tmp_path / "ccdf.json"
         config.write_text(json.dumps({"paths": 2, "trials": 8}), encoding="utf-8")
         corpus = [[arg.format(config=config) for arg in argv] for argv, _ in self.CORPUS]
-        full_parses = []
+        parses = []
         parse_args = argparse.ArgumentParser.parse_args
+        parse_known_args = argparse.ArgumentParser.parse_known_args
 
         def spy(parser, args=None, namespace=None):
-            full_parses.append(parser.prog)
+            parses.append(("full", parser.prog))
             return parse_args(parser, args, namespace)
 
+        def known_spy(parser, args=None, namespace=None):
+            parses.append(("known", parser.prog))
+            return parse_known_args(parser, args, namespace)
+
         monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", known_spy)
         direct, routes = [], []
         for argv in corpus:
-            full_parses.clear()
+            parses.clear()
             direct.append(run_cli(capsys, *argv))
-            routes.append(full_parses == ["mmwbeam"])
-        assert routes == [full for _, full in self.CORPUS]
-        monkeypatch.setattr(cli, "_parse", lambda argv: cli._build_parser()[0].parse_args(argv))
+            route = "full" if ("full", "mmwbeam") in parses else "command" if parses else "table"
+            routes.append(route)
+        assert routes == [route for _, route in self.CORPUS]
+        monkeypatch.setattr(cli, "_parse", lambda argv: cli._build_parser().parse_args(argv))
         assert [run_cli(capsys, *argv) for argv in corpus] == direct
         codes = [code for code, _, _ in direct]
         assert codes[:8] == [EXIT_OK] * 8 and set(codes[8:]) == {EXIT_OK, EXIT_USAGE}
 
 
-# A fresh interpreter runs one command line and prints its exit code, the mmwbeam
-# modules it loaded, and whether it built the full parser.
+# A fresh interpreter runs one command line and prints its exit code, its standard output
+# and error, the mmwbeam modules it loaded, whether it loaded argparse, and whether it built
+# the full parser.
 _FRESH_RUN = """\
 import contextlib, io, json, sys
 from mmwbeam import cli
-with contextlib.redirect_stdout(io.StringIO()):
+with contextlib.redirect_stdout(io.StringIO()) as out, \\
+        contextlib.redirect_stderr(io.StringIO()) as err:
     code = cli.main(json.loads(sys.argv[1]))
 loaded = sorted(name for name in sys.modules if name.startswith("mmwbeam."))
-print(json.dumps([code, loaded, cli._build_parser.cache_info().currsize]))
+print(json.dumps([code, out.getvalue(), err.getvalue(), loaded, "argparse" in sys.modules,
+                  cli._build_parser.cache_info().currsize]))
 """
+
+
+def fresh_run(tmp_path, argv):
+    """What :data:`_FRESH_RUN` prints for ``argv``, at 80 columns."""
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_RUN, json.dumps(argv)], cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=path, COLUMNS="80"), capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def eager_parser():
+    """A full parser, not shared, whose every command's subparser has its flags already."""
+    parser = cli._build_parser.__wrapped__()
+    (subs,) = [action for action in parser._actions if action.dest == "command"]
+    for sub in subs.choices.values():
+        sub.parse_known_args([])
+    return parser
 
 
 class TestColdStart:
@@ -866,19 +911,29 @@ class TestColdStart:
         (["sweep", "--case", "u-orth", "--k-min", "1", "--k-max", "4", "--vv", "0.3"],
          ["montecarlo", "verify"]),
     ], ids=["ccdf", "closedform", "sweep"])
-    def test_a_command_loads_only_its_own_modules_and_parser(self, tmp_path, argv, unloaded):
-        src = str(Path(cli.__file__).parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", _FRESH_RUN, json.dumps(argv)], cwd=tmp_path,
-            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        code, loaded, full_parsers = json.loads(proc.stdout)
+    def test_a_command_loads_only_its_own_modules_and_no_parser(self, tmp_path, argv, unloaded):
+        code, _, _, loaded, argparse_loaded, full_parsers = fresh_run(tmp_path, argv)
         assert code == EXIT_OK
         assert "mmwbeam.cli" in loaded
         assert [name for name in loaded if name.split(".")[1] in unloaded] == []
+        assert not argparse_loaded
         assert full_parsers == 0
+
+    @pytest.mark.parametrize("argv", [["--version"], ["-h"], ["bogus"], []],
+                             ids=["version", "help", "unknown", "empty"])
+    def test_a_line_the_full_parser_stops_loads_no_command(self, capsys, monkeypatch, tmp_path,
+                                                          argv):
+        # the subparsers get their flags only when handed a line, so these lines import no
+        # command's module, and print what a parser with every flag in place prints
+        code, out, err, loaded, argparse_loaded, full_parsers = fresh_run(tmp_path, argv)
+        assert [name for name in loaded
+                if name.split(".")[1] in ("closedform", "montecarlo", "verify")] == []
+        assert argparse_loaded and full_parsers == 1
+        monkeypatch.setenv("COLUMNS", "80")
+        parser = eager_parser()
+        monkeypatch.setattr(cli, "_parse", lambda argv: parser.parse_args(argv))
+        assert [code, out, err] == list(run_cli(capsys, *argv))
+        assert code == (EXIT_OK if argv in (["--version"], ["-h"]) else EXIT_USAGE)
 
 
 def indented_json(run_config, results):

@@ -15,8 +15,7 @@ MODULES = (mmwbeam, steering, channel, beamformer, closedform, montecarlo, verif
 
 
 def case_choices(command):
-    commands = cli._build_parser()[1]
-    (case,) = [a for a in commands[command]._actions if a.dest == "case"]
+    (case,) = [a for a in cli._command_parser(command)._actions if a.dest == "case"]
     return tuple(case.choices)
 
 

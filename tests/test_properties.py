@@ -1,9 +1,12 @@
 """Properties over random inputs: the batched Monte Carlo engine, the exact equal-power
 phase, the steering stacks and their Grams, the two-path objective grid, the closed-form
-regimes, the main-lobe inverse, the L-path bound on the dominant-path loss and the draws of
-the ``verify`` suites."""
+regimes, the main-lobe inverse, the L-path bound on the dominant-path loss, the draws of
+the ``verify`` suites and the CLI's flag-table parse."""
 
+import argparse
+import contextlib
 import dataclasses
+import io
 import math
 import sys
 from types import SimpleNamespace
@@ -16,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from conftest import equal_power_grid_snr, random_paths, rotated_cores  # noqa: E402
-from mmwbeam import closedform, steering  # noqa: E402
+from mmwbeam import cli, closedform, steering  # noqa: E402
 from mmwbeam.beamformer import (  # noqa: E402
     _dominant_snr,
     _gram_factor,
@@ -1101,3 +1104,68 @@ def test_cpo_inner_product_keeps_the_bits_of_the_numpy_phasor(n, spacing, freq_d
     value, expected = cpo_inner_product(geom, freq_delta), numpy_cpo_inner_product(geom, freq_delta)
     assert type(value) is complex
     assert (value.real.hex(), value.imag.hex()) == (expected.real.hex(), expected.imag.hex())
+
+
+# Tokens the flag-table parse must decline or read as argparse does: blank, padded,
+# negative, underscored, not-a-number and overflowing values, a missed choice, and option
+# spellings that only argparse reads (an inline value, an abbreviation, help, "--").
+ADVERSARIAL_TOKENS = ["", " 5", "-5", "-0.5", "1_000", "nan", "1e999", "nope", "--paths=3",
+                      "--path", "-x", "-h", "--"]
+
+
+# One draw in four of a flag or a value is an adversarial one.
+ADVERSARIAL = st.sampled_from([False, False, False, True])
+
+
+def flag_values(kind, choices):
+    """The valid value tokens of a flag: its choices, or numbers or text as its type reads them."""
+    if choices is not None:
+        return st.sampled_from(list(choices))
+    if kind is int:
+        return st.integers(0, 2**70).map(str)
+    if kind is float:
+        return st.floats(min_value=0.0).map(repr)
+    return st.text(max_size=6)
+
+
+@st.composite
+def command_lines(draw):
+    """A command and up to six flag-value pairs, flags of its table with repeats among them;
+    some flags and values adversarial, and now and then the last token dropped."""
+    command = draw(st.sampled_from(list(cli._COMMAND_HELP)))
+    flags = cli._flags(command)
+    argv = [command]
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(ADVERSARIAL):
+            flag = draw(st.sampled_from(["--paths=3", "--path", "-h"]))
+        else:
+            flag = draw(st.sampled_from(list(flags)))
+        _, kind, choices, _ = flags.get(flag, (flag, str, None, None))
+        adversarial = draw(ADVERSARIAL)
+        argv.append(flag)
+        argv.append(draw(st.sampled_from(ADVERSARIAL_TOKENS) if adversarial
+                         else flag_values(kind, choices)))
+    if len(argv) > 1 and draw(st.integers(0, 7)) == 0:
+        argv.pop()
+    return argv
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(argv=command_lines())
+def test_the_flag_table_declines_a_line_or_reads_it_as_argparse(argv):
+    # a line the table reads must give the namespace of the command's parser, key for key
+    # and in its order, with nothing left unread
+    command, pairs = argv[0], argv[1:]
+    table = cli._parse_table(command, pairs)
+    if table is None:
+        return
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        try:
+            expected, unread = cli._command_parser(command).parse_known_args(
+                pairs, argparse.Namespace(command=command))
+        except SystemExit:
+            pytest.fail(f"the table read {argv}, which argparse refuses: {err.getvalue()}")
+    assert unread == []
+    # repr keeps apart nan, -0.0, 1 and 1.0
+    assert [(key, repr(value)) for key, value in vars(table).items()] == [
+        (key, repr(value)) for key, value in vars(expected).items()]

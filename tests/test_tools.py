@@ -131,6 +131,38 @@ def test_a_baseline_trees_verify_stages_are_its_own(monkeypatch):
             del sys.modules[name]
 
 
+def test_a_baseline_trees_engine_stages_are_its_own(monkeypatch):
+    # the baseline's ccdf calls run its own main, every engine stage it times, parsing
+    # included, is its module's, and each of its calls runs right after this tree's
+    recorder = load_recorder(monkeypatch)
+    monkeypatch.setattr(recorder, "STAGE_ROUNDS", 1)
+    try:
+        stages, baseline_cli = recorder._baseline_engine(ROOT / "src")
+        assert baseline_cli.__name__ == f"{recorder.BASELINE_PACKAGE}.cli"
+        assert len(stages) == len(recorder.ENGINE_STAGES)
+        for (owner, name, stage), (src_owner, src_name, src_stage) in zip(
+                stages, recorder.ENGINE_STAGES):
+            assert (name, stage) == (src_name, src_stage)
+            assert recorder.binding(owner, name) is not recorder.binding(src_owner, src_name)
+        options = {"command": "ccdf", "paths": 2, "nt": 16, "nr": 4, "trials": 20}
+        call = recorder._ccdf_call(options, baseline_cli)
+        rounds = recorder._timed_rounds({"baseline": (stages, call)})["baseline"]
+        timed = {stage for stage, values in rounds.items() if min(values) > 0.0}
+        assert timed >= {"parsing", "draw", "gram_pair", "optimum", "scheme", "losses",
+                         "emission"}
+        seen = {}
+        monkeypatch.setattr(recorder, "_timed_rounds", lambda runs: seen.update(runs) or {
+            name: {"all": [1.0, 2.0], "draw": [0.5, 0.5]} for name in runs})
+        doc = recorder.per_layer(ROOT / "src")
+        calls = list(recorder._ccdf_calls())
+        assert list(seen) == ["verify", "baseline verify",
+                              *(run for name in calls for run in (name, f"baseline {name}"))]
+        assert list(doc["baseline_engine"]["configs"]) == list(doc["engine"]["configs"]) == calls
+    finally:
+        for name in [name for name in sys.modules if name.startswith(recorder.BASELINE_PACKAGE)]:
+            del sys.modules[name]
+
+
 def test_cold_start_rows_come_from_fresh_interpreters(monkeypatch):
     # each command's rows hold COLD_SPAWNS samples per tree, and a module that a command
     # does not import reads 0
@@ -139,6 +171,7 @@ def test_cold_start_rows_come_from_fresh_interpreters(monkeypatch):
     assert times["import_cli"] > 0.0 and times["first_main"] > 0.0
     imported = recorder.importtime_us(stderr)
     assert imported["mmwbeam.cli"][0] > 0 and "mmwbeam.verify" not in imported
+    assert "argparse" not in imported
     assert imported["numpy.random"][1] >= imported["numpy.random"][0] > 0
     monkeypatch.setattr(recorder, "COLD_SPAWNS", 2)
     monkeypatch.setattr(recorder, "_cold_child", lambda src, argv, importtime: (
@@ -149,7 +182,8 @@ def test_cold_start_rows_come_from_fresh_interpreters(monkeypatch):
     assert rows["import_cli"]["median_ms"] == 100.0
     assert rows["mmwbeam.verify"]["median_ms"] == 0.0
     assert rows["mmwbeam.cli"]["median_ms"] == pytest.approx(imported["mmwbeam.cli"][0] / 1e3)
-    assert {"numpy cumulative", "numpy.random cumulative"} <= set(rows)
+    assert {"numpy cumulative", "numpy.random cumulative", "argparse cumulative"} <= set(rows)
+    assert rows["argparse"]["median_ms"] == 0.0
 
 
 def test_slowest_tests_are_read_from_the_durations_report(monkeypatch):

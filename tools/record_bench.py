@@ -28,14 +28,15 @@ The file has four parts:
   ``cold_start``, for each of ``ccdf``, ``verify`` and ``closedform``, the
   quartiles over ``COLD_SPAWNS`` fresh interpreters of the time to import
   ``mmwbeam.cli``, of the first ``main`` call, and of the ``-X importtime``
-  self time of each ``mmwbeam`` module, of ``numpy`` and of ``numpy.random``
-  (with the cumulative time of the last two).  With
+  self time of each ``mmwbeam`` module, and the self and cumulative times of
+  ``numpy``, ``numpy.random`` and ``argparse``.  With
   ``--baseline``, the same rows of another checkout's ``src`` are recorded
   in the same rounds, the two trees taking turns: its cold start, and, under
-  ``baseline_stages``, its ``verify`` stages, from its package imported
-  beside this one under another name, whose round runs right after this
-  tree's in each round.  A stage function that the baseline lacks is not
-  timed there.
+  ``baseline_stages`` and ``baseline_engine``, its ``verify`` stages and the
+  stages of its ``ccdf`` calls, parsing included, from its package imported
+  beside this one under another name, whose verify round and each ``ccdf``
+  call run right after this tree's same run in each round.  A stage function
+  that the baseline lacks is not timed there.
 
 After writing the file the script prints each row beside the same row of
 the newest earlier ``BENCH_<n>.json`` in the repository root.
@@ -78,8 +79,9 @@ SECONDS = 20.0
 # Fresh interpreters per command and source tree that the cold-start part runs.
 COLD_SPAWNS = 11
 # Modules besides the package's whose -X importtime self and cumulative times the
-# cold-start part records: numpy loads numpy.random on the first draw.
-COLD_MODULES = ("numpy", "numpy.random")
+# cold-start part records: numpy loads numpy.random on the first draw, and cli loads
+# argparse only for a line its flag table does not read.
+COLD_MODULES = ("numpy", "numpy.random", "argparse")
 # A fresh interpreter of the cold-start part: it imports mmwbeam.cli from the tree
 # given first, runs the command line given second, and prints its two times.
 _COLD_CHILD = """\
@@ -234,28 +236,40 @@ STAGES = [
     (beamformer, "_optimal_snr", "reduced_snr"),
 ]
 
-# The same for a ccdf call, at the bindings montecarlo and cli call: montecarlo
-# imports its kernels by name, and _SCHEME_SNR holds the scheme kernels.  The
-# self time of _trial_losses is the chunk loop itself: the frequency stack, the
-# SNR ratios and the log10 of each loss.
-ENGINE_STAGES = [
-    (cli, "_parse", "parsing"),
-    (montecarlo, "_draw_chunk", "draw"),
-    (montecarlo, "spatial_frequencies", "gram_pair"),
-    (montecarlo, "_grams", "gram_pair"),
-    (montecarlo, "_optimal_snr", "optimum"),
-    *((montecarlo._SCHEME_SNR, scheme, "scheme") for scheme in montecarlo._SCHEME_SNR),
-    (montecarlo, "_trial_losses", "losses"),
-    (montecarlo, "ccdf_to_csv", "emission"),
-    (montecarlo, "ccdf_to_dict", "emission"),
-    (cli, "_wrap_json", "emission"),
-    (cli, "_emit", "emission"),
-]
+def engine_stages(cli_module, montecarlo_module) -> list:
+    """The same for a ccdf call, at the bindings of the given ``cli`` and ``montecarlo``.
+
+    ``montecarlo`` imports its kernels by name, and ``_SCHEME_SNR`` holds the
+    scheme kernels.  The self time of ``_trial_losses`` is the chunk loop
+    itself: the frequency stack, the SNR ratios and the log10 of each loss.
+    """
+    schemes = getattr(montecarlo_module, "_SCHEME_SNR", {})
+    return [
+        (cli_module, "_parse", "parsing"),
+        (montecarlo_module, "_draw_chunk", "draw"),
+        (montecarlo_module, "spatial_frequencies", "gram_pair"),
+        (montecarlo_module, "_grams", "gram_pair"),
+        (montecarlo_module, "_optimal_snr", "optimum"),
+        *((schemes, scheme, "scheme") for scheme in schemes),
+        (montecarlo_module, "_trial_losses", "losses"),
+        (montecarlo_module, "ccdf_to_csv", "emission"),
+        (montecarlo_module, "ccdf_to_dict", "emission"),
+        (cli_module, "_wrap_json", "emission"),
+        (cli_module, "_emit", "emission"),
+    ]
+
+
+ENGINE_STAGES = engine_stages(cli, montecarlo)
 
 
 def binding(owner, name: str):
     """What ``owner`` binds to ``name``: an attribute of a module or class, or a dict entry."""
     return owner[name] if isinstance(owner, dict) else getattr(owner, name)
+
+
+def _bound(owner, name: str) -> bool:
+    """Whether ``owner`` binds a function to ``name``."""
+    return callable(owner.get(name) if isinstance(owner, dict) else getattr(owner, name, None))
 
 
 def _rebind(owner, name: str, fn) -> None:
@@ -341,13 +355,11 @@ def _verify_round(index: int, suites=verify) -> None:
 BASELINE_PACKAGE = "baseline_mmwbeam"
 
 
-def _baseline_verify(src: Path) -> tuple[list, object]:
-    """``(stages, run)`` of the verify round of the ``mmwbeam`` package under ``src``.
+def _baseline_module(src: Path, name: str):
+    """The module of the ``mmwbeam`` package under ``src`` that ``name`` names in this tree.
 
     The package is imported once, as ``BASELINE_PACKAGE``; its modules import
-    one another by relative name, so none of them is this tree's.  Each of
-    :data:`STAGES` is timed on the baseline's module of the same name, where
-    that module has the function.
+    one another by relative name, so none of them is this tree's.
     """
     if BASELINE_PACKAGE not in sys.modules:
         package_dir = src / "mmwbeam"
@@ -357,21 +369,42 @@ def _baseline_verify(src: Path) -> tuple[list, object]:
         package = importlib.util.module_from_spec(spec)
         sys.modules[BASELINE_PACKAGE] = package
         spec.loader.exec_module(package)
+    return importlib.import_module(name.replace("mmwbeam", BASELINE_PACKAGE, 1))
+
+
+def _baseline_verify(src: Path) -> tuple[list, object]:
+    """``(stages, run)`` of the verify round of the ``mmwbeam`` package under ``src``.
+
+    Each of :data:`STAGES` is timed on the baseline's module of the same
+    name, where that module has the function.
+    """
     stages = []
     for owner, name, stage in STAGES:
-        module = importlib.import_module(owner.__name__.replace("mmwbeam", BASELINE_PACKAGE, 1))
-        if callable(getattr(module, name, None)):
+        module = _baseline_module(src, owner.__name__)
+        if _bound(module, name):
             stages.append((module, name, stage))
-    baseline = importlib.import_module(f"{BASELINE_PACKAGE}.verify")
+    baseline = _baseline_module(src, verify.__name__)
     return stages, lambda index: _verify_round(index, baseline)
 
 
-def _ccdf_call(options: dict):
-    """``run(index)`` for :func:`_timed_rounds`: the ``ccdf`` call at seed ``index``, in-process."""
+def _baseline_engine(src: Path) -> tuple[list, object]:
+    """``(stages, cli)`` of a ccdf call of the ``mmwbeam`` package under ``src``.
+
+    The stages are :func:`engine_stages` of the baseline's ``cli`` and
+    ``montecarlo``, each where the baseline binds the function.
+    """
+    baseline_cli = _baseline_module(src, cli.__name__)
+    stages = engine_stages(baseline_cli, _baseline_module(src, montecarlo.__name__))
+    return [entry for entry in stages if _bound(*entry[:2])], baseline_cli
+
+
+def _ccdf_call(options: dict, cli_module=cli):
+    """``run(index)`` for :func:`_timed_rounds`: the ``ccdf`` call at seed ``index``, in-process,
+    through the ``main`` of ``cli_module``."""
     def run(index: int) -> None:
         argv = workloads.argv({**options, "seed": index})
         with contextlib.redirect_stdout(io.StringIO()):
-            if cli.main(argv) != 0:
+            if cli_module.main(argv) != 0:
                 raise RuntimeError(f"mmwbeam {' '.join(argv)} failed")
 
     return run
@@ -408,21 +441,25 @@ def _engine(calls: dict, rounds: dict) -> dict:
 def per_layer(baseline: Path | None = None) -> dict:
     """Quartiles per round of each verify stage, and of the engine's stages per ccdf call.
 
-    ``baseline`` names another tree's ``src``, whose verify stages are
-    recorded too, under ``baseline_stages``.
+    ``baseline`` names another tree's ``src``, whose verify stages and
+    engine stages are recorded too, under ``baseline_stages`` and
+    ``baseline_engine``: each of its runs follows this tree's same run.
     """
     calls = _ccdf_calls()
     runs = {"verify": (STAGES, _verify_round)}
     if baseline is not None:
         runs["baseline verify"] = _baseline_verify(baseline)
-    runs.update((name, (ENGINE_STAGES, _ccdf_call(options))) for name, options in calls.items())
+        baseline_stages, baseline_cli = _baseline_engine(baseline)
+    for name, options in calls.items():
+        runs[name] = (ENGINE_STAGES, _ccdf_call(options))
+        if baseline is not None:
+            runs[f"baseline {name}"] = (baseline_stages, _ccdf_call(options, baseline_cli))
     rounds = _timed_rounds(runs)
     layer = {
         "unit": "ms per verify-oracles round (prop1 40 instances, prop2-prop4 10 each)",
         "rounds": STAGE_ROUNDS,
-        "schedule": "round-robin: each round runs the verify round"
-                    + (", then the baseline's" if baseline is not None else "")
-                    + ", then each ccdf call once",
+        "schedule": "round-robin: each round runs the verify round, then each ccdf call once"
+                    + (", each run followed by the baseline's" if baseline is not None else ""),
     }
     for key, run in (("stages", "verify"), ("baseline_stages", "baseline verify")):
         if run in rounds:
@@ -430,6 +467,9 @@ def per_layer(baseline: Path | None = None) -> dict:
             suites["all_suites"] = suites.pop("all")
             layer[key] = _summary(suites, "ms")
     layer["engine"] = _engine(calls, rounds)
+    if baseline is not None:
+        layer["baseline_engine"] = _engine(
+            calls, {name: rounds[f"baseline {name}"] for name in calls})
     return layer
 
 
@@ -446,11 +486,12 @@ def _rows(doc: dict) -> dict:
         rows[f"verify {stage} median_ms"] = values["median_ms"]
     for stage, values in layer.get("baseline_stages", {}).items():
         rows[f"verify baseline {stage} median_ms"] = values["median_ms"]
-    engine_part = layer.get("engine")
-    if isinstance(engine_part, dict):
-        for config, entry in engine_part["configs"].items():
-            for stage, values in entry["stages"].items():
-                rows[f"engine {config} {stage} median_us"] = values["median_us"]
+    for key, prefix in (("engine", "engine"), ("baseline_engine", "engine baseline")):
+        engine_part = layer.get(key)
+        if isinstance(engine_part, dict):
+            for config, entry in engine_part["configs"].items():
+                for stage, values in entry["stages"].items():
+                    rows[f"{prefix} {config} {stage} median_us"] = values["median_us"]
     for tree, commands in layer.get("cold_start", {}).get("trees", {}).items():
         for command, stages in commands.items():
             for stage, values in stages.items():
@@ -459,12 +500,22 @@ def _rows(doc: dict) -> dict:
 
 
 def compare_trees(layer: dict) -> None:
-    """Print each verify stage and cold-start row of the baseline tree beside this tree's."""
+    """Print each verify stage, engine stage and cold-start row of the baseline tree beside
+    this tree's."""
     print(f"{'verify stage, median ms':<40} {'baseline':>10} {'src':>10} {'saved':>10}")
     for stage in sorted(layer["stages"].keys() | layer["baseline_stages"].keys()):
         before, after = (layer[key].get(stage, {}).get("median_ms", 0.0)
                          for key in ("baseline_stages", "stages"))
         print(f"{stage:<40} {before:10.3f} {after:10.3f} {before - after:10.3f}")
+    print(f"{'engine stage, median us':<40} {'baseline':>10} {'src':>10} {'saved':>10}")
+    for config, entry in layer["engine"]["configs"].items():
+        stages = entry["stages"]
+        baseline_stages = layer["baseline_engine"]["configs"][config]["stages"]
+        print(config)
+        for stage in sorted(stages.keys() | baseline_stages.keys()):
+            before, after = (part.get(stage, {}).get("median_us", 0.0)
+                             for part in (baseline_stages, stages))
+            print(f"  {stage:<38} {before:10.1f} {after:10.1f} {before - after:10.1f}")
     trees = layer["cold_start"]["trees"]
     print(f"{'cold start, median ms':<40} {'baseline':>10} {'src':>10} {'saved':>10}")
     for command, stages in trees["src"].items():
@@ -505,8 +556,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="path of the JSON file to write")
     parser.add_argument("--baseline", type=Path, default=None,
-                        help="checkout (such as the parent commit's) whose src/ verify stages "
-                             "and cold start are recorded beside this one's")
+                        help="checkout (such as the parent commit's) whose src/ verify stages, "
+                             "ccdf engine stages and cold start are recorded beside this one's")
     args = parser.parse_args(argv)
     trees = {"src": ROOT / "src"}
     if args.baseline is not None:
