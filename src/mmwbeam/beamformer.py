@@ -611,10 +611,15 @@ def _equal_power_snr(
     live = norm_sq > MIN_BEAM_NORM_SQ
     theta = np.where(live, phi, 0.0) - turn
     norm = np.sqrt(np.where(live, norm_sq, 2.0 + 2.0 * delta))
-    weights = np.stack([np.ones_like(theta), np.exp(1j * theta)], axis=-1) / norm[:, None]
+    weights = np.empty((len(theta), 2), dtype=complex)
+    weights[:, 0] = 1.0
+    weights[:, 1] = np.exp(1j * theta)
+    weights /= norm[:, None]
     w0, w1 = weights[:, 0], weights[:, 1]
-    couplings = np.stack([w0 + rho * w1, np.conj(rho) * w0 + w1], axis=-1)
-    return _matched_snr(gains, couplings[..., None], gram_r), weights
+    couplings = np.empty((len(theta), 2, 1), dtype=complex)
+    couplings[:, 0, 0] = w0 + rho * w1
+    couplings[:, 1, 0] = np.conj(rho) * w0 + w1
+    return _matched_snr(gains, couplings, gram_r), weights
 
 
 def reduced_optimal_beamformer(

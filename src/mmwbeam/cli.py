@@ -11,8 +11,7 @@ A process loads only what its command runs: ``closedform``, ``montecarlo``
 or ``verify`` is imported by the command that uses it.  A command line made
 of a command and exact ``--flag value`` pairs of that command's flags is
 read straight from its parameter table, without argparse; any other line is
-left to argparse, imported then, and to the parser of that command alone
-where the line names one (see :func:`_parse`).
+left to argparse, imported then (see :func:`_parse`).
 
 Exit codes: 0 success, 2 usage error (a run too large for memory included), 3 I/O error,
 4 verification failure.
@@ -139,13 +138,6 @@ def _unset(command: str) -> dict[str, None]:
     return dict.fromkeys(["command", *(name for name, *_ in _flags(command).values())])
 
 
-def _add_arguments(sub: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
-    """``sub`` with the flags of ``command``."""
-    for flag, (_, kind, choices, text) in _flags(command).items():
-        sub.add_argument(flag, type=kind, choices=choices, default=None, help=text)
-    return sub
-
-
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use and shared.
@@ -165,7 +157,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
         def parse_known_args(self, args=None, namespace=None):
             if self._command is not None:
-                _add_arguments(self, self._command)
+                for flag, (_, kind, choices, text) in _flags(self._command).items():
+                    self.add_argument(flag, type=kind, choices=choices, default=None, help=text)
                 self._command = None
             return super().parse_known_args(args, namespace)
 
@@ -178,18 +171,6 @@ def _build_parser() -> argparse.ArgumentParser:
     for command, text in _COMMAND_HELP.items():
         subs.add_parser(command, help=text, command=command)
     return parser
-
-
-@functools.lru_cache(maxsize=None)
-def _command_parser(command: str) -> argparse.ArgumentParser:
-    """The subparser of ``command`` alone, as :func:`_build_parser` builds it, and shared.
-
-    ``add_parser`` builds a subparser as an ``ArgumentParser`` named by the
-    program and the command, so its usage, help and errors read the same.
-    """
-    import argparse
-
-    return _add_arguments(argparse.ArgumentParser(prog=f"mmwbeam {command}"), command)
 
 
 def _parse_table(command: str, pairs: list) -> types.SimpleNamespace | None:
@@ -227,31 +208,14 @@ def _parse(argv) -> argparse.Namespace | types.SimpleNamespace:
     A line whose first word names a command and whose rest is exact
     ``--flag value`` pairs of that command is read straight from the flag
     table (:func:`_parse_table`), with the namespace argparse would give and
-    without importing argparse.  Every other line goes to argparse,
-    imported then.  The full parser would hand everything after the command
-    word to that command's subparser, so where the first word names a
-    command the rest goes to a parser of that command alone, with the same
-    namespace and messages; this covers ``-h``, ``--flag=value``,
-    abbreviations, negative numbers and every bad value.  The full parser
-    is built only for the lines it takes: no command or an unknown one,
-    ``--`` anywhere (argparse versions differ in what they hand on after
-    it), and a line with an argument the subparser leaves unread, which only
-    the full parser reports.
+    without importing argparse.  Every other line goes to the full parser,
+    argparse imported then.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
     if argv and argv[0] in _COMMAND_HELP:
-        command = argv[0]
-        namespace = _parse_table(command, argv[1:])
+        namespace = _parse_table(argv[0], argv[1:])
         if namespace is not None:
             return namespace
-        if "--" not in argv:
-            import argparse
-
-            namespace, unread = _command_parser(command).parse_known_args(
-                argv[1:], argparse.Namespace(command=command)
-            )
-            if not unread:
-                return namespace
     return _build_parser().parse_args(argv)
 
 
@@ -435,48 +399,50 @@ def _preamble(run_config: dict) -> list[str]:
     ]
 
 
-# Placeholder of the i-th list of floats in a JSON document under emission.
-_FLOAT_LIST_STUB = "\0float list %d\0"
+# The types json writes as one token; a container of these alone is encoded in one call.
+_SCALARS = {str, int, float, bool, type(None)}
 
 
-def _stub_float_lists(obj, lists: list):
-    """``obj`` with each non-empty list of floats replaced by a placeholder string.
+def _json_text(obj, pad: str) -> str:
+    """``obj`` laid out as ``json.dumps(obj, sort_keys=True, indent=2)`` does, at indent ``pad``.
 
-    The lists go to ``lists``; the ``i``-th placeholder is ``_FLOAT_LIST_STUB % i``.
+    With an indent, json runs its pure-Python encoder, which costs a few
+    microseconds a float.  Its layout is the compact one, keys sorted, with
+    a newline and the indent after each item separator and inside each
+    non-empty bracket pair.  So a list, tuple or dict of scalars alone goes
+    to json's C encoder in one call, the newline and indent passed in its
+    item separator (json escapes every newline of a string, so none is
+    written but these), and a scalar in one call of its own; the containers
+    around them are laid out here.  A key that is not a ``str`` raises
+    ``TypeError``, where json would write it as one.
     """
+    inner = pad + "  "
     if isinstance(obj, dict):
-        return {key: _stub_float_lists(value, lists) for key, value in obj.items()}
-    if isinstance(obj, list):
-        if obj and all(type(item) is float for item in obj):
-            lists.append(obj)
-            return _FLOAT_LIST_STUB % (len(lists) - 1)
-        return [_stub_float_lists(item, lists) for item in obj]
-    return obj
+        if not obj:
+            return "{}"
+        if not all(isinstance(key, str) for key in obj):
+            raise TypeError("keys must be str")
+        if {*map(type, obj.values())} <= _SCALARS:
+            body = json.dumps(obj, sort_keys=True, separators=(",\n" + inner, ": "))[1:-1]
+        else:
+            items = (f"{json.dumps(key)}: {_json_text(obj[key], inner)}" for key in sorted(obj))
+            body = f",\n{inner}".join(items)
+        return f"{{\n{inner}{body}\n{pad}}}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if {*map(type, obj)} <= _SCALARS:
+            body = json.dumps(obj, separators=(",\n" + inner, ": "))[1:-1]
+        else:
+            body = f",\n{inner}".join(_json_text(item, inner) for item in obj)
+        return f"[\n{inner}{body}\n{pad}]"
+    return json.dumps(obj)
 
 
 def _wrap_json(run_config: dict, results) -> str:
-    """The document ``json.dumps(doc, sort_keys=True, indent=2)`` writes, and a newline.
-
-    With an indent, json runs its pure-Python encoder, which costs a few
-    microseconds a float.  So each list of floats is encoded by the C encoder
-    instead (``indent=None``: the same tokens, ", "-separated) and laid out at
-    the indent of its placeholder's line.  A placeholder that the document's
-    own strings repeat leaves the whole document to the plain call.
-    """
+    """The document ``json.dumps(doc, sort_keys=True, indent=2)`` writes, and a newline."""
     doc = {"config": run_config, "version": __version__, "results": results}
-    lists: list = []
-    text = json.dumps(_stub_float_lists(doc, lists), sort_keys=True, indent=2)
-    stubs = [json.dumps(_FLOAT_LIST_STUB % i) for i in range(len(lists))]
-    if any(text.count(stub) != 1 for stub in stubs):
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    for stub, values in zip(stubs, lists):
-        at = text.index(stub)
-        line = text[text.rfind("\n", 0, at) + 1 : at]
-        pad = line[: len(line) - len(line.lstrip(" "))]
-        tokens = json.dumps(values)[1:-1].split(", ")
-        body = f",\n{pad}  ".join(tokens)
-        text = f"{text[:at]}[\n{pad}  {body}\n{pad}]{text[at + len(stub):]}"
-    return text + "\n"
+    return _json_text(doc, "") + "\n"
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -491,14 +457,9 @@ def _error_record(kind: str, message: str) -> None:
     sys.stderr.write(json.dumps({"error": {"type": kind, "message": message}}) + "\n")
 
 
-def _resolved_params(command: str, args: dict) -> dict:
-    names = list(_params(command)) + ["seed"]
-    return {k: args.get(k) for k in names}
-
-
 def _run_config(command: str, args: dict, out_path: str | None, fmt: str) -> dict:
     """The resolved configuration of one invocation, as every output records it."""
-    parameters = _resolved_params(command, args)
+    parameters = {key: args.get(key) for key in [*_params(command), "seed"]}
     return {"command": command, "parameters": parameters, "output_path": out_path, "format": fmt}
 
 
@@ -533,16 +494,16 @@ def main(argv=None) -> int:
             from . import montecarlo
 
             _require(args, "paths", "ccdf")
-            # McConfig field -> ccdf parameter, for every parameter the output records
-            names = {_CCDF_FIELDS.get(key, key): key for key in _resolved_params(command, args)}
-            given = {field: args[key] for field, key in names.items() if args.get(key) is not None}
+            # ccdf parameter -> McConfig field, for every parameter the output records
+            fields = {key: _CCDF_FIELDS.get(key, key) for key in [*_params(command), "seed"]}
+            given = {field: args[key] for key, field in fields.items() if args.get(key) is not None}
             try:
                 cfg = montecarlo.McConfig.from_dict({"trials": 10_000, "seed": 0, **given})
             except ValueError as err:
                 raise UsageError(str(err)) from err
             recorded = cfg.to_dict()
-            args.update({key: recorded[field] for field, key in names.items()})
-            run_config = _run_config(command, args, out_path, fmt)
+            resolved = {key: recorded[field] for key, field in fields.items()}
+            run_config = _run_config(command, resolved, out_path, fmt)
             table = montecarlo.run_ccdf(cfg)
             if fmt == "json":
                 results = montecarlo.ccdf_to_dict(table)

@@ -34,8 +34,8 @@ the optimum and the scheme SNR come from the stacked L x L kernels of
 ``beamformer._losses_db``, one division and one log pass with the bits
 ``beamformer._loss_db`` gives each pair; no steering vector is formed, so a
 trial's cost does not depend on Nt or Nr.  The chunk size follows from the
-O(L^2) per-trial working set, a fixed budget of ``_CHUNK_BYTES`` and a cap
-of ``_MAX_CHUNK_TRIALS``, so memory stays bounded for any trial count.  The
+O(L^2) per-trial working set and a fixed budget of ``_CHUNK_BYTES``, so
+memory stays bounded for any trial count.  The
 public per-channel route ``sample_paths`` -> ``reduced_optimal_beamformer``
 -> ``SCHEMES[scheme]`` draws its trial as a chunk of one through the same
 draw route, calls the same kernels and reproduces every loss bit for bit.
@@ -102,9 +102,8 @@ _MAX_RESAMPLE = 100
 # channel is zero to within rounding and the loss would be 0/0.
 _MIN_GAIN = 1e-150
 
-# Working-set budget and trial cap of one chunk of trials (see _chunk_trials).
+# Working-set budget of one chunk of trials (see _chunk_trials).
 _CHUNK_BYTES = 1 << 20
-_MAX_CHUNK_TRIALS = 256
 
 
 def _check_integers(**values) -> None:
@@ -284,24 +283,25 @@ def sample_paths(cfg: McConfig, trial_index: int) -> list[PathComponent]:
 
 
 def _chunk_trials(cfg: McConfig) -> int:
-    """Trials per chunk: at most ``_MAX_CHUNK_TRIALS``, and as many as fit ``_CHUNK_BYTES``.
+    """Trials per chunk: as many as fit ``_CHUNK_BYTES``.
 
     A trial's arrays do not depend on Nt or Nr.  Counted below are ten
     complex L x L arrays of a trial alive at once (its two Grams, the factor
     of G_t, and the products and entry-by-entry temporaries of the kernels)
     and half a kilobyte of draws, SNRs and Python floats: 672 bytes at L =
-    1, 1.2 kB at L = 2, 2.0 kB at L = 3 and 4.5 kB at L = 5.  With the trial
-    cap lifted, a run's peak beyond its losses, measured with
-    ``tracemalloc``, stays within 0.36, 0.78, 0.94 and 0.75 of
-    ``_CHUNK_BYTES`` at these L.  Past
-    a few hundred trials a larger chunk gains little: the fixed cost of a
-    chunk, one generator and one to three hundred small numpy calls
-    (0.1-0.35 ms on a 2-vCPU x86-64 box with numpy 2.4, against about 0.3,
-    0.4-1.4, 1.4-1.9 and 7-11 microseconds per trial at L = 1, 2, 3 and 5),
-    is then about 1 microsecond per trial.
+    1, 1.2 kB at L = 2, 2.0 kB at L = 3 and 4.5 kB at L = 5, so a chunk
+    holds 1560, 910, 537 and 232 trials.  A run's peak beyond its losses,
+    measured with ``tracemalloc``, stays within 0.36, 0.78, 0.94 and 0.75
+    of ``_CHUNK_BYTES`` at these L.  The fixed cost of a chunk, one
+    generator and one to three hundred small numpy calls (0.1-0.35 ms on a
+    2-vCPU x86-64 box with numpy 2.4), is large beside the cost per trial
+    (about 0.3, 0.4-1.4, 1.4-1.9 and 7-11 microseconds at L = 1, 2, 3 and
+    5), so fewer, larger chunks pay: 10^5 trials took 52, 107 and 260 ms
+    at L = 1, 2 and 3 in chunks of this size, against 82, 161 and 306 ms in
+    chunks of 256 (medians of five runs on the same box).
     """
     per_trial = 10 * 16 * cfg.num_paths**2 + 512
-    return max(1, min(cfg.trials, _MAX_CHUNK_TRIALS, _CHUNK_BYTES // per_trial))
+    return max(1, min(cfg.trials, _CHUNK_BYTES // per_trial))
 
 
 def _trial_losses(cfg: McConfig) -> tuple[np.ndarray, int]:
@@ -314,9 +314,9 @@ def _trial_losses(cfg: McConfig) -> tuple[np.ndarray, int]:
     num_resampled = 0
     for start in range(0, cfg.trials, chunk):
         trials = range(start, min(start + chunk, cfg.trials))
-        gains, aod, aoa, redraws = _draw_chunk(cfg, trials)
+        gains, *ends, redraws = _draw_chunk(cfg, trials)
         num_resampled += redraws
-        freqs = spatial_frequencies(np.stack([aod, aoa]))
+        freqs = spatial_frequencies(ends)
         gram_t, gram_r = _grams(sizes, cfg.spacing_wavelengths, freqs)
         optimal, _ = _optimal_snr(gains, gram_t, gram_r)
         scheme, _ = scheme_snr(gains, gram_t, gram_r)

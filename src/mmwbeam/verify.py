@@ -91,9 +91,10 @@ _PATH_COUNTS, _TX_SIZES, _RX_SIZES = (1, 2, 3, 5), (8, 16, 64), (2, 4)
 # Transmit and receive array sizes of the allocation suites' ULA channels.
 _FIXTURE_NT, _FIXTURE_NR = 16, 8
 
-# Instances a suite draws and checks in one array pass: at any trial count a
-# pass holds at most this many instances, the engine's cap on a chunk of trials.
-_CHUNK = montecarlo._MAX_CHUNK_TRIALS
+# Instances a suite draws and checks in one array pass, at any trial count: the
+# allocation suites' beta scans hold (S, 201) grids of several columns each, a few
+# megabytes at this many instances.
+_CHUNK = 256
 
 
 def _rel_diff(value: float, ref: float) -> float:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mmwbeam import __version__, cli, montecarlo
 from mmwbeam.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
@@ -772,17 +773,14 @@ class TestParserReuse:
     ]
 
     def test_repeated_calls_give_the_same_bytes(self, capsys):
-        # a valid line builds no parser; the error line builds its command's parser, and it
-        # and --version the full parser, once per process; a second round must not see the first
-        cli._command_parser.cache_clear()
+        # a valid line builds no parser; the error line and --version build the full parser,
+        # once per process; a second round must not see the first
         cli._build_parser.cache_clear()
         first = [run_cli(capsys, *argv) for argv in self.ARGVS]
         second = [run_cli(capsys, *argv) for argv in self.ARGVS]
         assert second == first
-        commands = cli._command_parser.cache_info()
-        assert (commands.misses, commands.currsize) == (1, 1)
-        assert cli._command_parser("closedform") is cli._command_parser("closedform")
-        assert cli._build_parser.cache_info().misses == 1
+        parsers = cli._build_parser.cache_info()
+        assert (parsers.misses, parsers.currsize) == (1, 1)
         codes = [code for code, _, _ in first]
         assert codes == [EXIT_OK] * 4 + [EXIT_USAGE, EXIT_OK]
         assert first[4][2].startswith("usage: mmwbeam")
@@ -791,37 +789,35 @@ class TestParserReuse:
 
 class TestDirectParse:
     # (argv, the route that parses it): "table" reads a command and exact --flag value pairs
-    # of its flags without argparse; "command" is the command's parser alone, for every
-    # other line that names a command, unless it holds "--" or an argument that parser
-    # leaves unread, which go to the "full" parser
+    # of its flags without argparse; every other line goes to the "full" parser
     CORPUS = [
         (["closedform", "--case", "v-orth", "--a1", "2", "--a2", "1", "--uu", "0.5"], "table"),
         (["closedform", "--case=v-orth", "--a1=2", "--a2=1", "--uu=0.5", "--format=csv"],
-         "command"),
+         "full"),
         (["sweep", "--case", "u-orth", "--k-min", "1", "--k-max", "4", "--k-points", "5",
           "--vv", "0.3"], "table"),
         (["ccdf", "--paths", "3", "--trials", "20", "--nt", "8"], "table"),
-        (["ccdf", "--paths=2", "--trials=10", "--scheme=equal_power", "--format=json"], "command"),
-        (["ccdf", "--path", "2", "--trials", "5"], "command"),
+        (["ccdf", "--paths=2", "--trials=10", "--scheme=equal_power", "--format=json"], "full"),
+        (["ccdf", "--path", "2", "--trials", "5"], "full"),
         (["ccdf", "--config", "{config}", "--nt", "8"], "table"),
         (["verify", "--suite", "prop1", "--trials", "2"], "table"),
-        (["ccdf", "-h"], "command"),
-        (["ccdf", "--paths", "2", "--scheme", "nope"], "command"),
-        (["ccdf", "--paths", "x"], "command"),
-        (["ccdf", "--paths"], "command"),
+        (["ccdf", "-h"], "full"),
+        (["ccdf", "--paths", "2", "--scheme", "nope"], "full"),
+        (["ccdf", "--paths", "x"], "full"),
+        (["ccdf", "--paths"], "full"),
         (["ccdf", "--trials", "5"], "table"),
         (["closedform", "--case", "v-orth", "--uu", "0.5"], "table"),
         (["ccdf", "--paths", "3", "--trials", "5", "--paths", "2", "--nt", " 8"], "table"),
         (["ccdf", "--paths", "2", "--trials", "1_0", "--spacing", "nan"], "table"),
         (["ccdf", "--paths", "2", "--trials", "5", "--spacing", "1e999"], "table"),
-        (["ccdf", "--paths", "2", "--trials", ""], "command"),
-        (["ccdf", "--paths", "2", "--trials", "5", "--seed", "-5"], "command"),
-        (["ccdf", "--paths", "2", "--trials", "5", "--spacing", "-.5"], "command"),
-        (["ccdf", "--paths", "2", "--out", "-x"], "command"),
-        (["ccdf", "--paths", "2", "--trials", "5", "--format", "-h"], "command"),
-        (["ccdf", "--paths", "2", "--trials", "5", "--paths"], "command"),
-        (["ccdf", "--paths", "2", "--trials", "5", "--rng", "pcg64"], "command"),
-        (["closedform", "--case", "u-orth", "--case", "nope", "--a1", "2"], "command"),
+        (["ccdf", "--paths", "2", "--trials", ""], "full"),
+        (["ccdf", "--paths", "2", "--trials", "5", "--seed", "-5"], "full"),
+        (["ccdf", "--paths", "2", "--trials", "5", "--spacing", "-.5"], "full"),
+        (["ccdf", "--paths", "2", "--out", "-x"], "full"),
+        (["ccdf", "--paths", "2", "--trials", "5", "--format", "-h"], "full"),
+        (["ccdf", "--paths", "2", "--trials", "5", "--paths"], "full"),
+        (["ccdf", "--paths", "2", "--trials", "5", "--rng", "pcg64"], "full"),
+        (["closedform", "--case", "u-orth", "--case", "nope", "--a1", "2"], "full"),
         (["--version"], "full"),
         (["-h"], "full"),
         (["--version", "ccdf"], "full"),
@@ -841,24 +837,17 @@ class TestDirectParse:
         corpus = [[arg.format(config=config) for arg in argv] for argv, _ in self.CORPUS]
         parses = []
         parse_args = argparse.ArgumentParser.parse_args
-        parse_known_args = argparse.ArgumentParser.parse_known_args
 
         def spy(parser, args=None, namespace=None):
-            parses.append(("full", parser.prog))
+            parses.append(parser.prog)
             return parse_args(parser, args, namespace)
 
-        def known_spy(parser, args=None, namespace=None):
-            parses.append(("known", parser.prog))
-            return parse_known_args(parser, args, namespace)
-
         monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
-        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", known_spy)
         direct, routes = [], []
         for argv in corpus:
             parses.clear()
             direct.append(run_cli(capsys, *argv))
-            route = "full" if ("full", "mmwbeam") in parses else "command" if parses else "table"
-            routes.append(route)
+            routes.append({(): "table", ("mmwbeam",): "full"}.get(tuple(parses), parses[:]))
         assert routes == [route for _, route in self.CORPUS]
         monkeypatch.setattr(cli, "_parse", lambda argv: cli._build_parser().parse_args(argv))
         assert [run_cli(capsys, *argv) for argv in corpus] == direct
@@ -959,3 +948,39 @@ class TestWrapJson:
         for values in ([0.0, 0.5], [-0.0, 0.5], [0.0, 0.5]):
             results = {"ccdf": values}
             assert cli._wrap_json(self.CONFIG, results) == indented_json(self.CONFIG, results)
+
+
+# Strings a document may hold: any text, non-ASCII text, and the placeholder that an earlier
+# writer put in place of each float list, as it stood and as json encodes it.
+json_strings = st.one_of(
+    st.text(), st.sampled_from(["\0float list 0\0", '"\\u0000float list 1\\u0000"', "é ∞ 😀"]))
+# Floats json writes in its own way: inf, NaN and a negative zero, among any others.
+json_floats = st.one_of(st.floats(), st.sampled_from([math.inf, -math.inf, math.nan, -0.0]))
+json_scalars = st.one_of(st.none(), st.booleans(), st.integers(), json_floats, json_strings)
+# Lists and tuples of floats alone, which the writer hands to json whole.
+float_lists = st.lists(json_floats, max_size=3)
+json_documents = st.recursive(
+    st.one_of(json_scalars, float_lists, float_lists.map(tuple)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(json_strings, children, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(config=json_documents, results=json_documents)
+@example(config={}, results=[])
+@example(config={"x": [-0.0, math.inf, math.nan]}, results=(math.nan,))
+@example(config={"\0float list 0\0": [0.5]}, results={"a": "\0float list 0\0", "b": [1.0]})
+def test_wrap_json_writes_the_bytes_of_the_indented_encoder(config, results):
+    assert cli._wrap_json(config, results) == indented_json(config, results)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(key=st.one_of(st.integers(), st.floats(), st.booleans(), st.none()),
+       results=json_documents)
+def test_wrap_json_refuses_a_key_that_is_no_string(key, results):
+    # json would write such a key as a string; no output of the CLI holds one
+    for doc in ({key: results}, {"rows": [{"a": 1, key: results}]}):
+        with pytest.raises(TypeError):
+            cli._wrap_json({}, doc)

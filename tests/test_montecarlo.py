@@ -213,7 +213,8 @@ class TestStreamContract:
     def test_samples_do_not_depend_on_chunk_size(self, chunk, monkeypatch):
         cfg = small_cfg(num_paths=3, trials=60)
         reference = run_ccdf(cfg).samples_db
-        monkeypatch.setattr(montecarlo, "_MAX_CHUNK_TRIALS", chunk)
+        # a budget of `chunk` trials of 10 complex 3 x 3 arrays and 512 bytes each
+        monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", chunk * (10 * 16 * 9 + 512))
         assert montecarlo._chunk_trials(cfg) == chunk
         assert_same_bits(run_ccdf(cfg).samples_db, reference)
 
@@ -287,7 +288,9 @@ ENGINE_CASES = [
 
 class TestEngineMatchesPublicRoute:
     @pytest.mark.parametrize("scheme,num_paths,sampling", ENGINE_CASES)
-    def test_samples_equal_replay_bit_for_bit(self, scheme, num_paths, sampling):
+    def test_samples_equal_replay_bit_for_bit(self, scheme, num_paths, sampling, monkeypatch):
+        # a quarter of the budget keeps the per-trial replay of 2.5 chunks short
+        monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", montecarlo._CHUNK_BYTES // 4)
         base = dict(num_paths=num_paths, seed=11, nt=128, nr=8, scheme=scheme,
                     angle_sampling=sampling)
         chunk = montecarlo._chunk_trials(McConfig(trials=10**6, **base))
@@ -312,10 +315,8 @@ class TestEngineMatchesPublicRoute:
         ("bidirectional", 1), ("bidirectional", 2), ("equal_power", 2), ("bidirectional", 3),
         ("dominant_tx_mf_rx", 3), ("bidirectional", 5),
     ])
-    def test_chunk_budget_alone_bounds_the_working_set(self, scheme, num_paths, monkeypatch):
-        # with the trial cap lifted the budget sizes each chunk, and a run's peak beyond its
-        # losses stays within the budget
-        monkeypatch.setattr(montecarlo, "_MAX_CHUNK_TRIALS", 10**6)
+    def test_chunk_budget_alone_bounds_the_working_set(self, scheme, num_paths):
+        # the budget alone sizes each chunk, and a run's peak beyond its losses stays within it
         base = dict(num_paths=num_paths, seed=0, nt=64, nr=4, scheme=scheme)
         chunk = montecarlo._chunk_trials(McConfig(trials=10**6, **base))
         cfg = McConfig(trials=2 * chunk + chunk // 2, **base)
@@ -353,8 +354,9 @@ class TestChunkLosses:
         assert losses[:3] == [10.0 * math.log10(2.0), 10.0 * math.log10(1.0 / 0.3), 0.0]
         assert losses[3:] == [math.inf] * 7
 
-    def test_engine_losses_are_the_losses_of_the_kernels(self):
+    def test_engine_losses_are_the_losses_of_the_kernels(self, monkeypatch):
         # over several chunks, each loss is _loss_db of the kernels' SNRs on its trial
+        monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 1 << 18)
         cfg = small_cfg(trials=700, scheme="equal_power", nt=256, nr=16)
         losses = montecarlo._trial_losses(cfg)[0]
         gains, aod, aoa, _ = montecarlo._draw_chunk(cfg, range(cfg.trials))
@@ -397,6 +399,8 @@ class TestResampling:
     def test_count_matches_per_trial_recount(self, monkeypatch):
         # raise the gain floor so that about one draw in twenty is redrawn (17 of 400)
         monkeypatch.setattr(montecarlo, "_MIN_GAIN", 0.5)
+        # chunks of 227 trials, so that redraws fall in more than one
+        monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 1 << 18)
         cfg = small_cfg(num_paths=2, trials=400, nt=128, nr=8)
         assert montecarlo._chunk_trials(cfg) < cfg.trials
         table = run_ccdf(cfg)

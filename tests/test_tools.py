@@ -1,6 +1,7 @@
 """The tools under ``tools/`` still reach the library names they use."""
 
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -184,6 +185,50 @@ def test_cold_start_rows_come_from_fresh_interpreters(monkeypatch):
     assert rows["mmwbeam.cli"]["median_ms"] == pytest.approx(imported["mmwbeam.cli"][0] / 1e3)
     assert {"numpy cumulative", "numpy.random cumulative", "argparse cumulative"} <= set(rows)
     assert rows["argparse"]["median_ms"] == 0.0
+
+
+def test_long_runs_time_each_path_count_in_each_tree(monkeypatch):
+    # one row per L of ccdf-paper for this tree and the baseline's, each call its own tree's
+    recorder = load_recorder(monkeypatch)
+    monkeypatch.setattr(recorder, "LONG_TRIALS", 40)
+    monkeypatch.setattr(recorder, "LONG_REPEATS", 2)
+    try:
+        baseline = recorder._baseline_module(ROOT / "src", "mmwbeam.montecarlo")
+        calls = []
+        for module, tree in ((recorder.montecarlo, "src"), (baseline, "baseline")):
+            run = module.run_ccdf
+            monkeypatch.setattr(module, "run_ccdf", lambda cfg, run=run, tree=tree: (
+                calls.append((tree, cfg.num_paths, cfg.trials, cfg.seed)) or run(cfg)))
+        doc = recorder.long_runs(ROOT / "src")
+    finally:
+        for name in [name for name in sys.modules if name.startswith(recorder.BASELINE_PACKAGE)]:
+            del sys.modules[name]
+    assert calls == [(tree, paths, 40, seed) for seed in (1, 2) for paths in (1, 2, 3, 5)
+                     for tree in (("src", "baseline") if seed == 1 else ("baseline", "src"))]
+    assert (doc["trials"], doc["repeats"]) == (40, 2)
+    for tree in ("src", "baseline"):
+        assert list(doc["trees"][tree]) == ["L=1", "L=2", "L=3", "L=5"]
+        assert all(row["median_ms"] > 0.0 for row in doc["trees"][tree].values())
+    rows = recorder._rows({"per_layer": {"long_runs": doc}})
+    assert rows["long_runs baseline L=5 median_ms"] == doc["trees"]["baseline"]["L=5"]["median_ms"]
+
+
+def test_the_record_is_on_disk_before_tier1_runs(monkeypatch, tmp_path):
+    # the README names the newest record, and a Tier-1 test checks that the file exists
+    recorder = load_recorder(monkeypatch)
+    out = tmp_path / "BENCH_0.json"
+    for name in ("per_layer", "long_runs"):
+        monkeypatch.setattr(recorder, name, lambda baseline=None, name=name: {name: 1})
+    monkeypatch.setattr(recorder, "cold_start", lambda trees: {"trees": {}})
+    monkeypatch.setattr(recorder, "end_to_end", lambda: {})
+    monkeypatch.setattr(recorder, "compare", lambda doc, path: None)
+    seen = []
+    monkeypatch.setattr(recorder, "tier1", lambda: seen.append(
+        json.loads(out.read_text(encoding="utf-8"))) or {"wall_s": 1.0})
+    assert recorder.main(["--out", str(out)]) == 0
+    (written,) = seen
+    assert "tier1" not in written and written["per_layer"]["long_runs"] == {"long_runs": 1}
+    assert json.loads(out.read_text(encoding="utf-8")) == {**written, "tier1": {"wall_s": 1.0}}
 
 
 def test_slowest_tests_are_read_from_the_durations_report(monkeypatch):

@@ -29,17 +29,22 @@ The file has four parts:
   quartiles over ``COLD_SPAWNS`` fresh interpreters of the time to import
   ``mmwbeam.cli``, of the first ``main`` call, and of the ``-X importtime``
   self time of each ``mmwbeam`` module, and the self and cumulative times of
-  ``numpy``, ``numpy.random`` and ``argparse``.  With
+  ``numpy``, ``numpy.random`` and ``argparse``.  Under ``long_runs``, the
+  quartiles over ``LONG_REPEATS`` calls of ``run_ccdf`` at ``LONG_TRIALS``
+  trials, many chunks of the engine, at each L of ``ccdf-paper``.  With
   ``--baseline``, the same rows of another checkout's ``src`` are recorded
-  in the same rounds, the two trees taking turns: its cold start, and, under
+  in the same rounds, the two trees taking turns: its cold start, its long
+  runs, and, under
   ``baseline_stages`` and ``baseline_engine``, its ``verify`` stages and the
   stages of its ``ccdf`` calls, parsing included, from its package imported
   beside this one under another name, whose verify round and each ``ccdf``
   call run right after this tree's same run in each round.  A stage function
   that the baseline lacks is not timed there.
 
-After writing the file the script prints each row beside the same row of
-the newest earlier ``BENCH_<n>.json`` in the repository root.
+The file is written before the Tier-1 run, so the tests that read the
+newest record find it, and written again with the ``tier1`` part.  Then
+the script prints each row beside the same row of the newest earlier
+``BENCH_<n>.json`` in the repository root.
 
 The script itself needs only the standard library; the per-layer part imports
 ``mmwbeam`` from ``src``, and ``machine_block`` imports numpy.
@@ -75,6 +80,10 @@ STAGE_ROUNDS = 30
 # Untraced runs of each workload, and the length of each run in seconds.
 RUNS = 3
 SECONDS = 20.0
+
+# Trials of each long run_ccdf call, and the calls per path count and source tree.
+LONG_TRIALS = 100_000
+LONG_REPEATS = 5
 
 # Fresh interpreters per command and source tree that the cold-start part runs.
 COLD_SPAWNS = 11
@@ -473,6 +482,33 @@ def per_layer(baseline: Path | None = None) -> dict:
     return layer
 
 
+def long_runs(baseline: Path | None = None) -> dict:
+    """Quartiles in ms of ``run_ccdf`` at ``LONG_TRIALS`` trials, at each L of ``ccdf-paper``.
+
+    Each call is the ``ccdf-paper`` configuration (Nt = 64, Nr = 4,
+    bidirectional) at seed 1 to ``LONG_REPEATS``.  ``baseline`` names another
+    tree's ``src``, whose ``run_ccdf`` runs each call too; the trees take
+    turns to go first.
+    """
+    engines = {"src": montecarlo}
+    if baseline is not None:
+        engines["baseline"] = _baseline_module(baseline, montecarlo.__name__)
+    samples: dict = {tree: defaultdict(list) for tree in engines}
+    for seed in range(1, LONG_REPEATS + 1):
+        for paths in (1, 2, 3, 5):
+            for tree, module in list(engines.items())[:: 1 if seed % 2 else -1]:
+                cfg = module.McConfig(num_paths=paths, trials=LONG_TRIALS, seed=seed, nt=64, nr=4)
+                start = time.perf_counter()
+                module.run_ccdf(cfg)
+                samples[tree][f"L={paths}"].append(time.perf_counter() - start)
+    return {
+        "unit": "ms per run_ccdf call, Nt=64, Nr=4, bidirectional",
+        "trials": LONG_TRIALS,
+        "repeats": LONG_REPEATS,
+        "trees": {tree: _summary(rows, "ms") for tree, rows in samples.items()},
+    }
+
+
 def _rows(doc: dict) -> dict:
     """Every compared number of a BENCH document, keyed by a readable row name."""
     rows = {}
@@ -496,6 +532,9 @@ def _rows(doc: dict) -> dict:
         for command, stages in commands.items():
             for stage, values in stages.items():
                 rows[f"cold_start {tree} {command} {stage} median_ms"] = values["median_ms"]
+    for tree, calls in layer.get("long_runs", {}).get("trees", {}).items():
+        for call, values in calls.items():
+            rows[f"long_runs {tree} {call} median_ms"] = values["median_ms"]
     return rows
 
 
@@ -523,6 +562,11 @@ def compare_trees(layer: dict) -> None:
             before = trees["baseline"][command].get(stage, {}).get("median_ms", 0.0)
             after = values["median_ms"]
             print(f"{command + ' ' + stage:<40} {before:10.3f} {after:10.3f} {before - after:10.3f}")
+    trees = layer["long_runs"]["trees"]
+    print(f"{'run_ccdf, median ms':<40} {'baseline':>10} {'src':>10} {'saved':>10}")
+    for call, values in trees["src"].items():
+        before, after = trees["baseline"][call]["median_ms"], values["median_ms"]
+        print(f"{call:<40} {before:10.3f} {after:10.3f} {before - after:10.3f}")
 
 
 def compare(doc: dict, out: Path) -> None:
@@ -564,15 +608,14 @@ def main(argv=None) -> int:
         trees["baseline"] = args.baseline / "src"
     layer = per_layer(trees.get("baseline"))
     layer["cold_start"] = cold_start(trees)
+    layer["long_runs"] = long_runs(trees.get("baseline"))
     if args.baseline is not None:
         layer["cold_start"]["baseline_commit"] = _commit(args.baseline)
-    doc = {
-        "machine": bench_run.machine_block(),
-        "per_layer": layer,
-        "tier1": tier1(),
-        "end_to_end": end_to_end(),
-    }
+    doc = {"machine": bench_run.machine_block(), "per_layer": layer, "end_to_end": end_to_end()}
     out = Path(args.out)
+    # on disk before Tier-1 runs, for the tests that read the newest record
+    out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    doc["tier1"] = tier1()
     out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     compare(doc, out)
     if args.baseline is not None:
