@@ -11,80 +11,27 @@ __version__ = "0.1.0"
 
 import importlib
 
-from .steering import (
-    AngleSpec,
-    ArrayGeometry,
-    cpo_inner_product,
-    electrically_orthogonal,
-    steering_vector,
-)
-from .channel import (
-    ChannelMatrix,
-    PathComponent,
-    assemble_channel,
-    channel_power,
-)
-from .beamformer import (
-    BeamformerPair,
-    bidirectional_beamformer,
-    dominant_path_beamformer,
-    equal_power_beamformer,
-    matched_filter,
-    optimal_beamformer,
-    received_snr,
-    reduced_optimal_beamformer,
-)
-
-# The module of each root name imported on first access (PEP 562): a ``ccdf``
-# run never loads ``closedform``, and a ``closedform`` run never loads
-# ``montecarlo``.
-_LAZY = {
-    "AllocationPoint": "closedform",
-    "RegimeError": "closedform",
-    "TwoPathParams": "closedform",
-    "CcdfTable": "montecarlo",
-    "McConfig": "montecarlo",
-    "percentile": "montecarlo",
-    "run_ccdf": "montecarlo",
-    "sample_paths": "montecarlo",
+# The module of each root name, imported on first access (PEP 562): ``import mmwbeam``
+# loads no submodule and no numpy, and a ``ccdf`` run never loads ``closedform``.
+_ROOT = {
+    "steering": ("AngleSpec", "ArrayGeometry", "cpo_inner_product", "electrically_orthogonal",
+                 "steering_vector"),
+    "channel": ("ChannelMatrix", "PathComponent", "assemble_channel", "channel_power"),
+    "beamformer": ("BeamformerPair", "bidirectional_beamformer", "dominant_path_beamformer",
+                   "equal_power_beamformer", "matched_filter", "optimal_beamformer",
+                   "received_snr", "reduced_optimal_beamformer"),
+    "closedform": ("AllocationPoint", "RegimeError", "TwoPathParams"),
+    "montecarlo": ("CcdfTable", "McConfig", "percentile", "run_ccdf", "sample_paths"),
 }
+_MODULE = {name: module for module, names in _ROOT.items() for name in names}
+__all__ = ["__version__", *_MODULE]
 
 
 def __getattr__(name: str):
-    if name not in _LAZY:
+    if name not in _MODULE:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+    return getattr(importlib.import_module(f"{__name__}.{_MODULE[name]}"), name)
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *_LAZY})
-
-
-__all__ = [
-    "__version__",
-    "AngleSpec",
-    "ArrayGeometry",
-    "cpo_inner_product",
-    "electrically_orthogonal",
-    "steering_vector",
-    "ChannelMatrix",
-    "PathComponent",
-    "assemble_channel",
-    "channel_power",
-    "BeamformerPair",
-    "bidirectional_beamformer",
-    "dominant_path_beamformer",
-    "equal_power_beamformer",
-    "matched_filter",
-    "optimal_beamformer",
-    "received_snr",
-    "reduced_optimal_beamformer",
-    "AllocationPoint",
-    "RegimeError",
-    "TwoPathParams",
-    "CcdfTable",
-    "McConfig",
-    "percentile",
-    "run_ccdf",
-    "sample_paths",
-]
+    return sorted({*globals(), *_MODULE})

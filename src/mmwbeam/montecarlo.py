@@ -271,15 +271,14 @@ def _draw_chunk(cfg: McConfig, trials: range):
     return gains, azimuths[:, 0], azimuths[:, 1], redraws
 
 
-def _draw_paths(cfg: McConfig, trial: int) -> list[PathComponent]:
-    """Path components of one trial, drawn as a chunk of one by :func:`_draw_chunk`."""
-    gains, aod, aoa, _ = _draw_chunk(cfg, range(trial, trial + 1))
+def sample_paths(cfg: McConfig, trial_index: int) -> list[PathComponent]:
+    """Path components of one trial, drawn as a chunk of one; pure in (seed, trial_index)."""
+    gains, aod, aoa, _ = _draw_chunk(cfg, range(trial_index, trial_index + 1))
     return _path_list(gains[0], aod[0], aoa[0])
 
 
-def sample_paths(cfg: McConfig, trial_index: int) -> list[PathComponent]:
-    """Path components of one trial; a pure function of (seed, trial_index)."""
-    return _draw_paths(cfg, trial_index)
+# The name the benchmark's tracer times the per-trial draw under.
+_draw_paths = sample_paths
 
 
 def _chunk_trials(cfg: McConfig) -> int:

@@ -4,6 +4,10 @@ benchmark's tracer, gate and replay find every function they call."""
 import contextlib
 import importlib
 import io
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,10 +31,26 @@ def test_exports_resolve_and_cli_cases_follow_the_regime_table():
     )
 
 
+# The root's names in their documented order, each with the module that defines it.
+ROOT_NAMES = {
+    steering: ["AngleSpec", "ArrayGeometry", "cpo_inner_product", "electrically_orthogonal",
+               "steering_vector"],
+    channel: ["ChannelMatrix", "PathComponent", "assemble_channel", "channel_power"],
+    beamformer: ["BeamformerPair", "bidirectional_beamformer", "dominant_path_beamformer",
+                 "equal_power_beamformer", "matched_filter", "optimal_beamformer",
+                 "received_snr", "reduced_optimal_beamformer"],
+    closedform: ["AllocationPoint", "RegimeError", "TwoPathParams"],
+    montecarlo: ["CcdfTable", "McConfig", "percentile", "run_ccdf", "sample_paths"],
+}
+
+
 def test_root_names_resolve_on_first_access():
-    # the package root imports closedform and montecarlo only when one of their names is read
-    assert mmwbeam.TwoPathParams is mmwbeam.closedform.TwoPathParams
-    assert mmwbeam.run_ccdf is montecarlo.run_ccdf
+    # the package root imports a module only when one of its names is read
+    assert mmwbeam.__all__ == ["__version__", *(name for names in ROOT_NAMES.values()
+                                                for name in names)]
+    for module, names in ROOT_NAMES.items():
+        for name in names:
+            assert getattr(mmwbeam, name) is getattr(module, name), name
     star: dict = {}
     exec("from mmwbeam import *", star)
     assert {name: star[name] for name in mmwbeam.__all__} == {
@@ -39,6 +59,18 @@ def test_root_names_resolve_on_first_access():
     assert set(mmwbeam.__all__) <= set(dir(mmwbeam))
     with pytest.raises(AttributeError, match="has no attribute 'nonesuch'"):
         mmwbeam.nonesuch
+
+
+def test_importing_the_root_loads_no_submodule_and_no_numpy(tmp_path):
+    src = str(Path(mmwbeam.__file__).parents[1])
+    code = ("import json, sys; import mmwbeam; print(json.dumps(sorted("
+            "name for name in sys.modules if name.startswith(('mmwbeam.', 'numpy')))))")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+                              filter(None, [src, os.environ.get("PYTHONPATH")]))))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
 
 
 def test_every_regime_closed_form_is_exported():

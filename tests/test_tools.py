@@ -81,13 +81,15 @@ def test_every_verify_stage_runs_in_a_round(monkeypatch):
 
 def test_rounds_take_turns_and_report_quartiles(monkeypatch):
     # rounds taken in blocks, one call after the other, read a drift in machine load as a
-    # change in one call's stages; in turns it reaches every call and widens the quartiles
+    # change in one call's stages; in turns it reaches every call and widens the quartiles,
+    # and every other round reverses the turns, so no call always follows the same one
     recorder = load_recorder(monkeypatch)
     monkeypatch.setattr(recorder, "STAGE_ROUNDS", 4)
     calls = []
     runs = {name: ([], lambda index, name=name: calls.append((index, name))) for name in "abc"}
     rounds = recorder._timed_rounds(runs)
-    assert calls == [(index, name) for index in range(5) for name in "abc"]
+    assert calls == [(index, name) for index in range(5)
+                     for name in ("abc" if index % 2 == 0 else "cba")]
     assert {name: len(stages["all"]) for name, stages in rounds.items()} == dict.fromkeys("abc", 4)
     summary = recorder._summary({"all": [4e-6, 1e-6, 3e-6, 2e-6, 5e-6]}, "us")["all"]
     assert list(summary) == ["q1_us", "median_us", "q3_us"]

@@ -20,11 +20,12 @@ The file has four parts:
   emission), from ``cli.main`` run in-process on the ``ccdf-paper`` calls
   (L = 1, 2, 3, 5, Nt = 64, Nr = 4, bidirectional) and the ``ccdf-wide``
   call.  Each call runs 200 trials, one chunk of the engine.  The verify
-  round and the five calls take turns, one of each per round, for
-  ``STAGE_ROUNDS`` rounds, and each stage is given by the quartiles of its
-  times: a drift in machine load while they run reaches every stage alike
-  and widens its quartiles, where blocks of rounds, one call after the
-  other, would read it as a change of one call's stages.  Under
+  round and the five calls take turns, one of each per round and in
+  reverse order every other round, for ``STAGE_ROUNDS`` rounds, and each
+  stage is given by the quartiles of its times: a drift in machine load
+  while they run reaches every stage alike and widens its quartiles, where
+  blocks of rounds, one call after the other, would read it as a change of
+  one call's stages.  Under
   ``cold_start``, for each of ``ccdf``, ``verify`` and ``closedform``, the
   quartiles over ``COLD_SPAWNS`` fresh interpreters of the time to import
   ``mmwbeam.cli``, of the first ``main`` call, and of the ``-X importtime``
@@ -38,7 +39,8 @@ The file has four parts:
   ``baseline_stages`` and ``baseline_engine``, its ``verify`` stages and the
   stages of its ``ccdf`` calls, parsing included, from its package imported
   beside this one under another name, whose verify round and each ``ccdf``
-  call run right after this tree's same run in each round.  A stage function
+  call run next to this tree's same run, after it in one round and before it
+  in the next.  A stage function
   that the baseline lacks is not timed there.
 
 The file is written before the Tier-1 run, so the tests that read the
@@ -337,12 +339,13 @@ def _timed_rounds(runs: dict) -> dict:
 
     ``runs`` maps a name to ``(stages, run)``.  A round calls each
     ``run(index)`` once, in turn, with its own stages timed, so the runs
-    interleave.  The first round warms caches and is not kept; ``all`` is
-    each call's wall time.
+    interleave; every other round takes them in reverse order, so no run
+    always follows the same one.  The first round warms caches and is not
+    kept; ``all`` is each call's wall time.
     """
     rounds: dict = {name: defaultdict(list) for name in runs}
     for index in range(STAGE_ROUNDS + 1):
-        for name, (stages, run) in runs.items():
+        for name, (stages, run) in list(runs.items())[:: 1 if index % 2 == 0 else -1]:
             totals: dict = defaultdict(float)
             with _stage_timers(stages, totals):
                 start = time.perf_counter()
@@ -452,7 +455,7 @@ def per_layer(baseline: Path | None = None) -> dict:
 
     ``baseline`` names another tree's ``src``, whose verify stages and
     engine stages are recorded too, under ``baseline_stages`` and
-    ``baseline_engine``: each of its runs follows this tree's same run.
+    ``baseline_engine``: each of its runs sits next to this tree's same run.
     """
     calls = _ccdf_calls()
     runs = {"verify": (STAGES, _verify_round)}
@@ -468,7 +471,8 @@ def per_layer(baseline: Path | None = None) -> dict:
         "unit": "ms per verify-oracles round (prop1 40 instances, prop2-prop4 10 each)",
         "rounds": STAGE_ROUNDS,
         "schedule": "round-robin: each round runs the verify round, then each ccdf call once"
-                    + (", each run followed by the baseline's" if baseline is not None else ""),
+                    + (", each run next to the baseline's" if baseline is not None else "")
+                    + "; every other round in reverse order",
     }
     for key, run in (("stages", "verify"), ("baseline_stages", "baseline verify")):
         if run in rounds:
