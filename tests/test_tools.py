@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,19 +14,29 @@ RECORDER = ROOT / "tools" / "record_bench.py"
 LINE_COUNTER = ROOT / "tools" / "src_lines.py"
 
 
-def load_recorder(monkeypatch):
-    """``tools/record_bench.py`` imported as a module; importing it runs nothing."""
+@pytest.fixture
+def recorder(monkeypatch):
+    """``tools/record_bench.py`` imported as a module; importing it runs nothing.
+
+    The baseline package that a test imports through it beside ``mmwbeam`` is
+    dropped from ``sys.modules`` afterwards.
+    """
     monkeypatch.setattr(sys, "path", list(sys.path))  # the recorder prepends bench/ and src/
     spec = importlib.util.spec_from_file_location("record_bench", RECORDER)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module
+    yield module
+    for name in [name for name in sys.modules if name.startswith(module.BASELINE_PACKAGE)]:
+        del sys.modules[name]
 
 
-def test_every_timed_stage_resolves(monkeypatch):
+CCDF = {"command": "ccdf", "paths": 2, "nt": 16, "nr": 4, "trials": 20}
+
+
+def test_every_timed_stage_resolves(recorder):
     # a renamed stage function must fail here, not the next time the recorder runs
-    recorder = load_recorder(monkeypatch)
-    stages = recorder.STAGES
+    m = recorder.tree_modules("src", ROOT / "src")
+    stages = recorder.verify_stages(m)
     assert {(owner.__name__, name, stage) for owner, name, stage in stages} >= {
         ("mmwbeam.verify", "_draw_prop1", "draw"),
         ("mmwbeam.verify", "_draw_params", "draw"),
@@ -39,137 +50,123 @@ def test_every_timed_stage_resolves(monkeypatch):
     }
     for owner, name, _ in stages:
         assert callable(getattr(owner, name, None)), f"{owner.__name__}.{name}"
-    engine = recorder.ENGINE_STAGES
+    engine = recorder.engine_stages(m)
     assert {stage for _, _, stage in engine} == {
         "parsing", "draw", "gram_pair", "optimum", "scheme", "losses", "emission"}
     # every scheme kernel the engine can call is timed
-    from mmwbeam import montecarlo
-    assert {name for owner, name, _ in engine if owner is montecarlo._SCHEME_SNR} == set(
-        montecarlo._SCHEME_SNR)
+    assert {name for owner, name, _ in engine if owner is m.montecarlo._SCHEME_SNR} == set(
+        m.montecarlo._SCHEME_SNR)
     for owner, name, _ in engine:
         assert callable(recorder.binding(owner, name)), name
+    # the runs leave out a stage function a tree lacks; this tree lacks none
+    runs = recorder._tree_runs("src", ROOT / "src", {"ccdf": CCDF})
+    assert (runs["verify"][0], runs["ccdf"][0]) == (stages, engine)
 
 
-def test_every_engine_stage_runs_in_a_ccdf_call(monkeypatch):
+def test_every_engine_stage_runs_in_a_ccdf_call(recorder):
     # a binding the engine no longer calls would leave its stage silently at 0
-    recorder = load_recorder(monkeypatch)
-    monkeypatch.setattr(recorder, "STAGE_ROUNDS", 1)
-    options = {"command": "ccdf", "paths": 2, "nt": 16, "nr": 4, "trials": 20}
+    m = recorder.tree_modules("src", ROOT / "src")
+    engine = recorder.engine_stages(m)
     timed = set()
     for scheme, fmt in (("bidirectional", "csv"), ("equal_power", "json")):
-        call = recorder._ccdf_call({**options, "scheme": scheme, "format": fmt})
-        rounds = recorder._timed_rounds({"ccdf": (recorder.ENGINE_STAGES, call)})["ccdf"]
+        call = recorder._ccdf_call({**CCDF, "scheme": scheme, "format": fmt}, m.cli)
+        rounds = recorder._timed_rounds({"ccdf": {"src": (engine, call)}}, 1)["src"]["ccdf"]
         timed |= {stage for stage, values in rounds.items() if min(values) > 0.0}
-    assert timed >= {stage for _, _, stage in recorder.ENGINE_STAGES}
+    assert timed >= {stage for _, _, stage in engine}
 
 
-def test_every_verify_stage_runs_in_a_round(monkeypatch):
+def test_every_verify_stage_runs_in_a_round(recorder):
     # a binding the suites no longer call would leave its stage silently at 0, or
     # hide beside a live binding of the same stage: so each binding is timed alone too
-    recorder = load_recorder(monkeypatch)
-    monkeypatch.setattr(recorder, "STAGE_ROUNDS", 1)
-    alone = [(owner, name, f"{owner.__name__}.{name}") for owner, name, _ in recorder.STAGES]
+    m = recorder.tree_modules("src", ROOT / "src")
+    stages = recorder.verify_stages(m)
+    alone = [(owner, name, f"{owner.__name__}.{name}") for owner, name, _ in stages]
     expected = {stage for _, _, stage in alone}
-    named = {stage for _, _, stage in recorder.STAGES if isinstance(stage, str)}
-    expected |= named | {"coarse_search", "refined_search"}
+    expected |= {stage for _, _, stage in stages if isinstance(stage, str)}
+    expected |= {"coarse_search", "refined_search"}
     timed = set()
-    for stages in (alone, recorder.STAGES):
-        rounds = recorder._timed_rounds({"verify": (stages, recorder._verify_round)})["verify"]
-        timed |= {stage for stage, values in rounds.items() if min(values) > 0.0}
+    run = recorder._tree_runs("src", ROOT / "src", {})["verify"][1]
+    for timed_stages in (alone, stages):
+        rounds = recorder._timed_rounds({"verify": {"src": (timed_stages, run)}}, 1)
+        timed |= {stage for stage, values in rounds["src"]["verify"].items() if min(values) > 0.0}
     assert expected - timed == set()
 
 
-def test_rounds_take_turns_and_report_quartiles(monkeypatch):
-    # rounds taken in blocks, one call after the other, read a drift in machine load as a
-    # change in one call's stages; in turns it reaches every call and widens the quartiles,
-    # and every other round reverses the turns, so no call always follows the same one
-    recorder = load_recorder(monkeypatch)
-    monkeypatch.setattr(recorder, "STAGE_ROUNDS", 4)
+def test_rounds_seat_twins_together_each_after_a_warm_up(recorder):
+    # a timed call reads colder after another run than after itself: so each timed call
+    # comes right after an untimed call of the same run, beside its twin in the other tree,
+    # and the twin that goes first alternates by round; a drift in machine load then reaches
+    # every run alike and widens the quartiles
     calls = []
-    runs = {name: ([], lambda index, name=name: calls.append((index, name))) for name in "abc"}
-    rounds = recorder._timed_rounds(runs)
-    assert calls == [(index, name) for index in range(5)
-                     for name in ("abc" if index % 2 == 0 else "cba")]
-    assert {name: len(stages["all"]) for name, stages in rounds.items()} == dict.fromkeys("abc", 4)
+    runs = {}
+    for name in "ab":
+        for tree in ("src", "baseline"):
+            owner = SimpleNamespace(step=lambda: None)
+
+            def run(index, owner=owner, step=owner.step, name=name, tree=tree):
+                calls.append((index, name, tree, owner.step is not step))
+                owner.step()
+
+            runs.setdefault(name, {})[tree] = ([(owner, "step", "step")], run)
+    times = recorder._timed_rounds(runs, 4)
+    assert calls == [(index, name, tree, timed) for index in range(1, 5) for name in "ab"
+                     for tree in (("src", "baseline") if index % 2 else ("baseline", "src"))
+                     for timed in (False, True)]
+    assert list(times) == ["src", "baseline"]
+    for by_run in times.values():
+        assert {name: {stage: len(values) for stage, values in stages.items()}
+                for name, stages in by_run.items()} == dict.fromkeys("ab", {"step": 4, "all": 4})
     summary = recorder._summary({"all": [4e-6, 1e-6, 3e-6, 2e-6, 5e-6]}, "us")["all"]
     assert list(summary) == ["q1_us", "median_us", "q3_us"]
     assert summary["q1_us"] <= summary["median_us"] == 3.0 <= summary["q3_us"]
 
 
-def test_per_layer_runs_every_call_in_one_schedule(monkeypatch):
-    # the verify round and every ccdf call of the benchmark share the one round-robin
-    recorder = load_recorder(monkeypatch)
+def test_per_layer_runs_every_call_of_both_trees_in_one_schedule(recorder, monkeypatch):
+    # the verify round and every ccdf call of the benchmark share the one round-robin, each
+    # with its twin in the other tree, and every part of each tree sits under its name
     seen = {}
-    monkeypatch.setattr(recorder, "_timed_rounds", lambda runs: seen.update(runs) or {
-        name: {"all": [1.0, 2.0], "draw": [0.5, 0.5]} for name in runs})
-    doc = recorder.per_layer()
-    assert list(seen) == ["verify", *recorder._ccdf_calls()]
-    assert len(doc["engine"]["configs"]) == 5
-    assert set(doc["stages"]) == {"all_suites", "draw"}
-    for entry in doc["engine"]["configs"].values():
-        assert entry["stages"]["other"]["median_us"] == 1e6
+    monkeypatch.setattr(recorder, "_timed_rounds", lambda runs, rounds: seen.update(runs) or {
+        tree: {name: {"all": [1.0, 2.0], "draw": [0.5, 0.5]} for name in runs}
+        for tree in ("src", "baseline")})
+    doc = recorder.per_layer({"src": ROOT / "src", "baseline": ROOT / "src"})
+    calls = list(recorder._ccdf_calls())
+    assert list(seen) == ["verify", *calls]
+    assert all(list(twins) == ["src", "baseline"] for twins in seen.values())
+    assert list(doc["argv"]) == calls and list(doc["trees"]) == ["src", "baseline"]
+    for part in doc["trees"].values():
+        assert set(part["verify"]) == {"all_suites", "draw"}
+        assert list(part["engine"]) == calls
+        for stages in part["engine"].values():
+            assert stages["other"]["median_us"] == 1e6
 
 
-def test_a_baseline_trees_verify_stages_are_its_own(monkeypatch):
-    # the baseline's package is imported beside mmwbeam under another name: every stage it
-    # times is its module's, a stage function it lacks is left out, and its round runs
-    recorder = load_recorder(monkeypatch)
-    monkeypatch.setattr(recorder, "STAGE_ROUNDS", 1)
-    missing = (recorder.verify, "_no_such_stage", "missing")
-    monkeypatch.setattr(recorder, "STAGES", [*recorder.STAGES, missing])
-    try:
-        stages, run = recorder._baseline_verify(ROOT / "src")
-        assert len(stages) == len(recorder.STAGES) - 1
-        for (owner, name, stage), (src_owner, src_name, src_stage) in zip(
-                stages, recorder.STAGES):
-            assert owner.__name__ == src_owner.__name__.replace(
-                "mmwbeam", recorder.BASELINE_PACKAGE, 1)
-            assert (name, stage) == (src_name, src_stage)
-            assert getattr(owner, name) is not getattr(src_owner, src_name)
-        rounds = recorder._timed_rounds({"baseline verify": (stages, run)})["baseline verify"]
-        timed = {stage for stage, values in rounds.items() if min(values) > 0.0}
-        assert timed >= {stage for _, _, stage in stages if isinstance(stage, str)}
-    finally:
-        for name in [name for name in sys.modules if name.startswith(recorder.BASELINE_PACKAGE)]:
-            del sys.modules[name]
+def test_each_trees_stages_are_its_own(recorder, monkeypatch):
+    # a baseline tree's package is imported beside mmwbeam under another name: in each tree,
+    # every verify and engine stage timed is a function of its own package, a stage function
+    # the tree lacks is left out, and each of its runs times its stages
+    parts = {"verify": recorder.verify_stages, "ccdf": recorder.engine_stages}
+    for run, stages in zip(parts, ("verify_stages", "engine_stages")):
+        monkeypatch.setattr(recorder, stages, lambda m, stages=parts[run]: [
+            *stages(m), (m.verify, "_no_such_stage", "missing")])
+    packages = {"src": "mmwbeam", "baseline": recorder.BASELINE_PACKAGE}
+    runs = {tree: recorder._tree_runs(tree, ROOT / "src", {"ccdf": CCDF}) for tree in packages}
+    for tree, package in packages.items():
+        m = recorder.tree_modules(tree, ROOT / "src")
+        for run, stages in parts.items():
+            assert runs[tree][run][0] == stages(m)
+            for owner, name, _ in stages(m):
+                assert recorder.binding(owner, name).__module__.startswith(f"{package}.")
+    times = recorder._timed_rounds(
+        {run: {tree: runs[tree][run] for tree in packages} for run in parts}, 1)
+    for tree in packages:
+        for run in parts:
+            timed = {stage for stage, values in times[tree][run].items() if min(values) > 0.0}
+            assert timed >= {stage for *_, stage in runs[tree][run][0] if isinstance(stage, str)}
 
 
-def test_a_baseline_trees_engine_stages_are_its_own(monkeypatch):
-    # the baseline's ccdf calls run its own main, every engine stage it times, parsing
-    # included, is its module's, and each of its calls runs right after this tree's
-    recorder = load_recorder(monkeypatch)
-    monkeypatch.setattr(recorder, "STAGE_ROUNDS", 1)
-    try:
-        stages, baseline_cli = recorder._baseline_engine(ROOT / "src")
-        assert baseline_cli.__name__ == f"{recorder.BASELINE_PACKAGE}.cli"
-        assert len(stages) == len(recorder.ENGINE_STAGES)
-        for (owner, name, stage), (src_owner, src_name, src_stage) in zip(
-                stages, recorder.ENGINE_STAGES):
-            assert (name, stage) == (src_name, src_stage)
-            assert recorder.binding(owner, name) is not recorder.binding(src_owner, src_name)
-        options = {"command": "ccdf", "paths": 2, "nt": 16, "nr": 4, "trials": 20}
-        call = recorder._ccdf_call(options, baseline_cli)
-        rounds = recorder._timed_rounds({"baseline": (stages, call)})["baseline"]
-        timed = {stage for stage, values in rounds.items() if min(values) > 0.0}
-        assert timed >= {"parsing", "draw", "gram_pair", "optimum", "scheme", "losses",
-                         "emission"}
-        seen = {}
-        monkeypatch.setattr(recorder, "_timed_rounds", lambda runs: seen.update(runs) or {
-            name: {"all": [1.0, 2.0], "draw": [0.5, 0.5]} for name in runs})
-        doc = recorder.per_layer(ROOT / "src")
-        calls = list(recorder._ccdf_calls())
-        assert list(seen) == ["verify", "baseline verify",
-                              *(run for name in calls for run in (name, f"baseline {name}"))]
-        assert list(doc["baseline_engine"]["configs"]) == list(doc["engine"]["configs"]) == calls
-    finally:
-        for name in [name for name in sys.modules if name.startswith(recorder.BASELINE_PACKAGE)]:
-            del sys.modules[name]
-
-
-def test_cold_start_rows_come_from_fresh_interpreters(monkeypatch):
+def test_cold_start_rows_come_from_fresh_interpreters(recorder, monkeypatch):
     # each command's rows hold COLD_SPAWNS samples per tree, and a module that a command
     # does not import reads 0
-    recorder = load_recorder(monkeypatch)
     times, stderr = recorder._cold_child(ROOT / "src", recorder.cold_commands()["ccdf"], True)
     assert times["import_cli"] > 0.0 and times["first_main"] > 0.0
     imported = recorder.importtime_us(stderr)
@@ -189,38 +186,76 @@ def test_cold_start_rows_come_from_fresh_interpreters(monkeypatch):
     assert rows["argparse"]["median_ms"] == 0.0
 
 
-def test_long_runs_time_each_path_count_in_each_tree(monkeypatch):
-    # one row per L of ccdf-paper for this tree and the baseline's, each call its own tree's
-    recorder = load_recorder(monkeypatch)
+def test_long_runs_time_each_path_count_in_each_tree(recorder, monkeypatch):
+    # one row per L of ccdf-paper for this tree and the baseline's, each call its own tree's,
+    # seated as the per-layer runs are
     monkeypatch.setattr(recorder, "LONG_TRIALS", 40)
     monkeypatch.setattr(recorder, "LONG_REPEATS", 2)
-    try:
-        baseline = recorder._baseline_module(ROOT / "src", "mmwbeam.montecarlo")
-        calls = []
-        for module, tree in ((recorder.montecarlo, "src"), (baseline, "baseline")):
-            run = module.run_ccdf
-            monkeypatch.setattr(module, "run_ccdf", lambda cfg, run=run, tree=tree: (
-                calls.append((tree, cfg.num_paths, cfg.trials, cfg.seed)) or run(cfg)))
-        doc = recorder.long_runs(ROOT / "src")
-    finally:
-        for name in [name for name in sys.modules if name.startswith(recorder.BASELINE_PACKAGE)]:
-            del sys.modules[name]
+    trees = {"src": ROOT / "src", "baseline": ROOT / "src"}
+    calls = []
+    for tree, src in trees.items():
+        module = recorder.tree_modules(tree, src).montecarlo
+        run = module.run_ccdf
+        monkeypatch.setattr(module, "run_ccdf", lambda cfg, run=run, tree=tree: (
+            calls.append((tree, cfg.num_paths, cfg.trials, cfg.seed)) or run(cfg)))
+    doc = recorder.long_runs(trees)
     assert calls == [(tree, paths, 40, seed) for seed in (1, 2) for paths in (1, 2, 3, 5)
-                     for tree in (("src", "baseline") if seed == 1 else ("baseline", "src"))]
+                     for tree in (("src", "baseline") if seed == 1 else ("baseline", "src"))
+                     for _ in range(2)]
     assert (doc["trials"], doc["repeats"]) == (40, 2)
-    for tree in ("src", "baseline"):
+    for tree in trees:
         assert list(doc["trees"][tree]) == ["L=1", "L=2", "L=3", "L=5"]
         assert all(row["median_ms"] > 0.0 for row in doc["trees"][tree].values())
-    rows = recorder._rows({"per_layer": {"long_runs": doc}})
-    assert rows["long_runs baseline L=5 median_ms"] == doc["trees"]["baseline"]["L=5"]["median_ms"]
 
 
-def test_the_record_is_on_disk_before_tier1_runs(monkeypatch, tmp_path):
+def test_compare_trees_prints_each_src_row_beside_its_baseline_twin(recorder, capsys):
+    def quartiles(median, unit):
+        return {f"q1_{unit}": median - 1, f"median_{unit}": median, f"q3_{unit}": median + 1}
+
+    def tree(scale):
+        return {
+            "per_layer": {"verify": {"all_suites": quartiles(10 * scale, "ms")},
+                          "engine": {"ccdf-paper L=1": {"all": quartiles(100 * scale, "us")}}},
+            "cold_start": {"ccdf": {"import_cli": quartiles(20 * scale, "ms")}},
+            "long_runs": {"L=1": quartiles(40 * scale, "ms")},
+        }
+
+    trees = {"src": tree(1), "baseline": tree(2)}
+    trees["src"]["per_layer"]["engine"]["ccdf-paper L=1"]["new"] = quartiles(7, "us")
+    layer = {"unit": {}, "trees": {name: parts["per_layer"] for name, parts in trees.items()},
+             **{part: {"unit": "ms", "trees": {name: parts[part] for name, parts in trees.items()}}
+                for part in ("cold_start", "long_runs")}}
+    # (baseline, src) medians of each row; the baseline lacks the stage "new"
+    twins = {
+        "per_layer verify all_suites median_ms": (20, 10),
+        "per_layer engine ccdf-paper L=1 all median_us": (200, 100),
+        "per_layer engine ccdf-paper L=1 new median_us": (None, 7),
+        "cold_start ccdf import_cli median_ms": (40, 20),
+        "long_runs L=1 median_ms": (80, 40),
+    }
+    expected = {}
+    for key, (before, after) in twins.items():
+        part, row = key.split(" ", 1)
+        for name, median in (("src", after), ("baseline", before)):
+            if median is not None:
+                expected[f"{part} {name} {row}"] = median
+    assert recorder._rows({"per_layer": layer}) == expected
+    recorder.compare_trees(layer)
+    header, *lines = capsys.readouterr().out.splitlines()
+    assert header.split() == ["row", "baseline", "src", "saved"]
+    printed = {line[:64].rstrip(): line[64:].split() for line in lines}
+    assert printed == {
+        row: ["-" if value is None else f"{value:.6g}"
+              for value in (before, after, None if before is None else before - after)]
+        for row, (before, after) in twins.items()
+    }
+
+
+def test_the_record_is_on_disk_before_tier1_runs(recorder, monkeypatch, tmp_path):
     # the README names the newest record, and a Tier-1 test checks that the file exists
-    recorder = load_recorder(monkeypatch)
     out = tmp_path / "BENCH_0.json"
     for name in ("per_layer", "long_runs"):
-        monkeypatch.setattr(recorder, name, lambda baseline=None, name=name: {name: 1})
+        monkeypatch.setattr(recorder, name, lambda trees, name=name: {name: 1})
     monkeypatch.setattr(recorder, "cold_start", lambda trees: {"trees": {}})
     monkeypatch.setattr(recorder, "end_to_end", lambda: {})
     monkeypatch.setattr(recorder, "compare", lambda doc, path: None)
@@ -233,8 +268,7 @@ def test_the_record_is_on_disk_before_tier1_runs(monkeypatch, tmp_path):
     assert json.loads(out.read_text(encoding="utf-8")) == {**written, "tier1": {"wall_s": 1.0}}
 
 
-def test_slowest_tests_are_read_from_the_durations_report(monkeypatch):
-    recorder = load_recorder(monkeypatch)
+def test_slowest_tests_are_read_from_the_durations_report(recorder):
     report = (
         "..... [100%]\n"
         "============================= slowest 10 durations =============================\n"

@@ -1,4 +1,4 @@
-"""Record a ``BENCH_<n>.json``: end-to-end results, Tier-1 wall time, machine, ``verify`` stages.
+"""Record a ``BENCH_<n>.json``: end-to-end results, Tier-1 wall time, machine, per-layer times.
 
 Run from the repository root::
 
@@ -12,41 +12,40 @@ The file has four parts:
 * ``tier1``: the wall time, summary line and ten slowest tests of one
   Tier-1 run (``python -m pytest -q --durations=10`` with ``src`` on the path);
 * ``machine``: ``machine_block()`` of ``bench/run.py``;
-* ``per_layer``: the time per ``verify-oracles`` round of each ``verify``
-  stage, from timers put around the stage functions while the suites run
-  in-process on the benchmark's trial counts; and, under ``engine``, the
-  time per ``ccdf`` invocation of argument parsing and of each stage of the
-  Monte Carlo engine (draw, Gram pair, optimum, scheme kernel, losses,
-  emission), from ``cli.main`` run in-process on the ``ccdf-paper`` calls
-  (L = 1, 2, 3, 5, Nt = 64, Nr = 4, bidirectional) and the ``ccdf-wide``
-  call.  Each call runs 200 trials, one chunk of the engine.  The verify
-  round and the five calls take turns, one of each per round and in
-  reverse order every other round, for ``STAGE_ROUNDS`` rounds, and each
-  stage is given by the quartiles of its times: a drift in machine load
-  while they run reaches every stage alike and widens its quartiles, where
-  blocks of rounds, one call after the other, would read it as a change of
-  one call's stages.  Under
-  ``cold_start``, for each of ``ccdf``, ``verify`` and ``closedform``, the
-  quartiles over ``COLD_SPAWNS`` fresh interpreters of the time to import
-  ``mmwbeam.cli``, of the first ``main`` call, and of the ``-X importtime``
-  self time of each ``mmwbeam`` module, and the self and cumulative times of
-  ``numpy``, ``numpy.random`` and ``argparse``.  Under ``long_runs``, the
-  quartiles over ``LONG_REPEATS`` calls of ``run_ccdf`` at ``LONG_TRIALS``
-  trials, many chunks of the engine, at each L of ``ccdf-paper``.  With
-  ``--baseline``, the same rows of another checkout's ``src`` are recorded
-  in the same rounds, the two trees taking turns: its cold start, its long
-  runs, and, under
-  ``baseline_stages`` and ``baseline_engine``, its ``verify`` stages and the
-  stages of its ``ccdf`` calls, parsing included, from its package imported
-  beside this one under another name, whose verify round and each ``ccdf``
-  call run next to this tree's same run, after it in one round and before it
-  in the next.  A stage function
-  that the baseline lacks is not timed there.
+* ``per_layer``: the rows of one table of source trees, this checkout's
+  ``src`` and, with ``--baseline``, another checkout's (say, the parent
+  commit's), every part under ``trees.<tree>``.  ``trees.<tree>.verify``
+  holds the time per ``verify-oracles`` round of each ``verify`` stage, from
+  timers put around the stage functions while the suites run in-process on
+  the benchmark's trial counts; ``trees.<tree>.engine`` the time per
+  ``ccdf`` call of argument parsing and of each stage of the Monte Carlo
+  engine (draw, Gram pair, optimum, scheme kernel, losses, emission), from
+  ``cli.main`` run in-process on the ``ccdf-paper`` calls (L = 1, 2, 3, 5,
+  Nt = 64, Nr = 4, bidirectional) and the ``ccdf-wide`` call, 200 trials
+  each, one chunk of the engine.  The baseline's package is imported beside
+  ``mmwbeam`` under another name, and a stage function that a tree lacks is
+  not timed there.  Each of ``STAGE_ROUNDS`` rounds runs the verify round,
+  then each ccdf call; the twins of a run, one per tree, sit next to each
+  other, the tree that goes first alternating by round, and each timed call
+  comes right after an untimed warm-up call of the same run, so a timed call
+  starts as warm as its twin whatever ran before it.  Each stage is given by
+  the quartiles of its times: a drift in machine load reaches every run
+  alike and widens its quartiles.  These rows compare within one file,
+  between twins; across files they move with the machine.
+  ``long_runs.trees`` holds the quartiles over ``LONG_REPEATS`` rounds of
+  ``run_ccdf`` at ``LONG_TRIALS`` trials, many chunks of the engine, at each
+  L of ``ccdf-paper``, seated the same way.  ``cold_start.trees`` holds, for
+  each of ``ccdf``, ``verify`` and ``closedform``, the quartiles over
+  ``COLD_SPAWNS`` fresh interpreters of the time to import ``mmwbeam.cli``,
+  of the first ``main`` call, and of the ``-X importtime`` self time of each
+  ``mmwbeam`` module, and the self and cumulative times of ``numpy``,
+  ``numpy.random`` and ``argparse``.
 
 The file is written before the Tier-1 run, so the tests that read the
 newest record find it, and written again with the ``tier1`` part.  Then
 the script prints each row beside the same row of the newest earlier
-``BENCH_<n>.json`` in the repository root.
+``BENCH_<n>.json`` in the repository root, and, with ``--baseline``, each
+``src`` row beside its ``baseline`` twin.
 
 The script itself needs only the standard library; the per-layer part imports
 ``mmwbeam`` from ``src``, and ``machine_block`` imports numpy.
@@ -66,6 +65,7 @@ import sys
 import time
 from collections import defaultdict
 from pathlib import Path
+from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
@@ -73,8 +73,6 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import run as bench_run  # noqa: E402  bench/run.py
 import workloads  # noqa: E402
-
-from mmwbeam import beamformer, cli, closedform, montecarlo, verify  # noqa: E402
 
 # Rounds of the verify suites, and of each ccdf call, that the per-layer part times.
 STAGE_ROUNDS = 30
@@ -227,50 +225,79 @@ def cold_start(trees: dict) -> dict:
     }
 
 
+# The name another tree's package is imported under, beside this tree's ``mmwbeam``.
+BASELINE_PACKAGE = "baseline_mmwbeam"
+
+
+def tree_modules(tree: str, src: Path) -> SimpleNamespace:
+    """The ``beamformer``, ``cli``, ``closedform``, ``montecarlo`` and ``verify`` modules of a tree.
+
+    The tree named ``src`` is this checkout's ``mmwbeam``.  Another tree's
+    package is imported once, from ``src``, as ``BASELINE_PACKAGE``; its
+    modules import one another by relative name, so none of them is this
+    tree's.
+    """
+    package = "mmwbeam"
+    if tree != "src":
+        package = BASELINE_PACKAGE
+        if package not in sys.modules:
+            package_dir = src / "mmwbeam"
+            spec = importlib.util.spec_from_file_location(
+                package, package_dir / "__init__.py",
+                submodule_search_locations=[str(package_dir)])
+            sys.modules[package] = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(sys.modules[package])
+    return SimpleNamespace(**{
+        name: importlib.import_module(f"{package}.{name}")
+        for name in ("beamformer", "cli", "closedform", "montecarlo", "verify")})
+
+
 def _search_stage(terms, betas, num_theta) -> str:
     # a coarse scan shares one amplitude row; a refined one has a window per instance
     return "coarse_search" if betas.shape[0] == 1 else "refined_search"
 
 
-# (owner, attribute, stage) of each timed stage function of the verify suites.
-# A stage is a name, or a function of the call's arguments that gives one.
-STAGES = [
-    (verify, "_draw_prop1", "draw"),
-    (verify, "_draw_params", "draw"),
-    (closedform, "_scans", _search_stage),
-    (closedform, "_objectives", "objectives"),
-    (verify, "_fixtures", "fixtures"),
-    (verify, "_fixture_snrs", "fixture_svd"),
-    (beamformer, "_dense_optimal", "dense_svd_route"),
-    (verify, "_residuals", "span_residuals"),
-    (verify, "_grams", "reduced_snr"),
-    (beamformer, "_optimal_snr", "reduced_snr"),
-]
+def verify_stages(m: SimpleNamespace) -> list:
+    """``(owner, attribute, stage)`` of each timed stage function of the verify suites.
 
-def engine_stages(cli_module, montecarlo_module) -> list:
-    """The same for a ccdf call, at the bindings of the given ``cli`` and ``montecarlo``.
+    ``m`` holds one tree's modules, as :func:`tree_modules` gives them.  A
+    stage is a name, or a function of the call's arguments that gives one.
+    """
+    return [
+        (m.verify, "_draw_prop1", "draw"),
+        (m.verify, "_draw_params", "draw"),
+        (m.closedform, "_scans", _search_stage),
+        (m.closedform, "_objectives", "objectives"),
+        (m.verify, "_fixtures", "fixtures"),
+        (m.verify, "_fixture_snrs", "fixture_svd"),
+        (m.beamformer, "_dense_optimal", "dense_svd_route"),
+        (m.verify, "_residuals", "span_residuals"),
+        (m.verify, "_grams", "reduced_snr"),
+        (m.beamformer, "_optimal_snr", "reduced_snr"),
+    ]
+
+
+def engine_stages(m: SimpleNamespace) -> list:
+    """The same for a ccdf call.
 
     ``montecarlo`` imports its kernels by name, and ``_SCHEME_SNR`` holds the
     scheme kernels.  The self time of ``_trial_losses`` is the chunk loop
     itself: the frequency stack, the SNR ratios and the log10 of each loss.
     """
-    schemes = getattr(montecarlo_module, "_SCHEME_SNR", {})
+    schemes = getattr(m.montecarlo, "_SCHEME_SNR", {})
     return [
-        (cli_module, "_parse", "parsing"),
-        (montecarlo_module, "_draw_chunk", "draw"),
-        (montecarlo_module, "spatial_frequencies", "gram_pair"),
-        (montecarlo_module, "_grams", "gram_pair"),
-        (montecarlo_module, "_optimal_snr", "optimum"),
+        (m.cli, "_parse", "parsing"),
+        (m.montecarlo, "_draw_chunk", "draw"),
+        (m.montecarlo, "spatial_frequencies", "gram_pair"),
+        (m.montecarlo, "_grams", "gram_pair"),
+        (m.montecarlo, "_optimal_snr", "optimum"),
         *((schemes, scheme, "scheme") for scheme in schemes),
-        (montecarlo_module, "_trial_losses", "losses"),
-        (montecarlo_module, "ccdf_to_csv", "emission"),
-        (montecarlo_module, "ccdf_to_dict", "emission"),
-        (cli_module, "_wrap_json", "emission"),
-        (cli_module, "_emit", "emission"),
+        (m.montecarlo, "_trial_losses", "losses"),
+        (m.montecarlo, "ccdf_to_csv", "emission"),
+        (m.montecarlo, "ccdf_to_dict", "emission"),
+        (m.cli, "_wrap_json", "emission"),
+        (m.cli, "_emit", "emission"),
     ]
-
-
-ENGINE_STAGES = engine_stages(cli, montecarlo)
 
 
 def binding(owner, name: str):
@@ -334,83 +361,39 @@ def _summary(rounds: dict, unit: str) -> dict:
     return summary
 
 
-def _timed_rounds(runs: dict) -> dict:
-    """Self time of each stage in each of ``STAGE_ROUNDS`` rounds, for every run of ``runs``.
+def _timed_rounds(runs: dict, rounds: int) -> dict:
+    """Self time of each stage of every run in each of ``rounds`` rounds, for every tree.
 
-    ``runs`` maps a name to ``(stages, run)``.  A round calls each
-    ``run(index)`` once, in turn, with its own stages timed, so the runs
-    interleave; every other round takes them in reverse order, so no run
-    always follows the same one.  The first round warms caches and is not
-    kept; ``all`` is each call's wall time.
+    ``runs`` maps a run's name to its twins, ``{tree: (stages, run)}``.  Round
+    ``index`` takes the runs in turn and each run's twins next to each other,
+    the tree that goes first alternating by round; each twin calls
+    ``run(index)`` twice, an untimed warm-up and then the call timed with its
+    own stages, so every timed call follows a call of the same run, whatever
+    ran before.  The result maps tree, run and stage to the times in seconds;
+    ``all`` is each timed call's wall time.
     """
-    rounds: dict = {name: defaultdict(list) for name in runs}
-    for index in range(STAGE_ROUNDS + 1):
-        for name, (stages, run) in list(runs.items())[:: 1 if index % 2 == 0 else -1]:
-            totals: dict = defaultdict(float)
-            with _stage_timers(stages, totals):
-                start = time.perf_counter()
+    times: dict = defaultdict(lambda: defaultdict(lambda: defaultdict(list)))
+    for index in range(1, rounds + 1):
+        for name, twins in runs.items():
+            for tree, (stages, run) in list(twins.items())[:: 1 if index % 2 else -1]:
                 run(index)
-                totals["all"] = time.perf_counter() - start
-            if index:
+                totals: dict = defaultdict(float)
+                with _stage_timers(stages, totals):
+                    start = time.perf_counter()
+                    run(index)
+                    totals["all"] = time.perf_counter() - start
                 for stage, seconds in totals.items():
-                    rounds[name][stage].append(seconds)
-    return rounds
+                    times[tree][name][stage].append(seconds)
+    return times
 
 
-def _verify_round(index: int, suites=verify) -> None:
+def _verify_round(index: int, suites) -> None:
     for suite, trials in workloads.VERIFY_TRIALS:
         if trials is not None:
             suites.run_suite(suite, trials, seed=index)
 
 
-# The name the baseline tree's package is imported under, beside ``mmwbeam``.
-BASELINE_PACKAGE = "baseline_mmwbeam"
-
-
-def _baseline_module(src: Path, name: str):
-    """The module of the ``mmwbeam`` package under ``src`` that ``name`` names in this tree.
-
-    The package is imported once, as ``BASELINE_PACKAGE``; its modules import
-    one another by relative name, so none of them is this tree's.
-    """
-    if BASELINE_PACKAGE not in sys.modules:
-        package_dir = src / "mmwbeam"
-        spec = importlib.util.spec_from_file_location(
-            BASELINE_PACKAGE, package_dir / "__init__.py",
-            submodule_search_locations=[str(package_dir)])
-        package = importlib.util.module_from_spec(spec)
-        sys.modules[BASELINE_PACKAGE] = package
-        spec.loader.exec_module(package)
-    return importlib.import_module(name.replace("mmwbeam", BASELINE_PACKAGE, 1))
-
-
-def _baseline_verify(src: Path) -> tuple[list, object]:
-    """``(stages, run)`` of the verify round of the ``mmwbeam`` package under ``src``.
-
-    Each of :data:`STAGES` is timed on the baseline's module of the same
-    name, where that module has the function.
-    """
-    stages = []
-    for owner, name, stage in STAGES:
-        module = _baseline_module(src, owner.__name__)
-        if _bound(module, name):
-            stages.append((module, name, stage))
-    baseline = _baseline_module(src, verify.__name__)
-    return stages, lambda index: _verify_round(index, baseline)
-
-
-def _baseline_engine(src: Path) -> tuple[list, object]:
-    """``(stages, cli)`` of a ccdf call of the ``mmwbeam`` package under ``src``.
-
-    The stages are :func:`engine_stages` of the baseline's ``cli`` and
-    ``montecarlo``, each where the baseline binds the function.
-    """
-    baseline_cli = _baseline_module(src, cli.__name__)
-    stages = engine_stages(baseline_cli, _baseline_module(src, montecarlo.__name__))
-    return [entry for entry in stages if _bound(*entry[:2])], baseline_cli
-
-
-def _ccdf_call(options: dict, cli_module=cli):
+def _ccdf_call(options: dict, cli_module):
     """``run(index)`` for :func:`_timed_rounds`: the ``ccdf`` call at seed ``index``, in-process,
     through the ``main`` of ``cli_module``."""
     def run(index: int) -> None:
@@ -431,86 +414,97 @@ def _ccdf_calls() -> dict:
     }
 
 
-def _engine(calls: dict, rounds: dict) -> dict:
-    """Quartiles per ccdf call of each engine stage, from the rounds of each call."""
-    configs = {}
-    for name, options in calls.items():
-        stages = rounds[name]
+def _tree_runs(tree: str, src: Path, calls: dict) -> dict:
+    """``(stages, run)`` of the verify round and of each ccdf call of ``calls``, in one tree.
+
+    A stage function that the tree lacks is left out.
+    """
+    m = tree_modules(tree, src)
+    verify, engine = ([entry for entry in stages(m) if _bound(*entry[:2])]
+                      for stages in (verify_stages, engine_stages))
+    return {"verify": (verify, lambda index: _verify_round(index, m.verify)),
+            **{name: (engine, _ccdf_call(options, m.cli)) for name, options in calls.items()}}
+
+
+def _tree_layer(times: dict) -> dict:
+    """Quartiles of one tree's verify stages per round and engine stages per ccdf call."""
+    suites = times.pop("verify")
+    suites["all_suites"] = suites.pop("all")
+    engine = {}
+    for name, stages in times.items():
         stages["other"] = [
             total - sum(values[i] for stage, values in stages.items() if stage != "all")
             for i, total in enumerate(stages["all"])
         ]
-        argv = workloads.argv({key: value for key, value in options.items() if key != "seed"})
-        configs[name] = {"argv": argv, "stages": _summary(stages, "us")}
-    return {
-        "unit": "us per ccdf call of 200 trials (one chunk), at --seed 1 to 30; "
-                "other: the config records and sorting",
-        "rounds": STAGE_ROUNDS,
-        "configs": configs,
-    }
+        engine[name] = _summary(stages, "us")
+    return {"verify": _summary(suites, "ms"), "engine": engine}
 
 
-def per_layer(baseline: Path | None = None) -> dict:
-    """Quartiles per round of each verify stage, and of the engine's stages per ccdf call.
+def per_layer(trees: dict) -> dict:
+    """Quartiles of each verify stage per round, and of each engine stage per ccdf call, per tree.
 
-    ``baseline`` names another tree's ``src``, whose verify stages and
-    engine stages are recorded too, under ``baseline_stages`` and
-    ``baseline_engine``: each of its runs sits next to this tree's same run.
+    ``trees`` maps a name to a ``src`` directory, as for :func:`cold_start`.
     """
     calls = _ccdf_calls()
-    runs = {"verify": (STAGES, _verify_round)}
-    if baseline is not None:
-        runs["baseline verify"] = _baseline_verify(baseline)
-        baseline_stages, baseline_cli = _baseline_engine(baseline)
-    for name, options in calls.items():
-        runs[name] = (ENGINE_STAGES, _ccdf_call(options))
-        if baseline is not None:
-            runs[f"baseline {name}"] = (baseline_stages, _ccdf_call(options, baseline_cli))
-    rounds = _timed_rounds(runs)
-    layer = {
-        "unit": "ms per verify-oracles round (prop1 40 instances, prop2-prop4 10 each)",
+    runs: dict = defaultdict(dict)
+    for tree, src in trees.items():
+        for name, twin in _tree_runs(tree, src, calls).items():
+            runs[name][tree] = twin
+    return {
+        "unit": {"verify": "ms per verify-oracles round (prop1 40 instances, prop2-prop4 10 each)",
+                 "engine": f"us per ccdf call of 200 trials (one chunk), at --seed 1 to "
+                           f"{STAGE_ROUNDS}; other: the config records and sorting"},
         "rounds": STAGE_ROUNDS,
-        "schedule": "round-robin: each round runs the verify round, then each ccdf call once"
-                    + (", each run next to the baseline's" if baseline is not None else "")
-                    + "; every other round in reverse order",
+        "schedule": "each round runs the verify round, then each ccdf call; the twins of a run, "
+                    "one per tree, next to each other, the tree that goes first alternating by "
+                    "round; each timed call right after an untimed warm-up call of the same run",
+        "argv": {name: workloads.argv({key: value for key, value in options.items()
+                                       if key != "seed"})
+                 for name, options in calls.items()},
+        "trees": {tree: _tree_layer(times)
+                  for tree, times in _timed_rounds(runs, STAGE_ROUNDS).items()},
     }
-    for key, run in (("stages", "verify"), ("baseline_stages", "baseline verify")):
-        if run in rounds:
-            suites = rounds.pop(run)
-            suites["all_suites"] = suites.pop("all")
-            layer[key] = _summary(suites, "ms")
-    layer["engine"] = _engine(calls, rounds)
-    if baseline is not None:
-        layer["baseline_engine"] = _engine(
-            calls, {name: rounds[f"baseline {name}"] for name in calls})
-    return layer
 
 
-def long_runs(baseline: Path | None = None) -> dict:
+def long_runs(trees: dict) -> dict:
     """Quartiles in ms of ``run_ccdf`` at ``LONG_TRIALS`` trials, at each L of ``ccdf-paper``.
 
     Each call is the ``ccdf-paper`` configuration (Nt = 64, Nr = 4,
-    bidirectional) at seed 1 to ``LONG_REPEATS``.  ``baseline`` names another
-    tree's ``src``, whose ``run_ccdf`` runs each call too; the trees take
-    turns to go first.
+    bidirectional) at seed 1 to ``LONG_REPEATS``, in every tree of ``trees``,
+    seated by :func:`_timed_rounds` as the per-layer runs are.
     """
-    engines = {"src": montecarlo}
-    if baseline is not None:
-        engines["baseline"] = _baseline_module(baseline, montecarlo.__name__)
-    samples: dict = {tree: defaultdict(list) for tree in engines}
-    for seed in range(1, LONG_REPEATS + 1):
-        for paths in (1, 2, 3, 5):
-            for tree, module in list(engines.items())[:: 1 if seed % 2 else -1]:
-                cfg = module.McConfig(num_paths=paths, trials=LONG_TRIALS, seed=seed, nt=64, nr=4)
-                start = time.perf_counter()
-                module.run_ccdf(cfg)
-                samples[tree][f"L={paths}"].append(time.perf_counter() - start)
+    def call(montecarlo, paths: int):
+        return lambda index: montecarlo.run_ccdf(montecarlo.McConfig(
+            num_paths=paths, trials=LONG_TRIALS, seed=index, nt=64, nr=4))
+
+    engines = {tree: tree_modules(tree, src).montecarlo for tree, src in trees.items()}
+    runs = {f"L={paths}": {tree: ([], call(module, paths)) for tree, module in engines.items()}
+            for paths in (1, 2, 3, 5)}
     return {
         "unit": "ms per run_ccdf call, Nt=64, Nr=4, bidirectional",
         "trials": LONG_TRIALS,
         "repeats": LONG_REPEATS,
-        "trees": {tree: _summary(rows, "ms") for tree, rows in samples.items()},
+        "trees": {tree: _summary({name: stages["all"] for name, stages in times.items()}, "ms")
+                  for tree, times in _timed_rounds(runs, LONG_REPEATS).items()},
     }
+
+
+def _tree_rows(layer: dict):
+    """``(part, tree, row, median)`` of every median under a ``trees`` table of the per-layer
+    part: its own, ``cold_start``'s and ``long_runs``'."""
+    def leaves(node: dict, path: str):
+        for key, value in node.items():
+            median = next((name for name in value if name.startswith("median_")), None)
+            if median is None:
+                yield from leaves(value, f"{path}{key} ")
+            else:
+                yield f"{path}{key} {median}", value[median]
+
+    for part, entry in (("per_layer", layer), ("cold_start", layer.get("cold_start", {})),
+                        ("long_runs", layer.get("long_runs", {}))):
+        for tree, node in entry.get("trees", {}).items():
+            for row, median in leaves(node, ""):
+                yield part, tree, row, median
 
 
 def _rows(doc: dict) -> dict:
@@ -521,56 +515,27 @@ def _rows(doc: dict) -> dict:
             rows[f"end_to_end {workload} {metric}"] = values["median"]
     if "tier1" in doc:
         rows["tier1 wall_s"] = doc["tier1"]["wall_s"]
-    layer = doc.get("per_layer", {})
-    for stage, values in layer.get("stages", {}).items():
-        rows[f"verify {stage} median_ms"] = values["median_ms"]
-    for stage, values in layer.get("baseline_stages", {}).items():
-        rows[f"verify baseline {stage} median_ms"] = values["median_ms"]
-    for key, prefix in (("engine", "engine"), ("baseline_engine", "engine baseline")):
-        engine_part = layer.get(key)
-        if isinstance(engine_part, dict):
-            for config, entry in engine_part["configs"].items():
-                for stage, values in entry["stages"].items():
-                    rows[f"{prefix} {config} {stage} median_us"] = values["median_us"]
-    for tree, commands in layer.get("cold_start", {}).get("trees", {}).items():
-        for command, stages in commands.items():
-            for stage, values in stages.items():
-                rows[f"cold_start {tree} {command} {stage} median_ms"] = values["median_ms"]
-    for tree, calls in layer.get("long_runs", {}).get("trees", {}).items():
-        for call, values in calls.items():
-            rows[f"long_runs {tree} {call} median_ms"] = values["median_ms"]
+    for part, tree, row, median in _tree_rows(doc.get("per_layer", {})):
+        rows[f"{part} {tree} {row}"] = median
     return rows
 
 
+def _cells(values, width: int) -> str:
+    return " ".join(f"{value:{width}.6g}" if value is not None else f"{'-':>{width}}"
+                    for value in values)
+
+
 def compare_trees(layer: dict) -> None:
-    """Print each verify stage, engine stage and cold-start row of the baseline tree beside
-    this tree's."""
-    print(f"{'verify stage, median ms':<40} {'baseline':>10} {'src':>10} {'saved':>10}")
-    for stage in sorted(layer["stages"].keys() | layer["baseline_stages"].keys()):
-        before, after = (layer[key].get(stage, {}).get("median_ms", 0.0)
-                         for key in ("baseline_stages", "stages"))
-        print(f"{stage:<40} {before:10.3f} {after:10.3f} {before - after:10.3f}")
-    print(f"{'engine stage, median us':<40} {'baseline':>10} {'src':>10} {'saved':>10}")
-    for config, entry in layer["engine"]["configs"].items():
-        stages = entry["stages"]
-        baseline_stages = layer["baseline_engine"]["configs"][config]["stages"]
-        print(config)
-        for stage in sorted(stages.keys() | baseline_stages.keys()):
-            before, after = (part.get(stage, {}).get("median_us", 0.0)
-                             for part in (baseline_stages, stages))
-            print(f"  {stage:<38} {before:10.1f} {after:10.1f} {before - after:10.1f}")
-    trees = layer["cold_start"]["trees"]
-    print(f"{'cold start, median ms':<40} {'baseline':>10} {'src':>10} {'saved':>10}")
-    for command, stages in trees["src"].items():
-        for stage, values in stages.items():
-            before = trees["baseline"][command].get(stage, {}).get("median_ms", 0.0)
-            after = values["median_ms"]
-            print(f"{command + ' ' + stage:<40} {before:10.3f} {after:10.3f} {before - after:10.3f}")
-    trees = layer["long_runs"]["trees"]
-    print(f"{'run_ccdf, median ms':<40} {'baseline':>10} {'src':>10} {'saved':>10}")
-    for call, values in trees["src"].items():
-        before, after = trees["baseline"][call]["median_ms"], values["median_ms"]
-        print(f"{call:<40} {before:10.3f} {after:10.3f} {before - after:10.3f}")
+    """Print each per-layer row of this tree beside its baseline twin; a row that only one
+    tree has reads ``-`` in the other."""
+    twins: dict = defaultdict(dict)
+    for part, tree, row, median in _tree_rows(layer):
+        twins[f"{part} {row}"][tree] = median
+    print(f"{'row':<64} {'baseline':>12} {'src':>12} {'saved':>12}")
+    for row, medians in twins.items():
+        before, after = medians.get("baseline"), medians.get("src")
+        saved = before - after if None not in (before, after) else None
+        print(f"{row:<64} {_cells((before, after, saved), 12)}")
 
 
 def compare(doc: dict, out: Path) -> None:
@@ -585,12 +550,11 @@ def compare(doc: dict, out: Path) -> None:
         return
     base = earlier[max(earlier)]
     old, new = _rows(json.loads(base.read_text(encoding="utf-8"))), _rows(doc)
-    print(f"{'row':<64} {base.name:>14} {out.name:>14} {'new/old':>8}")
+    print(f"{'row':<72} {base.name:>14} {out.name:>14} {'new/old':>8}")
     for row in sorted(old.keys() | new.keys()):
         before, after = old.get(row), new.get(row)
         ratio = f"{after / before:8.3f}" if before and after is not None else " " * 8
-        cells = [f"{value:14.6g}" if value is not None else f"{'-':>14}" for value in (before, after)]
-        print(f"{row:<64} {cells[0]} {cells[1]} {ratio}")
+        print(f"{row:<72} {_cells((before, after), 14)} {ratio}")
 
 
 def _commit(checkout: Path) -> str | None:
@@ -604,17 +568,17 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="path of the JSON file to write")
     parser.add_argument("--baseline", type=Path, default=None,
-                        help="checkout (such as the parent commit's) whose src/ verify stages, "
-                             "ccdf engine stages and cold start are recorded beside this one's")
+                        help="checkout (such as the parent commit's) whose src/ per-layer rows "
+                             "are recorded beside this one's")
     args = parser.parse_args(argv)
     trees = {"src": ROOT / "src"}
     if args.baseline is not None:
         trees["baseline"] = args.baseline / "src"
-    layer = per_layer(trees.get("baseline"))
+    layer = per_layer(trees)
     layer["cold_start"] = cold_start(trees)
-    layer["long_runs"] = long_runs(trees.get("baseline"))
+    layer["long_runs"] = long_runs(trees)
     if args.baseline is not None:
-        layer["cold_start"]["baseline_commit"] = _commit(args.baseline)
+        layer["baseline_commit"] = _commit(args.baseline)
     doc = {"machine": bench_run.machine_block(), "per_layer": layer, "end_to_end": end_to_end()}
     out = Path(args.out)
     # on disk before Tier-1 runs, for the tests that read the newest record
