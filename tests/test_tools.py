@@ -145,8 +145,8 @@ def test_each_trees_stages_are_its_own(recorder, monkeypatch):
     # every verify and engine stage timed is a function of its own package, a stage function
     # the tree lacks is left out, and each of its runs times its stages
     parts = {"verify": recorder.verify_stages, "ccdf": recorder.engine_stages}
-    for run, stages in zip(parts, ("verify_stages", "engine_stages")):
-        monkeypatch.setattr(recorder, stages, lambda m, stages=parts[run]: [
+    for stages in parts.values():
+        monkeypatch.setattr(recorder, stages.__name__, lambda m, stages=stages: [
             *stages(m), (m.verify, "_no_such_stage", "missing")])
     packages = {"src": "mmwbeam", "baseline": recorder.BASELINE_PACKAGE}
     runs = {tree: recorder._tree_runs(tree, ROOT / "src", {"ccdf": CCDF}) for tree in packages}
