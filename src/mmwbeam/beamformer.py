@@ -19,21 +19,32 @@ L)`` of the transmit and receive steering vectors, which
 nor any N-length vector is formed: a kernel's cost does not depend on Nt or
 Nr.  The Monte Carlo engine calls them on a chunk of trials; the
 per-channel functions here are calls with B = 1, and give the same bits.
-At L = 2, the paper's two-path case, and at L = 3 and 4 the kernels'
-Hermitian forms (the optimum's core, the equal-power scheme's quadratic form
-and the SNR of a matched receiver) are written entry by entry over the stack
-(:func:`_hermitian_form`): numpy's stacked ``@`` dispatches to BLAS once per
-2 x 2 to 4 x 4 matrix, and that dispatch, not the arithmetic, would be most
-of their cost.  For the same reason the one-hot beams (dominant-path and
-bi-directional) read the strongest path's Gram column by index instead of
-multiplying by their weights, the optimum's Gram factor is written out at
-L <= 2 and taken from one LAPACK call on the whole stack from L = 3
-(:func:`_gram_factor`), and the core's top eigenvalue is read in closed
-form at L <= 3, at L = 3 by Smith's trigonometric formula with ``eigvalsh``
-only where the core's top two eigenvalues nearly coincide
-(:func:`_top_eigenvalues`).  Each per-channel function reads its pair from
-the paths alone: both beams are combinations of the steering vectors (see
-:func:`_pair`), and no channel is assembled.
+Which route a kernel takes depends on L:
+
+* L = 2, the paper's two-path case: the Grams hold one coupling each,
+  ``rho_t = G_t[0, 1]`` and ``rho_r = G_r[0, 1]``, and the two-path kernels
+  (:func:`_two_path_optimal` and the schemes') take the gains and those two
+  couplings alone.  Each writes out its 2 x 2 products entry by entry, with
+  the products by the Grams' ones and zeros left out, and forms no matrix
+  and calls no LAPACK or BLAS routine; the kernels on Grams read the
+  couplings and hand them on.  Only the optimum's beam builds its
+  matrices.
+* L = 3 and 4: the Hermitian forms (the optimum's core and the SNR of a
+  matched receiver) are written entry by entry over the stack
+  (:func:`_hermitian_form`): numpy's stacked ``@`` dispatches to BLAS once
+  per 3 x 3 or 4 x 4 matrix, and that dispatch, not the arithmetic, would
+  be most of their cost.  The optimum's Gram factor is one LAPACK call on
+  the whole stack (:func:`_gram_factor`), and its core's top eigenvalue at
+  L = 3 Smith's trigonometric formula, with ``eigvalsh`` only where the
+  core's top two eigenvalues nearly coincide (:func:`_top_eigenvalues`).
+* L = 1 and L >= 5: the forms are stacked ``@`` products, and the top
+  eigenvalue is the 1 x 1 core itself or ``eigvalsh``'s.
+
+At every L the one-hot beams (dominant-path and bi-directional) read the
+strongest path's Gram column by index instead of multiplying by their
+weights.  Each per-channel function reads its pair from the paths alone:
+both beams are combinations of the steering vectors (see :func:`_pair`),
+and no channel is assembled.
 """
 
 from __future__ import annotations
@@ -199,7 +210,7 @@ def optimal_beamformer(channel: ChannelMatrix) -> BeamformerPair:
     of the top singular subspace when the top singular value is repeated);
     the receive vector is its matched filter.  This route ignores the path
     structure, so it is the oracle for :func:`reduced_optimal_beamformer`.
-    It is :func:`_dense_optimal` on one channel.
+    It is :func:`_dense_optimal` on one channel: a zero ``H`` gives SNR 0.
     """
     tx, rx, snr = _dense_optimal(channel.entries[None])
     return _frozen_pair(tx[0], rx[0], snr[0])
@@ -209,13 +220,19 @@ def _dense_optimal(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[fl
     """:func:`optimal_beamformer` of each channel (B, Nr, Nt): beams (B, Nt), (B, Nr) and SNRs.
 
     LAPACK and BLAS run on each matrix of a stack alone, so each row has the
-    bits of its channel's own pair.
+    bits of its channel's own pair.  An exactly zero channel has no matched
+    filter: its SNR is 0 and its beams are the SVD's first singular vectors,
+    turned by the one phase factor of the transmit beam.
     """
-    if not np.all(np.any(entries, axis=(-2, -1))):
-        raise ValueError("channel matrix is zero")
-    tx = np.linalg.svd(entries, full_matrices=False)[2][:, 0].conj()
-    tx *= _phase_turn(tx)[:, None]
-    return (tx, *_matched(entries, tx))
+    left, _, right = np.linalg.svd(entries, full_matrices=False)
+    tx = right[:, 0].conj()
+    turn = _phase_turn(tx)[:, None]
+    tx *= turn
+    rx, snr = left[:, :, 0] * turn, np.zeros(len(entries))
+    live = np.any(entries, axis=(-2, -1))
+    if live.any():
+        rx[live], snr[live] = _matched(entries[live], tx[live])
+    return tx, rx, snr.tolist()
 
 
 # Stacked kernels.  Every argument and result carries a leading batch axis B:
@@ -257,17 +274,17 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _hermitian_form(gains: np.ndarray, factor: np.ndarray, gram_r: np.ndarray) -> np.ndarray:
     """Hermitian forms ``M^H G_r M`` (B, K, K) of ``M = diag(gain) Y``, factors Y (B, L, K).
 
-    At L = 2 to 4 both products are :func:`_product`'s, entry by entry, on
+    At L = 3 and 4 both products are :func:`_product`'s, entry by entry, on
     M laid out with the batch axis last: a stacked ``@`` dispatches to BLAS
-    once per matrix, about 0.25 us each, so on 2 x 2 to 4 x 4 matrices it
+    once per matrix, about 0.25 us each, so on 3 x 3 and 4 x 4 matrices it
     costs more than the arithmetic of the whole stack.  Each entry then
     has the bits of its own channel's form, but not those of ``@``, whose
     BLAS kernel rounds its sums in another order.  At other L the form is
-    the stacked product: at L = 1 and L >= 5 entry by entry is slower.
-    Y is the optimum's Gram factor, the equal-power scheme's ``G_t``, or
-    ``G_t w`` (K = 1) for a matched receiver.
+    the stacked product: at L = 1 and L >= 5 entry by entry is slower, and
+    the two-path kernels never form the L = 2 matrices.  Y is the
+    optimum's Gram factor or ``G_t w`` (K = 1) for a matched receiver.
     """
-    if gains.shape[-1] not in (2, 3, 4):
+    if gains.shape[-1] not in (3, 4):
         mapped = gains[:, :, None] * factor
         return _herm(mapped) @ (gram_r @ mapped)
     mapped = np.multiply(gains.T[:, None], factor.transpose(1, 2, 0), order="C")
@@ -335,31 +352,23 @@ def _pair(
 def _gram_factor(gram_t: np.ndarray) -> np.ndarray:
     """A Cholesky factor F (B, L, L) of each transmit Gram, ``G_t = F F^H``.
 
-    At L <= 2 it is written out: column 0 is ``G_t[:, 0]`` (the diagonal
-    is 1), so at L = 2 F is ``[[1, 0], [conj(rho), sqrt(1 - |rho|^2)]]``
-    with ``rho = G_t[0, 1]``, and a remainder at most ``PIVOT_FLOOR`` gives
-    a zero root: no division.  At L >= 3 F is LAPACK's (zpotrf), from one
-    call on the whole stack through the gufunc behind
+    At L = 1 ``G_t = [[1]]`` is its own factor.  From L = 2 F is LAPACK's
+    (zpotrf), from one call on the whole stack through the gufunc behind
     ``np.linalg.cholesky``: it factors each matrix alone, so a row has the
     bits of ``np.linalg.cholesky`` on its own Gram, and a Gram that zpotrf
     refuses (a pivot not positive: coincident departures, Nt < L) comes
     back all NaN instead of raising for the stack.  Those rows, and only
-    those, take the pivoted factor of :func:`_pivoted_factor`.
+    those, take the pivoted factor of :func:`_pivoted_factor`.  The
+    two-path kernels write their factor out (see :func:`_two_path_optimal`).
     """
-    batch, size = gram_t.shape[:2]
-    if size > 2:
-        # a refusal raises the invalid flag; np.linalg.cholesky ignores the others too
-        with np.errstate(all="ignore"):
-            factor = _umath_linalg.cholesky_lo(gram_t, signature="D->D")
-        refused = np.flatnonzero(np.isnan(factor[:, 0, 0].real))
-        if refused.size:
-            factor[refused] = _pivoted_factor(gram_t[refused])
-        return factor
-    factor = np.zeros((batch, size, size), dtype=complex)
-    first = factor[:, :, 0] = gram_t[:, :, 0]
-    if size == 2:
-        rest = 1.0 - (first[:, 1].real ** 2 + first[:, 1].imag ** 2)
-        factor[:, 1, 1] = np.sqrt(np.where(rest > PIVOT_FLOOR, rest, 0.0))
+    if gram_t.shape[-1] == 1:
+        return gram_t
+    # a refusal raises the invalid flag; np.linalg.cholesky ignores the others too
+    with np.errstate(all="ignore"):
+        factor = _umath_linalg.cholesky_lo(gram_t, signature="D->D")
+    refused = np.flatnonzero(np.isnan(factor[:, 0, 0].real))
+    if refused.size:
+        factor[refused] = _pivoted_factor(gram_t[refused])
     return factor
 
 
@@ -411,25 +420,23 @@ SPREAD_FLOOR = 1e-150
 
 
 def _top_eigenvalues(core: np.ndarray) -> np.ndarray:
-    """Top eigenvalues (B,) of Hermitian cores (B, L, L).
+    """Top eigenvalues (B,) of Hermitian cores (B, L, L), L = 1 or L >= 3.
 
-    ``C00`` at L = 1; ``(C00 + C11)/2 + hypot((C00 - C11)/2, |C01|)`` at
-    L = 2; ``eigvalsh`` at L >= 4.  At L = 3 Smith's trigonometric formula
-    ``q + 2p cos(acos(r)/3)`` (Kopp, arXiv:physics/0610206), with ``q =
-    tr(A)/3``, ``p^2 = ||A - qI||_F^2 / 6`` and ``r = det(B)/2`` for ``B =
-    (A - qI)/p``, is taken on the core's lower triangle (the one
-    ``eigvalsh`` reads) scaled by the power of two that puts its largest
-    diagonal entry in [0.5, 1): the squares in p neither under- nor
-    overflow, and forming B before its determinant keeps ``p^3`` out.
+    ``C00`` at L = 1 and ``eigvalsh`` at L >= 4 (the two-path kernels take
+    the L = 2 one in closed form, see :func:`_two_path_optimal`).  At L = 3
+    Smith's trigonometric formula ``q + 2p cos(acos(r)/3)`` (Kopp,
+    arXiv:physics/0610206), with ``q = tr(A)/3``, ``p^2 = ||A - qI||_F^2 /
+    6`` and ``r = det(B)/2`` for ``B = (A - qI)/p``, is taken on the core's
+    lower triangle (the one ``eigvalsh`` reads) scaled by the power of two
+    that puts its largest diagonal entry in [0.5, 1): the squares in p
+    neither under- nor overflow, and forming B before its determinant keeps
+    ``p^3`` out.
     The rows where ``1 + r < NEAR_DOUBLE_TOP`` (or is NaN) are read from
     ``eigvalsh`` instead, which is then called on those rows alone.
     """
     size = core.shape[-1]
     if size == 1:
         return core[:, 0, 0].real
-    if size == 2:
-        c00, c11 = core[:, 0, 0].real, core[:, 1, 1].real
-        return 0.5 * (c00 + c11) + np.hypot(0.5 * (c00 - c11), np.abs(core[:, 0, 1]))
     if size > 3:
         return np.linalg.eigvalsh(core)[:, -1]
     # the entries (6, B), batch last: A00, A11, A22, then A10, A20, A21, the lower triangle
@@ -462,33 +469,44 @@ def _optimal_snr(
     With ``G_t = F F^H`` (:func:`_gram_factor`), ``V = P F^H`` for a P with
     orthonormal columns, so ``H^H H`` is proportional to ``P C P^H`` with the
     core ``C = T^H G_r T``, ``T = diag(gain) F`` (:func:`_hermitian_form`,
-    entry by entry at L = 2 and 3, where a stacked ``@`` would spend its
+    entry by entry at L = 3 and 4, where a stacked ``@`` would spend its
     time dispatching BLAS per matrix).  The optimum is C's top eigenvalue
     over L for any factor (:func:`_top_eigenvalues`), so F may be LAPACK's
-    unpivoted factor, one zpotrf call on the stack from L = 3, and the
-    pivoted one only where zpotrf refuses a Gram.  The eigenvalue is in
-    closed form at L <= 3, with ``eigvalsh`` only on the L = 3 cores whose
-    top two eigenvalues nearly coincide, and from ``eigvalsh`` at L >= 4.
-    For C's top eigenvector y, ``C y = lambda y`` gives ``H^H H V w``
-    proportional to ``lambda V w`` with ``w = diag(conj(gain)) G_r T y``: the
-    paper's beam, each path weighted by its conjugate gain times the receive
-    beam's response on it, normalized by ``sqrt(w^H G_t w)``.  The kernel
-    does not scale the gains: :func:`_pair` passes them scaled by
+    unpivoted factor, one zpotrf call on the stack, and the pivoted one
+    only where zpotrf refuses a Gram.  The eigenvalue is in closed form at
+    L = 1 and 3, with ``eigvalsh`` only on the L = 3 cores whose top two
+    eigenvalues nearly coincide, and from ``eigvalsh`` at L >= 4.  At L = 2
+    the Grams' couplings go to :func:`_two_path_optimal`, which forms no
+    matrix.  The beam is :func:`_optimal_weights`'.  The kernel does not
+    scale the gains: :func:`_pair` passes them scaled by
     :func:`_unit_scaled`, which keeps the core, w and its power from under-
-    or overflowing.  A zero core (cancelling paths) gives w = 0, and the
-    strongest path's weights instead.  Without ``beam`` the weights are None.
+    or overflowing.  Without ``beam`` the weights are None.
     """
+    if gains.shape[-1] == 2:
+        return _two_path_optimal(gains, gram_t[:, 0, 1], gram_r[:, 0, 1], beam)
     factor = _gram_factor(gram_t)
     core = _hermitian_form(gains, factor, gram_r)
     snr = _top_eigenvalues(core) / gains.shape[-1]
     if not beam:
         return snr, None
+    return snr, _optimal_weights(gains, gram_t, gram_r, factor, core)
+
+
+def _optimal_weights(gains, gram_t, gram_r, factor, core) -> np.ndarray:
+    """Weights (B, L) of an optimal beam, from a factor F of ``G_t`` and the core C it gives.
+
+    For C's top eigenvector y, ``C y = lambda y`` gives ``H^H H V w``
+    proportional to ``lambda V w`` with ``w = diag(conj(gain)) G_r T y``: the
+    paper's beam, each path weighted by its conjugate gain times the receive
+    beam's response on it, normalized by ``sqrt(w^H G_t w)``.  A zero core
+    (cancelling paths) gives w = 0, and the strongest path's weights instead.
+    """
     vec = np.linalg.eigh(core)[1][..., -1:]
     weights = np.conj(gains) * (gram_r @ (gains[:, :, None] * factor) @ vec)[..., 0]
     power = np.sum(np.conj(weights) * (gram_t @ weights[..., None])[..., 0], axis=-1).real
     live = power > 0.0
     weights[~live] = _dominant_weights(gains[~live])
-    return snr, weights / np.sqrt(np.where(live, power, 1.0))[:, None]
+    return weights / np.sqrt(np.where(live, power, 1.0))[:, None]
 
 
 def _matched_snr(gains: np.ndarray, couplings: np.ndarray, gram_r: np.ndarray) -> np.ndarray:
@@ -518,7 +536,10 @@ def _dominant_snr(
 
     ``G_t w`` of the one-hot w is column k of ``G_t``, read by index: a
     stacked ``@`` would dispatch BLAS once per matrix to add exact zeros.
+    At L = 2 the Grams' couplings go to :func:`_two_path_dominant`.
     """
+    if gains.shape[-1] == 2:
+        return _two_path_dominant(gains, gram_t[:, 0, 1], gram_r[:, 0, 1])
     strongest = _strongest(gains)
     couplings = gram_t[np.arange(len(gains)), :, strongest, None]
     return _matched_snr(gains, couplings, gram_r), np.eye(gains.shape[-1])[strongest]
@@ -532,11 +553,100 @@ def _bidirectional_snr(
     ``u_k^H H v_k = c * sum_l gain_l G_r[k, l] G_t[l, k]``, with row k of
     ``G_r`` and column k of ``G_t`` read by index (see :func:`_dominant_snr`);
     the receive beam has the same weights on the receive steering vectors.
+    At L = 2 the Grams' couplings go to :func:`_two_path_bidirectional`.
     """
+    if gains.shape[-1] == 2:
+        return _two_path_bidirectional(gains, gram_t[:, 0, 1], gram_r[:, 0, 1])
     strongest = _strongest(gains)
     rows = np.arange(len(gains))
     amp = np.sum(gains * gram_r[rows, strongest] * gram_t[rows, :, strongest], axis=-1)
     return (amp.real**2 + amp.imag**2) / gains.shape[-1], np.eye(gains.shape[-1])[strongest]
+
+
+def _equal_power_snr(
+    gains: np.ndarray, gram_t: np.ndarray, gram_r: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_two_path_equal_power` on the couplings of two-path Grams (B, 2, 2)."""
+    return _two_path_equal_power(gains, gram_t[:, 0, 1], gram_r[:, 0, 1])
+
+
+# Two-path kernels.  At L = 2 the Grams hold one coupling each, rho_t = G_t[0, 1] =
+# v_0^H v_1 and rho_r = G_r[0, 1] = u_0^H u_1 (mmwbeam.steering._couplings), and each
+# kernel takes gains (B, 2) and rho_t, rho_r (B,).  Each writes out, entry by entry, the
+# 2 x 2 products on G_t = [[1, rho_t], [conj(rho_t), 1]] and G_r, in their order and
+# operand order (a complex product may fuse a multiply-add, so a * b and b * a can
+# differ), leaving out only the exact products with the Grams' and the factor's ones
+# and zeros: every SNR has the bits of those products (tests/test_beamformer.py keeps
+# them as the oracle), and no 2 x 2 array, LAPACK or BLAS call is made.  Only the
+# optimum's beam builds its matrices.
+
+
+def _matrices(*entries) -> np.ndarray:
+    """2 x 2 matrices (B, 2, 2) of four entries (B,) or scalars, row by row."""
+    return np.stack(np.broadcast_arrays(*entries), axis=-1).reshape(-1, 2, 2)
+
+
+def _two_path_optimal(
+    gains: np.ndarray, rho_t: np.ndarray, rho_r: np.ndarray, beam: bool = False
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """:func:`_optimal_snr` of two-path channels, from their couplings.
+
+    The factor of ``G_t`` is ``F = [[1, 0], [conj(rho_t), s]]``, ``s =
+    sqrt(1 - |rho_t|^2)``, with a remainder at most ``PIVOT_FLOOR`` giving
+    ``s = 0``: no division.  So ``T = diag(gain) F`` has the rows ``(g0,
+    0)`` and ``(g1 conj(rho_t), g1 s)``, and the core ``C = T^H G_r T`` has
+    the top eigenvalue ``(C00 + C11)/2 + hypot((C00 - C11)/2, |C01|)``.
+    With ``beam`` the matrices F, C and both Grams are built for the
+    weights of :func:`_optimal_weights`, which runs LAPACK and BLAS on them.
+    """
+    g0, g1 = gains[:, 0], gains[:, 1]
+    rest = 1.0 - (rho_t.real**2 + rho_t.imag**2)
+    root = np.sqrt(np.where(rest > PIVOT_FLOOR, rest, 0.0))
+    t10, t11 = g1 * np.conj(rho_t), g1 * root
+    # row 0 of T^H, and column 0 of G_r T; its column 1 is (rho_r t11, t11)
+    h00, h01 = np.conj(g0), np.conj(t10)
+    r00, r10 = g0 + rho_r * t10, np.conj(rho_r) * g0 + t10
+    c00 = h00 * r00 + h01 * r10
+    c01 = h00 * (rho_r * t11) + h01 * t11
+    c11 = np.conj(t11) * t11
+    snr = (0.5 * (c00.real + c11.real) + np.hypot(0.5 * (c00.real - c11.real), np.abs(c01))) / 2
+    if not beam:
+        return snr, None
+    factor = _matrices(1.0, 0.0, np.conj(rho_t), root)
+    core = _matrices(c00, c01, np.conj(t11) * r10, c11)
+    grams = (_matrices(1.0, rho, np.conj(rho), 1.0) for rho in (rho_t, rho_r))
+    return snr, _optimal_weights(gains, *grams, factor, core)
+
+
+def _two_path_matched(y0: np.ndarray, y1: np.ndarray, rho_r: np.ndarray) -> np.ndarray:
+    """:func:`_matched_snr` ``y^H G_r y / 2`` (B,) of ``y = gain * (G_t w)`` = (y0, y1)."""
+    form = np.conj(y0) * (y0 + rho_r * y1) + np.conj(y1) * (np.conj(rho_r) * y0 + y1)
+    return form.real / 2
+
+
+def _two_path_dominant(
+    gains: np.ndarray, rho_t: np.ndarray, rho_r: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_dominant_snr` of two-path channels: column k of ``G_t`` is (1, conj(rho_t)) or
+    (rho_t, 1)."""
+    strongest = _strongest(gains)
+    second = strongest == 1
+    g0, g1 = gains[:, 0], gains[:, 1]
+    y0 = np.where(second, g0 * rho_t, g0)
+    y1 = np.where(second, g1, g1 * np.conj(rho_t))
+    return _two_path_matched(y0, y1, rho_r), np.eye(2)[strongest]
+
+
+def _two_path_bidirectional(
+    gains: np.ndarray, rho_t: np.ndarray, rho_r: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_bidirectional_snr` of two-path channels: the strongest gain plus the other's,
+    carried by ``G_r[k, o] G_t[o, k]``."""
+    strongest = _strongest(gains)
+    g0, g1 = gains[:, 0], gains[:, 1]
+    amp = np.where(strongest == 1, g0 * np.conj(rho_r) * rho_t + g1,
+                   g0 + g1 * rho_r * np.conj(rho_t))
+    return (amp.real**2 + amp.imag**2) / 2, np.eye(2)[strongest]
 
 
 def _phase_peak(alpha, b, c, delta) -> tuple[np.ndarray, np.ndarray]:
@@ -575,37 +685,42 @@ def _phase_peak(alpha, b, c, delta) -> tuple[np.ndarray, np.ndarray]:
         return peak, np.arctan2(c, b - peak * delta)
 
 
-def _equal_power_snr(
-    gains: np.ndarray, gram_t: np.ndarray, gram_r: np.ndarray
+def _two_path_equal_power(
+    gains: np.ndarray, rho_t: np.ndarray, rho_r: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """SNR (B,) and weights (B, 2) of the best equal split of an L=2 channel.
+    """SNR (B,) and weights (B, 2) of the best equal split of two-path channels.
 
     The beam is ``f = v_0 + exp(1j theta) v_1`` normalized.  ``||H f||^2 /
     ||f||^2`` is the ratio of two quadratic forms in ``(1, exp(1j theta))``,
     with matrices ``Q = G_t^H M G_t`` (``M = diag(conj(gain)) G_r
-    diag(gain)``; the form of :func:`_hermitian_form` with ``Y = G_t``,
-    written entry by entry since numpy's stacked ``@`` would dispatch BLAS
-    per 2 x 2 matrix) and ``G_t``.  With ``rho = G_t[0, 1]``, ``phi = theta
-    + arg(rho)`` and ``k = Q[0, 1] exp(-1j arg(rho))`` it is ``(alpha + Re(k)
-    cos(phi) - Im(k) sin(phi)) / (1 + |rho| cos(phi))``, ``alpha = (Q[0, 0] +
-    Q[1, 1]) / 2``, whose maximizing phase is :func:`_phase_peak`'s.  The
-    cross term is divided by ``alpha`` where ``alpha > 0``: the kernel does
-    not scale its gains, so at tiny gains ``Im(k)^2`` would underflow and
-    lose the phase.  Where the beam at that phase vanishes (``||f||^2 = 2 +
-    2 |rho| cos(phi) <= MIN_BEAM_NORM_SQ``: coincident departures, where
-    rounding can put the peak where the beam cancels) ``phi = 0`` is taken,
-    the phase of the largest norm.  The SNR is that of the normalized beam
-    itself (:func:`_matched_snr`, again a form written entry by entry, on
-    ``G_t w = (w0 + rho w1, conj(rho) w0 + w1)``), with weights ``(1,
-    exp(1j theta)) / ||f||``, not the ratio's value, which rounds badly where
-    ``||f||`` nearly vanishes.
+    diag(gain)``, written entry by entry on the couplings) and ``G_t``.
+    With ``phi = theta + arg(rho_t)`` and ``k = Q[0, 1] exp(-1j
+    arg(rho_t))`` it is ``(alpha + Re(k) cos(phi) - Im(k) sin(phi)) / (1 +
+    |rho_t| cos(phi))``, ``alpha = (Q[0, 0] + Q[1, 1]) / 2``, whose
+    maximizing phase is :func:`_phase_peak`'s.  The cross term is divided
+    by ``alpha`` where ``alpha > 0``: the kernel does not scale its gains,
+    so at tiny gains ``Im(k)^2`` would underflow and lose the phase.  Where
+    the beam at that phase vanishes (``||f||^2 = 2 + 2 |rho_t| cos(phi) <=
+    MIN_BEAM_NORM_SQ``: coincident departures, where rounding can put the
+    peak where the beam cancels) ``phi = 0`` is taken, the phase of the
+    largest norm.  The SNR is that of the normalized beam itself
+    (:func:`_two_path_matched` on ``G_t w = (w0 + rho_t w1, conj(rho_t) w0 +
+    w1)``), with weights ``(1, exp(1j theta)) / ||f||``, not the ratio's
+    value, which rounds badly where ``||f||`` nearly vanishes.
     """
-    quad = _hermitian_form(gains, gram_t, gram_r)
-    rho = gram_t[:, 0, 1]
-    delta, turn = np.abs(rho), np.angle(rho)
-    alpha = 0.5 * (quad[:, 0, 0].real + quad[:, 1, 1].real)
+    g0, g1 = gains[:, 0], gains[:, 1]
+    m01, m10 = g0 * rho_t, g1 * np.conj(rho_t)
+    # R = G_r M for M = diag(gain) G_t, then Q = M^H R: its diagonal and Q[0, 1]
+    h00, h01, rho_rc = np.conj(g0), np.conj(m10), np.conj(rho_r)
+    r00, r01 = g0 + rho_r * m10, m01 + rho_r * g1
+    r10, r11 = rho_rc * g0 + m10, rho_rc * m01 + g1
+    q00 = h00 * r00 + h01 * r10
+    q01 = h00 * r01 + h01 * r11
+    q11 = np.conj(m01) * r01 + np.conj(g1) * r11
+    delta, turn = np.abs(rho_t), np.angle(rho_t)
+    alpha = 0.5 * (q00.real + q11.real)
     unit = np.where(alpha > 0.0, alpha, 1.0)
-    cross = quad[:, 0, 1] * np.exp(-1j * turn) / unit
+    cross = q01 * np.exp(-1j * turn) / unit
     phi = _phase_peak(alpha / unit, cross.real, -cross.imag, delta)[1]
     norm_sq = 2.0 + 2.0 * delta * np.cos(phi)
     live = norm_sq > MIN_BEAM_NORM_SQ
@@ -616,10 +731,8 @@ def _equal_power_snr(
     weights[:, 1] = np.exp(1j * theta)
     weights /= norm[:, None]
     w0, w1 = weights[:, 0], weights[:, 1]
-    couplings = np.empty((len(theta), 2, 1), dtype=complex)
-    couplings[:, 0, 0] = w0 + rho * w1
-    couplings[:, 1, 0] = np.conj(rho) * w0 + w1
-    return _matched_snr(gains, couplings, gram_r), weights
+    y0, y1 = g0 * (w0 + rho_t * w1), g1 * (np.conj(rho_t) * w0 + w1)
+    return _two_path_matched(y0, y1, rho_r), weights
 
 
 def reduced_optimal_beamformer(

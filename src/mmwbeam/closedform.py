@@ -27,7 +27,7 @@ import numpy as np
 
 from .beamformer import MIN_BEAM_NORM_SQ, _phase_peak, _unscaled
 from .channel import _path_arrays
-from .steering import ArrayGeometry, _grams
+from .steering import ArrayGeometry, _couplings
 
 __all__ = [
     "TwoPathParams",
@@ -126,13 +126,13 @@ def _measured(gains, freqs_t, freqs_r, tx_geom: ArrayGeometry, rx_geom: ArrayGeo
     """:meth:`TwoPathParams.from_paths` of two-path channels, one per row of the (B, 2) inputs.
 
     ``gains`` are complex, ``freqs_t`` and ``freqs_r`` the departure and
-    arrival spatial frequencies.  Each end's couplings are one :func:`_grams`
+    arrival spatial frequencies.  Each end's couplings are one :func:`_couplings`
     call, whose entries have the bits of :func:`cpo_inner_product`; ``abs``
     and ``np.angle`` keep the bits they have on one value.
     """
     ends = []
     for geom, freqs in ((rx_geom, freqs_r), (tx_geom, freqs_t)):
-        kernel = _grams(geom.num_elements, geom.spacing_wavelengths, freqs)[:, 0, 1]
+        kernel = _couplings(geom.num_elements, geom.spacing_wavelengths, freqs)[:, 0]
         ends.append([
             (min(abs(z), 1.0), phase if abs(z) > 0 else 0.0)
             for z, phase in zip(kernel.tolist(), np.angle(kernel).tolist())
@@ -624,7 +624,7 @@ def _two_path_snrs(params: TwoPathParams, terms: tuple) -> tuple[float, float, i
     """Twice the optimal and twice the dominant-path SNR on ``terms``, and their shift.
 
     ``terms`` are ``params``' :func:`_scaled_terms`, which the caller has.
-    The optimum is the L = 2 form of :func:`beamformer._optimal_snr` written
+    The optimum is the core of :func:`beamformer._two_path_optimal` written
     on the parameters: in the orthonormal basis ``v_1``, ``(v_2 - (v_1^H
     v_2) v_1) / sqrt(1 - vv^2)`` the core has ``C00 = a + b vv^2 + 2r vv uu
     cos(nu)``, ``C11 = b (1 - vv^2)`` and ``|C01| = sqrt(1 - vv^2) hypot(r uu

@@ -26,16 +26,19 @@ value ``rng.uniform(lo, hi)`` gives for the same draw.  An azimuth reaches
 the steering vectors only through its spatial frequency ``cos(azimuth)``.
 
 The engine works on chunks of consecutive trials.  A chunk is drawn into
-arrays ``gains``, ``aod`` and ``aoa`` of shape (B, L), the Gram matrices
-(B, L, L) of the transmit and receive steering vectors are evaluated in
-closed form, both ends in one call (see :func:`mmwbeam.steering.gram_stack`),
-the optimum and the scheme SNR come from the stacked L x L kernels of
-:mod:`mmwbeam.beamformer`, and the chunk's losses in dB from
+arrays ``gains``, ``aod`` and ``aoa`` of shape (B, L), the Gram data of the
+transmit and receive steering vectors is evaluated in closed form, both
+ends in one call, the optimum and the scheme SNR come from the stacked
+kernels of :mod:`mmwbeam.beamformer`, and the chunk's losses in dB from
 ``beamformer._losses_db``, one division and one log pass with the bits
 ``beamformer._loss_db`` gives each pair; no steering vector is formed, so a
-trial's cost does not depend on Nt or Nr.  The chunk size follows from the
-O(L^2) per-trial working set and a fixed budget of ``_CHUNK_BYTES``, so
-memory stays bounded for any trial count.  The
+trial's cost does not depend on Nt or Nr.  At L = 2 the Gram data is the
+two couplings ``rho_t``, ``rho_r`` (B,) of ``steering._couplings`` and the
+kernels are the two-path ones (``_TWO_PATH_SNR``), which form no 2 x 2
+matrix; at any other L it is the Gram matrices (B, L, L) of
+``steering._grams`` and the L x L kernels (``_SCHEME_SNR``).  The chunk
+size follows from the O(L^2) per-trial working set and a fixed budget of
+``_CHUNK_BYTES``, so memory stays bounded for any trial count.  The
 public per-channel route ``sample_paths`` -> ``reduced_optimal_beamformer``
 -> ``SCHEMES[scheme]`` draws its trial as a chunk of one through the same
 draw route, calls the same kernels and reproduces every loss bit for bit.
@@ -53,15 +56,18 @@ import numpy as np
 from .beamformer import (
     _bidirectional_snr,
     _dominant_snr,
-    _equal_power_snr,
     _losses_db,
     _optimal_snr,
+    _two_path_bidirectional,
+    _two_path_dominant,
+    _two_path_equal_power,
+    _two_path_optimal,
     bidirectional_beamformer,
     dominant_path_beamformer,
     equal_power_beamformer,
 )
 from .channel import PathComponent, _path_list
-from .steering import ArrayGeometry, _grams, spatial_frequencies
+from .steering import ArrayGeometry, _couplings, _grams, spatial_frequencies
 
 __all__ = [
     "RNG_ALGORITHM",
@@ -87,11 +93,19 @@ SCHEMES: dict[str, Callable] = {
     "equal_power": equal_power_beamformer,
 }
 
-# The stacked kernel behind each scheme: (gains, gram_t, gram_r) -> (snr, beam weights).
+# The stacked kernel behind each scheme defined at every L, as the engine calls it at
+# L != 2: (gains, gram_t, gram_r) -> (snr, beam weights).
 _SCHEME_SNR: dict[str, Callable] = {
     "bidirectional": _bidirectional_snr,
     "dominant_tx_mf_rx": _dominant_snr,
-    "equal_power": _equal_power_snr,
+}
+
+# The kernel behind each scheme at L = 2, on the two couplings: (gains, rho_t, rho_r) ->
+# (snr, beam weights).
+_TWO_PATH_SNR: dict[str, Callable] = {
+    "bidirectional": _two_path_bidirectional,
+    "dominant_tx_mf_rx": _two_path_dominant,
+    "equal_power": _two_path_equal_power,
 }
 
 ANGLE_SAMPLING = ("uniform_angle", "uniform_cosine")
@@ -290,8 +304,10 @@ def _chunk_trials(cfg: McConfig) -> int:
     and half a kilobyte of draws, SNRs and Python floats: 672 bytes at L =
     1, 1.2 kB at L = 2, 2.0 kB at L = 3 and 4.5 kB at L = 5, so a chunk
     holds 1560, 910, 537 and 232 trials.  A run's peak beyond its losses,
-    measured with ``tracemalloc``, stays within 0.36, 0.78, 0.94 and 0.75
-    of ``_CHUNK_BYTES`` at these L.  The fixed cost of a chunk, one
+    measured with ``tracemalloc``, stays within 0.36, 0.48, 0.94 and 0.75
+    of ``_CHUNK_BYTES`` at these L; at L = 2, where the two-path kernels
+    form no matrix, the count is loose (0.31 for the bi-directional and
+    0.48 for the equal-power scheme).  The fixed cost of a chunk, one
     generator and one to three hundred small numpy calls (0.1-0.35 ms on a
     2-vCPU x86-64 box with numpy 2.4), is large beside the cost per trial
     (about 0.3, 0.4-1.4, 1.4-1.9 and 7-11 microseconds at L = 1, 2, 3 and
@@ -304,9 +320,15 @@ def _chunk_trials(cfg: McConfig) -> int:
 
 
 def _trial_losses(cfg: McConfig) -> tuple[np.ndarray, int]:
-    """Loss (dB) of every trial in trial order, and the number of redraws."""
-    scheme_snr = _SCHEME_SNR[cfg.scheme]
-    # element counts of the transmit and the receive array, one per Gram of a pair
+    """Loss (dB) of every trial in trial order, and the number of redraws.
+
+    At L = 2 each chunk's Gram data is its two couplings, and the kernels
+    are the two-path ones; at any other L it is the Grams themselves.
+    """
+    two_paths = cfg.num_paths == 2
+    optimum = _two_path_optimal if two_paths else _optimal_snr
+    scheme_snr = (_TWO_PATH_SNR if two_paths else _SCHEME_SNR)[cfg.scheme]
+    # element counts of the transmit and the receive array, one per end of a pair
     sizes = np.array([cfg.nt, cfg.nr])[:, None, None]
     chunk = _chunk_trials(cfg)
     losses = np.empty(cfg.trials)
@@ -316,9 +338,12 @@ def _trial_losses(cfg: McConfig) -> tuple[np.ndarray, int]:
         gains, *ends, redraws = _draw_chunk(cfg, trials)
         num_resampled += redraws
         freqs = spatial_frequencies(ends)
-        gram_t, gram_r = _grams(sizes, cfg.spacing_wavelengths, freqs)
-        optimal, _ = _optimal_snr(gains, gram_t, gram_r)
-        scheme, _ = scheme_snr(gains, gram_t, gram_r)
+        if two_paths:
+            pair = _couplings(sizes, cfg.spacing_wavelengths, freqs)[..., 0]
+        else:
+            pair = _grams(sizes, cfg.spacing_wavelengths, freqs)
+        optimal, _ = optimum(gains, *pair)
+        scheme, _ = scheme_snr(gains, *pair)
         losses[start : trials.stop] = _losses_db(optimal, scheme)
     return losses, num_resampled
 

@@ -7,6 +7,12 @@ with a linearly increasing phase, scaled to unit 2-norm.  The inner product
 of two such vectors is the Dirichlet kernel of their frequency difference,
 which is what makes "electrical orthogonality" between two directions a
 simple predicate on their spatial frequencies.
+
+The inner products above the diagonal of a set of steering vectors are
+written once, in :func:`_couplings`; :func:`_grams` assembles the Gram
+matrices from them.  The Monte Carlo engine takes the couplings alone at
+L = 2, where they are all the Gram data there is, and the Grams at any
+other L.
 """
 
 from __future__ import annotations
@@ -125,17 +131,20 @@ def gram_stack(geom: ArrayGeometry, freqs: np.ndarray) -> np.ndarray:
     return _grams(geom.num_elements, geom.spacing_wavelengths, freqs)
 
 
-def _grams(n, spacing: float, freqs) -> np.ndarray:
-    """:func:`gram_stack` at element count ``n``: an int, or integers (..., 1), one per matrix.
+def _couplings(n, spacing: float, freqs) -> np.ndarray:
+    """Entries above the diagonal (..., P) of :func:`_grams`, in ``np.triu_indices`` order.
 
-    Each entry is computed from its own count by the same operations, so a
-    stack of arrays of several sizes holds the bits of each array's own Grams.
-    The array functions used here round as the scalar ``math`` ones of
-    :func:`cpo_inner_product` do, so each entry has the bits of that function.
+    ``n`` is an int, or integers (..., 1), one per stack of frequencies
+    ``freqs`` (..., L); P = L (L - 1) / 2.  Entry ``(l, k)``, l < k, is
+    ``v_l^H v_k``.  Each entry is computed from its own count and pair of
+    frequencies by the same operations, and the array functions used here
+    round as the scalar ``math`` ones of :func:`cpo_inner_product` do, so
+    each entry has the bits of that function.  At L = 2 the one entry is
+    the end's coupling, ``rho_t = G_t[0, 1]`` or ``rho_r = G_r[0, 1]``: all
+    the Gram data of a two-path channel.
     """
     freqs = np.asarray(freqs, dtype=float)
-    size = freqs.shape[-1]
-    rows, cols = _pairs(size)
+    rows, cols = _pairs(freqs.shape[-1])
     psi = math.pi * spacing * (freqs[..., cols] - freqs[..., rows])
     psi -= np.rint(psi / math.pi) * math.pi
     coincident = psi == 0.0
@@ -143,6 +152,20 @@ def _grams(n, spacing: float, freqs) -> np.ndarray:
     den[coincident] = 1.0
     upper = np.exp(1j * (n - 1) * psi) * (np.sin(n * psi) / den)
     upper[coincident] = 1.0
+    return upper
+
+
+def _grams(n, spacing: float, freqs) -> np.ndarray:
+    """:func:`gram_stack` at element count ``n``: an int, or integers (..., 1), one per matrix.
+
+    The matrices are assembled from :func:`_couplings`: the diagonal is
+    exactly 1 and the entries below are the conjugates of those above, so a
+    stack of arrays of several sizes holds the bits of each array's own Grams.
+    """
+    freqs = np.asarray(freqs, dtype=float)
+    size = freqs.shape[-1]
+    rows, cols = _pairs(size)
+    upper = _couplings(n, spacing, freqs)
     gram = np.empty(freqs.shape + (size,), dtype=complex)
     gram[..., rows, cols] = upper
     gram[..., cols, rows] = np.conj(upper)
@@ -177,7 +200,7 @@ def cpo_inner_product(geom: ArrayGeometry, freq_delta: float) -> complex:
     nearest multiple of pi: near that multiple ``sin(N*psi)`` of the
     unreduced psi would carry the rounding of ``N*psi`` relative to its
     small value.  Where the reduced psi is exactly 0 the product is exactly 1.
-    This is :func:`_grams`' kernel written again in scalar ``math``, entry
+    This is :func:`_couplings`' kernel written again in scalar ``math``, entry
     for entry with its bits: the scalar reference that
     :func:`electrically_orthogonal` and ``tests/verify_reference.py`` use,
     at about 0.6 us a pair against 27 us through ``gram_stack`` (2 vCPUs,

@@ -297,8 +297,10 @@ def _prop1_values(seed: int, indices: range) -> tuple[list, list, list]:
 
     Each stage runs once per group of instances it can stack: the reduced
     SNR per path count L (:func:`beamformer._optimal_snr` on Grams of any
-    array sizes), the steering stacks and span residuals per array size and
-    L, the channels per (Nt, Nr, L), and the dense SVD route per (Nt, Nr).
+    array sizes, which at L = 2 hands their couplings to the two-path
+    kernel the engine calls), the steering stacks and span residuals per
+    array size and L, the channels per (Nt, Nr, L), and the dense SVD route
+    per (Nt, Nr).
     Every stacked kernel gives each instance the bits of its own call.
     """
     nts, nrs, gains, aods, aoas = _draw_prop1(seed, indices)

@@ -202,10 +202,28 @@ class TestOptimalBeamformer:
             quotient = power / np.sum(np.abs(beams) ** 2, axis=0) / (ch.num_tx * ch.num_rx)
             assert np.all(quotient <= best * (1.0 + 1e-12))
 
-    def test_zero_channel_rejected(self):
+    def test_zero_channel_gives_snr_zero_and_unit_beams(self):
+        # an exactly zero H has no matched filter: its SNR is 0, its beams the SVD's own
         ch = ChannelMatrix(entries=np.zeros((4, 8), dtype=complex))
-        with pytest.raises(ValueError, match="zero"):
-            optimal_beamformer(ch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pair = optimal_beamformer(ch)
+        left, _, right = np.linalg.svd(ch.entries)
+        assert pair.normalized_snr == 0.0
+        assert np.array_equal(pair.tx, right[0].conj()) and np.array_equal(pair.rx, left[:, 0])
+        assert abs(np.linalg.norm(pair.tx) - 1.0) < 1e-15
+        assert abs(np.linalg.norm(pair.rx) - 1.0) < 1e-15
+
+    def test_a_zero_row_of_a_stack_leaves_the_others_their_bits(self, rng):
+        entries = rng.standard_normal((5, 4, 8)) + 1j * rng.standard_normal((5, 4, 8))
+        entries[2] = 0.0
+        tx, rx, snr = beamformer._dense_optimal(entries)
+        assert snr[2] == 0.0 and np.all(np.isfinite(tx[2])) and np.all(np.isfinite(rx[2]))
+        for row in (0, 1, 3, 4):
+            alone = optimal_beamformer(ChannelMatrix(entries=entries[row]))
+            assert tx[row].tobytes() == alone.tx.tobytes()
+            assert rx[row].tobytes() == alone.rx.tobytes()
+            assert snr[row] == alone.normalized_snr > 0.0
 
     def test_rerun_bit_identical(self, rng):
         tx_geom, rx_geom = geometry_pair()
@@ -434,19 +452,22 @@ class TestEqualPower:
 
     @pytest.mark.parametrize("sampling", montecarlo.ANGLE_SAMPLING)
     @pytest.mark.parametrize("nt, nr", [(256, 16), (8, 4), (2, 2)])
-    def test_couplings_keep_the_bits_of_the_gram_product(self, nt, nr, sampling):
-        # G_t w is formed entry by entry, (w0 + rho w1, conj(rho) w0 + w1), with the
-        # bits of the stacked product gram_t @ w on a chunk of the engine
+    def test_snr_is_the_matched_snr_of_its_own_weights(self, nt, nr, sampling):
+        # the SNR is that of the returned beam: y^H G_r y / 2 on y = gain * (G_t w), with
+        # G_t w = (w0 + rho w1, conj(rho) w0 + w1) and the form written entry by entry; a
+        # stacked gram_t @ w rounds its sums in its BLAS kernel's order, so it is only near
         cfg = montecarlo.McConfig(
             num_paths=2, trials=200, seed=nt + nr, nt=nt, nr=nr, scheme="equal_power",
             angle_sampling=sampling,
         )
-        gains, aod, aoa, _ = montecarlo._draw_chunk(cfg, range(cfg.trials))
-        sizes = np.array([nt, nr])[:, None, None]
-        gram_t, gram_r = _grams(sizes, 0.5, spatial_frequencies(np.stack([aod, aoa])))
+        gains, gram_t, gram_r = engine_inputs(cfg)
         snr, weights = beamformer._equal_power_snr(gains, gram_t, gram_r)
-        product = beamformer._matched_snr(gains, gram_t @ weights[..., None], gram_r)
-        assert snr.tobytes() == product.tobytes()
+        rho, (w0, w1) = gram_t[:, 0, 1], weights.T
+        couplings = np.stack([w0 + rho * w1, np.conj(rho) * w0 + w1], axis=-1)[..., None]
+        assert snr.tobytes() == (entrywise_form(gains, couplings, gram_r)[:, 0, 0].real / 2).tobytes()
+        stacked = beamformer._matched_snr(gains, gram_t @ weights[..., None], gram_r)
+        scale = np.sum(np.abs(gains), axis=-1) ** 2 / 2
+        assert np.all(np.abs(snr - stacked) <= 16 * np.finfo(float).eps * scale)
 
 
 # (name, nt, gains, departure azimuths, arrival azimuths) of degenerate two-path channels
@@ -946,7 +967,8 @@ def stacked_one_hot_snrs(gains, gram_t, gram_r):
 
 
 class TestOneHotReads:
-    @pytest.mark.parametrize("num_paths", (1, 2, 3, 5))
+    # at L = 2 the two-path kernels read the couplings instead (see TestTwoPathKernels)
+    @pytest.mark.parametrize("num_paths", (1, 3, 5))
     @pytest.mark.parametrize("nt", (4, 64))
     @pytest.mark.parametrize("seed", (0, 1))
     def test_column_reads_give_the_bits_of_the_stacked_product_on_engine_draws(
@@ -1001,3 +1023,120 @@ class TestTopEigenvalue:
         for power in (-1000, -600, 600, 1000):
             assert np.array_equal(beamformer._top_eigenvalues(cores * 2.0**power),
                                   top * 2.0**power)
+
+
+def entrywise_form(gains, factor, gram_r):
+    """``M^H G_r M`` (B, K, K) of ``M = diag(gain) Y``, factors Y (B, L, K), entry by entry.
+
+    The matrix route of the two-path kernels, kept as their oracle: each 2 x 2 product
+    is ``beamformer._product``'s, with the batch axis last, products with the Grams'
+    ones and zeros included.
+    """
+    mapped = np.multiply(gains.T[:, None], factor.transpose(1, 2, 0), order="C")
+    rx = np.ascontiguousarray(gram_r.transpose(1, 2, 0))
+    inner = beamformer._product(rx, mapped)
+    return beamformer._product(np.conj(mapped).transpose(1, 0, 2), inner).transpose(2, 0, 1)
+
+
+def matrix_route_snrs(gains, gram_t, gram_r):
+    """SNRs (B,) of the optimum and of each scheme, and the weights of each scheme, on the
+    2 x 2 Grams: the forms of ``entrywise_form``, the factor written out."""
+    rows, size = np.arange(len(gains)), gains.shape[-1]
+    factor = np.zeros_like(gram_t)
+    factor[:, :, 0] = gram_t[:, :, 0]
+    rest = 1.0 - (factor[:, 1, 0].real ** 2 + factor[:, 1, 0].imag ** 2)
+    factor[:, 1, 1] = np.sqrt(np.where(rest > beamformer.PIVOT_FLOOR, rest, 0.0))
+    core = entrywise_form(gains, factor, gram_r)
+    c00, c11 = core[:, 0, 0].real, core[:, 1, 1].real
+    optimal = (0.5 * (c00 + c11) + np.hypot(0.5 * (c00 - c11), np.abs(core[:, 0, 1]))) / size
+    strongest = np.argmax(np.abs(gains), axis=-1)
+    one_hot = np.eye(size)[strongest]
+    column = gram_t[rows, :, strongest, None]
+    dominant = entrywise_form(gains, column, gram_r)[:, 0, 0].real / size
+    amp = np.sum(gains * gram_r[rows, strongest] * gram_t[rows, :, strongest], axis=-1)
+    bidirectional = (amp.real**2 + amp.imag**2) / size
+    # the equal-power scheme of the quadratic forms Q = (diag(gain) G_t)^H G_r (diag(gain) G_t)
+    quad = entrywise_form(gains, gram_t, gram_r)
+    rho = gram_t[:, 0, 1]
+    delta, turn = np.abs(rho), np.angle(rho)
+    alpha = 0.5 * (quad[:, 0, 0].real + quad[:, 1, 1].real)
+    unit = np.where(alpha > 0.0, alpha, 1.0)
+    cross = quad[:, 0, 1] * np.exp(-1j * turn) / unit
+    phi = beamformer._phase_peak(alpha / unit, cross.real, -cross.imag, delta)[1]
+    norm_sq = 2.0 + 2.0 * delta * np.cos(phi)
+    live = norm_sq > beamformer.MIN_BEAM_NORM_SQ
+    theta = np.where(live, phi, 0.0) - turn
+    weights = np.empty((len(theta), 2), dtype=complex)
+    weights[:, 0] = 1.0
+    weights[:, 1] = np.exp(1j * theta)
+    weights /= np.sqrt(np.where(live, norm_sq, 2.0 + 2.0 * delta))[:, None]
+    w0, w1 = weights[:, 0], weights[:, 1]
+    couplings = np.stack([w0 + rho * w1, np.conj(rho) * w0 + w1], axis=-1)[..., None]
+    equal = entrywise_form(gains, couplings, gram_r)[:, 0, 0].real / size
+    return optimal, {"dominant_tx_mf_rx": (dominant, one_hot),
+                     "bidirectional": (bidirectional, one_hot), "equal_power": (equal, weights)}
+
+
+def two_path_inputs(nt, nr, spacing, seed):
+    """Engine draws of two-path channels with the degenerate rows of ``DEGENERATE_EQUAL_POWER``
+    and coincident arrivals appended: gains (B, 2) and both Grams (B, 2, 2)."""
+    cfg = montecarlo.McConfig(num_paths=2, trials=64, seed=seed, nt=nt, nr=nr,
+                              spacing_wavelengths=spacing)
+    gains, aod, aoa, _ = montecarlo._draw_chunk(cfg, range(cfg.trials))
+    cases = [case[2:] for case in DEGENERATE_EQUAL_POWER]
+    extra = [(g, d, (a[0], a[0])) for g, d, a in cases]
+    gains = np.concatenate([gains, [case[0] for case in cases + extra]])
+    aod = np.concatenate([aod, [case[1] for case in cases + extra]])
+    aoa = np.concatenate([aoa, [case[2] for case in cases + extra]])
+    gram_t = gram_stack(ArrayGeometry(nt, spacing), spatial_frequencies(aod))
+    gram_r = gram_stack(ArrayGeometry(nr, spacing), spatial_frequencies(aoa))
+    return gains, gram_t, gram_r
+
+
+class TestTwoPathKernels:
+    @pytest.mark.parametrize("power", (-500, 0, 500))
+    @pytest.mark.parametrize("nt,nr,spacing", [(64, 4, 0.5), (256, 16, 0.5), (1, 4, 0.5),
+                                               (8, 1, 1.7), (16, 16, 1e-4)])
+    def test_each_kernel_keeps_the_bits_of_the_matrix_route(self, nt, nr, spacing, power):
+        # leaving out the exact products with the Grams' and the factor's ones and zeros
+        # moves no bit: on engine draws and on coincident, cancelling and one-element cases
+        gains, gram_t, gram_r = two_path_inputs(nt, nr, spacing, seed=nt + nr)
+        gains = gains * 2.0**power
+        rho_t, rho_r = gram_t[:, 0, 1], gram_r[:, 0, 1]
+        optimal, schemes = matrix_route_snrs(gains, gram_t, gram_r)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert beamformer._two_path_optimal(gains, rho_t, rho_r)[0].tobytes() == (
+                optimal.tobytes())
+            for scheme, (snr, weights) in schemes.items():
+                got = montecarlo._TWO_PATH_SNR[scheme](gains, rho_t, rho_r)
+                assert got[0].tobytes() == snr.tobytes(), scheme
+                assert got[1].tobytes() == weights.tobytes(), scheme
+
+    def test_the_engine_forms_no_matrix_at_two_paths(self, monkeypatch):
+        # at L = 2 a chunk's Gram data is its two couplings: no Gram, factor, core or top
+        # eigenvalue routine runs, and no LAPACK call
+        calls = []
+
+        def spy(name, original):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return call
+
+        for owner, names in ((beamformer, ("_gram_factor", "_pivoted_factor", "_hermitian_form",
+                                           "_top_eigenvalues", "_matched_snr", "_product",
+                                           "_optimal_weights", "_matrices")),
+                             (montecarlo, ("_grams", "_optimal_snr")),
+                             (np.linalg, ("eigh", "eigvalsh", "svd", "cholesky", "solve"))):
+            for name in names:
+                monkeypatch.setattr(owner, name, spy(name, getattr(owner, name)))
+        monkeypatch.setattr(_umath_linalg, "cholesky_lo",
+                            spy("cholesky_lo", _umath_linalg.cholesky_lo))
+        for scheme in montecarlo.SCHEMES:
+            for sampling in montecarlo.ANGLE_SAMPLING:
+                montecarlo.run_ccdf(montecarlo.McConfig(
+                    num_paths=2, trials=50, seed=1, scheme=scheme, angle_sampling=sampling))
+        assert calls == []
+        montecarlo.run_ccdf(montecarlo.McConfig(num_paths=3, trials=50, seed=1))
+        assert "_grams" in calls and "cholesky_lo" in calls

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mmwbeam import montecarlo
+from mmwbeam import beamformer, montecarlo
 from mmwbeam.beamformer import _loss_db, reduced_optimal_beamformer
 from mmwbeam.channel import assemble_channel
 from mmwbeam.steering import gram_stack, spatial_frequencies
@@ -337,14 +337,18 @@ class TestChunkLosses:
     OPTIMAL = [2.0, 1.0, 0.7, 1.0, 1.0, 1e300, 1.0, 1.0, math.nan, 3.0]
     SCHEME = [1.0, 0.3, 0.7, 0.0, -0.0, 1e-10, 5e-324, math.nan, 1.0, -1.0]
 
-    def test_each_loss_is_the_loss_of_its_own_pair(self, monkeypatch):
-        # the engine divides a chunk's SNRs at once; each loss must read as _loss_db(o, s)
+    @pytest.mark.parametrize("num_paths", (2, 3))
+    def test_each_loss_is_the_loss_of_its_own_pair(self, num_paths, monkeypatch):
+        # the engine divides a chunk's SNRs at once; each loss must read as _loss_db(o, s),
+        # from the two-path kernels at L = 2 as from the others
         def kernel(values):
-            return lambda gains, gram_t, gram_r: (np.array(values[: len(gains)]), None)
+            return lambda gains, ends_t, ends_r: (np.array(values[: len(gains)]), None)
 
-        monkeypatch.setattr(montecarlo, "_optimal_snr", kernel(self.OPTIMAL))
-        monkeypatch.setitem(montecarlo._SCHEME_SNR, "bidirectional", kernel(self.SCHEME))
-        cfg = small_cfg(trials=len(self.OPTIMAL))
+        for name in ("_optimal_snr", "_two_path_optimal"):
+            monkeypatch.setattr(montecarlo, name, kernel(self.OPTIMAL))
+        for table in (montecarlo._SCHEME_SNR, montecarlo._TWO_PATH_SNR):
+            monkeypatch.setitem(table, "bidirectional", kernel(self.SCHEME))
+        cfg = small_cfg(trials=len(self.OPTIMAL), num_paths=num_paths)
         assert montecarlo._chunk_trials(cfg) == cfg.trials
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -363,7 +367,7 @@ class TestChunkLosses:
         gram_t = gram_stack(cfg.tx_geometry, spatial_frequencies(aod))
         gram_r = gram_stack(cfg.rx_geometry, spatial_frequencies(aoa))
         optimal = montecarlo._optimal_snr(gains, gram_t, gram_r)[0]
-        scheme = montecarlo._equal_power_snr(gains, gram_t, gram_r)[0]
+        scheme = beamformer._equal_power_snr(gains, gram_t, gram_r)[0]
         expected = [_loss_db(o, s) for o, s in zip(optimal.tolist(), scheme.tolist())]
         assert montecarlo._chunk_trials(cfg) < cfg.trials
         assert losses.tolist() == expected

@@ -21,12 +21,15 @@ from conftest import equal_power_grid_snr, random_paths, rotated_cores  # noqa: 
 from mmwbeam import cli, closedform, steering  # noqa: E402
 from mmwbeam.beamformer import (  # noqa: E402
     _dominant_snr,
+    _equal_power_snr,
     _gram_factor,
     _herm,
     _hermitian_form,
     _loss_db,
+    _losses_db,
     _optimal_snr,
     _top_eigenvalues,
+    _two_path_optimal,
     bidirectional_beamformer,
     dominant_path_beamformer,
     equal_power_beamformer,
@@ -50,6 +53,7 @@ from mmwbeam.closedform import (  # noqa: E402
 from mmwbeam.montecarlo import (  # noqa: E402
     _MIN_GAIN,
     _SCHEME_SNR,
+    _TWO_PATH_SNR,
     ANGLE_SAMPLING,
     SCHEMES,
     McConfig,
@@ -159,6 +163,11 @@ def test_equal_power_phase_is_exact(cfg):
 SANDWICH_ULPS = 16.0 * np.finfo(float).eps
 
 
+def scheme_kernels(size):
+    """The stacked kernel on Grams of each scheme defined at L = size, by name."""
+    return {**_SCHEME_SNR, "equal_power": _equal_power_snr} if size == 2 else _SCHEME_SNR
+
+
 def engine_grams(mc):
     """Gains (B, L) and the transmit and receive Grams (B, L, L) of every trial the engine draws."""
     gains, aod, aoa, _ = _draw_chunk(mc, range(mc.trials))
@@ -183,11 +192,10 @@ def test_optimum_lies_in_the_trace_sandwich(cfg):
     optimal = size * _optimal_snr(gains, gram_t, gram_r)[0]
     assert np.all(trace / size - slack <= optimal)
     assert np.all(optimal <= trace + slack)
-    for scheme, kernel in _SCHEME_SNR.items():
-        if scheme != "equal_power" or size == 2:
-            snr = kernel(gains, gram_t, gram_r)[0]
-            assert np.all(snr >= 0.0)
-            assert np.all(size * snr <= optimal + slack)
+    for kernel in scheme_kernels(size).values():
+        snr = kernel(gains, gram_t, gram_r)[0]
+        assert np.all(snr >= 0.0)
+        assert np.all(size * snr <= optimal + slack)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -218,13 +226,12 @@ def test_losses_keep_their_values_at_gains_just_above_the_floor(cfg):
     mc = McConfig(**cfg)
     gains, gram_t, gram_r = engine_grams(mc)
     tiny = gains * (1.1 * _MIN_GAIN / np.abs(gains).max())
-    for scheme, kernel in _SCHEME_SNR.items():
-        if scheme != "equal_power" or mc.num_paths == 2:
-            unit = chunk_losses(kernel, gains, gram_t, gram_r)
-            scaled = chunk_losses(kernel, tiny, gram_t, gram_r)
-            finite = np.isfinite(unit)
-            assert np.array_equal(np.isfinite(scaled), finite)
-            assert np.all(np.abs(scaled[finite] - unit[finite]) <= 1e-12)
+    for kernel in scheme_kernels(mc.num_paths).values():
+        unit = chunk_losses(kernel, gains, gram_t, gram_r)
+        scaled = chunk_losses(kernel, tiny, gram_t, gram_r)
+        finite = np.isfinite(unit)
+        assert np.array_equal(np.isfinite(scaled), finite)
+        assert np.all(np.abs(scaled[finite] - unit[finite]) <= 1e-12)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -349,55 +356,105 @@ def test_gram_stack_matches_dense_product(n, spacing, freqs):
             assert entry == cpo_inner_product(geom, row_freqs[k] - row_freqs[l])
 
 
-# Units of the bound on the two-path form against the stacked product, in eps times
-# (|M|^T |G_r| |M|)[j, k].  With u = eps / 2, a complex product rounds within sqrt(5) u
-# (Brent, Percival and Zimmermann 2007) and a sum within u, so each 2 x 2 product
-# level of the entrywise form adds at most (sqrt(5) + 1) u and both levels about
-# 6.5 u = 3.3 eps, to first order.  BLAS may fuse and reorder each entry's four real
-# products and three sums, at most 4 u a level, 4 eps for both.  7.3 eps apart at
-# most; 8 leaves the second-order terms room.  A rounding that underflows errs by up
-# to half a subnormal spacing instead; an entry takes fewer than 16 roundings on
-# each route, so 16 spacings cover both.
-FORM_ULPS = 8.0 * np.finfo(float).eps
-FORM_FLOOR = 16.0 * np.finfo(float).smallest_subnormal
+# Bounds on the two-path kernels, in eps times S = (|g0| + |g1|)^2 / 2, which bounds every
+# SNR of the channel (sigma_1 of sum_l g_l u_l v_l^H is at most sum_l |g_l|) and every
+# term the kernels and the references sum.  Each kernel takes fewer than ten complex
+# roundings of at most sqrt(5) u (u = eps / 2) a product on terms of size S, the top
+# eigenvalue of the references' stacked-@ core eigvalsh's few eps, and the square root
+# of G_t its eigh rounding, which moves the core's eigenvalues only through F F^H = G_t:
+# 64 eps of S leaves that room; the worst of 3000 such draws was 10.2.  The dense
+# channel's phases carry the rounding of m * step up to (N - 1) |step|: its SNRs are
+# held to GRAM_ULPS (1 + N |step|) S, of which the same draws used 7 %.  A rounding
+# that underflows errs by up to half a subnormal spacing instead; 16 of them cover
+# every route.
+KERNEL_ULPS = 64.0 * np.finfo(float).eps
+KERNEL_FLOOR = 16.0 * np.finfo(float).smallest_subnormal
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+def stacked_two_path_snrs(gains, gram_t, gram_r, schemes):
+    """The optimum and each scheme's SNR (B,) of ``schemes`` ``{name: (snr, weights)}`` by
+    stacked ``@``: the optimum from ``eigvalsh`` of the core on the Hermitian square root of
+    ``G_t`` (``eigh``), a scheme from its weights."""
+    values, vectors = np.linalg.eigh(gram_t)
+    root = (vectors * np.sqrt(np.maximum(values, 0.0))[:, None, :]) @ _herm(vectors)
+    mapped = gains[:, :, None] * root
+    optimal = np.linalg.eigvalsh(_herm(mapped) @ (gram_r @ mapped))[:, -1] / 2
+    snrs = {}
+    for scheme, (_, weights) in schemes.items():
+        y = gains * (gram_t @ weights[..., None])[..., 0]
+        if scheme == "bidirectional":
+            amp = (weights[:, None, :] @ gram_r @ y[..., None])[:, 0, 0]
+            snrs[scheme] = np.abs(amp) ** 2 / 2
+        else:
+            snrs[scheme] = (np.conj(y[:, None, :]) @ gram_r @ y[..., None])[:, 0, 0].real / 2
+    return optimal, snrs
+
+
+def dense_two_path_snrs(gains, freq_t, freq_r, tx_geom, rx_geom, schemes):
+    """The same on the dense channels ``U diag(gain) V^H`` (B, Nr, Nt): the optimum from
+    their SVD, each scheme from its beams ``V w`` and its receiver."""
+    steer_t, steer_r = steering_stack(tx_geom, freq_t), steering_stack(rx_geom, freq_r)
+    channels = (steer_r * gains[:, None, :]) @ _herm(steer_t)
+    optimal = np.linalg.svd(channels, compute_uv=False)[:, 0] ** 2 / 2
+    snrs = {}
+    for scheme, (_, weights) in schemes.items():
+        tx = (steer_t @ weights[..., None])[..., 0]
+        response = (channels @ tx[..., None])[..., 0]
+        power = np.sum(np.abs(tx) ** 2, axis=-1)
+        if scheme == "bidirectional":
+            rx = (steer_r @ weights[..., None])[..., 0]
+            snrs[scheme] = np.abs(np.sum(np.conj(rx) * response, axis=-1)) ** 2 / 2 / power
+        else:
+            snrs[scheme] = np.sum(np.abs(response) ** 2, axis=-1) / 2 / power
+    return optimal, snrs
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
 @given(
     seed=st.integers(0, 2**32 - 1),
     nt=st.one_of(st.just(1), st.integers(1, 256)),
     nr=st.one_of(st.just(1), st.integers(1, 256)),
     spacing=st.floats(0.01, 2.0),
-    coincident=st.sampled_from(["none", "departures", "arrivals", "both"]),
+    degenerate=st.sampled_from(["none", "departures", "arrivals", "both", "cancelling"]),
     power=st.sampled_from([-500, 0, 500]),
 )
-def test_two_path_form_matches_the_stacked_product(seed, nt, nr, spacing, coincident, power):
-    # coincident paths and single-element arrays give |rho| = 1 and a singular Gram
+def test_two_path_kernels_match_the_stacked_core_and_the_dense_svd(
+    seed, nt, nr, spacing, degenerate, power
+):
+    # coincident departures give rho_t = 1 and a singular G_t, as Nt = 1 does; cancelling
+    # gains on coincident paths give the zero channel
     rng = np.random.default_rng(seed)
     batch = 8
     unit = rng.standard_normal((batch, 2)) + 1j * rng.standard_normal((batch, 2))
+    freq_t, freq_r = rng.uniform(-1.0, 1.0, (2, batch, 2))
+    if degenerate in ("departures", "both", "cancelling"):
+        freq_t[:, 1] = freq_t[:, 0]
+    if degenerate in ("arrivals", "both", "cancelling"):
+        freq_r[:, 1] = freq_r[:, 0]
+    if degenerate == "cancelling":
+        unit[:, 1] = -unit[:, 0]
     gains = unit * 2.0**power
-    aod, aoa = rng.uniform(0.0, math.pi, (2, batch, 2))
-    if coincident in ("departures", "both"):
-        aod[:, 1] = aod[:, 0]
-    if coincident in ("arrivals", "both"):
-        aoa[:, 1] = aoa[:, 0]
-    gram_t = gram_stack(ArrayGeometry(nt, spacing), spatial_frequencies(aod))
-    gram_r = gram_stack(ArrayGeometry(nr, spacing), spatial_frequencies(aoa))
-    # the factors of the optimum and of the equal-power scheme
-    for factor in (_gram_factor(gram_t), gram_t):
-        form = _hermitian_form(gains, factor, gram_r)
-        mapped = gains[:, :, None] * factor
-        reference = _herm(mapped) @ (gram_r @ mapped)
-        size = np.swapaxes(np.abs(mapped), -1, -2) @ (np.abs(gram_r) @ np.abs(mapped))
-        assert np.all(np.abs(form - reference) <= FORM_ULPS * size + FORM_FLOOR)
-        if power == 500:
-            # nothing under- or overflows: the scale by a power of two is exact
-            assert np.array_equal(form, _hermitian_form(unit, factor, gram_r) * 2.0**1000)
-        for b in range(batch):
-            rows = slice(b, b + 1)
-            assert np.array_equal(form[rows], _hermitian_form(gains[rows], factor[rows],
-                                                              gram_r[rows]))
+    tx_geom, rx_geom = ArrayGeometry(nt, spacing), ArrayGeometry(nr, spacing)
+    rho_t = steering._couplings(nt, spacing, freq_t)[:, 0]
+    rho_r = steering._couplings(nr, spacing, freq_r)[:, 0]
+    optimal = _two_path_optimal(gains, rho_t, rho_r)[0]
+    schemes = {name: kernel(gains, rho_t, rho_r) for name, kernel in _TWO_PATH_SNR.items()}
+    scale = np.sum(np.abs(gains), axis=-1) ** 2 / 2
+    bound = KERNEL_ULPS * scale + KERNEL_FLOOR
+    stacked = stacked_two_path_snrs(gains, gram_stack(tx_geom, freq_t),
+                                    gram_stack(rx_geom, freq_r), schemes)
+    dense = dense_two_path_snrs(gains, freq_t, freq_r, tx_geom, rx_geom, schemes)
+    steps = 2.0 * np.pi * spacing * np.abs(np.concatenate([freq_t, freq_r], axis=-1)).max(-1)
+    dense_bound = GRAM_ULPS * (1.0 + max(nt, nr) * steps) * scale + KERNEL_FLOOR
+    for reference, slack in ((stacked, bound), (dense, dense_bound)):
+        assert np.all(np.abs(optimal - reference[0]) <= slack)
+        for scheme, (snr, _) in schemes.items():
+            assert np.all(np.abs(snr - reference[1][scheme]) <= slack), scheme
+    for snr, _ in schemes.values():
+        # the optimum bounds every scheme: a loss of at least 0 dB, up to rounding
+        assert np.all(snr >= 0.0) and np.all(snr <= optimal + bound)
+        kept = (snr > bound) & (optimal > bound)
+        assert np.all(_losses_db(optimal[kept], snr[kept]) >= LOSS_FLOOR_DB)
 
 
 # The L = 3 closed form of a core's top eigenvalue against eigvalsh of the same core, in

@@ -53,9 +53,9 @@ def test_every_timed_stage_resolves(recorder):
     engine = recorder.engine_stages(m)
     assert {stage for _, _, stage in engine} == {
         "parsing", "draw", "gram_pair", "optimum", "scheme", "losses", "emission"}
-    # every scheme kernel the engine can call is timed
-    assert {name for owner, name, _ in engine if owner is m.montecarlo._SCHEME_SNR} == set(
-        m.montecarlo._SCHEME_SNR)
+    # every scheme kernel the engine can call is timed, on the Grams and on the couplings
+    for table in (m.montecarlo._SCHEME_SNR, m.montecarlo._TWO_PATH_SNR):
+        assert {name for owner, name, _ in engine if owner is table} == set(table)
     for owner, name, _ in engine:
         assert callable(recorder.binding(owner, name)), name
     # the runs leave out a stage function a tree lacks; this tree lacks none
@@ -64,15 +64,23 @@ def test_every_timed_stage_resolves(recorder):
 
 
 def test_every_engine_stage_runs_in_a_ccdf_call(recorder):
-    # a binding the engine no longer calls would leave its stage silently at 0
+    # a binding the engine no longer calls would leave its stage silently at 0, or hide
+    # beside a live binding of the same stage (the two-path kernels share the stage names
+    # of the others): so each binding is timed alone, over every scheme at L = 2 and 3
     m = recorder.tree_modules("src", ROOT / "src")
     engine = recorder.engine_stages(m)
+    alone = [(owner, name, f"{index} {stage} {name}")
+             for index, (owner, name, stage) in enumerate(engine)]
     timed = set()
-    for scheme, fmt in (("bidirectional", "csv"), ("equal_power", "json")):
-        call = recorder._ccdf_call({**CCDF, "scheme": scheme, "format": fmt}, m.cli)
-        rounds = recorder._timed_rounds({"ccdf": {"src": (engine, call)}}, 1)["src"]["ccdf"]
+    for paths, scheme, fmt in (
+        (2, "bidirectional", "csv"), (2, "equal_power", "json"), (2, "dominant_tx_mf_rx", "csv"),
+        (3, "bidirectional", "csv"), (3, "dominant_tx_mf_rx", "json"),
+    ):
+        call = recorder._ccdf_call({**CCDF, "paths": paths, "scheme": scheme, "format": fmt},
+                                   m.cli)
+        rounds = recorder._timed_rounds({"ccdf": {"src": (alone, call)}}, 1)["src"]["ccdf"]
         timed |= {stage for stage, values in rounds.items() if min(values) > 0.0}
-    assert timed >= {stage for _, _, stage in engine}
+    assert {stage for _, _, stage in alone} - timed == set()
 
 
 def test_every_verify_stage_runs_in_a_round(recorder):

@@ -280,18 +280,23 @@ def verify_stages(m: SimpleNamespace) -> list:
 def engine_stages(m: SimpleNamespace) -> list:
     """The same for a ccdf call.
 
-    ``montecarlo`` imports its kernels by name, and ``_SCHEME_SNR`` holds the
-    scheme kernels.  The self time of ``_trial_losses`` is the chunk loop
-    itself: the frequency stack, the SNR ratios and the log10 of each loss.
+    ``montecarlo`` imports its kernels by name, ``_SCHEME_SNR`` holds the
+    scheme kernels and ``_TWO_PATH_SNR`` those on the couplings of L = 2,
+    whose Gram data (``_couplings``) and optimum (``_two_path_optimal``)
+    are timed under the stage names of the other L.  The self time of
+    ``_trial_losses`` is the chunk loop itself: the frequency stack, the SNR
+    ratios and the log10 of each loss.
     """
-    schemes = getattr(m.montecarlo, "_SCHEME_SNR", {})
+    tables = [getattr(m.montecarlo, name, {}) for name in ("_SCHEME_SNR", "_TWO_PATH_SNR")]
     return [
         (m.cli, "_parse", "parsing"),
         (m.montecarlo, "_draw_chunk", "draw"),
         (m.montecarlo, "spatial_frequencies", "gram_pair"),
         (m.montecarlo, "_grams", "gram_pair"),
+        (m.montecarlo, "_couplings", "gram_pair"),
         (m.montecarlo, "_optimal_snr", "optimum"),
-        *((schemes, scheme, "scheme") for scheme in schemes),
+        (m.montecarlo, "_two_path_optimal", "optimum"),
+        *((table, scheme, "scheme") for table in tables for scheme in table),
         (m.montecarlo, "_trial_losses", "losses"),
         (m.montecarlo, "ccdf_to_csv", "emission"),
         (m.montecarlo, "ccdf_to_dict", "emission"),
