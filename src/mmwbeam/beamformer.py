@@ -17,7 +17,8 @@ over a leading batch axis (``gains (B, L)`` and the Gram matrices ``(B, L,
 L)`` of the transmit and receive steering vectors, which
 :func:`mmwbeam.steering.gram_stack` gives in closed form), so neither ``H``
 nor any N-length vector is formed: a kernel's cost does not depend on Nt or
-Nr.  The Monte Carlo engine calls them on a chunk of trials; the
+Nr.  The Monte Carlo engine calls them on a chunk of trials from L = 2 on
+(at L = 1 every loss is 0 dB, see :mod:`mmwbeam.montecarlo`); the
 per-channel functions here are calls with B = 1, and give the same bits.
 Which route a kernel takes depends on L:
 
@@ -118,29 +119,33 @@ def _frozen_pair(tx: np.ndarray, rx: np.ndarray, snr: float) -> BeamformerPair:
 
 
 def _loss_db(optimal: float, achieved: float = 1.0) -> float:
-    """SNR loss ``10*log10(optimal / achieved)`` in dB, +inf when the ratio is not finite.
+    """SNR loss ``10*log10(optimal / achieved)`` in dB, +inf unless the ratio is finite and > 0.
 
-    ``achieved <= 0`` counts as an infinite ratio.  The scalar ``math.log10``
-    is used on purpose: numpy's vectorised ``log10`` may round differently.
-    :func:`_losses_db` applies this rule to a stack of pairs.
+    ``achieved <= 0`` counts as an infinite ratio.  A ratio of 0 or below (an
+    optimum of 0, or rounded below 0, over a positive SNR: both are then
+    rounding residue of a vanishing channel) has no logarithm and reads
+    +inf, as do a NaN and an overflowing ratio: a loss with no finite value
+    is +inf.  The scalar ``math.log10`` is used on purpose: numpy's
+    vectorised ``log10`` may round differently.  :func:`_losses_db` applies
+    this rule to a stack of pairs.
     """
     ratio = optimal / achieved if achieved > 0.0 else math.inf
-    return 10.0 * math.log10(ratio) if math.isfinite(ratio) else math.inf
+    return 10.0 * math.log10(ratio) if 0.0 < ratio < math.inf else math.inf
 
 
 def _losses_db(optimal: np.ndarray, achieved: np.ndarray) -> np.ndarray:
     """:func:`_loss_db` of each pair of SNRs (B,), bit for bit, in one pass over the stack.
 
     One division gives the ratios, the scalar ``math.log10`` maps the finite
-    ones in one Python pass and one numpy product scales them by 10: a
-    division and a product round the same in numpy as in Python.
+    positive ones in one Python pass and one numpy product scales them by
+    10: a division and a product round the same in numpy as in Python.
     """
     with np.errstate(over="ignore"):
         ratios = np.divide(optimal, achieved, out=np.full(len(optimal), math.inf),
                            where=achieved > 0.0)
-    finite = np.isfinite(ratios)
-    logs = map(math.log10, np.where(finite, ratios, 1.0).tolist())
-    return np.where(finite, 10.0 * np.fromiter(logs, float, len(ratios)), math.inf)
+    valid = (ratios > 0.0) & (ratios < math.inf)
+    logs = map(math.log10, np.where(valid, ratios, 1.0).tolist())
+    return np.where(valid, 10.0 * np.fromiter(logs, float, len(ratios)), math.inf)
 
 
 def received_snr(channel: ChannelMatrix, tx: np.ndarray, rx: np.ndarray) -> float:

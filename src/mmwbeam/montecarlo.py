@@ -36,12 +36,20 @@ trial's cost does not depend on Nt or Nr.  At L = 2 the Gram data is the
 two couplings ``rho_t``, ``rho_r`` (B,) of ``steering._couplings`` and the
 kernels are the two-path ones (``_TWO_PATH_SNR``), which form no 2 x 2
 matrix; at any other L it is the Gram matrices (B, L, L) of
-``steering._grams`` and the L x L kernels (``_SCHEME_SNR``).  The chunk
-size follows from the O(L^2) per-trial working set and a fixed budget of
-``_CHUNK_BYTES``, so memory stays bounded for any trial count.  The
-public per-channel route ``sample_paths`` -> ``reduced_optimal_beamformer``
--> ``SCHEMES[scheme]`` draws its trial as a chunk of one through the same
-draw route, calls the same kernels and reproduces every loss bit for bit.
+``steering._grams`` and the L x L kernels (``_SCHEME_SNR``).  At L = 1
+every loss is exactly 0 dB and the engine computes none: the channel
+``H = c g u v^H`` is rank one, its dominant right-singular vector is the
+path's transmit steering vector ``v`` and the matched filter its receive
+one ``u``, so both schemes steer at the optimum.  The chunk is still drawn,
+since a draw whose gain vanishes is redrawn and counted as at any L; as no
+kernel, BLAS routine or vectorised logarithm runs, the bytes of an L = 1
+run do not depend on the machine.  The chunk size follows from the
+per-trial working set and a fixed budget of ``_CHUNK_BYTES``, so memory
+stays bounded for any trial count.  The public per-channel route
+``sample_paths`` -> ``reduced_optimal_beamformer`` -> ``SCHEMES[scheme]``
+draws its trial as a chunk of one through the same draw route, calls the
+same kernels and reproduces every loss bit for bit (at L = 1 its optimum
+and scheme SNR are equal, so its loss is 0 too).
 """
 
 from __future__ import annotations
@@ -118,6 +126,10 @@ _MIN_GAIN = 1e-150
 
 # Working-set budget of one chunk of trials (see _chunk_trials).
 _CHUNK_BYTES = 1 << 20
+
+# Bytes a trial of a chunk holds at L = 1 and 2, the measured working sets of
+# _chunk_trials with a quarter to spare; other L count their L x L arrays.
+_TRIAL_BYTES = {1: 160, 2: 704}
 
 
 def _check_integers(**values) -> None:
@@ -298,32 +310,42 @@ _draw_paths = sample_paths
 def _chunk_trials(cfg: McConfig) -> int:
     """Trials per chunk: as many as fit ``_CHUNK_BYTES``.
 
-    A trial's arrays do not depend on Nt or Nr.  Counted below are ten
-    complex L x L arrays of a trial alive at once (its two Grams, the factor
-    of G_t, and the products and entry-by-entry temporaries of the kernels)
-    and half a kilobyte of draws, SNRs and Python floats: 672 bytes at L =
-    1, 1.2 kB at L = 2, 2.0 kB at L = 3 and 4.5 kB at L = 5, so a chunk
-    holds 1560, 910, 537 and 232 trials.  A run's peak beyond its losses,
-    measured with ``tracemalloc``, stays within 0.36, 0.48, 0.94 and 0.75
-    of ``_CHUNK_BYTES`` at these L; at L = 2, where the two-path kernels
-    form no matrix, the count is loose (0.31 for the bi-directional and
-    0.48 for the equal-power scheme).  The fixed cost of a chunk, one
-    generator and one to three hundred small numpy calls (0.1-0.35 ms on a
-    2-vCPU x86-64 box with numpy 2.4), is large beside the cost per trial
-    (about 0.3, 0.4-1.4, 1.4-1.9 and 7-11 microseconds at L = 1, 2, 3 and
-    5), so fewer, larger chunks pay: 10^5 trials took 52, 107 and 260 ms
-    at L = 1, 2 and 3 in chunks of this size, against 82, 161 and 306 ms in
-    chunks of 256 (medians of five runs on the same box).
+    A trial's arrays do not depend on Nt or Nr.  At L = 1 a trial holds its
+    draws alone, and at L = 2 its draws, two couplings and the (B,)
+    temporaries of the two-path kernels: measured, a run's peak beyond its
+    losses is 120 bytes a trial at L = 1 and 356 (bi-directional and
+    dominant-path) to 550 (equal power) at L = 2, so ``_TRIAL_BYTES`` counts
+    160 and 704.  At other L ten complex L x L arrays of a trial are alive
+    at once (its two Grams, the factor of G_t, and the products and
+    entry-by-entry temporaries of the kernels), counted with half a
+    kilobyte of draws, SNRs and Python floats: 2.0 kB at L = 3 and 4.5 kB
+    at L = 5.  So a chunk holds 6553, 1489, 537 and 232 trials at L = 1,
+    2, 3 and 5, and a run's peak beyond its losses, measured with
+    ``tracemalloc`` over 2.5 chunks at Nt = 64 and Nr = 4, stays within
+    0.75, 0.51 (0.78 for equal power), 0.91 and 0.69 of ``_CHUNK_BYTES``.
+    The fixed cost of a chunk, one generator and up to three hundred small
+    numpy calls (0.1-0.35 ms on a 2-vCPU x86-64 box with numpy 2.4), is
+    large beside the cost per trial (about 0.1, 0.6-0.9, 1.4-1.9 and 7-11
+    microseconds at L = 1, 2, 3 and 5), so fewer, larger chunks pay: 10^5
+    trials took 9.0, 69 and 83 ms at L = 1, 2 (bi-directional) and 2 (equal
+    power) in chunks of this size, against 10.9, 75 and 93 ms in chunks of
+    1560, 910 and 910, the sizes ten L x L arrays a trial would give
+    (medians of seven runs on the same box).
     """
-    per_trial = 10 * 16 * cfg.num_paths**2 + 512
+    per_trial = _TRIAL_BYTES.get(cfg.num_paths, 10 * 16 * cfg.num_paths**2 + 512)
     return max(1, min(cfg.trials, _CHUNK_BYTES // per_trial))
 
 
 def _trial_losses(cfg: McConfig) -> tuple[np.ndarray, int]:
     """Loss (dB) of every trial in trial order, and the number of redraws.
 
-    At L = 2 each chunk's Gram data is its two couplings, and the kernels
-    are the two-path ones; at any other L it is the Grams themselves.
+    At L = 1 every loss is exactly 0 dB: the channel is rank one, so the
+    path's transmit steering vector is its dominant right-singular vector
+    and the receive one its matched filter, and both schemes steer at them.
+    Each chunk is drawn all the same, for its redraws, and no Gram data,
+    kernel or logarithm is computed.  At L = 2 each chunk's Gram data is
+    its two couplings, and the kernels are the two-path ones; at any other
+    L it is the Grams themselves.
     """
     two_paths = cfg.num_paths == 2
     optimum = _two_path_optimal if two_paths else _optimal_snr
@@ -337,6 +359,9 @@ def _trial_losses(cfg: McConfig) -> tuple[np.ndarray, int]:
         trials = range(start, min(start + chunk, cfg.trials))
         gains, *ends, redraws = _draw_chunk(cfg, trials)
         num_resampled += redraws
+        if cfg.num_paths == 1:
+            losses[start : trials.stop] = 0.0
+            continue
         freqs = spatial_frequencies(ends)
         if two_paths:
             pair = _couplings(sizes, cfg.spacing_wavelengths, freqs)[..., 0]
@@ -356,9 +381,11 @@ def run_ccdf(cfg: McConfig) -> CcdfTable:
     trial's paths, evaluate the Gram matrices of its steering vectors, the
     optimal normalized SNR (the Hermitian L x L core) and the scheme's
     normalized SNR in stacked kernels, and record
-    ``10*log10(optimal/scheme)``.  Draws whose gains all vanish are redrawn
-    as the stream defines and counted in ``num_resampled``.  Each loss
-    equals, bit for bit, the one the public per-channel functions give for
+    ``10*log10(optimal/scheme)``.  At L = 1 the channel is rank one and
+    steering at its path is optimal, so every loss is exactly 0 dB and only
+    the draws run.  Draws whose gains all vanish are redrawn as the stream
+    defines and counted in ``num_resampled``, at every L.  Each loss equals,
+    bit for bit, the one the public per-channel functions give for
     ``sample_paths(cfg, trial)``.
     """
     losses, num_resampled = _trial_losses(cfg)

@@ -222,7 +222,7 @@ class TestStreamContract:
 class TestRunCcdf:
     def test_single_path_loss_is_zero(self):
         table = run_ccdf(small_cfg(num_paths=1, trials=100))
-        assert float(np.max(np.abs(table.samples_db))) < 1e-6
+        assert_same_bits(table.samples_db, np.zeros(100))
 
     def test_samples_nonnegative(self):
         table = run_ccdf(small_cfg(trials=500))
@@ -334,8 +334,8 @@ class TestEngineMatchesPublicRoute:
 
 class TestChunkLosses:
     # optimal and scheme SNRs of one chunk, each pair chosen for a corner of the ratio
-    OPTIMAL = [2.0, 1.0, 0.7, 1.0, 1.0, 1e300, 1.0, 1.0, math.nan, 3.0]
-    SCHEME = [1.0, 0.3, 0.7, 0.0, -0.0, 1e-10, 5e-324, math.nan, 1.0, -1.0]
+    OPTIMAL = [2.0, 1.0, 0.7, 1.0, 1.0, 1e300, 1.0, 1.0, math.nan, 3.0, 0.0, -1e-300]
+    SCHEME = [1.0, 0.3, 0.7, 0.0, -0.0, 1e-10, 5e-324, math.nan, 1.0, -1.0, 1e-300, 1.0]
 
     @pytest.mark.parametrize("num_paths", (2, 3))
     def test_each_loss_is_the_loss_of_its_own_pair(self, num_paths, monkeypatch):
@@ -354,9 +354,19 @@ class TestChunkLosses:
             warnings.simplefilter("error")
             losses = montecarlo._trial_losses(cfg)[0].tolist()
         assert losses == [_loss_db(o, s) for o, s in zip(self.OPTIMAL, self.SCHEME)]
-        # a scheme SNR of 0, -0, NaN or below 0 and a ratio beyond the float range read inf
+        # a scheme SNR of 0, -0, NaN or below 0, a ratio beyond the float range and an
+        # optimum of 0 or below over a positive SNR read inf
         assert losses[:3] == [10.0 * math.log10(2.0), 10.0 * math.log10(1.0 / 0.3), 0.0]
-        assert losses[3:] == [math.inf] * 7
+        assert losses[3:] == [math.inf] * 9
+
+    def test_a_ratio_with_no_logarithm_reads_inf_in_the_scalar_and_the_stacked_loss(self):
+        # an optimum of 0, or rounded below 0, over a positive SNR has no logarithm
+        for optimal, scheme in ((0.0, 1e-300), (-1e-300, 1.0), (-0.0, 1.0)):
+            assert _loss_db(optimal, scheme) == math.inf
+            assert beamformer._losses_db(np.array([optimal]), np.array([scheme])).tolist() == [
+                math.inf]
+        stacked = beamformer._losses_db(np.array(self.OPTIMAL), np.array(self.SCHEME))
+        assert_same_bits(stacked, [_loss_db(o, s) for o, s in zip(self.OPTIMAL, self.SCHEME)])
 
     def test_engine_losses_are_the_losses_of_the_kernels(self, monkeypatch):
         # over several chunks, each loss is _loss_db of the kernels' SNRs on its trial
@@ -400,17 +410,19 @@ def redraws_by_slot_read(cfg, trial, threshold):
 
 
 class TestResampling:
-    def test_count_matches_per_trial_recount(self, monkeypatch):
-        # raise the gain floor so that about one draw in twenty is redrawn (17 of 400)
+    @pytest.mark.parametrize("num_paths", (1, 2))
+    def test_count_matches_per_trial_recount(self, num_paths, monkeypatch):
+        # raise the gain floor so that about one draw in twenty is redrawn at L = 2 (17 of
+        # 400) and one in five at L = 1, where the engine draws and computes no loss
         monkeypatch.setattr(montecarlo, "_MIN_GAIN", 0.5)
-        # chunks of 227 trials, so that redraws fall in more than one
-        monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 1 << 18)
-        cfg = small_cfg(num_paths=2, trials=400, nt=128, nr=8)
+        # chunks of 204 trials at L = 1 and 46 at L = 2, so that redraws fall in more than one
+        monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 1 << 15)
+        cfg = small_cfg(num_paths=num_paths, trials=400, nt=128, nr=8)
         assert montecarlo._chunk_trials(cfg) < cfg.trials
         table = run_ccdf(cfg)
         expected = sum(redraws_by_slot_read(cfg, t, 0.5) for t in range(cfg.trials))
         assert expected > 0
-        assert table.num_resampled == expected
+        assert table.num_resampled == expected == montecarlo._draw_chunk(cfg, range(400))[-1]
         # sample_paths redraws the same way, so the public route still replays the run
         assert_same_bits(table.samples_db, replayed_samples(cfg))
         assert json.loads(json.dumps(ccdf_to_dict(table)))["num_resampled"] == expected
@@ -431,10 +443,56 @@ class TestResampling:
 
     def test_gives_up_after_max_resample(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "_MIN_GAIN", math.inf)
-        with pytest.raises(RuntimeError, match="trial 0 of seed 7 kept producing degenerate"):
-            run_ccdf(small_cfg(trials=3))
+        for num_paths in (1, 2):
+            with pytest.raises(RuntimeError, match="trial 0 of seed 7 kept producing degenerate"):
+                run_ccdf(small_cfg(num_paths=num_paths, trials=3))
         with pytest.raises(RuntimeError, match="trial 4 of seed 7 kept producing degenerate"):
             sample_paths(small_cfg(), 4)
+
+
+SINGLE_PATH_CASES = [
+    (scheme, sampling, nt, nr, spacing)
+    for scheme in ("bidirectional", "dominant_tx_mf_rx")
+    for sampling in ANGLE_SAMPLING
+    for nt, nr in ((1, 1), (64, 4), (256, 16))
+    for spacing in (0.5, 2.0)
+]
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("a single-path run computes no loss")
+
+
+class TestSinglePath:
+    @pytest.mark.parametrize("scheme,sampling,nt,nr,spacing", SINGLE_PATH_CASES)
+    def test_every_loss_is_zero_as_the_kernels_give_it(self, scheme, sampling, nt, nr, spacing):
+        # the engine writes +0.0 for each trial; the route it skips, the kernels on the
+        # same draws and their loss, gives the same bits
+        cfg = McConfig(num_paths=1, trials=5000, seed=5, nt=nt, nr=nr, spacing_wavelengths=spacing,
+                       scheme=scheme, angle_sampling=sampling)
+        assert_same_bits(montecarlo._trial_losses(cfg)[0], np.zeros(cfg.trials))
+        gains, *ends, _ = montecarlo._draw_chunk(cfg, range(cfg.trials))
+        sizes = np.array([nt, nr])[:, None, None]
+        grams = montecarlo._grams(sizes, spacing, spatial_frequencies(ends))
+        optimal = montecarlo._optimal_snr(gains, *grams)[0]
+        achieved = montecarlo._SCHEME_SNR[scheme](gains, *grams)[0]
+        skipped = [_loss_db(o, s) for o, s in zip(optimal.tolist(), achieved.tolist())]
+        assert_same_bits(skipped, np.zeros(cfg.trials))
+
+    @pytest.mark.parametrize("scheme", ("bidirectional", "dominant_tx_mf_rx"))
+    def test_the_engine_computes_no_gram_data_kernel_or_loss(self, scheme, monkeypatch):
+        for name in ("spatial_frequencies", "_couplings", "_grams", "_optimal_snr",
+                     "_two_path_optimal", "_losses_db"):
+            monkeypatch.setattr(montecarlo, name, refuse)
+        for table in (montecarlo._SCHEME_SNR, montecarlo._TWO_PATH_SNR):
+            for name in table:
+                monkeypatch.setitem(table, name, refuse)
+        cfg = small_cfg(num_paths=1, trials=20_000, scheme=scheme)
+        assert montecarlo._chunk_trials(cfg) < cfg.trials
+        assert_same_bits(run_ccdf(cfg).samples_db, np.zeros(cfg.trials))
+        # the guard holds: at L = 2 the engine calls them
+        with pytest.raises(AssertionError, match="computes no loss"):
+            run_ccdf(small_cfg(num_paths=2, trials=3, scheme=scheme))
 
 
 class TestPercentile:

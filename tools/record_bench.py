@@ -285,7 +285,9 @@ def engine_stages(m: SimpleNamespace) -> list:
     whose Gram data (``_couplings``) and optimum (``_two_path_optimal``)
     are timed under the stage names of the other L.  The self time of
     ``_trial_losses`` is the chunk loop itself: the frequency stack, the SNR
-    ratios and the log10 of each loss.
+    ratios and the log10 of each loss.  At L = 1 the engine runs only the
+    draw and writes zeros, so its Gram pair, optimum and scheme stages are
+    not timed.
     """
     tables = [getattr(m.montecarlo, name, {}) for name in ("_SCHEME_SNR", "_TWO_PATH_SNR")]
     return [
