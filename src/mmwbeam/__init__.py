@@ -14,8 +14,7 @@ import importlib
 # The module of each root name, imported on first access (PEP 562): ``import mmwbeam``
 # loads no submodule and no numpy, and a ``ccdf`` run never loads ``closedform``.
 _ROOT = {
-    "steering": ("AngleSpec", "ArrayGeometry", "cpo_inner_product", "electrically_orthogonal",
-                 "steering_vector"),
+    "steering": ("AngleSpec", "ArrayGeometry", "cpo_inner_product", "steering_vector"),
     "channel": ("ChannelMatrix", "PathComponent", "assemble_channel", "channel_power"),
     "beamformer": ("BeamformerPair", "bidirectional_beamformer", "dominant_path_beamformer",
                    "equal_power_beamformer", "matched_filter", "optimal_beamformer",

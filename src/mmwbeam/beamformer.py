@@ -18,7 +18,7 @@ L)`` of the transmit and receive steering vectors, which
 :func:`mmwbeam.steering.gram_stack` gives in closed form), so neither ``H``
 nor any N-length vector is formed: a kernel's cost does not depend on Nt or
 Nr.  The Monte Carlo engine calls them on a chunk of trials from L = 2 on
-(at L = 1 every loss is 0 dB, see :mod:`mmwbeam.montecarlo`); the
+(at L = 1 every loss is 0 dB, see ``montecarlo._trial_losses``); the
 per-channel functions here are calls with B = 1, and give the same bits.
 Which route a kernel takes depends on L:
 
@@ -38,8 +38,9 @@ Which route a kernel takes depends on L:
   the whole stack (:func:`_gram_factor`), and its core's top eigenvalue at
   L = 3 Smith's trigonometric formula, with ``eigvalsh`` only where the
   core's top two eigenvalues nearly coincide (:func:`_top_eigenvalues`).
-* L = 1 and L >= 5: the forms are stacked ``@`` products, and the top
-  eigenvalue is the 1 x 1 core itself or ``eigvalsh``'s.
+* L = 1 and L >= 5: the forms are stacked ``@`` products, and the
+  factor and the top eigenvalue LAPACK's, as at L = 4; on a 1 x 1 Gram
+  and core they are exactly ``[[1]]`` and the core's entry.
 
 At every L the one-hot beams (dominant-path and bi-directional) read the
 strongest path's Gram column by index instead of multiplying by their
@@ -101,14 +102,10 @@ class BeamformerPair:
 
 
 def _phase_turn(vec: np.ndarray) -> np.ndarray:
-    """Unit factors (B,) turning the first significant entry of each vector (B, N) real >= 0.
-
-    A vector (N,) gives one factor, of shape ().
-    """
+    """Unit factors (B,) turning the first significant entry of each vector (B, N) real >= 0."""
     mags = np.abs(vec)
     idx = np.argmax(mags > PHASE_REFERENCE_FLOOR * mags.max(axis=-1, keepdims=True), axis=-1)
-    ref = vec[idx] if vec.ndim == 1 else vec[np.arange(len(vec)), idx]
-    return np.exp(-1j * np.angle(ref))
+    return np.exp(-1j * np.angle(vec[np.arange(len(vec)), idx]))
 
 
 def _frozen_pair(tx: np.ndarray, rx: np.ndarray, snr: float) -> BeamformerPair:
@@ -350,24 +347,22 @@ def _pair(
     rx = steer @ y
     norm = np.linalg.norm(rx)
     rx = rx / norm if norm > MIN_RESPONSE_NORM else steer[:, np.argmax(np.abs(gains))]
-    turn = _phase_turn(tx)
+    turn = _phase_turn(tx[None])[0]
     return _frozen_pair(tx * turn, rx * turn, _unscaled(float(snr[0]), 2 * int(shift[0])))
 
 
 def _gram_factor(gram_t: np.ndarray) -> np.ndarray:
     """A Cholesky factor F (B, L, L) of each transmit Gram, ``G_t = F F^H``.
 
-    At L = 1 ``G_t = [[1]]`` is its own factor.  From L = 2 F is LAPACK's
-    (zpotrf), from one call on the whole stack through the gufunc behind
-    ``np.linalg.cholesky``: it factors each matrix alone, so a row has the
-    bits of ``np.linalg.cholesky`` on its own Gram, and a Gram that zpotrf
-    refuses (a pivot not positive: coincident departures, Nt < L) comes
-    back all NaN instead of raising for the stack.  Those rows, and only
-    those, take the pivoted factor of :func:`_pivoted_factor`.  The
-    two-path kernels write their factor out (see :func:`_two_path_optimal`).
+    F is LAPACK's (zpotrf), from one call on the whole stack through the
+    gufunc behind ``np.linalg.cholesky``: it factors each matrix alone, so a
+    row has the bits of ``np.linalg.cholesky`` on its own Gram (at L = 1
+    ``[[1]]`` itself), and a Gram that zpotrf refuses (a pivot not
+    positive: coincident departures, Nt < L) comes back all NaN instead of
+    raising for the stack.  Those rows, and only those, take the pivoted
+    factor of :func:`_pivoted_factor`.  The two-path kernels write their
+    factor out (see :func:`_two_path_optimal`).
     """
-    if gram_t.shape[-1] == 1:
-        return gram_t
     # a refusal raises the invalid flag; np.linalg.cholesky ignores the others too
     with np.errstate(all="ignore"):
         factor = _umath_linalg.cholesky_lo(gram_t, signature="D->D")
@@ -425,10 +420,11 @@ SPREAD_FLOOR = 1e-150
 
 
 def _top_eigenvalues(core: np.ndarray) -> np.ndarray:
-    """Top eigenvalues (B,) of Hermitian cores (B, L, L), L = 1 or L >= 3.
+    """Top eigenvalues (B,) of Hermitian cores (B, L, L), L != 2.
 
-    ``C00`` at L = 1 and ``eigvalsh`` at L >= 4 (the two-path kernels take
-    the L = 2 one in closed form, see :func:`_two_path_optimal`).  At L = 3
+    ``eigvalsh``'s at every L but 3 (the two-path kernels take the L = 2 one
+    in closed form, see :func:`_two_path_optimal`); at L = 1 that is the
+    core's real entry, bit for bit, which zheevd returns as it is.  At L = 3
     Smith's trigonometric formula ``q + 2p cos(acos(r)/3)`` (Kopp,
     arXiv:physics/0610206), with ``q = tr(A)/3``, ``p^2 = ||A - qI||_F^2 /
     6`` and ``r = det(B)/2`` for ``B = (A - qI)/p``, is taken on the core's
@@ -439,10 +435,7 @@ def _top_eigenvalues(core: np.ndarray) -> np.ndarray:
     The rows where ``1 + r < NEAR_DOUBLE_TOP`` (or is NaN) are read from
     ``eigvalsh`` instead, which is then called on those rows alone.
     """
-    size = core.shape[-1]
-    if size == 1:
-        return core[:, 0, 0].real
-    if size > 3:
+    if core.shape[-1] != 3:
         return np.linalg.eigvalsh(core)[:, -1]
     # the entries (6, B), batch last: A00, A11, A22, then A10, A20, A21, the lower triangle
     entries = core.transpose(1, 2, 0)[(0, 1, 2, 1, 2, 2), (0, 1, 2, 0, 0, 1)]
@@ -479,8 +472,8 @@ def _optimal_snr(
     over L for any factor (:func:`_top_eigenvalues`), so F may be LAPACK's
     unpivoted factor, one zpotrf call on the stack, and the pivoted one
     only where zpotrf refuses a Gram.  The eigenvalue is in closed form at
-    L = 1 and 3, with ``eigvalsh`` only on the L = 3 cores whose top two
-    eigenvalues nearly coincide, and from ``eigvalsh`` at L >= 4.  At L = 2
+    L = 3, with ``eigvalsh`` only on the cores whose top two eigenvalues
+    nearly coincide, and from ``eigvalsh`` at every other L.  At L = 2
     the Grams' couplings go to :func:`_two_path_optimal`, which forms no
     matrix.  The beam is :func:`_optimal_weights`'.  The kernel does not
     scale the gains: :func:`_pair` passes them scaled by
@@ -510,7 +503,7 @@ def _optimal_weights(gains, gram_t, gram_r, factor, core) -> np.ndarray:
     weights = np.conj(gains) * (gram_r @ (gains[:, :, None] * factor) @ vec)[..., 0]
     power = np.sum(np.conj(weights) * (gram_t @ weights[..., None])[..., 0], axis=-1).real
     live = power > 0.0
-    weights[~live] = _dominant_weights(gains[~live])
+    weights[~live] = np.eye(gains.shape[-1])[_strongest(gains[~live])]
     return weights / np.sqrt(np.where(live, power, 1.0))[:, None]
 
 
@@ -527,11 +520,6 @@ def _matched_snr(gains: np.ndarray, couplings: np.ndarray, gram_r: np.ndarray) -
 def _strongest(gains: np.ndarray) -> np.ndarray:
     """Index (B,) of each channel's strongest path; ties go to the lowest index."""
     return np.argmax(np.abs(gains), axis=-1)
-
-
-def _dominant_weights(gains: np.ndarray) -> np.ndarray:
-    """One-hot weights (B, L) of each channel's strongest path."""
-    return np.eye(gains.shape[-1])[_strongest(gains)]
 
 
 def _dominant_snr(

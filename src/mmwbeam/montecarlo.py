@@ -37,15 +37,11 @@ two couplings ``rho_t``, ``rho_r`` (B,) of ``steering._couplings`` and the
 kernels are the two-path ones (``_TWO_PATH_SNR``), which form no 2 x 2
 matrix; at any other L it is the Gram matrices (B, L, L) of
 ``steering._grams`` and the L x L kernels (``_SCHEME_SNR``).  At L = 1
-every loss is exactly 0 dB and the engine computes none: the channel
-``H = c g u v^H`` is rank one, its dominant right-singular vector is the
-path's transmit steering vector ``v`` and the matched filter its receive
-one ``u``, so both schemes steer at the optimum.  The chunk is still drawn,
-since a draw whose gain vanishes is redrawn and counted as at any L; as no
-kernel, BLAS routine or vectorised logarithm runs, the bytes of an L = 1
-run do not depend on the machine.  The chunk size follows from the
-per-trial working set and a fixed budget of ``_CHUNK_BYTES``, so memory
-stays bounded for any trial count.  The public per-channel route
+every loss is exactly 0 dB and only the draws run (see
+``_trial_losses``), so the bytes of an L = 1 run do not depend on the
+machine.  The chunk size follows from the per-trial working set and a
+fixed budget of ``_CHUNK_BYTES``, so memory stays bounded for any trial
+count.  The public per-channel route
 ``sample_paths`` -> ``reduced_optimal_beamformer`` -> ``SCHEMES[scheme]``
 draws its trial as a chunk of one through the same draw route, calls the
 same kernels and reproduces every loss bit for bit (at L = 1 its optimum
@@ -339,13 +335,14 @@ def _chunk_trials(cfg: McConfig) -> int:
 def _trial_losses(cfg: McConfig) -> tuple[np.ndarray, int]:
     """Loss (dB) of every trial in trial order, and the number of redraws.
 
-    At L = 1 every loss is exactly 0 dB: the channel is rank one, so the
-    path's transmit steering vector is its dominant right-singular vector
-    and the receive one its matched filter, and both schemes steer at them.
-    Each chunk is drawn all the same, for its redraws, and no Gram data,
-    kernel or logarithm is computed.  At L = 2 each chunk's Gram data is
-    its two couplings, and the kernels are the two-path ones; at any other
-    L it is the Grams themselves.
+    At L = 1 every loss is exactly 0 dB: the channel ``H = c g u v^H`` is
+    rank one, so the path's transmit steering vector ``v`` is its dominant
+    right-singular vector and the receive one ``u`` its matched filter, and
+    both schemes steer at them.  Each chunk is drawn all the same, since a
+    draw whose gain vanishes is redrawn and counted as at any L, and no
+    Gram data, kernel, BLAS routine or logarithm runs.  At L = 2 each
+    chunk's Gram data is its two couplings, and the kernels are the
+    two-path ones; at any other L it is the Grams themselves.
     """
     two_paths = cfg.num_paths == 2
     optimum = _two_path_optimal if two_paths else _optimal_snr
@@ -381,10 +378,10 @@ def run_ccdf(cfg: McConfig) -> CcdfTable:
     trial's paths, evaluate the Gram matrices of its steering vectors, the
     optimal normalized SNR (the Hermitian L x L core) and the scheme's
     normalized SNR in stacked kernels, and record
-    ``10*log10(optimal/scheme)``.  At L = 1 the channel is rank one and
-    steering at its path is optimal, so every loss is exactly 0 dB and only
-    the draws run.  Draws whose gains all vanish are redrawn as the stream
-    defines and counted in ``num_resampled``, at every L.  Each loss equals,
+    ``10*log10(optimal/scheme)``.  At L = 1 every loss is exactly 0 dB and
+    only the draws run (see ``_trial_losses``).  Draws whose gains all
+    vanish are redrawn as the stream defines and counted in
+    ``num_resampled``, at every L.  Each loss equals,
     bit for bit, the one the public per-channel functions give for
     ``sample_paths(cfg, trial)``.
     """

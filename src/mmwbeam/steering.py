@@ -4,9 +4,10 @@ A direction is an azimuth in the plane of the array, and the array sees it
 through its spatial frequency ``cos(azimuth)`` alone.  A steering vector
 here is always a constant-phase-offset (CPO) vector: unit-magnitude entries
 with a linearly increasing phase, scaled to unit 2-norm.  The inner product
-of two such vectors is the Dirichlet kernel of their frequency difference,
-which is what makes "electrical orthogonality" between two directions a
-simple predicate on their spatial frequencies.
+of two such vectors is the Dirichlet kernel of their frequency difference:
+two directions are electrically orthogonal (``|v_1^H v_2| = 0``) exactly
+where that kernel vanishes, at spatial-frequency separations ``n / (N d)``,
+d the spacing in wavelengths and n an integer that N does not divide.
 
 The inner products above the diagonal of a set of steering vectors are
 written once, in :func:`_couplings`; :func:`_grams` assembles the Gram
@@ -36,7 +37,6 @@ __all__ = [
     "steering_vector",
     "steering_matrix",
     "cpo_inner_product",
-    "electrically_orthogonal",
     "mainlobe_freq_delta",
 ]
 
@@ -202,10 +202,10 @@ def cpo_inner_product(geom: ArrayGeometry, freq_delta: float) -> complex:
     small value.  Where the reduced psi is exactly 0 the product is exactly 1.
     This is :func:`_couplings`' kernel written again in scalar ``math``, entry
     for entry with its bits: the scalar reference that
-    :func:`electrically_orthogonal` and ``tests/verify_reference.py`` use,
-    at about 0.6 us a pair against 27 us through ``gram_stack`` (2 vCPUs,
-    Python 3.11, numpy 2.4).  ``cmath.exp`` gives the phasor the bits of
-    ``np.exp`` without a round trip through a numpy scalar.
+    ``tests/verify_reference.py`` uses, at about 0.6 us a pair against 27
+    us through ``gram_stack`` (2 vCPUs, Python 3.11, numpy 2.4).
+    ``cmath.exp`` gives the phasor the bits of ``np.exp`` without a round
+    trip through a numpy scalar.
     """
     n = geom.num_elements
     psi = math.pi * geom.spacing_wavelengths * freq_delta
@@ -214,23 +214,6 @@ def cpo_inner_product(geom: ArrayGeometry, freq_delta: float) -> complex:
         return 1.0 + 0.0j
     ratio = math.sin(n * psi) / (n * math.sin(psi))
     return cmath.exp(1j * (n - 1) * psi) * ratio
-
-
-def electrically_orthogonal(
-    geom: ArrayGeometry,
-    angle1: AngleSpec,
-    angle2: AngleSpec,
-    tol: float = 1e-9,
-) -> bool:
-    """True when the steering vectors of two directions have |a^H b| < tol.
-
-    For half-wavelength spacing this happens exactly at spatial-frequency
-    separations of 2n/N, n a nonzero integer.
-    """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    freq1, freq2 = angle_frequencies([angle1, angle2]).tolist()
-    return bool(abs(cpo_inner_product(geom, freq2 - freq1)) < tol)
 
 
 def mainlobe_freq_delta(geom: ArrayGeometry, magnitude: float) -> float:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from mmwbeam.channel import PathComponent, _path_arrays
-from mmwbeam.steering import AngleSpec, ArrayGeometry, gram_stack
+from mmwbeam.montecarlo import _draw_chunk
+from mmwbeam.steering import AngleSpec, ArrayGeometry, gram_stack, spatial_frequencies
 
 
 @pytest.fixture
@@ -34,6 +35,14 @@ def kernel_args(paths, tx_geom, rx_geom):
     """A stacked kernel's arguments for one path list: gains (1, L) and both Grams (1, L, L)."""
     gains, freq_t, freq_r = _path_arrays(paths)
     return gains[None], gram_stack(tx_geom, freq_t)[None], gram_stack(rx_geom, freq_r)[None]
+
+
+def engine_inputs(cfg):
+    """Gains (B, L) and the Grams (B, L, L) the engine draws for every trial of ``cfg``."""
+    gains, aod, aoa, _ = _draw_chunk(cfg, range(cfg.trials))
+    gram_t = gram_stack(cfg.tx_geometry, spatial_frequencies(aod))
+    gram_r = gram_stack(cfg.rx_geometry, spatial_frequencies(aoa))
+    return gains, gram_t, gram_r
 
 
 def geometry_pair(nt=8, nr=4, spacing=0.5):

@@ -6,6 +6,7 @@ import pytest
 from numpy.linalg import _umath_linalg
 
 from conftest import (
+    engine_inputs,
     equal_power_grid_snr,
     geometry_pair,
     kernel_args,
@@ -676,14 +677,6 @@ class TestStackedKernels:
                         np.testing.assert_array_equal(whole[rows], one)
 
 
-def engine_inputs(cfg):
-    """Gains (B, L) and the Grams (B, L, L) the engine draws for every trial of ``cfg``."""
-    gains, aod, aoa, _ = montecarlo._draw_chunk(cfg, range(cfg.trials))
-    gram_t = gram_stack(cfg.tx_geometry, spatial_frequencies(aod))
-    gram_r = gram_stack(cfg.rx_geometry, spatial_frequencies(aoa))
-    return gains, gram_t, gram_r
-
-
 def dense_optimum(cfg, trial):
     """Top squared singular value of the trial's assembled channel over Nt * Nr."""
     paths = sample_paths(cfg, trial)
@@ -791,11 +784,11 @@ class TestFactorDegenerateInputs:
             assert np.all(np.triu(ordered, 1) == 0.0)
             assert np.all(np.diag(ordered).imag == 0.0) and np.all(np.diag(ordered).real >= 0.0)
 
-    def test_optimum_calls_lapack_for_the_factor_from_three_paths_and_the_core_from_four(
+    def test_optimum_calls_lapack_save_for_the_closed_forms_at_two_and_three_paths(
             self, monkeypatch):
-        # at L <= 2 the factor and the top eigenvalue are in closed form; from L = 3 the
-        # factor is one stacked Cholesky call, and at L = 3 eigvalsh is left for near-double
-        # tops, which these draws do not have
+        # at L = 2 the factor and the top eigenvalue are in closed form; at every other L
+        # the factor is one stacked Cholesky call, and at L = 3 eigvalsh is left for
+        # near-double tops, which these draws do not have
         calls = []
 
         def spy(name, original):
@@ -808,7 +801,8 @@ class TestFactorDegenerateInputs:
             monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
         monkeypatch.setattr(_umath_linalg, "cholesky_lo",
                             spy("cholesky", _umath_linalg.cholesky_lo))
-        expected = {1: [], 2: [], 3: ["cholesky"], 5: ["cholesky", "eigvalsh"]}
+        expected = {1: ["cholesky", "eigvalsh"], 2: [], 3: ["cholesky"],
+                    5: ["cholesky", "eigvalsh"]}
         for num_paths, route in expected.items():
             inputs = engine_inputs(montecarlo.McConfig(num_paths=num_paths, trials=16, seed=1))
             calls.clear()
@@ -1023,6 +1017,18 @@ class TestTopEigenvalue:
         for power in (-1000, -600, 600, 1000):
             assert np.array_equal(beamformer._top_eigenvalues(cores * 2.0**power),
                                   top * 2.0**power)
+
+    def test_lapack_gives_a_one_path_core_and_gram_back_as_they_are(self):
+        # at L = 1 the factor of G_t = [[1]] is [[1]] and the top eigenvalue the core's real
+        # entry: zpotrf and zheevd return them bit for bit, from subnormal entries to 2^1000
+        rng = np.random.default_rng(1)
+        exponents = np.concatenate([np.arange(-1074, 1001), rng.integers(-1074, 1001, 1000)])
+        entries = np.ldexp(rng.uniform(0.5, 1.0, (2, len(exponents))), exponents)
+        cores = (entries[0] + 1j * entries[1])[:, None, None]
+        top = beamformer._top_eigenvalues(cores)
+        assert top.tobytes() == cores[:, 0, 0].real.tobytes()
+        grams = np.ones((len(cores), 1, 1), dtype=complex)
+        assert beamformer._gram_factor(grams).tobytes() == grams.tobytes()
 
 
 def entrywise_form(gains, factor, gram_r):

@@ -33,8 +33,7 @@ def test_exports_resolve_and_cli_cases_follow_the_regime_table():
 
 # The root's names in their documented order, each with the module that defines it.
 ROOT_NAMES = {
-    steering: ["AngleSpec", "ArrayGeometry", "cpo_inner_product", "electrically_orthogonal",
-               "steering_vector"],
+    steering: ["AngleSpec", "ArrayGeometry", "cpo_inner_product", "steering_vector"],
     channel: ["ChannelMatrix", "PathComponent", "assemble_channel", "channel_power"],
     beamformer: ["BeamformerPair", "bidirectional_beamformer", "dominant_path_beamformer",
                  "equal_power_beamformer", "matched_filter", "optimal_beamformer",

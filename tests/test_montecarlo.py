@@ -289,8 +289,11 @@ ENGINE_CASES = [
 class TestEngineMatchesPublicRoute:
     @pytest.mark.parametrize("scheme,num_paths,sampling", ENGINE_CASES)
     def test_samples_equal_replay_bit_for_bit(self, scheme, num_paths, sampling, monkeypatch):
-        # a quarter of the budget keeps the per-trial replay of 2.5 chunks short
-        monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", montecarlo._CHUNK_BYTES // 4)
+        # a quarter of the budget keeps the per-trial replay of 2.5 chunks short, and a
+        # sixteenth at L = 1, whose small trials would otherwise replay 4096: 1023 and
+        # 931 at L = 1 and 2
+        budget = montecarlo._CHUNK_BYTES // (16 if num_paths == 1 else 4)
+        monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", budget)
         base = dict(num_paths=num_paths, seed=11, nt=128, nr=8, scheme=scheme,
                     angle_sampling=sampling)
         chunk = montecarlo._chunk_trials(McConfig(trials=10**6, **base))

@@ -17,7 +17,12 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
-from conftest import equal_power_grid_snr, random_paths, rotated_cores  # noqa: E402
+from conftest import (  # noqa: E402
+    engine_inputs,
+    equal_power_grid_snr,
+    random_paths,
+    rotated_cores,
+)
 from mmwbeam import cli, closedform, steering  # noqa: E402
 from mmwbeam.beamformer import (  # noqa: E402
     _dominant_snr,
@@ -168,14 +173,6 @@ def scheme_kernels(size):
     return {**_SCHEME_SNR, "equal_power": _equal_power_snr} if size == 2 else _SCHEME_SNR
 
 
-def engine_grams(mc):
-    """Gains (B, L) and the transmit and receive Grams (B, L, L) of every trial the engine draws."""
-    gains, aod, aoa, _ = _draw_chunk(mc, range(mc.trials))
-    gram_t = gram_stack(mc.tx_geometry, spatial_frequencies(aod))
-    gram_r = gram_stack(mc.rx_geometry, spatial_frequencies(aoa))
-    return gains, gram_t, gram_r
-
-
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(cfg=wide_configs)
 def test_optimum_lies_in_the_trace_sandwich(cfg):
@@ -184,7 +181,7 @@ def test_optimum_lies_in_the_trace_sandwich(cfg):
     # the largest lies between their mean and their sum tr(A G_r), and bounds every
     # scheme.  No eigensolver enters the bounds.
     mc = McConfig(**cfg)
-    gains, gram_t, gram_r = engine_grams(mc)
+    gains, gram_t, gram_r = engine_inputs(mc)
     size = mc.num_paths
     terms = gains[:, :, None] * gram_t * np.conj(gains[:, None, :]) * np.swapaxes(gram_r, -1, -2)
     trace = terms.sum(axis=(-1, -2)).real
@@ -205,7 +202,7 @@ def test_optimum_lies_in_the_trace_sandwich(cfg):
 def test_optimum_is_unchanged_by_swapping_the_ends(cfg):
     # H^T has the transmit steering vectors conj(u_l) and the receive ones conj(v_l):
     # its Grams are conj(G_r) and conj(G_t), and it has the singular values of H.
-    gains, gram_t, gram_r = engine_grams(McConfig(**cfg))
+    gains, gram_t, gram_r = engine_inputs(McConfig(**cfg))
     optimal = _optimal_snr(gains, gram_t, gram_r)[0]
     swapped = _optimal_snr(gains, np.conj(gram_r), np.conj(gram_t))[0]
     assert np.max(np.abs(swapped - optimal) / optimal) <= 2e-12
@@ -224,7 +221,7 @@ def test_losses_keep_their_values_at_gains_just_above_the_floor(cfg):
     # A chunk whose largest gain is just above _MIN_GAIN is kept, not redrawn: its squared
     # gains are near 1e-300, and every loss must read as at unit scale.
     mc = McConfig(**cfg)
-    gains, gram_t, gram_r = engine_grams(mc)
+    gains, gram_t, gram_r = engine_inputs(mc)
     tiny = gains * (1.1 * _MIN_GAIN / np.abs(gains).max())
     for kernel in scheme_kernels(mc.num_paths).values():
         unit = chunk_losses(kernel, gains, gram_t, gram_r)

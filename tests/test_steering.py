@@ -9,7 +9,6 @@ from mmwbeam.steering import (
     ArrayGeometry,
     angle_frequencies,
     cpo_inner_product,
-    electrically_orthogonal,
     gram_stack,
     mainlobe_freq_delta,
     spatial_frequencies,
@@ -181,29 +180,33 @@ class TestInnerProduct:
 
 
 class TestElectricalOrthogonality:
+    # two directions are electrically orthogonal where the Dirichlet kernel of their
+    # spatial-frequency separation vanishes: at 2n/N for half-wavelength spacing
+
+    @staticmethod
+    def separation(a1, a2):
+        freq1, freq2 = angle_frequencies([a1, a2]).tolist()
+        return freq2 - freq1
+
     def test_null_separation_is_orthogonal(self):
         geom = ArrayGeometry(8)
         a1 = AngleSpec(math.acos(-0.125))
         a2 = AngleSpec(math.acos(0.125))  # separation 0.25 = 2/8
-        assert electrically_orthogonal(geom, a1, a2, tol=1e-9)
+        assert abs(cpo_inner_product(geom, self.separation(a1, a2))) < 1e-9
 
-    def test_same_angle_not_orthogonal(self):
+    def test_same_angle_gives_one(self):
         geom = ArrayGeometry(8)
         a = AngleSpec(0.9)
-        assert not electrically_orthogonal(geom, a, a)
+        assert cpo_inner_product(geom, self.separation(a, a)) == 1.0
 
     def test_small_separation_not_orthogonal(self):
         geom = ArrayGeometry(8)
         a1 = AngleSpec(math.acos(-0.05))
         a2 = AngleSpec(math.acos(0.05))  # separation 0.1
-        assert not electrically_orthogonal(geom, a1, a2)
         # oracle: direct sum of the 8-term series
         assert abs(direct_cpo_sum(8, 0.1)) == pytest.approx(0.7599480364274, abs=1e-12)
-
-    def test_tol_must_be_positive(self):
-        geom = ArrayGeometry(8)
-        with pytest.raises(ValueError):
-            electrically_orthogonal(geom, AngleSpec(0.1), AngleSpec(0.2), tol=0.0)
+        assert abs(cpo_inner_product(geom, self.separation(a1, a2))) == pytest.approx(
+            abs(direct_cpo_sum(8, 0.1)), abs=1e-12)
 
 
 class TestMainlobeInversion:
